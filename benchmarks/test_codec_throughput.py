@@ -1,8 +1,8 @@
 """Throughput of the vectorized storage data plane vs its references.
 
-Three surfaces, each with a pytest-benchmark fixture (so runs can be
-saved with ``--benchmark-json`` and diffed by ``scripts/bench_compare.py``)
-plus hard speedup floors measured against the retained scalar codec:
+Three surfaces, each with a pytest-benchmark fixture (trends are
+tracked by ``bench/``'s ``storage.compress_us_per_chunk`` and
+``storage.decode_us_per_chunk``) plus hard speedup floors measured against the retained scalar codec:
 
 * seal (compress) MB/s and decompress MB/s on noisy-power chunks,
 * the combined seal+decompress path, asserted >= 10x the ``_slow``

@@ -32,7 +32,7 @@ from repro.cluster import (
     build_dragonfly,
 )
 from repro.cluster.workload import JobGenerator
-from repro.pipeline import default_pipeline
+from repro.sites import SiteConfig, build_site
 
 # which benchmark exercises the subsystem each fault class degrades
 BENCH_FOR = {
@@ -56,8 +56,8 @@ def run_with_fault(fault_factory, *, gpu=False, seed=7, hours=1.0):
     )
     fault = fault_factory(machine)
     machine.faults.add(fault)
-    pipeline = default_pipeline(machine, seed=seed,
-                                with_health_gate=False)
+    pipeline = build_site(SiteConfig(seed=seed, with_health_gate=False),
+                          machine=machine)
     # streaming outliers on metrics where an outlier is unambiguous
     # (raw power sweeps are bimodal busy/idle on a working machine; the
     # KAUST power detector cross-references allocations instead)

@@ -22,9 +22,9 @@ one-sided — interruptions only ever slow an arm down, so the minimum
 is the best estimate of the true cost); best of ``ATTEMPTS`` attempts.
 Answers are asserted equal before any timing is trusted.
 
-A pytest-benchmark fixture records the warm mmap downsample pass for
-trend tracking (baseline ``BENCH_outofcore.json``, diffed by
-``scripts/bench_compare.py``).
+A pytest-benchmark fixture records the warm mmap downsample pass; the
+tracked figures are ``bench/``'s ``storage.wal_us_per_point`` and
+``storage.diskload_us_per_chunk`` (see ``bench/README.md``).
 """
 
 import gc

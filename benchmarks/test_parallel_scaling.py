@@ -14,9 +14,9 @@ paired trials with arm order alternated so host drift cancels, median
 ratio per attempt, best of ``ATTEMPTS`` attempts (timing noise is
 one-sided — interruptions only slow arms down).
 
-A pytest-benchmark fixture records the 4-worker step loop for trend
-tracking (baseline ``BENCH_parallel.json``, diffed by
-``scripts/bench_compare.py``).
+A pytest-benchmark fixture records the 4-worker step loop; the tracked
+figures are ``bench/``'s ``runtime.barrier_wait_ms_per_tick`` and
+``runtime.worker_busy_ms_per_tick`` (see ``bench/README.md``).
 """
 
 import gc

@@ -12,6 +12,7 @@ import time
 from repro.cluster import JobGenerator, Machine, PackedPlacement, build_dragonfly
 from repro.obs.trace import Tracer
 from repro.pipeline import MonitoringPipeline, default_collectors
+from repro.sites import SiteConfig
 
 N_STEPS = 120
 TRIALS = 5
@@ -39,9 +40,9 @@ def build_pipeline(observed: bool):
         )
     return MonitoringPipeline(
         machine,
+        SiteConfig(selfmon_interval_s=None),
         collectors=default_collectors(machine),
         tracer=Tracer(enabled=False),
-        selfmon_interval_s=None,
     )
 
 

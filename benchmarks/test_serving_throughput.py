@@ -20,9 +20,9 @@ append lands between warm waves so every wave re-validates against a
 moved epoch — the honest steady state, not an infinitely-cacheable one.
 Answers are asserted equal before any timing is trusted.
 
-A pytest-benchmark fixture records the warm wave for trend tracking
-(baseline ``BENCH_serving.json``, diffed by
-``scripts/bench_compare.py``).
+A pytest-benchmark fixture records the warm wave; the tracked figures
+are ``bench/``'s ``queries_per_s`` and ``serve.wave_p50_ms`` on
+``dash-wave`` (see ``bench/README.md``).
 """
 
 import gc

@@ -22,7 +22,7 @@ REQUIREMENTS: list[tuple[str, str, str, str]] = [
     ("Architecture",
      "Owners determine data access/transport/storage tradeoffs; "
      "options for scaling up",
-     "repro.transport.ldms:build_tree",
+     "repro.transport.aggtree:AggregatorTree",
      "configurable fan-in aggregation tree; bus and syslog alternatives"),
     ("Architecture",
      "Where access and transport of data might incur impact, that "

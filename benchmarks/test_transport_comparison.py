@@ -1,4 +1,4 @@
-"""Transport comparison: pub/sub bus vs LDMS pull tree vs syslog.
+"""Transport comparison: pub/sub bus vs LDMS-class tree vs syslog.
 
 Section IV-B: sites juggle "a variety of transport mechanisms" with
 different fidelity/overhead tradeoffs, and "multiple transports may in
@@ -19,7 +19,6 @@ from repro.core.events import Event, EventKind, Severity
 from repro.core.metric import SeriesBatch
 from repro.transport.aggtree import AggregatorTree
 from repro.transport.bus import MessageBus
-from repro.transport.ldms import Sampler, build_tree
 from repro.transport.syslogfwd import SyslogForwarder
 
 N_NODES = 256
@@ -171,39 +170,44 @@ class TestAggregatorTreeAtScale:
         assert per_5min > per_sweep
 
 
-class TestLdmsTree:
-    def sampler(self, i):
-        def fn(now):
-            return [SeriesBatch.sweep("m", now, [f"n{i}"], [1.0])]
-        return Sampler(f"n{i}", fn)
+class TestTreeFanIn:
+    """One leaf daemon per node, ``fan_in`` children per aggregator:
+    the LDMS-class shape, from one wide level to a deep narrow tree."""
+
+    def sweep(self, tree, now):
+        for i in range(N_NODES):
+            tree.publish("metrics.m",
+                         SeriesBatch.sweep("m", now, [f"n{i}"], [1.0]),
+                         source=f"n{i}")
+        return tree.pump(now)
 
     @pytest.mark.parametrize("fan_in", [4, 16, 256])
-    def test_bench_tree_pull(self, benchmark, fan_in):
-        root = build_tree([self.sampler(i) for i in range(N_NODES)],
-                          fan_in=fan_in)
-        out = benchmark(root.pull, 60.0)
-        assert len(out) == N_NODES
+    def test_bench_tree_sweep(self, benchmark, fan_in):
+        tree = AggregatorTree(leaves=N_NODES, fan_in=fan_in)
+        got = []
+        tree.subscribe("metrics.*",
+                       callback=lambda env: got.append(len(env.payload)))
+        benchmark(self.sweep, tree, 60.0)
+        # every sweep reaches the root whole, as one coalesced message
+        assert got and set(got) == {N_NODES}
 
-    def test_deeper_trees_move_more_wire_bytes(self):
-        flat = build_tree([self.sampler(i) for i in range(N_NODES)],
-                          fan_in=256)
-        deep = build_tree([self.sampler(i) for i in range(N_NODES)],
-                          fan_in=4)
-        flat.pull(0.0)
-        deep.pull(0.0)
-
-        def total_wire(agg):
-            own = agg.wire_bytes
-            for c in agg.children:
-                if hasattr(c, "wire_bytes"):
-                    own += total_wire(c)
-            return own
-
-        wf, wd = total_wire(flat), total_wire(deep)
-        print(f"\nwire bytes per sweep: fan-in 256 (1 level) = {wf}, "
-              f"fan-in 4 ({deep.depth()} levels) = {wd} "
-              f"({wd / wf:.1f}x re-forwarding cost)")
-        assert wd > wf
+    def test_deeper_trees_forward_through_more_levels(self):
+        flat = AggregatorTree(leaves=N_NODES, fan_in=256)
+        deep = AggregatorTree(leaves=N_NODES, fan_in=4)
+        for tree in (flat, deep):
+            tree.subscribe("metrics.*", callback=lambda env: None)
+            self.sweep(tree, 0.0)
+        sf, sd = flat.stats(), deep.stats()
+        print(f"\nper sweep: fan-in 256 = {sf.levels} levels, "
+              f"fan-in 4 = {sd.levels} levels; both forward "
+              f"{sd.leaf_messages} leaf messages as "
+              f"{sd.upstream_messages} upstream message")
+        # fan-in changes how often a point is re-forwarded on the way
+        # up, never what leaves the leaves or reaches the root
+        assert sd.levels > sf.levels
+        assert sd.leaf_messages == sf.leaf_messages
+        assert sd.upstream_messages == sf.upstream_messages == 1
+        assert sd.points_forwarded == sf.points_forwarded == N_NODES
 
 
 class TestSyslogUnderStorm:

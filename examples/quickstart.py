@@ -10,7 +10,7 @@ and the data trail in the stores.
 Run:  python examples/quickstart.py
 """
 
-from repro import default_pipeline
+from repro import SiteConfig, build_site
 from repro.cluster import (
     HungNode,
     JobGenerator,
@@ -42,7 +42,7 @@ def main() -> None:
                                bw_factor=0.1))
     print(f"injected: hung node {victim} @t=900s, slow ost0 @t=1800s\n")
 
-    pipeline = default_pipeline(machine, seed=1)
+    pipeline = build_site(SiteConfig(seed=1), machine=machine)
     pipeline.run(hours=1.0, dt=10.0)
 
     print("=== alerts raised ===")

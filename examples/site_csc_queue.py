@@ -19,7 +19,7 @@ Run:  python examples/site_csc_queue.py
 """
 
 
-from repro import default_pipeline
+from repro import SiteConfig, build_site
 from repro.analysis.queueing import characterize, estimate_wait
 from repro.cluster import (
     JobGenerator,
@@ -47,7 +47,7 @@ def main() -> None:
         QueueBlockage(start=BLOCK_START, duration=BLOCK_END - BLOCK_START)
     )
 
-    pipeline = default_pipeline(machine, seed=3)
+    pipeline = build_site(SiteConfig(seed=3), machine=machine)
     pipeline.run(hours=2.5, dt=10.0)
 
     backlog = pipeline.tsdb.query("queue.backlog_nodeh", "scheduler")

@@ -17,7 +17,7 @@ Run:  python examples/site_ncsa_filesystem.py
 
 import numpy as np
 
-from repro import default_pipeline
+from repro import SiteConfig, build_site
 from repro.analysis.anomaly import sweep_outliers
 from repro.cluster import Machine, PackedPlacement, SlowOst, build_dragonfly
 from repro.cluster.workload import APP_LIBRARY, Job
@@ -55,7 +55,7 @@ def main() -> None:
     machine.faults.add(SlowOst(start=2400.0, duration=1800.0, ost=3,
                                bw_factor=0.1))
 
-    pipeline = default_pipeline(machine, seed=2)
+    pipeline = build_site(SiteConfig(seed=2), machine=machine)
     pipeline.run(hours=1.5, dt=10.0)
     now = machine.now
 

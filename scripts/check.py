@@ -3,7 +3,7 @@
 
 Usage::
 
-    python scripts/check.py           # lint + tier-1 tests
+    python scripts/check.py           # lint + bench smoke + tier-1 tests
     python scripts/check.py --lint    # lint only
 
 Lint runs ``ruff check`` when ruff is installed.  When it is not (the
@@ -51,14 +51,6 @@ faults the supervised lifecycle exists to surface — the paper's sites
 report silent data loss as a top pain point.  Catch the specific
 exception, count/log the failure, or mark the line with
 ``# swallow: allowed``.
-
-Finally both paths gate on **config drift** between the pipeline
-assembly surface and the declarative site layer: every parameter of
-``default_pipeline`` and ``MonitoringPipeline.__init__`` must map to a
-``SiteConfig`` field (directly, via the alias table, or as exempted
-instance plumbing), so a knob can never again exist only as code the
-way the paper's hand-maintained Table I drifted from the deployments
-it described.
 """
 
 from __future__ import annotations
@@ -571,103 +563,6 @@ def check_selfmon_registry() -> list[str]:
     return problems
 
 
-#: assembly params that are instance plumbing, not declarative site
-#: shape — they reach build_site() as explicit overrides, so SiteConfig
-#: deliberately has no field for them
-_CONFIG_DRIFT_EXEMPT = frozenset({
-    "self", "machine", "collectors", "registry", "sec", "tracer",
-    "tsdb", "stages", "freshness_slos", "kw",
-})
-
-#: assembly knob -> the SiteConfig field that represents it
-_CONFIG_DRIFT_ALIASES = {
-    "serve_quotas": "quotas",
-    "site": "name",
-    "executor": "workers",
-}
-
-
-def _function_params(fn: ast.FunctionDef) -> list[tuple[str, int]]:
-    """(name, lineno) for every parameter of ``fn``, *args/**kw included."""
-    a = fn.args
-    params = [*a.posonlyargs, *a.args, *a.kwonlyargs]
-    out = [(p.arg, p.lineno) for p in params]
-    if a.vararg is not None:
-        out.append((a.vararg.arg, a.vararg.lineno))
-    if a.kwarg is not None:
-        out.append((a.kwarg.arg, a.kwarg.lineno))
-    return out
-
-
-def check_config_drift(
-    pipeline_path: Path | None = None,
-    config_path: Path | None = None,
-) -> list[str]:
-    """Every pipeline-assembly knob must be representable in SiteConfig.
-
-    The declarative site layer only stays declarative if it keeps up
-    with the assembly surface: a knob added to ``default_pipeline`` or
-    ``MonitoringPipeline.__init__`` without a matching
-    :class:`~repro.sites.config.SiteConfig` field is configuration that
-    exists in code but cannot be written down, exactly the drift the
-    paper's hand-maintained Table I suffered.  The gate AST-compares
-    the parameter names of both assembly entry points against the
-    dataclass's field names; instance-plumbing params (live objects,
-    not shape) are exempt, and renamed knobs map through the alias
-    table.
-    """
-    pipeline_path = pipeline_path or REPO / "src" / "repro" / "pipeline.py"
-    config_path = config_path or (
-        REPO / "src" / "repro" / "sites" / "config.py"
-    )
-    if not (pipeline_path.is_file() and config_path.is_file()):
-        return []
-    try:
-        ptree = ast.parse(pipeline_path.read_text(),
-                          filename=str(pipeline_path))
-        ctree = ast.parse(config_path.read_text(),
-                          filename=str(config_path))
-    except SyntaxError:
-        return []                    # surfaced by check_file already
-    fields: set[str] = set()
-    for node in ast.walk(ctree):
-        if isinstance(node, ast.ClassDef) and node.name == "SiteConfig":
-            for stmt in node.body:
-                if (isinstance(stmt, ast.AnnAssign)
-                        and isinstance(stmt.target, ast.Name)):
-                    fields.add(stmt.target.id)
-    if not fields:
-        return [f"{config_path}: config-drift gate found no SiteConfig "
-                f"fields to compare against"]
-    knobs: list[tuple[str, str, int]] = []
-    for node in ast.walk(ptree):
-        if (isinstance(node, ast.FunctionDef)
-                and node.name == "default_pipeline"):
-            knobs.extend(("default_pipeline", n, ln)
-                         for n, ln in _function_params(node))
-        elif (isinstance(node, ast.ClassDef)
-                and node.name == "MonitoringPipeline"):
-            for stmt in node.body:
-                if (isinstance(stmt, ast.FunctionDef)
-                        and stmt.name == "__init__"):
-                    knobs.extend(("MonitoringPipeline.__init__", n, ln)
-                                 for n, ln in _function_params(stmt))
-    problems: list[str] = []
-    for owner, name, lineno in knobs:
-        if name in _CONFIG_DRIFT_EXEMPT:
-            continue
-        target = _CONFIG_DRIFT_ALIASES.get(name, name)
-        if target not in fields:
-            problems.append(
-                f"{pipeline_path}:{lineno}: {owner} knob {name!r} is not "
-                f"representable in SiteConfig (no field {target!r}); add "
-                f"the field to repro/sites/config.py, alias it in "
-                f"_CONFIG_DRIFT_ALIASES, or exempt instance plumbing in "
-                f"_CONFIG_DRIFT_EXEMPT"
-            )
-    return problems
-
-
 #: packages held to the no-per-sample-loop rule: the streaming analysis
 #: plane and the serving plane (both sit on the query hot path)
 _COLUMNAR_DIRS = ("analysis", "serve")
@@ -687,8 +582,7 @@ def check_columnar_analysis() -> list[str]:
 def lint() -> int:
     gate_problems = (check_import_cycles() + check_columnar_analysis()
                      + check_swallows_repro() + check_selfmon_registry()
-                     + check_shared_state() + check_fd_lifetime_storage()
-                     + check_config_drift())
+                     + check_shared_state() + check_fd_lifetime_storage())
     for p in gate_problems:
         print(p)
     if gate_problems:
@@ -727,11 +621,11 @@ def tests() -> int:
 
 
 def bench_tooling_smoke() -> int:
-    """Exercise the benchmark-diff tool's logic on synthetic runs, so a
-    broken comparator is caught here rather than the first time a PR
-    needs a perf verdict."""
+    """Run the benchmark's own smoke tests, so a ``repro`` API change
+    that breaks its imports or trace seams fails here rather than in
+    the pipeline's benchmark run."""
     return subprocess.run(
-        [sys.executable, "scripts/bench_compare.py", "--selftest"], cwd=REPO
+        [sys.executable, "-m", "pytest", "bench/tests", "-q"], cwd=REPO
     ).returncode
 
 

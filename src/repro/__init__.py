@@ -9,14 +9,16 @@ with realistic failure modes.
 
 Quick tour::
 
-    from repro.cluster import Machine, build_dragonfly, JobGenerator
-    from repro.pipeline import MonitoringPipeline, default_pipeline
+    from repro.sites import SiteConfig, build_site
 
-    machine = Machine(build_dragonfly(groups=4),
-                      job_generator=JobGenerator(seed=1))
-    pipeline = default_pipeline(machine)
+    pipeline = build_site(SiteConfig(groups=4, shards=4, seed=1))
     pipeline.run(hours=2)
-    print(pipeline.alerts())
+    print(pipeline.active_alerts())
+
+A :class:`~repro.sites.SiteConfig` is the whole deployment as data
+(machine shape, cadences, transport tier, storage layout, workers,
+quotas); :func:`~repro.sites.build_site` is the one function that turns
+it into a running :class:`~repro.pipeline.MonitoringPipeline`.
 
 Subpackages:
 
@@ -36,12 +38,15 @@ Subpackages:
 - :mod:`repro.viz`       — aggregation, drill-down dashboards, figures
 - :mod:`repro.obs`       — self-observability: trace spans, ``selfmon.*``
   meta-metrics, pipeline introspection ("monitor the monitoring")
+- :mod:`repro.sites`     — declarative site configs, the assembly path,
+  the ten paper-site presets, N-site federation
 """
 
 __version__ = "1.0.0"
 
-from . import analysis, cluster, core, obs, response, sources, storage, transport, viz
-from .pipeline import MonitoringPipeline, default_collectors, default_pipeline
+from . import analysis, cluster, core, obs, response, sites, sources, storage, transport, viz
+from .pipeline import MonitoringPipeline, default_collectors
+from .sites import SiteConfig, build_site
 
 __all__ = [
     "analysis",
@@ -49,12 +54,14 @@ __all__ = [
     "core",
     "obs",
     "response",
+    "sites",
     "sources",
     "storage",
     "transport",
     "viz",
     "MonitoringPipeline",
+    "SiteConfig",
+    "build_site",
     "default_collectors",
-    "default_pipeline",
     "__version__",
 ]

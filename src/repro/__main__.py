@@ -77,40 +77,27 @@ import argparse
 import sys
 
 
-def _build_machine(seed: int):
-    from .cluster import (
-        HungNode,
-        JobGenerator,
-        Machine,
-        PackedPlacement,
-        SlowOst,
-        build_dragonfly,
-    )
+def _demo_site(seed: int, overrides: dict | None = None, **knobs):
+    """The CLI's site: a 96-node all-GPU dragonfly with a hung node and
+    a slow OST, monitored by the stack ``knobs`` declare."""
+    from .cluster import HungNode, SlowOst
+    from .sites import SiteConfig, build_machine, build_site
 
-    topo = build_dragonfly(groups=2, chassis_per_group=3,
-                           blades_per_chassis=4)
-    machine = Machine(
-        topo,
-        placement=PackedPlacement(),
-        job_generator=JobGenerator(mean_interarrival_s=180,
-                                   max_nodes=32, seed=seed),
-        gpu_nodes="all",
-        seed=seed,
-    )
+    config = SiteConfig(gpu_nodes="all", mean_interarrival_s=180,
+                        seed=seed, **knobs)
+    machine = build_machine(config)
     machine.faults.add(HungNode(start=900.0, duration=1200.0,
-                                node=topo.nodes[5]))
+                                node=machine.topo.nodes[5]))
     machine.faults.add(SlowOst(start=1800.0, duration=1200.0, ost=0,
                                bw_factor=0.1))
-    return machine
+    return build_site(config, machine=machine, overrides=overrides)
 
 
 def cmd_demo(args) -> int:
-    from .pipeline import default_pipeline
-
-    machine = _build_machine(args.seed)
+    pipeline = _demo_site(args.seed)
+    machine = pipeline.machine
     print(f"simulating {len(machine.topo.nodes)} nodes for "
           f"{args.hours:g} h with a hung node and a slow OST...")
-    pipeline = default_pipeline(machine, seed=args.seed)
     pipeline.run(hours=args.hours, dt=10.0)
     print("\nalerts:")
     for a in pipeline.alerts.alerts:
@@ -126,11 +113,10 @@ def cmd_demo(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    from .pipeline import default_pipeline
     from .viz.figures import figure3_power, figure4_drilldown
 
-    machine = _build_machine(args.seed)
-    pipeline = default_pipeline(machine, seed=args.seed)
+    pipeline = _demo_site(args.seed)
+    machine = pipeline.machine
     pipeline.run(hours=args.hours, dt=10.0)
     fig3 = figure3_power(pipeline.tsdb, 0.0, machine.now)
     print(fig3.render(height=7))
@@ -149,11 +135,10 @@ def cmd_registry(args) -> int:
 
 
 def cmd_dashboard(args) -> int:
-    from .pipeline import default_pipeline
     from .viz.dashspec import operations_dashboard
 
-    machine = _build_machine(args.seed)
-    pipeline = default_pipeline(machine, seed=args.seed)
+    pipeline = _demo_site(args.seed)
+    machine = pipeline.machine
     pipeline.run(hours=args.hours, dt=10.0)
     spec = operations_dashboard()
     print("shareable spec (JSON):")
@@ -169,14 +154,12 @@ def cmd_obs(args) -> int:
         StreamingRateWatch,
         StreamingStats,
     )
-    from .pipeline import default_pipeline
 
     as_json = getattr(args, "json", False)
-    machine = _build_machine(args.seed)
+    pipeline = _demo_site(args.seed)
     if not as_json:
-        print(f"simulating {len(machine.topo.nodes)} nodes for "
+        print(f"simulating {len(pipeline.machine.topo.nodes)} nodes for "
               f"{args.hours:g} h, monitoring the monitoring...")
-    pipeline = default_pipeline(machine, seed=args.seed)
     # streaming detectors on the hot sweeps, so the analysis plane has
     # something to self-report (selfmon.analysis.* gauges below)
     pipeline.add_streaming(StreamingStats())
@@ -222,8 +205,6 @@ def cmd_obs(args) -> int:
 def cmd_scale(args) -> int:
     import time as _time
 
-    from .pipeline import default_pipeline
-
     specs = [
         ("flat", dict(transport="flat")),
         ("partitioned", dict(transport="partitioned", shards=4)),
@@ -233,8 +214,7 @@ def cmd_scale(args) -> int:
           f"transport tier...")
     rows = []
     for label, kw in specs:
-        machine = _build_machine(args.seed)
-        pipeline = default_pipeline(machine, seed=args.seed, **kw)
+        pipeline = _demo_site(args.seed, **kw)
         t0 = _time.perf_counter()
         pipeline.run(hours=args.hours, dt=10.0)
         pipeline.bus.flush()     # deliver anything still windowed
@@ -446,20 +426,19 @@ def cmd_chaos(args) -> int:
         TransportDropStorm,
         TransportStall,
     )
-    from .pipeline import default_pipeline
     from .transport.partitioned import PartitionedBus
 
-    machine = _build_machine(args.seed)
-    print(f"simulating {len(machine.topo.nodes)} nodes for "
-          f"{args.hours:g} h while injecting faults into the "
-          f"monitoring plane itself...")
-    pipeline = default_pipeline(
-        machine,
-        seed=args.seed,
-        transport=ChaosTransport(PartitionedBus()),
+    pipeline = _demo_site(
+        args.seed,
+        overrides={"transport": ChaosTransport(PartitionedBus())},
+        transport="partitioned",
         shards=4,
         collector_budget_s=0.01,
     )
+    machine = pipeline.machine
+    print(f"simulating {len(machine.topo.nodes)} nodes for "
+          f"{args.hours:g} h while injecting faults into the "
+          f"monitoring plane itself...")
     inj = MonitorFaultInjector([
         CollectorRaise(start=600.0, duration=900.0, target="sedc"),
         CollectorHang(start=1200.0, duration=600.0,
@@ -542,19 +521,11 @@ def cmd_store(args) -> int:
     import tempfile
 
     from .obs.chaos import MonitorFaultInjector, StoreCrash
-    from .pipeline import default_pipeline
-
     from .storage.rollup import DEFAULT_LEVELS
     from .storage.sharded import ShardedTimeSeriesStore
 
-    machine = _build_machine(args.seed)
     store_dir = tempfile.mkdtemp(prefix="repro-store-")
     hot_budget = 16 << 10    # deliberately tiny: force spill to disk
-    print(f"simulating {len(machine.topo.nodes)} nodes for "
-          f"{args.hours:g} h on a disk-backed sharded store\n"
-          f"  store dir   {store_dir}\n"
-          f"  hot budget  {hot_budget} B/shard (sealed chunks past "
-          f"this spill to mmap-backed segments)")
     # small chunks + small fsync batches so a short demo run actually
     # seals, spills, and syncs (the defaults are sized for long runs)
     tsdb = ShardedTimeSeriesStore(
@@ -562,7 +533,13 @@ def cmd_store(args) -> int:
         disk_dir=store_dir, hot_bytes=hot_budget,
         sync_every_bytes=64 << 10,
     )
-    pipeline = default_pipeline(machine, seed=args.seed, tsdb=tsdb)
+    pipeline = _demo_site(args.seed, overrides={"tsdb": tsdb})
+    machine = pipeline.machine
+    print(f"simulating {len(machine.topo.nodes)} nodes for "
+          f"{args.hours:g} h on a disk-backed sharded store\n"
+          f"  store dir   {store_dir}\n"
+          f"  hot budget  {hot_budget} B/shard (sealed chunks past "
+          f"this spill to mmap-backed segments)")
 
     dt = 10.0
     total_s = args.hours * 3600.0
@@ -647,23 +624,21 @@ def cmd_store(args) -> int:
 
 
 def cmd_slo(args) -> int:
-    from .pipeline import default_pipeline
-    from .transport.base import make_transport
+    from .transport.aggtree import AggregatorTree
 
     # a 120 s aggregation window makes the tree's merge latency visible
     # in the waterfall (the flat/partitioned tiers deliver same-tick)
     specs = [
-        ("flat", lambda: make_transport("flat")),
-        ("partitioned", lambda: make_transport("partitioned")),
-        ("tree", lambda: make_transport("tree", window_s=120.0)),
+        ("flat", None),
+        ("partitioned", None),
+        ("tree", {"transport": AggregatorTree(window_s=120.0)}),
     ]
     print(f"tracing ingest-to-queryable freshness over {args.hours:g} h "
           f"on each transport tier...")
     all_exact = True
-    for label, build in specs:
-        machine = _build_machine(args.seed)
-        pipeline = default_pipeline(machine, seed=args.seed,
-                                    transport=build())
+    for label, overrides in specs:
+        pipeline = _demo_site(args.seed, overrides=overrides,
+                              transport=label)
         pipeline.run(hours=args.hours, dt=10.0)
         pipeline.bus.flush()     # deliver anything still windowed
         fr = pipeline.freshness
@@ -696,15 +671,13 @@ def cmd_slo(args) -> int:
 def cmd_serve(args) -> int:
     import numpy as np
 
-    from .pipeline import default_pipeline
     from .serve.quota import TenantQuota
 
-    machine = _build_machine(args.seed)
     print(f"ingesting {args.hours:g} h across 4 shards, then serving "
           f"dashboard queries through the multi-tenant front end...")
-    pipeline = default_pipeline(
-        machine, seed=args.seed, shards=4,
-        serve_quotas={
+    pipeline = _demo_site(
+        args.seed, shards=4,
+        quotas={
             "ops": TenantQuota(qps=1000.0),
             # the sim clock is frozen between ticks, so the guest's
             # bucket never refills mid-burst: burst admissions, then shed
@@ -713,7 +686,7 @@ def cmd_serve(args) -> int:
     )
     pipeline.run(hours=args.hours, dt=10.0)
     fe = pipeline.frontend
-    t1 = machine.now
+    t1 = pipeline.machine.now
     metrics = ["node.load1", "node.power_w", "node.temp_c",
                "fs.read_bps", "queue.depth"]
     # two dashboard refresh rounds per tenant: round two should be

@@ -1,15 +1,12 @@
 """Core datatypes and plumbing shared by every layer of the stack."""
 
 from .clock import DriftingClock, DriftModel, SimClock
-from .config import CollectorConfig, MonitoringConfig
 from .events import Event, EventKind, Severity
 from .hashing import stable_bucket, stable_hash
 from .metric import MetricKey, Sample, SeriesBatch, merge_batches
 from .registry import MetricClass, MetricRegistry, MetricSpec, default_registry
 
 __all__ = [
-    "CollectorConfig",
-    "MonitoringConfig",
     "DriftingClock",
     "DriftModel",
     "SimClock",

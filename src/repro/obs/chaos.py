@@ -339,7 +339,7 @@ def crash_and_recover(
     :class:`~repro.storage.diskier.RecoveryReport`.
 
     Requires the pipeline's store to have been built with a disk tier
-    (``default_pipeline(store_dir=...)``); raises :class:`TypeError`
+    (``SiteConfig(store_dir=...)``); raises :class:`TypeError`
     otherwise.
     """
     from pathlib import Path

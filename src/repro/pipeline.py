@@ -19,9 +19,12 @@ One :class:`MonitoringPipeline` wires together every layer against a
 
 The tick loop itself is a sequence of :class:`~repro.stages.Stage`
 objects iterated under trace spans — each plane of the data path is a
-swappable unit, and ``default_pipeline`` assembles the stack the way a
-site would deploy it with ``transport=``/``tsdb=``/``shards=`` knobs
-(Table I: "Extensibility and modularity are fundamental").
+swappable unit, and every deployment knob (tick, transport tier, shards,
+disk tier, workers, quotas, ...) is read from one
+:class:`~repro.sites.config.SiteConfig`;
+:func:`repro.sites.build.build_site` assembles the stack the way a site
+would deploy it (Table I: "Extensibility and modularity are
+fundamental").
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ from .response.policy import default_sec_engine
 from .response.sec import ActionRequest, SecEngine
 from .runtime.executor import ExecutionModel, make_executor
 from .serve.frontend import QueryFrontend
-from .serve.quota import TenantQuota
+from .sites.build import build_store
+from .sites.config import SiteConfig
 from .sources.base import CollectionScheduler, Collector
 from .sources.benchmarks import BenchmarkSuite
 from .sources.counters import (
@@ -69,68 +73,82 @@ from .stages import (
 )
 from .storage.jobstore import JobIndex
 from .storage.logstore import LogStore
-from .storage.rollup import DEFAULT_LEVELS
 from .storage.sqlstore import SqlStore
-from .storage.tsdb import TimeSeriesStore
-from .transport.base import Transport
-from .transport.bus import MessageBus
+from .transport.base import Transport, make_transport
 from .viz.dashboard import Dashboard
 
-__all__ = ["MonitoringPipeline", "default_pipeline", "default_collectors"]
+__all__ = ["MonitoringPipeline", "default_collectors"]
 
 AnalysisHook = Callable[["MonitoringPipeline", float], Sequence[Detection]]
 
 
 class MonitoringPipeline:
-    """The assembled end-to-end monitoring system over one machine."""
+    """The assembled end-to-end monitoring system over one machine.
+
+    ``config`` (default ``SiteConfig()``) holds every knob: tick, alert
+    renotify, selfmon cadence, supervision, collector budget, freshness,
+    quotas, site name, and the transport / store / executor tiers.  The
+    keyword parameters are live parts; one that is given replaces what
+    the config would have built, and one that contradicts a declared
+    knob (``tsdb`` against ``shards``/``store_dir``, ``executor``
+    against ``workers``) is rejected, so the stack never disagrees with
+    ``config.capabilities()``.
+    """
 
     def __init__(
         self,
         machine: Machine,
+        config: SiteConfig | None = None,
+        *,
         collectors: Sequence[Collector] = (),
-        registry: MetricRegistry | None = None,
-        sec: SecEngine | None = None,
-        tick_s: float = 10.0,
-        renotify_s: float = 3600.0,
-        tracer: Tracer | None = None,
-        selfmon_interval_s: float | None = 60.0,
         transport: Transport | None = None,
         tsdb=None,
+        executor: ExecutionModel | None = None,
+        registry: MetricRegistry | None = None,
+        sec: SecEngine | None = None,
+        tracer: Tracer | None = None,
         stages: Sequence[Stage] | None = None,
-        supervision: bool = True,
-        collector_budget_s: float | None = None,
-        freshness: bool = True,
         freshness_slos: Sequence[FreshnessSLO] | None = None,
-        executor: "ExecutionModel | int | str | None" = None,
-        serve_quotas: "dict[str, TenantQuota] | None" = None,
-        site: str = "",
     ) -> None:
         self.machine = machine
+        if config is None:
+            config = SiteConfig()
+        if tsdb is not None:
+            if config.store_dir is not None:
+                raise ValueError("pass either tsdb= or store_dir=, not both")
+            if config.shards is not None:
+                raise ValueError("pass either tsdb= or shards=, not both")
+        if config.workers is not None and executor is not None:
+            raise ValueError("pass either workers= or executor=, not both")
+        self.site_config = config
         # federation identity: non-empty when this stack is one site of
         # several in a process; namespaces the selfmon publisher and the
         # merged supervisor/ledger views (per-site surfaces stay local,
         # so a site federated with others reports identically to solo)
-        self.site = site
+        self.site = config.name
         self.registry = registry or default_registry()
-        self.tick_s = float(tick_s)
+        self.tick_s = float(config.tick_s)
 
         # execution model: how the data-parallel planes run each tick.
         # Serial (the default) is today's behaviour, bit-identical;
         # a parallel executor fans collection / shard ingest / aggtree
         # coalescing across workers between tick barriers.
-        self.executor: ExecutionModel = make_executor(executor)
+        self.executor: ExecutionModel = (
+            executor if executor is not None
+            else make_executor(config.workers)
+        )
         # envelope staging buffer used by parallel_sweep: non-None only
         # while a parallel metric-plane sweep is routing store appends
         # through the shard-concurrent ingest path
         self._staged_ingest: list | None = None
 
-        # transport and numeric store are pluggable tiers; the defaults
-        # are the flat bus + single store every existing example assumes
-        self.bus: Transport = transport if transport is not None else MessageBus()
-        self.tsdb = (
-            tsdb if tsdb is not None
-            else TimeSeriesStore(pyramid_levels=DEFAULT_LEVELS)
+        # transport and numeric store are pluggable tiers; the config's
+        # defaults are the flat bus + single store
+        self.bus: Transport = (
+            transport if transport is not None
+            else make_transport(config.transport)
         )
+        self.tsdb = tsdb if tsdb is not None else build_store(config)
         if self.executor.parallel:
             # transports that fan out internal work (aggtree leaf
             # coalescing) pick the executor up from this attribute
@@ -144,10 +162,10 @@ class MonitoringPipeline:
         # DeliveryLedger (attached to the transport's publish edge and
         # the store's redo path)
         self.supervisor: Supervisor | None = (
-            Supervisor() if supervision else None
+            Supervisor() if config.supervision else None
         )
         self.ledger: DeliveryLedger | None = (
-            DeliveryLedger() if supervision else None
+            DeliveryLedger() if config.supervision else None
         )
         if self.ledger is not None:
             self.bus.ledger = self.ledger
@@ -160,7 +178,7 @@ class MonitoringPipeline:
         self.tracer = tracer if tracer is not None else Tracer()
         self.scheduler = CollectionScheduler(
             self.bus, self.registry, tracer=self.tracer,
-            supervisor=self.supervisor, budget_s=collector_budget_s,
+            supervisor=self.supervisor, budget_s=config.collector_budget_s,
         )
         for c in collectors:
             self.scheduler.add(c)
@@ -170,7 +188,7 @@ class MonitoringPipeline:
         # simulated clock, _on_metric folds the finished journey
         self.ticks = 0
         self.freshness: FreshnessTracker | None = None
-        if freshness:
+        if config.freshness:
             slos = (list(freshness_slos) if freshness_slos is not None
                     else default_slos(self.tick_s))
             self.freshness = FreshnessTracker(
@@ -202,14 +220,14 @@ class MonitoringPipeline:
             serve_clock = lambda c=sim: c._now   # noqa: E731
         except AttributeError:                   # custom machine/clock
             serve_clock = lambda: self.machine.now   # noqa: E731
-        self.frontend = QueryFrontend(self.tsdb, quotas=serve_quotas,
+        self.frontend = QueryFrontend(self.tsdb, quotas=config.quotas,
                                       clock=serve_clock)
 
         self.router = EventRouter()
         self.tap = self.router.attach(DelugeTap())
 
         self.sec = sec or default_sec_engine()
-        self.alerts = AlertManager(renotify_s=renotify_s)
+        self.alerts = AlertManager(renotify_s=config.renotify_s)
         self.actions = ActionEngine(machine, self.alerts)
 
         # the tick loop: stages ordered by their declared data
@@ -236,10 +254,10 @@ class MonitoringPipeline:
         )
 
         self.selfmon: SelfMonitor | None = None
-        if selfmon_interval_s is not None:
+        if config.selfmon_interval_s is not None:
             self.selfmon = SelfMonitor(
-                self, interval_s=selfmon_interval_s,
-                source=f"{site}/selfmon" if site else "selfmon",
+                self, interval_s=config.selfmon_interval_s,
+                source=f"{self.site}/selfmon" if self.site else "selfmon",
             )
             self.selfmon.verify_registered(self.registry)
 
@@ -473,12 +491,16 @@ class MonitoringPipeline:
         return PipelineIntrospector(self)
 
 
+#: cadence of the node health suite (CSCS runs it between jobs, not on
+#: the metric sweep)
+_HEALTH_INTERVAL_S = 600.0
+
+
 def default_collectors(
     machine: Machine,
     metric_interval_s: float = 60.0,
     probe_interval_s: float = 60.0,
     bench_interval_s: float = 600.0,
-    health_interval_s: float = 600.0,
     seed: int = 0,
 ) -> list[Collector]:
     """The full collector complement the sites describe."""
@@ -493,68 +515,6 @@ def default_collectors(
         QueueStatsCollector(metric_interval_s),
         EnvironmentCollector(max(probe_interval_s, 300.0)),
         BenchmarkSuite(interval_s=bench_interval_s, seed=seed),
-        NodeHealthSuite(interval_s=health_interval_s),
+        NodeHealthSuite(interval_s=_HEALTH_INTERVAL_S),
     ]
 
-
-def default_pipeline(
-    machine: Machine,
-    metric_interval_s: float = 60.0,
-    with_health_gate: bool = True,
-    seed: int = 0,
-    transport: Transport | str | None = None,
-    tsdb=None,
-    shards: int | None = None,
-    workers: int | None = None,
-    store_dir: str | None = None,
-    hot_bytes: int = 64 << 20,
-    **kw,
-) -> MonitoringPipeline:
-    """Assemble the full stack against ``machine`` (CSCS gate included).
-
-    ``transport`` picks the data-movement tier: ``None``/``"flat"`` is
-    the single bus, ``"partitioned"`` the topic-hash partitioned bus,
-    ``"tree"`` the LDMS-style aggregator tree — or pass any
-    :class:`~repro.transport.base.Transport` instance.  ``shards=K``
-    swaps the numeric store for a
-    :class:`~repro.storage.sharded.ShardedTimeSeriesStore` over K
-    shards (mutually exclusive with an explicit ``tsdb=``).
-    ``workers=N`` (or ``executor=``, which it aliases) picks the
-    execution model: N > 1 runs the data-parallel planes on a
-    ``ThreadedExecutor`` over N workers; the default stays serial.
-    ``store_dir=`` attaches the out-of-core disk tier (per-shard
-    subdirectories when combined with ``shards=``): sealed chunks
-    persist to segment files, appends are WAL-logged, and resident
-    sealed bytes stay under ``hot_bytes``.
-
-    This is a thin shim over the declarative site layer: the knobs
-    validate through :meth:`~repro.sites.config.SiteConfig.from_knobs`
-    (the one home of the mutual-exclusion rules) and the stack
-    assembles through :func:`~repro.sites.build.build_site` against a
-    one-site config.
-    """
-    from .sites.build import build_site
-    from .sites.config import SITE_FIELD_NAMES, SiteConfig
-
-    declarative, overrides = {}, {}
-    aliases = {"serve_quotas": "quotas", "site": "name"}
-    for key in list(kw):
-        name = aliases.get(key, key)
-        if name in SITE_FIELD_NAMES:
-            declarative[name] = kw.pop(key)
-    config, instance_overrides = SiteConfig.from_knobs(
-        metric_interval_s=metric_interval_s,
-        with_health_gate=with_health_gate,
-        seed=seed,
-        transport=transport,
-        tsdb=tsdb,
-        shards=shards,
-        store_dir=store_dir,
-        workers=workers,
-        executor=kw.pop("executor", None),
-        hot_bytes=hot_bytes,
-        **declarative,
-    )
-    overrides.update(instance_overrides)
-    overrides.update(kw)      # pipeline-only plumbing: sec/registry/...
-    return build_site(config, machine=machine, overrides=overrides)

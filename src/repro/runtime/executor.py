@@ -254,35 +254,20 @@ class ThreadedExecutor(ExecutionModel):
 
 
 def make_executor(spec=None) -> ExecutionModel:
-    """Resolve the pipeline's ``executor=`` knob.
+    """Resolve a worker count (``SiteConfig.workers``) to an executor.
 
-    ``None``/``"serial"`` is the :class:`SerialExecutor` default; an
-    ``int`` N picks :class:`ThreadedExecutor` over N workers (N <= 1
-    collapses to serial); ``"threaded"`` / ``"threaded:N"`` spell the
-    same thing; an :class:`ExecutionModel` instance passes through.
+    ``None`` is the :class:`SerialExecutor` default; an ``int`` N picks
+    :class:`ThreadedExecutor` over N workers (N <= 1 collapses to
+    serial); an :class:`ExecutionModel` instance passes through.
     """
     if spec is None:
         return SerialExecutor()
     if isinstance(spec, ExecutionModel):
         return spec
-    if isinstance(spec, bool):       # bool is an int; reject explicitly
-        raise TypeError("executor must be None, str, int, or an "
-                        "ExecutionModel, not bool")
-    if isinstance(spec, int):
-        return SerialExecutor() if spec <= 1 else ThreadedExecutor(spec)
-    if isinstance(spec, str):
-        s = spec.strip().lower()
-        if s == "serial":
-            return SerialExecutor()
-        if s == "threaded":
-            return ThreadedExecutor()
-        if s.startswith("threaded:"):
-            return ThreadedExecutor(int(s.split(":", 1)[1]))
-        raise ValueError(
-            f"unknown executor {spec!r}; expected 'serial', 'threaded', "
-            f"or 'threaded:N'"
+    if isinstance(spec, bool) or not isinstance(spec, int):
+        # bool is an int and would silently collapse to 0/1 workers
+        raise TypeError(
+            f"executor must be None, an int worker count, or an "
+            f"ExecutionModel; got {type(spec).__name__}"
         )
-    raise TypeError(
-        f"executor must be None, str, int, or an ExecutionModel; "
-        f"got {type(spec).__name__}"
-    )
+    return SerialExecutor() if spec <= 1 else ThreadedExecutor(spec)

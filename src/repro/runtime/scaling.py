@@ -44,14 +44,9 @@ def build_scaling_pipeline(
 ):
     """One lean pipeline over ``fleets`` remote collector slices and a
     ``shards``-way store one write-RTT away, on ``workers`` workers."""
-    from ..cluster import (
-        JobGenerator,
-        Machine,
-        PackedPlacement,
-        build_dragonfly,
-    )
     from ..obs.trace import Tracer
     from ..pipeline import MonitoringPipeline
+    from ..sites import SiteConfig, build_machine
     from ..storage.sharded import ShardedTimeSeriesStore
     from .latency import LatentStore, RemoteFleetCollector
 
@@ -70,24 +65,23 @@ def build_scaling_pipeline(
     store.shards = [LatentStore(s, rtt_s=write_rtt_s)
                     for s in store.shards]
 
-    machine = Machine(
-        build_dragonfly(groups=2, chassis_per_group=3,
-                        blades_per_chassis=1),
-        placement=PackedPlacement(),
-        job_generator=JobGenerator(mean_interarrival_s=100_000.0,
-                                   max_nodes=2, seed=seed),
+    # a 24-node machine with an all but idle queue: the monitored
+    # fleet is the synthetic remote collectors, not the simulator
+    config = SiteConfig(
+        blades_per_chassis=1,
         gpu_nodes=(),
+        mean_interarrival_s=100_000.0,
         seed=seed,
+        selfmon_interval_s=None,
+        freshness=False,
+        workers=workers,
     )
     return MonitoringPipeline(
-        machine,
+        build_machine(config),
+        config,
         collectors=collectors,
-        tick_s=10.0,
         tracer=Tracer(enabled=False),
-        selfmon_interval_s=None,
         tsdb=store,
-        freshness=False,
-        executor=workers,
     )
 
 

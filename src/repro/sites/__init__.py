@@ -10,14 +10,13 @@ view (:class:`~repro.sites.federation.Federation`).
 """
 
 from .build import build_machine, build_site, site_capabilities
-from .config import SITE_FIELD_NAMES, SiteConfig
+from .config import SiteConfig
 from .federation import Federation
 from .presets import PAPER_SITES, paper_site, paper_sites
 
 __all__ = [
     "Federation",
     "PAPER_SITES",
-    "SITE_FIELD_NAMES",
     "SiteConfig",
     "build_machine",
     "build_site",

@@ -1,9 +1,9 @@
 """Build a site's machine + monitoring stack from its declared config.
 
 ``build_site(config) -> MonitoringPipeline`` is the one assembly path:
-``default_pipeline`` is now a thin shim over a one-site config, and the
-federation driver calls this per site.  ``site_capabilities(pipeline)``
-derives the *live* Table I row from the assembled stack — the dict
+the CLI, the examples, the benchmarks and the federation driver all
+call it.  ``site_capabilities(pipeline)`` derives the *live* Table I
+row from the assembled stack — the dict
 :meth:`~repro.sites.config.SiteConfig.capabilities` declares — so
 declared-vs-built drift is machine-checkable.
 """
@@ -22,7 +22,10 @@ from .config import SiteConfig
 if TYPE_CHECKING:  # pragma: no cover
     from ..pipeline import MonitoringPipeline
 
-__all__ = ["build_machine", "build_site", "site_capabilities"]
+__all__ = ["build_machine", "build_site", "build_store", "site_capabilities"]
+
+#: largest job the synthetic workload submits, in nodes
+_MAX_JOB_NODES = 32
 
 
 def build_machine(config: SiteConfig) -> Machine:
@@ -42,7 +45,7 @@ def build_machine(config: SiteConfig) -> Machine:
         placement=PackedPlacement(),
         job_generator=JobGenerator(
             mean_interarrival_s=config.mean_interarrival_s,
-            max_nodes=config.max_job_nodes,
+            max_nodes=_MAX_JOB_NODES,
             seed=config.seed,
         ),
         gpu_nodes=config.gpu_nodes,
@@ -50,8 +53,8 @@ def build_machine(config: SiteConfig) -> Machine:
     )
 
 
-def _build_store(config: SiteConfig):
-    """The numeric-store tier the config declares (None = pipeline default)."""
+def build_store(config: SiteConfig):
+    """The numeric-store tier the config declares."""
     from ..storage.sharded import ShardedTimeSeriesStore
     from ..storage.tsdb import TimeSeriesStore
 
@@ -83,52 +86,26 @@ def build_site(
 ) -> "MonitoringPipeline":
     """Assemble the full monitoring stack the config declares.
 
-    ``overrides`` carries instance-typed knobs that cannot be expressed
-    as data (the dict :meth:`SiteConfig.from_knobs` returns — a live
-    ``Transport``/store/``ExecutionModel``, plus any pipeline-only
-    plumbing like ``sec=``/``registry=``/``stages=``); they install
-    verbatim over the config's declarative choices.
+    ``overrides`` carries the parts that cannot be expressed as data —
+    live ``collectors``/``transport``/``tsdb``/``executor`` instances
+    and pipeline plumbing like ``sec=``/``registry=``/``stages=`` —
+    handed to :class:`~repro.pipeline.MonitoringPipeline` verbatim
+    (which rejects an instance that contradicts a declared knob).
     """
     from ..pipeline import MonitoringPipeline, default_collectors
-    from ..transport.base import make_transport
 
     overrides = dict(overrides) if overrides else {}
     if machine is None:
         machine = build_machine(config)
-    transport = overrides.pop("transport", None)
-    if transport is None:
-        transport = make_transport(config.transport)
-    tsdb = overrides.pop("tsdb", None)
-    if tsdb is None:
-        tsdb = _build_store(config)
-    executor = overrides.pop("executor", config.workers)
-    collectors = overrides.pop("collectors", None)
-    if collectors is None:
-        collectors = default_collectors(
+    if overrides.get("collectors") is None:
+        overrides["collectors"] = default_collectors(
             machine,
             metric_interval_s=config.metric_interval_s,
             probe_interval_s=config.probe_interval_s,
             bench_interval_s=config.bench_interval_s,
-            health_interval_s=config.health_interval_s,
             seed=config.seed,
         )
-    pipeline = MonitoringPipeline(
-        machine,
-        collectors=collectors,
-        transport=transport,
-        tsdb=tsdb,
-        tick_s=config.tick_s,
-        renotify_s=config.renotify_s,
-        selfmon_interval_s=config.selfmon_interval_s,
-        supervision=config.supervision,
-        collector_budget_s=config.collector_budget_s,
-        freshness=config.freshness,
-        executor=executor,
-        serve_quotas=config.quotas,
-        site=config.name,
-        **overrides,
-    )
-    pipeline.site_config = config
+    pipeline = MonitoringPipeline(machine, config, **overrides)
     if config.with_health_gate and machine.scheduler.health_gate is None:
         gate = HealthGate(machine)
         machine.scheduler.health_gate = gate.gate
@@ -153,7 +130,6 @@ def site_capabilities(pipeline: "MonitoringPipeline") -> dict:
     dict inequality against :meth:`SiteConfig.capabilities`.
     """
     machine = pipeline.machine
-    config = getattr(pipeline, "site_config", None)
     topo_name = type(machine.topo).__name__.replace("Topology", "").lower()
     bus = pipeline.bus
     inner = getattr(bus, "inner", None)   # chaos wrapper is transparent
@@ -170,8 +146,8 @@ def site_capabilities(pipeline: "MonitoringPipeline") -> dict:
         if shards0:
             disk = getattr(shards0[0], "disk", None)
     return {
-        "site": getattr(pipeline, "site", ""),
-        "system": config.system if config is not None else "",
+        "site": pipeline.site,
+        "system": pipeline.site_config.system,
         "topology": topo_name,
         "nodes": len(machine.topo.nodes),
         "gpus": machine.gpus.n if machine.gpus is not None else 0,

@@ -4,20 +4,16 @@ The paper is ten sites running different machines, transports, and
 storage stacks (Table I); DCDB makes the same case for a per-facility
 config layer feeding a holistic cross-facility view, and the
 radical.pilot platform-config table is the concrete shape imitated
-here.  A :class:`SiteConfig` captures everything
-``default_pipeline`` used to take as loose kwargs — machine shape,
-workload, collector cadences, transport tier, storage layout, execution
-model, serving quotas — as one validated, frozen value that can be
-diffed between sites and rebuilt into an identical stack
+here.  A :class:`SiteConfig` is the only place a deployment knob
+exists — machine shape, workload, collector cadences, pipeline loop,
+transport tier, storage layout, execution model, serving quotas — as
+one validated, frozen value that can be diffed between sites and
+rebuilt into an identical stack
 (:func:`repro.sites.build.build_site`).
 
-:meth:`SiteConfig.from_knobs` is the *single* validated path for the
-historically mutually-exclusive assembly knobs (``tsdb=`` vs
-``shards=`` vs ``store_dir=``, ``workers=`` vs ``executor=``);
-``default_pipeline`` now routes through it instead of an ad-hoc
-``raise ValueError`` ladder.  :meth:`SiteConfig.capabilities` is the
-declared per-site Table I row that live-pipeline introspection must
-reproduce exactly (the config-drift contract the CLI and tests check).
+:meth:`SiteConfig.capabilities` is the declared per-site Table I row
+that live-pipeline introspection must reproduce exactly (the contract
+``python -m repro sites`` and the tests check).
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ from ..serve.quota import TenantQuota
 from ..storage.rollup import DEFAULT_LEVELS
 
 __all__ = [
-    "SITE_FIELD_NAMES",
     "SiteConfig",
     "TOPOLOGY_CLASSES",
     "TRANSPORT_TIERS",
@@ -40,7 +35,7 @@ __all__ = [
 TOPOLOGY_CLASSES = ("dragonfly", "torus")
 
 #: data-movement tiers resolvable by :func:`repro.transport.base.make_transport`
-TRANSPORT_TIERS = ("flat", "bus", "partitioned", "tree")
+TRANSPORT_TIERS = ("flat", "partitioned", "tree")
 
 #: nodes hanging off one torus router (matches TorusTopology)
 _TORUS_NODES_PER_ROUTER = 2
@@ -66,14 +61,12 @@ class SiteConfig:
 
     # -- workload ---------------------------------------------------------
     mean_interarrival_s: float = 300.0
-    max_job_nodes: int | None = 32
     seed: int = 0
 
     # -- collector cadences -----------------------------------------------
     metric_interval_s: float = 60.0
     probe_interval_s: float = 60.0
     bench_interval_s: float = 600.0
-    health_interval_s: float = 600.0
     with_health_gate: bool = True
 
     # -- pipeline loop ----------------------------------------------------
@@ -154,61 +147,11 @@ class SiteConfig:
             raise ValueError("workers must be >= 1")
         for knob in ("mean_interarrival_s", "metric_interval_s",
                      "probe_interval_s", "bench_interval_s",
-                     "health_interval_s", "tick_s", "renotify_s"):
+                     "tick_s", "renotify_s"):
             if float(getattr(self, knob)) <= 0:
                 raise ValueError(f"{knob} must be positive")
         if self.selfmon_interval_s is not None and self.selfmon_interval_s <= 0:
             raise ValueError("selfmon_interval_s must be positive")
-
-    # -- the single validated knob path -----------------------------------
-
-    @classmethod
-    def from_knobs(
-        cls,
-        *,
-        transport=None,
-        tsdb=None,
-        shards: int | None = None,
-        store_dir: str | None = None,
-        workers: int | None = None,
-        executor=None,
-        **declarative,
-    ) -> "tuple[SiteConfig, dict]":
-        """Validate the historic ``default_pipeline`` knob set.
-
-        Declarative knobs land in the returned :class:`SiteConfig`;
-        instance-typed knobs (a ``Transport``/store/``ExecutionModel``
-        object that cannot be expressed as data) come back in the
-        overrides dict for :func:`~repro.sites.build.build_site` to
-        install verbatim.  The mutual-exclusion rules live here — one
-        code path, not a ladder at every call site.
-        """
-        overrides: dict = {}
-        if tsdb is not None:
-            if store_dir is not None:
-                raise ValueError("pass either tsdb= or store_dir=, not both")
-            if shards is not None:
-                raise ValueError("pass either tsdb= or shards=, not both")
-            overrides["tsdb"] = tsdb
-        if workers is not None and executor is not None:
-            raise ValueError("pass either workers= or executor=, not both")
-        if transport is not None:
-            if isinstance(transport, str):
-                declarative["transport"] = transport
-            else:
-                overrides["transport"] = transport
-        if executor is not None:
-            if isinstance(executor, int) and not isinstance(executor, bool):
-                workers = executor
-            else:
-                overrides["executor"] = executor
-        config = cls(
-            shards=shards,
-            store_dir=store_dir,
-            workers=workers,
-            **declarative,
-        )
-        return config, overrides
 
     # -- derived shape ----------------------------------------------------
 
@@ -242,7 +185,7 @@ class SiteConfig:
             "topology": self.topology,
             "nodes": self.expected_nodes(),
             "gpus": self.expected_gpus(),
-            "transport": "flat" if self.transport == "bus" else self.transport,
+            "transport": self.transport,
             "shards": int(self.shards) if self.shards is not None else 1,
             "levels": len(self.pyramid_levels),
             "disk": self.store_dir is not None,
@@ -264,9 +207,3 @@ class SiteConfig:
             out[f.name] = v
         return out
 
-
-#: every declarative knob a site deployment has (the config-drift gate
-#: in scripts/check.py holds pipeline assembly parameters to this set)
-SITE_FIELD_NAMES: frozenset[str] = frozenset(
-    f.name for f in fields(SiteConfig)
-)

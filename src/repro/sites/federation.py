@@ -42,7 +42,7 @@ class Federation:
     def __init__(
         self,
         sites: "Iterable[SiteConfig] | Mapping[str, MonitoringPipeline]",
-        executor: "ExecutionModel | int | str | None" = None,
+        executor: "ExecutionModel | int | None" = None,
     ) -> None:
         self.pipelines: "dict[str, MonitoringPipeline]" = {}
         if isinstance(sites, Mapping):
@@ -80,7 +80,7 @@ class Federation:
     def from_presets(
         cls,
         names: Iterable[str] | None = None,
-        executor: "ExecutionModel | int | str | None" = None,
+        executor: "ExecutionModel | int | None" = None,
     ) -> "Federation":
         """Stand up the paper's ten sites (or the named subset)."""
         from .presets import PAPER_SITES, paper_site

@@ -4,9 +4,8 @@ Every mover implements :class:`~repro.transport.base.Transport`:
 ``MessageBus`` (flat synchronous fan-out, the RabbitMQ class),
 ``PartitionedBus`` (topic-hash partitions with bounded lanes, the
 Kafka class), and ``AggregatorTree`` (LDMS-style multi-level
-coalescing fan-in).  The LDMS pull-tree *model* (samplers pulled on a
-schedule) lives in :mod:`repro.transport.ldms`; syslog forwarding with
-storm loss in :mod:`repro.transport.syslogfwd`.
+coalescing fan-in, the one LDMS-class tree).  Syslog forwarding with
+storm loss lives in :mod:`repro.transport.syslogfwd`.
 """
 
 from .aggtree import AggregatorTree, TreeTransportStats
@@ -19,7 +18,6 @@ from .base import (
     make_transport,
 )
 from .bus import MessageBus
-from .ldms import Aggregator, Sampler, TreeStats, build_tree
 from .message import (
     Envelope,
     decode_binary,
@@ -42,10 +40,6 @@ __all__ = [
     "MessageBus",
     "PartitionedBus",
     "PartitionedBusStats",
-    "Aggregator",
-    "Sampler",
-    "TreeStats",
-    "build_tree",
     "Envelope",
     "decode_binary",
     "decode_json",

@@ -251,26 +251,21 @@ class Transport(abc.ABC):
         return self.pump(None)
 
 
-def make_transport(spec, **options) -> "Transport":
-    """Resolve a transport knob: an instance passes through, a name
-    (``"flat"``, ``"partitioned"``, ``"tree"``) builds the matching
-    implementation with ``options`` forwarded to its constructor."""
-    if isinstance(spec, Transport):
-        return spec
+def make_transport(tier: str) -> "Transport":
+    """Build the transport a ``SiteConfig.transport`` tier names
+    (``"flat"``, ``"partitioned"``, ``"tree"``)."""
     from .aggtree import AggregatorTree
     from .bus import MessageBus
     from .partitioned import PartitionedBus
     builders = {
         "flat": MessageBus,
-        "bus": MessageBus,
         "partitioned": PartitionedBus,
         "tree": AggregatorTree,
     }
     try:
-        builder = builders[spec]
+        builder = builders[tier]
     except (KeyError, TypeError):
         raise ValueError(
-            f"unknown transport {spec!r}; pass a Transport instance or "
-            f"one of {sorted(set(builders))}"
+            f"unknown transport {tier!r}; expected one of {sorted(builders)}"
         ) from None
-    return builder(**options)
+    return builder()

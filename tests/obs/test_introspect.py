@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import HungNode, SlowOst
 from repro.obs.introspect import STAGES
-from repro.pipeline import default_pipeline
+from repro.sites import SiteConfig, build_site
 from tests.test_pipeline import make_machine
 
 
@@ -16,7 +16,7 @@ def monitored_run():
                           node=m.topo.nodes[5]))
     m.faults.add(SlowOst(start=1800.0, duration=1200.0, ost=0,
                          bw_factor=0.1))
-    p = default_pipeline(m, seed=1)
+    p = build_site(SiteConfig(seed=1), machine=m)
     p.run(hours=1.0, dt=10.0)
     return p
 
@@ -80,7 +80,7 @@ class TestHealthReport:
 
     def test_completeness_below_one_when_forced_to_drop(self):
         m = make_machine()
-        p = default_pipeline(m, seed=1)
+        p = build_site(SiteConfig(seed=1), machine=m)
         # a deliberately tiny bounded subscription that must drop under
         # the full sweep load
         starved = p.bus.subscribe("metrics.*", maxlen=5, name="starved")
@@ -145,7 +145,7 @@ class TestIntrospectorWithSwappedStore:
         from repro.storage.tsdb import TimeSeriesStore
 
         m = make_machine()
-        p = default_pipeline(m, seed=1)
+        p = build_site(SiteConfig(seed=1), machine=m)
         p.tsdb = TieredStore(TimeSeriesStore(chunk_size=32))
         p.run(duration_s=300.0, dt=10.0)
         report = p.introspect().report()
@@ -161,7 +161,8 @@ class TestTieredStackReport:
 
     def test_partitioned_sharded_stack_reports_both(self):
         m = make_machine()
-        p = default_pipeline(m, seed=1, transport="partitioned", shards=4)
+        p = build_site(
+            SiteConfig(seed=1, transport="partitioned", shards=4), machine=m)
         p.run(duration_s=600.0, dt=10.0)
         report = p.introspect().report()
         assert sorted(report.partitions) == [
@@ -185,7 +186,7 @@ class TestAnalysisSection:
             StreamingStats,
         )
 
-        p = default_pipeline(make_machine(), seed=2)
+        p = build_site(SiteConfig(seed=2), machine=make_machine())
         p.add_streaming(StreamingStats())
         p.add_streaming(
             StreamingOutlierDetector(("node.power_w",), z_threshold=4.0)

@@ -11,6 +11,7 @@ from repro.obs.selfmetrics import (
     completeness_ratio,
 )
 from repro.pipeline import MonitoringPipeline
+from repro.sites import SiteConfig
 from repro.sources.counters import NodeCounterCollector
 from tests.test_pipeline import make_machine
 
@@ -59,11 +60,12 @@ class TestCompleteness:
         assert completeness_ratio(90, 0, 10) == pytest.approx(0.9)
 
 
-def small_pipeline(**kw):
+def small_pipeline(config=None, **parts):
     return MonitoringPipeline(
         make_machine(),
+        config,
         collectors=[NodeCounterCollector(interval_s=60.0)],
-        **kw,
+        **parts,
     )
 
 
@@ -77,7 +79,7 @@ class TestSelfMonitor:
         assert p.selfmon.emissions == 0
 
     def test_emits_on_cadence_not_before(self):
-        p = small_pipeline(selfmon_interval_s=120.0)
+        p = small_pipeline(SiteConfig(selfmon_interval_s=120.0))
         mon = p.selfmon
         mon.maybe_emit(0.0)
         assert mon.maybe_emit(60.0) == []
@@ -86,7 +88,7 @@ class TestSelfMonitor:
         assert mon.emissions == 1
 
     def test_emitted_batches_land_in_tsdb_via_bus(self):
-        p = small_pipeline(selfmon_interval_s=60.0)
+        p = small_pipeline(SiteConfig(selfmon_interval_s=60.0))
         p.run(duration_s=200.0, dt=10.0)
         metrics = {k.metric for k in p.tsdb.keys()}
         for family in ("selfmon.bus.", "selfmon.collector.",
@@ -111,7 +113,7 @@ class TestSelfMonitor:
         assert (b.values >= 0.0).all()
 
     def test_disabled_selfmon_emits_nothing(self):
-        p = small_pipeline(selfmon_interval_s=None)
+        p = small_pipeline(SiteConfig(selfmon_interval_s=None))
         assert p.selfmon is None
         p.run(duration_s=200.0, dt=10.0)
         metrics = {k.metric for k in p.tsdb.keys()}
@@ -251,7 +253,7 @@ class TestAnalysisGauges:
             StreamingStats,
         )
 
-        p = small_pipeline(selfmon_interval_s=60.0)
+        p = small_pipeline(SiteConfig(selfmon_interval_s=60.0))
         p.add_streaming(StreamingStats())
         p.add_streaming(
             StreamingOutlierDetector(("node.cpu_util",), z_threshold=4.0)
@@ -269,7 +271,7 @@ class TestAnalysisGauges:
     def test_same_class_twice_gets_unique_gauge_components(self):
         from repro.analysis.streaming import StreamingStats
 
-        p = small_pipeline(selfmon_interval_s=60.0)
+        p = small_pipeline(SiteConfig(selfmon_interval_s=60.0))
         p.add_streaming(StreamingStats())
         p.add_streaming(StreamingStats())
         p.run(duration_s=200.0, dt=10.0)

@@ -1,5 +1,5 @@
-"""The declarative site layer: validation, the single knob path, and
-the config round-trip contract.
+"""The declarative site layer: validation, the single assembly path,
+and the config round-trip contract.
 
 A :class:`~repro.sites.config.SiteConfig` is a whole deployment as
 data; building it (:func:`~repro.sites.build.build_site`) and then
@@ -9,9 +9,10 @@ declared capability row *exactly* — that equality is what keeps the
 regenerated Table I machine-checkable instead of hand-maintained.
 """
 
+import numpy as np
 import pytest
 
-from repro.pipeline import MonitoringPipeline, default_pipeline
+from repro.pipeline import MonitoringPipeline
 from repro.serve.quota import TenantQuota
 from repro.sites import (
     PAPER_SITES,
@@ -79,56 +80,50 @@ class TestValidation:
             SiteConfig(gpu_nodes=42)
 
 
-class TestFromKnobs:
-    """The historically mutually-exclusive knobs, one validated path."""
+class TestInstanceOverrides:
+    """A live part may replace what the config would build, never
+    contradict what it declares."""
 
     def test_tsdb_vs_store_dir(self):
         with pytest.raises(ValueError,
                            match="pass either tsdb= or store_dir=, not both"):
-            SiteConfig.from_knobs(tsdb=object(), store_dir="/tmp/x")
+            build_site(SiteConfig(store_dir="/tmp/x"),
+                       overrides={"tsdb": object()})
 
     def test_tsdb_vs_shards(self):
+        from repro.storage.tsdb import TimeSeriesStore
+
+        # would build one store under a row declaring four shards
         with pytest.raises(ValueError,
                            match="pass either tsdb= or shards=, not both"):
-            SiteConfig.from_knobs(tsdb=object(), shards=4)
+            build_site(SiteConfig(shards=4),
+                       overrides={"tsdb": TimeSeriesStore()})
 
     def test_workers_vs_executor(self):
+        from repro.runtime.executor import SerialExecutor
+
         with pytest.raises(ValueError,
                            match="pass either workers= or executor=, not both"):
-            SiteConfig.from_knobs(workers=2, executor=4)
+            build_site(SiteConfig(workers=2),
+                       overrides={"executor": SerialExecutor()})
 
-    def test_int_executor_aliases_workers(self):
-        cfg, overrides = SiteConfig.from_knobs(executor=3)
-        assert cfg.workers == 3
-        assert overrides == {}
-
-    def test_instances_become_overrides(self):
-        store, ex = object(), object()
-        cfg, overrides = SiteConfig.from_knobs(tsdb=store, executor=ex)
-        assert overrides == {"tsdb": store, "executor": ex}
-        assert cfg.shards is None and cfg.workers is None
-
-    def test_string_transport_is_declarative(self):
-        cfg, overrides = SiteConfig.from_knobs(transport="tree")
-        assert cfg.transport == "tree"
-        assert overrides == {}
-
-    def test_instance_transport_is_an_override(self):
-        from repro.transport import MessageBus
-
-        bus = MessageBus()
-        cfg, overrides = SiteConfig.from_knobs(transport=bus)
-        assert overrides == {"transport": bus}
-        assert cfg.transport == "flat"
-
-    def test_default_pipeline_raises_the_same_ladder(self):
-        machine = build_machine(SiteConfig())
+    def test_the_constructor_rejects_them_too(self):
+        config = SiteConfig(shards=4)
         with pytest.raises(ValueError,
                            match="pass either tsdb= or shards=, not both"):
-            default_pipeline(machine, tsdb=object(), shards=2)
-        with pytest.raises(ValueError,
-                           match="pass either workers= or executor=, not both"):
-            default_pipeline(machine, workers=2, executor=2)
+            MonitoringPipeline(build_machine(config), config, tsdb=object())
+
+    def test_instances_install_verbatim(self):
+        from repro.runtime.executor import SerialExecutor
+        from repro.storage.tsdb import TimeSeriesStore
+        from repro.transport import MessageBus
+
+        bus, store, ex = MessageBus(), TimeSeriesStore(), SerialExecutor()
+        pipeline = build_site(SiteConfig(), overrides={
+            "transport": bus, "tsdb": store, "executor": ex})
+        assert pipeline.bus is bus
+        assert pipeline.tsdb is store
+        assert pipeline.executor is ex
 
 
 class TestRoundTrip:
@@ -146,6 +141,24 @@ class TestRoundTrip:
         assert site_capabilities(pipeline) == config.capabilities()
         # anonymous single-site keeps the historic selfmon identity
         assert pipeline.site == ""
+
+    @pytest.mark.parametrize("knobs", [
+        dict(with_health_gate=False),
+        dict(transport="partitioned", shards=4, chunk_size=8,
+             hot_bytes=16 << 10, disk=True),
+        dict(transport="flat", shards=4, chunk_size=8,
+             hot_bytes=16 << 10, disk=True),
+    ], ids=["sweep", "durable-seal", "dash-wave"])
+    def test_bench_shaped_configs_round_trip(self, knobs, tmp_path):
+        # the benchmark's workloads at their 96-node smoke size (the
+        # fourth, fed-10site, is the paper presets above)
+        knobs = dict(knobs)
+        if knobs.pop("disk", False):
+            knobs["store_dir"] = str(tmp_path / "store")
+        config = SiteConfig(metric_interval_s=60.0, tick_s=60.0, seed=3,
+                            **knobs)
+        assert config.expected_nodes() == 96
+        assert site_capabilities(build_site(config)) == config.capabilities()
 
     def test_disk_tier_round_trips(self, tmp_path):
         config = SiteConfig(name="d", shards=2,
@@ -173,12 +186,18 @@ class TestRoundTrip:
         assert len({(r["topology"], r["nodes"]) for r in rows}) > 1
 
 
-class TestDefaultPipelineShim:
-    """``default_pipeline`` keeps its exact historic surface."""
+def _lean_collectors():
+    from repro.sources.counters import NodeCounterCollector
+    from repro.sources.sedc import SedcCollector
 
-    def test_plain_call_is_anonymous_and_runs(self):
-        machine = build_machine(SiteConfig(seed=3))
-        pipeline = default_pipeline(machine, seed=3)
+    return [NodeCounterCollector(60.0), SedcCollector(60.0)]
+
+
+class TestSinglePath:
+    """The constructor and ``build_site`` are the same assembly."""
+
+    def test_plain_build_is_anonymous_and_runs(self):
+        pipeline = build_site(SiteConfig(seed=3))
         assert isinstance(pipeline, MonitoringPipeline)
         assert pipeline.site == ""
         pipeline.run(hours=0.05, dt=10.0)
@@ -186,17 +205,54 @@ class TestDefaultPipelineShim:
         report = pipeline.delivery_report()
         assert report.balanced and report.unaccounted == 0
 
-    def test_shim_attaches_the_declared_config(self):
-        machine = build_machine(SiteConfig())
-        pipeline = default_pipeline(machine, shards=2, workers=2)
-        assert pipeline.site_config.shards == 2
-        assert pipeline.site_config.workers == 2
+    def test_pipeline_always_carries_its_config(self):
+        config = SiteConfig(shards=2, workers=2, tick_s=30.0, name="s")
+        pipeline = build_site(config)
+        assert pipeline.site_config is config
+        assert pipeline.tick_s == 30.0 and pipeline.site == "s"
         pipeline.executor.shutdown()
+        bare = MonitoringPipeline(build_machine(SiteConfig()))
+        assert bare.site_config == SiteConfig()
 
-    def test_pipeline_only_plumbing_still_passes_through(self):
+    def test_pipeline_only_plumbing_passes_through(self):
         from repro.core.registry import default_registry
 
         reg = default_registry()
-        machine = build_machine(SiteConfig())
-        pipeline = default_pipeline(machine, registry=reg)
+        pipeline = build_site(SiteConfig(), overrides={"registry": reg})
         assert pipeline.registry is reg
+
+    def test_constructor_and_build_site_agree(self):
+        config = SiteConfig(metric_interval_s=60.0, tick_s=60.0,
+                            with_health_gate=False, seed=11)
+        direct = MonitoringPipeline(build_machine(config), config,
+                                    collectors=_lean_collectors())
+        built = build_site(config,
+                           overrides={"collectors": _lean_collectors()})
+        for p in (direct, built):
+            for _ in range(30):
+                p.step()
+            p.bus.flush()
+        assert direct.delivery_report() == built.delivery_report()
+        assert direct.alerts.alerts == built.alerts.alerts
+        keys = sorted(direct.tsdb.keys(),
+                      key=lambda k: (k.metric, k.component))
+        assert keys == sorted(built.tsdb.keys(),
+                              key=lambda k: (k.metric, k.component))
+        assert len(keys) > 500
+        for key in keys:
+            if key.metric.startswith("selfmon."):
+                continue        # wall-clock gauges of the run itself
+            a = direct.tsdb.query(key.metric, key.component)
+            b = built.tsdb.query(key.metric, key.component)
+            assert np.array_equal(a.times, b.times), key
+            assert np.array_equal(a.values, b.values), key
+
+    def test_planes_switched_off_in_the_config_are_absent(self):
+        config = SiteConfig(selfmon_interval_s=None, supervision=False,
+                            freshness=False)
+        for p in (build_site(config),
+                  MonitoringPipeline(build_machine(config), config)):
+            assert p.selfmon is None
+            assert p.supervisor is None
+            assert p.ledger is None
+            assert p.freshness is None

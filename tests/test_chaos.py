@@ -28,7 +28,7 @@ from repro.cluster import (
     build_dragonfly,
 )
 from repro.cluster.workload import JobGenerator, JobState
-from repro.pipeline import default_pipeline
+from repro.sites import SiteConfig, build_site
 
 
 def random_fault(rng, machine, t):
@@ -85,7 +85,7 @@ def test_random_fault_campaign_survives(seed):
         machine.faults.add(
             random_fault(rng, machine, float(rng.uniform(60.0, 3000.0)))
         )
-    pipeline = default_pipeline(machine, seed=seed)
+    pipeline = build_site(SiteConfig(seed=seed), machine=machine)
     pipeline.run(hours=1.2, dt=10.0)   # must not raise
 
     # -- structural invariants under arbitrary weather --------------------
@@ -181,12 +181,10 @@ def test_monitor_fault_campaign_survives(seed):
     # machine weather AND monitor faults, overlapping
     machine.faults.add(HungNode(start=600.0, duration=900.0,
                                 node=topo.nodes[3]))
-    pipeline = default_pipeline(
-        machine,
-        seed=seed,
-        transport=ChaosTransport(PartitionedBus()),
-        shards=4,
-        collector_budget_s=0.01,
+    pipeline = build_site(
+        SiteConfig(seed=seed, shards=4, collector_budget_s=0.01),
+        machine=machine,
+        overrides={"transport": ChaosTransport(PartitionedBus())},
     )
     total_s = 4000.0
     inj = MonitorFaultInjector([
@@ -267,12 +265,11 @@ def test_kill_and_recover_campaign_accounts_every_point(seed, tmp_path):
         disk_dir=str(tmp_path), hot_bytes=16 << 10,
         sync_every_bytes=64 << 10,
     )
-    pipeline = default_pipeline(
-        machine,
-        seed=seed,
-        transport=ChaosTransport(PartitionedBus()),
-        tsdb=tsdb,
-        collector_budget_s=0.01,
+    pipeline = build_site(
+        SiteConfig(seed=seed, collector_budget_s=0.01),
+        machine=machine,
+        overrides={"transport": ChaosTransport(PartitionedBus()),
+                   "tsdb": tsdb},
     )
     total_s = 4000.0
     crash = StoreCrash(start=2400.0)

@@ -435,86 +435,3 @@ class TestFdLifetimeGate:
 
         src = inspect.getsource(check_mod.lint)
         assert "check_fd_lifetime_storage" in src
-
-
-class TestConfigDriftGate:
-    """Every pipeline-assembly knob must map to a SiteConfig field."""
-
-    def test_real_assembly_surface_is_representable(self):
-        problems = check_mod.check_config_drift()
-        assert not problems, "\n".join(problems)
-
-    def test_flags_knob_without_field(self, tmp_path):
-        pipeline = tmp_path / "pipeline.py"
-        pipeline.write_text(
-            "class MonitoringPipeline:\n"
-            "    def __init__(self, machine, tick_s=10.0,\n"
-            "                 shiny_new_knob=None):\n"
-            "        pass\n"
-        )
-        config = tmp_path / "config.py"
-        config.write_text(
-            "class SiteConfig:\n"
-            "    tick_s: float = 10.0\n"
-        )
-        problems = check_mod.check_config_drift(pipeline, config)
-        assert len(problems) == 1
-        assert "shiny_new_knob" in problems[0]
-        assert "SiteConfig" in problems[0]
-
-    def test_flags_default_pipeline_knob_too(self, tmp_path):
-        pipeline = tmp_path / "pipeline.py"
-        pipeline.write_text(
-            "def default_pipeline(machine, tick_s=10.0, mystery=1, **kw):\n"
-            "    pass\n"
-        )
-        config = tmp_path / "config.py"
-        config.write_text(
-            "class SiteConfig:\n"
-            "    tick_s: float = 10.0\n"
-        )
-        problems = check_mod.check_config_drift(pipeline, config)
-        assert len(problems) == 1
-        assert "mystery" in problems[0]
-        assert "default_pipeline" in problems[0]
-
-    def test_matching_fields_and_aliases_pass(self, tmp_path):
-        pipeline = tmp_path / "pipeline.py"
-        pipeline.write_text(
-            "class MonitoringPipeline:\n"
-            "    def __init__(self, machine, tick_s=10.0, site='',\n"
-            "                 serve_quotas=None, executor=None, tsdb=None):\n"
-            "        pass\n"
-        )
-        config = tmp_path / "config.py"
-        config.write_text(
-            "class SiteConfig:\n"
-            "    name: str = ''\n"
-            "    tick_s: float = 10.0\n"
-            "    quotas: dict | None = None\n"
-            "    workers: int | None = None\n"
-        )
-        assert check_mod.check_config_drift(pipeline, config) == []
-
-    def test_empty_config_is_itself_a_finding(self, tmp_path):
-        pipeline = tmp_path / "pipeline.py"
-        pipeline.write_text("def default_pipeline(machine):\n    pass\n")
-        config = tmp_path / "config.py"
-        config.write_text("X = 1\n")
-        problems = check_mod.check_config_drift(pipeline, config)
-        assert len(problems) == 1
-        assert "no SiteConfig fields" in problems[0]
-
-    def test_syntax_errors_left_to_the_syntax_check(self, tmp_path):
-        pipeline = tmp_path / "pipeline.py"
-        pipeline.write_text("def broken(:\n")
-        config = tmp_path / "config.py"
-        config.write_text("class SiteConfig:\n    tick_s: float = 10.0\n")
-        assert check_mod.check_config_drift(pipeline, config) == []
-
-    def test_gate_is_wired_into_lint(self):
-        """The gate must actually run as part of ``scripts/check.py``."""
-        import inspect
-
-        src = inspect.getsource(check_mod.lint)
-        assert "check_config_drift" in src

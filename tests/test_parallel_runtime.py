@@ -54,23 +54,14 @@ class TestMakeExecutor:
         assert ex.parallel
         ex.shutdown()
 
-    def test_string_specs(self):
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        ex = make_executor("threaded")
-        assert isinstance(ex, ThreadedExecutor)
-        ex.shutdown()
-        ex = make_executor("threaded:6")
-        assert ex.workers == 6
-        ex.shutdown()
-
     def test_bool_is_rejected(self):
         # bool would silently collapse to 0/1 workers; demand intent
         with pytest.raises(TypeError):
             make_executor(True)
 
     def test_bad_specs_are_rejected(self):
-        with pytest.raises(ValueError):
-            make_executor("warp-drive")
+        with pytest.raises(TypeError):
+            make_executor("threaded:6")
         with pytest.raises(TypeError):
             make_executor(3.5)
 
@@ -263,13 +254,15 @@ def _fresh_machine(seed):
     return machine
 
 
-def _run(seed, executor):
-    from repro.pipeline import default_pipeline
+def _run(seed, workers):
+    from repro.sites import SiteConfig, build_site
 
     machine = _fresh_machine(seed)
-    pipeline = default_pipeline(machine, seed=seed,
-                                transport="partitioned", shards=4,
-                                executor=executor)
+    pipeline = build_site(
+        SiteConfig(seed=seed, transport="partitioned", shards=4,
+                   workers=workers),
+        machine=machine,
+    )
     pipeline.run(hours=0.5, dt=10.0)
     pipeline.bus.flush()
     return pipeline
@@ -290,8 +283,8 @@ def _timing_metric(name):
 class TestSerialParallelEquivalence:
     @pytest.fixture(scope="class")
     def runs(self):
-        serial = _run(29, executor=None)
-        threaded = _run(29, executor=4)
+        serial = _run(29, workers=None)
+        threaded = _run(29, workers=4)
         yield serial, threaded
         threaded.executor.shutdown()
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import MonitoringPipeline, default_pipeline
+from repro import MonitoringPipeline, SiteConfig, build_site
 from repro.analysis.anomaly import sweep_outliers
 from repro.cluster import (
     HungNode,
@@ -46,7 +46,7 @@ def faulty_run(request):
                          bw_factor=0.1))
     kw = ({} if request.param == "flat"
           else dict(transport="partitioned", shards=4))
-    p = default_pipeline(m, seed=1, **kw)
+    p = build_site(SiteConfig(seed=1, **kw), machine=m)
     p.run(hours=1.0, dt=10.0)
     return p
 
@@ -148,7 +148,7 @@ class TestAnalysisHooks:
         """A hook serviced by a late tick reschedules from its due time,
         not from the tick time — cadence phase never drifts."""
         m = make_machine(job_generator=None)
-        p = MonitoringPipeline(m, selfmon_interval_s=None)
+        p = MonitoringPipeline(m, SiteConfig(selfmon_interval_s=None))
         calls = []
         p.add_analysis(60.0, lambda pipeline, now: calls.append(now) or [])
         # ticks land at 70, 140, 210, ... — never on a multiple of 60
@@ -191,14 +191,12 @@ class TestDashboardIntegration:
 
 
 class TestAutomaticPostJobGate:
-    def test_default_pipeline_drains_broken_nodes_post_job(self):
-        """With default_pipeline's gate installed, a node that breaks
+    def test_built_site_drains_broken_nodes_post_job(self):
+        """With build_site's gate installed, a node that breaks
         during a job is drained automatically when the job ends — no
         manual post_job call required."""
-        from repro import default_pipeline
-
         m = make_machine(job_generator=None)
-        p = default_pipeline(m, seed=4)
+        p = build_site(SiteConfig(seed=4), machine=m)
         job = Job(APP_LIBRARY["qmc"], 8, 0.0, seed=1)
         job.work_seconds = 200.0
         m.scheduler.submit(job, 0.0)
