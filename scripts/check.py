@@ -515,54 +515,6 @@ def check_fd_lifetime_storage() -> list[str]:
     return problems
 
 
-#: a full selfmon metric name (at least two dotted segments after the
-#: prefix-qualifying first); prefixes like "selfmon." in startswith()
-#: guards deliberately do not match
-_SELFMON_NAME = re.compile(r"^selfmon\.[a-z0-9_]+(?:\.[a-z0-9_]+)+$")
-
-
-def check_selfmon_registry() -> list[str]:
-    """Every ``selfmon.*`` name appearing in source must be registered.
-
-    The self-monitoring plane publishes metrics about the monitoring
-    stack itself; a gauge emitted under a name the data dictionary does
-    not know is exactly the undocumented-vendor-data failure the
-    registry exists to prevent.  The gate scans string literals in
-    ``src/repro`` for full selfmon metric names and requires each to be
-    present in :func:`repro.core.registry.default_registry`.
-    """
-    src_root = REPO / "src"
-    if not src_root.is_dir():
-        return []
-    sys.path.insert(0, str(src_root))
-    try:
-        from repro.core.registry import default_registry
-    except Exception as exc:
-        return [f"selfmon registry gate: cannot import registry: {exc}"]
-    finally:
-        sys.path.remove(str(src_root))
-    registry = default_registry()
-    problems: list[str] = []
-    for path in sorted((src_root / "repro").rglob("*.py")):
-        try:
-            tree = ast.parse(path.read_text(), filename=str(path))
-        except SyntaxError:
-            continue                 # surfaced by check_file already
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Constant)
-                    and isinstance(node.value, str)):
-                continue
-            if not _SELFMON_NAME.match(node.value):
-                continue
-            if node.value not in registry:
-                problems.append(
-                    f"{path}:{node.lineno}: selfmon metric "
-                    f"{node.value!r} is not in the default registry; "
-                    f"add a MetricSpec to repro/core/registry.py"
-                )
-    return problems
-
-
 #: packages held to the no-per-sample-loop rule: the streaming analysis
 #: plane and the serving plane (both sit on the query hot path)
 _COLUMNAR_DIRS = ("analysis", "serve")
@@ -581,8 +533,8 @@ def check_columnar_analysis() -> list[str]:
 
 def lint() -> int:
     gate_problems = (check_import_cycles() + check_columnar_analysis()
-                     + check_swallows_repro() + check_selfmon_registry()
-                     + check_shared_state() + check_fd_lifetime_storage())
+                     + check_swallows_repro() + check_shared_state()
+                     + check_fd_lifetime_storage())
     for p in gate_problems:
         print(p)
     if gate_problems:

@@ -217,245 +217,14 @@ def _builtin_specs() -> Iterable[MetricSpec]:
                      "Fraction of node-health tests passing (CSCS suite).",
                      higher_is_worse=False)
 
-    # -- self-monitoring plane (repro.obs): the stack's own vitals --------
-    # Table I: monitoring must have documented, bounded impact; these
-    # metrics are that documentation, produced live by the stack itself.
-    yield MetricSpec("selfmon.bus.publish_rate", "msg/s", G, "monitor",
-                     "Messages published on the bus per second over the "
-                     "self-monitor cadence.")
-    yield MetricSpec("selfmon.bus.deliver_rate", "msg/s", G, "monitor",
-                     "Successful consumer hand-offs per second over the "
-                     "self-monitor cadence.")
-    yield MetricSpec("selfmon.bus.drop_rate", "msg/s", G, "monitor",
-                     "Envelopes evicted by the drop-oldest overflow policy "
-                     "per second.", higher_is_worse=True)
-    yield MetricSpec("selfmon.bus.dropped", "count", C, "monitor",
-                     "Cumulative envelopes evicted from bounded "
-                     "subscription queues.", higher_is_worse=True)
-    yield MetricSpec("selfmon.bus.errors", "count", C, "monitor",
-                     "Cumulative subscriber-callback exceptions isolated "
-                     "during fan-out.", higher_is_worse=True)
-    yield MetricSpec("selfmon.bus.queue_depth", "msgs", G, "monitor",
-                     "Current backlog of one subscription queue "
-                     "(component = subscription name).",
-                     higher_is_worse=True)
-    yield MetricSpec("selfmon.bus.completeness", "ratio", R, "monitor",
-                     "Data-path completeness: fraction of attempted "
-                     "deliveries that reached (or still await) a consumer.",
-                     derivation="(delivered - dropped)/(delivered + errors)",
-                     higher_is_worse=False)
-    yield MetricSpec("selfmon.bus.partition_depth", "msgs", G, "monitor",
-                     "Current backlog of one transport partition or "
-                     "aggregator leaf (component = partition/leaf name; "
-                     "absent on the flat bus).", higher_is_worse=True)
-    yield MetricSpec("selfmon.bus.partition_dropped", "count", C, "monitor",
-                     "Cumulative envelopes evicted from one bounded "
-                     "transport partition (component = partition name).",
-                     higher_is_worse=True)
-    yield MetricSpec("selfmon.collector.sweep_p50_ms", "ms", L, "monitor",
-                     "Median wall time of one collector sweep over the "
-                     "recent window (component = collector name).",
-                     higher_is_worse=True)
-    yield MetricSpec("selfmon.collector.sweep_p95_ms", "ms", L, "monitor",
-                     "95th-percentile wall time of one collector sweep "
-                     "over the recent window.", higher_is_worse=True)
-    yield MetricSpec("selfmon.collector.sweep_max_ms", "ms", L, "monitor",
-                     "Maximum wall time of one collector sweep over the "
-                     "recent window.", higher_is_worse=True)
-    yield MetricSpec("selfmon.collector.sweeps", "count", C, "monitor",
-                     "Cumulative sweeps a collector has run.")
-    yield MetricSpec("selfmon.store.tsdb_ingest_rate", "samples/s", G,
-                     "monitor",
-                     "Samples ingested into the TSDB per second over the "
-                     "self-monitor cadence.")
-    yield MetricSpec("selfmon.store.tsdb_points", "samples", G, "monitor",
-                     "Resident sample count in the TSDB.")
-    yield MetricSpec("selfmon.store.tsdb_bytes", "B", G, "monitor",
-                     "Compressed footprint of the TSDB.")
-    yield MetricSpec("selfmon.store.shard_points", "samples", G, "monitor",
-                     "Resident sample count of one TSDB shard "
-                     "(component = shard name; absent on a single store).")
-    yield MetricSpec("selfmon.store.shard_series", "count", G, "monitor",
-                     "Resident series count of one TSDB shard.")
-    yield MetricSpec("selfmon.store.shard_bytes", "B", G, "monitor",
-                     "Compressed footprint of one TSDB shard.")
-    yield MetricSpec("selfmon.store.cache_hits", "count", C, "monitor",
-                     "Cumulative decompressed-chunk cache hits (reads "
-                     "served without decoding a sealed chunk).")
-    yield MetricSpec("selfmon.store.cache_misses", "count", C, "monitor",
-                     "Cumulative decompressed-chunk cache misses (reads "
-                     "that had to decode a sealed chunk).")
-    yield MetricSpec("selfmon.store.cache_evictions", "count", C, "monitor",
-                     "Cumulative LRU evictions from the decompressed-chunk "
-                     "cache under its byte bound.", higher_is_worse=True)
-    yield MetricSpec("selfmon.store.cache_bytes", "B", G, "monitor",
-                     "Resident bytes of decompressed chunks held by the "
-                     "cache.")
-    yield MetricSpec("selfmon.store.disk_bytes", "B", G, "monitor",
-                     "Bytes of sealed chunks persisted in the disk tier's "
-                     "segment files (plus WAL tail).")
-    yield MetricSpec("selfmon.store.disk_hot_bytes", "B", G, "monitor",
-                     "Sealed-chunk bytes resident in memory under the "
-                     "hot-tier byte budget.")
-    yield MetricSpec("selfmon.store.disk_spill_rate", "chunks/s", G,
-                     "monitor",
-                     "Sealed chunks demoted to disk-only refs per second "
-                     "over the self-monitor cadence.")
-    yield MetricSpec("selfmon.store.disk_load_rate", "chunks/s", G,
-                     "monitor",
-                     "Spilled chunks read back through the mmap on the "
-                     "query path per second over the self-monitor "
-                     "cadence.", higher_is_worse=True)
-    yield MetricSpec("selfmon.store.disk_map_hits", "count", C, "monitor",
-                     "Cumulative spilled-chunk reads served from an "
-                     "already-established mmap (no remap).")
-    yield MetricSpec("selfmon.store.log_events", "count", C, "monitor",
-                     "Events resident in the indexed log store.")
-    yield MetricSpec("selfmon.store.sql_bytes", "B", G, "monitor",
-                     "Footprint of the relational store (sqlite page "
-                     "accounting).")
-    yield MetricSpec("selfmon.sec.rule_fires", "count", C, "monitor",
-                     "Cumulative action requests emitted by the SEC rule "
-                     "engine.")
-    yield MetricSpec("selfmon.sec.events_seen", "count", C, "monitor",
-                     "Cumulative events fed through the SEC rule set.")
-    yield MetricSpec("selfmon.actions.executed", "count", C, "monitor",
-                     "Cumulative action executions recorded in the audit "
-                     "log.")
-    yield MetricSpec("selfmon.analysis.batches", "count", C, "monitor",
-                     "Cumulative SeriesBatches consumed by one streaming "
-                     "detector (component = detector name).")
-    yield MetricSpec("selfmon.analysis.detections", "count", C, "monitor",
-                     "Cumulative detections emitted by one streaming "
-                     "detector.", higher_is_worse=True)
-    yield MetricSpec("selfmon.analysis.sweep_p50_ms", "ms", L, "monitor",
-                     "Median wall time one streaming detector spends "
-                     "consuming a batch (windowed histogram).",
-                     higher_is_worse=True)
-    yield MetricSpec("selfmon.analysis.sweep_p95_ms", "ms", L, "monitor",
-                     "p95 wall time one streaming detector spends "
-                     "consuming a batch.", higher_is_worse=True)
-    yield MetricSpec("selfmon.analysis.sweep_max_ms", "ms", L, "monitor",
-                     "Worst batch-consumption wall time of one streaming "
-                     "detector in the histogram window.",
-                     higher_is_worse=True)
-    yield MetricSpec("selfmon.pipeline.tick_ms", "ms", L, "monitor",
-                     "Mean wall time of one full pipeline tick over the "
-                     "self-monitor cadence (from the root trace span).",
-                     higher_is_worse=True)
-    yield MetricSpec("selfmon.exec.busy_fraction", "ratio", G, "monitor",
-                     "Fraction of worker capacity kept busy between tick "
-                     "barriers (component = execution-model name; 0 under "
-                     "the serial model).")
-    yield MetricSpec("selfmon.exec.barrier_wait_ms", "ms", G, "monitor",
-                     "Wall time the tick loop spent waiting at ordered "
-                     "barriers for straggler workers since start.",
-                     higher_is_worse=True)
-    yield MetricSpec("selfmon.exec.handoff_depth", "count", G, "monitor",
-                     "Peak number of tasks handed to workers at one "
-                     "barrier (fan-out width actually reached).")
-    yield MetricSpec("selfmon.health.state", "state", G, "monitor",
-                     "Supervised-component health (component = supervised "
-                     "name): 0 = OK, 1 = DEGRADED, 2 = FAILED.",
-                     higher_is_worse=True)
-    yield MetricSpec("selfmon.health.transitions", "count", C, "monitor",
-                     "Cumulative health-state transitions across every "
-                     "supervised monitoring component.",
-                     higher_is_worse=True)
-    yield MetricSpec("selfmon.ledger.published_points", "samples", C,
-                     "monitor",
-                     "Cumulative metric points stamped at the transport "
-                     "publish edge (the delivery-ledger baseline).")
-    yield MetricSpec("selfmon.ledger.stored_points", "samples", C, "monitor",
-                     "Cumulative metric points confirmed appended to the "
-                     "numeric store (incl. redo-buffer replays).")
-    yield MetricSpec("selfmon.ledger.lost_points", "samples", C, "monitor",
-                     "Cumulative metric points lost with a known cause "
-                     "(partition overflow, leaf overflow, chaos drop, "
-                     "store error, redo eviction).", higher_is_worse=True)
-    yield MetricSpec("selfmon.ledger.pending_points", "samples", G,
-                     "monitor",
-                     "Points parked in failed-shard redo buffers awaiting "
-                     "recovery replay.", higher_is_worse=True)
-    yield MetricSpec("selfmon.ledger.inflight_points", "samples", G,
-                     "monitor",
-                     "Points buffered inside the transport (partition "
-                     "queues / coalescing windows) awaiting delivery.")
-    yield MetricSpec("selfmon.ledger.unaccounted_points", "samples", G,
-                     "monitor",
-                     "Residual of the delivery-ledger balance identity; "
-                     "nonzero means silent loss.",
-                     derivation="published - stored - lost - pending "
-                                "- in_flight",
-                     higher_is_worse=True)
-    yield MetricSpec("selfmon.freshness.e2e_p50_s", "s", L, "monitor",
-                     "Median collected-to-queryable latency of traced "
-                     "batches over the recent window.",
-                     higher_is_worse=True)
-    yield MetricSpec("selfmon.freshness.e2e_p99_s", "s", L, "monitor",
-                     "99th-percentile collected-to-queryable latency of "
-                     "traced batches (the stock SLO quantity).",
-                     higher_is_worse=True)
-    yield MetricSpec("selfmon.freshness.e2e_max_s", "s", L, "monitor",
-                     "Worst collected-to-queryable latency in the recent "
-                     "window.", higher_is_worse=True)
-    yield MetricSpec("selfmon.freshness.hop_mean_s", "s", L, "monitor",
-                     "Mean latency attributed to one transport hop "
-                     "(component = hop id: publish/enqueue/pump/leaf/"
-                     "merge/root/ingest).", higher_is_worse=True)
-    yield MetricSpec("selfmon.freshness.hop_p99_s", "s", L, "monitor",
-                     "p99 latency attributed to one transport hop over "
-                     "the recent window.", higher_is_worse=True)
-    yield MetricSpec("selfmon.freshness.batches", "count", C, "monitor",
-                     "Cumulative traced batches folded into the freshness "
-                     "histograms at store ingest.")
-    yield MetricSpec("selfmon.freshness.slo_burn_rate", "ratio", G,
-                     "monitor",
-                     "Freshness-SLO error-budget burn (component = SLO "
-                     "name): fraction of recent batches over the latency "
-                     "threshold divided by the budget 1-quantile; > 1 "
-                     "means the SLO is being breached.",
-                     higher_is_worse=True)
-    yield MetricSpec("selfmon.freshness.slo_breaches", "count", C,
-                     "monitor",
-                     "Cumulative edge-triggered breaches of one freshness "
-                     "SLO (component = SLO name).", higher_is_worse=True)
-    yield MetricSpec("selfmon.trace.dropped", "count", C, "monitor",
-                     "Spans evicted from the tracer's bounded ring buffer "
-                     "(accounted exporter loss; silent overwrite before).",
-                     higher_is_worse=True)
-    yield MetricSpec("selfmon.serve.qps", "queries/s", G, "monitor",
-                     "Serving-plane query arrival rate (admitted + "
-                     "rejected) over the last selfmon cadence.")
-    yield MetricSpec("selfmon.serve.queries", "count", C, "monitor",
-                     "Cumulative queries presented to the query front "
-                     "end across every tenant.")
-    yield MetricSpec("selfmon.serve.rejected", "count", C, "monitor",
-                     "Cumulative queries shed by tenant admission "
-                     "control (rate or concurrency); rejections return "
-                     "empty answers, never exceptions.",
-                     higher_is_worse=True)
-    yield MetricSpec("selfmon.serve.cache_hit_ratio", "ratio", G,
-                     "monitor",
-                     "Query-result cache hits / lookups, lifetime; low "
-                     "values under dashboard load mean the cache is "
-                     "undersized or ingest is invalidating every window.")
-    yield MetricSpec("selfmon.serve.cache_bytes", "B", G, "monitor",
-                     "Bytes of finished answers held by the query-result "
-                     "cache (bounded LRU).")
-    yield MetricSpec("selfmon.serve.pyramid_answers", "count", C,
-                     "monitor",
-                     "Downsample/aggregate queries answered from rollup "
-                     "pyramid rows instead of raw chunks.")
-    yield MetricSpec("selfmon.serve.raw_answers", "count", C, "monitor",
-                     "Downsample/aggregate queries that fell back to the "
-                     "store's raw path (unplannable step/window or "
-                     "pyramid-less series).")
-
 
 def default_registry() -> MetricRegistry:
     """Registry pre-loaded with every metric the built-in stack publishes."""
+    # the self-monitoring plane declares its own metrics (one table row
+    # each); that module builds on this one, hence the late import
+    from ..obs.selfmetrics import selfmon_specs
+
     reg = MetricRegistry()
-    for spec in _builtin_specs():
+    for spec in (*_builtin_specs(), *selfmon_specs()):
         reg.register(spec)
     return reg

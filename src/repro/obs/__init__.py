@@ -7,10 +7,10 @@ that requirement on the reproduction itself:
 * :mod:`repro.obs.trace` — lightweight nested trace spans over the
   pipeline's own execution, with a ring-buffer exporter;
 * :mod:`repro.obs.hist` — small fixed-footprint latency histograms;
-* :mod:`repro.obs.selfmetrics` — a meta-metric emitter publishing the
-  stack's own vitals as ordinary ``SeriesBatch``es on ``selfmon.*``
-  topics, so they land in the same TSDB, dashboards, and analyses as
-  machine telemetry;
+* :mod:`repro.obs.selfmetrics` — one table (``VITALS``) declaring every
+  ``selfmon.*`` metric once, and the emitter that walks it, publishing
+  the stack's own vitals as ordinary ``SeriesBatch``es so they land in
+  the same TSDB, dashboards, and analyses as machine telemetry;
 * :mod:`repro.obs.introspect` — a structured end-to-end health report
   over the whole pipeline (per-stage timings, drop/backpressure status,
   data-path completeness).
@@ -18,7 +18,7 @@ that requirement on the reproduction itself:
 
 from .hist import LatencyHistogram
 from .introspect import HealthReport, PipelineIntrospector, StageReport
-from .selfmetrics import SELFMON_METRICS, SelfMonitor
+from .selfmetrics import SELFMON_METRICS, VITALS, SelfMonitor, Vital
 from .trace import Span, Tracer
 
 __all__ = [
@@ -30,4 +30,6 @@ __all__ = [
     "Span",
     "StageReport",
     "Tracer",
+    "VITALS",
+    "Vital",
 ]

@@ -11,28 +11,29 @@ the completeness ratio — rendered by ``python -m repro obs``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
-from .selfmetrics import _cache_stats, _tsdb_stats, completeness_ratio
+from .selfmetrics import (
+    completeness_ratio,
+    disk_stats,
+    ms_summary,
+    partition_surfaces,
+    shard_stats,
+    streaming_detectors,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..pipeline import MonitoringPipeline
 
-__all__ = ["StageReport", "HealthReport", "PipelineIntrospector", "STAGES"]
+__all__ = ["StageReport", "HealthReport", "PipelineIntrospector"]
 
-#: the per-tick child spans MonitoringPipeline.step() opens, in data-path order
-STAGES: tuple[str, ...] = (
-    "event-plane",
-    "metric-plane",
-    "job-tracking",
-    "streaming",
-    "analysis-hooks",
-    "supervision",
-    "freshness",
-    "response",
-    "selfmon",
-)
+
+def _floats(record, *names: str) -> dict[str, float]:
+    """The named counters of a stats record (every dataclass field when
+    none are named), as the floats the report carries."""
+    names = names or tuple(f.name for f in fields(record))
+    return {n: float(getattr(record, n)) for n in names}
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,16 +100,18 @@ class PipelineIntrospector:
         p = self.pipeline
         agg = p.tracer.aggregate()
         ticks = int(agg.get("tick", {}).get("count", 0))
+        # one timing row per installed stage: the executor opens a span
+        # named after each, custom stages included
         stages = tuple(
             StageReport(
-                name=name,
+                name=stage.name,
                 calls=int(a["count"]),
                 total_s=a["total_s"],
                 mean_ms=a["mean_ms"],
                 max_ms=1000.0 * a["max_s"],
             )
-            for name in STAGES
-            if (a := agg.get(name)) is not None
+            for stage in p.stages
+            if (a := agg.get(stage.name)) is not None
         )
         stats = p.bus.stats()
         slowest = tuple(
@@ -130,131 +133,56 @@ class PipelineIntrospector:
             }
             hist = p.scheduler.latency.get(c.name)
             if hist is not None and len(hist):
-                s = hist.summary()
-                entry["p50_ms"] = 1000.0 * s["p50_s"]
-                entry["p95_ms"] = 1000.0 * s["p95_s"]
-                entry["max_ms"] = 1000.0 * s["max_s"]
+                entry.update(ms_summary(hist))
             collectors[c.name] = entry
-        tstats = _tsdb_stats(p.tsdb)
+        tstats = p.tsdb.stats()
         stores = {
             "log_events": float(len(p.logs)),
             "sql_bytes": float(p.sql.footprint_bytes()),
+            "tsdb_points": float(tstats.samples),
+            "tsdb_series": float(tstats.series),
+            "tsdb_bytes": float(tstats.compressed_bytes),
         }
-        if tstats is not None:
-            stores.update(
-                tsdb_points=float(tstats.samples),
-                tsdb_series=float(tstats.series),
-                tsdb_bytes=float(tstats.compressed_bytes),
-            )
-        # tiered-transport / sharded-store surfaces (duck-typed: absent
-        # on the flat bus and the single store)
-        partitions: dict[str, int] = {}
-        for probe in ("partition_depths", "leaf_depths"):
-            fn = getattr(p.bus, probe, None)
-            if callable(fn):
-                partitions.update(fn())
-        shards: dict[str, dict[str, float]] = {}
-        per_shard = getattr(p.tsdb, "per_shard_stats", None)
-        if callable(per_shard):
-            shards = {
-                f"shard-{i}": {
-                    "points": float(s.samples),
-                    "series": float(s.series),
-                    "bytes": float(s.compressed_bytes),
-                }
-                for i, s in enumerate(per_shard())
+        # tiered-transport / sharded-store / disk-tier surfaces (None on
+        # the flat bus and the single in-memory store)
+        parts = partition_surfaces(p)
+        shards = {
+            name: {
+                "points": float(s.samples),
+                "series": float(s.series),
+                "bytes": float(s.compressed_bytes),
             }
+            for name, s in (shard_stats(p) or {}).items()
+        }
+        dstats = disk_stats(p)
         analysis: dict[str, dict[str, float]] = {}
-        for stage_obj in p.stages:
-            if getattr(stage_obj, "name", "") != "streaming":
-                continue
-            for det in getattr(stage_obj, "detectors", ()):
-                entry = {
-                    "batches": float(getattr(det, "batches_observed", 0)),
-                    "samples": float(getattr(det, "samples_observed", 0)),
-                    "detections": float(getattr(det, "detections_total", 0)),
-                }
-                hist = getattr(det, "latency", None)
-                if hist is not None and len(hist):
-                    s = hist.summary()
-                    entry["p50_ms"] = 1000.0 * s["p50_s"]
-                    entry["p95_ms"] = 1000.0 * s["p95_s"]
-                    entry["max_ms"] = 1000.0 * s["max_s"]
-                analysis[getattr(det, "name", type(det).__name__)] = entry
-        chunk_cache: dict[str, float] = {}
-        cstats = _cache_stats(p.tsdb)
-        if cstats is not None:
-            chunk_cache = {
-                "hits": float(cstats.hits),
-                "misses": float(cstats.misses),
-                "evictions": float(cstats.evictions),
-                "bytes": float(cstats.bytes),
-                "hit_ratio": cstats.hit_ratio,
+        for det in streaming_detectors(p):
+            analysis[det.name] = entry = {
+                "batches": float(det.batches_observed),
+                "samples": float(det.samples_observed),
+                "detections": float(det.detections_total),
             }
-        disk: dict[str, float] = {}
-        dfn = getattr(p.tsdb, "disk_stats", None)
-        dstats = dfn() if callable(dfn) else None
-        if dstats is not None:
-            disk = {
-                "segments": float(dstats.segments),
-                "disk_bytes": float(dstats.disk_bytes),
-                "wal_bytes": float(dstats.wal_bytes),
-                "hot_bytes": float(dstats.hot_bytes),
-                "hot_chunks": float(dstats.hot_chunks),
-                "spills": float(dstats.spills),
-                "loads": float(dstats.loads),
-                "map_hits": float(dstats.map_hits),
-                "remaps": float(dstats.remaps),
-                "wal_records": float(dstats.wal_records),
-                "wal_syncs": float(dstats.wal_syncs),
-            }
-        health = (p.health_report()
-                  if callable(getattr(p, "health_report", None)) else {})
-        fresh: dict = {}
-        tracker = getattr(p, "freshness", None)
-        if tracker is not None and tracker.batches:
-            fresh = tracker.snapshot()
-        ledger: dict[str, float] = {}
-        balance = (p.delivery_report()
-                   if callable(getattr(p, "delivery_report", None)) else None)
-        if balance is not None:
-            ledger = {
-                "published": float(balance.published),
-                "stored": float(balance.stored),
-                "lost": float(balance.lost),
-                "pending": float(balance.pending),
-                "in_flight": float(balance.in_flight),
-                "unaccounted": float(balance.unaccounted),
-            }
-        executor: dict = {}
-        ex = getattr(p, "executor", None)
-        if ex is not None:
-            executor = ex.snapshot()
-        serve: dict = {}
-        fe = getattr(p, "frontend", None)
-        if fe is not None:
-            sstats = fe.stats()
-            serve = {
-                "queries": float(sstats.queries),
-                "rejected": float(sstats.rejected),
-                "pyramid_answers": float(sstats.pyramid_answers),
-                "raw_answers": float(sstats.raw_answers),
-                "cache_hits": float(sstats.cache.hits),
-                "cache_misses": float(sstats.cache.misses),
-                "cache_stale": float(sstats.cache.stale),
-                "cache_bytes": float(sstats.cache.bytes),
-                "cache_hit_ratio": sstats.cache.hit_ratio,
-                "tenants": {
-                    t: {
-                        "admitted": float(ts.admitted),
-                        "rejected_rate": float(ts.rejected_rate),
-                        "rejected_concurrency":
-                            float(ts.rejected_concurrency),
-                    }
-                    for t in fe.tenants()
-                    for ts in (fe.tenant_stats(t),)
-                },
-            }
+            if len(det.latency):
+                entry.update(ms_summary(det.latency))
+        cstats = p.tsdb.cache_stats()
+        tracker = p.freshness
+        balance = p.delivery_report()
+        fe = p.frontend
+        sstats = fe.stats()
+        serve = {
+            **_floats(sstats, "queries", "rejected", "pyramid_answers",
+                      "raw_answers"),
+            "cache_hits": float(sstats.cache.hits),
+            "cache_misses": float(sstats.cache.misses),
+            "cache_stale": float(sstats.cache.stale),
+            "cache_bytes": float(sstats.cache.bytes),
+            "cache_hit_ratio": sstats.cache.hit_ratio,
+            "tenants": {
+                t: _floats(fe.tenant_stats(t), "admitted", "rejected_rate",
+                           "rejected_concurrency")
+                for t in fe.tenants()
+            },
+        }
         return HealthReport(
             ticks=ticks,
             stages=stages,
@@ -278,15 +206,21 @@ class PipelineIntrospector:
                 "actions_executed": len(p.actions.audit),
                 "alerts": len(p.alerts.alerts),
             },
-            partitions=partitions,
+            partitions=parts["depth"] if parts is not None else {},
             shards=shards,
-            chunk_cache=chunk_cache,
-            disk=disk,
+            chunk_cache={
+                **_floats(cstats, "hits", "misses", "evictions", "bytes"),
+                "hit_ratio": cstats.hit_ratio,
+            },
+            disk=_floats(dstats) if dstats is not None else {},
             analysis=analysis,
-            health=health,
-            ledger=ledger,
-            freshness=fresh,
-            executor=executor,
+            health=p.health_report(),
+            ledger=(_floats(balance, "published", "stored", "lost", "pending",
+                            "in_flight", "unaccounted")
+                    if balance is not None else {}),
+            freshness=(tracker.snapshot()
+                       if tracker is not None and tracker.batches else {}),
+            executor=p.executor.snapshot(),
             serve=serve,
         )
 
@@ -352,14 +286,10 @@ class PipelineIntrospector:
                         f" p95={c['p95_ms']:7.3f} ms"
                         f" max={c['max_ms']:7.3f} ms"
                     )
-        tsdb_part = (
-            f"tsdb {int(r.stores['tsdb_points'])} points / "
+        lines.append(
+            f"stores: tsdb {int(r.stores['tsdb_points'])} points / "
             f"{int(r.stores['tsdb_series'])} series / "
             f"{int(r.stores['tsdb_bytes'])} B compressed; "
-            if "tsdb_points" in r.stores else ""
-        )
-        lines.append(
-            f"stores: {tsdb_part}"
             f"logs {int(r.stores['log_events'])} events; "
             f"sql {int(r.stores['sql_bytes'])} B"
         )

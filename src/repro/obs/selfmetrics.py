@@ -2,135 +2,36 @@
 
 DCDB (Netti et al.) treats the monitoring system's own overhead and
 throughput as first-class monitoring data.  :class:`SelfMonitor` does
-the same here: on a configurable cadence it samples the pipeline's
-vitals — bus publish/deliver/drop rates and callback errors,
-per-subscription queue depth, per-collector sweep-latency percentiles,
-TSDB ingest rate and resident points, LogStore/SqlStore sizes, SEC
-rule-fire and action-execution counts, and the pipeline tick time —
-and publishes them as ordinary :class:`~repro.core.metric.SeriesBatch`es
-on ``selfmon.*`` topics.
+the same here: on a configurable cadence it walks :data:`VITALS` — one
+table of the pipeline's vitals, grouped by the stats surface they are
+read from — and publishes each as an ordinary
+:class:`~repro.core.metric.SeriesBatch` on its ``selfmon.*`` topic.
 
 Because they ride the same bus, they land in the same TSDB, dashboards,
 streaming detectors, and analysis hooks as machine telemetry: the
 monitoring plane is monitored by itself, with no parallel plumbing.
-Every name is declared in :mod:`repro.core.registry` so the
-``verify_registered`` discipline covers the self-monitoring plane too.
+A row *is* its registry spec (Table I: "the meaning of all raw data
+should be provided"), so the sweep, the data dictionary and
+:data:`SELFMON_METRICS` cannot drift: a new self-metric is one row.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..core.metric import SeriesBatch
-from ..core.registry import MetricRegistry
+from ..core.registry import MetricClass, MetricSpec
 from ..core.tracectx import TraceContext
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..pipeline import MonitoringPipeline
 
-__all__ = ["SELFMON_METRICS", "SelfMonitor", "completeness_ratio"]
-
-#: every metric the self-monitoring plane publishes (registry contract)
-SELFMON_METRICS: tuple[str, ...] = (
-    "selfmon.bus.publish_rate",
-    "selfmon.bus.deliver_rate",
-    "selfmon.bus.drop_rate",
-    "selfmon.bus.dropped",
-    "selfmon.bus.errors",
-    "selfmon.bus.queue_depth",
-    "selfmon.bus.completeness",
-    "selfmon.bus.partition_depth",
-    "selfmon.bus.partition_dropped",
-    "selfmon.collector.sweep_p50_ms",
-    "selfmon.collector.sweep_p95_ms",
-    "selfmon.collector.sweep_max_ms",
-    "selfmon.collector.sweeps",
-    "selfmon.store.tsdb_ingest_rate",
-    "selfmon.store.tsdb_points",
-    "selfmon.store.tsdb_bytes",
-    "selfmon.store.shard_points",
-    "selfmon.store.shard_series",
-    "selfmon.store.shard_bytes",
-    "selfmon.store.cache_hits",
-    "selfmon.store.cache_misses",
-    "selfmon.store.cache_evictions",
-    "selfmon.store.cache_bytes",
-    "selfmon.store.disk_bytes",
-    "selfmon.store.disk_hot_bytes",
-    "selfmon.store.disk_spill_rate",
-    "selfmon.store.disk_load_rate",
-    "selfmon.store.disk_map_hits",
-    "selfmon.store.log_events",
-    "selfmon.store.sql_bytes",
-    "selfmon.sec.rule_fires",
-    "selfmon.sec.events_seen",
-    "selfmon.actions.executed",
-    "selfmon.analysis.batches",
-    "selfmon.analysis.detections",
-    "selfmon.analysis.sweep_p50_ms",
-    "selfmon.analysis.sweep_p95_ms",
-    "selfmon.analysis.sweep_max_ms",
-    "selfmon.pipeline.tick_ms",
-    "selfmon.exec.busy_fraction",
-    "selfmon.exec.barrier_wait_ms",
-    "selfmon.exec.handoff_depth",
-    "selfmon.health.state",
-    "selfmon.health.transitions",
-    "selfmon.ledger.published_points",
-    "selfmon.ledger.stored_points",
-    "selfmon.ledger.lost_points",
-    "selfmon.ledger.pending_points",
-    "selfmon.ledger.inflight_points",
-    "selfmon.ledger.unaccounted_points",
-    "selfmon.freshness.e2e_p50_s",
-    "selfmon.freshness.e2e_p99_s",
-    "selfmon.freshness.e2e_max_s",
-    "selfmon.freshness.hop_mean_s",
-    "selfmon.freshness.hop_p99_s",
-    "selfmon.freshness.batches",
-    "selfmon.freshness.slo_burn_rate",
-    "selfmon.freshness.slo_breaches",
-    "selfmon.trace.dropped",
-    "selfmon.serve.qps",
-    "selfmon.serve.queries",
-    "selfmon.serve.rejected",
-    "selfmon.serve.cache_hit_ratio",
-    "selfmon.serve.cache_bytes",
-    "selfmon.serve.pyramid_answers",
-    "selfmon.serve.raw_answers",
-)
-
-
-def _tsdb_stats(tsdb):
-    """Stats of the numeric store, tolerating swapped-in backends.
-
-    ``pipeline.tsdb`` is replaceable (e.g. by a ``TieredStore`` whose
-    hot tier holds the stats surface); self-monitoring must observe
-    whatever is installed rather than constrain it.
-    """
-    stats = getattr(tsdb, "stats", None)
-    if callable(stats):
-        return stats()
-    hot = getattr(tsdb, "hot", None)
-    if hot is not None and callable(getattr(hot, "stats", None)):
-        return hot.stats()
-    return None
-
-
-def _cache_stats(tsdb):
-    """Chunk-cache counters of the numeric store, if it has any.
-
-    Duck-typed like :func:`_tsdb_stats`: plain, sharded, and tiered
-    stores all expose ``cache_stats()``; anything else (or a store
-    built without a cache) simply reports nothing.
-    """
-    cache_stats = getattr(tsdb, "cache_stats", None)
-    if callable(cache_stats):
-        return cache_stats()
-    hot = getattr(tsdb, "hot", None)
-    if hot is not None and callable(getattr(hot, "cache_stats", None)):
-        return hot.cache_stats()
-    return None
+__all__ = ["SELFMON_METRICS", "VITALS", "SelfMonitor", "Vital",
+           "completeness_ratio", "disk_stats", "ms_summary",
+           "partition_surfaces", "selfmon_specs", "shard_stats",
+           "streaming_detectors"]
 
 
 def completeness_ratio(delivered: int, dropped: int, errors: int) -> float:
@@ -148,10 +49,451 @@ def completeness_ratio(delivered: int, dropped: int, errors: int) -> float:
     return (delivered - dropped) / attempted
 
 
+@dataclass(frozen=True, slots=True)
+class Vital:
+    """One self-metric: its registry spec and where its value comes from.
+
+    ``field`` maps the reading of the row's stats surface to the value
+    published under ``component`` — or, for a per-component row
+    (``component`` None), to the whole ``{component: value}`` dict.
+    ``rate`` (single-component rows only) turns cumulative readings into
+    what is published: ``rate(previous, current, elapsed_s)``, or None
+    for no sample.
+    """
+
+    spec: MetricSpec
+    component: str | None
+    field: Callable[[Any], Any]
+    rate: Callable[[Any, Any, float], float | None] | None = None
+
+
+def _get(record, name: str):
+    return record[name] if isinstance(record, dict) else getattr(record, name)
+
+
+def _vital(name: str, unit: str, klass: MetricClass, component: str | None,
+           field, meaning: str, *, rate=None, **spec) -> Vital:
+    """A table row.  A string ``field`` names an attribute (or key) of
+    the reading — for a per-component row, of every record of a
+    ``{component: record}`` reading."""
+    if isinstance(field, str):
+        key = field
+        if component is None:
+            def field(reading):
+                return {c: _get(r, key) for c, r in reading.items()}
+        else:
+            def field(reading):
+                return _get(reading, key)
+    return Vital(MetricSpec(name, unit, klass, "monitor", meaning, **spec),
+                 component, field, rate)
+
+
+def _per_second(prev, cur, elapsed_s: float) -> float | None:
+    """Rate of a cumulative counter.  One that went backwards (the store
+    was swapped or recovered under us) publishes nothing this interval:
+    a gap is honest, a negative or invented rate is not."""
+    return (cur - prev) / elapsed_s if cur >= prev else None
+
+
+def _mean_tick_ms(prev, cur, _elapsed_s: float) -> float | None:
+    """Mean wall ms per tick between two ``(count, total_s)`` readings."""
+    d_count = cur[0] - prev[0]
+    return 1000.0 * (cur[1] - prev[1]) / d_count if d_count > 0 else None
+
+
+def ms_summary(hist) -> dict[str, float]:
+    """Window percentiles of a latency histogram, in milliseconds."""
+    s = hist.summary()
+    return {"p50_ms": 1000.0 * s["p50_s"], "p95_ms": 1000.0 * s["p95_s"],
+            "max_ms": 1000.0 * s["max_s"]}
+
+
+def streaming_detectors(p) -> list:
+    """Instrumented detectors on the streaming stage (duck-typed:
+    custom detectors without the self-report surface are skipped)."""
+    for stage in p.stages:
+        if stage.name == "streaming":
+            return [d for d in stage.detectors
+                    if hasattr(d, "latency") and hasattr(d, "name")]
+    return []
+
+
+def partition_surfaces(p):
+    """Per-partition surfaces of a tiered transport (duck-typed: the
+    flat bus has neither, the tree reports its leaves as partitions)."""
+    bus = p.bus
+    if hasattr(bus, "partition_depths"):
+        return {"depth": bus.partition_depths(),
+                "dropped": bus.partition_drops()}
+    if hasattr(bus, "leaf_depths"):
+        return {"depth": bus.leaf_depths(), "dropped": {}}
+    return None
+
+
+def _collectors(p):
+    latency = p.scheduler.latency
+    return {c.name: {"sweeps": c.sweeps, **ms_summary(hist)}
+            for c in p.scheduler.collectors
+            if (hist := latency.get(c.name)) is not None and len(hist)}
+
+
+def shard_stats(p):
+    """``{shard name: StoreStats}`` of a sharded store, else None."""
+    per_shard = getattr(p.tsdb, "per_shard_stats", None)
+    if per_shard is None:
+        return None
+    return {f"shard-{i}": s for i, s in enumerate(per_shard())}
+
+
+def disk_stats(p):
+    """Disk-tier counters of a store that spills to disk, else None."""
+    read = getattr(p.tsdb, "disk_stats", None)
+    return read() if read is not None else None
+
+
+def _detector_latency(p):
+    return {d.name: ms_summary(d.latency)
+            for d in streaming_detectors(p) if len(d.latency)}
+
+
+def _supervised(p):
+    sup = p.supervisor
+    return sup if sup is not None and sup.components else None
+
+
+def _freshness(read):
+    """A reader of the freshness tracker, once it has folded a batch."""
+    def read_tracker(p):
+        fr = p.freshness
+        return read(fr) if fr is not None and fr.batches else None
+    return read_tracker
+
+
+_G, _C, _R, _L = (MetricClass.GAUGE, MetricClass.COUNTER, MetricClass.RATIO,
+                  MetricClass.LATENCY)
+
+#: every metric the self-monitoring plane publishes, in sweep order, as
+#: ``(read, rows)`` groups: ``read(pipeline)`` takes one reading of one
+#: stats surface per sweep and feeds every row of its group; a reading
+#: of None (the plane is switched off, the backend has no such surface)
+#: publishes nothing.  Table I: monitoring must have documented, bounded
+#: impact; these metrics are that documentation, produced live by the
+#: stack itself.
+VITALS: tuple[tuple[Callable[["MonitoringPipeline"], Any],
+                    tuple[Vital, ...]], ...] = (
+    (lambda p: p.bus.stats(), (
+        _vital("selfmon.bus.publish_rate", "msg/s", _G, "bus", "published",
+               "Messages published on the bus per second over the "
+               "self-monitor cadence.", rate=_per_second),
+        _vital("selfmon.bus.deliver_rate", "msg/s", _G, "bus", "delivered",
+               "Successful consumer hand-offs per second over the "
+               "self-monitor cadence.", rate=_per_second),
+        _vital("selfmon.bus.drop_rate", "msg/s", _G, "bus", "dropped",
+               "Envelopes evicted by the drop-oldest overflow policy "
+               "per second.", rate=_per_second, higher_is_worse=True),
+        _vital("selfmon.bus.dropped", "count", _C, "bus", "dropped",
+               "Cumulative envelopes evicted from bounded "
+               "subscription queues.", higher_is_worse=True),
+        _vital("selfmon.bus.errors", "count", _C, "bus", "errors",
+               "Cumulative subscriber-callback exceptions isolated "
+               "during fan-out.", higher_is_worse=True),
+        _vital("selfmon.bus.completeness", "ratio", _R, "bus",
+               lambda s: completeness_ratio(s.delivered, s.dropped, s.errors),
+               "Data-path completeness: fraction of attempted "
+               "deliveries that reached (or still await) a consumer.",
+               derivation="(delivered - dropped)/(delivered + errors)",
+               higher_is_worse=False),
+        _vital("selfmon.bus.queue_depth", "msgs", _G, None,
+               lambda s: s.queue_depths,
+               "Current backlog of one subscription queue "
+               "(component = subscription name).",
+               higher_is_worse=True),
+    )),
+    (partition_surfaces, (
+        _vital("selfmon.bus.partition_depth", "msgs", _G, None,
+               itemgetter("depth"),
+               "Current backlog of one transport partition or "
+               "aggregator leaf (component = partition/leaf name; "
+               "absent on the flat bus).", higher_is_worse=True),
+        _vital("selfmon.bus.partition_dropped", "count", _C, None,
+               itemgetter("dropped"),
+               "Cumulative envelopes evicted from one bounded "
+               "transport partition (component = partition name).",
+               higher_is_worse=True),
+    )),
+    (_collectors, (
+        _vital("selfmon.collector.sweep_p50_ms", "ms", _L, None, "p50_ms",
+               "Median wall time of one collector sweep over the "
+               "recent window (component = collector name).",
+               higher_is_worse=True),
+        _vital("selfmon.collector.sweep_p95_ms", "ms", _L, None, "p95_ms",
+               "95th-percentile wall time of one collector sweep "
+               "over the recent window.", higher_is_worse=True),
+        _vital("selfmon.collector.sweep_max_ms", "ms", _L, None, "max_ms",
+               "Maximum wall time of one collector sweep over the "
+               "recent window.", higher_is_worse=True),
+        _vital("selfmon.collector.sweeps", "count", _C, None, "sweeps",
+               "Cumulative sweeps a collector has run."),
+    )),
+    (lambda p: p.tsdb.stats(), (
+        _vital("selfmon.store.tsdb_ingest_rate", "samples/s", _G, "tsdb",
+               "samples",
+               "Samples ingested into the TSDB per second over the "
+               "self-monitor cadence.", rate=_per_second),
+        _vital("selfmon.store.tsdb_points", "samples", _G, "tsdb", "samples",
+               "Resident sample count in the TSDB."),
+        _vital("selfmon.store.tsdb_bytes", "B", _G, "tsdb",
+               "compressed_bytes",
+               "Compressed footprint of the TSDB."),
+    )),
+    (shard_stats, (
+        _vital("selfmon.store.shard_points", "samples", _G, None, "samples",
+               "Resident sample count of one TSDB shard "
+               "(component = shard name; absent on a single store)."),
+        _vital("selfmon.store.shard_series", "count", _G, None, "series",
+               "Resident series count of one TSDB shard."),
+        _vital("selfmon.store.shard_bytes", "B", _G, None, "compressed_bytes",
+               "Compressed footprint of one TSDB shard."),
+    )),
+    (lambda p: p.tsdb.cache_stats(), (
+        _vital("selfmon.store.cache_hits", "count", _C, "chunk-cache", "hits",
+               "Cumulative decompressed-chunk cache hits (reads "
+               "served without decoding a sealed chunk)."),
+        _vital("selfmon.store.cache_misses", "count", _C, "chunk-cache",
+               "misses",
+               "Cumulative decompressed-chunk cache misses (reads "
+               "that had to decode a sealed chunk)."),
+        _vital("selfmon.store.cache_evictions", "count", _C, "chunk-cache",
+               "evictions",
+               "Cumulative LRU evictions from the decompressed-chunk "
+               "cache under its byte bound.", higher_is_worse=True),
+        _vital("selfmon.store.cache_bytes", "B", _G, "chunk-cache", "bytes",
+               "Resident bytes of decompressed chunks held by the "
+               "cache."),
+    )),
+    (disk_stats, (
+        _vital("selfmon.store.disk_bytes", "B", _G, "disk-tier", "disk_bytes",
+               "Bytes of sealed chunks persisted in the disk tier's "
+               "segment files (plus WAL tail)."),
+        _vital("selfmon.store.disk_hot_bytes", "B", _G, "disk-tier",
+               "hot_bytes",
+               "Sealed-chunk bytes resident in memory under the "
+               "hot-tier byte budget."),
+        _vital("selfmon.store.disk_spill_rate", "chunks/s", _G, "disk-tier",
+               "spills",
+               "Sealed chunks demoted to disk-only refs per second "
+               "over the self-monitor cadence.", rate=_per_second),
+        _vital("selfmon.store.disk_load_rate", "chunks/s", _G, "disk-tier",
+               "loads",
+               "Spilled chunks read back through the mmap on the "
+               "query path per second over the self-monitor "
+               "cadence.", rate=_per_second, higher_is_worse=True),
+        _vital("selfmon.store.disk_map_hits", "count", _C, "disk-tier",
+               "map_hits",
+               "Cumulative spilled-chunk reads served from an "
+               "already-established mmap (no remap)."),
+    )),
+    (lambda p: p, (
+        _vital("selfmon.store.log_events", "count", _C, "logstore",
+               lambda p: len(p.logs),
+               "Events resident in the indexed log store."),
+        _vital("selfmon.store.sql_bytes", "B", _G, "sqlstore",
+               lambda p: p.sql.footprint_bytes(),
+               "Footprint of the relational store (sqlite page "
+               "accounting)."),
+        _vital("selfmon.sec.rule_fires", "count", _C, "sec",
+               lambda p: len(p.sec.requests),
+               "Cumulative action requests emitted by the SEC rule "
+               "engine."),
+        _vital("selfmon.sec.events_seen", "count", _C, "sec",
+               lambda p: p.sec.events_seen,
+               "Cumulative events fed through the SEC rule set."),
+        _vital("selfmon.actions.executed", "count", _C, "actions",
+               lambda p: len(p.actions.audit),
+               "Cumulative action executions recorded in the audit "
+               "log."),
+    )),
+    (lambda p: {d.name: d for d in streaming_detectors(p)}, (
+        _vital("selfmon.analysis.batches", "count", _C, None,
+               "batches_observed",
+               "Cumulative SeriesBatches consumed by one streaming "
+               "detector (component = detector name)."),
+        _vital("selfmon.analysis.detections", "count", _C, None,
+               "detections_total",
+               "Cumulative detections emitted by one streaming "
+               "detector.", higher_is_worse=True),
+    )),
+    (_detector_latency, (
+        _vital("selfmon.analysis.sweep_p50_ms", "ms", _L, None, "p50_ms",
+               "Median wall time one streaming detector spends "
+               "consuming a batch (windowed histogram).",
+               higher_is_worse=True),
+        _vital("selfmon.analysis.sweep_p95_ms", "ms", _L, None, "p95_ms",
+               "p95 wall time one streaming detector spends "
+               "consuming a batch.", higher_is_worse=True),
+        _vital("selfmon.analysis.sweep_max_ms", "ms", _L, None, "max_ms",
+               "Worst batch-consumption wall time of one streaming "
+               "detector in the histogram window.",
+               higher_is_worse=True),
+    )),
+    (_supervised, (
+        _vital("selfmon.health.state", "state", _G, None,
+               lambda sup: {n: sup.components[n].health.code
+                            for n in sorted(sup.components)},
+               "Supervised-component health (component = supervised "
+               "name): 0 = OK, 1 = DEGRADED, 2 = FAILED.",
+               higher_is_worse=True),
+        _vital("selfmon.health.transitions", "count", _C, "supervisor",
+               lambda sup: len(sup.transitions),
+               "Cumulative health-state transitions across every "
+               "supervised monitoring component.",
+               higher_is_worse=True),
+    )),
+    (lambda p: p.delivery_report(), (
+        _vital("selfmon.ledger.published_points", "samples", _C, "ledger",
+               "published",
+               "Cumulative metric points stamped at the transport "
+               "publish edge (the delivery-ledger baseline)."),
+        _vital("selfmon.ledger.stored_points", "samples", _C, "ledger",
+               "stored",
+               "Cumulative metric points confirmed appended to the "
+               "numeric store (incl. redo-buffer replays)."),
+        _vital("selfmon.ledger.lost_points", "samples", _C, "ledger", "lost",
+               "Cumulative metric points lost with a known cause "
+               "(partition overflow, leaf overflow, chaos drop, "
+               "store error, redo eviction).", higher_is_worse=True),
+        _vital("selfmon.ledger.pending_points", "samples", _G, "ledger",
+               "pending",
+               "Points parked in failed-shard redo buffers awaiting "
+               "recovery replay.", higher_is_worse=True),
+        _vital("selfmon.ledger.inflight_points", "samples", _G, "ledger",
+               "in_flight",
+               "Points buffered inside the transport (partition "
+               "queues / coalescing windows) awaiting delivery."),
+        _vital("selfmon.ledger.unaccounted_points", "samples", _G, "ledger",
+               "unaccounted",
+               "Residual of the delivery-ledger balance identity; "
+               "nonzero means silent loss.",
+               derivation="published - stored - lost - pending "
+                          "- in_flight",
+               higher_is_worse=True),
+    )),
+    (_freshness(
+        lambda fr: {**fr.e2e.summary(), "batches": fr.batches}), (
+        _vital("selfmon.freshness.e2e_p50_s", "s", _L, "freshness", "p50_s",
+               "Median collected-to-queryable latency of traced "
+               "batches over the recent window.",
+               higher_is_worse=True),
+        _vital("selfmon.freshness.e2e_p99_s", "s", _L, "freshness", "p99_s",
+               "99th-percentile collected-to-queryable latency of "
+               "traced batches (the stock SLO quantity).",
+               higher_is_worse=True),
+        _vital("selfmon.freshness.e2e_max_s", "s", _L, "freshness", "max_s",
+               "Worst collected-to-queryable latency in the recent "
+               "window.", higher_is_worse=True),
+        _vital("selfmon.freshness.batches", "count", _C, "freshness",
+               "batches",
+               "Cumulative traced batches folded into the freshness "
+               "histograms at store ingest."),
+    )),
+    (_freshness(lambda fr: fr.hop_summaries()), (
+        _vital("selfmon.freshness.hop_mean_s", "s", _L, None, "mean_s",
+               "Mean latency attributed to one transport hop "
+               "(component = hop id: publish/enqueue/pump/leaf/"
+               "merge/root/ingest).", higher_is_worse=True),
+        _vital("selfmon.freshness.hop_p99_s", "s", _L, None, "p99_s",
+               "p99 latency attributed to one transport hop over "
+               "the recent window.", higher_is_worse=True),
+    )),
+    (_freshness(
+        lambda fr: {s["name"]: s for s in fr.slo_status()}), (
+        _vital("selfmon.freshness.slo_burn_rate", "ratio", _G, None,
+               "burn_rate",
+               "Freshness-SLO error-budget burn (component = SLO "
+               "name): fraction of recent batches over the latency "
+               "threshold divided by the budget 1-quantile; > 1 "
+               "means the SLO is being breached.",
+               higher_is_worse=True),
+        _vital("selfmon.freshness.slo_breaches", "count", _C, None, "breaches",
+               "Cumulative edge-triggered breaches of one freshness "
+               "SLO (component = SLO name).", higher_is_worse=True),
+    )),
+    (lambda p: {p.executor.name: p.executor.snapshot()}, (
+        _vital("selfmon.exec.busy_fraction", "ratio", _G, None,
+               "busy_fraction",
+               "Fraction of worker capacity kept busy between tick "
+               "barriers (component = execution-model name; 0 under "
+               "the serial model)."),
+        _vital("selfmon.exec.barrier_wait_ms", "ms", _G, None,
+               "barrier_wait_ms",
+               "Wall time the tick loop spent waiting at ordered "
+               "barriers for straggler workers since start.",
+               higher_is_worse=True),
+        _vital("selfmon.exec.handoff_depth", "count", _G, None,
+               "handoff_depth",
+               "Peak number of tasks handed to workers at one "
+               "barrier (fan-out width actually reached)."),
+    )),
+    (lambda p: p, (
+        _vital("selfmon.trace.dropped", "count", _C, "tracer",
+               lambda p: p.tracer.dropped,
+               "Spans evicted from the tracer's bounded ring buffer "
+               "(accounted exporter loss; silent overwrite before).",
+               higher_is_worse=True),
+    )),
+    (lambda p: p.frontend.stats(), (
+        _vital("selfmon.serve.qps", "queries/s", _G, "frontend", "queries",
+               "Serving-plane query arrival rate (admitted + "
+               "rejected) over the last selfmon cadence.",
+               rate=_per_second),
+        _vital("selfmon.serve.queries", "count", _C, "frontend", "queries",
+               "Cumulative queries presented to the query front "
+               "end across every tenant."),
+        _vital("selfmon.serve.rejected", "count", _C, "frontend", "rejected",
+               "Cumulative queries shed by tenant admission "
+               "control (rate or concurrency); rejections return "
+               "empty answers, never exceptions.",
+               higher_is_worse=True),
+        _vital("selfmon.serve.cache_hit_ratio", "ratio", _G, "result-cache",
+               "cache_hit_ratio",
+               "Query-result cache hits / lookups, lifetime; low "
+               "values under dashboard load mean the cache is "
+               "undersized or ingest is invalidating every window."),
+        _vital("selfmon.serve.cache_bytes", "B", _G, "result-cache",
+               lambda s: s.cache.bytes,
+               "Bytes of finished answers held by the query-result "
+               "cache (bounded LRU)."),
+        _vital("selfmon.serve.pyramid_answers", "count", _C, "planner",
+               "pyramid_answers",
+               "Downsample/aggregate queries answered from rollup "
+               "pyramid rows instead of raw chunks."),
+        _vital("selfmon.serve.raw_answers", "count", _C, "planner",
+               "raw_answers",
+               "Downsample/aggregate queries that fell back to the "
+               "store's raw path (unplannable step/window or "
+               "pyramid-less series)."),
+    )),
+    # cumulative (count, total_s) of the tracer's root spans
+    (lambda p: p.tracer.snapshot_counts().get("tick", (0, 0.0)), (
+        _vital("selfmon.pipeline.tick_ms", "ms", _L, "pipeline",
+               lambda counts: counts,
+               "Mean wall time of one full pipeline tick over the "
+               "self-monitor cadence (from the root trace span).",
+               rate=_mean_tick_ms, higher_is_worse=True),
+    )),
+)
+
+
+def selfmon_specs() -> list[MetricSpec]:
+    """The registry spec of every row (what ``default_registry`` loads)."""
+    return [row.spec for _read, rows in VITALS for row in rows]
+
+
+SELFMON_METRICS: tuple[str, ...] = tuple(s.name for s in selfmon_specs())
+
+
 class SelfMonitor:
     """Samples the pipeline's vitals on a cadence and publishes them."""
-
-    metrics = SELFMON_METRICS
 
     def __init__(
         self,
@@ -167,25 +509,12 @@ class SelfMonitor:
         self.emissions = 0
         self._last_t: float | None = None
         self._next_due = 0.0
-        self._prev_bus: tuple[int, int, int] = (0, 0, 0)
-        self._prev_tsdb_samples = 0
-        self._prev_tick: tuple[int, float] = (0, 0.0)
-        self._prev_serve_queries = 0
-        self._prev_disk: tuple[int, int] = (0, 0)   # (spills, loads)
-
-    def verify_registered(self, registry: MetricRegistry) -> None:
-        """Fail fast if any self-metric is undocumented (Table I)."""
-        for m in self.metrics:
-            registry.get(m)
-
-    def _streaming_detectors(self) -> list:
-        """Instrumented detectors on the streaming stage (duck-typed:
-        custom detectors without the self-report surface are skipped)."""
-        for stage in getattr(self.pipeline, "stages", ()):
-            if getattr(stage, "name", "") == "streaming":
-                return [d for d in getattr(stage, "detectors", ())
-                        if hasattr(d, "latency") and hasattr(d, "name")]
-        return []
+        #: last cumulative reading of every ``rate`` row, by metric name
+        self._prev: dict[str, Any] = {}
+        # declare what this plane publishes, the way collectors do; a
+        # caller's registry that disagrees on a meaning is rejected
+        for spec in selfmon_specs():
+            pipeline.registry.register(spec)
 
     # -- cadence -----------------------------------------------------------
 
@@ -197,41 +526,22 @@ class SelfMonitor:
         due.
         """
         if self._last_t is None:
-            self._baseline(now)
+            self.sample(now, elapsed_s=1.0)
             return []
         if now + 1e-9 < self._next_due:
             return []
         batches = self.sample(now, elapsed_s=now - self._last_t)
         p = self.pipeline
         bus = p.bus
-        traced = getattr(p, "freshness", None) is not None
+        traced = p.freshness is not None
         for b in batches:
             if traced:
                 # the selfmon plane's own batches are freshness-traced
                 # too — meta-metrics get the same timeliness guarantee
-                b.trace = TraceContext.start(
-                    now, tick=getattr(p, "ticks", 0)
-                )
+                b.trace = TraceContext.start(now, tick=p.ticks)
             bus.publish(b.metric, b, source=self.source)
         self.emissions += 1
         return batches
-
-    def _baseline(self, now: float) -> None:
-        p = self.pipeline
-        stats = p.bus.stats()
-        self._prev_bus = (stats.published, stats.delivered, stats.dropped)
-        tstats = _tsdb_stats(p.tsdb)
-        self._prev_tsdb_samples = tstats.samples if tstats else 0
-        agg = p.tracer.snapshot_counts().get("tick")
-        self._prev_tick = agg if agg is not None else (0, 0.0)
-        fe = getattr(p, "frontend", None)
-        self._prev_serve_queries = fe.stats().queries if fe is not None else 0
-        disk = getattr(p.tsdb, "disk_stats", None)
-        dstats = disk() if callable(disk) else None
-        self._prev_disk = ((dstats.spills, dstats.loads)
-                           if dstats is not None else (0, 0))
-        self._last_t = now
-        self._next_due = now + self.interval_s
 
     # -- one sweep ---------------------------------------------------------
 
@@ -239,261 +549,32 @@ class SelfMonitor:
         """Build (without publishing) one full self-metric sweep.
 
         The counters read here also become the next baseline — one
-        stats walk per cadence, not two.
+        stats walk per cadence, not two.  A rate row with no previous
+        reading only records one.
         """
         p = self.pipeline
         elapsed = max(float(elapsed_s), 1e-9)
         out: list[SeriesBatch] = []
-
-        def one(metric: str, component: str, value: float) -> None:
-            out.append(SeriesBatch.sweep(metric, now, [component], [value]))
-
-        # -- bus -----------------------------------------------------------
-        stats = p.bus.stats()
-        d_pub = stats.published - self._prev_bus[0]
-        d_del = stats.delivered - self._prev_bus[1]
-        d_drop = stats.dropped - self._prev_bus[2]
-        one("selfmon.bus.publish_rate", "bus", d_pub / elapsed)
-        one("selfmon.bus.deliver_rate", "bus", d_del / elapsed)
-        one("selfmon.bus.drop_rate", "bus", d_drop / elapsed)
-        one("selfmon.bus.dropped", "bus", float(stats.dropped))
-        one("selfmon.bus.errors", "bus", float(stats.errors))
-        one("selfmon.bus.completeness", "bus",
-            completeness_ratio(stats.delivered, stats.dropped, stats.errors))
-        self._prev_bus = (stats.published, stats.delivered, stats.dropped)
-        depths = stats.queue_depths
-        if depths:
-            out.append(SeriesBatch.sweep(
-                "selfmon.bus.queue_depth", now,
-                list(depths), [float(v) for v in depths.values()],
-            ))
-
-        # -- partitioned transports expose per-partition surfaces ---------
-        # (duck-typed: the flat bus has neither, the tree reports leaves)
-        part_depths = getattr(p.bus, "partition_depths", None)
-        if callable(part_depths):
-            d = part_depths()
-            if d:
-                out.append(SeriesBatch.sweep(
-                    "selfmon.bus.partition_depth", now,
-                    list(d), [float(v) for v in d.values()],
-                ))
-        part_drops = getattr(p.bus, "partition_drops", None)
-        if callable(part_drops):
-            d = part_drops()
-            if d:
-                out.append(SeriesBatch.sweep(
-                    "selfmon.bus.partition_dropped", now,
-                    list(d), [float(v) for v in d.values()],
-                ))
-        leaf_depths = getattr(p.bus, "leaf_depths", None)
-        if callable(leaf_depths):
-            d = leaf_depths()
-            if d:
-                out.append(SeriesBatch.sweep(
-                    "selfmon.bus.partition_depth", now,
-                    list(d), [float(v) for v in d.values()],
-                ))
-
-        # -- collectors ----------------------------------------------------
-        names, p50, p95, mx, sweeps = [], [], [], [], []
-        for c in p.scheduler.collectors:
-            hist = p.scheduler.latency.get(c.name)
-            if hist is None or not len(hist):
+        for read, rows in VITALS:
+            reading = read(p)
+            if reading is None:
                 continue
-            s = hist.summary()
-            names.append(c.name)
-            p50.append(1000.0 * s["p50_s"])
-            p95.append(1000.0 * s["p95_s"])
-            mx.append(1000.0 * s["max_s"])
-            sweeps.append(float(c.sweeps))
-        if names:
-            out.append(SeriesBatch.sweep(
-                "selfmon.collector.sweep_p50_ms", now, names, p50))
-            out.append(SeriesBatch.sweep(
-                "selfmon.collector.sweep_p95_ms", now, names, p95))
-            out.append(SeriesBatch.sweep(
-                "selfmon.collector.sweep_max_ms", now, names, mx))
-            out.append(SeriesBatch.sweep(
-                "selfmon.collector.sweeps", now, names, sweeps))
-
-        # -- stores --------------------------------------------------------
-        tstats = _tsdb_stats(p.tsdb)
-        if tstats is not None:
-            d_samples = tstats.samples - self._prev_tsdb_samples
-            self._prev_tsdb_samples = tstats.samples
-            one("selfmon.store.tsdb_ingest_rate", "tsdb",
-                d_samples / elapsed)
-            one("selfmon.store.tsdb_points", "tsdb", float(tstats.samples))
-            one("selfmon.store.tsdb_bytes", "tsdb",
-                float(tstats.compressed_bytes))
-        per_shard = getattr(p.tsdb, "per_shard_stats", None)
-        if callable(per_shard):
-            shard_stats = per_shard()
-            names = [f"shard-{i}" for i in range(len(shard_stats))]
-            out.append(SeriesBatch.sweep(
-                "selfmon.store.shard_points", now, names,
-                [float(s.samples) for s in shard_stats],
-            ))
-            out.append(SeriesBatch.sweep(
-                "selfmon.store.shard_series", now, names,
-                [float(s.series) for s in shard_stats],
-            ))
-            out.append(SeriesBatch.sweep(
-                "selfmon.store.shard_bytes", now, names,
-                [float(s.compressed_bytes) for s in shard_stats],
-            ))
-        cstats = _cache_stats(p.tsdb)
-        if cstats is not None:
-            one("selfmon.store.cache_hits", "chunk-cache", float(cstats.hits))
-            one("selfmon.store.cache_misses", "chunk-cache",
-                float(cstats.misses))
-            one("selfmon.store.cache_evictions", "chunk-cache",
-                float(cstats.evictions))
-            one("selfmon.store.cache_bytes", "chunk-cache",
-                float(cstats.bytes))
-        disk = getattr(p.tsdb, "disk_stats", None)
-        dstats = disk() if callable(disk) else None
-        if dstats is not None:
-            d_spills = dstats.spills - self._prev_disk[0]
-            d_loads = dstats.loads - self._prev_disk[1]
-            self._prev_disk = (dstats.spills, dstats.loads)
-            one("selfmon.store.disk_bytes", "disk-tier",
-                float(dstats.disk_bytes))
-            one("selfmon.store.disk_hot_bytes", "disk-tier",
-                float(dstats.hot_bytes))
-            one("selfmon.store.disk_spill_rate", "disk-tier",
-                d_spills / elapsed)
-            one("selfmon.store.disk_load_rate", "disk-tier",
-                d_loads / elapsed)
-            one("selfmon.store.disk_map_hits", "disk-tier",
-                float(dstats.map_hits))
-        one("selfmon.store.log_events", "logstore", float(len(p.logs)))
-        one("selfmon.store.sql_bytes", "sqlstore",
-            float(p.sql.footprint_bytes()))
-
-        # -- response plane ------------------------------------------------
-        one("selfmon.sec.rule_fires", "sec", float(len(p.sec.requests)))
-        one("selfmon.sec.events_seen", "sec", float(p.sec.events_seen))
-        one("selfmon.actions.executed", "actions", float(len(p.actions.audit)))
-
-        # -- streaming analysis plane --------------------------------------
-        dets = self._streaming_detectors()
-        if dets:
-            names = [d.name for d in dets]
-            out.append(SeriesBatch.sweep(
-                "selfmon.analysis.batches", now, names,
-                [float(d.batches_observed) for d in dets]))
-            out.append(SeriesBatch.sweep(
-                "selfmon.analysis.detections", now, names,
-                [float(d.detections_total) for d in dets]))
-            timed = [d for d in dets if len(d.latency)]
-            if timed:
-                tnames = [d.name for d in timed]
-                summaries = [d.latency.summary() for d in timed]
-                out.append(SeriesBatch.sweep(
-                    "selfmon.analysis.sweep_p50_ms", now, tnames,
-                    [1000.0 * s["p50_s"] for s in summaries]))
-                out.append(SeriesBatch.sweep(
-                    "selfmon.analysis.sweep_p95_ms", now, tnames,
-                    [1000.0 * s["p95_s"] for s in summaries]))
-                out.append(SeriesBatch.sweep(
-                    "selfmon.analysis.sweep_max_ms", now, tnames,
-                    [1000.0 * s["max_s"] for s in summaries]))
-
-        # -- supervised lifecycle + delivery ledger ------------------------
-        sup = getattr(p, "supervisor", None)
-        if sup is not None and sup.components:
-            names = sorted(sup.components)
-            out.append(SeriesBatch.sweep(
-                "selfmon.health.state", now, names,
-                [float(sup.components[n].health.code) for n in names]))
-            one("selfmon.health.transitions", "supervisor",
-                float(len(sup.transitions)))
-        report = (p.delivery_report()
-                  if callable(getattr(p, "delivery_report", None)) else None)
-        if report is not None:
-            one("selfmon.ledger.published_points", "ledger",
-                float(report.published))
-            one("selfmon.ledger.stored_points", "ledger",
-                float(report.stored))
-            one("selfmon.ledger.lost_points", "ledger", float(report.lost))
-            one("selfmon.ledger.pending_points", "ledger",
-                float(report.pending))
-            one("selfmon.ledger.inflight_points", "ledger",
-                float(report.in_flight))
-            one("selfmon.ledger.unaccounted_points", "ledger",
-                float(report.unaccounted))
-
-        # -- freshness plane -----------------------------------------------
-        fr = getattr(p, "freshness", None)
-        if fr is not None and fr.batches:
-            e2e = fr.e2e.summary()
-            one("selfmon.freshness.e2e_p50_s", "freshness", e2e["p50_s"])
-            one("selfmon.freshness.e2e_p99_s", "freshness", e2e["p99_s"])
-            one("selfmon.freshness.e2e_max_s", "freshness", e2e["max_s"])
-            one("selfmon.freshness.batches", "freshness",
-                float(fr.batches))
-            hops = fr.hop_summaries()
-            if hops:
-                hnames = list(hops)
-                out.append(SeriesBatch.sweep(
-                    "selfmon.freshness.hop_mean_s", now, hnames,
-                    [hops[h]["mean_s"] for h in hnames]))
-                out.append(SeriesBatch.sweep(
-                    "selfmon.freshness.hop_p99_s", now, hnames,
-                    [hops[h]["p99_s"] for h in hnames]))
-            slos = fr.slo_status()
-            if slos:
-                snames = [s["name"] for s in slos]
-                out.append(SeriesBatch.sweep(
-                    "selfmon.freshness.slo_burn_rate", now, snames,
-                    [s["burn_rate"] for s in slos]))
-                out.append(SeriesBatch.sweep(
-                    "selfmon.freshness.slo_breaches", now, snames,
-                    [float(s["breaches"]) for s in slos]))
-
-        # -- execution model (worker topology vitals) ----------------------
-        ex = getattr(p, "executor", None)
-        if ex is not None:
-            snap = ex.snapshot()
-            one("selfmon.exec.busy_fraction", ex.name,
-                float(snap["busy_fraction"]))
-            one("selfmon.exec.barrier_wait_ms", ex.name,
-                float(snap["barrier_wait_ms"]))
-            one("selfmon.exec.handoff_depth", ex.name,
-                float(snap["handoff_depth"]))
-
-        # -- trace exporter loss (ring evictions are accounted) ------------
-        one("selfmon.trace.dropped", "tracer", float(p.tracer.dropped))
-
-        # -- serving plane (front end, result cache, planner) --------------
-        fe = getattr(p, "frontend", None)
-        if fe is not None:
-            sstats = fe.stats()
-            d_queries = sstats.queries - self._prev_serve_queries
-            self._prev_serve_queries = sstats.queries
-            one("selfmon.serve.qps", "frontend", d_queries / elapsed)
-            one("selfmon.serve.queries", "frontend", float(sstats.queries))
-            one("selfmon.serve.rejected", "frontend", float(sstats.rejected))
-            one("selfmon.serve.cache_hit_ratio", "result-cache",
-                sstats.cache_hit_ratio)
-            one("selfmon.serve.cache_bytes", "result-cache",
-                float(sstats.cache.bytes))
-            one("selfmon.serve.pyramid_answers", "planner",
-                float(sstats.pyramid_answers))
-            one("selfmon.serve.raw_answers", "planner",
-                float(sstats.raw_answers))
-
-        # -- pipeline tick time (from the tracer's root spans) -------------
-        agg = p.tracer.snapshot_counts().get("tick")
-        if agg is not None:
-            d_count = agg[0] - self._prev_tick[0]
-            d_total = agg[1] - self._prev_tick[1]
-            self._prev_tick = agg
-            if d_count > 0:
-                one("selfmon.pipeline.tick_ms", "pipeline",
-                    1000.0 * d_total / d_count)
+            for row in rows:
+                name = row.spec.name
+                value = row.field(reading)
+                if row.rate is not None:
+                    prev, self._prev[name] = self._prev.get(name), value
+                    value = (None if prev is None
+                             else row.rate(prev, value, elapsed))
+                    if value is None:
+                        continue
+                if row.component is not None:
+                    out.append(SeriesBatch.sweep(
+                        name, now, [row.component], [float(value)]))
+                elif value:
+                    out.append(SeriesBatch.sweep(
+                        name, now, list(value),
+                        [float(v) for v in value.values()]))
         self._last_t = now
         self._next_due = now + self.interval_s
         return out

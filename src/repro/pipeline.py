@@ -259,7 +259,6 @@ class MonitoringPipeline:
                 self, interval_s=config.selfmon_interval_s,
                 source=f"{self.site}/selfmon" if self.site else "selfmon",
             )
-            self.selfmon.verify_registered(self.registry)
 
     # -- transport alias ---------------------------------------------------------
 

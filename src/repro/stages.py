@@ -6,9 +6,8 @@ advances one plane of the monitoring system for one tick and returns
 any :class:`~repro.response.sec.ActionRequest`\\ s it raised.  The tick
 loop reduces to "iterate stages under trace spans", so stages are
 individually testable, reorderable, and replaceable (Table I:
-"Extensibility and modularity are fundamental").  Stage names match
-the per-tick child spans the introspector reports
-(:data:`repro.obs.introspect.STAGES`).
+"Extensibility and modularity are fundamental").  Each stage's name is
+the per-tick child span the introspector reports a timing row for.
 
 Stages that publish onto the transport end by :meth:`~repro.transport.base.Transport.pump`\\ ing
 it, so deferred transports (partitioned bus, aggregator tree) deliver

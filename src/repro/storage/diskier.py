@@ -45,7 +45,7 @@ import pickle
 import struct
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -111,20 +111,9 @@ class DiskTierStats:
 
 def merge_disk_stats(parts: Iterable[DiskTierStats]) -> DiskTierStats:
     """Field-wise sum (per-shard tiers -> one store-level view)."""
-    acc = [0] * 11
-    for p in parts:
-        acc[0] += p.segments
-        acc[1] += p.disk_bytes
-        acc[2] += p.wal_bytes
-        acc[3] += p.hot_bytes
-        acc[4] += p.hot_chunks
-        acc[5] += p.spills
-        acc[6] += p.loads
-        acc[7] += p.map_hits
-        acc[8] += p.remaps
-        acc[9] += p.wal_records
-        acc[10] += p.wal_syncs
-    return DiskTierStats(*acc)
+    parts = list(parts)
+    return DiskTierStats(*(sum(getattr(p, f.name) for p in parts)
+                           for f in fields(DiskTierStats)))
 
 
 class _HandleRegistry:

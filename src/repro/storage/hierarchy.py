@@ -160,6 +160,10 @@ class TieredStore:
             (e.t_min, e.t_max) for e in self.catalog if e.key == key
         )
 
+    def stats(self):
+        """Counters of the hot tier (the cold archive is catalogued)."""
+        return self.hot.stats()
+
     def cache_stats(self):
         """Counters of the hot tier's decompressed-chunk cache."""
         return self.hot.cache_stats()

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
+from dataclasses import fields
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -397,13 +398,8 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
     def stats(self) -> StoreStats:
         """Merged O(1) stats: a sum of K O(1) per-shard counters."""
         per = [s.stats() for s in self.shards]
-        return StoreStats(
-            series=sum(p.series for p in per),
-            samples=sum(p.samples for p in per),
-            sealed_chunks=sum(p.sealed_chunks for p in per),
-            compressed_bytes=sum(p.compressed_bytes for p in per),
-            raw_bytes=sum(p.raw_bytes for p in per),
-        )
+        return StoreStats(*(sum(getattr(p, f.name) for p in per)
+                            for f in fields(StoreStats)))
 
     def per_shard_stats(self) -> list[StoreStats]:
         """Per-shard counters (the ``selfmon.store.shard_*`` surface)."""

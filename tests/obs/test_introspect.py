@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster import HungNode, SlowOst
-from repro.obs.introspect import STAGES
 from repro.sites import SiteConfig, build_site
 from tests.test_pipeline import make_machine
 
@@ -65,12 +64,29 @@ class TestHealthReport:
     def test_stage_timings_cover_every_stage(self, monitored_run):
         report = monitored_run.introspect().report()
         stage_names = {s.name for s in report.stages}
-        assert set(STAGES) <= stage_names
+        assert {s.name for s in monitored_run.stages} <= stage_names
         for s in report.stages:
             assert s.calls > 0
             assert s.total_s >= 0.0
             assert s.max_ms >= s.mean_ms - 1e9 * 0.0  # max is a max
         assert report.ticks == 360                    # one hour at 10 s
+
+    def test_custom_stage_gets_a_timing_row(self):
+        from repro.stages import default_stages
+
+        class Heartbeat:
+            name, plane, after = "heartbeat", "obs", ()
+
+            def run(self, pipeline, now):
+                return []
+
+        p = build_site(SiteConfig(seed=1), machine=make_machine(),
+                       overrides={"stages": [*default_stages(), Heartbeat()]})
+        p.run(duration_s=100.0, dt=10.0)
+        row = next(s for s in p.introspect().report().stages
+                   if s.name == "heartbeat")
+        assert row.calls == 10
+        assert "heartbeat" in p.introspect().render()
 
     def test_completeness_is_one_under_no_drop(self, monitored_run):
         report = monitored_run.introspect().report()
@@ -121,8 +137,8 @@ class TestHealthReport:
     def test_render_is_complete(self, monitored_run):
         text = monitored_run.introspect().render()
         assert "data-path completeness: 1.0000" in text
-        for stage in STAGES:
-            assert stage in text
+        for stage in monitored_run.stages:
+            assert stage.name in text
         assert "slowest spans" in text
         assert "stores:" in text
         assert "chunk cache:" in text
@@ -159,11 +175,16 @@ class TestTieredStackReport:
         assert report.partitions == {}
         assert report.shards == {}
 
-    def test_partitioned_sharded_stack_reports_both(self):
-        m = make_machine()
+    @pytest.fixture(scope="class")
+    def tiered_run(self):
         p = build_site(
-            SiteConfig(seed=1, transport="partitioned", shards=4), machine=m)
+            SiteConfig(seed=1, transport="partitioned", shards=4),
+            machine=make_machine())
         p.run(duration_s=600.0, dt=10.0)
+        return p
+
+    def test_partitioned_sharded_stack_reports_both(self, tiered_run):
+        p = tiered_run
         report = p.introspect().report()
         assert sorted(report.partitions) == [
             f"partition-{i}" for i in range(4)
@@ -174,6 +195,22 @@ class TestTieredStackReport:
         text = p.introspect().render()
         assert "partitions:" in text
         assert "shards:" in text
+
+    def test_dashboard_builds_every_selfmon_tile(self, tiered_run):
+        # the dashboard degrades away on a series it cannot find, so a
+        # misspelt selfmon name there shows up as a missing tile here
+        p = tiered_run
+        assert p.supervisor is not None and p.freshness is not None
+        tiles = p.dashboard().selfmon_tiles(p.machine.now, window_s=600.0)
+        names = [t.name.split(" (")[0] for t in tiles]
+        assert names == [
+            "data-path completeness", "bus backlog", "monitoring tick",
+            "tsdb ingest", "partition backlog", "shard skew",
+            "monitor health", "accounted loss", "unaccounted points",
+            "ingest-to-queryable p99", "freshness SLO burn",
+            "freshness SLO breaches", "query cache hit ratio",
+            "query rate", "queries shed",
+        ]
 
 
 class TestAnalysisSection:

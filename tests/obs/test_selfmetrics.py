@@ -3,15 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.core.registry import default_registry
+from repro.core.registry import (
+    MetricClass,
+    MetricRegistry,
+    MetricSpec,
+    default_registry,
+)
+from repro.obs import selfmetrics
+from repro.obs.chaos import crash_and_recover
 from repro.obs.hist import LatencyHistogram
 from repro.obs.selfmetrics import (
     SELFMON_METRICS,
     SelfMonitor,
+    Vital,
     completeness_ratio,
+    selfmon_specs,
 )
 from repro.pipeline import MonitoringPipeline
-from repro.sites import SiteConfig
+from repro.sites import SiteConfig, build_site
 from repro.sources.counters import NodeCounterCollector
 from tests.test_pipeline import make_machine
 
@@ -69,10 +78,98 @@ def small_pipeline(config=None, **parts):
     )
 
 
-class TestSelfMonitor:
-    def test_every_name_is_registered(self):
-        SelfMonitor(small_pipeline()).verify_registered(default_registry())
+class TestSingleDeclaration:
+    """A table row is the whole declaration of a self-metric."""
 
+    def test_every_row_is_in_the_default_registry(self):
+        reg = default_registry()
+        specs = selfmon_specs()
+        assert len({s.name for s in specs}) == len(specs)
+        for spec in specs:
+            assert reg.get(spec.name) is spec
+
+    def test_callers_registry_gains_the_rows(self):
+        reg = MetricRegistry()
+        for spec in default_registry():
+            if not spec.name.startswith("selfmon."):
+                reg.register(spec)
+        p = build_site(SiteConfig(seed=1), overrides={"registry": reg})
+        assert p.registry is reg
+        for name in SELFMON_METRICS:
+            assert name in reg
+
+    def test_conflicting_spec_in_callers_registry_is_rejected(self):
+        reg = default_registry()
+        reg._specs["selfmon.bus.dropped"] = MetricSpec(
+            "selfmon.bus.dropped", "count", MetricClass.COUNTER, "monitor",
+            "Something else entirely.")
+        with pytest.raises(ValueError, match="different spec"):
+            small_pipeline(registry=reg)
+
+    def test_one_extra_row_is_the_whole_change(self, monkeypatch):
+        row = Vital(
+            MetricSpec("selfmon.store.job_rows", "count",
+                       MetricClass.GAUGE, "monitor",
+                       "Jobs resident in the job index."),
+            "jobstore", lambda p: len(p.jobs))
+        monkeypatch.setattr(selfmetrics, "VITALS",
+                            (*selfmetrics.VITALS, (lambda p: p, (row,))))
+        assert ("selfmon.store.job_rows | count | gauge | monitor | "
+                "Jobs resident in the job index."
+                in default_registry().document())
+        p = small_pipeline(SiteConfig(selfmon_interval_s=60.0))
+        p.selfmon.maybe_emit(0.0)
+        assert "selfmon.store.job_rows" in {
+            b.metric for b in p.selfmon.sample(60.0, elapsed_s=60.0)}
+        p.run(duration_s=200.0, dt=10.0)
+        stored = p.tsdb.query("selfmon.store.job_rows", "jobstore")
+        assert len(stored)
+        assert stored.values[-1] == len(p.jobs)
+
+    def test_each_stats_surface_is_read_once_per_sweep(self):
+        p = small_pipeline()
+        p.selfmon.maybe_emit(0.0)
+        calls = {"bus.stats": 0, "delivery_report": 0, "frontend.stats": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        p.bus.stats = counted("bus.stats", p.bus.stats)
+        p.delivery_report = counted("delivery_report", p.delivery_report)
+        p.frontend.stats = counted("frontend.stats", p.frontend.stats)
+        p.selfmon.sample(60.0, elapsed_s=60.0)
+        assert calls == {"bus.stats": 1, "delivery_report": 1,
+                         "frontend.stats": 1}
+
+
+class TestRatesAcrossStoreSwap:
+    RATES = [row.spec.name for _read, rows in selfmetrics.VITALS
+             for row in rows if row.rate is selfmetrics._per_second]
+
+    def test_no_rate_goes_negative_across_crash_and_recover(self, tmp_path):
+        p = build_site(SiteConfig(
+            shards=2, chunk_size=8, store_dir=str(tmp_path),
+            hot_bytes=16 << 10, tick_s=60, metric_interval_s=60,
+            selfmon_interval_s=60))
+        for _ in range(40):
+            p.step()
+        before = p.tsdb.stats().samples
+        crash_and_recover(p)
+        assert p.tsdb.stats().samples < before   # counters went backwards
+        for _ in range(5):
+            p.step()
+        assert len(self.RATES) == 7
+        for metric in self.RATES:
+            for comp in p.tsdb.components(metric):
+                values = p.tsdb.query(metric, comp).values
+                assert len(values)
+                assert (values >= 0.0).all(), (metric, values.min())
+
+
+class TestSelfMonitor:
     def test_first_call_is_baseline_only(self):
         p = small_pipeline()
         assert p.selfmon.maybe_emit(0.0) == []

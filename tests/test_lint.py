@@ -177,34 +177,6 @@ class TestColumnarGate:
         assert check_mod.check_columnar(f) == []
 
 
-class TestSelfmonRegistryGate:
-    """Every published ``selfmon.*`` name must be in the registry."""
-
-    def test_src_repro_selfmon_names_are_registered(self):
-        assert check_mod.check_selfmon_registry() == []
-
-    def test_registry_covers_freshness_gauges(self):
-        import sys as _sys
-
-        _sys.path.insert(0, str(REPO / "src"))
-        try:
-            from repro.core.registry import default_registry
-            names = {m.name for m in default_registry()}
-        finally:
-            _sys.path.remove(str(REPO / "src"))
-        for gauge in ("selfmon.freshness.e2e_p99_s",
-                      "selfmon.freshness.slo_burn_rate",
-                      "selfmon.freshness.slo_breaches",
-                      "selfmon.trace.dropped"):
-            assert gauge in names
-
-    def test_gate_is_wired_into_lint(self):
-        import inspect
-
-        src = inspect.getsource(check_mod.lint)
-        assert "check_selfmon_registry" in src
-
-
 class TestSwallowGate:
     """The blind-exception-swallow lint keeping failures accounted."""
 
