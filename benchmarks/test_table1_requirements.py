@@ -62,8 +62,9 @@ REQUIREMENTS: list[tuple[str, str, str, str]] = [
     ("Data Storage",
      "Easy access to historical data in conjunction with current data; "
      "hierarchical storage with locate and reload",
-     "repro.storage.hierarchy:TieredStore",
-     "archive_before/reload with a catalog; queries reload cold spans"),
+     "repro.storage.tsdb:TimeSeriesStore.archive_before",
+     "age demotion to segment refs; located by `ChunkRef`; reads reload "
+     "through mmap"),
     ("Data Storage",
      "Analysis results should be able to be stored with raw data",
      "repro.storage.tsdb:TimeSeriesStore",

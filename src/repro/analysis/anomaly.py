@@ -233,6 +233,9 @@ class EwmaDetector:
             np.std(v[: self.warmup]) or 1e-12
         )
 
+    # a non-finite sample turns the smooth, sigma and residual it
+    # touches into NaN, which never breaches: defined, so not warned
+    @np.errstate(invalid="ignore")
     def detect(self, batch: SeriesBatch) -> list[Detection]:
         n = len(batch)
         if n <= self.warmup:
@@ -248,8 +251,7 @@ class EwmaDetector:
         else:
             prev = smooth[self.warmup - 1: n - 1]
         resid = v[self.warmup:] - prev
-        with np.errstate(invalid="ignore"):
-            breach = np.abs(resid) > self.band_sigmas * sigma
+        breach = np.abs(resid) > self.band_sigmas * sigma
         rising = breach.copy()
         rising[1:] &= ~breach[:-1]      # fire on not-breach -> breach edges
         out = []
@@ -267,6 +269,7 @@ class EwmaDetector:
             )
         return out
 
+    @np.errstate(invalid="ignore")
     def _detect_slow(self, batch: SeriesBatch) -> list[Detection]:
         """Per-sample reference for :meth:`detect`."""
         n = len(batch)

@@ -324,7 +324,7 @@ class StreamingRateWatch(_BusAttached):
             tbl.last_v[rows] = v
             tbl.seen[rows] = 1.0
             dt = t - pt
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 rate = (v - pv) / dt
             idx = np.flatnonzero(seen & (dt > 0.0)
                                  & (rate > self.max_rate_per_s))
@@ -350,7 +350,7 @@ class StreamingRateWatch(_BusAttached):
             tbl.last_v[heads] = vs[ends]
             tbl.seen[heads] = 1.0
             dt = ts - pt
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 rate = (vs - pv) / dt
             hit = np.flatnonzero(seen & (dt > 0.0)
                                  & (rate > self.max_rate_per_s))

@@ -36,6 +36,7 @@ from ..transport.base import BusStats, Subscription, Transport
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..pipeline import MonitoringPipeline
+    from ..storage.diskier import RecoveryReport
 
 __all__ = [
     "ChaosTransport",
@@ -323,16 +324,17 @@ class ShardOutage(MonitorFault):
 
 def crash_and_recover(
     p: "MonitoringPipeline", cause: str = "crash-unsynced"
-) -> int:
+) -> tuple[int, RecoveryReport]:
     """Hard-kill the pipeline's disk-backed store and recover from disk.
 
     Models a power-loss crash: every disk tier is truncated to its last
     fsynced extent (:meth:`~repro.storage.diskier.DiskTier.simulate_crash`
     — pessimistic versus a plain SIGKILL, which would leave the OS page
-    cache intact), a fresh store is rebuilt from the surviving manifest,
-    segments and WAL, and the pipeline is rewired onto it.  Points that
-    were acknowledged ``stored`` but sat past the fsync horizon are moved
-    to accounted loss under ``cause`` via
+    cache intact), a fresh store of the same declared shape (chunk
+    size, pyramid levels, tier budgets) is rebuilt from the surviving
+    manifest, segments and WAL, and the pipeline is rewired onto it.
+    Points that were acknowledged ``stored`` but sat past the fsync
+    horizon are moved to accounted loss under ``cause`` via
     :meth:`~repro.core.ledger.DeliveryLedger.account_crash` — the balance
     identity stays exact across the crash.  Returns ``(moved, report)``:
     the number of points so accounted and the
@@ -342,53 +344,39 @@ def crash_and_recover(
     (``SiteConfig(store_dir=...)``); raises :class:`TypeError`
     otherwise.
     """
-    from pathlib import Path
-
     from ..storage.diskier import recover_sharded, recover_store
 
     old = p.tsdb
-    if hasattr(old, "shards"):
-        tiers = [s.disk for s in old.shards]
-        if any(t is None for t in tiers):
-            raise TypeError("crash_and_recover needs a disk-backed store")
-        root = Path(old.disk_dir)
-        for t in tiers:
-            t.simulate_crash()
-        first = tiers[0]
+    sharded = hasattr(old, "shards")
+    tiers = [getattr(s, "disk", None)
+             for s in (old.shards if sharded else [old])]
+    if any(t is None for t in tiers):
+        raise TypeError("crash_and_recover needs a disk-backed store")
+    for t in tiers:
+        t.simulate_crash()
+    first = tiers[0]
+    budgets = dict(hot_bytes=first.hot_bytes,
+                   segment_bytes=first.segment_bytes,
+                   sync_every_bytes=first.sync_every_bytes)
+    if sharded:
         new, report = recover_sharded(
-            root,
-            shards=old.n_shards,
-            hot_bytes=first.hot_bytes,
-            segment_bytes=first.segment_bytes,
-            sync_every_bytes=first.sync_every_bytes,
-            redo_points=old.redo_points,
-        )
+            old.disk_dir, old.n_shards, old.chunk_size, old.pyramid_levels,
+            redo_points=old.redo_points, **budgets)
     else:
-        tier = getattr(old, "disk", None)
-        if tier is None:
-            raise TypeError("crash_and_recover needs a disk-backed store")
-        tier.simulate_crash()
         new, report = recover_store(
-            tier.root,
-            hot_bytes=tier.hot_bytes,
-            segment_bytes=tier.segment_bytes,
-            sync_every_bytes=tier.sync_every_bytes,
-        )
+            first.root, old.chunk_size, old.pyramid_levels, **budgets)
 
     # Rewire the pipeline onto the recovered store, mirroring the wiring
     # in MonitoringPipeline.__init__.
-    try:
-        new.clock = old.clock
-    except AttributeError:
-        pass
-    if hasattr(new, "redo_pending_points"):
+    new.clock = old.clock
+    if sharded:
         new.ledger = p.ledger
     p.tsdb = new
     fe = p.frontend
     fe.store = new
     # recovered stores restart query epochs at 0 — stale cache entries
     # would otherwise validate against the wrong store generation
-    fe._epoch_of = getattr(new, "query_epoch", None)
+    fe._epoch_of = new.query_epoch
     fe.result_cache.clear()
 
     moved = p.ledger.account_crash(new.points_by_metric(), cause=cause)

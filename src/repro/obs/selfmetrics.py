@@ -147,8 +147,7 @@ def shard_stats(p):
 
 def disk_stats(p):
     """Disk-tier counters of a store that spills to disk, else None."""
-    read = getattr(p.tsdb, "disk_stats", None)
-    return read() if read is not None else None
+    return p.tsdb.disk_stats()
 
 
 def _detector_latency(p):

@@ -1,5 +1,5 @@
-"""Storage backends: TSDB (plain or sharded), relational, log index,
-tiering, job index."""
+"""Storage backends: TSDB (plain or sharded, optionally over the disk
+tier), relational, log index, job index."""
 
 from .chunkcache import ChunkCache, ChunkCacheStats
 from .diskier import (
@@ -10,7 +10,6 @@ from .diskier import (
     recover_sharded,
     recover_store,
 )
-from .hierarchy import ArchiveEntry, TieredStore
 from .jobstore import Allocation, JobIndex
 from .logstore import LogStore, tokenize
 from .sharded import ShardedTimeSeriesStore
@@ -25,8 +24,6 @@ from .tsdb import (
 )
 
 __all__ = [
-    "ArchiveEntry",
-    "TieredStore",
     "Allocation",
     "JobIndex",
     "LogStore",

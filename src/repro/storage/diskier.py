@@ -12,8 +12,10 @@ cache): an append-only on-disk tier under
   are immutable byte blobs, so the copy on disk is exact forever.
 * **Hot tier**: resident blobs are LRU-tracked against a ``hot_bytes``
   budget.  When the budget is exceeded the coldest sealed blobs are
-  *spilled* — the series' chunk list keeps a :class:`ChunkRef`
-  ``(segment, offset, len)`` and drops the bytes.  Spilled reads mmap
+  *spilled* — the chunk's record keeps its :class:`ChunkRef`
+  ``(segment, offset, len)`` and drops the bytes; the store's
+  ``archive_before`` demotes by age through the same step
+  (:meth:`DiskTier.demote`).  Spilled reads mmap
   the segment and decode straight from the mapped buffer (the
   vectorized codec accepts any buffer; no intermediate copy), with
   decompressed arrays still served through the shared
@@ -55,7 +57,7 @@ from ..core.metric import MetricKey, SeriesBatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from .chunkcache import ChunkCache
-    from .tsdb import TimeSeriesStore, _Series
+    from .tsdb import SealedChunk, TimeSeriesStore, _Series
 
 __all__ = [
     "ChunkRef",
@@ -80,6 +82,10 @@ _WAL_HDR = struct.Struct("<2sII")
 _WAL_MAGIC = b"WL"
 
 _MANIFEST = "manifest.pkl"
+#: bumped whenever the manifest payload changes shape; recovery refuses
+#: any other version rather than misreading it (2: one
+#: ``(summary, hint, ref)`` row per chunk replaced v1's parallel lists)
+_MANIFEST_VERSION = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -329,8 +335,8 @@ class DiskTier:
         wal_gens = [int(p.stem.split("-")[1])
                     for p in self.root.glob("wal-*.log")]
         self._wal = self._new_wal(max(wal_gens) + 1 if wal_gens else 0)
-        # LRU of resident sealed blobs: chunk id -> owning series
-        self._hot: OrderedDict[int, "_Series"] = OrderedDict()
+        # LRU of resident sealed blobs: chunk id -> its record
+        self._hot: OrderedDict[int, "SealedChunk"] = OrderedDict()
         self.hot_bytes_used = 0
         self._unsynced = 0
         self._spills = 0
@@ -418,34 +424,29 @@ class DiskTier:
         self._active_id = nid
         return new
 
-    def on_seal(self, series: "_Series", blob: bytes, cid: int) -> ChunkRef:
-        """Seal hook: persist the blob, track it in the hot LRU."""
-        ref = self.append_blob(series.key.metric, series.key.component, blob)
-        self._hot[cid] = series
-        self.hot_bytes_used += len(blob)
-        return ref
+    def on_seal(self, key: MetricKey, chunk: "SealedChunk") -> None:
+        """Seal hook: persist the blob, record where, track it in the
+        hot LRU."""
+        chunk.ref = self.append_blob(key.metric, key.component, chunk.blob)
+        self._hot[chunk.cid] = chunk
+        self.hot_bytes_used += chunk.ref.length
 
     def enforce_budget(self) -> int:
         """Spill coldest resident blobs until the hot tier fits."""
         n = 0
         while self.hot_bytes_used > self.hot_bytes and self._hot:
-            cid, series = self._hot.popitem(last=False)
-            idx = series.chunk_ids.index(cid)
-            series.chunks[idx] = None
-            self.hot_bytes_used -= series.chunk_refs[idx].length
-            self._spills += 1
+            self.demote(next(iter(self._hot.values())))
             n += 1
         return n
 
-    def demote(self, series: "_Series", idx: int) -> bool:
-        """Spill one specific resident chunk (the eviction-as-demotion
-        path); returns False if it was already ref-only."""
-        if series.chunks[idx] is None:
+    def demote(self, chunk: "SealedChunk") -> bool:
+        """Drop one resident blob, keeping its ref (budget spill and
+        age archive alike); returns False if it was already ref-only."""
+        if chunk.blob is None:
             return False
-        cid = series.chunk_ids[idx]
-        self._hot.pop(cid, None)
-        series.chunks[idx] = None
-        self.hot_bytes_used -= series.chunk_refs[idx].length
+        self._hot.pop(chunk.cid, None)
+        chunk.blob = None
+        self.hot_bytes_used -= chunk.ref.length
         self._spills += 1
         return True
 
@@ -455,10 +456,9 @@ class DiskTier:
 
     def forget(self, series: "_Series") -> None:
         """Drop a series' resident chunks from the LRU (drop_series)."""
-        for cid, blob, ref in zip(series.chunk_ids, series.chunks,
-                                  series.chunk_refs):
-            if blob is not None and self._hot.pop(cid, None) is not None:
-                self.hot_bytes_used -= ref.length if ref else len(blob)
+        for chunk in series.chunks:
+            if self._hot.pop(chunk.cid, None) is not None:
+                self.hot_bytes_used -= chunk.ref.length
 
     # -- read path ----------------------------------------------------------
 
@@ -544,30 +544,18 @@ class DiskTier:
     def snapshot(self, store: "TimeSeriesStore") -> Path:
         """Write a manifest of the store's full state; rotate the WAL.
 
-        The manifest carries per-series chunk refs/spans/summaries/
-        hints, head samples, and serialized pyramid partials — restore
-        rebuilds pyramids from the partials without decompressing any
-        chunk.  Covered segment extents bound the recovery scan, and
-        WAL generations older than the manifest are deleted once the
-        manifest is durably in place (write-tmp, fsync, rename).
+        The manifest carries each series' exported state — one
+        ``(summary, hint, ref)`` row per chunk, head samples, and
+        serialized pyramid partials — so restore rebuilds pyramids from
+        the partials without decompressing any chunk.  Covered segment
+        extents bound the recovery scan, and WAL generations older than
+        the manifest are deleted once the manifest is durably in place
+        (write-tmp, fsync, rename).
         """
         self._check_alive()
         self.sync()
-        series_state = {}
-        for key, s in store._series.items():
-            series_state[(key.metric, key.component)] = {
-                "refs": [(r.segment, r.offset, r.length)
-                         for r in s.chunk_refs],
-                "spans": list(s.chunk_spans),
-                "summaries": list(s.summaries),
-                "hints": list(s.chunk_hints),
-                "n_sealed": s.n_sealed_samples,
-                "sealed_bytes": s.sealed_bytes,
-                "head_t": list(s.head_t),
-                "head_v": list(s.head_v),
-                "pyramid": (s.pyramid.export_state()
-                            if s.pyramid is not None else None),
-            }
+        series_state = {(key.metric, key.component): series.export_state()
+                        for key, series in store._series.items()}
         old_wal = self._wal
         self._handles.release(old_wal.writer)
         new_wal = self._new_wal(old_wal.gen + 1)
@@ -575,7 +563,7 @@ class DiskTier:
         new_wal.records = old_wal.records
         self._wal = new_wal
         manifest = {
-            "version": 1,
+            "version": _MANIFEST_VERSION,
             "chunk_size": store.chunk_size,
             "pyramid_levels": store.pyramid_levels,
             "segments": {sid: seg.synced
@@ -649,12 +637,35 @@ class RecoveryReport:
                 self.torn_wal_bytes)
 
 
-def _read_manifest(root: Path) -> dict | None:
+def _read_manifest(root: Path, chunk_size: int,
+                   pyramid_levels: Sequence[float] | None) -> dict | None:
+    """The snapshot manifest, or None before the first snapshot.
+
+    The file is outside input: a version this build does not write, or
+    a store shape other than the declared one (the chunk index and the
+    pyramid partials are only meaningful under the ``chunk_size`` and
+    ``pyramid_levels`` they were written with), is an error, never a
+    silent reinterpretation.
+    """
     path = root / _MANIFEST
     if not path.exists():
         return None
     with open(path, "rb") as f:
-        return pickle.load(f)
+        manifest = pickle.load(f)
+    version = manifest.get("version") if isinstance(manifest, dict) else None
+    if version != _MANIFEST_VERSION:
+        raise ValueError(
+            f"{path}: manifest version {version!r}, but this build reads "
+            f"only version {_MANIFEST_VERSION}"
+        )
+    found = (manifest["chunk_size"], tuple(manifest["pyramid_levels"] or ()))
+    declared = (int(chunk_size), tuple(pyramid_levels or ()))
+    if found != declared:
+        raise ValueError(
+            f"{path}: written by a store with (chunk_size, pyramid_levels)"
+            f" = {found}, but the store being recovered declares {declared}"
+        )
+    return manifest
 
 
 def _scan_segments_on_disk(
@@ -703,6 +714,8 @@ def _read_wal_records(root: Path, min_gen: int) -> tuple[list[bytes], int]:
 
 def recover_store(
     root: str | Path,
+    chunk_size: int,
+    pyramid_levels: Sequence[float] | None,
     hot_bytes: int = 64 << 20,
     segment_bytes: int = 64 << 20,
     sync_every_bytes: int = 1 << 20,
@@ -711,7 +724,11 @@ def recover_store(
 ) -> tuple["TimeSeriesStore", RecoveryReport]:
     """Rebuild a :class:`TimeSeriesStore` from its disk tier.
 
-    Three sources compose, deduplicated by per-series arrival counts:
+    ``chunk_size`` and ``pyramid_levels`` are the declared shape of the
+    store being replaced (a crash before the first snapshot leaves no
+    manifest to learn them from); a manifest that disagrees is an
+    error.  Three sources compose, deduplicated by per-series arrival
+    counts:
 
     1. the manifest (sealed-chunk index + heads + pyramid partials),
     2. a scan of segment bytes past the manifest-covered extents
@@ -725,12 +742,10 @@ def recover_store(
     writing a fresh manifest, so repeated crashes never replay more
     than one campaign's tail.
     """
-    from .rollup import SeriesPyramid
-    from .tsdb import (TimeSeriesStore, _chunk_ids, _summarize,
-                       _xor_token_lens, decompress_chunk)
+    from .tsdb import SealedChunk, TimeSeriesStore, decompress_chunk
 
     root = Path(root)
-    manifest = _read_manifest(root)
+    manifest = _read_manifest(root, chunk_size, pyramid_levels)
     covered = manifest["segments"] if manifest else {}
     min_gen = manifest["wal_gen"] if manifest else 0
     scanned, torn_seg = _scan_segments_on_disk(root, covered)
@@ -738,74 +753,34 @@ def recover_store(
 
     tier = DiskTier(root, hot_bytes=hot_bytes, segment_bytes=segment_bytes,
                     sync_every_bytes=sync_every_bytes)
-    chunk_size = manifest["chunk_size"] if manifest else 512
-    pyramid_levels = manifest["pyramid_levels"] if manifest else None
     store = TimeSeriesStore(chunk_size=chunk_size, cache=cache,
                             pyramid_levels=pyramid_levels, disk=tier)
 
     manifest_chunks = 0
-    manifest_heads: dict[MetricKey, tuple[list, list]] = {}
-    base_sealed: dict[MetricKey, int] = {}
     if manifest:
-        for (metric, comp), st in manifest["series"].items():
-            key = MetricKey(metric, comp)
-            s = store._new_series(key)
-            s.chunk_refs = [ChunkRef(*r) for r in st["refs"]]
-            s.chunks = [None] * len(s.chunk_refs)
-            s.chunk_spans = list(st["spans"])
-            s.summaries = list(st["summaries"])
-            s.chunk_hints = list(st["hints"])
-            s.chunk_ids = [next(_chunk_ids) for _ in s.chunk_refs]
-            s.n_sealed_samples = int(st["n_sealed"])
-            s.sealed_bytes = int(st["sealed_bytes"])
-            if st["pyramid"] is not None and s.pyramid is not None:
-                s.pyramid = SeriesPyramid.from_state(st["pyramid"])
-            manifest_chunks += len(s.chunk_refs)
-            manifest_heads[key] = (list(st["head_t"]), list(st["head_v"]))
-            base_sealed[key] = s.n_sealed_samples
-            store._samples += s.n_sealed_samples
-            store._sealed_samples += s.n_sealed_samples
-            store._sealed_chunks += len(s.chunk_refs)
-            store._sealed_bytes += s.sealed_bytes
+        for (metric, comp), state in manifest["series"].items():
+            manifest_chunks += store.restore_series(MetricKey(metric, comp),
+                                                    state)
 
     # 2) chunks sealed after the snapshot: one decompress each rebuilds
-    # span/summary/hint and folds the pyramid; the blob stays on disk.
+    # summary/hint and folds the pyramid; the blob stays on disk.  A
+    # series' arrival stream was [manifest-sealed | manifest-head | wal
+    # records] and these chunks cover a prefix of the last two, so
+    # adopting one trims the restored head and reports how many of its
+    # samples the WAL replay must drop instead.
     scanned_chunks = 0
+    wal_skip: dict[MetricKey, int] = {}
     for sid, metric, comp, boff, blob in scanned:
         ct, cv = decompress_chunk(blob)
         if not len(ct):
             continue
         key = MetricKey(metric, comp)
-        s = store._series.get(key) or store._new_series(key)
-        s.chunks.append(None)
-        s.chunk_refs.append(ChunkRef(sid, boff, len(blob)))
-        s.chunk_spans.append((float(ct[0]), float(ct[-1])))
-        s.chunk_ids.append(next(_chunk_ids))
-        s.summaries.append(_summarize(ct, cv))
-        s.chunk_hints.append(_xor_token_lens(cv))
-        if s.pyramid is not None:
-            s.pyramid.add_sealed(ct, cv, s.n_sealed_samples)
-        s.n_sealed_samples += len(ct)
-        s.sealed_bytes += len(blob)
-        store._samples += len(ct)
-        store._sealed_samples += len(ct)
-        store._sealed_chunks += 1
-        store._sealed_bytes += len(blob)
+        skip = store.adopt_chunk(
+            key, SealedChunk.of(ct, cv, ChunkRef(sid, boff, len(blob))),
+            ct, cv)
+        if skip:
+            wal_skip[key] = wal_skip.get(key, 0) + skip
         scanned_chunks += 1
-
-    # 3) dedup bookkeeping: a series' arrival stream was
-    # [manifest-sealed | manifest-head | wal records]; sealed chunks
-    # recovered above cover a prefix, so drop exactly that prefix from
-    # the head and the WAL replay.
-    wal_skip: dict[MetricKey, int] = {}
-    for key, s in store._series.items():
-        head_t, head_v = manifest_heads.get(key, ([], []))
-        drop = s.n_sealed_samples - base_sealed.get(key, 0)
-        if drop > 0:
-            wal_skip[key] = max(0, drop - len(head_t))
-            head_t, head_v = head_t[drop:], head_v[drop:]
-        s.head_t, s.head_v = head_t, head_v
-        store._samples += len(head_t)
 
     replayed = skipped = 0
     for payload in wal_payloads:
@@ -833,9 +808,10 @@ def recover_store(
             metric, np.asarray(comps, dtype=object), times, values,
         ))
 
+    stats = store.stats()
     report = RecoveryReport(
-        series=len(store._series),
-        points=store._samples,
+        series=stats.series,
+        points=stats.samples,
         manifest_chunks=manifest_chunks,
         scanned_chunks=scanned_chunks,
         wal_points_replayed=replayed,
@@ -851,6 +827,8 @@ def recover_store(
 def recover_sharded(
     root: str | Path,
     shards: int,
+    chunk_size: int,
+    pyramid_levels: Sequence[float] | None,
     hot_bytes: int = 64 << 20,
     segment_bytes: int = 64 << 20,
     sync_every_bytes: int = 1 << 20,
@@ -866,18 +844,20 @@ def recover_sharded(
     from .sharded import ShardedTimeSeriesStore
 
     root = Path(root)
-    sh = ShardedTimeSeriesStore(shards=shards, redo_points=redo_points)
+    sh = ShardedTimeSeriesStore(shards=shards, chunk_size=chunk_size,
+                                redo_points=redo_points,
+                                pyramid_levels=pyramid_levels)
     report = RecoveryReport(0, 0, 0, 0, 0, 0, 0, 0)
     rebuilt = []
     for i in range(shards):
         store, rep = recover_store(
-            root / f"shard-{i}", hot_bytes=hot_bytes,
-            segment_bytes=segment_bytes, sync_every_bytes=sync_every_bytes,
+            root / f"shard-{i}", chunk_size, pyramid_levels,
+            hot_bytes=hot_bytes, segment_bytes=segment_bytes,
+            sync_every_bytes=sync_every_bytes,
             cache=sh.cache, snapshot_after=snapshot_after,
         )
         rebuilt.append(store)
         report = report.merged(rep)
     sh.shards = rebuilt
     sh.disk_dir = str(root)
-    sh.pyramid_levels = rebuilt[0].pyramid_levels
     return sh, report

@@ -36,6 +36,7 @@ __all__ = [
     "bucket_anchor",
     "choose_level",
     "fold_partials",
+    "ieee_sums",
     "reduce_partials",
     "series_first_time",
     "series_window_partials",
@@ -65,6 +66,20 @@ def bucket_anchor(t0: float, step: float) -> float:
     ``GROUP BY time`` convention.
     """
     return float(np.floor(t0 / step) * step)
+
+
+def ieee_sums() -> np.errstate:
+    """Context every sum in the storage plane runs under.
+
+    Sums are IEEE-754: a bucket (or chunk) holding both ``+inf`` and
+    ``-inf`` sums to NaN, and ``mean`` follows — on the raw, the
+    summary-pruned and the pyramid route alike.  numpy reports that
+    defined result as an "invalid value" ``RuntimeWarning``; this
+    silences exactly that flag at the sum sites, so any other
+    floating-point warning out of ``repro.storage`` is a real defect
+    (the test suite turns them into errors).
+    """
+    return np.errstate(invalid="ignore")
 
 
 def _empty_partials() -> tuple[np.ndarray, ...]:
@@ -98,10 +113,12 @@ def fold_partials(
     seq_last = (
         seq[last].astype(np.int64) if seq is not None else seq_base + last
     )
+    with ieee_sums():
+        vsum = np.add.reduceat(v, starts)
     return (
         buckets[starts],
         (last + 1 - starts).astype(np.int64),
-        np.add.reduceat(v, starts),
+        vsum,
         np.minimum.reduceat(v, starts),
         np.maximum.reduceat(v, starts),
         t[last],
@@ -149,10 +166,12 @@ def reduce_partials(
     ends = np.append(starts[1:], len(b))
     out_t = anchor + b[starts] * step
     if agg == "sum":
-        out_v = np.add.reduceat(vsum, starts)
+        with ieee_sums():
+            out_v = np.add.reduceat(vsum, starts)
     elif agg == "mean":
-        out_v = (np.add.reduceat(vsum, starts)
-                 / np.add.reduceat(cnt, starts))
+        with ieee_sums():
+            out_v = (np.add.reduceat(vsum, starts)
+                     / np.add.reduceat(cnt, starts))
     elif agg == "min":
         out_v = np.minimum.reduceat(vmin, starts)
     elif agg == "max":
@@ -259,10 +278,12 @@ def _merge_pieces(
     cuts = np.flatnonzero(b[1:] != b[:-1]) + 1
     starts = np.concatenate(([0], cuts))
     last = np.append(starts[1:], len(b)) - 1
+    with ieee_sums():
+        vsum = np.add.reduceat(vsum, starts)
     return (
         b[starts],
         np.add.reduceat(cnt, starts),
-        np.add.reduceat(vsum, starts),
+        vsum,
         np.minimum.reduceat(vmin, starts),
         np.maximum.reduceat(vmax, starts),
         t_last[last],
@@ -299,15 +320,8 @@ def series_first_time(series) -> float:
     Used to resolve ``t0=-inf`` aggregation windows to a concrete grid
     anchor; ``inf`` when the series is empty.
     """
-    lo = math.inf
-    for span in series.chunk_spans:
-        if span[0] < lo:
-            lo = span[0]
-    if series.head_t:
-        head_lo = min(series.head_t)
-        if head_lo < lo:
-            lo = head_lo
-    return lo
+    lo = min((c.summary.t_min for c in series.chunks), default=math.inf)
+    return min(lo, min(series.head_t)) if series.head_t else lo
 
 
 def series_window_partials(

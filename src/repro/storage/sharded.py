@@ -64,6 +64,7 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
         if shards < 1:
             raise ValueError("shards must be >= 1")
         self.n_shards = int(shards)
+        self.chunk_size = int(chunk_size)
         self.cache = cache if cache is not None else ChunkCache()
         if disk_dir is not None:
             # one tier per shard under a common root: per-shard segment
@@ -409,6 +410,18 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
         """Counters of the shared decompressed-chunk cache."""
         return self.cache.stats()
 
+    # hierarchical storage: archive / locate over the disk tier ----------------
+
+    def archive_before(self, t_cut: float) -> int:
+        """Age-demote on every shard; chunks newly demoted in total."""
+        return sum(s.archive_before(t_cut) for s in self.shards)
+
+    def locate_archived(self, metric: str, component: str) -> list:
+        """The owning shard's disk-only chunks of one series (refs are
+        relative to that shard's tier)."""
+        return self._owner(metric, component).locate_archived(metric,
+                                                              component)
+
     # hooks used by the out-of-core disk tier -----------------------------------
 
     def disk_stats(self):
@@ -429,14 +442,3 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
             for metric, n in s.points_by_metric().items():
                 out[metric] = out.get(metric, 0) + n
         return out
-
-    # hooks used by the hierarchical tier manager -------------------------------
-
-    def export_series(self, key: MetricKey):
-        return self.shards[self.shard_of(key.metric, key.component)].export_series(key)
-
-    def evict_chunks_before(self, key: MetricKey, t_cut: float) -> int:
-        return self._owner(key.metric, key.component).evict_chunks_before(key, t_cut)
-
-    def import_chunks(self, key, chunks, spans) -> None:
-        self._owner(key.metric, key.component).import_chunks(key, chunks, spans)

@@ -33,7 +33,10 @@ sealed blobs are additionally persisted to append-only segment files
 and the resident set is bounded by the tier's ``hot_bytes`` budget:
 cold blobs are spilled to ``(segment, offset, len)`` refs and read back
 zero-copy through ``mmap`` (``_Series.chunk_blob`` is the one accessor
-every read path goes through).  Appends are WAL-logged first, so heads
+every read path goes through).  ``archive_before`` demotes by age
+instead of by budget and ``locate_archived`` names where each demoted
+chunk lives — Table I's hierarchical archive / locate / reload is a
+policy over that one tier.  Appends are WAL-logged first, so heads
 survive a crash; see ``storage/diskier.py`` for recovery.
 """
 
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -50,12 +53,14 @@ import numpy as np
 from ..core.metric import MetricKey, SeriesBatch
 from ..core.tracectx import HOP_INGEST, MAX_HOPS
 from .chunkcache import ChunkCache, ChunkCacheStats
-from .rollup import SeriesPyramid, bucket_anchor, fold_partials, reduce_partials
+from .rollup import (SeriesPyramid, bucket_anchor, fold_partials, ieee_sums,
+                     reduce_partials)
 
 __all__ = [
     "compress_chunk",
     "decompress_chunk",
     "ChunkSummary",
+    "SealedChunk",
     "SeriesQueryMixin",
     "TimeSeriesStore",
     "StoreStats",
@@ -445,7 +450,7 @@ _AGGS: Mapping[str, Callable[[np.ndarray], float]] = MappingProxyType({
 
 #: process-wide chunk ids: unique across every store, so one shared
 #: cache can never alias chunks from different stores or shards
-_chunk_ids = itertools.count(1)
+_next_cid = itertools.count(1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -469,32 +474,47 @@ class ChunkSummary:
 
 
 def _summarize(t: np.ndarray, v: np.ndarray) -> ChunkSummary:
+    with ieee_sums():
+        v_sum = float(np.sum(v))
     return ChunkSummary(
         count=len(t),
         t_min=float(t[0]),
         t_max=float(t[-1]),
         v_min=float(np.min(v)),
         v_max=float(np.max(v)),
-        v_sum=float(np.sum(v)),
+        v_sum=v_sum,
         v_first=float(v[0]),
         v_last=float(v[-1]),
     )
 
 
-def _cached_decompress(
-    cache: ChunkCache | None,
-    chunk_id: int,
-    blob: bytes,
-    lens_hint: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    if cache is not None:
-        hit = cache.get(chunk_id)
-        if hit is not None:
-            return hit
-    t, v = decompress_chunk(blob, lens_hint)
-    if cache is not None:
-        cache.put(chunk_id, t, v)
-    return t, v
+@dataclass(slots=True, eq=False)
+class SealedChunk:
+    """One immutable sealed chunk — the record every layer indexes.
+
+    ``summary`` holds the rounded-ms span (``t_min``/``t_max``) and the
+    seal-time aggregates, ``hint`` the XOR block index for fast decode
+    (or None), ``ref`` the disk-tier location (None without a tier),
+    ``blob`` the resident compressed bytes — ``None`` once spilled or
+    archived, when :meth:`_Series.chunk_blob` maps it back — and
+    ``cid`` the process-unique chunk-cache key.
+    """
+
+    summary: ChunkSummary
+    hint: np.ndarray | None
+    ref: object | None = None          # diskier.ChunkRef
+    blob: bytes | None = None
+    cid: int = field(default_factory=_next_cid.__next__)
+
+    @classmethod
+    def of(cls, t: np.ndarray, v: np.ndarray, ref=None,
+           blob: bytes | None = None) -> "SealedChunk":
+        """Record for the exact arrays a chunk decompresses back to."""
+        return cls(_summarize(t, v), _xor_token_lens(v), ref, blob)
+
+    @property
+    def nbytes(self) -> int:
+        return len(self.blob) if self.blob is not None else self.ref.length
 
 
 @dataclass(frozen=True, slots=True)
@@ -515,18 +535,15 @@ class StoreStats:
 class _Series:
     """One (metric, component) series: sealed chunks + open head.
 
-    Parallel to ``chunks``: ``chunk_spans`` (rounded-ms time span),
-    ``chunk_ids`` (cache keys), ``summaries`` (seal-time aggregates),
-    ``chunk_hints`` (XOR block index for fast decode, or None) and
-    ``chunk_refs`` (disk-tier location, or None without a tier).  A
-    spilled chunk has ``chunks[i] is None`` and is read back through
-    :meth:`chunk_blob` — the single accessor every query path uses.
+    ``chunks`` is the one chunk index, a list of :class:`SealedChunk`
+    records in seal order; :meth:`adopt` is the only way a record
+    enters it.  A spilled chunk has ``blob is None`` and is read back
+    through :meth:`chunk_blob` — the single accessor every query path
+    uses.
     """
 
-    __slots__ = ("chunks", "chunk_spans", "chunk_ids", "summaries",
-                 "chunk_hints", "chunk_refs", "head_t", "head_v",
-                 "n_sealed_samples", "sealed_bytes", "pyramid", "tier",
-                 "key")
+    __slots__ = ("chunks", "head_t", "head_v", "n_sealed_samples",
+                 "sealed_bytes", "pyramid", "tier", "key")
 
     def __init__(
         self, pyramid_levels: Sequence[float] | None = None,
@@ -534,16 +551,11 @@ class _Series:
     ) -> None:
         self.tier = tier            # DiskTier (duck-typed) or None
         self.key = key              # needed for segment records
-        self.chunk_refs: list = []
-        self.chunks: list[bytes | None] = []
-        self.chunk_spans: list[tuple[float, float]] = []  # (t_min, t_max)
-        self.chunk_ids: list[int] = []
-        self.summaries: list[ChunkSummary] = []
-        self.chunk_hints: list[np.ndarray | None] = []
+        self.chunks: list[SealedChunk] = []
         self.head_t: list[float] = []
         self.head_v: list[float] = []
         self.n_sealed_samples = 0
-        self.sealed_bytes = 0       # running sum(len(c) for c in chunks)
+        self.sealed_bytes = 0       # running sum(c.nbytes for c in chunks)
         # rollup pyramid maintained incrementally at seal time (serving
         # plane); None keeps seal() cost identical to the pre-serve store
         self.pyramid = (
@@ -574,6 +586,22 @@ class _Series:
                     nbytes += sealed[1]
         return chunks, samples, nbytes
 
+    def adopt(self, chunk: SealedChunk, t: np.ndarray | None = None,
+              v: np.ndarray | None = None) -> None:
+        """Append one sealed record — shared by :meth:`seal`, the
+        manifest restore and the recovery segment scan.
+
+        ``t``/``v`` are the arrays the chunk decompresses back to; given,
+        they fold into the pyramid with seq numbers continuing the
+        chunk-list stable sort order (the manifest restore passes none:
+        it reloads saved partials instead of refolding).
+        """
+        if t is not None and self.pyramid is not None:
+            self.pyramid.add_sealed(t, v, self.n_sealed_samples)
+        self.chunks.append(chunk)
+        self.n_sealed_samples += chunk.summary.count
+        self.sealed_bytes += chunk.nbytes
+
     def seal(self) -> tuple[int, int] | None:
         """Seal the open head; returns (samples, bytes) sealed, or None.
 
@@ -590,42 +618,44 @@ class _Series:
         # span + summary use the codec's ms rounding, so they describe
         # exactly what the chunk decompresses back to
         t_r = np.round(t * 1000.0).astype(np.int64).astype(np.float64) / 1000.0
-        cid = next(_chunk_ids)
-        self.chunks.append(blob)
-        self.chunk_spans.append((float(t_r[0]), float(t_r[-1])))
-        self.chunk_ids.append(cid)
-        self.summaries.append(_summarize(t_r, v))
-        self.chunk_hints.append(_xor_token_lens(v))
+        chunk = SealedChunk.of(t_r, v, blob=blob)
         if self.tier is not None:
             # persist the immutable blob now; spill to budget afterwards
-            self.chunk_refs.append(self.tier.on_seal(self, blob, cid))
-        else:
-            self.chunk_refs.append(None)
-        if self.pyramid is not None:
-            # fold the exact arrays the chunk decompresses back to, with
-            # seq numbers continuing the chunk-list stable sort order
-            self.pyramid.add_sealed(t_r, v, self.n_sealed_samples)
-        self.n_sealed_samples += len(t)
-        self.sealed_bytes += len(blob)
+            self.tier.on_seal(self.key, chunk)
+        self.adopt(chunk, t_r, v)
         self.head_t = []
         self.head_v = []
         if self.tier is not None:
             self.tier.enforce_budget()
         return len(t), len(blob)
 
-    def chunk_blob(self, i: int):
-        """Sealed blob ``i``, resident or mapped from the disk tier.
+    def chunk_blob(self, chunk: SealedChunk):
+        """A sealed chunk's blob, resident or mapped from the disk tier.
 
         Returns ``bytes`` for hot chunks (touching the tier LRU) or a
         zero-copy ``memoryview`` over the segment mmap for spilled ones
         — :func:`decompress_chunk` accepts either.
         """
-        blob = self.chunks[i]
+        blob = chunk.blob
         if blob is not None:
             if self.tier is not None:
-                self.tier.touch(self.chunk_ids[i])
+                self.tier.touch(chunk.cid)
             return blob
-        return self.tier.load(self.chunk_refs[i])
+        return self.tier.load(chunk.ref)
+
+    def decode(self, chunk: SealedChunk, cache: ChunkCache | None
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Decompressed ``(times, values)`` of one sealed chunk, served
+        from and filling the shared chunk cache."""
+        blob = self.chunk_blob(chunk)
+        if cache is not None:
+            hit = cache.get(chunk.cid)
+            if hit is not None:
+                return hit
+        t, v = decompress_chunk(blob, chunk.hint)
+        if cache is not None:
+            cache.put(chunk.cid, t, v)
+        return t, v
 
     def read(
         self, t0: float, t1: float, cache: ChunkCache | None = None
@@ -633,12 +663,11 @@ class _Series:
         """All samples with ``t0 <= t < t1``, time-sorted."""
         ts: list[np.ndarray] = []
         vs: list[np.ndarray] = []
-        for i, (lo, hi) in enumerate(self.chunk_spans):
-            if hi < t0 or lo >= t1:
+        for chunk in self.chunks:
+            summ = chunk.summary
+            if summ.t_max < t0 or summ.t_min >= t1:
                 continue
-            ct, cv = _cached_decompress(cache, self.chunk_ids[i],
-                                        self.chunk_blob(i),
-                                        self.chunk_hints[i])
+            ct, cv = self.decode(chunk, cache)
             mask = (ct >= t0) & (ct < t1)
             ts.append(ct[mask])
             vs.append(cv[mask])
@@ -655,18 +684,17 @@ class _Series:
         order = np.argsort(t, kind="stable")
         return t[order], v[order]
 
-    def rebuild_pyramid(self, cache: ChunkCache | None) -> None:
-        """Re-fold every sealed chunk (eviction / archive-reload path)."""
-        if self.pyramid is None:
-            return
-        self.pyramid = SeriesPyramid(self.pyramid.levels)
-        seq_base = 0
-        for i in range(len(self.chunks)):
-            ct, cv = _cached_decompress(cache, self.chunk_ids[i],
-                                        self.chunk_blob(i),
-                                        self.chunk_hints[i])
-            self.pyramid.add_sealed(ct, cv, seq_base)
-            seq_base += len(ct)
+    def export_state(self) -> dict:
+        """Snapshot-serializable state (one manifest entry): the chunk
+        index without blobs or cache ids, the head, and the pyramid
+        partials.  :meth:`TimeSeriesStore.restore_series` inverts it."""
+        return {
+            "chunks": [(c.summary, c.hint, c.ref) for c in self.chunks],
+            "head_t": list(self.head_t),
+            "head_v": list(self.head_v),
+            "pyramid": (self.pyramid.export_state()
+                        if self.pyramid is not None else None),
+        }
 
     @property
     def n_samples(self) -> int:
@@ -702,10 +730,12 @@ def _bucket_agg(
     buckets, starts = _bucket_starts(t, anchor, step)
     out_t = anchor + buckets[starts] * step
     if agg == "sum":
-        out_v = np.add.reduceat(v, starts)
+        with ieee_sums():
+            out_v = np.add.reduceat(v, starts)
     elif agg == "mean":
         counts = np.diff(np.append(starts, len(v)))
-        out_v = np.add.reduceat(v, starts) / counts
+        with ieee_sums():
+            out_v = np.add.reduceat(v, starts) / counts
     elif agg == "min":
         out_v = np.minimum.reduceat(v, starts)
     elif agg == "max":
@@ -817,8 +847,9 @@ class SeriesQueryMixin:
         """
         pieces: list[tuple[np.ndarray, ...]] = []
         seq_base = 0
-        for i, (lo, hi) in enumerate(series.chunk_spans):
-            summ = series.summaries[i]
+        for chunk in series.chunks:
+            summ = chunk.summary
+            lo, hi = summ.t_min, summ.t_max
             if hi < t0 or lo >= t1:
                 seq_base += summ.count
                 continue
@@ -836,9 +867,7 @@ class SeriesQueryMixin:
                     np.asarray([seq_base + summ.count - 1]),
                 ))
             else:
-                ct, cv = _cached_decompress(cache, series.chunk_ids[i],
-                                            series.chunk_blob(i),
-                                            series.chunk_hints[i])
+                ct, cv = series.decode(chunk, cache)
                 mask = (ct >= t0) & (ct < t1)
                 if mask.any():
                     pieces.append(fold_partials(
@@ -1093,9 +1122,9 @@ class TimeSeriesStore(SeriesQueryMixin):
 
     def query_epoch(self, metric: str) -> int:
         """Mutation epoch of a metric — the serving plane's result-cache
-        validity token.  Any append/drop/evict/import touching the
-        metric bumps it; an unchanged epoch guarantees every query
-        answer for the metric is still exact."""
+        validity token.  Any append or drop touching the metric bumps
+        it; an unchanged epoch guarantees every query answer for the
+        metric is still exact."""
         return self._epochs.get(metric, 0)
 
     # -- maintenance / stats ---------------------------------------------------
@@ -1107,7 +1136,7 @@ class TimeSeriesStore(SeriesQueryMixin):
         self._epochs[metric] = self._epochs.get(metric, 0) + 1
         if self.disk is not None:
             self.disk.forget(s)
-        self.cache.invalidate(s.chunk_ids)
+        self.cache.invalidate(c.cid for c in s.chunks)
         self._samples -= s.n_samples
         self._sealed_samples -= s.n_sealed_samples
         self._sealed_chunks -= len(s.chunks)
@@ -1131,125 +1160,72 @@ class TimeSeriesStore(SeriesQueryMixin):
         """Counters of the decompressed-chunk cache (selfmon surface)."""
         return self.cache.stats()
 
-    # hooks used by the hierarchical tier manager -------------------------------
+    # hierarchical storage: archive / locate over the disk tier ----------------
 
-    def export_series(self, key: MetricKey) -> tuple[list[bytes], list[tuple[float, float]]]:
-        """Sealed chunks + spans for archiving (head is sealed first).
+    def archive_before(self, t_cut: float) -> int:
+        """Demote every sealed chunk wholly before ``t_cut`` to its
+        disk-tier ref; returns the number newly demoted.
 
-        Blobs are materialized as ``bytes`` (spilled chunks are copied
-        out of the mmap) so the archive owns its data outright.
+        Age-based counterpart of the tier's budget spill: the blobs are
+        already in segment files, so nothing is lost — queries still
+        answer exactly (reads reload through the segment mmap), and no
+        counter or epoch changes.  Raises without a disk tier, like
+        :meth:`snapshot`.
         """
-        s = self._series[key]
-        self._note_seal(s.seal())
-        return ([bytes(s.chunk_blob(i)) for i in range(len(s.chunks))],
-                list(s.chunk_spans))
+        if self.disk is None:
+            raise RuntimeError("archive_before() requires a disk tier")
+        demoted = [c.cid for s in self._series.values() for c in s.chunks
+                   if c.summary.t_max < t_cut and self.disk.demote(c)]
+        # release the decompressed copies too — demotion exists to
+        # shrink the resident set
+        self.cache.invalidate(demoted)
+        return len(demoted)
 
-    def evict_chunks_before(self, key: MetricKey, t_cut: float) -> int:
-        """Evict sealed chunks wholly before ``t_cut``.
-
-        Without a disk tier this *discards* them (the original
-        behaviour: parallel lists pruned together, cache entries
-        invalidated, counters and pyramid rebuilt, epoch bumped) and
-        returns the count dropped.  With a disk tier attached eviction
-        becomes a *demotion*: qualifying chunks spill to their on-disk
-        refs instead of being lost, queries still answer exactly, no
-        counter or epoch changes, and the return value is the number of
-        chunks newly demoted by this call.
-        """
-        s = self._series.get(key)
+    def locate_archived(
+        self, metric: str, component: str
+    ) -> list[tuple[tuple[float, float], object]]:
+        """``((t_min, t_max), ChunkRef)`` of each chunk of one series
+        that lives only on disk (archived or budget-spilled), oldest
+        first — the catalog of what is cold and where."""
+        s = self._series.get(MetricKey(metric, component))
         if s is None:
-            return 0
-        if self.disk is not None:
-            demoted_ids = []
-            for i, span in enumerate(s.chunk_spans):
-                if span[1] < t_cut and self.disk.demote(s, i):
-                    demoted_ids.append(s.chunk_ids[i])
-            if demoted_ids:
-                # release the decompressed copies too — demotion exists
-                # to shrink the resident set
-                self.cache.invalidate(demoted_ids)
-            return len(demoted_ids)
-        keep: list[tuple] = []
-        gone_ids = []
-        for row in zip(s.chunks, s.chunk_spans, s.chunk_ids,
-                       s.summaries, s.chunk_hints, s.chunk_refs):
-            blob, span, cid, summ, _, _ = row
-            if span[1] < t_cut:
-                gone_ids.append(cid)
-                s.n_sealed_samples -= summ.count
-                s.sealed_bytes -= len(blob)
-                self._samples -= summ.count
-                self._sealed_samples -= summ.count
-                self._sealed_chunks -= 1
-                self._sealed_bytes -= len(blob)
-            else:
-                keep.append(row)
-        s.chunks = [r[0] for r in keep]
-        s.chunk_spans = [r[1] for r in keep]
-        s.chunk_ids = [r[2] for r in keep]
-        s.summaries = [r[3] for r in keep]
-        s.chunk_hints = [r[4] for r in keep]
-        s.chunk_refs = [r[5] for r in keep]
-        if gone_ids:
-            self.cache.invalidate(gone_ids)
-            self._epochs[key.metric] = self._epochs.get(key.metric, 0) + 1
-            s.rebuild_pyramid(self.cache)
-        return len(gone_ids)
-
-    def import_chunks(
-        self,
-        key: MetricKey,
-        chunks: list[bytes],
-        spans: list[tuple[float, float]],
-    ) -> None:
-        """Reload archived chunks (hierarchical storage reload path).
-
-        Summaries and block-index hints are rebuilt from one decompress
-        pass per incoming chunk, so the summary-pruned query path covers
-        reloaded history exactly like natively sealed data.
-        """
-        s = self._series.get(key)
-        if s is None:
-            s = self._new_series(key)
-        incoming = []
-        n_in = b_in = 0
-        for blob, span in zip(chunks, spans):
-            ct, cv = decompress_chunk(blob)
-            summ = _summarize(ct, cv) if len(ct) else ChunkSummary(
-                0, span[0], span[1], np.nan, np.nan, 0.0, np.nan, np.nan
-            )
-            hint = _xor_token_lens(cv) if len(cv) else None
-            cid = next(_chunk_ids)
-            ref = (self.disk.on_seal(s, blob, cid)
-                   if self.disk is not None else None)
-            incoming.append((blob, span, cid, summ, hint, ref))
-            n_in += summ.count
-            b_in += len(blob)
-        merged = sorted(
-            incoming + list(zip(s.chunks, s.chunk_spans, s.chunk_ids,
-                                s.summaries, s.chunk_hints, s.chunk_refs)),
-            key=lambda row: row[1][0],
-        )
-        s.chunks = [r[0] for r in merged]
-        s.chunk_spans = [r[1] for r in merged]
-        s.chunk_ids = [r[2] for r in merged]
-        s.summaries = [r[3] for r in merged]
-        s.chunk_hints = [r[4] for r in merged]
-        s.chunk_refs = [r[5] for r in merged]
-        s.n_sealed_samples += n_in
-        s.sealed_bytes += b_in
-        self._epochs[key.metric] = self._epochs.get(key.metric, 0) + 1
-        # the merge reordered the chunk list, so seq numbering (and with
-        # it every rollup row) is re-derived in the new list order
-        s.rebuild_pyramid(self.cache)
-        self._samples += n_in
-        self._sealed_samples += n_in
-        self._sealed_chunks += len(chunks)
-        self._sealed_bytes += b_in
-        if self.disk is not None:
-            self.disk.enforce_budget()
+            return []
+        return [((c.summary.t_min, c.summary.t_max), c.ref)
+                for c in s.chunks if c.blob is None]
 
     # hooks used by the out-of-core disk tier -----------------------------------
+
+    def restore_series(self, key: MetricKey, state: dict) -> int:
+        """Recovery: rebuild one series from its manifest entry (the
+        inverse of :meth:`_Series.export_state`); returns its chunk
+        count.  Every chunk comes back ref-only and the pyramid reloads
+        its saved partials, so nothing is decompressed."""
+        s = self._new_series(key)
+        if s.pyramid is not None:
+            s.pyramid = SeriesPyramid.from_state(state["pyramid"])
+        for summary, hint, ref in state["chunks"]:
+            chunk = SealedChunk(summary, hint, ref)
+            s.adopt(chunk)
+            self._note_seal((summary.count, chunk.nbytes))
+        s.head_t, s.head_v = state["head_t"], state["head_v"]
+        self._samples += s.n_samples
+        return len(s.chunks)
+
+    def adopt_chunk(self, key: MetricKey, chunk: SealedChunk,
+                    t: np.ndarray, v: np.ndarray) -> int:
+        """Recovery: install a chunk the segment scan found past the
+        manifest.  It was sealed from the front of the series' unsealed
+        arrival stream ``[restored head | WAL records]``, so that many
+        samples leave the head; returns how many were *not* in it — the
+        caller skips that many of the series' WAL points."""
+        s = self._series.get(key) or self._new_series(key)
+        n = chunk.summary.count
+        in_head = min(n, len(s.head_t))
+        del s.head_t[:in_head], s.head_v[:in_head]
+        s.adopt(chunk, t, v)
+        self._samples += n - in_head
+        self._note_seal((n, chunk.nbytes))
+        return n - in_head
 
     def disk_stats(self):
         """Disk-tier counters, or None when running in-memory only."""

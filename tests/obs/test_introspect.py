@@ -155,18 +155,20 @@ class TestHealthReport:
         assert 0.0 < report.chunk_cache["hit_ratio"] <= 1.0
 
 
-class TestIntrospectorWithSwappedStore:
-    def test_tiered_store_is_tolerated(self):
-        from repro.storage.hierarchy import TieredStore
-        from repro.storage.tsdb import TimeSeriesStore
-
+class TestIntrospectorWithArchivedStore:
+    def test_archived_disk_store_reports(self, tmp_path):
         m = make_machine()
-        p = build_site(SiteConfig(seed=1), machine=m)
-        p.tsdb = TieredStore(TimeSeriesStore(chunk_size=32))
-        p.run(duration_s=300.0, dt=10.0)
+        p = build_site(
+            SiteConfig(seed=1, store_dir=str(tmp_path), chunk_size=8),
+            machine=m)
+        p.run(duration_s=1200.0, dt=10.0)
+        assert p.tsdb.archive_before(600.0) > 0
         report = p.introspect().report()
         assert report.stores["tsdb_points"] > 0
-        assert p.introspect().render()
+        assert report.disk["spills"] > 0
+        assert report.disk["hot_bytes"] < report.stores["tsdb_bytes"]
+        assert "disk tier:" in p.introspect().render()
+        p.tsdb.disk.close()
 
 
 class TestTieredStackReport:

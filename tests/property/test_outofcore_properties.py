@@ -119,8 +119,7 @@ class TestSpillIsInvisible:
                 oracle.append(ob)
                 if i == spill_after:
                     # demotion at an arbitrary mid-ingest point
-                    for key in store.keys("m.x"):
-                        store.evict_chunks_before(key, cut)
+                    store.archive_before(cut)
             for m, c in (("m.x", "c0"), ("m.x", "c1"), ("m.y", "c0")):
                 got, want = store.query(m, c), oracle.query(m, c)
                 assert np.array_equal(got.times, want.times)
@@ -193,7 +192,8 @@ class TestCrashRecovery:
                                                step, agg, prune=prune)
                        for prune in (False, True)}
             store.disk.simulate_crash()
-            recovered, _ = recover_store(Path(d), hot_bytes=1 << 9)
+            recovered, _ = recover_store(Path(d), 8, DEFAULT_LEVELS,
+                                         hot_bytes=1 << 9)
             got = recovered.query("m.x", "c0")
             assert np.array_equal(got.times, want_q.times)
             assert bits_equal(got.values, want_q.values)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.metric import SeriesBatch
 from repro.storage.chunkcache import ChunkCache
-from repro.storage.hierarchy import TieredStore
+from repro.storage.diskier import DiskTier
 from repro.storage.sharded import ShardedTimeSeriesStore
 from repro.storage.tsdb import TimeSeriesStore
 
@@ -134,16 +134,23 @@ class TestStoreIntegration:
         # every shard routed through the same instance
         assert all(sh.cache is store.cache for sh in store.shards)
 
-    def test_tiered_store_exposes_hot_cache_and_archive_invalidates(self):
-        hot = TimeSeriesStore(chunk_size=16, cache=ChunkCache())
-        tiered = TieredStore(hot=hot)
-        fill(hot)
+    @pytest.mark.parametrize("shards", [0, 4])
+    def test_archive_invalidates_demoted_chunks(self, tmp_path, shards):
+        if shards:
+            tiered = ShardedTimeSeriesStore(shards=shards, chunk_size=16,
+                                            disk_dir=str(tmp_path))
+        else:
+            tiered = TimeSeriesStore(chunk_size=16, cache=ChunkCache(),
+                                     disk=DiskTier(tmp_path))
+        fill(tiered)
         tiered.query("m", "a")
-        resident_before = len(hot.cache)
+        resident_before = len(tiered.cache)
         assert resident_before == 4
         tiered.archive_before(32.0)
-        assert len(hot.cache) == 2       # archived chunks dropped
+        assert len(tiered.cache) == 2    # archived chunks dropped
         assert tiered.cache_stats().invalidations == 2
         # transparent reload still returns the full, correct series
         out = tiered.query("m", "a", 0.0, 64.0)
         assert list(out.values) == [float(i) for i in range(64)]
+        for shard in getattr(tiered, "shards", [tiered]):
+            shard.disk.close()

@@ -1,9 +1,11 @@
 """Unit tests for the out-of-core disk tier (spill, WAL, recovery)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.core.metric import MetricKey, SeriesBatch
+from repro.core.metric import SeriesBatch
 from repro.storage.diskier import (
     DiskTier,
     DiskTierStats,
@@ -81,16 +83,15 @@ class TestHotBudget:
         assert d.map_hits > 0                 # second pass reused the map
 
 
-class TestEvictionBecomesDemotion:
-    def test_evict_demotes_with_tier(self, tmp_path):
+class TestArchiveIsDemotion:
+    def test_archive_demotes_with_tier(self, tmp_path):
         store = disk_store(tmp_path, hot_bytes=1 << 20)
         fill(store, n=200, metrics=("m",), comps=("a",))
-        key = MetricKey("m", "a")
         oracle = TimeSeriesStore(chunk_size=16)
         fill(oracle, n=200, metrics=("m",), comps=("a",))
         before = store.stats()
         epoch = store.query_epoch("m")
-        n = store.evict_chunks_before(key, 1000.0)
+        n = store.archive_before(1000.0)
         assert n > 0
         # demotion, not loss: counts, epoch, and answers all unchanged
         after = store.stats()
@@ -103,21 +104,7 @@ class TestEvictionBecomesDemotion:
         assert np.array_equal(got.values.view(np.uint64),
                               want.values.view(np.uint64))
         # a second call finds nothing newly demotable
-        assert store.evict_chunks_before(key, 1000.0) == 0
-
-    def test_evict_discards_without_tier(self, tmp_path):
-        store = TimeSeriesStore(chunk_size=16)
-        fill(store, n=200, metrics=("m",), comps=("a",))
-        key = MetricKey("m", "a")
-        before = store.stats()
-        epoch = store.query_epoch("m")
-        n = store.evict_chunks_before(key, 1000.0)
-        assert n > 0
-        after = store.stats()
-        assert after.samples < before.samples          # truly discarded
-        assert store.query_epoch("m") == epoch + 1     # epoch bumped
-        # only a partial chunk straddling the cut may remain
-        assert len(store.query("m", "a", 0.0, 999.0)) < 16
+        assert store.archive_before(1000.0) == 0
 
 
 class TestSnapshotRecover:
@@ -138,7 +125,7 @@ class TestSnapshotRecover:
                    for prune in (False, True)}
         n_points = store.points_by_metric()
         store.disk.simulate_crash()
-        recovered, report = recover_store(tmp_path / "tier",
+        recovered, report = recover_store(tmp_path / "tier", 16, None,
                                           hot_bytes=1 << 12,
                                           sync_every_bytes=1 << 12)
         assert recovered.points_by_metric() == n_points
@@ -164,7 +151,7 @@ class TestSnapshotRecover:
             store.append(sweep("m", i * 10.0, ["a"], [float(i)]))
         total = sum(store.points_by_metric().values())
         store.disk.simulate_crash()
-        recovered, report = recover_store(tmp_path / "tier")
+        recovered, report = recover_store(tmp_path / "tier", 16, None)
         back = sum(recovered.points_by_metric().values())
         assert back == synced                  # tail gone...
         assert total - back == 40              # ...but exactly countable
@@ -181,11 +168,11 @@ class TestSnapshotRecover:
         fill(store, n=200, metrics=("m",), comps=("a", "b"))
         store.flush()
         store.disk.simulate_crash()
-        r1, rep1 = recover_store(tmp_path / "tier")
+        r1, rep1 = recover_store(tmp_path / "tier", 16, None)
         # recover_store ends with a snapshot: a second crash right away
         # recovers purely from the manifest (no scan, no replay)
         r1.disk.simulate_crash()
-        r2, rep2 = recover_store(tmp_path / "tier")
+        r2, rep2 = recover_store(tmp_path / "tier", 16, None)
         assert rep2.scanned_chunks == 0
         assert rep2.wal_points_replayed == 0
         assert r2.points_by_metric() == r1.points_by_metric()
@@ -200,11 +187,57 @@ class TestSnapshotRecover:
             for p in (tmp_path / "tier").glob(pat):
                 with open(p, "ab") as fh:
                     fh.write(b"SG\x99\x99torn-garbage")
-        recovered, report = recover_store(tmp_path / "tier")
+        recovered, report = recover_store(tmp_path / "tier", 16, None)
         assert report.torn_segment_bytes > 0
         assert report.torn_wal_bytes > 0
         got = recovered.query("m", "a")
         assert len(got) == 150                 # data before the tear intact
+
+    def test_crash_before_first_snapshot_keeps_declared_shape(self, tmp_path):
+        # no manifest to learn the shape from: it comes from the caller
+        store = TimeSeriesStore(chunk_size=16, pyramid_levels=(10.0, 60.0),
+                                disk=DiskTier(tmp_path / "tier"))
+        fill(store, n=100, metrics=("m",), comps=("a",))
+        store.flush()
+        want = store.query("m", "a")
+        store.disk.simulate_crash()
+        rec, report = recover_store(tmp_path / "tier", 16, (10.0, 60.0))
+        assert report.manifest_chunks == 0 and report.scanned_chunks > 0
+        assert rec.chunk_size == 16
+        assert rec.pyramid_levels == (10.0, 60.0)
+        series, _ = rec._series_view("m", "a")
+        assert series.pyramid.samples_folded == 100
+        got = rec.query("m", "a")
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.values.view(np.uint64),
+                              want.values.view(np.uint64))
+        rec.disk.close()
+
+    @pytest.mark.parametrize("declared", [(32, None), (16, (10.0, 60.0))])
+    def test_manifest_disagreeing_with_declared_shape_is_an_error(
+            self, tmp_path, declared):
+        store = disk_store(tmp_path)
+        fill(store, n=50, metrics=("m",), comps=("a",))
+        store.snapshot()
+        store.disk.close()
+        with pytest.raises(ValueError, match=r"manifest\.pkl.*\(16, \(\)\)"):
+            recover_store(tmp_path / "tier", *declared)
+
+    def test_foreign_manifest_version_is_rejected(self, tmp_path):
+        store = disk_store(tmp_path)
+        fill(store, n=50, metrics=("m",), comps=("a",))
+        path = store.snapshot()
+        store.disk.close()
+        with open(path, "rb") as f:
+            manifest = pickle.load(f)
+        assert manifest["version"] == 2
+        with open(path, "wb") as f:
+            pickle.dump(dict(manifest, version=1), f)
+        with pytest.raises(ValueError) as err:
+            recover_store(tmp_path / "tier", 16, None)
+        msg = str(err.value)
+        assert str(path) in msg
+        assert "version 1" in msg and "version 2" in msg
 
 
 class TestSeriesLifecycle:
@@ -215,27 +248,6 @@ class TestSeriesLifecycle:
         store.drop_series("m", "a")
         store.drop_series("m", "b")
         assert store.disk.hot_bytes_used == 0
-
-    def test_export_series_materializes_spilled_bytes(self, tmp_path):
-        store = disk_store(tmp_path, hot_bytes=1 << 10)
-        fill(store, n=200, metrics=("m",), comps=("a",))
-        assert store.disk_stats().spills > 0
-        blobs, spans = store.export_series(MetricKey("m", "a"))
-        assert len(blobs) == len(spans) > 0
-        assert all(isinstance(b, bytes) for b in blobs)
-
-    def test_import_chunks_lands_in_tier(self, tmp_path):
-        src = TimeSeriesStore(chunk_size=16)
-        fill(src, n=200, metrics=("m",), comps=("a",))
-        blobs, spans = src.export_series(MetricKey("m", "a"))
-        dst = disk_store(tmp_path)
-        dst.import_chunks(MetricKey("m", "a"), blobs, spans)
-        assert dst.disk_stats().disk_bytes > 0
-        got = dst.query("m", "a", 0.0, spans[-1][1] + 1.0)
-        want = src.query("m", "a", 0.0, spans[-1][1] + 1.0)
-        assert np.array_equal(got.times, want.times)
-        assert np.array_equal(got.values.view(np.uint64),
-                              want.values.view(np.uint64))
 
 
 class TestSharded:
@@ -255,7 +267,7 @@ class TestSharded:
                 for m in ("m1", "m2") for c in ("a", "b", "c")}
         for s in sh.shards:
             s.disk.simulate_crash()
-        rec, report = recover_sharded(tmp_path, shards=3,
+        rec, report = recover_sharded(tmp_path, 3, 16, None,
                                       hot_bytes=1 << 12,
                                       sync_every_bytes=1 << 12)
         assert report.points == sum(rec.points_by_metric().values())

@@ -1,9 +1,11 @@
 """Unit tests: rollup-pyramid primitives and their maintenance hooks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.core.metric import MetricKey, SeriesBatch
+from repro.core.metric import SeriesBatch
 from repro.serve.frontend import QueryFrontend
 from repro.storage.rollup import (
     DEFAULT_LEVELS,
@@ -109,29 +111,33 @@ class TestPyramidMaintenance:
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
 
-    @pytest.mark.parametrize("mutate", ["evict", "import"])
-    def test_rebuild_keeps_frontend_exact(self, mutate):
-        store = TimeSeriesStore(chunk_size=32,
-                                pyramid_levels=DEFAULT_LEVELS)
-        rng = np.random.default_rng(11)
-        t = np.sort(rng.uniform(0.0, 3600.0, 256)).round(3)
-        store.append(SeriesBatch.for_component(
-            "m.x", "a", t, rng.normal(size=256)))
-        store.flush()
-        key = MetricKey("m.x", "a")
-        chunks, spans = store.export_series(key)
-        if mutate == "evict":
-            assert store.evict_chunks_before(key, 1800.0) > 0
-        else:
-            store.evict_chunks_before(key, 1800.0)
-            old = [(c, s) for c, s in zip(chunks, spans)
-                   if s[1] < 1800.0]
-            store.import_chunks(key, [c for c, _ in old],
-                                [s for _, s in old])
+
+class TestIeeeSums:
+    """``+inf`` and ``-inf`` in one bucket sum to NaN and ``mean``
+    follows (``rollup.ieee_sums``) — the same on every route, and
+    without a numpy warning on any of them."""
+
+    @pytest.mark.parametrize("agg, finite", [("sum", 10.0), ("mean", 2.5)])
+    def test_opposite_infinities_are_nan_on_every_route(self, agg, finite):
+        store = TimeSeriesStore(chunk_size=4, pyramid_levels=DEFAULT_LEVELS)
+        # two sealed chunks, each wholly inside one 60 s bucket
+        t = np.array([0.0, 10.0, 20.0, 30.0, 60.0, 70.0, 80.0, 90.0])
+        v = np.array([1.0, np.inf, -np.inf, 2.0, 1.0, 2.0, 3.0, 4.0])
+        store.append(SeriesBatch.for_component("m.x", "a", t, v))
         fe = QueryFrontend(store)
-        got = fe.downsample("m.x", "a", 0.0, 3600.0, 60.0, "max")
-        want = store.downsample("m.x", "a", 0.0, 3600.0, 60.0, "max",
-                                prune=False)
-        assert np.array_equal(got.times, want.times)
-        assert np.array_equal(got.values, want.values, equal_nan=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            routes = {
+                "raw": store.downsample("m.x", "a", 0.0, 120.0, 60.0, agg,
+                                        prune=False),
+                "summary-pruned": store.downsample("m.x", "a", 0.0, 120.0,
+                                                   60.0, agg),
+                "pyramid": fe.downsample("m.x", "a", 0.0, 120.0, 60.0, agg),
+                "across": store.aggregate_across("m.x", None, 0.0, 120.0,
+                                                 60.0, agg),
+            }
         assert fe.stats().pyramid_answers == 1
+        for name, got in routes.items():
+            assert list(got.times) == [0.0, 60.0], name
+            assert np.isnan(got.values[0]), name
+            assert got.values[1] == finite, name

@@ -188,16 +188,3 @@ class TestPerShardSurfaces:
         assert len(per) == 4
         assert sum(p.samples for p in per) == sharded.stats().samples
         assert sum(p.series for p in per) == sharded.stats().series
-
-    def test_hierarchy_hooks_delegate_to_owner(self):
-        sharded = ShardedTimeSeriesStore(shards=4)
-        fill(sharded)
-        sharded.flush()
-        key = sharded.keys()[0]
-        chunks, spans = sharded.export_series(key)
-        assert chunks
-        n = sharded.evict_chunks_before(key, 1e9)
-        assert n == len(chunks)
-        sharded.import_chunks(key, chunks, spans)
-        restored = sharded.query(key.metric, key.component)
-        assert len(restored) > 0

@@ -328,58 +328,3 @@ class TestStats:
         assert store.drop_series("m", "a")
         assert not store.drop_series("m", "a")
         assert len(store.query("m", "a")) == 0
-
-
-class TestEvictImport:
-    def test_evict_then_import_round_trip(self, store):
-        for i in range(64):
-            store.append(sweep("m", float(i), ["a"], [float(i)]))
-        store.flush()
-        key = MetricKey("m", "a")
-        chunks, spans = store.export_series(key)
-        evicted = store.evict_chunks_before(key, 32.0)
-        assert evicted == 2
-        assert len(store.query("m", "a")) == 32
-        old = [(c, s) for c, s in zip(chunks, spans) if s[1] < 32.0]
-        store.import_chunks(key, [c for c, _ in old], [s for _, s in old])
-        out = store.query("m", "a")
-        assert len(out) == 64
-        assert list(out.values) == [float(i) for i in range(64)]
-
-    def test_evict_keeps_summaries_and_cache_consistent(self):
-        cache = ChunkCache()
-        store = TimeSeriesStore(chunk_size=16, cache=cache)
-        for i in range(64):
-            store.append(sweep("m", float(i), ["a"], [float(i)]))
-        store.flush()
-        store.query("m", "a")                      # warm the cache
-        assert len(cache) == 4
-        key = MetricKey("m", "a")
-        assert store.evict_chunks_before(key, 32.0) == 2
-        # evicted chunks' cache entries are invalidated, survivors stay
-        assert len(cache) == 2
-        assert cache.stats().invalidations == 2
-        # the parallel per-chunk lists stay aligned
-        series, _ = store._series_view("m", "a")
-        n = len(series.chunks)
-        assert (len(series.chunk_spans) == len(series.chunk_ids)
-                == len(series.summaries) == len(series.chunk_hints) == n)
-        # summary-pruned queries over the survivors agree with cold reads
-        warm = store.downsample("m", "a", 0.0, 64.0, step=64.0, agg="sum")
-        cold = store.downsample("m", "a", 0.0, 64.0, step=64.0, agg="sum",
-                                prune=False)
-        assert np.array_equal(warm.times, cold.times)
-        assert np.allclose(warm.values, cold.values, rtol=1e-12)
-        assert warm.values[0] == pytest.approx(sum(range(32, 64)))
-
-    def test_import_rebuilds_summaries_for_pruned_queries(self):
-        store = TimeSeriesStore(chunk_size=16)
-        for i in range(64):
-            store.append(sweep("m", float(i), ["a"], [float(i)]))
-        store.flush()
-        key = MetricKey("m", "a")
-        chunks, spans = store.export_series(key)
-        store.evict_chunks_before(key, 64.0)
-        store.import_chunks(key, chunks, spans)
-        warm = store.downsample("m", "a", 0.0, 64.0, step=64.0, agg="sum")
-        assert warm.values[0] == pytest.approx(sum(range(64)))

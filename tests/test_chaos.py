@@ -325,3 +325,35 @@ def test_kill_and_recover_campaign_accounts_every_point(seed, tmp_path):
     comp = pipeline.tsdb.components(metric)[0]
     res = pipeline.frontend.query(metric, comp, 0.0, machine.now)
     assert len(res.times) > 0
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_crash_before_first_snapshot_recovers_the_declared_store(
+        tmp_path, shards):
+    """With no manifest on disk, recovery still rebuilds the store the
+    site declares — chunk size, pyramid levels and all — not a default
+    one the planner cannot answer from."""
+    from repro.obs.chaos import crash_and_recover
+    from repro.sites import site_capabilities
+    from repro.storage.rollup import DEFAULT_LEVELS
+
+    p = build_site(SiteConfig(store_dir=str(tmp_path), chunk_size=32,
+                              shards=shards))
+    for _ in range(60):
+        p.step()
+    p.tsdb.flush()                        # fsynced, but never snapshotted
+    _, recovery = crash_and_recover(p)
+    assert recovery.manifest_chunks == 0 and recovery.scanned_chunks > 0
+    assert p.tsdb.chunk_size == 32
+    assert p.tsdb.pyramid_levels == DEFAULT_LEVELS
+    assert site_capabilities(p) == p.site_config.capabilities()
+
+    metric = "node.cpu_util"
+    comp = p.tsdb.components(metric)[0]
+    answered = p.frontend.stats().pyramid_answers
+    got = p.frontend.downsample(metric, comp, 0.0, p.machine.now, 60.0,
+                                "mean")
+    assert len(got)
+    assert p.frontend.stats().pyramid_answers == answered + 1
+    for shard in getattr(p.tsdb, "shards", [p.tsdb]):
+        shard.disk.close()

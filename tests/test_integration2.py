@@ -19,7 +19,8 @@ from repro.cluster import (
 )
 from repro.cluster.workload import APP_LIBRARY, Job, JobGenerator
 from repro.pipeline import MonitoringPipeline, default_collectors
-from repro.storage.hierarchy import TieredStore
+from repro.sites import SiteConfig
+from repro.storage.diskier import DiskTier
 from repro.storage.tsdb import TimeSeriesStore
 
 
@@ -47,20 +48,19 @@ def faulty_pipeline(seed=5, hours=1.0):
 
 
 class TestTieredStorageInPipeline:
-    def test_archive_mid_run_queries_transparent(self):
+    def test_archive_mid_run_queries_transparent(self, tmp_path):
         topo = build_dragonfly(groups=2, chassis_per_group=3,
                                blades_per_chassis=4)
         machine = Machine(topo, placement=PackedPlacement(), seed=2)
         job = Job(APP_LIBRARY["qmc"], 16, 0.0, seed=2)
         machine.scheduler.submit(job, 0.0)
+        # a disk-backed store with small chunks (so sealed chunks age
+        # out within the test's short horizon)
         pipeline = MonitoringPipeline(
-            machine,
+            machine, SiteConfig(store_dir=str(tmp_path), chunk_size=8),
             collectors=default_collectors(machine, seed=2),
         )
-        # swap in a tiered store with small chunks (so sealed chunks
-        # age out within the test's short horizon) before data flows
-        tiered = TieredStore(TimeSeriesStore(chunk_size=8))
-        pipeline.tsdb = tiered
+        tiered = pipeline.tsdb
 
         pipeline.run(duration_s=1800.0, dt=10.0)
         moved = tiered.archive_before(900.0)
@@ -69,24 +69,30 @@ class TestTieredStorageInPipeline:
 
         node = topo.nodes[0]
         # the long-term query spans archived + live data transparently
+        assert tiered.locate_archived("node.power_w", node)
         full = tiered.query("node.power_w", node, 0.0, machine.now)
         assert full.times.min() < 900.0 < full.times.max()
-        assert tiered.reloads >= 1
+        assert tiered.disk_stats().loads >= 1
         # samples are continuous: one per collection interval
         assert len(full) == len(np.unique(full.times))
+        tiered.disk.close()
 
     def test_cold_footprint_smaller_than_hot(self, tmp_path):
-        tiered = TieredStore(TimeSeriesStore(chunk_size=32),
-                             cold_dir=tmp_path)
+        tiered = TimeSeriesStore(chunk_size=32, disk=DiskTier(tmp_path))
         rng = np.random.default_rng(0)
         from repro.core.metric import SeriesBatch
+        comps = [f"n{i}" for i in range(8)]
         for t in range(400):
             tiered.append(SeriesBatch.sweep(
-                "m", t * 60.0, [f"n{i}" for i in range(8)],
-                rng.normal(250, 5, 8)))
-        hot_before = tiered.hot.stats().compressed_bytes
+                "m", t * 60.0, comps, rng.normal(250, 5, 8)))
+        hot_before = tiered.disk_stats().hot_bytes
         tiered.archive_before(300 * 60.0)
-        assert tiered.cold_bytes() < hot_before
+        cold = sum(ref.length for c in comps
+                   for _, ref in tiered.locate_archived("m", c))
+        assert 0 < cold < hot_before
+        # archived bytes left the resident set, byte for byte
+        assert tiered.disk_stats().hot_bytes == hot_before - cold
+        tiered.disk.close()
 
 
 class TestLogMiningOverPipeline:
@@ -133,8 +139,7 @@ class TestLongTermTrend:
         from repro.analysis.trend import fit_trend
         from repro.core.metric import SeriesBatch
 
-        tiered = TieredStore(TimeSeriesStore(chunk_size=8),
-                             cold_dir=tmp_path)
+        tiered = TimeSeriesStore(chunk_size=8, disk=DiskTier(tmp_path))
         # a year of weekly samples of declining GPU health
         for week in range(52):
             t = week * 7 * 86400.0
@@ -142,9 +147,10 @@ class TestLongTermTrend:
             tiered.append(SeriesBatch.sweep("gpu.health", t,
                                             ["n0g0"], [health]))
         tiered.archive_before(26 * 7 * 86400.0)
-        assert tiered.cold_spans("gpu.health", "n0g0")
+        assert tiered.locate_archived("gpu.health", "n0g0")
         series = tiered.query("gpu.health", "n0g0", 0.0, np.inf)
         assert len(series) == 52
         fit = fit_trend(series)
         per_week = fit.slope * 7 * 86400.0
         assert per_week == pytest.approx(-0.01, rel=1e-6)
+        tiered.disk.close()
