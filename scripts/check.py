@@ -63,7 +63,7 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-CHECKED_DIRS = ("src", "tests", "benchmarks", "examples", "scripts")
+CHECKED_DIRS = ("src", "tests", "examples", "scripts")
 
 
 def python_files() -> list[Path]:

@@ -17,17 +17,6 @@ Scenarios:
                   itself: per-stage span timings, data-path
                   completeness, slowest spans, and the ``selfmon.*``
                   meta-metric series it stored about itself;
-* ``scale``       — run the same machine on all three transport tiers
-                  (flat bus, partitioned bus, aggregator tree) and
-                  print a comparison table: message volumes, drops,
-                  completeness, stored samples, and wall time — plus a
-                  storage-plane section (columnar ingest rate, cold vs
-                  warm query latency, compression ratio) and an
-                  analysis-plane section (streaming-detector sweep
-                  throughput at 27,648 components, columnar vs scalar);
-                  with ``--workers N``, also a parallel-runtime section
-                  sweeping the threaded execution model from 1 to N
-                  workers over a remote-RTT-dominated monitored run;
 * ``chaos``       — break the monitoring plane itself (raising
                   collector, hung collector, transport stall, transport
                   drop storm, TSDB shard outage) and show the
@@ -200,220 +189,6 @@ def cmd_obs(args) -> int:
         print(f"  {name:<35} {len(comps):3d} component(s), "
               f"latest={b.values[-1]:.3f}")
     return 0
-
-
-def cmd_scale(args) -> int:
-    import time as _time
-
-    specs = [
-        ("flat", dict(transport="flat")),
-        ("partitioned", dict(transport="partitioned", shards=4)),
-        ("tree", dict(transport="tree", shards=4)),
-    ]
-    print(f"running the same {args.hours:g} h scenario on each "
-          f"transport tier...")
-    rows = []
-    for label, kw in specs:
-        pipeline = _demo_site(args.seed, **kw)
-        t0 = _time.perf_counter()
-        pipeline.run(hours=args.hours, dt=10.0)
-        pipeline.bus.flush()     # deliver anything still windowed
-        wall = _time.perf_counter() - t0
-        stats = pipeline.bus.stats()
-        upstream = getattr(stats, "upstream_messages", stats.published)
-        from .obs.selfmetrics import completeness_ratio
-        rows.append((
-            label,
-            stats.published,
-            upstream,
-            stats.delivered,
-            stats.dropped,
-            completeness_ratio(stats.delivered, stats.dropped,
-                               stats.errors),
-            pipeline.tsdb.stats().samples,
-            len(pipeline.alerts.alerts),
-            wall,
-        ))
-    hdr = (f"{'transport':<12} {'published':>10} {'upstream':>10} "
-           f"{'delivered':>10} {'dropped':>8} {'complete':>9} "
-           f"{'samples':>9} {'alerts':>7} {'wall s':>7}")
-    print()
-    print(hdr)
-    print("-" * len(hdr))
-    for r in rows:
-        print(f"{r[0]:<12} {r[1]:>10} {r[2]:>10} {r[3]:>10} {r[4]:>8} "
-              f"{r[5]:>9.4f} {r[6]:>9} {r[7]:>7} {r[8]:>7.2f}")
-    flat_up, tree_up = rows[0][2], rows[2][2]
-    if tree_up:
-        print(f"\naggregator tree upstream reduction: "
-              f"{flat_up / tree_up:.1f}x fewer messages than flat "
-              f"fan-out")
-    _scale_storage_plane(args)
-    _scale_analysis_plane(args)
-    if getattr(args, "workers", None):
-        _scale_parallel_plane(args)
-    return 0
-
-
-def _scale_storage_plane(args) -> None:
-    """The storage-plane rows of ``scale``: ingest rate, cold/warm query
-    latency, and compression ratio of the vectorized TSDB data plane."""
-    import time as _time
-
-    import numpy as np
-
-    from .core.metric import SeriesBatch
-    from .storage.chunkcache import ChunkCache
-    from .storage.tsdb import TimeSeriesStore
-
-    n_comps, n_sweeps, chunk_size = 256, 2048, 512
-    comps = np.array([f"n{i:04d}" for i in range(n_comps)])
-    rng = np.random.default_rng(args.seed)
-    store = TimeSeriesStore(chunk_size=chunk_size)
-    t0 = _time.perf_counter()
-    for s in range(n_sweeps):
-        store.append(SeriesBatch("node.power_w", comps,
-                                 np.full(n_comps, 60.0 * s),
-                                 rng.normal(250.0, 15.0, n_comps)))
-    ingest_wall = _time.perf_counter() - t0
-    store.flush()
-    stats = store.stats()
-    span = n_sweeps * 60.0
-    step = chunk_size * 60.0 * 2    # buckets swallow whole chunks
-
-    def timed(prune, cache):
-        st = TimeSeriesStore(chunk_size=chunk_size, cache=cache)
-        st._series = store._series    # share the sealed data read-only
-        best = float("inf")
-        for _ in range(5):
-            w0 = _time.perf_counter()
-            for c in comps[:8]:
-                st.downsample("node.power_w", str(c), 0.0, span, step,
-                              "mean", prune=prune)
-            best = min(best, _time.perf_counter() - w0)
-        return best / 8.0
-
-    cold = timed(prune=False, cache=ChunkCache(max_bytes=0))
-    warm = timed(prune=True, cache=ChunkCache())
-    print(f"\nstorage plane ({n_comps} series x {n_sweeps} sweeps, "
-          f"chunk_size={chunk_size}):")
-    print(f"  ingest rate       {stats.samples / ingest_wall:12,.0f} "
-          f"samples/s (batch append)")
-    print(f"  cold query        {1e3 * cold:12.3f} ms/series "
-          f"(decompress every chunk)")
-    print(f"  warm query        {1e3 * warm:12.3f} ms/series "
-          f"(chunk summaries, {cold / warm:.1f}x faster)")
-    print(f"  compression ratio {stats.compression_ratio:12.1f}x "
-          f"({stats.compressed_bytes:,} B for "
-          f"{stats.raw_bytes:,} B raw)")
-
-
-def _scale_analysis_plane(args) -> None:
-    """The analysis-plane rows of ``scale``: streaming-detector sweep
-    throughput at Trinity scale, columnar kernels vs the retained
-    scalar references."""
-    import time as _time
-
-    import numpy as np
-
-    from .analysis.anomaly import _sweep_outliers_slow, sweep_outliers
-    from .analysis.streaming import (
-        ScalarStreamingRateWatch,
-        ScalarStreamingStats,
-        StreamingRateWatch,
-        StreamingStats,
-    )
-    from .core.metric import SeriesBatch
-
-    n, n_sweeps = 27648, 3
-    comps = np.array([f"n{i:05d}" for i in range(n)], dtype=object)
-    rng = np.random.default_rng(args.seed)
-    power = [SeriesBatch("node.power_w", comps, np.full(n, 60.0 * k),
-                         rng.normal(250.0, 15.0, n))
-             for k in range(n_sweeps)]
-    base = rng.integers(0, 3, n).astype(float)
-    counter = [SeriesBatch("gpu.ecc_dbe", comps, np.full(n, 60.0 * k),
-                           base + 0.05 * k)
-               for k in range(n_sweeps)]
-
-    def best_of(fn, repeats=3):
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = _time.perf_counter()
-            fn()
-            best = min(best, _time.perf_counter() - t0)
-        return best
-
-    def run_stats(cls):
-        st = cls()
-        for b in power:
-            st.observe(b)
-
-    def run_outliers(fn):
-        for b in power:
-            fn(b, z_threshold=5.0)
-
-    def run_watch(cls):
-        w = cls("gpu.ecc_dbe", max_rate_per_s=0.5)
-        for b in counter:
-            w.observe(b)
-
-    pairs = [
-        ("streaming stats",
-         lambda: run_stats(ScalarStreamingStats),
-         lambda: run_stats(StreamingStats)),
-        ("sweep outliers",
-         lambda: run_outliers(_sweep_outliers_slow),
-         lambda: run_outliers(sweep_outliers)),
-        ("rate watch",
-         lambda: run_watch(ScalarStreamingRateWatch),
-         lambda: run_watch(StreamingRateWatch)),
-    ]
-    total = n * n_sweeps
-    print(f"\nanalysis plane ({n:,}-component sweeps x {n_sweeps}):")
-    slow_sum = fast_sum = 0.0
-    for label, slow_fn, fast_fn in pairs:
-        slow = best_of(slow_fn)
-        fast = best_of(fast_fn)
-        slow_sum += slow
-        fast_sum += fast
-        print(f"  {label:<17} scalar {total / slow:11,.0f} samples/s"
-              f" -> columnar {total / fast:12,.0f} samples/s"
-              f" ({slow / fast:5.1f}x)")
-    print(f"  combined detector speedup: {slow_sum / fast_sum:.1f}x")
-
-
-def _scale_parallel_plane(args) -> None:
-    """The parallel-runtime rows of ``scale --workers N``: the full
-    monitored sweep at Trinity scale on 1, 2, ..., N workers, with the
-    remote-I/O latency model on the scrape and store-write edges."""
-    from .runtime.scaling import (
-        DEFAULT_COMPONENTS,
-        DEFAULT_FLEETS,
-        sweep_workers,
-    )
-
-    top = max(1, int(args.workers))
-    counts = sorted({1, min(2, top), top})
-    n_steps = max(2, int(args.hours * 3600.0 / 10.0) // 18) \
-        if args.hours < 1.0 else 20
-    print(f"\nparallel runtime ({DEFAULT_COMPONENTS:,} components / "
-          f"{DEFAULT_FLEETS} remote fleets, {n_steps} monitored steps "
-          f"per arm):")
-    rows = sweep_workers(counts, n_steps=n_steps, seed=args.seed)
-    hdr = (f"  {'workers':>7} {'wall s':>8} {'steps/s':>8} "
-           f"{'speedup':>8} {'busy':>6} {'samples':>9}")
-    print(hdr)
-    print("  " + "-" * (len(hdr) - 2))
-    for r in rows:
-        busy = r["executor"]["busy_fraction"]
-        print(f"  {r['workers']:>7} {r['wall_s']:>8.2f} "
-              f"{r['steps_per_s']:>8.2f} {r['speedup']:>7.2f}x "
-              f"{busy:>6.2f} {r['samples']:>9,}")
-    best = rows[-1]
-    print(f"  -> {best['workers']} workers hide "
-          f"{best['rtt_paid_s']:.1f} s of remote RTT per arm: "
-          f"{best['speedup']:.1f}x the serial step loop")
 
 
 def cmd_chaos(args) -> int:
@@ -837,7 +612,6 @@ COMMANDS = {
     "registry": cmd_registry,
     "dashboard": cmd_dashboard,
     "obs": cmd_obs,
-    "scale": cmd_scale,
     "chaos": cmd_chaos,
     "store": cmd_store,
     "slo": cmd_slo,
@@ -860,9 +634,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output (obs scenario)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="scale scenario: also sweep the parallel "
-                             "runtime up to N workers; sites scenario: "
-                             "fan site ticks over N threads")
+                        help="sites scenario: fan site ticks over N "
+                             "threads")
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.scenario](args)

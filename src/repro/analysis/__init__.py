@@ -51,8 +51,6 @@ from .stats import (
 )
 from .streaming import (
     RunningMoments,
-    ScalarStreamingRateWatch,
-    ScalarStreamingStats,
     StreamingOutlierDetector,
     StreamingRateWatch,
     StreamingStats,
@@ -107,8 +105,6 @@ __all__ = [
     "robust_zscores",
     "rolling_mean",
     "RunningMoments",
-    "ScalarStreamingRateWatch",
-    "ScalarStreamingStats",
     "StreamingOutlierDetector",
     "StreamingRateWatch",
     "StreamingStats",

@@ -62,18 +62,20 @@ def sweep_outliers(
     hung nodes in power sweeps, one slow OST in a latency sweep, one hot
     link in a stall sweep.  The finite+threshold mask is computed over
     the whole sweep first; ``Detection`` objects exist only for the
-    (rare) hits, already ordered by descending |z|.
+    (rare) hits, already ordered by descending |z|.  Only a non-finite
+    *sample* is exempt: an extreme finite reading whose score overflows
+    to ``±inf`` (:func:`robust_zscores`) is the outlier of the sweep.
     """
     if len(batch) < 4:
         return []
-    z = robust_zscores(batch.values)
+    v = batch.values
+    z = robust_zscores(v)
     az = np.abs(z)
-    idx = np.flatnonzero(np.isfinite(z) & (az >= z_threshold))
+    idx = np.flatnonzero(np.isfinite(v) & (az >= z_threshold))
     if not len(idx):
         return []
     idx = idx[np.argsort(-az[idx], kind="stable")]
     t = batch.times
-    v = batch.values
     comps = batch.components
     return [
         Detection(
@@ -97,7 +99,7 @@ def _sweep_outliers_slow(
     z = robust_zscores(batch.values)
     out = []
     for c, t, v, zi in zip(batch.components, batch.times, batch.values, z):  # per-sample: allowed
-        if np.isfinite(zi) and abs(zi) >= z_threshold:
+        if np.isfinite(v) and abs(zi) >= z_threshold:
             out.append(
                 Detection(
                     time=float(t),

@@ -21,14 +21,35 @@ __all__ = [
 _MAD_TO_SIGMA = 1.4826
 
 
+def _ieee_scores() -> np.errstate:
+    """Context the median/MAD scores are computed under.
+
+    Arithmetic is IEEE-754 and overflow is part of the answer: a finite
+    sample whose deviation over the scale exceeds float64 range scores
+    ``±inf`` — further out than any threshold, so callers must judge
+    "is this a real reading" by the finiteness of the *sample*, never
+    of its score.  When the spread itself overflows, the scale is
+    ``inf``: every representable deviation scores 0 and an overflowed
+    one scores NaN (``inf/inf``), as does everything when the median
+    overflows — and no threshold comparison passes NaN.
+    numpy reports those defined results as "overflow" / "invalid value"
+    ``RuntimeWarning``s; this silences exactly those two flags in
+    :func:`mad` and :func:`robust_zscores`, so any other floating-point
+    warning out of this module is a real defect (the test suite turns
+    them into errors).
+    """
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def mad(x: np.ndarray) -> float:
     """Median absolute deviation, scaled to estimate sigma."""
     x = np.asarray(x, dtype=float)
     x = x[np.isfinite(x)]
     if len(x) == 0:
         return float("nan")
-    med = np.median(x)
-    return float(_MAD_TO_SIGMA * np.median(np.abs(x - med)))
+    with _ieee_scores():
+        med = np.median(x)
+        return float(_MAD_TO_SIGMA * np.median(np.abs(x - med)))
 
 
 def robust_zscores(x: np.ndarray) -> np.ndarray:
@@ -36,22 +57,26 @@ def robust_zscores(x: np.ndarray) -> np.ndarray:
 
     Contaminated samples barely move the median, so one screaming
     component cannot hide itself by inflating the scale estimate — the
-    failure mode plain z-scores have on small sweeps.
+    failure mode plain z-scores have on small sweeps.  Non-finite
+    samples are excluded from median and MAD; extreme finite ones score
+    by the IEEE rules of :func:`_ieee_scores`.
     """
     x = np.asarray(x, dtype=float)
     finite = x[np.isfinite(x)]
     if len(finite) == 0:
         return np.zeros_like(x)
-    med = float(np.median(finite))
-    scale = mad(x)
-    if not np.isfinite(scale) or scale == 0.0:
-        # degenerate bulk (e.g. every idle node at exactly idle power):
-        # fall back to the mean absolute deviation, which a single
-        # outlier CAN move — scaled to be sigma-consistent for normals
-        scale = 1.2533 * float(np.mean(np.abs(finite - med)))
-    if scale == 0.0:
-        return np.zeros_like(x)   # literally constant: nothing to flag
-    return (x - med) / scale
+    with _ieee_scores():
+        med = float(np.median(finite))
+        scale = mad(x)
+        if not np.isfinite(scale) or scale == 0.0:
+            # degenerate bulk (e.g. every idle node at exactly idle
+            # power): fall back to the mean absolute deviation, which a
+            # single outlier CAN move — scaled to be sigma-consistent
+            # for normals
+            scale = 1.2533 * float(np.mean(np.abs(finite - med)))
+        if scale == 0.0:
+            return np.zeros_like(x)   # literally constant: nothing to flag
+        return (x - med) / scale
 
 
 def ewma(x: np.ndarray, alpha: float) -> np.ndarray:

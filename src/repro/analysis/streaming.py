@@ -28,8 +28,7 @@ Trinity-scale 27,648-component sweep costs a few numpy kernels rather
 than O(components) interpreter iterations.  The original per-sample
 implementations are retained as :class:`ScalarStreamingStats` and
 :class:`ScalarStreamingRateWatch` — the reference implementations the
-property tests hold the columnar kernels equivalent to, and the
-baselines the throughput benchmarks measure against.
+property tests hold the columnar kernels equivalent to.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import numpy as np
 
 from ..core.metric import MetricKey, SeriesBatch
 from ..obs.hist import LatencyHistogram
-from .anomaly import Detection, _sweep_outliers_slow, sweep_outliers
+from .anomaly import Detection, sweep_outliers
 from .soa import ComponentTable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -265,13 +264,12 @@ class StreamingOutlierDetector(_BusAttached):
         self.min_sweep = int(min_sweep)
         self._detections: list[Detection] = []
         self.sweeps_checked = 0
-        self._sweep_fn = sweep_outliers
 
     def observe(self, batch: SeriesBatch) -> None:
         if batch.metric not in self.metrics or len(batch) < self.min_sweep:
             return
         self.sweeps_checked += 1
-        found = self._sweep_fn(batch, z_threshold=self.z_threshold)
+        found = sweep_outliers(batch, z_threshold=self.z_threshold)
         if found:
             self._detections.extend(found)
             self.detections_total += len(found)
@@ -280,14 +278,6 @@ class StreamingOutlierDetector(_BusAttached):
         out = self._detections
         self._detections = []
         return out
-
-
-class ScalarStreamingOutlierDetector(StreamingOutlierDetector):
-    """Reference variant driving the per-sample ``sweep_outliers``."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._sweep_fn = _sweep_outliers_slow
 
 
 class StreamingRateWatch(_BusAttached):

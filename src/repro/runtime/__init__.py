@@ -1,10 +1,4 @@
-"""Parallel runtime: pluggable execution models for the tick loop.
-
-Kept intentionally thin: only the executor abstractions and the
-simulated-latency wrappers are re-exported here.  The scaling harness
-(:mod:`repro.runtime.scaling`) imports the pipeline and must be
-imported explicitly to keep this package free of import cycles.
-"""
+"""Parallel runtime: pluggable execution models for the tick loop."""
 
 from repro.runtime.executor import (
     ExecStats,
@@ -13,7 +7,6 @@ from repro.runtime.executor import (
     ThreadedExecutor,
     make_executor,
 )
-from repro.runtime.latency import LatentStore, RemoteFleetCollector
 
 __all__ = [
     "ExecStats",
@@ -21,6 +14,4 @@ __all__ = [
     "SerialExecutor",
     "ThreadedExecutor",
     "make_executor",
-    "LatentStore",
-    "RemoteFleetCollector",
 ]

@@ -17,10 +17,10 @@ makes the concurrency a deployment knob:
     and aggregation-tree leaf coalescing
     (:meth:`repro.transport.aggtree.AggregatorTree.pump`).  Threads —
     not processes — because every plane shares in-process state
-    (stores, ledgers, simulated machine) that does not pickle; the
-    wall-clock win comes from overlapping the simulated remote RTTs of
-    distributed daemons (:mod:`repro.runtime.latency`), which release
-    the GIL while they wait.
+    (stores, ledgers, simulated machine) that does not pickle; what
+    the pool buys is the bench ledger's
+    ``runtime.worker_busy_ms_per_tick`` against
+    ``runtime.barrier_wait_ms_per_tick``.
 
 The determinism contract both models honour: workers only ever run
 *pure compute* (a collector reading the frozen machine state, a shard

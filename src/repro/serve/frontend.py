@@ -75,12 +75,14 @@ class ServeStats:
 class QueryFrontend:
     """Multi-tenant read path over one store (plain or sharded).
 
-    The store is duck-typed: anything with the
-    :class:`~repro.storage.tsdb.SeriesQueryMixin` surface works.  Stores
-    that also expose ``query_epoch`` get result caching; stores whose
-    series carry rollup pyramids (``pyramid_levels=...``) get planner
-    answers; everything else transparently falls back — same answers,
-    fewer shortcuts.
+    The store is a :class:`~repro.storage.tsdb.TimeSeriesStore` or a
+    :class:`~repro.storage.sharded.ShardedTimeSeriesStore`: both carry
+    the :class:`~repro.storage.tsdb.SeriesQueryMixin` surface plus
+    ``query_epoch`` (the result cache's validity token),
+    ``_series_view`` and ``pyramid_levels``.  Series that carry rollup
+    pyramids (``pyramid_levels=...``) get planner answers; a store
+    built without them answers everything from the raw path — same
+    answers, fewer shortcuts.
     """
 
     def __init__(
@@ -95,7 +97,6 @@ class QueryFrontend:
         self.result_cache = cache if cache is not None else QueryResultCache()
         self.governor = TenantGovernor(quotas, default=default_quota,
                                        clock=clock)
-        self._epoch_of = getattr(store, "query_epoch", None)
         self._lock = threading.Lock()
         self._queries = 0
         self._rejected = 0
@@ -113,9 +114,7 @@ class QueryFrontend:
         return ok
 
     def _cached(self, plan: QueryPlan):
-        if self._epoch_of is None:
-            return None, 0
-        epoch = self._epoch_of(plan.metric)
+        epoch = self.store.query_epoch(plan.metric)
         return self.result_cache.get(plan, epoch), epoch
 
     def _note_answer(self, pyramid: bool) -> None:
@@ -147,8 +146,7 @@ class QueryFrontend:
             if hit is not None:
                 return hit
             batch = self.store.query(metric, component, t0, t1)
-            if self._epoch_of is not None:
-                self.result_cache.put(plan, epoch, batch)
+            self.result_cache.put(plan, epoch, batch)
             return batch
         finally:
             self.governor.release(tenant)
@@ -169,8 +167,7 @@ class QueryFrontend:
             if hit is not None:
                 return hit
             out = self.store.query_components(metric, components, t0, t1)
-            if self._epoch_of is not None:
-                self.result_cache.put(plan, epoch, out)
+            self.result_cache.put(plan, epoch, out)
             return out
         finally:
             self.governor.release(tenant)
@@ -186,8 +183,7 @@ class QueryFrontend:
             if hit is not None:
                 return hit
             batch = self._answer_downsample(plan)
-            if self._epoch_of is not None:
-                self.result_cache.put(plan, epoch, batch)
+            self.result_cache.put(plan, epoch, batch)
             return batch
         finally:
             self.governor.release(tenant)
@@ -210,8 +206,7 @@ class QueryFrontend:
             if hit is not None:
                 return hit
             batch = self._answer_aggregate(plan)
-            if self._epoch_of is not None:
-                self.result_cache.put(plan, epoch, batch)
+            self.result_cache.put(plan, epoch, batch)
             return batch
         finally:
             self.governor.release(tenant)
@@ -235,14 +230,10 @@ class QueryFrontend:
     def _series_for(self, metric: str, component: str):
         """(series, chunk cache) when the series is readable and carries
         a pyramid; None otherwise."""
-        view = getattr(self.store, "_series_view", None)
-        if view is None:
+        if not self.store.series_readable(metric, component):
             return None
-        readable = getattr(self.store, "series_readable", None)
-        if readable is not None and not readable(metric, component):
-            return None
-        sv = view(metric, component)
-        if sv is None or getattr(sv[0], "pyramid", None) is None:
+        sv = self.store._series_view(metric, component)
+        if sv is None or sv[0].pyramid is None:
             return None
         return sv
 
@@ -303,12 +294,9 @@ class QueryFrontend:
         for c in comps:
             sv = self._series_for(plan.metric, c)
             if sv is None:
-                if getattr(self.store, "_series_view", None) is None:
-                    return None
                 # distinguish "no such readable series" (skip, like the
                 # raw path's empty batch) from "series has no pyramid"
-                readable = getattr(self.store, "series_readable", None)
-                if ((readable is None or readable(plan.metric, c))
+                if (self.store.series_readable(plan.metric, c)
                         and self.store._series_view(plan.metric, c)
                         is not None):
                     return None    # pyramid-less series: fall back
@@ -325,7 +313,7 @@ class QueryFrontend:
         if abs(t0) > MAX_PLANNER_TIME:
             return None
         anchor = bucket_anchor(t0, plan.step)
-        levels = getattr(self.store, "pyramid_levels", None)
+        levels = self.store.pyramid_levels
         if not levels:
             return None
         level = choose_level(levels, plan.step, anchor)

@@ -764,6 +764,11 @@ class SeriesQueryMixin:
     never decompressed.
     """
 
+    def series_readable(self, metric: str, component: str) -> bool:
+        """Whether reads of this series currently reach its data (a
+        sharded store says no while the owning shard is failed)."""
+        return True
+
     def query_components(
         self,
         metric: str,

@@ -9,10 +9,12 @@ samples nor lets them poison running state.
 """
 
 import numpy as np
+import pytest
 
 from repro.analysis.anomaly import (
     CusumDetector,
     EwmaDetector,
+    _sweep_outliers_slow,
     iqr_outliers,
     sweep_outliers,
 )
@@ -85,6 +87,21 @@ class TestSweepOutliers:
         comps = np.array([f"n{i}" for i in range(8)], dtype=object)
         b = SeriesBatch.sweep("node.power_w", 0.0, comps, np.full(8, NAN))
         assert sweep_outliers(b, z_threshold=1.0) == []
+
+    @pytest.mark.parametrize("big", [1e6, 1e300])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extreme_finite_reading_is_the_outlier(self, big):
+        """A finite reading whose score overflows to inf is still a
+        reading: only a non-finite *sample* is exempt."""
+        comps = np.array([f"c{i}" for i in range(5)], dtype=object)
+        b = SeriesBatch("m", comps, np.zeros(5),
+                        np.array([big, 1e-300, 2e-300, 3e-300, 0.0]))
+        assert robust_zscores(b.values)[0] > 1e300
+        det = StreamingOutlierDetector(("m",), min_sweep=4)
+        det.observe(b)
+        for found in (sweep_outliers(b), _sweep_outliers_slow(b),
+                      det.drain()):
+            assert [d.component for d in found] == ["c0"]
 
 
 class TestStreamingStateIsNotPoisoned:

@@ -100,8 +100,8 @@ class TestDriftImpact:
         print(f"\nafter resync: {100 * acc:.1f}% pairs correct")
         assert acc > 0.99
 
-    def test_bench_order_accuracy(self, benchmark):
+    def test_bench_order_accuracy(self):
         truth = make_trail()
         stamped = stamp_with_drift(truth, 0.05)
-        acc = benchmark(order_accuracy, truth, stamped)
+        acc = order_accuracy(truth, stamped)
         assert 0.0 <= acc <= 1.0

@@ -78,10 +78,10 @@ class TestFidelityTradeoff:
         # and must cost proportionally more samples
         assert rows[0][2] > 10 * rows[-1][2]
 
-    def test_bench_collection_sweep_cost(self, benchmark):
+    def test_bench_collection_sweep_cost(self):
         topo = build_dragonfly(groups=2, chassis_per_group=3,
                                blades_per_chassis=4)
         machine = Machine(topo, seed=1)
         collector = SedcCollector(interval_s=60.0)
-        out = benchmark(collector.collect, machine, 60.0)
+        out = collector.collect(machine, 60.0)
         assert out.n_samples == 3 * len(topo.nodes)

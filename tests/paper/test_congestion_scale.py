@@ -52,11 +52,10 @@ class TestScaling:
 
     @pytest.mark.parametrize("name", ["dragonfly-m", "dragonfly-l",
                                       "torus-l"])
-    def test_bench_region_detection(self, benchmark, name):
+    def test_bench_region_detection(self, name):
         topo = SIZES[name]()
         net = hot_network(topo)
-        regions = benchmark(congestion_regions, topo,
-                            net.link_stall_ratio, 2)
+        regions = congestion_regions(topo, net.link_stall_ratio, 2)
         assert regions
 
     def test_adaptive_routing_shrinks_victim_impact(self):
@@ -85,7 +84,7 @@ class TestScaling:
         assert detours > 0
         assert bw_ada >= bw_min
 
-    def test_bench_traffic_step_large_dragonfly(self, benchmark):
+    def test_bench_traffic_step_large_dragonfly(self):
         topo = SIZES["dragonfly-l"]()
         net = NetworkState(topo, seed=1)
         rng = np.random.default_rng(2)
@@ -96,5 +95,5 @@ class TestScaling:
             if i != j
         ]
         net.step(1.0, flows)     # warm the route cache
-        benchmark(net.step, 1.0, flows)
+        net.step(1.0, flows)
         assert net.cum_traffic_flits.sum() > 0

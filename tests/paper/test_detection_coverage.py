@@ -189,13 +189,10 @@ def test_fault_detected(name, factory, gpu, expected):
     print(f"\n  {name:22} -> caught by {sorted(paths)}")
 
 
-def test_bench_coverage_run(benchmark):
-    """Timing reference: one full fault-scenario pipeline run."""
-    pipeline, _ = benchmark.pedantic(
-        lambda: run_with_fault(
-            lambda m: HungNode(start=600.0, node=m.topo.nodes[3]),
-            hours=0.5,
-        ),
-        rounds=1, iterations=1,
+def test_bench_coverage_run():
+    """One full fault-scenario pipeline run, half the matrix's span."""
+    pipeline, _ = run_with_fault(
+        lambda m: HungNode(start=600.0, node=m.topo.nodes[3]),
+        hours=0.5,
     )
     assert pipeline.alerts.alerts

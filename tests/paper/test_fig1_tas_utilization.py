@@ -10,7 +10,7 @@ the post-TAS epoch must show clearly higher achieved injection.
 import pytest
 
 from repro.viz.figures import figure1_tas
-from scenarios import tas_scenario
+from tests.paper.scenarios import tas_scenario
 
 SIM_S = 1800.0
 
@@ -63,9 +63,7 @@ class TestFigure1:
         assert post_stall.mean() < pre_stall.mean()
         assert post_hot < pre_hot
 
-    def test_bench_figure_regeneration(self, epochs, benchmark):
+    def test_bench_figure_regeneration(self, epochs):
         tsdb, _, _ = epochs
-        fig = benchmark(
-            figure1_tas, tsdb, (0.0, SIM_S), (SIM_S, 2 * SIM_S)
-        )
+        fig = figure1_tas(tsdb, (0.0, SIM_S), (SIM_S, 2 * SIM_S))
         assert fig.summary["post_over_pre"] > 1.2

@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis.variability import attribute_window, detect_degradations
 from repro.viz.figures import figure2_benchmarks
-from scenarios import benchmark_tracking_scenario
+from tests.paper.scenarios import benchmark_tracking_scenario
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +49,7 @@ class TestFigure2:
         report = attribute_window(win, [], truth, slack_s=600.0)
         assert any(f["name"] == "slow_ost" for f in report["faults"])
 
-    def test_bench_figure_regeneration(self, tracked, benchmark):
+    def test_bench_figure_regeneration(self, tracked):
         p = tracked
-        fig = benchmark(figure2_benchmarks, p.tsdb, 0.0, p.machine.now)
+        fig = figure2_benchmarks(p.tsdb, 0.0, p.machine.now)
         assert fig.panels

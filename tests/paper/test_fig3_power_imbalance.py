@@ -12,7 +12,7 @@ import pytest
 from repro.analysis.powersig import detect_load_imbalance
 from repro.core.metric import SeriesBatch
 from repro.viz.figures import figure3_power
-from scenarios import power_imbalance_scenario
+from tests.paper.scenarios import power_imbalance_scenario
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,7 @@ class TestFigure3:
         assert finding.detected
         assert finding.hot_cabinets  # names the overloaded cabinet
 
-    def test_bench_figure_regeneration(self, imbalanced, benchmark):
+    def test_bench_figure_regeneration(self, imbalanced):
         p, _ = imbalanced
-        fig = benchmark(figure3_power, p.tsdb, 0.0, p.machine.now)
+        fig = figure3_power(p.tsdb, 0.0, p.machine.now)
         assert fig.summary["max_cabinet_spread"] > 1.5

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.viz.figures import figure4_drilldown
-from scenarios import io_spike_scenario
+from tests.paper.scenarios import io_spike_scenario
 
 
 @pytest.fixture(scope="module")
@@ -56,9 +56,8 @@ class TestFigure4:
         back = from_csv(csv)
         assert back
 
-    def test_bench_drilldown_workflow(self, spiked, benchmark):
+    def test_bench_drilldown_workflow(self, spiked):
         p, io_job = spiked
-        fig, result = benchmark(
-            figure4_drilldown, p.tsdb, p.jobs, 0.0, p.machine.now
-        )
+        fig, result = figure4_drilldown(p.tsdb, p.jobs, 0.0,
+                                        p.machine.now)
         assert result.job_id == io_job.id

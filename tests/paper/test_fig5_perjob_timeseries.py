@@ -14,7 +14,7 @@ import pytest
 
 from repro.viz.figures import figure5_perjob
 from repro.viz.render import from_csv
-from scenarios import io_spike_scenario
+from tests.paper.scenarios import io_spike_scenario
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,7 @@ class TestFigure5:
         assert np.allclose(back[key].values[finite],
                            original.values[finite])
 
-    def test_bench_perjob_extraction(self, spiked, benchmark):
+    def test_bench_perjob_extraction(self, spiked):
         p, job = spiked
-        fig = benchmark(figure5_perjob, p.tsdb, p.jobs, job.id)
+        fig = figure5_perjob(p.tsdb, p.jobs, job.id)
         assert fig.panels

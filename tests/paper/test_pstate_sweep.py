@@ -77,8 +77,6 @@ class TestPstateSweep:
               f"{100 * (rt_best / rt_full - 1):.0f}% more runtime")
         assert e_best <= e_full
 
-    def test_bench_single_run(self, benchmark):
-        rt, e = benchmark.pedantic(
-            lambda: run_at_pstate(0.8), rounds=1, iterations=1
-        )
+    def test_bench_single_run(self):
+        rt, e = run_at_pstate(0.8)
         assert rt > 0 and e > 0

@@ -158,6 +158,28 @@ class TestSweepOutliersEquivalence:
         assert same_detections(sweep_outliers(b, z_threshold=z),
                                _sweep_outliers_slow(b, z_threshold=z))
 
+    def test_titan_scale_sweep_flags_exactly_the_planted(self):
+        """One 27,648-row synchronized sweep (the paper's largest
+        machine) with five readings planted 400 W above a 250 +/- 15 W
+        bulk: both kernels name those five and nothing else."""
+        n = 27_648
+        rng = np.random.default_rng(7)
+        power = rng.normal(250.0, 15.0, n)
+        planted = rng.choice(n, 5, replace=False)
+        power[planted] += 400.0
+        comps = np.array([f"c{i:05d}" for i in range(n)], dtype=object)
+        sweep = SeriesBatch.sweep("node.power_w", 0.0, comps, power)
+        fast = sweep_outliers(sweep, 6.0)
+        assert {d.component for d in fast} == set(comps[planted])
+        assert len(fast) == 5
+        assert same_detections(fast, _sweep_outliers_slow(sweep, 6.0))
+        stats, ref = StreamingStats(), ScalarStreamingStats()
+        stats.observe(sweep)
+        ref.observe(sweep)
+        assert stats.series_count() == ref.series_count() == n
+        got, want = (s.get("node.power_w", "c00000") for s in (stats, ref))
+        assert got.n == want.n == 1 and got.mean == want.mean == power[0]
+
 
 class TestRateWatchEquivalence:
     @given(bs=st.lists(batches(metric="ctr", max_size=16),

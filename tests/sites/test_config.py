@@ -12,6 +12,7 @@ regenerated Table I machine-checkable instead of hand-maintained.
 import numpy as np
 import pytest
 
+from repro.obs.trace import Tracer
 from repro.pipeline import MonitoringPipeline
 from repro.serve.quota import TenantQuota
 from repro.sites import (
@@ -204,6 +205,12 @@ class TestSinglePath:
         pipeline.bus.flush()
         report = pipeline.delivery_report()
         assert report.balanced and report.unaccounted == 0
+        assert report.lost == 0
+        # fault-free: every stage has a breaker record and none moved
+        health = pipeline.health_report()
+        assert any(name.startswith("stage:") for name in health)
+        assert all(rec["state"] == "ok" for rec in health.values())
+        assert pipeline.supervisor.transitions == []
 
     def test_pipeline_always_carries_its_config(self):
         config = SiteConfig(shards=2, workers=2, tick_s=30.0, name="s")
@@ -250,9 +257,20 @@ class TestSinglePath:
     def test_planes_switched_off_in_the_config_are_absent(self):
         config = SiteConfig(selfmon_interval_s=None, supervision=False,
                             freshness=False)
-        for p in (build_site(config),
+        built = build_site(config,
+                           overrides={"tracer": Tracer(enabled=False)})
+        for p in (built,
                   MonitoringPipeline(build_machine(config), config)):
             assert p.selfmon is None
             assert p.supervisor is None
             assert p.ledger is None
             assert p.freshness is None
+        # ... and a run with them off pays and leaves nothing
+        built.run(duration_s=200.0, dt=10.0)
+        assert built.tsdb.stats().samples > 0
+        assert built.delivery_report() is None
+        assert built.health_report() == {}
+        assert not built.scheduler.trace_batches
+        assert built.tracer.aggregate() == {}
+        assert not any(k.metric.startswith("selfmon.")
+                       for k in built.tsdb.keys())

@@ -75,32 +75,6 @@ class TestCli:
         assert ("sum(per-hop latency) == end-to-end latency exactly"
                 in proc.stdout)
 
-    def test_scale_compares_transport_tiers(self):
-        proc = run_cli("scale", "--hours", "0.1")
-        assert proc.returncode == 0
-        for tier in ("flat", "partitioned", "tree"):
-            assert tier in proc.stdout
-        for column in ("published", "upstream", "delivered", "dropped",
-                       "complete", "samples", "wall s"):
-            assert column in proc.stdout
-        assert "upstream reduction" in proc.stdout
-        assert "storage plane" in proc.stdout
-        for row in ("ingest rate", "cold query", "warm query",
-                    "compression ratio"):
-            assert row in proc.stdout
-        assert "analysis plane" in proc.stdout
-        for row in ("streaming stats", "sweep outliers", "rate watch",
-                    "combined detector speedup"):
-            assert row in proc.stdout
-
-    def test_scale_workers_sweeps_parallel_runtime(self):
-        proc = run_cli("scale", "--hours", "0.05", "--workers", "4")
-        assert proc.returncode == 0
-        assert "parallel runtime" in proc.stdout
-        for column in ("workers", "steps/s", "speedup", "busy"):
-            assert column in proc.stdout
-        assert "hide" in proc.stdout      # the RTT-hiding summary line
-
     def test_chaos_scenario_recovers_and_reconciles(self):
         proc = run_cli("chaos", "--hours", "1.2")
         assert proc.returncode == 0
