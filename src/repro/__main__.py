@@ -41,11 +41,11 @@ Scenarios:
                   silence;
 * ``serve``       — ingest on a sharded store, then drive dashboard
                   query rounds for two tenants through the serving
-                  plane: rollup-pyramid planner answers, result-cache
-                  hit ratios, per-tenant admission accounting (a
-                  burst-limited guest is shed), and an exactness
-                  spot-check of every planner answer against the raw
-                  decompress path;
+                  plane: answers read from rollup-pyramid rows,
+                  result-cache hit ratios, per-tenant admission
+                  accounting (a burst-limited guest is shed), and an
+                  exactness spot-check of every bucketed answer against
+                  the raw decompress path;
 * ``sites``       — stand up all ten paper sites from their declarative
                   configs on one simulated clock, run a short campaign,
                   and print the regenerated Table I capability matrix
@@ -477,7 +477,7 @@ def cmd_serve(args) -> int:
                 if comps:
                     fe.downsample(m, comps[0], 0.0, t1, 60.0,
                                   agg="mean", tenant=tenant)
-    # exactness spot-check: planner answers against the store's
+    # exactness spot-check: bucketed answers against the store's
     # forced-decompress raw path
     exact = True
     for m in metrics:
@@ -494,8 +494,8 @@ def cmd_serve(args) -> int:
     print()
     print(f"queries: {s.queries} total, {s.admitted} admitted, "
           f"{s.rejected} shed")
-    print(f"planner: {s.pyramid_answers} pyramid answers, "
-          f"{s.raw_answers} raw fallbacks "
+    print(f"bucketed reads: {s.pyramid_answers} pyramid answers, "
+          f"{s.raw_answers} from summaries and samples only "
           f"({100 * s.pyramid_ratio:.0f}% from rollups)")
     print(f"result cache: {s.cache.hits} hits / "
           f"{s.cache.hits + s.cache.misses} lookups "

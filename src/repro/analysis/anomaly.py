@@ -137,10 +137,7 @@ class ThresholdDetector:
             return []
         comps = batch.components
         clist = comps.tolist()
-        if len(set(clist)) != len(clist):
-            # repeated components interleave breach/clear per sample;
-            # only the scalar walk preserves that ordering
-            return self._check_slow(batch)
+        n = len(clist)
         v = batch.values
         if self.above:
             breached = v > self.threshold
@@ -148,36 +145,52 @@ class ThresholdDetector:
         else:
             breached = v < self.threshold
             cleared = v > self.clear_level
-        firing = self._firing
-        if firing:
-            f0 = np.fromiter((c in firing for c in clist),
-                             dtype=bool, count=len(clist))
+        if len(set(clist)) == n:
+            passes = [np.arange(n)]
         else:
-            f0 = np.zeros(len(clist), dtype=bool)
-        t = batch.times
-        out = []
-        for i in np.flatnonzero(breached & ~f0).tolist():
-            comp = str(comps[i])
-            firing.add(comp)
-            out.append(
-                Detection(
-                    time=float(t[i]),
-                    metric=self.metric,
-                    component=comp,
-                    score=float(v[i] - self.threshold)
-                    if self.above
-                    else float(self.threshold - v[i]),
-                    kind="threshold",
-                    detail=f"value={v[i]:.4g} threshold={self.threshold:g}",
-                )
-            )
-        if firing:
+            # repeated components interleave breach/clear per sample:
+            # rank each sample by its occurrence index within its
+            # component and run one pass per rank.  Samples of equal
+            # rank name distinct components, and a component's ranks
+            # run in arrival order — all the hysteresis state needs.
+            _, inv, counts = np.unique(comps.astype(str), return_inverse=True,
+                                       return_counts=True)
+            order = np.argsort(inv, kind="stable")
+            rank = np.empty(n, dtype=np.int64)
+            rank[order] = np.arange(n) - np.repeat(
+                np.cumsum(counts) - counts, counts)
+            passes = [np.flatnonzero(rank == r)
+                      for r in range(int(counts.max()))]
+        firing = self._firing
+        hits = []
+        for idx in passes:
+            if firing:
+                f0 = np.fromiter((c in firing for c in comps[idx].tolist()),
+                                 dtype=bool, count=len(idx))
+            else:
+                f0 = np.zeros(len(idx), dtype=bool)
+            new = idx[breached[idx] & ~f0]
+            hits.append(new)
+            firing.update(map(str, comps[new].tolist()))
             # scalar elif semantics: a comp already firing is discarded
             # whenever it clears, breached or not (the elif is only
             # skipped when the comp was *added* by this very sample)
-            for i in np.flatnonzero(f0 & cleared).tolist():
-                firing.discard(str(comps[i]))
-        return out
+            firing.difference_update(
+                map(str, comps[idx[f0 & cleared[idx]]].tolist()))
+        t = batch.times
+        return [
+            Detection(
+                time=float(t[i]),
+                metric=self.metric,
+                component=str(comps[i]),
+                score=float(v[i] - self.threshold)
+                if self.above
+                else float(self.threshold - v[i]),
+                kind="threshold",
+                detail=f"value={v[i]:.4g} threshold={self.threshold:g}",
+            )
+            for i in np.sort(np.concatenate(hits)).tolist()
+        ]
 
     def _check_slow(self, batch: SeriesBatch) -> list[Detection]:
         """Per-sample reference for :meth:`check`."""

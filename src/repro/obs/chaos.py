@@ -376,7 +376,6 @@ def crash_and_recover(
     fe.store = new
     # recovered stores restart query epochs at 0 — stale cache entries
     # would otherwise validate against the wrong store generation
-    fe._epoch_of = new.query_epoch
     fe.result_cache.clear()
 
     moved = p.ledger.account_crash(new.points_by_metric(), cause=cause)

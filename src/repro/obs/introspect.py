@@ -80,8 +80,8 @@ class HealthReport:
     freshness: dict = field(default_factory=dict)
     #: execution-model snapshot (worker topology, barrier/handoff vitals)
     executor: dict = field(default_factory=dict)
-    #: serving-plane snapshot (query front end, result cache, planner,
-    #: per-tenant admission) when a front end is attached
+    #: serving-plane snapshot (query front end, result cache, answer
+    #: sources, per-tenant admission) when a front end is attached
     serve: dict = field(default_factory=dict)
 
     @property

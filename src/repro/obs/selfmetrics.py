@@ -464,13 +464,12 @@ VITALS: tuple[tuple[Callable[["MonitoringPipeline"], Any],
                "cache (bounded LRU)."),
         _vital("selfmon.serve.pyramid_answers", "count", _C, "planner",
                "pyramid_answers",
-               "Downsample/aggregate queries answered from rollup "
-               "pyramid rows instead of raw chunks."),
+               "Downsample/aggregate queries in which every "
+               "contributing series read rollup rows."),
         _vital("selfmon.serve.raw_answers", "count", _C, "planner",
                "raw_answers",
-               "Downsample/aggregate queries that fell back to the "
-               "store's raw path (unplannable step/window or "
-               "pyramid-less series)."),
+               "Downsample/aggregate queries answered from chunk "
+               "summaries and samples only."),
     )),
     # cumulative (count, total_s) of the tracer's root spans
     (lambda p: p.tracer.snapshot_counts().get("tick", (0, 0.0)), (

@@ -8,8 +8,8 @@ downsampling at ingest time — this package is that pattern over the
 existing stores:
 
 * rollup pyramids (:mod:`repro.storage.rollup`) folded at chunk-seal
-  time, answered from the coarsest sufficient level by the planner
-  (:mod:`repro.serve.plan`),
+  time; the store's one bucketed read answers whole buckets from the
+  coarsest sufficient level,
 * a bounded LRU query-result cache keyed on normalized query plans and
   invalidated precisely by per-metric store epochs
   (:mod:`repro.serve.cache`),

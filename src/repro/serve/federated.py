@@ -215,7 +215,10 @@ class FederatedFrontend:
         enumerate, which is what keeps ``last`` tie-breaks oracle-exact.
         """
         if components is not None:
-            return [(*self._split(c), True) for c in components]
+            # a repeat counts once, first position wins — the merged
+            # store's ``query_components`` dict order
+            return [(*self._split(c), True)
+                    for c in dict.fromkeys(components)]
         rows: list[tuple[str, str, bool]] = []
         for site, fe in self.frontends.items():
             comps, ok = self._site_call(

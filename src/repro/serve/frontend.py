@@ -11,15 +11,15 @@
    :class:`~repro.serve.plan.QueryPlan` and revalidated against the
    store's per-metric mutation epoch, so repeated dashboard reads
    between ingest ticks cost a dict lookup,
-3. **pyramid planning** — ``downsample``/``aggregate_across`` on a
-   step-aligned grid are answered from the coarsest sufficient rollup
-   level (:mod:`repro.storage.rollup`), reading pre-aggregated rows
-   instead of decompressing chunks; anything the planner cannot prove
-   exact falls back to the store's own (summary-pruned) path.
+3. **counting** — ``downsample``/``aggregate_across`` go through the
+   store's one bucketed read (``SeriesQueryMixin._bucketed_read`` over
+   :func:`repro.storage.rollup.series_partials`), and the front end
+   counts whether each answer read rollup rows or only chunk summaries
+   and samples.
 
-Every answer — cached, pyramid, or fallback — is exactly the answer the
-underlying store would give, which the property suite holds as an
-invariant.
+The front end does no arithmetic of its own: every answer — cached or
+not — is exactly the answer the underlying store would give, which the
+property suite holds as an invariant.
 """
 
 from __future__ import annotations
@@ -31,16 +31,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..core.metric import SeriesBatch
-from ..storage.rollup import (
-    MAX_PLANNER_TIME,
-    bucket_anchor,
-    choose_level,
-    reduce_partials,
-    series_first_time,
-    series_window_partials,
-)
 from .cache import QueryResultCache, ResultCacheStats
-from .plan import KNOWN_AGGS, QueryPlan
+from .plan import QueryPlan
 from .quota import TenantGovernor, TenantQuota, TenantStats
 
 __all__ = ["DEFAULT_TENANT", "QueryFrontend", "ServeStats"]
@@ -50,7 +42,12 @@ DEFAULT_TENANT = "default"
 
 @dataclass(frozen=True, slots=True)
 class ServeStats:
-    """Lifetime serving-plane counters (the selfmon/introspect surface)."""
+    """Lifetime serving-plane counters (the selfmon/introspect surface).
+
+    A bucketed answer counts under ``pyramid_answers`` when every
+    contributing series read rollup rows, under ``raw_answers`` when it
+    came from chunk summaries and samples only.
+    """
 
     queries: int
     rejected: int
@@ -78,11 +75,10 @@ class QueryFrontend:
     The store is a :class:`~repro.storage.tsdb.TimeSeriesStore` or a
     :class:`~repro.storage.sharded.ShardedTimeSeriesStore`: both carry
     the :class:`~repro.storage.tsdb.SeriesQueryMixin` surface plus
-    ``query_epoch`` (the result cache's validity token),
-    ``_series_view`` and ``pyramid_levels``.  Series that carry rollup
-    pyramids (``pyramid_levels=...``) get planner answers; a store
-    built without them answers everything from the raw path — same
-    answers, fewer shortcuts.
+    ``query_epoch`` (the result cache's validity token).  Series that
+    carry rollup pyramids (``pyramid_levels=...``) answer whole buckets
+    from rollup rows; a store built without them answers everything
+    from chunk summaries and samples — same answers, fewer shortcuts.
     """
 
     def __init__(
@@ -116,13 +112,6 @@ class QueryFrontend:
     def _cached(self, plan: QueryPlan):
         epoch = self.store.query_epoch(plan.metric)
         return self.result_cache.get(plan, epoch), epoch
-
-    def _note_answer(self, pyramid: bool) -> None:
-        with self._lock:
-            if pyramid:
-                self._pyramid_answers += 1
-            else:
-                self._raw_answers += 1
 
     # -- the store query surface --------------------------------------------
 
@@ -182,7 +171,7 @@ class QueryFrontend:
             hit, epoch = self._cached(plan)
             if hit is not None:
                 return hit
-            batch = self._answer_downsample(plan)
+            batch = self._bucketed(plan, [plan.component], plan.component)
             self.result_cache.put(plan, epoch, batch)
             return batch
         finally:
@@ -205,135 +194,28 @@ class QueryFrontend:
             hit, epoch = self._cached(plan)
             if hit is not None:
                 return hit
-            batch = self._answer_aggregate(plan)
+            batch = self._bucketed(plan, plan.components,
+                                   f"agg({plan.agg})")
             self.result_cache.put(plan, epoch, batch)
             return batch
         finally:
             self.governor.release(tenant)
 
-    # -- the planner --------------------------------------------------------
+    # -- the bucketed read, counted ------------------------------------------
 
-    def _plannable(self, plan: QueryPlan) -> float | None:
-        """The grid anchor when the plan's window/step pass the exactness
-        guards, else None (fall back to the store)."""
-        if plan.agg not in KNOWN_AGGS or plan.step <= 0:
-            return None            # let the store raise its usual errors
-        if not np.isfinite(plan.t0):
-            return None
-        if np.isfinite(plan.t1) and abs(plan.t1) > MAX_PLANNER_TIME:
-            return None
-        anchor = bucket_anchor(plan.t0, plan.step)
-        if abs(anchor) > MAX_PLANNER_TIME:
-            return None
-        return anchor
-
-    def _series_for(self, metric: str, component: str):
-        """(series, chunk cache) when the series is readable and carries
-        a pyramid; None otherwise."""
-        if not self.store.series_readable(metric, component):
-            return None
-        sv = self.store._series_view(metric, component)
-        if sv is None or sv[0].pyramid is None:
-            return None
-        return sv
-
-    def _answer_downsample(self, plan: QueryPlan) -> SeriesBatch:
-        anchor = self._plannable(plan)
-        if anchor is not None:
-            sv = self._series_for(plan.metric, plan.component)
-            if sv is not None:
-                series, chunk_cache = sv
-                level = choose_level(series.pyramid.levels, plan.step,
-                                     anchor)
-                if level is not None:
-                    pieces = series_window_partials(
-                        series, chunk_cache, level,
-                        plan.t0, plan.t1, plan.step, anchor,
-                    )
-                    if pieces is not None:
-                        out_t, out_v = reduce_partials(
-                            pieces, anchor, plan.step, plan.agg)
-                        self._note_answer(pyramid=True)
-                        if not len(out_t):
-                            return SeriesBatch.empty(plan.metric)
-                        return SeriesBatch.for_component(
-                            plan.metric, plan.component, out_t, out_v)
-        batch = self.store.downsample(plan.metric, plan.component,
-                                      plan.t0, plan.t1, plan.step, plan.agg)
-        self._note_answer(pyramid=False)
+    def _bucketed(self, plan: QueryPlan, components: Sequence[str] | None,
+                  label: str) -> SeriesBatch:
+        """Answer a downsample / aggregate plan through the store's one
+        bucketed read and count which sources it drew on."""
+        batch, rollup = self.store._bucketed_read(
+            plan.metric, components, plan.t0, plan.t1, plan.step, plan.agg,
+            label)
+        with self._lock:
+            if rollup:
+                self._pyramid_answers += 1
+            else:
+                self._raw_answers += 1
         return batch
-
-    def _answer_aggregate(self, plan: QueryPlan) -> SeriesBatch:
-        batch = self._aggregate_from_pyramid(plan)
-        if batch is not None:
-            self._note_answer(pyramid=True)
-            return batch
-        batch = self.store.aggregate_across(
-            plan.metric, plan.components, plan.t0, plan.t1,
-            plan.step, plan.agg)
-        self._note_answer(pyramid=False)
-        return batch
-
-    def _aggregate_from_pyramid(self, plan: QueryPlan) -> SeriesBatch | None:
-        """Cross-component aggregate from rollup rows, or None to fall back.
-
-        Mirrors the raw path exactly: components iterate in the same
-        order (so ``last`` tie-breaks agree), unreadable/missing series
-        contribute nothing, and an unbounded ``t0`` anchors at the first
-        sample across the selected series.
-        """
-        if plan.agg not in KNOWN_AGGS or plan.step <= 0:
-            return None
-        if np.isfinite(plan.t1) and abs(plan.t1) > MAX_PLANNER_TIME:
-            return None
-        comps = (
-            list(plan.components) if plan.components is not None
-            else self.store.components(plan.metric)
-        )
-        views = []
-        for c in comps:
-            sv = self._series_for(plan.metric, c)
-            if sv is None:
-                # distinguish "no such readable series" (skip, like the
-                # raw path's empty batch) from "series has no pyramid"
-                if (self.store.series_readable(plan.metric, c)
-                        and self.store._series_view(plan.metric, c)
-                        is not None):
-                    return None    # pyramid-less series: fall back
-                continue
-            views.append(sv)
-        t0 = plan.t0
-        if not np.isfinite(t0):
-            if not views:
-                return None        # nothing to anchor on; fall back
-            t_first = min(series_first_time(s) for s, _ in views)
-            if not np.isfinite(t_first):
-                return None
-            t0 = bucket_anchor(t_first, plan.step)
-        if abs(t0) > MAX_PLANNER_TIME:
-            return None
-        anchor = bucket_anchor(t0, plan.step)
-        levels = self.store.pyramid_levels
-        if not levels:
-            return None
-        level = choose_level(levels, plan.step, anchor)
-        if level is None:
-            return None
-        pieces: list[tuple[np.ndarray, ...]] = []
-        piece_comp: list[int] = []
-        for idx, (series, chunk_cache) in enumerate(views):
-            ps = series_window_partials(series, chunk_cache, level,
-                                        t0, plan.t1, plan.step, anchor)
-            if ps is None:
-                return None        # window has no full bucket
-            pieces.extend(ps)
-            piece_comp.extend([idx] * len(ps))
-        out_t, out_v = reduce_partials(pieces, anchor, plan.step, plan.agg,
-                                       piece_comp=piece_comp)
-        if not len(out_t):
-            return SeriesBatch.empty(plan.metric)
-        return SeriesBatch.for_component(plan.metric, f"agg({plan.agg})",
-                                         out_t, out_v)
 
     # -- stats --------------------------------------------------------------
 

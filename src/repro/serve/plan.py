@@ -1,10 +1,10 @@
 """Normalized query plans: the serving plane's unit of identity.
 
 A :class:`QueryPlan` is the canonical, hashable description of one read
-— the result-cache key and the planner's input.  Two textually
-different calls that mean the same read (list vs tuple components, int
-vs float bounds) normalize to the same plan, so they share one cache
-entry.
+— the result-cache key and what the store is asked.  Two textually
+different calls that mean the same read (list vs tuple components, a
+component named twice, int vs float bounds) normalize to the same plan,
+so they share one cache entry.
 """
 
 from __future__ import annotations
@@ -14,10 +14,18 @@ from typing import Sequence
 
 __all__ = ["KNOWN_AGGS", "QueryPlan"]
 
-#: the aggregations the store's ``_AGGS`` table supports; plans carrying
-#: anything else skip the planner and let the store raise its usual
-#: ``unknown agg`` error
+#: the aggregations the store's ``_AGGS`` table supports (the federated
+#: merge checks against it; single-site plans let the store raise)
 KNOWN_AGGS: tuple[str, ...] = ("count", "last", "max", "mean", "min", "sum")
+
+
+def _selection(components: Sequence[str] | None) -> tuple[str, ...] | None:
+    """A component selection as the store reads it: a repeat counts
+    once, first position wins (``query_components``' dict order, which
+    is what ranks ``last`` tie-breaks)."""
+    if components is None:
+        return None
+    return tuple(dict.fromkeys(str(c) for c in components))
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,11 +55,7 @@ class QueryPlan:
     @classmethod
     def sweep(cls, metric: str, components: Sequence[str] | None,
               t0: float, t1: float) -> "QueryPlan":
-        comps = (
-            tuple(str(c) for c in components)
-            if components is not None else None
-        )
-        return cls("sweep", metric, None, comps,
+        return cls("sweep", metric, None, _selection(components),
                    float(t0), float(t1), 0.0, "")
 
     @classmethod
@@ -64,9 +68,5 @@ class QueryPlan:
     def aggregate(cls, metric: str, components: Sequence[str] | None,
                   t0: float, t1: float, step: float,
                   agg: str) -> "QueryPlan":
-        comps = (
-            tuple(str(c) for c in components)
-            if components is not None else None
-        )
-        return cls("aggregate", metric, None, comps,
+        return cls("aggregate", metric, None, _selection(components),
                    float(t0), float(t1), float(step), str(agg))

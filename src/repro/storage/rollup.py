@@ -1,11 +1,10 @@
-"""Rollup pyramids: pre-materialized downsample levels per series.
+"""Rollup pyramids and the one bucketed source: partial columns per series.
 
-The serving plane (``repro.serve``) answers dashboard-shaped
-``downsample``/``aggregate_across`` queries from pre-aggregated rollup
-levels instead of re-scanning raw series — the DCDB "continuous
-downsampling at ingest time" pattern that keeps facility-scale query
-latency flat.  Each sealed chunk is folded once per level at seal time
-into per-bucket *partial columns*:
+Dashboard-shaped ``downsample``/``aggregate_across`` reads are answered
+from pre-aggregated rollup levels instead of re-scanning raw series —
+the DCDB "continuous downsampling at ingest time" pattern that keeps
+facility-scale query latency flat.  Each sealed chunk is folded once per
+level at seal time into per-bucket *partial columns*:
 
     (bucket, count, sum, min, max, t_last, v_last, seq_last)
 
@@ -16,10 +15,14 @@ already carries), and ``last`` via the (t_last, seq) winner rule that
 reproduces the stable time-sort of the raw path bit-for-bit.
 
 This module is the *one place* that defines bucket-grid normalization
-(:func:`bucket_anchor`) and partial-column folding/merging
-(:func:`fold_partials` / :func:`reduce_partials`); the raw query path in
-``storage/tsdb.py`` and the pyramid planner both build on it, which is
-what makes the exactness oracle in the property suite meaningful.
+(:func:`bucket_anchor`), partial-column folding/merging
+(:func:`fold_partials` / :func:`reduce_partials`) and which source
+answers which part of a window (:func:`series_partials`: rollup rows,
+chunk summaries, decoded samples, the open head — its rules and guards
+are stated there, once).  The store's bucketed read and the serving
+plane above it are loops over that function; the raw concat path in
+``storage/tsdb.py`` shares only the grid, which is what makes the
+exactness oracle in the property suite meaningful.
 """
 
 from __future__ import annotations
@@ -39,14 +42,14 @@ __all__ = [
     "ieee_sums",
     "reduce_partials",
     "series_first_time",
-    "series_window_partials",
+    "series_partials",
 ]
 
 #: raw -> 10 s -> 1 min -> 1 h, the rollup ladder from the ROADMAP;
 #: coarser levels answer the same query from fewer rows
 DEFAULT_LEVELS: tuple[float, ...] = (10.0, 60.0, 3600.0)
 
-#: planner eligibility guard on |anchor| and step: below this magnitude
+#: rollup-row eligibility guard on |anchor|, |t1| and step: below this magnitude
 #: the float expressions ``floor((t - anchor) / step)`` and
 #: ``floor(t / level)`` both compute the exact real-arithmetic floor for
 #: millisecond-grid sample times, so raw and pyramid bucket
@@ -82,10 +85,12 @@ def ieee_sums() -> np.errstate:
     return np.errstate(invalid="ignore")
 
 
+#: column dtypes of one partial-column piece, in column order
+_PARTIAL_DTYPES = (np.int64, np.int64) + (np.float64,) * 5 + (np.int64,)
+
+
 def _empty_partials() -> tuple[np.ndarray, ...]:
-    z = np.empty(0, dtype=np.int64)
-    f = np.empty(0, dtype=np.float64)
-    return (z, z, f, f, f, f, f, z)
+    return tuple(np.empty(0, dtype=d) for d in _PARTIAL_DTYPES)
 
 
 def fold_partials(
@@ -324,63 +329,98 @@ def series_first_time(series) -> float:
     return min(lo, min(series.head_t)) if series.head_t else lo
 
 
-def series_window_partials(
+def series_partials(
     series,
     cache,
-    level: float,
     t0: float,
     t1: float,
     step: float,
     anchor: float,
-) -> list[tuple[np.ndarray, ...]] | None:
-    """Partial-column pieces answering one series over ``[t0, t1)``.
+) -> tuple[list[tuple[np.ndarray, ...]], bool]:
+    """Partial-column pieces answering one series over ``[t0, t1)`` on
+    the ``(anchor, step)`` grid, plus whether rollup rows were read.
 
-    Output buckets wholly inside the window are answered from the
-    pyramid ``level`` (a binary search + slice over merged rollup rows);
-    the at-most-two window-partial edge buckets come from raw sub-range
-    reads; open-head samples overlapping the full region merge in with
-    seq numbers above every sealed sample.  Returns ``None`` when the
-    window contains no full bucket — the caller falls back to the raw
-    path rather than reassembling the whole answer from edges.
+    Every bucketed read goes through here; each region of the window is
+    answered from its coarsest exact source:
 
-    Requires ``anchor == bucket_anchor(max(t0, first_sample), step)`` and
-    a ``level`` accepted by :func:`choose_level`; under those guards the
-    pieces reduce to *exactly* the raw-path answer (see the property
-    suite's oracle).
+    1. **rollup rows** for the output buckets wholly inside the window
+       (a binary search + slice over one pyramid level) — when the
+       series carries a pyramid, :func:`choose_level` accepts the grid
+       and ``|t1|`` is inside :data:`MAX_PLANNER_TIME`.  Failing a guard
+       leaves this region empty; the rules below then cover the whole
+       window, so the answer degrades in cost, never in value;
+    2. a sealed chunk's **seal-time summary** when the chunk sits wholly
+       inside what is left of the window (the at-most-two edge buckets,
+       or all of it) and inside one bucket — never decompressed;
+    3. **decoded samples** (``series.decode``, through the shared chunk
+       cache) for any other chunk overlapping what is left;
+    4. the **open head**, converted and folded once.
+
+    ``seq`` numbers continue chunk-list order on every source (pyramid
+    rows carry theirs from seal time), so the pieces reduce to *exactly*
+    the stable time-sort of the raw read.  ``anchor`` is
+    ``bucket_anchor`` of ``t0``, or of the selection's first sample when
+    ``t0`` is unbounded.
     """
-    m = int(round(step / level))
-    a = int(round(anchor / level))      # anchor in level-bucket units
-    j_lo = 0 if t0 <= anchor else 1     # anchor <= t0 by construction
-    jf = int(np.floor((t1 - anchor) / step)) if np.isfinite(t1) else None
-    full_lo = anchor + j_lo * step
-    full_hi = np.inf if jf is None else anchor + jf * step
-    if not full_hi > full_lo:           # no full bucket in the window
-        return None
     pieces: list[tuple[np.ndarray, ...]] = []
-    cols = series.pyramid.level_columns(level)
-    lb = cols[0]
-    i0 = int(np.searchsorted(lb, a + j_lo * m, side="left"))
-    i1 = (
-        len(lb) if jf is None
-        else int(np.searchsorted(lb, a + jf * m, side="left"))
-    )
-    if i1 > i0:
-        out_b = (lb[i0:i1] - a) // m    # exact: int64 grid arithmetic
-        pieces.append((out_b,) + tuple(c[i0:i1] for c in cols[1:]))
-    # edge buckets own their output buckets exclusively, so a raw
-    # sub-range read (sealed + head, stable time-sorted) is the oracle
-    if t0 < full_lo:
-        et, ev = series.read(t0, full_lo, cache)
-        if len(et):
-            pieces.append(fold_partials(et, ev, anchor, step))
-    if jf is not None and t1 > full_hi:
-        et, ev = series.read(full_hi, t1, cache)
-        if len(et):
-            pieces.append(fold_partials(et, ev, anchor, step))
+    if not t0 < t1:                     # empty (or NaN-bounded) window
+        return pieces, False
+    full_lo = full_hi = t1              # the region rollup rows answer
+    pyramid = series.pyramid
+    if pyramid is not None and (t1 == np.inf or abs(t1) <= MAX_PLANNER_TIME):
+        level = choose_level(pyramid.levels, step, anchor)
+        j_lo = 0 if t0 <= anchor else 1
+        jf = None if t1 == np.inf else math.floor((t1 - anchor) / step)
+        if level is not None and (jf is None or jf > j_lo):
+            full_lo = anchor + j_lo * step
+            full_hi = np.inf if jf is None else anchor + jf * step
+            m = int(round(step / level))
+            a = int(round(anchor / level))  # anchor in level-bucket units
+            cols = pyramid.level_columns(level)
+            lb = cols[0]
+            i0 = int(np.searchsorted(lb, a + j_lo * m, side="left"))
+            i1 = (
+                len(lb) if jf is None
+                else int(np.searchsorted(lb, a + jf * m, side="left"))
+            )
+            if i1 > i0:
+                out_b = (lb[i0:i1] - a) // m    # exact: int64 grid arithmetic
+                pieces.append((out_b,) + tuple(c[i0:i1] for c in cols[1:]))
+    rollup = full_hi > full_lo
+    # what is left: [t0, full_lo) and [full_hi, t1) — the whole window
+    # when no rollup rows were read, nothing on a step-aligned side (so
+    # a window they answer outright walks no chunks)
+    left, right = t0 < full_lo, full_hi < t1
+    summaries: list[tuple] = []
+    seq_base = 0
+    for chunk in series.chunks if left or right else ():
+        summ = chunk.summary
+        lo, hi, n = summ.t_min, summ.t_max, summ.count
+        if ((left and hi >= t0 and lo < full_lo)
+                or (right and hi >= full_hi and lo < t1)):
+            b = math.floor((lo - anchor) / step)
+            if (((lo >= t0 and hi < full_lo) or (lo >= full_hi and hi < t1))
+                    and b == math.floor((hi - anchor) / step)):
+                summaries.append((b, n, summ.v_sum, summ.v_min, summ.v_max,
+                                  hi, summ.v_last, seq_base + n - 1))
+            else:
+                ct, cv = series.decode(chunk, cache)
+                mask = (((ct >= t0) & (ct < full_lo))
+                        | ((ct >= full_hi) & (ct < t1)))
+                if mask.any():
+                    pieces.append(fold_partials(
+                        ct[mask], cv[mask], anchor, step,
+                        seq=seq_base + np.flatnonzero(mask)))
+        seq_base += n
+    if summaries:
+        pieces.append(tuple(
+            np.asarray(col, dtype=d)
+            for col, d in zip(zip(*summaries), _PARTIAL_DTYPES)
+        ))
     if series.head_t:
         ht = np.asarray(series.head_t)
         hv = np.asarray(series.head_v)
-        mask = (ht >= full_lo) & (ht < full_hi)
+        mask = (ht >= t0) & (ht < t1)
         if mask.any():
             seq = series.n_sealed_samples + np.flatnonzero(mask)
             ht, hv = ht[mask], hv[mask]
@@ -389,4 +429,4 @@ def series_window_partials(
                 fold_partials(ht[order], hv[order], anchor, step,
                               seq=seq[order])
             )
-    return pieces
+    return pieces, rollup

@@ -374,12 +374,12 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
         return self.shards[i].query(metric, component, t0, t1)
 
     def _series_view(self, metric: str, component: str):
-        """Chunk-level surface for the summary-pruned downsample path."""
+        """Chunk-level surface the bucketed read resolves series through."""
         return self._owner(metric, component)._series_view(metric, component)
 
     def series_readable(self, metric: str, component: str) -> bool:
         """False while the owning shard is failed (reads degrade to
-        empty) — the serving plane skips such series so planner answers
+        empty) — the bucketed read skips such series so its answers
         match what ``query`` actually returns."""
         return self._health[self.shard_of(metric, component)] is not Health.FAILED
 

@@ -53,8 +53,8 @@ import numpy as np
 from ..core.metric import MetricKey, SeriesBatch
 from ..core.tracectx import HOP_INGEST, MAX_HOPS
 from .chunkcache import ChunkCache, ChunkCacheStats
-from .rollup import (SeriesPyramid, bucket_anchor, fold_partials, ieee_sums,
-                     reduce_partials)
+from .rollup import (SeriesPyramid, bucket_anchor, ieee_sums, reduce_partials,
+                     series_first_time, series_partials)
 
 __all__ = [
     "compress_chunk",
@@ -751,17 +751,19 @@ def _bucket_agg(
 class SeriesQueryMixin:
     """Query-layer methods shared by every store with the series API.
 
-    Anything exposing ``query(metric, component, t0, t1)`` and
-    ``components(metric)`` gets multi-series queries, server-side
-    downsampling, and cross-component aggregation for free — this is
-    what lets :class:`~repro.storage.sharded.ShardedTimeSeriesStore`
-    present the exact single-store query surface over K shards.
+    Anything exposing ``query(metric, component, t0, t1)``,
+    ``components(metric)`` and ``_series_view(metric, component)`` (the
+    chunk-level surface: a :class:`_Series` plus its cache) gets
+    multi-series queries, server-side downsampling, and cross-component
+    aggregation for free — this is what lets
+    :class:`~repro.storage.sharded.ShardedTimeSeriesStore` present the
+    exact single-store query surface over K shards.
 
-    Stores that additionally expose ``_series_view(metric, component)``
-    (the chunk-level surface: a :class:`_Series` plus its cache) get the
-    summary-pruned ``downsample`` fast path: chunks wholly inside one
-    bucket are answered from their seal-time :class:`ChunkSummary` and
-    never decompressed.
+    Bucketed answers come two ways: the raw concat + ``_bucket_agg``
+    reference (``aggregate_across``, ``downsample(prune=False)``) and
+    the one bucketed read over partial columns (``_bucketed_read``:
+    ``downsample(prune=True)`` and the serving plane), which never
+    decompresses a chunk a rollup row or seal-time summary can answer.
     """
 
     def series_readable(self, metric: str, component: str) -> bool:
@@ -802,23 +804,19 @@ class SeriesQueryMixin:
         ``t0`` is not step-aligned still lands on the same boundaries as
         every other query path — the first bucket may start before
         ``t0``, while the sample filter itself stays ``[t0, t1)``.  With
-        ``prune=True`` (default) sealed chunks wholly inside one bucket
-        are answered from chunk summaries without decompression;
-        ``prune=False`` forces the decompress path (the equivalence
-        oracle and the cold-vs-warm benchmark).
+        ``prune=True`` (default) whole buckets are answered from rollup
+        rows and sealed chunks wholly inside one bucket from chunk
+        summaries, without decompression; ``prune=False`` forces the
+        decompress path (the equivalence oracle and the cold-vs-warm
+        benchmark).
         """
+        if prune:
+            return self._bucketed_read(metric, [component], t0, t1, step,
+                                       agg, component)[0]
         if agg not in _AGGS:
             raise ValueError(f"unknown agg {agg!r}; choose from {sorted(_AGGS)}")
         if step <= 0:
             raise ValueError("step must be positive")
-        view = getattr(self, "_series_view", None)
-        if prune and view is not None and np.isfinite(t0):
-            sv = view(metric, component)
-            if sv is None:
-                return SeriesBatch.empty(metric)
-            return self._downsample_pruned(metric, component, sv[0], sv[1],
-                                           t0, t1, step, agg,
-                                           bucket_anchor(t0, step))
         raw = self.query(metric, component, t0, t1)
         if not len(raw):
             return SeriesBatch.empty(metric)
@@ -827,74 +825,54 @@ class SeriesQueryMixin:
         out_t, out_v = _bucket_agg(raw.times, raw.values, anchor, step, agg)
         return SeriesBatch.for_component(metric, component, out_t, out_v)
 
-    def _downsample_pruned(
+    def _bucketed_read(
         self,
         metric: str,
-        component: str,
-        series: "_Series",
-        cache: ChunkCache | None,
+        components: Sequence[str] | None,
         t0: float,
         t1: float,
         step: float,
         agg: str,
-        anchor: float,
-    ) -> SeriesBatch:
-        """Chunk-summary-pruned downsample.
+        label: str,
+    ) -> tuple[SeriesBatch, bool]:
+        """The one bucketed read: ``components`` of a metric reduced onto
+        the step grid as the series ``label``, and whether every
+        contributing series read rollup rows.
 
-        Per overlapping chunk: if it sits wholly inside the window *and*
-        inside one bucket of the ``(anchor, step)`` grid, contribute its
-        summary; otherwise decompress (through the cache) and bucket its
-        windowed samples.  ``seq`` numbers reproduce the stable
-        time-sort of the decompress path, so order-sensitive aggs
-        (``last``) agree exactly.  Folding and the final merge are the
-        shared partial-column helpers in :mod:`repro.storage.rollup` —
-        the same code the pyramid planner reduces with.
+        Mirrors the raw path exactly: components rank in selection order
+        (so ``last`` tie-breaks agree), unreadable or missing series
+        contribute nothing, and an unbounded ``t0`` anchors the grid at
+        the first sample across the selection.  Which source answers
+        which part of the window is
+        :func:`~repro.storage.rollup.series_partials`' business alone.
         """
+        if agg not in _AGGS:
+            raise ValueError(f"unknown agg {agg!r}; choose from {sorted(_AGGS)}")
+        if step <= 0:
+            raise ValueError("step must be positive")
+        comps = components if components is not None else self.components(metric)
+        views = [
+            sv for c in comps if self.series_readable(metric, c)
+            and (sv := self._series_view(metric, c)) is not None
+        ]
+        lo = t0 if np.isfinite(t0) else min(
+            (series_first_time(s) for s, _ in views), default=np.inf)
+        if not np.isfinite(lo):
+            return SeriesBatch.empty(metric), False
+        anchor = bucket_anchor(lo, step)
         pieces: list[tuple[np.ndarray, ...]] = []
-        seq_base = 0
-        for chunk in series.chunks:
-            summ = chunk.summary
-            lo, hi = summ.t_min, summ.t_max
-            if hi < t0 or lo >= t1:
-                seq_base += summ.count
-                continue
-            whole = lo >= t0 and hi < t1
-            if whole and (np.floor((lo - anchor) / step)
-                          == np.floor((hi - anchor) / step)):
-                pieces.append((
-                    np.asarray([np.int64(np.floor((lo - anchor) / step))]),
-                    np.asarray([summ.count]),
-                    np.asarray([summ.v_sum]),
-                    np.asarray([summ.v_min]),
-                    np.asarray([summ.v_max]),
-                    np.asarray([summ.t_max]),
-                    np.asarray([summ.v_last]),
-                    np.asarray([seq_base + summ.count - 1]),
-                ))
-            else:
-                ct, cv = series.decode(chunk, cache)
-                mask = (ct >= t0) & (ct < t1)
-                if mask.any():
-                    pieces.append(fold_partials(
-                        ct[mask], cv[mask], anchor, step,
-                        seq=seq_base + np.flatnonzero(mask),
-                    ))
-            seq_base += summ.count
-        if series.head_t:
-            ht = np.asarray(series.head_t)
-            hv = np.asarray(series.head_v)
-            mask = (ht >= t0) & (ht < t1)
-            if mask.any():
-                seq = seq_base + np.flatnonzero(mask)
-                ht, hv = ht[mask], hv[mask]
-                order = np.argsort(ht, kind="stable")
-                pieces.append(fold_partials(ht[order], hv[order],
-                                            anchor, step, seq=seq[order]))
-
-        if not pieces:
-            return SeriesBatch.empty(metric)
-        out_t, out_v = reduce_partials(pieces, anchor, step, agg)
-        return SeriesBatch.for_component(metric, component, out_t, out_v)
+        piece_comp: list[int] = []
+        rollup = bool(views)
+        for rank, (series, cache) in enumerate(views):
+            ps, used = series_partials(series, cache, t0, t1, step, anchor)
+            pieces.extend(ps)
+            piece_comp.extend([rank] * len(ps))
+            rollup = rollup and used
+        out_t, out_v = reduce_partials(pieces, anchor, step, agg,
+                                       piece_comp=piece_comp)
+        if not len(out_t):
+            return SeriesBatch.empty(metric), rollup
+        return SeriesBatch.for_component(metric, label, out_t, out_v), rollup
 
     def aggregate_across(
         self,
@@ -1119,7 +1097,7 @@ class TimeSeriesStore(SeriesQueryMixin):
     def _series_view(
         self, metric: str, component: str
     ) -> tuple[_Series, ChunkCache] | None:
-        """Chunk-level surface for the summary-pruned query path."""
+        """Chunk-level surface the bucketed read resolves series through."""
         series = self._series.get(MetricKey(metric, component))
         if series is None:
             return None

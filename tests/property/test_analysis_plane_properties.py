@@ -208,6 +208,7 @@ class TestThresholdDetectorEquivalence:
                                  clear_fraction=clear_fraction)
         slow = ThresholdDetector("m", threshold, above=above,
                                  clear_fraction=clear_fraction)
+        fast._check_slow = None     # the reference is not a product path
         for b in bs:
             assert same_detections(fast.check(b), slow._check_slow(b))
             assert fast._firing == slow._firing

@@ -156,6 +156,23 @@ class TestFederatedEqualsMerged:
             fed.aggregate_across("m.x", None, step=0.0)
 
 
+    def test_repeated_component_counts_once(self):
+        """A component named twice is one series, as in the merged
+        store's ``query_components`` dict (first position wins)."""
+        t, ones = np.arange(60) * 10.0, np.ones(60)
+        frontends = {}
+        for site, comp in (("x", "a"), ("y", "b")):
+            store = TimeSeriesStore(chunk_size=16,
+                                    pyramid_levels=DEFAULT_LEVELS)
+            store.append(SeriesBatch.for_component("m", comp, t, ones))
+            frontends[site] = QueryFrontend(store)
+        fed = FederatedFrontend(frontends)
+        sel = ["x/a", "x/a", "y/b"]
+        assert list(fed.query_components("m", sel)) == ["x/a", "y/b"]
+        got = fed.aggregate_across("m", sel, 0.0, 600.0, 60.0, "count")
+        assert got.values.tolist() == [12.0] * 10
+
+
 class _FixedData:
     """Stand-in for hypothesis ``data`` in the non-property error test."""
 

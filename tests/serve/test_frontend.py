@@ -66,6 +66,22 @@ class TestResultCaching:
             else:
                 assert np.array_equal(got.values, want.values,
                                       equal_nan=True)
+        # a component named twice counts once, as in the store's
+        # query_components dict — in the answer and in the cache key
+        ones = TimeSeriesStore(chunk_size=16, pyramid_levels=DEFAULT_LEVELS)
+        for c in ("a", "b"):
+            ones.append(SeriesBatch.for_component(
+                "m", c, np.arange(60) * 10.0, np.ones(60)))
+        fe = QueryFrontend(ones)
+        got = fe.aggregate_across("m", ["a", "a", "b"], 0.0, 600.0, 60.0,
+                                  "count")
+        want = ones.aggregate_across("m", ["a", "a", "b"], 0.0, 600.0,
+                                     60.0, "count")
+        assert np.array_equal(got.times, want.times)
+        assert got.values.tolist() == want.values.tolist() == [12.0] * 10
+        assert fe.aggregate_across("m", ["a", "a", "b"], 0.0, 600.0, 60.0,
+                                   "count") is got
+        assert fe.stats().cache.hits == 1
 
     def test_pyramid_counter_moves_on_eligible_grid(self):
         fe = QueryFrontend(make_store())

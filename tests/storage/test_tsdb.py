@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.metric import MetricKey, SeriesBatch
+from repro.serve.frontend import QueryFrontend
 from repro.storage.chunkcache import ChunkCache
+from repro.storage.rollup import DEFAULT_LEVELS
 from repro.storage.tsdb import (
     TimeSeriesStore,
     _compress_chunk_slow,
@@ -305,6 +307,50 @@ class TestSummaryPrunedDownsample:
         # misaligned buckets force boundary chunks through the cache
         store.downsample("m", "a", 0.0, 160.0, step=24.0, agg="sum")
         assert cache.stats().misses > 0
+        # an unbounded window anchors the grid at the first sample and
+        # is pruned all the same
+        cache.clear()
+        misses = cache.stats().misses
+        store.downsample("m", "a", -np.inf, 160.0, step=160.0, agg="sum")
+        assert cache.stats().misses == misses
+        for agg in ("mean", "sum", "min", "max", "last", "count"):
+            warm = store.downsample("m", "a", -np.inf, 150.0, step=24.0,
+                                    agg=agg)
+            cold = store.downsample("m", "a", -np.inf, 150.0, step=24.0,
+                                    agg=agg, prune=False)
+            assert np.array_equal(warm.times, cold.times)
+            assert np.array_equal(warm.values, cold.values)
+        # the serving plane's cross-series aggregate takes the same
+        # bucketed read: a pyramid-less store, or a step no rollup level
+        # divides, still answers whole chunks from their summaries
+        for levels, step in ((None, 160.0), (DEFAULT_LEVELS, 165.0)):
+            cache = ChunkCache()
+            store = TimeSeriesStore(chunk_size=16, cache=cache,
+                                    pyramid_levels=levels)
+            for i in range(160):
+                store.append(sweep("m", float(i), ["a", "b", "c"],
+                                   [float(i), 2.0 * i, -1.0 * i]))
+            store.flush()
+            fe = QueryFrontend(store)
+            # 3 series x 10 sealed chunks, each inside the one bucket
+            whole = fe.aggregate_across("m", None, 0.0, 160.0, step, "sum")
+            assert cache.stats().misses == 0
+            # buckets that straddle chunks send those through the cache
+            split = fe.aggregate_across("m", None, 0.0, 160.0, 24.0, "sum")
+            assert cache.stats().misses > 0
+            for got, span in ((whole, step), (split, 24.0)):
+                want = store.aggregate_across("m", None, 0.0, 160.0, span,
+                                              "sum")
+                assert np.array_equal(got.times, want.times)
+                assert np.array_equal(got.values, want.values)
+        # rollup rows answer a step-aligned window outright: the chunks
+        # straddling its two ends are not decoded either
+        cache.clear()
+        misses = cache.stats().misses
+        got = fe.aggregate_across("m", None, 60.0, 120.0, 60.0, "sum")
+        assert cache.stats().misses == misses
+        want = store.aggregate_across("m", None, 60.0, 120.0, 60.0, "sum")
+        assert np.array_equal(got.values, want.values)
 
 
 class TestStats:
