@@ -342,7 +342,7 @@ def cmd_store(args) -> int:
         if crash.applied and not was_applied:
             r = crash.recovery
             print(f"t={machine.now:6.0f}s CRASH: files truncated to "
-                  f"last fsync, store rebuilt from disk")
+                  f"last fsync, store reopened on its directories")
             print(f"  recovered {r.points} points in {r.series} series "
                   f"({r.manifest_chunks} manifest chunks, "
                   f"{r.scanned_chunks} scanned from segments, "

@@ -325,66 +325,35 @@ class ShardOutage(MonitorFault):
 def crash_and_recover(
     p: "MonitoringPipeline", cause: str = "crash-unsynced"
 ) -> tuple[int, RecoveryReport]:
-    """Hard-kill the pipeline's disk-backed store and recover from disk.
+    """Hard-kill the pipeline's disk-backed store and reopen it.
 
-    Models a power-loss crash: every disk tier is truncated to its last
-    fsynced extent (:meth:`~repro.storage.diskier.DiskTier.simulate_crash`
-    — pessimistic versus a plain SIGKILL, which would leave the OS page
-    cache intact), a fresh store of the same declared shape (chunk
-    size, pyramid levels, tier budgets) is rebuilt from the surviving
-    manifest, segments and WAL, and the pipeline is rewired onto it.
-    Points that were acknowledged ``stored`` but sat past the fsync
-    horizon are moved to accounted loss under ``cause`` via
+    Models a power-loss crash: ``simulate_crash()`` truncates every disk
+    tier to its last fsynced extent (pessimistic versus a plain SIGKILL,
+    which would leave the OS page cache intact) and hands whatever a
+    failed shard's redo buffer held to the ledger as ``crash-redo``;
+    ``reopen()`` is the restart — a store is opened one way, and opening
+    it over its directories restores the surviving manifest, segments
+    and WAL.  Points that were acknowledged ``stored`` but sat past the
+    fsync horizon are moved to accounted loss under ``cause`` via
     :meth:`~repro.core.ledger.DeliveryLedger.account_crash` — the balance
     identity stays exact across the crash.  Returns ``(moved, report)``:
-    the number of points so accounted and the
+    the number of points so accounted and the reopened store's
     :class:`~repro.storage.diskier.RecoveryReport`.
 
     Requires the pipeline's store to have been built with a disk tier
     (``SiteConfig(store_dir=...)``); raises :class:`TypeError`
     otherwise.
     """
-    from ..storage.diskier import recover_sharded, recover_store
-
-    old = p.tsdb
-    sharded = hasattr(old, "shards")
-    tiers = [getattr(s, "disk", None)
-             for s in (old.shards if sharded else [old])]
-    if any(t is None for t in tiers):
-        raise TypeError("crash_and_recover needs a disk-backed store")
-    for t in tiers:
-        t.simulate_crash()
-    first = tiers[0]
-    budgets = dict(hot_bytes=first.hot_bytes,
-                   segment_bytes=first.segment_bytes,
-                   sync_every_bytes=first.sync_every_bytes)
-    if sharded:
-        new, report = recover_sharded(
-            old.disk_dir, old.n_shards, old.chunk_size, old.pyramid_levels,
-            redo_points=old.redo_points, **budgets)
-    else:
-        new, report = recover_store(
-            first.root, old.chunk_size, old.pyramid_levels, **budgets)
-
-    # Rewire the pipeline onto the recovered store, mirroring the wiring
-    # in MonitoringPipeline.__init__.
-    new.clock = old.clock
-    if sharded:
-        new.ledger = p.ledger
-    p.tsdb = new
-    fe = p.frontend
-    fe.store = new
-    # recovered stores restart query epochs at 0 — stale cache entries
-    # would otherwise validate against the wrong store generation
-    fe.result_cache.clear()
-
+    p.tsdb.simulate_crash()
+    new = p.tsdb.reopen()
+    p._wire_store(new)
     moved = p.ledger.account_crash(new.points_by_metric(), cause=cause)
     if p.supervisor is not None:
         p.supervisor.heal(
             "store", p.machine.now,
             reason=f"store recovered from disk, {moved} points to {cause}",
         )
-    return moved, report
+    return moved, new.recovery
 
 
 @dataclass

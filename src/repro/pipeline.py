@@ -148,7 +148,7 @@ class MonitoringPipeline:
             transport if transport is not None
             else make_transport(config.transport)
         )
-        self.tsdb = tsdb if tsdb is not None else build_store(config)
+        store = tsdb if tsdb is not None else build_store(config)
         if self.executor.parallel:
             # transports that fan out internal work (aggtree leaf
             # coalescing) pick the executor up from this attribute
@@ -169,8 +169,6 @@ class MonitoringPipeline:
         )
         if self.ledger is not None:
             self.bus.ledger = self.ledger
-            if hasattr(self.tsdb, "redo_pending_points"):
-                self.tsdb.ledger = self.ledger
 
         # self-observability plane: span tracing + meta-metrics
         # identity check: an empty tracer is falsy (len == ring size),
@@ -183,6 +181,17 @@ class MonitoringPipeline:
         for c in collectors:
             self.scheduler.add(c)
 
+        # the simulated clock, as the freshness stamps and the serving
+        # governor read it: the stamp fires three times per traced batch,
+        # so it reads the sim clock's slot directly instead of going
+        # through two property descriptors (Machine.now -> SimClock.now)
+        try:
+            sim = self.machine.clock
+            sim._now
+            self._clock = lambda c=sim: c._now   # noqa: E731
+        except AttributeError:                   # custom machine/clock
+            self._clock = lambda: self.machine.now   # noqa: E731
+
         # freshness plane: collectors open a trace context per batch,
         # transports and the store stamp their hop edges against the
         # simulated clock, _on_metric folds the finished journey
@@ -194,34 +203,16 @@ class MonitoringPipeline:
             self.freshness = FreshnessTracker(
                 slos=slos, tier=type(self.bus).__name__
             )
-            # the stamp clock fires three times per traced batch, so it
-            # reads the sim clock's slot directly instead of going
-            # through two property descriptors (Machine.now -> SimClock.now)
-            try:
-                sim = self.machine.clock
-                sim._now
-                clock = lambda c=sim: c._now   # noqa: E731
-            except AttributeError:             # custom machine/clock
-                clock = lambda: self.machine.now   # noqa: E731
-            self.bus.clock = clock
-            try:
-                self.tsdb.clock = clock
-            except AttributeError:      # slotted custom store
-                pass
+            self.bus.clock = self._clock
             self.scheduler.trace_batches = True
 
         # serving plane: the multi-tenant read path every dashboard-shaped
         # consumer goes through (pipeline.dashboard() reads via this);
         # the governor runs on the simulated clock so quota behavior is
         # deterministic in scenarios and tests
-        try:
-            sim = self.machine.clock
-            sim._now
-            serve_clock = lambda c=sim: c._now   # noqa: E731
-        except AttributeError:                   # custom machine/clock
-            serve_clock = lambda: self.machine.now   # noqa: E731
-        self.frontend = QueryFrontend(self.tsdb, quotas=config.quotas,
-                                      clock=serve_clock)
+        self.frontend = QueryFrontend(store, quotas=config.quotas,
+                                      clock=self._clock)
+        self._wire_store(store)
 
         self.router = EventRouter()
         self.tap = self.router.attach(DelugeTap())
@@ -259,6 +250,22 @@ class MonitoringPipeline:
                 self, interval_s=config.selfmon_interval_s,
                 source=f"{self.site}/selfmon" if self.site else "selfmon",
             )
+
+    def _wire_store(self, store) -> None:
+        """Install ``store`` as the numeric tier: at construction, and
+        again when a crash recovery reopens it."""
+        self.tsdb = store
+        if self.freshness is not None:
+            try:
+                store.clock = self._clock
+            except AttributeError:      # slotted custom store
+                pass
+        if self.ledger is not None and hasattr(store, "redo_pending_points"):
+            store.ledger = self.ledger
+        self.frontend.store = store
+        # a reopened store restarts query epochs at 0 — stale cache
+        # entries would otherwise validate against the wrong generation
+        self.frontend.result_cache.clear()
 
     # -- transport alias ---------------------------------------------------------
 

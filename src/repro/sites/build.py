@@ -139,12 +139,6 @@ def site_capabilities(pipeline: "MonitoringPipeline") -> dict:
     )
     tsdb = pipeline.tsdb
     levels = getattr(tsdb, "pyramid_levels", None) or ()
-    disk = getattr(tsdb, "disk", None)
-    if disk is None:
-        # sharded store: per-shard tiers under a common root
-        shards0 = getattr(tsdb, "shards", None)
-        if shards0:
-            disk = getattr(shards0[0], "disk", None)
     return {
         "site": pipeline.site,
         "system": pipeline.site_config.system,
@@ -154,7 +148,8 @@ def site_capabilities(pipeline: "MonitoringPipeline") -> dict:
         "transport": tier,
         "shards": int(getattr(tsdb, "n_shards", 1)),
         "levels": len(levels),
-        "disk": disk is not None,
+        # every disk-backed open reports what it found, even all zeros
+        "disk": getattr(tsdb, "recovery", None) is not None,
         "workers": int(getattr(pipeline.executor, "workers", 1)),
         "cadence_s": float(pipeline.scheduler.collectors[0].interval_s)
         if pipeline.scheduler.collectors else 0.0,

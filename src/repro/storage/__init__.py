@@ -1,15 +1,9 @@
 """Storage backends: TSDB (plain or sharded, optionally over the disk
-tier), relational, log index, job index."""
+tier — constructing one over a directory restores what is there),
+relational, log index, job index."""
 
 from .chunkcache import ChunkCache, ChunkCacheStats
-from .diskier import (
-    ChunkRef,
-    DiskTier,
-    DiskTierStats,
-    RecoveryReport,
-    recover_sharded,
-    recover_store,
-)
+from .diskier import ChunkRef, DiskTier, DiskTierStats, RecoveryReport
 from .jobstore import Allocation, JobIndex
 from .logstore import LogStore, tokenize
 from .sharded import ShardedTimeSeriesStore
@@ -35,8 +29,6 @@ __all__ = [
     "DiskTier",
     "DiskTierStats",
     "RecoveryReport",
-    "recover_sharded",
-    "recover_store",
     "ShardedTimeSeriesStore",
     "JobRow",
     "SqlStore",

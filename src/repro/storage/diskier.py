@@ -1,4 +1,4 @@
-"""Out-of-core disk tier: chunk segments, a WAL, and crash recovery.
+"""Out-of-core disk tier: chunk segments, a WAL, and restore-on-open.
 
 The stores in this repro were RAM-resident, capping campaign length at
 memory size.  This module adds the backend the paper's sites actually
@@ -28,10 +28,11 @@ cache): an append-only on-disk tier under
 
 ``snapshot()`` writes a manifest (segment extents, per-series chunk
 index, head samples, and serialized pyramid partials so rollups do not
-refold from a full decompress) and rotates the WAL;
-:func:`recover_store` / :func:`recover_sharded` rebuild a store from
-manifest + segment scan + WAL replay, deduplicating the overlap
-exactly by per-series arrival counts.
+refold from a full decompress) and rotates the WAL.  Constructing a
+store over a tier *is* recovery (:meth:`DiskTier.restore`): manifest +
+segment scan + WAL replay, deduplicating the overlap exactly by
+per-series arrival counts — a restart and a crash recovery are the same
+open, and ``store.recovery`` says what it found.
 
 File-handle lifetime is auditable by construction: every long-lived
 ``open()``/``mmap`` in this package is either context-managed or
@@ -47,7 +48,7 @@ import pickle
 import struct
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -56,7 +57,6 @@ import numpy as np
 from ..core.metric import MetricKey, SeriesBatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
-    from .chunkcache import ChunkCache
     from .tsdb import SealedChunk, TimeSeriesStore, _Series
 
 __all__ = [
@@ -65,8 +65,6 @@ __all__ = [
     "DiskTierStats",
     "RecoveryReport",
     "merge_disk_stats",
-    "recover_store",
-    "recover_sharded",
 ]
 
 
@@ -322,9 +320,9 @@ class DiskTier:
         self.sync_every_bytes = int(sync_every_bytes)
         self._handles = _HandleRegistry()
         self._dead = False
-        # resume-aware: reopen existing segments (recovery reuses the
-        # directory), append to the highest; WAL always starts a fresh
-        # generation so older generations stay replayable.
+        # resume-aware: reopen existing segments, append to the highest;
+        # the WAL always starts a fresh generation so older generations
+        # stay replayable by the owning store's restore().
         self._segments: dict[int, _Segment] = {}
         for p in sorted(self.root.glob("seg-*.dat")):
             sid = int(p.stem.split("-")[1])
@@ -371,8 +369,8 @@ class DiskTier:
     def _check_alive(self) -> None:
         if self._dead:
             raise RuntimeError(
-                "disk tier crashed (simulate_crash); recover a fresh "
-                "store with repro.storage.diskier.recover_store"
+                "disk tier closed or crashed (simulate_crash); reopen() "
+                "the store on its directory"
             )
 
     # -- write path ---------------------------------------------------------
@@ -407,8 +405,6 @@ class DiskTier:
         seg.size = off + len(blob)
         self._unsynced += seg.size - off + _SEG_HDR.size + len(mb) + len(cb)
         if self._unsynced >= self.sync_every_bytes:
-            # WAL-bypassing ingest (chunk-aligned batches) must still
-            # honor the fsync cadence, not just WAL-logged appends
             self.sync()
         return ChunkRef(seg.seg_id, off, len(blob))
 
@@ -590,6 +586,138 @@ class DiskTier:
                 gen_path.unlink(missing_ok=True)
         return self.root / _MANIFEST
 
+    # -- open ---------------------------------------------------------------
+
+    def reopen(self) -> "DiskTier":
+        """A fresh tier over the same directory with the same budgets."""
+        return DiskTier(self.root, self.hot_bytes, self.segment_bytes,
+                        self.sync_every_bytes)
+
+    def restore(self, store: "TimeSeriesStore") -> "RecoveryReport":
+        """Fill the just-constructed ``store`` with what this tier's
+        directory holds (the store constructor calls this).
+
+        The store's ``chunk_size`` and ``pyramid_levels`` are its
+        declared shape (a crash before the first snapshot leaves no
+        manifest to learn them from); a manifest that disagrees is an
+        error.  Three sources compose, deduplicated by per-series
+        arrival counts:
+
+        1. the manifest (sealed-chunk index + heads + pyramid partials),
+        2. a scan of segment bytes past the manifest-covered extents
+           (chunks sealed after the last snapshot — one decompress each
+           to rebuild summaries/hints and fold pyramids),
+        3. WAL replay of batches not yet represented by sealed chunks.
+
+        Every restored sealed chunk starts *spilled* (ref-only), so the
+        restored resident footprint is bounded regardless of history
+        size.  If anything was found the restore ends by writing a fresh
+        manifest, so repeated crashes never replay more than one
+        campaign's tail; an empty directory is left untouched.
+        """
+        from .tsdb import SealedChunk, decompress_chunk
+
+        manifest = _read_manifest(self.root, store.chunk_size,
+                                  store.pyramid_levels)
+        covered = manifest["segments"] if manifest else {}
+        min_gen = manifest["wal_gen"] if manifest else 0
+        scanned, torn_seg = self._scan_segments(covered)
+        wal_payloads, torn_wal = _read_wal_records(self.root, min_gen)
+
+        manifest_chunks = 0
+        if manifest:
+            for (metric, comp), state in manifest["series"].items():
+                manifest_chunks += store.restore_series(
+                    MetricKey(metric, comp), state)
+
+        # 2) chunks sealed after the snapshot: one decompress each rebuilds
+        # summary/hint and folds the pyramid; the blob stays on disk.  A
+        # series' arrival stream was [manifest-sealed | manifest-head | wal
+        # records] and these chunks cover a prefix of the last two, so
+        # adopting one trims the restored head and reports how many of its
+        # samples the WAL replay must drop instead.
+        scanned_chunks = 0
+        wal_skip: dict[MetricKey, int] = {}
+        for sid, metric, comp, boff, blob in scanned:
+            ct, cv = decompress_chunk(blob)
+            if not len(ct):
+                continue
+            key = MetricKey(metric, comp)
+            skip = store.adopt_chunk(
+                key, SealedChunk.of(ct, cv, ChunkRef(sid, boff, len(blob))),
+                ct, cv)
+            if skip:
+                wal_skip[key] = wal_skip.get(key, 0) + skip
+            scanned_chunks += 1
+
+        replayed = skipped = 0
+        for payload in wal_payloads:
+            metric, comps, times, values = _decode_wal_batch(payload)
+            if not comps:
+                continue
+            if wal_skip:
+                keep = np.ones(len(comps), dtype=bool)
+                for i, c in enumerate(comps):
+                    key = MetricKey(metric, c)
+                    left = wal_skip.get(key, 0)
+                    if left:
+                        keep[i] = False
+                        wal_skip[key] = left - 1
+                        if left == 1:
+                            del wal_skip[key]
+                skipped += int((~keep).sum())
+                if not keep.all():
+                    comps = [c for c, k in zip(comps, keep.tolist()) if k]
+                    times, values = times[keep], values[keep]
+                if not comps:
+                    continue
+            replayed += len(comps)
+            store.append(SeriesBatch(
+                metric, np.asarray(comps, dtype=object), times, values,
+            ))
+
+        stats = store.stats()
+        report = RecoveryReport(
+            series=stats.series,
+            points=stats.samples,
+            manifest_chunks=manifest_chunks,
+            scanned_chunks=scanned_chunks,
+            wal_points_replayed=replayed,
+            wal_points_skipped=skipped,
+            torn_segment_bytes=torn_seg,
+            torn_wal_bytes=torn_wal,
+        )
+        if any(astuple(report)):
+            self.snapshot(store)
+        return report
+
+    def _scan_segments(
+        self, covered: Mapping[int, int]
+    ) -> tuple[list[tuple[int, str, str, int, bytes]], int]:
+        """Records beyond each segment's manifest-covered extent.
+
+        Torn tails are truncated away on disk — and off the segment's
+        ``size``/``synced`` marks, read before the tear was known — so
+        this tier appends at a clean record boundary.  Returns
+        ``([(segment, metric, comp, blob_off, blob)], torn_bytes)``.
+        """
+        out: list[tuple[int, str, str, int, bytes]] = []
+        torn = 0
+        for sid, seg in self._segments.items():
+            start = int(covered.get(sid, 0))
+            if seg.size <= start:
+                continue
+            with open(seg.path, "rb") as f:
+                data = f.read()
+            recs, consumed = _scan_segment(data, start)
+            out.extend((sid, m, c, off, blob) for m, c, off, blob in recs)
+            if consumed < seg.size:
+                torn += seg.size - consumed
+                with open(seg.path, "r+b") as f:
+                    f.truncate(consumed)
+                seg.size = seg.synced = consumed
+        return out, torn
+
     # -- stats --------------------------------------------------------------
 
     def stats(self) -> DiskTierStats:
@@ -628,13 +756,7 @@ class RecoveryReport:
 
     def merged(self, other: "RecoveryReport") -> "RecoveryReport":
         return RecoveryReport(*(a + b for a, b in
-                                zip(self._astuple(), other._astuple())))
-
-    def _astuple(self) -> tuple:
-        return (self.series, self.points, self.manifest_chunks,
-                self.scanned_chunks, self.wal_points_replayed,
-                self.wal_points_skipped, self.torn_segment_bytes,
-                self.torn_wal_bytes)
+                                zip(astuple(self), astuple(other))))
 
 
 def _read_manifest(root: Path, chunk_size: int,
@@ -668,34 +790,6 @@ def _read_manifest(root: Path, chunk_size: int,
     return manifest
 
 
-def _scan_segments_on_disk(
-    root: Path, covered: Mapping[int, int]
-) -> tuple[list[tuple[int, str, str, int, bytes]], int]:
-    """Records beyond each segment's manifest-covered extent.
-
-    Torn tails are truncated away on disk so the reopened tier appends
-    at a clean record boundary.  Returns
-    ``([(segment, metric, comp, blob_off, blob)], torn_bytes)``.
-    """
-    out: list[tuple[int, str, str, int, bytes]] = []
-    torn = 0
-    for path in sorted(root.glob("seg-*.dat")):
-        sid = int(path.stem.split("-")[1])
-        start = int(covered.get(sid, 0))
-        size = path.stat().st_size
-        if size <= start:
-            continue
-        with open(path, "rb") as f:
-            data = f.read()
-        recs, consumed = _scan_segment(data, start)
-        out.extend((sid, m, c, off, blob) for m, c, off, blob in recs)
-        if consumed < size:
-            torn += size - consumed
-            with open(path, "r+b") as f:
-                f.truncate(consumed)
-    return out, torn
-
-
 def _read_wal_records(root: Path, min_gen: int) -> tuple[list[bytes], int]:
     payloads: list[bytes] = []
     torn = 0
@@ -710,154 +804,3 @@ def _read_wal_records(root: Path, min_gen: int) -> tuple[list[bytes], int]:
         payloads.extend(recs)
         torn += len(data) - consumed
     return payloads, torn
-
-
-def recover_store(
-    root: str | Path,
-    chunk_size: int,
-    pyramid_levels: Sequence[float] | None,
-    hot_bytes: int = 64 << 20,
-    segment_bytes: int = 64 << 20,
-    sync_every_bytes: int = 1 << 20,
-    cache: "ChunkCache | None" = None,
-    snapshot_after: bool = True,
-) -> tuple["TimeSeriesStore", RecoveryReport]:
-    """Rebuild a :class:`TimeSeriesStore` from its disk tier.
-
-    ``chunk_size`` and ``pyramid_levels`` are the declared shape of the
-    store being replaced (a crash before the first snapshot leaves no
-    manifest to learn them from); a manifest that disagrees is an
-    error.  Three sources compose, deduplicated by per-series arrival
-    counts:
-
-    1. the manifest (sealed-chunk index + heads + pyramid partials),
-    2. a scan of segment bytes past the manifest-covered extents
-       (chunks sealed after the last snapshot — one decompress each to
-       rebuild summaries/hints and fold pyramids),
-    3. WAL replay of batches not yet represented by sealed chunks.
-
-    Every restored sealed chunk starts *spilled* (ref-only), so the
-    recovered resident footprint is bounded regardless of history
-    size.  With ``snapshot_after`` (default) the recovery ends by
-    writing a fresh manifest, so repeated crashes never replay more
-    than one campaign's tail.
-    """
-    from .tsdb import SealedChunk, TimeSeriesStore, decompress_chunk
-
-    root = Path(root)
-    manifest = _read_manifest(root, chunk_size, pyramid_levels)
-    covered = manifest["segments"] if manifest else {}
-    min_gen = manifest["wal_gen"] if manifest else 0
-    scanned, torn_seg = _scan_segments_on_disk(root, covered)
-    wal_payloads, torn_wal = _read_wal_records(root, min_gen)
-
-    tier = DiskTier(root, hot_bytes=hot_bytes, segment_bytes=segment_bytes,
-                    sync_every_bytes=sync_every_bytes)
-    store = TimeSeriesStore(chunk_size=chunk_size, cache=cache,
-                            pyramid_levels=pyramid_levels, disk=tier)
-
-    manifest_chunks = 0
-    if manifest:
-        for (metric, comp), state in manifest["series"].items():
-            manifest_chunks += store.restore_series(MetricKey(metric, comp),
-                                                    state)
-
-    # 2) chunks sealed after the snapshot: one decompress each rebuilds
-    # summary/hint and folds the pyramid; the blob stays on disk.  A
-    # series' arrival stream was [manifest-sealed | manifest-head | wal
-    # records] and these chunks cover a prefix of the last two, so
-    # adopting one trims the restored head and reports how many of its
-    # samples the WAL replay must drop instead.
-    scanned_chunks = 0
-    wal_skip: dict[MetricKey, int] = {}
-    for sid, metric, comp, boff, blob in scanned:
-        ct, cv = decompress_chunk(blob)
-        if not len(ct):
-            continue
-        key = MetricKey(metric, comp)
-        skip = store.adopt_chunk(
-            key, SealedChunk.of(ct, cv, ChunkRef(sid, boff, len(blob))),
-            ct, cv)
-        if skip:
-            wal_skip[key] = wal_skip.get(key, 0) + skip
-        scanned_chunks += 1
-
-    replayed = skipped = 0
-    for payload in wal_payloads:
-        metric, comps, times, values = _decode_wal_batch(payload)
-        if not comps:
-            continue
-        if wal_skip:
-            keep = np.ones(len(comps), dtype=bool)
-            for i, c in enumerate(comps):
-                key = MetricKey(metric, c)
-                left = wal_skip.get(key, 0)
-                if left:
-                    keep[i] = False
-                    wal_skip[key] = left - 1
-                    if left == 1:
-                        del wal_skip[key]
-            skipped += int((~keep).sum())
-            if not keep.all():
-                comps = [c for c, k in zip(comps, keep.tolist()) if k]
-                times, values = times[keep], values[keep]
-            if not comps:
-                continue
-        replayed += len(comps)
-        store.append(SeriesBatch(
-            metric, np.asarray(comps, dtype=object), times, values,
-        ))
-
-    stats = store.stats()
-    report = RecoveryReport(
-        series=stats.series,
-        points=stats.samples,
-        manifest_chunks=manifest_chunks,
-        scanned_chunks=scanned_chunks,
-        wal_points_replayed=replayed,
-        wal_points_skipped=skipped,
-        torn_segment_bytes=torn_seg,
-        torn_wal_bytes=torn_wal,
-    )
-    if snapshot_after:
-        store.snapshot()
-    return store, report
-
-
-def recover_sharded(
-    root: str | Path,
-    shards: int,
-    chunk_size: int,
-    pyramid_levels: Sequence[float] | None,
-    hot_bytes: int = 64 << 20,
-    segment_bytes: int = 64 << 20,
-    sync_every_bytes: int = 1 << 20,
-    redo_points: int = 100_000,
-    snapshot_after: bool = True,
-):
-    """Rebuild a :class:`ShardedTimeSeriesStore` from per-shard tiers.
-
-    ``root`` must hold the ``shard-N`` subdirectories a disk-enabled
-    sharded store writes; shard count and routing must match the
-    original, or series land on the wrong shard.
-    """
-    from .sharded import ShardedTimeSeriesStore
-
-    root = Path(root)
-    sh = ShardedTimeSeriesStore(shards=shards, chunk_size=chunk_size,
-                                redo_points=redo_points,
-                                pyramid_levels=pyramid_levels)
-    report = RecoveryReport(0, 0, 0, 0, 0, 0, 0, 0)
-    rebuilt = []
-    for i in range(shards):
-        store, rep = recover_store(
-            root / f"shard-{i}", chunk_size, pyramid_levels,
-            hot_bytes=hot_bytes, segment_bytes=segment_bytes,
-            sync_every_bytes=sync_every_bytes,
-            cache=sh.cache, snapshot_after=snapshot_after,
-        )
-        rebuilt.append(store)
-        report = report.merged(rep)
-    sh.shards = rebuilt
-    sh.disk_dir = str(root)
-    return sh, report

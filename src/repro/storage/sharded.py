@@ -20,7 +20,9 @@ bound for it divert into a bounded *redo buffer* (visible as ledger
 ``pending``; overflow evicts oldest as accounted ``lost``), reads
 against it return empty — and on ``recover_shard`` the redo buffer is
 replayed into the healed shard, so the only data lost under an outage
-is what the redo bound explicitly evicted.
+is what the redo bound explicitly evicted — or, if the process dies
+first, what :meth:`~ShardedTimeSeriesStore.simulate_crash` hands the
+ledger as ``crash-redo`` (redo buffers live in memory only).
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from __future__ import annotations
 import weakref
 from collections import deque
 from dataclasses import fields
+from functools import reduce
+from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -37,6 +41,7 @@ from ..core.lifecycle import Health
 from ..core.metric import MetricKey, SeriesBatch
 from ..core.tracectx import HOP_INGEST
 from .chunkcache import ChunkCache, ChunkCacheStats
+from .diskier import DiskTier, RecoveryReport, merge_disk_stats
 from .tsdb import SeriesQueryMixin, StoreStats, TimeSeriesStore
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,6 +56,13 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
     All shards share one decompressed-chunk cache, so the cache memory
     bound is global rather than K× per-shard (chunk ids are
     process-unique, so shards can never alias each other's entries).
+
+    With ``disk_dir=`` each shard owns a tier under ``shard-<i>`` and is
+    opened like any plain store: whatever its directory holds is
+    restored, and ``recovery`` is the field-wise merge of the shards'
+    reports (``None`` in memory).  :meth:`reopen` is a restart on the
+    same directories; :meth:`simulate_crash` and :meth:`close` end this
+    instance's use of them.
     """
 
     def __init__(self, shards: int = 4, chunk_size: int = 512,
@@ -66,28 +78,37 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
         self.n_shards = int(shards)
         self.chunk_size = int(chunk_size)
         self.cache = cache if cache is not None else ChunkCache()
-        if disk_dir is not None:
-            # one tier per shard under a common root: per-shard segment
-            # files and WALs, so shard-parallel ingest never shares a
-            # file handle; the hot budget is per shard
-            from pathlib import Path
-
-            from .diskier import DiskTier
-            tiers = [
-                DiskTier(Path(disk_dir) / f"shard-{i}", hot_bytes=hot_bytes,
-                         segment_bytes=segment_bytes,
-                         sync_every_bytes=sync_every_bytes)
-                for i in range(self.n_shards)
-            ]
-        else:
-            tiers = [None] * self.n_shards
+        self._tier_budgets = dict(hot_bytes=hot_bytes,
+                                  segment_bytes=segment_bytes,
+                                  sync_every_bytes=sync_every_bytes)
         self.disk_dir = disk_dir
-        self.shards = [
-            TimeSeriesStore(chunk_size=chunk_size, cache=self.cache,
-                            pyramid_levels=pyramid_levels, disk=tiers[i])
-            for i in range(self.n_shards)
-        ]
+        if disk_dir is not None:
+            found = {p.name for p in Path(disk_dir).glob("shard-*")}
+            if found and found != {f"shard-{i}" for i in range(self.n_shards)}:
+                # series route by CRC mod K: opening under another K
+                # would leave some unreachable and the rest misplaced
+                raise ValueError(
+                    f"{disk_dir}: holds {len(found)} shard directories "
+                    f"({', '.join(sorted(found))}), but the store being "
+                    f"opened declares {self.n_shards}"
+                )
+        self.shards: list[TimeSeriesStore] = []
+        try:
+            for i in range(self.n_shards):
+                # one tier per shard under a common root: per-shard
+                # segment files and WALs, so shard-parallel ingest never
+                # shares a file handle; the hot budget is per shard
+                tier = None if disk_dir is None else DiskTier(
+                    Path(disk_dir) / f"shard-{i}", **self._tier_budgets)
+                self.shards.append(TimeSeriesStore(
+                    chunk_size=chunk_size, cache=self.cache,
+                    pyramid_levels=pyramid_levels, disk=tier))
+        except BaseException:
+            self.close()    # a shard refused its directory: none stays open
+            raise
         self.pyramid_levels = self.shards[0].pyramid_levels
+        self.recovery = None if disk_dir is None else reduce(
+            RecoveryReport.merged, (s.recovery for s in self.shards))
         # store-wide epoch component: health flips change what reads
         # return without touching any shard's per-metric epochs
         self._health_epoch = 0
@@ -426,7 +447,6 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
 
     def disk_stats(self):
         """Merged per-shard disk-tier counters, or None when in-memory."""
-        from .diskier import merge_disk_stats
         per = [s.disk_stats() for s in self.shards]
         per = [p for p in per if p is not None]
         return merge_disk_stats(per) if per else None
@@ -434,6 +454,37 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
     def snapshot(self) -> list:
         """Snapshot every disk-backed shard (per-shard manifests)."""
         return [s.snapshot() for s in self.shards if s.disk is not None]
+
+    def reopen(self) -> "ShardedTimeSeriesStore":
+        """A new store of the same declared shape and tier budgets over
+        the same directories — what a restart does, after :meth:`close`
+        or :meth:`simulate_crash`.  Every shard comes back healthy and
+        no redo state survives (it never reached disk)."""
+        return ShardedTimeSeriesStore(
+            shards=self.n_shards, chunk_size=self.chunk_size,
+            cache=ChunkCache(self.cache.max_bytes),
+            redo_points=self.redo_points,
+            pyramid_levels=self.pyramid_levels, disk_dir=self.disk_dir,
+            **self._tier_budgets)
+
+    def simulate_crash(self) -> None:
+        """Power loss on every shard's tier.  Redo-parked batches were
+        never WAL-logged, so they die with the process: each is stamped
+        ``lost`` under ``crash-redo`` here, at the moment it is dropped,
+        and visible ``pending`` never turns into silence."""
+        for s in self.shards:
+            s.simulate_crash()
+        for i, redo in enumerate(self._redo):
+            while redo:
+                batch = redo.popleft()
+                if self.ledger is not None:
+                    self.ledger.lost_batch("crash-redo", batch)
+            self._redo_depth[i] = 0
+
+    def close(self) -> None:
+        """Sync and release every shard's file handles."""
+        for s in self.shards:
+            s.close()
 
     def points_by_metric(self) -> dict[str, int]:
         """Per-metric stored point counts merged across shards."""

@@ -37,7 +37,8 @@ every read path goes through).  ``archive_before`` demotes by age
 instead of by budget and ``locate_archived`` names where each demoted
 chunk lives — Table I's hierarchical archive / locate / reload is a
 policy over that one tier.  Appends are WAL-logged first, so heads
-survive a crash; see ``storage/diskier.py`` for recovery.
+survive a crash, and constructing a store over a tier restores whatever
+its directory already holds (``store.recovery`` reports what was found).
 """
 
 from __future__ import annotations
@@ -914,7 +915,17 @@ class SeriesQueryMixin:
 
 
 class TimeSeriesStore(SeriesQueryMixin):
-    """In-memory TSDB over (metric, component)-keyed series."""
+    """TSDB over (metric, component)-keyed series, in memory or — given
+    ``disk=`` — over a :class:`~repro.storage.diskier.DiskTier`.
+
+    A store is opened one way: constructing it over a tier restores what
+    the tier's directory holds (manifest, segments, WAL) and leaves a
+    :class:`~repro.storage.diskier.RecoveryReport` on ``recovery`` — all
+    zeros over an empty directory, ``None`` without a tier.  A restart
+    and a crash recovery are therefore the same call, :meth:`reopen`;
+    :meth:`simulate_crash` and :meth:`close` end this instance's use of
+    its tier.
+    """
 
     #: optional zero-arg simulated-clock callable; when attached (by the
     #: pipeline, when freshness tracing is on), ingest stamps a traced
@@ -952,6 +963,13 @@ class TimeSeriesStore(SeriesQueryMixin):
         self._sealed_samples = 0
         self._sealed_chunks = 0
         self._sealed_bytes = 0
+        self.recovery = None
+        if disk is not None:
+            try:
+                self.recovery = disk.restore(self)
+            except BaseException:
+                disk.close()    # a refused open leaves no handle behind
+                raise
 
     def _note_seal(self, sealed: tuple[int, int] | None) -> None:
         if sealed is not None:
@@ -963,12 +981,6 @@ class TimeSeriesStore(SeriesQueryMixin):
         s = self._series[key] = _Series(self.pyramid_levels,
                                         tier=self.disk, key=key)
         return s
-
-    def _head_is_empty(self, metric: str, comp) -> bool:
-        """True when the series has no open head — a chunk-aligned
-        single-series batch then seals whole and needs no WAL record."""
-        s = self._series.get(MetricKey(metric, str(comp)))
-        return s is None or not s.head_t
 
     # -- ingest ---------------------------------------------------------------
 
@@ -985,16 +997,9 @@ class TimeSeriesStore(SeriesQueryMixin):
         self._epochs[batch.metric] = self._epochs.get(batch.metric, 0) + 1
         comps = batch.components.tolist()
         n_uniq = len(set(comps))
-        if self.disk is not None and not (
-            n_uniq == 1 and n % self.chunk_size == 0
-            and self._head_is_empty(batch.metric, comps[0])
-        ):
+        if self.disk is not None:
             # WAL before any head mutation: unsealed points survive a
-            # crash up to the last fsync batch.  Chunk-aligned
-            # single-series batches skip the WAL: every point seals into
-            # a segment record in this same call, and segments ride the
-            # same fsync batch, so logging them first would just double
-            # the write volume (the bulk-load shape).
+            # crash up to the last fsync batch
             self.disk.wal_append(batch)
         tr = batch.trace
         if self.clock is not None and tr is not None:
@@ -1220,6 +1225,27 @@ class TimeSeriesStore(SeriesQueryMixin):
         if self.disk is None:
             raise RuntimeError("snapshot() requires a disk tier")
         return self.disk.snapshot(self)
+
+    def reopen(self) -> "TimeSeriesStore":
+        """A new store of the same declared shape and tier budgets over
+        the same directory — what a restart does, after :meth:`close` or
+        :meth:`simulate_crash` (without a tier: an empty store)."""
+        return TimeSeriesStore(
+            chunk_size=self.chunk_size,
+            cache=ChunkCache(self.cache.max_bytes),
+            pyramid_levels=self.pyramid_levels,
+            disk=self.disk.reopen() if self.disk is not None else None)
+
+    def simulate_crash(self) -> None:
+        """Power loss: the tier truncates to its last fsync and dies."""
+        if self.disk is None:
+            raise TypeError("simulate_crash() needs a disk-backed store")
+        self.disk.simulate_crash()
+
+    def close(self) -> None:
+        """Sync and release the tier's file handles (no-op in memory)."""
+        if self.disk is not None:
+            self.disk.close()
 
     def points_by_metric(self) -> dict[str, int]:
         """Per-metric stored point counts — the durable truth the

@@ -117,12 +117,11 @@ class DashboardSpec:
                 else:
                     lines.append(f"{panel.title:>24} (no data)")
             elif panel.kind == "percent_in_state":
-                comps = tsdb.components(panel.metric)
+                per = tsdb.query_components(
+                    panel.metric, None, now - panel.window_s, now + 1e-9)
                 breached = 0
                 seen = 0
-                for c in comps:
-                    b = tsdb.query(panel.metric, c,
-                                   now - panel.window_s, now + 1e-9)
+                for b in per.values():
                     if not len(b):
                         continue
                     seen += 1

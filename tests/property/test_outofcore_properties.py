@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.metric import SeriesBatch
-from repro.storage.diskier import DiskTier, recover_store
+from repro.storage.diskier import DiskTier
 from repro.storage.rollup import DEFAULT_LEVELS
 from repro.storage.sharded import ShardedTimeSeriesStore
 from repro.storage.tsdb import TimeSeriesStore, compress_chunk, decompress_chunk
@@ -192,8 +192,7 @@ class TestCrashRecovery:
                                                step, agg, prune=prune)
                        for prune in (False, True)}
             store.disk.simulate_crash()
-            recovered, _ = recover_store(Path(d), 8, DEFAULT_LEVELS,
-                                         hot_bytes=1 << 9)
+            recovered = store.reopen()
             got = recovered.query("m.x", "c0")
             assert np.array_equal(got.times, want_q.times)
             assert bits_equal(got.values, want_q.values)

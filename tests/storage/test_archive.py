@@ -6,12 +6,7 @@ and every read reloads through the segment mmap."""
 import pytest
 
 from repro.core.metric import SeriesBatch
-from repro.storage.diskier import (
-    ChunkRef,
-    DiskTier,
-    recover_sharded,
-    recover_store,
-)
+from repro.storage.diskier import ChunkRef, DiskTier
 from repro.storage.sharded import ShardedTimeSeriesStore
 from repro.storage.tsdb import TimeSeriesStore
 
@@ -39,23 +34,14 @@ def tiered(request, tmp_path):
                                    disk_dir=str(tmp_path))
     fill(t)
     yield t
-    for shard in getattr(t, "shards", [t]):
-        shard.disk.close()
+    t.close()
 
 
 def recover(store):
     """Snapshot, power-loss crash, and recovery of either store shape."""
     store.snapshot()
-    shards = getattr(store, "shards", None)
-    for shard in shards or [store]:
-        shard.disk.simulate_crash()
-    if shards is None:
-        new, _ = recover_store(store.disk.root, store.chunk_size,
-                               store.pyramid_levels)
-    else:
-        new, _ = recover_sharded(store.disk_dir, store.n_shards,
-                                 store.chunk_size, store.pyramid_levels)
-    return new
+    store.simulate_crash()
+    return store.reopen()
 
 
 class TestArchive:
@@ -140,8 +126,7 @@ class TestReload:
             assert [row for row in after if row[0][1] < T_CUT] == located
             assert bits(recovered.query("m", "a")) == bits(before)
         finally:
-            for shard in getattr(recovered, "shards", [recovered]):
-                shard.disk.close()
+            recovered.close()
 
 
 class TestManySeries:

@@ -1,5 +1,6 @@
 """Unit tests for the out-of-core disk tier (spill, WAL, recovery)."""
 
+import os
 import pickle
 
 import numpy as np
@@ -11,8 +12,6 @@ from repro.storage.diskier import (
     DiskTierStats,
     RecoveryReport,
     merge_disk_stats,
-    recover_sharded,
-    recover_store,
 )
 from repro.storage.sharded import ShardedTimeSeriesStore
 from repro.storage.tsdb import TimeSeriesStore
@@ -35,6 +34,10 @@ def disk_store(tmp_path, **kw):
     kw.setdefault("sync_every_bytes", 1 << 12)
     return TimeSeriesStore(chunk_size=16,
                            disk=DiskTier(tmp_path / "tier", **kw))
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
 
 
 class TestHotBudget:
@@ -125,9 +128,8 @@ class TestSnapshotRecover:
                    for prune in (False, True)}
         n_points = store.points_by_metric()
         store.disk.simulate_crash()
-        recovered, report = recover_store(tmp_path / "tier", 16, None,
-                                          hot_bytes=1 << 12,
-                                          sync_every_bytes=1 << 12)
+        recovered = store.reopen()
+        report = recovered.recovery
         assert recovered.points_by_metric() == n_points
         assert report.points == sum(n_points.values())
         for (m, c), w in want.items():
@@ -142,6 +144,34 @@ class TestSnapshotRecover:
                 assert np.array_equal(g.times, o.times)
                 assert np.array_equal(g.values, o.values)
 
+    def test_reopening_a_directory_restores_it(self, tmp_path):
+        # a restart is an open like any other: no recovery entry point
+        store = disk_store(tmp_path)
+        assert store.recovery == RecoveryReport(0, 0, 0, 0, 0, 0, 0, 0)
+        assert not (tmp_path / "tier" / "manifest.pkl").exists()
+        vals = np.random.default_rng(5).normal(size=151)
+        for i in range(100):
+            store.append(sweep("m", i * 10.0, ["a"], [vals[i]]))
+        store.snapshot()
+        for i in range(100, 150):
+            store.append(sweep("m", i * 10.0, ["a"], [vals[i]]))
+        store.close()
+
+        again = disk_store(tmp_path)
+        assert again.recovery.manifest_chunks > 0
+        got = again.query("m", "a")
+        assert np.array_equal(got.values.view(np.uint64),
+                              vals[:150].view(np.uint64))
+        again.append(sweep("m", 1500.0, ["a"], [vals[150]]))
+        again.snapshot()
+        again.close()
+
+        third = disk_store(tmp_path)
+        got = third.query("m", "a")
+        assert np.array_equal(got.values.view(np.uint64),
+                              vals.view(np.uint64))
+        third.close()
+
     def test_unsynced_tail_is_counted_not_silent(self, tmp_path):
         store = disk_store(tmp_path, sync_every_bytes=1 << 30)
         fill(store, n=100, metrics=("m",), comps=("a",))
@@ -151,7 +181,8 @@ class TestSnapshotRecover:
             store.append(sweep("m", i * 10.0, ["a"], [float(i)]))
         total = sum(store.points_by_metric().values())
         store.disk.simulate_crash()
-        recovered, report = recover_store(tmp_path / "tier", 16, None)
+        recovered = store.reopen()
+        report = recovered.recovery
         back = sum(recovered.points_by_metric().values())
         assert back == synced                  # tail gone...
         assert total - back == 40              # ...but exactly countable
@@ -168,11 +199,12 @@ class TestSnapshotRecover:
         fill(store, n=200, metrics=("m",), comps=("a", "b"))
         store.flush()
         store.disk.simulate_crash()
-        r1, rep1 = recover_store(tmp_path / "tier", 16, None)
-        # recover_store ends with a snapshot: a second crash right away
-        # recovers purely from the manifest (no scan, no replay)
+        r1 = store.reopen()
+        # a restoring open ends with a snapshot: a second crash right
+        # away recovers purely from the manifest (no scan, no replay)
         r1.disk.simulate_crash()
-        r2, rep2 = recover_store(tmp_path / "tier", 16, None)
+        r2 = r1.reopen()
+        rep2 = r2.recovery
         assert rep2.scanned_chunks == 0
         assert rep2.wal_points_replayed == 0
         assert r2.points_by_metric() == r1.points_by_metric()
@@ -187,11 +219,23 @@ class TestSnapshotRecover:
             for p in (tmp_path / "tier").glob(pat):
                 with open(p, "ab") as fh:
                     fh.write(b"SG\x99\x99torn-garbage")
-        recovered, report = recover_store(tmp_path / "tier", 16, None)
+        recovered = store.reopen()
+        report = recovered.recovery
         assert report.torn_segment_bytes > 0
         assert report.torn_wal_bytes > 0
         got = recovered.query("m", "a")
         assert len(got) == 150                 # data before the tear intact
+        # the tier appends at the truncated boundary, not the torn size:
+        # a chunk sealed after the restoring open reads back off disk
+        for i in range(150, 170):
+            recovered.append(sweep("m", i * 10.0, ["a"], [float(i)]))
+        recovered.flush()
+        recovered.archive_before(np.inf)
+        recovered.cache.clear()
+        got = recovered.query("m", "a")
+        assert got.values[150:].tolist() == [float(i) for i in range(150, 170)]
+        recovered.close()
+        assert len(recovered.reopen().query("m", "a")) == 170
 
     def test_crash_before_first_snapshot_keeps_declared_shape(self, tmp_path):
         # no manifest to learn the shape from: it comes from the caller
@@ -201,7 +245,9 @@ class TestSnapshotRecover:
         store.flush()
         want = store.query("m", "a")
         store.disk.simulate_crash()
-        rec, report = recover_store(tmp_path / "tier", 16, (10.0, 60.0))
+        rec = TimeSeriesStore(chunk_size=16, pyramid_levels=(10.0, 60.0),
+                              disk=DiskTier(tmp_path / "tier"))
+        report = rec.recovery
         assert report.manifest_chunks == 0 and report.scanned_chunks > 0
         assert rec.chunk_size == 16
         assert rec.pyramid_levels == (10.0, 60.0)
@@ -211,7 +257,7 @@ class TestSnapshotRecover:
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.values.view(np.uint64),
                               want.values.view(np.uint64))
-        rec.disk.close()
+        rec.close()
 
     @pytest.mark.parametrize("declared", [(32, None), (16, (10.0, 60.0))])
     def test_manifest_disagreeing_with_declared_shape_is_an_error(
@@ -219,25 +265,35 @@ class TestSnapshotRecover:
         store = disk_store(tmp_path)
         fill(store, n=50, metrics=("m",), comps=("a",))
         store.snapshot()
-        store.disk.close()
+        store.close()
+        fds = open_fds()
         with pytest.raises(ValueError, match=r"manifest\.pkl.*\(16, \(\)\)"):
-            recover_store(tmp_path / "tier", *declared)
+            TimeSeriesStore(declared[0], pyramid_levels=declared[1],
+                            disk=DiskTier(tmp_path / "tier"))
+        # the refused open left no handle behind and nothing disturbed:
+        # the right shape still restores everything
+        assert open_fds() == fds
+        again = store.reopen()
+        assert len(again.query("m", "a")) == 50
+        again.close()
 
     def test_foreign_manifest_version_is_rejected(self, tmp_path):
         store = disk_store(tmp_path)
         fill(store, n=50, metrics=("m",), comps=("a",))
         path = store.snapshot()
-        store.disk.close()
+        store.close()
         with open(path, "rb") as f:
             manifest = pickle.load(f)
         assert manifest["version"] == 2
         with open(path, "wb") as f:
             pickle.dump(dict(manifest, version=1), f)
+        fds = open_fds()
         with pytest.raises(ValueError) as err:
-            recover_store(tmp_path / "tier", 16, None)
+            store.reopen()
         msg = str(err.value)
         assert str(path) in msg
         assert "version 1" in msg and "version 2" in msg
+        assert open_fds() == fds
 
 
 class TestSeriesLifecycle:
@@ -265,17 +321,41 @@ class TestSharded:
         sh.flush()
         want = {(m, c): sh.query(m, c)
                 for m in ("m1", "m2") for c in ("a", "b", "c")}
-        for s in sh.shards:
-            s.disk.simulate_crash()
-        rec, report = recover_sharded(tmp_path, 3, 16, None,
-                                      hot_bytes=1 << 12,
-                                      sync_every_bytes=1 << 12)
+        sh.simulate_crash()
+        rec = sh.reopen()
+        report = rec.recovery
         assert report.points == sum(rec.points_by_metric().values())
         for (m, c), w in want.items():
             got = rec.query(m, c)
             assert np.array_equal(got.times, w.times)
             assert np.array_equal(got.values.view(np.uint64),
                                   w.values.view(np.uint64))
+
+    def test_refused_opens_are_loud_and_leave_the_directory_whole(
+            self, tmp_path):
+        sh = ShardedTimeSeriesStore(shards=4, chunk_size=16,
+                                    disk_dir=str(tmp_path))
+        fill(sh, n=100)
+        sh.snapshot()
+        n_points = sh.points_by_metric()
+        sh.close()
+        fds = open_fds()
+        # series route by CRC mod K: another K would lose half of them
+        with pytest.raises(ValueError, match=r"holds 4 shard.*declares 2"):
+            ShardedTimeSeriesStore(shards=2, chunk_size=16,
+                                   disk_dir=str(tmp_path))
+        # shard 0 restores before shard 1 refuses: every tier closes
+        manifest = tmp_path / "shard-1" / "manifest.pkl"
+        good = manifest.read_bytes()
+        manifest.write_bytes(pickle.dumps({"version": 1}))
+        with pytest.raises(ValueError, match="version 1"):
+            sh.reopen()
+        assert open_fds() == fds
+        manifest.write_bytes(good)
+        again = sh.reopen()
+        assert again.recovery.manifest_chunks > 0
+        assert again.points_by_metric() == n_points
+        again.close()
 
     def test_merged_disk_stats(self, tmp_path):
         sh = ShardedTimeSeriesStore(shards=3, chunk_size=16,
@@ -320,7 +400,7 @@ class TestTierResume:
         store.flush()
         before = store.disk_stats()
         seg_bytes = before.disk_bytes - before.wal_bytes
-        store.disk.close()
+        store.close()
         tier = DiskTier(tmp_path / "tier", hot_bytes=1 << 12,
                         sync_every_bytes=1 << 12)
         after = tier.stats()

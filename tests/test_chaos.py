@@ -241,6 +241,7 @@ def test_kill_and_recover_campaign_accounts_every_point(seed, tmp_path):
         ChaosTransport,
         CollectorRaise,
         MonitorFaultInjector,
+        ShardOutage,
         StoreCrash,
         TransportDropStorm,
     )
@@ -273,12 +274,12 @@ def test_kill_and_recover_campaign_accounts_every_point(seed, tmp_path):
     )
     total_s = 4000.0
     crash = StoreCrash(start=2400.0)
-    # NO ShardOutage here: redo-parked points are not WAL-logged, so a
-    # crash while a shard holds redo state would turn visible pending
-    # into silent loss — that interaction is excluded by design
+    # the crash lands while shard 1 holds redo state: redo-parked points
+    # are not WAL-logged, so they must leave as named loss, not silence
     inj = MonitorFaultInjector([
         CollectorRaise(start=600.0, duration=900.0, target="sedc"),
         TransportDropStorm(start=1200.0, duration=800.0, drop_every=3),
+        ShardOutage(start=2300.0, duration=300.0, shard=1),
         crash,
     ])
 
@@ -313,8 +314,9 @@ def test_kill_and_recover_campaign_accounts_every_point(seed, tmp_path):
     assert report.pending == 0 and report.in_flight == 0
     assert set(report.lost_by_cause) <= {
         "chaos-drop", "partition-overflow", "store-error",
-        "crash-unsynced",
+        "crash-unsynced", "crash-redo",
     }
+    assert "crash-redo" in report.lost_by_cause
     # crash loss (if any) is a number under its named cause, matching
     # exactly what the fault reported moving
     assert report.lost_by_cause.get("crash-unsynced", 0) \
@@ -355,5 +357,43 @@ def test_crash_before_first_snapshot_recovers_the_declared_store(
                                 "mean")
     assert len(got)
     assert p.frontend.stats().pyramid_answers == answered + 1
-    for shard in getattr(p.tsdb, "shards", [p.tsdb]):
-        shard.disk.close()
+    p.tsdb.close()
+
+
+@pytest.mark.parametrize("shards", [None, 2])
+def test_reopening_a_directory_restores_it(tmp_path, shards):
+    """A site restarted on its own ``store_dir`` finds its history: the
+    one assembly path is also the one way back."""
+    from repro.core.metric import SeriesBatch
+
+    config = SiteConfig(store_dir=str(tmp_path), chunk_size=16,
+                        shards=shards)
+    comps = ["a", "b", "c"]
+    vals = np.random.default_rng(5).normal(size=(51, 3))
+
+    def write(store, rows):
+        for i in rows:
+            store.append(SeriesBatch.sweep("m", i * 10.0, comps, vals[i]))
+
+    def check(store, n):
+        for j, c in enumerate(comps):
+            got = store.query("m", c)
+            assert np.array_equal(got.values.view(np.uint64),
+                                  vals[:n, j].copy().view(np.uint64))
+
+    store = build_site(config).tsdb
+    write(store, range(40))
+    store.snapshot()
+    write(store, range(40, 50))         # 150 points across the snapshot
+    store.close()
+
+    store = build_site(config).tsdb
+    assert store.recovery.manifest_chunks > 0
+    check(store, 50)
+    write(store, [50])
+    store.snapshot()
+    store.close()
+
+    store = build_site(config).tsdb
+    check(store, 51)
+    store.close()

@@ -185,9 +185,12 @@ class TestOverheadAccounting:
 class TestDashboardIntegration:
     def test_dashboard_renders_from_live_store(self, faulty_run):
         p = faulty_run
+        before = p.frontend.stats().queries
         text = p.dashboard().render(p.machine.now, window_s=1200.0)
         assert "system status" in text
         assert "system power" in text
+        # one serving-plane read per tile, not one per component
+        assert p.frontend.stats().queries - before <= 40
 
 
 class TestAutomaticPostJobGate:
