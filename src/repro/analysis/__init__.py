@@ -1,5 +1,6 @@
 """Analyses: the methodologies the ten sites describe, as library code."""
 
+from ..core.soa import ComponentTable
 from .aggressor import AggressorReport, AppVariability, classify
 from .anomaly import (
     CusumDetector,
@@ -41,7 +42,6 @@ from .powersig import (
     match,
 )
 from .queueing import QueueEpisode, characterize, estimate_wait
-from .soa import ComponentTable
 from .stats import (
     coefficient_of_variation,
     ewma,

@@ -21,7 +21,7 @@ call and expose drainable detection queues, so the pipeline can treat
 them exactly like analysis hooks.
 
 The hot detectors are *columnar*: per-series state lives in a
-:class:`~repro.analysis.soa.ComponentTable` (component -> row index plus
+:class:`~repro.core.soa.ComponentTable` (component -> row index plus
 parallel float64 arrays) and each ``observe`` consumes the whole
 :class:`~repro.core.metric.SeriesBatch` in a handful of array ops, so a
 Trinity-scale 27,648-component sweep costs a few numpy kernels rather
@@ -41,9 +41,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..core.metric import MetricKey, SeriesBatch
+from ..core.soa import ComponentTable
 from ..obs.hist import LatencyHistogram
 from .anomaly import Detection, sweep_outliers
-from .soa import ComponentTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..transport.bus import MessageBus, Subscription

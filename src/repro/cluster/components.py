@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.soa import name_column
+
 __all__ = ["GpuStore"]
 
 
@@ -37,6 +39,9 @@ class GpuStore:
         seed: int = 0,
     ) -> None:
         self.host_nodes = list(host_nodes)
+        #: GPU component cnames (host node cname + 'g0'), as the column
+        #: every GPU sweep publishes
+        self.name_column = name_column([f"{n}g0" for n in self.host_nodes])
         self.index = {n: i for i, n in enumerate(self.host_nodes)}
         n = len(self.host_nodes)
         self.n = n
@@ -53,7 +58,7 @@ class GpuStore:
     @property
     def names(self) -> list[str]:
         """GPU component cnames: host node cname + 'g0'."""
-        return [f"{n}g0" for n in self.host_nodes]
+        return self.name_column.tolist()
 
     def step(
         self,

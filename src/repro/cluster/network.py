@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core.soa import name_column
 from .topology import NoRouteError, Topology
 
 __all__ = ["Flow", "NetworkState", "FLIT_BYTES"]
@@ -87,6 +88,7 @@ class NetworkState:
         self.link_stall_ratio = np.zeros(n_links)
 
         self._bw = np.array([l.bandwidth_Bps for l in topo.links])
+        self._link_names = name_column([l.name for l in topo.links])
 
     # -- faults ----------------------------------------------------------------
 
@@ -244,5 +246,7 @@ class NetworkState:
             return np.zeros_like(self.inject_achieved_Bps)
         return self.inject_achieved_Bps / nic
 
-    def link_names(self) -> list[str]:
-        return [l.name for l in self.topo.links]
+    def link_names(self) -> np.ndarray:
+        """Link names in counter order: one read-only column, the same
+        object on every call."""
+        return self._link_names

@@ -22,6 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..core.soa import name_column
+
 __all__ = ["ESSENTIAL_SERVICES", "NodeStore", "Node"]
 
 # Services every compute node must run; LANL-style checks verify each.
@@ -48,6 +50,8 @@ class NodeStore:
         seed: int = 0,
     ) -> None:
         self.names: list[str] = list(names)
+        #: the same names as the column every whole-fleet sweep publishes
+        self.name_column = name_column(self.names)
         self.index: dict[str, int] = {n: i for i, n in enumerate(self.names)}
         n = len(self.names)
         self.n = n

@@ -1,18 +1,20 @@
-"""Struct-of-arrays state for streaming detectors.
+"""Struct-of-arrays state keyed by component: the one component -> row mapper.
 
-The streaming analysis plane consumes whole synchronized sweeps
-(27,648-component batches at Trinity scale), so per-series detector
-state must be addressable as arrays, not as one Python object per
-series.  :class:`ComponentTable` mirrors the
+Whole synchronized sweeps (27,648-component batches at Trinity scale)
+are consumed as arrays, so per-series state must be addressable by row,
+not as one Python object per series.  :class:`ComponentTable` mirrors the
 :class:`~repro.cluster.node.NodeStore` design: a ``component -> row``
-index plus parallel float64 state columns, grown amortized-doubling as
-new components appear.  Detectors fancy-index whole sweeps against the
-columns in a handful of numpy operations.
+index plus optional parallel float64 state columns, grown
+amortized-doubling as new components appear.  The streaming detectors
+fancy-index whole sweeps against the columns; the time-series store's
+head blocks (:mod:`repro.storage.tsdb`) use the same table, without
+columns, to turn a sweep into one column write.
 
 The only irreducibly per-component work is the string -> row mapping;
 the table memoizes it by the *identity* of the components array, so
-collectors that republish the same component array (the common steady
-state) pay for the mapping once.  Component arrays must therefore be
+collectors that republish the same component array (the fleet-wide name
+columns of ``NodeStore``, ``GpuStore`` and ``Network`` are built once)
+pay for the mapping once.  Component arrays must therefore be
 treated as immutable once published — the same rule
 :class:`~repro.core.metric.SeriesBatch` already implies by exposing
 views, not copies.
@@ -22,7 +24,20 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ComponentTable"]
+__all__ = ["ComponentTable", "name_column"]
+
+
+def name_column(names) -> np.ndarray:
+    """A fleet's component names as one read-only object column.
+
+    Built once by whoever owns the fleet and handed to every sweep, so
+    ``SeriesBatch`` adopts it without a copy and every identity memo
+    downstream (:meth:`ComponentTable.rows`, the sharded store's
+    routing) hits from the second tick on.
+    """
+    col = np.array(names, dtype=object)
+    col.flags.writeable = False
+    return col
 
 
 class ComponentTable:
@@ -31,11 +46,11 @@ class ComponentTable:
     ``columns`` maps column name -> fill value for newly added rows
     (e.g. ``n=0.0, mean=0.0, minimum=math.inf``).  Columns are exposed
     as attributes; rows beyond :attr:`size` are uninitialized capacity.
+    Components are keyed by their ``str`` form, so a row and a
+    :class:`~repro.core.metric.MetricKey` always name the same series.
     """
 
     def __init__(self, **columns: float) -> None:
-        if not columns:
-            raise ValueError("ComponentTable needs at least one column")
         self._fill = {k: float(v) for k, v in columns.items()}
         self.index: dict[str, int] = {}
         self.size = 0
@@ -72,7 +87,7 @@ class ComponentTable:
         """Row index per component, registering new components.
 
         Returns ``(rows, unique)`` where ``unique`` is True when no
-        component repeats within ``components`` — the signal detectors
+        component repeats within ``components`` — the signal consumers
         use to take the sort-free fancy-indexing fast path.  The result
         is memoized by array identity, so repeated sweeps over the same
         component array skip the per-component mapping entirely.
@@ -82,22 +97,26 @@ class ComponentTable:
         comps = components.tolist()
         index = self.index
         before = self.size
-        size = before
         rows = np.empty(len(comps), dtype=np.intp)
         for i, c in enumerate(comps):
             r = index.get(c)
-            if r is None:
-                r = index[c] = size
-                size += 1
-            rows[i] = r
-        self.size = size
-        self._ensure(size)
+            rows[i] = self.add(str(c)) if r is None else r
         # all-new components are unique by construction; otherwise check
-        unique = (size - before == len(comps)) or len(set(comps)) == len(comps)
+        unique = (self.size - before == len(comps)
+                  or len(set(rows.tolist())) == len(comps))
         self._memo_comps = components
         self._memo_rows = rows
         self._memo_unique = unique
         return rows, unique
+
+    def add(self, component: str) -> int:
+        """Row of one component, registering it when new."""
+        r = self.index.get(component)
+        if r is None:
+            r = self.index[component] = self.size
+            self.size += 1
+            self._ensure(self.size)
+        return r
 
     def row(self, component: str) -> int | None:
         """Row of one component, or None when it was never observed."""

@@ -42,9 +42,10 @@ class NodeCounterCollector(Collector):
         super().__init__("node_counters", interval_s)
 
     def collect(self, machine: "Machine", now: float) -> CollectorOutput:
-        names = machine.nodes.names
+        names = machine.nodes.name_column
         offsets = np.fromiter(
-            (machine.node_clocks[n].error_at(now) for n in names),
+            (machine.node_clocks[n].error_at(now)
+             for n in machine.nodes.names),
             dtype=np.float64,
             count=len(names),
         )
@@ -80,7 +81,7 @@ class InjectionCollector(Collector):
                 SeriesBatch.sweep(
                     "node.inject_bw_frac",
                     now,
-                    machine.nodes.names,
+                    machine.nodes.name_column,
                     machine.network.inject_bw_frac(),
                 )
             ]

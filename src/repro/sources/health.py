@@ -240,9 +240,8 @@ class NodeHealthSuite(Collector):
                             fields={"check": r.check, "detail": r.detail},
                         )
                     )
-        out.batches.append(
-            SeriesBatch.sweep("health.pass_frac", now, names, fracs)
-        )
+        out.batches.append(SeriesBatch.sweep(
+            "health.pass_frac", now, machine.nodes.name_column, fracs))
         return out
 
 

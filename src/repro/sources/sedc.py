@@ -36,7 +36,7 @@ class SedcCollector(Collector):
         super().__init__("sedc", interval_s)
 
     def collect(self, machine: "Machine", now: float) -> CollectorOutput:
-        names = machine.nodes.names
+        names = machine.nodes.name_column
         batches = [
             SeriesBatch.sweep("node.temp_c", now, names,
                               machine.nodes.temp_c.copy()),
@@ -47,7 +47,7 @@ class SedcCollector(Collector):
         ]
         gpus = machine.gpus
         if gpus is not None and gpus.n:
-            gnames = gpus.names
+            gnames = gpus.name_column
             batches.extend(
                 [
                     SeriesBatch.sweep("gpu.temp_c", now, gnames,

@@ -82,8 +82,9 @@ _WAL_MAGIC = b"WL"
 _MANIFEST = "manifest.pkl"
 #: bumped whenever the manifest payload changes shape; recovery refuses
 #: any other version rather than misreading it (2: one
-#: ``(summary, hint, ref)`` row per chunk replaced v1's parallel lists)
-_MANIFEST_VERSION = 2
+#: ``(summary, hint, ref)`` row per chunk replaced v1's parallel lists;
+#: 3: open heads are one block per metric, not two lists per series)
+_MANIFEST_VERSION = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,26 +192,36 @@ class _Wal:
         self.syncs = 0
 
 
+#: wal frame mode byte: which columns are stored once, not per element
+_WAL_ONE_COMP, _WAL_ONE_TIME = 1, 2
+
+
 def _encode_wal_batch(metric: str, comps: Sequence, times: np.ndarray,
                       values: np.ndarray) -> bytes:
-    """Frame one batch.  Mode 1 stores a uniform component once (the
-    series-chunk ingest shape, where per-element encoding would dominate
-    the whole WAL cost); mode 0 is the general per-element layout."""
+    """Frame one batch.  A uniform component (the series-chunk ingest
+    shape, where per-element encoding would dominate the whole WAL
+    cost) and a uniform time (the synchronized sweep) are each stored
+    once and flagged in the mode byte; unflagged columns take the
+    general per-element layout."""
     mb = metric.encode("utf-8")
     n = len(comps)
     t = np.ascontiguousarray(times, dtype=np.float64)
     v = np.ascontiguousarray(values, dtype=np.float64)
-    c0 = comps[0] if n else ""
-    if n and bool((np.asarray(comps, dtype=object) == c0).all()):
-        cb = str(c0).encode("utf-8")
+    mode = 0
+    if (n and comps[0] == comps[-1]
+            and bool((np.asarray(comps, dtype=object) == comps[0]).all())):
+        cb = str(comps[0]).encode("utf-8")
         comp_block = struct.pack("<H", len(cb)) + cb
-        mode = 1
+        mode |= _WAL_ONE_COMP
     else:
         cbs = [str(c).encode("utf-8") for c in comps]
         lens = np.fromiter((len(b) for b in cbs), dtype=np.uint32,
                            count=n)
         comp_block = lens.tobytes() + b"".join(cbs)
-        mode = 0
+    bits = t.view(np.int64)     # bit-equal, so NaN and -0.0 round-trip
+    if n and bool((bits == bits[0]).all()):
+        t = t[:1]
+        mode |= _WAL_ONE_TIME
     return b"".join((
         struct.pack("<BHI", mode, len(mb), n), mb, comp_block,
         t.tobytes(), v.tobytes(),
@@ -224,7 +235,7 @@ def _decode_wal_batch(
     pos = 7
     metric = payload[pos:pos + mlen].decode("utf-8")
     pos += mlen
-    if mode == 1:
+    if mode & _WAL_ONE_COMP:
         (clen,) = struct.unpack_from("<H", payload, pos)
         pos += 2
         comps = [payload[pos:pos + clen].decode("utf-8")] * n
@@ -237,9 +248,14 @@ def _decode_wal_batch(
         for ln in lens.tolist():
             comps.append(payload[pos:pos + ln].decode("utf-8"))
             pos += ln
-    times = np.frombuffer(payload, dtype=np.float64, count=n,
-                          offset=pos).copy()
-    pos += 8 * n
+    if mode & _WAL_ONE_TIME:
+        times = np.repeat(np.frombuffer(payload, dtype=np.float64, count=1,
+                                        offset=pos), n)
+        pos += 8
+    else:
+        times = np.frombuffer(payload, dtype=np.float64, count=n,
+                              offset=pos).copy()
+        pos += 8 * n
     values = np.frombuffer(payload, dtype=np.float64, count=n,
                            offset=pos).copy()
     return metric, comps, times, values
@@ -541,12 +557,12 @@ class DiskTier:
         """Write a manifest of the store's full state; rotate the WAL.
 
         The manifest carries each series' exported state — one
-        ``(summary, hint, ref)`` row per chunk, head samples, and
-        serialized pyramid partials — so restore rebuilds pyramids from
-        the partials without decompressing any chunk.  Covered segment
-        extents bound the recovery scan, and WAL generations older than
-        the manifest are deleted once the manifest is durably in place
-        (write-tmp, fsync, rename).
+        ``(summary, hint, ref)`` row per chunk and serialized pyramid
+        partials, so restore rebuilds pyramids from the partials without
+        decompressing any chunk — and each metric's open head block.
+        Covered segment extents bound the recovery scan, and WAL
+        generations older than the manifest are deleted once the
+        manifest is durably in place (write-tmp, fsync, rename).
         """
         self._check_alive()
         self.sync()
@@ -566,6 +582,9 @@ class DiskTier:
                          for sid, seg in self._segments.items()},
             "wal_gen": new_wal.gen,
             "series": series_state,
+            "heads": {metric: block.export_state()
+                      for metric, block in store._blocks.items()
+                      if block.n_head},
         }
         tmp = self.root / (_MANIFEST + ".tmp")
         with open(tmp, "wb") as f:
@@ -603,7 +622,8 @@ class DiskTier:
         error.  Three sources compose, deduplicated by per-series
         arrival counts:
 
-        1. the manifest (sealed-chunk index + heads + pyramid partials),
+        1. the manifest (sealed-chunk index + pyramid partials per
+           series, open heads per metric),
         2. a scan of segment bytes past the manifest-covered extents
            (chunks sealed after the last snapshot — one decompress each
            to rebuild summaries/hints and fold pyramids),
@@ -629,6 +649,8 @@ class DiskTier:
             for (metric, comp), state in manifest["series"].items():
                 manifest_chunks += store.restore_series(
                     MetricKey(metric, comp), state)
+            for metric, state in manifest["heads"].items():
+                store.restore_heads(metric, state)
 
         # 2) chunks sealed after the snapshot: one decompress each rebuilds
         # summary/hint and folds the pyramid; the blob stays on disk.  A

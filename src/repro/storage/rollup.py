@@ -326,7 +326,8 @@ def series_first_time(series) -> float:
     anchor; ``inf`` when the series is empty.
     """
     lo = min((c.summary.t_min for c in series.chunks), default=math.inf)
-    return min(lo, min(series.head_t)) if series.head_t else lo
+    ht = series.head()[0]
+    return min(lo, float(ht.min())) if len(ht) else lo
 
 
 def series_partials(
@@ -354,7 +355,7 @@ def series_partials(
        or all of it) and inside one bucket — never decompressed;
     3. **decoded samples** (``series.decode``, through the shared chunk
        cache) for any other chunk overlapping what is left;
-    4. the **open head**, converted and folded once.
+    4. the **open head** (a row slice of its metric's block), folded once.
 
     ``seq`` numbers continue chunk-list order on every source (pyramid
     rows carry theirs from seal time), so the pieces reduce to *exactly*
@@ -417,9 +418,8 @@ def series_partials(
             np.asarray(col, dtype=d)
             for col, d in zip(zip(*summaries), _PARTIAL_DTYPES)
         ))
-    if series.head_t:
-        ht = np.asarray(series.head_t)
-        hv = np.asarray(series.head_v)
+    ht, hv = series.head()
+    if len(ht):
         mask = (ht >= t0) & (ht < t1)
         if mask.any():
             seq = series.n_sealed_samples + np.flatnonzero(mask)

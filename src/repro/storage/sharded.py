@@ -130,7 +130,7 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
         # the same component arrays every tick, so the CRC walk runs
         # once per (array, metric) instead of once per batch; entries
         # die with the array (weakref.finalize), so id() cannot alias
-        self._route_memo: dict[int, dict[str, np.ndarray]] = {}
+        self._route_memo: dict[int, dict[str, list]] = {}
 
     # -- routing ------------------------------------------------------------
 
@@ -140,33 +140,39 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
         return stable_bucket(f"{metric}@{component}", self.n_shards)
 
     def _routing(self, metric: str, components: np.ndarray,
-                 n: int) -> np.ndarray:
-        """Per-sample owning-shard indices, memoized per component array.
+                 n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """``(shard, row mask, components[mask])`` per owning shard in
+        ascending shard order, memoized per component array.
 
-        Component arrays are treated as immutable once published (the
-        collector/merge paths always build fresh arrays), so the memo
-        can key on array identity; finalizers evict entries when the
-        array dies, before its ``id`` can be reused.
+        Component arrays are immutable once published, and the fleet
+        collectors republish one name column per fleet every tick
+        (:func:`~repro.core.soa.name_column`), so the memo keys on array
+        identity and each shard sees the *same* sub-column tick after
+        tick — its head blocks' row memo hits too.  Finalizers evict
+        entries when the array dies, before its ``id`` can be reused;
+        arrays built per batch (merges, redo truncation) just miss.
         """
         key = id(components)
         per = self._route_memo.get(key)
         if per is not None:
-            idx = per.get(metric)
-            if idx is not None:
-                return idx
+            route = per.get(metric)
+            if route is not None:
+                return route
         idx = np.fromiter(
             (self.shard_of(metric, str(c)) for c in components),
             dtype=np.int64,
             count=n,
         )
+        route = [(int(i), mask, components[mask])
+                 for i in np.unique(idx) for mask in (idx == i,)]
         if per is None:
             try:
                 weakref.finalize(components, self._route_memo.pop, key, None)
             except TypeError:
-                return idx   # not weakref-able: never memo on raw id()
+                return route   # not weakref-able: never memo on raw id()
             per = self._route_memo[key] = {}
-        per[metric] = idx
-        return idx
+        per[metric] = route
+        return route
 
     def _owner(self, metric: str, component: str) -> TimeSeriesStore:
         return self.shards[self.shard_of(metric, component)]
@@ -269,16 +275,11 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
             return []
         if self.clock is not None and batch.trace is not None:
             batch.trace.stamp(HOP_INGEST, self.clock())
-        idx = self._routing(batch.metric, batch.components, n)
         return [
-            (int(shard_i), SeriesBatch(
-                batch.metric,
-                batch.components[mask],
-                batch.times[mask],
-                batch.values[mask],
-            ))
-            for shard_i in np.unique(idx)
-            for mask in (idx == shard_i,)
+            (i, SeriesBatch(batch.metric, comps, batch.times[mask],
+                            batch.values[mask]))
+            for i, mask, comps in self._routing(batch.metric,
+                                                batch.components, n)
         ]
 
     def append(self, batch: SeriesBatch) -> int:

@@ -5,9 +5,11 @@ superior data compression and query performance for high-volume time
 series data compared to Cray's PMDB".  This store provides the behaviours
 that comparison turns on:
 
-* append-optimized ingest of :class:`~repro.core.metric.SeriesBatch`es,
-  grouped by component and appended columnarly (no per-sample Python
-  conversion on the hot path),
+* append-optimized ingest of :class:`~repro.core.metric.SeriesBatch`es
+  into one *head block* per metric (:class:`_HeadBlock`): a components x
+  time value matrix in which a synchronized sweep — NCSA's whole-system
+  sampling model — is one column write, and its timestamp is stored
+  once for as long as the metric's components stay in lock-step,
 * per-series columnar chunks sealed at a fixed size and compressed with
   delta-of-delta timestamps + XOR float packing (the Facebook Gorilla
   scheme, the same family InfluxDB's TSM files use).  The codec is
@@ -26,7 +28,7 @@ that comparison turns on:
 * footprint/compression statistics for the storage-comparison bench.
 
 Chunks are transparently decompressed on query; the open (mutable) head
-chunk is queried in place.
+is a zero-copy row slice of its metric's block, queried in place.
 
 With a :class:`~repro.storage.diskier.DiskTier` attached (``disk=``),
 sealed blobs are additionally persisted to append-only segment files
@@ -52,6 +54,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from ..core.metric import MetricKey, SeriesBatch
+from ..core.soa import ComponentTable
 from ..core.tracectx import HOP_INGEST, MAX_HOPS
 from .chunkcache import ChunkCache, ChunkCacheStats
 from .rollup import (SeriesPyramid, bucket_anchor, ieee_sums, reduce_partials,
@@ -533,6 +536,193 @@ class StoreStats:
         return self.raw_bytes / self.compressed_bytes
 
 
+def _matrix(rows: int, cols: int) -> np.ndarray:
+    """A float64 matrix on ordinary pages.  numpy opts arrays of 4 MB and
+    up into transparent huge pages, and a head block is reallocated each
+    time it doubles: on a virtualised host a fresh huge page costs
+    anywhere from 0.3 to 20 ms/MB to fault in, against a steady 0.8 for
+    small ones — a 27,648-row block doubling to 512 columns stalls its
+    tick for 0.6 s or for 0.09 s.  Memory Python allocates is not opted
+    in."""
+    return np.frombuffer(bytearray(8 * rows * cols),
+                         dtype=np.float64).reshape(rows, cols)
+
+
+class _HeadBlock:
+    """The open heads of one metric: a components x time value matrix.
+
+    The metric's :class:`~repro.core.soa.ComponentTable` maps component
+    -> row; row ``r`` holds ``counts[r]`` unsealed values in arrival
+    order (``-1``: no live series — never created, or dropped), so a
+    series' head is a zero-copy row slice and a synchronized sweep is
+    one column write.  Columns double up to ``chunk_size`` (a row seals
+    there and starts again at column 0), so a block holds at most 16 B
+    per point of its longest head — and that much for every row, which
+    is the price of a metric whose components report at very different
+    rates.
+
+    **Lock-step.**  While every row has seen exactly the same sweeps,
+    row ``r``'s sample times are ``times[:counts[r]]`` — a prefix of
+    one shared column, 8 B per sweep instead of 8 B per point.  A write
+    keeps that true when every row it touches receives the column's own
+    next entries: new ones appended at its end, or, bit for bit, the
+    ones a split sweep already put there.  The first write that does
+    not — a late joiner, a subset sweep never completed, non-uniform or
+    out-of-order times, repeated components that do not follow the
+    column, a recovery trim — copies the shared column into
+    ``row_times`` and the block is *ragged* from then on: the same
+    matrix and the same writes, with per-row times beside the values
+    (16 B per point).  When the last open sample leaves (a seal storm,
+    ``flush``) the block is trivially in lock-step again.
+    """
+
+    __slots__ = ("chunk_size", "table", "series", "counts", "values",
+                 "times", "n_times", "row_times", "n_head")
+
+    def __init__(self, chunk_size: int) -> None:
+        self.chunk_size = chunk_size
+        self.table = ComponentTable()
+        self.series: list[_Series | None] = []      # row -> live series
+        self.counts = np.empty(0, dtype=np.intp)
+        self.values = np.empty((0, min(4, chunk_size)))
+        self.times = np.empty(self.values.shape[1])  # the shared column
+        self.n_times = 0
+        self.row_times: np.ndarray | None = None    # set while ragged
+        self.n_head = 0                             # open samples, all rows
+
+    def _resize(self, rows: int, cols: int) -> None:
+        old_rows, old_cols = self.values.shape
+        for name in ("values", "row_times"):
+            old = getattr(self, name)
+            if old is not None:
+                new = _matrix(rows, cols)
+                new[:old_rows, :old_cols] = old
+                setattr(self, name, new)
+        self.times = np.resize(self.times, cols)
+        self.counts = np.concatenate(
+            (self.counts, np.full(rows - old_rows, -1, dtype=np.intp)))
+        self.series.extend([None] * (rows - old_rows))
+
+    def fit(self) -> None:
+        """A matrix row behind every table row (amortized doubling)."""
+        have = len(self.counts)
+        if self.table.size > have:
+            self._resize(max(self.table.size, 2 * have), self.values.shape[1])
+
+    def _widen(self, col: int) -> None:
+        cols = self.values.shape[1]
+        if col >= cols:
+            self._resize(len(self.counts),
+                         min(max(2 * cols, col + 1), self.chunk_size))
+
+    def _unshare(self) -> None:
+        if self.row_times is None:
+            self.row_times = _matrix(*self.values.shape)
+            self.row_times[:, :self.n_times] = self.times[:self.n_times]
+
+    def write(self, rows: np.ndarray, t: np.ndarray,
+              v: np.ndarray) -> np.ndarray | None:
+        """One sample onto each of ``rows`` (all distinct) — the sweep.
+        Returns the rows now full, in batch order; or None, having
+        written nothing, when some row has no live series."""
+        c = self.counts[rows]
+        lo, hi = int(c.min()), int(c.max())
+        if lo < 0:
+            return None
+        self._widen(hi)
+        if self.row_times is None:
+            bits = t.view(np.int64)
+            in_step = lo == hi and bool((bits == bits[0]).all())
+            if in_step and lo == self.n_times:
+                self.times[lo] = t[0]
+                self.n_times += 1
+            elif not (in_step
+                      and self.times[lo:lo + 1].view(np.int64)[0] == bits[0]):
+                self._unshare()
+        if self.row_times is None:
+            self.values[rows, lo] = v
+        else:
+            self.values[rows, c] = v
+            self.row_times[rows, c] = t
+        c += 1
+        self.counts[rows] = c
+        self.n_head += len(rows)
+        if hi + 1 < self.chunk_size:    # the common sweep: nothing seals
+            return rows[:0]
+        return rows[c >= self.chunk_size]
+
+    def run(self, row: int, t: np.ndarray, v: np.ndarray) -> int:
+        """As many of one row's next samples as its head has room for (a
+        single-point batch; one component's share of a batch that
+        repeats components); returns how many were taken."""
+        c = int(self.counts[row])
+        end = min(c + len(t), self.chunk_size)
+        if end - c < len(t):
+            t, v = t[:end - c], v[:end - c]
+        self._widen(end - 1)
+        if self.row_times is None:
+            if c == self.n_times:       # this row leads: extend the column
+                self.times[c:end] = t
+                self.n_times = end
+            elif (end > self.n_times
+                  or self.times[c:end].tobytes() != t.tobytes()):
+                self._unshare()
+        if self.row_times is not None:
+            self.row_times[row, c:end] = t
+        self.values[row, c:end] = v
+        self.counts[row] = end
+        self.n_head += end - c
+        return end - c
+
+    def take(self, row: int, k: int) -> None:
+        """Remove the oldest ``k`` samples of one head: all of it when
+        it seals or its series is dropped, a prefix when recovery finds
+        them already sealed."""
+        c = self.counts[row]
+        if k < c:
+            self._unshare()
+            for m in (self.values, self.row_times):
+                m[row, :c - k] = m[row, k:c]
+        self.counts[row] = c - k
+        self.n_head -= k
+        if not self.n_head:             # nothing open: lock-step again
+            self.n_times, self.row_times = 0, None
+
+    def export_state(self) -> dict:
+        """Snapshot-serializable open heads (one manifest entry per
+        metric): every row by component name; a 1-D ``times`` is the
+        shared column, a 2-D one per-row times."""
+        n = self.table.size
+        shared = self.row_times is None
+        hi = self.n_times if shared else int(self.counts[:n].max())
+        return {
+            "components": list(self.table.index),
+            "counts": self.counts[:n],
+            "values": self.values[:n, :hi],
+            "times": self.times[:hi] if shared else self.row_times[:n, :hi],
+        }
+
+    def load(self, state: dict) -> None:
+        """Inverse of :meth:`export_state`, onto the empty block of a
+        store whose series :meth:`TimeSeriesStore.restore_series` has
+        already rebuilt (rows are matched by name, not by position)."""
+        rows = self.table.rows(
+            np.asarray(state["components"], dtype=object))[0]
+        self.fit()
+        values, times = state["values"], state["times"]
+        hi = values.shape[1]
+        self._widen(hi - 1)
+        self.values[rows, :hi] = values
+        if times.ndim == 1:
+            self.times[:hi] = times
+            self.n_times = hi
+        else:
+            self._unshare()
+            self.row_times[rows, :hi] = times
+        self.counts[rows] = state["counts"]
+        self.n_head = int(state["counts"].clip(0).sum())
+
+
 class _Series:
     """One (metric, component) series: sealed chunks + open head.
 
@@ -540,21 +730,22 @@ class _Series:
     records in seal order; :meth:`adopt` is the only way a record
     enters it.  A spilled chunk has ``blob is None`` and is read back
     through :meth:`chunk_blob` — the single accessor every query path
-    uses.
+    uses.  The open head is row ``row`` of the metric's ``block``.
     """
 
-    __slots__ = ("chunks", "head_t", "head_v", "n_sealed_samples",
+    __slots__ = ("chunks", "block", "row", "n_sealed_samples",
                  "sealed_bytes", "pyramid", "tier", "key")
 
     def __init__(
-        self, pyramid_levels: Sequence[float] | None = None,
+        self, block: _HeadBlock, row: int,
+        pyramid_levels: Sequence[float] | None = None,
         tier=None, key: MetricKey | None = None,
     ) -> None:
         self.tier = tier            # DiskTier (duck-typed) or None
         self.key = key              # needed for segment records
         self.chunks: list[SealedChunk] = []
-        self.head_t: list[float] = []
-        self.head_v: list[float] = []
+        self.block = block
+        self.row = row
         self.n_sealed_samples = 0
         self.sealed_bytes = 0       # running sum(c.nbytes for c in chunks)
         # rollup pyramid maintained incrementally at seal time (serving
@@ -563,29 +754,13 @@ class _Series:
             SeriesPyramid(pyramid_levels) if pyramid_levels else None
         )
 
-    def append_array(
-        self, t: np.ndarray, v: np.ndarray, chunk_size: int
-    ) -> tuple[int, int, int]:
-        """Columnar append; seals every time the head fills.
-
-        Returns ``(chunks_sealed, samples_sealed, bytes_sealed)`` so the
-        owning store maintains O(1) aggregate counters.
-        """
-        chunks = samples = nbytes = 0
-        i, n = 0, len(t)
-        while i < n:
-            space = chunk_size - len(self.head_t)
-            take = min(space, n - i)
-            self.head_t.extend(t[i : i + take].tolist())
-            self.head_v.extend(v[i : i + take].tolist())
-            i += take
-            if len(self.head_t) >= chunk_size:
-                sealed = self.seal()
-                if sealed is not None:
-                    chunks += 1
-                    samples += sealed[0]
-                    nbytes += sealed[1]
-        return chunks, samples, nbytes
+    def head(self) -> tuple[np.ndarray, np.ndarray]:
+        """Zero-copy ``(times, values)`` of the open head, in arrival
+        order — views into the block, valid until the next write."""
+        b, row = self.block, self.row
+        c = b.counts[row]
+        t = b.times if b.row_times is None else b.row_times[row]
+        return t[:c], b.values[row, :c]
 
     def adopt(self, chunk: SealedChunk, t: np.ndarray | None = None,
               v: np.ndarray | None = None) -> None:
@@ -609,10 +784,9 @@ class _Series:
         The return value lets the owning store maintain O(1) aggregate
         counters without re-walking every series.
         """
-        if not self.head_t:
+        t, v = self.head()
+        if not len(t):
             return None
-        t = np.asarray(self.head_t)
-        v = np.asarray(self.head_v)
         order = np.argsort(t, kind="stable")
         t, v = t[order], v[order]
         blob = compress_chunk(t, v)
@@ -624,8 +798,7 @@ class _Series:
             # persist the immutable blob now; spill to budget afterwards
             self.tier.on_seal(self.key, chunk)
         self.adopt(chunk, t_r, v)
-        self.head_t = []
-        self.head_v = []
+        self.block.take(self.row, len(t))
         if self.tier is not None:
             self.tier.enforce_budget()
         return len(t), len(blob)
@@ -672,9 +845,8 @@ class _Series:
             mask = (ct >= t0) & (ct < t1)
             ts.append(ct[mask])
             vs.append(cv[mask])
-        if self.head_t:
-            ht = np.asarray(self.head_t)
-            hv = np.asarray(self.head_v)
+        ht, hv = self.head()
+        if len(ht):
             mask = (ht >= t0) & (ht < t1)
             ts.append(ht[mask])
             vs.append(hv[mask])
@@ -686,23 +858,19 @@ class _Series:
         return t[order], v[order]
 
     def export_state(self) -> dict:
-        """Snapshot-serializable state (one manifest entry): the chunk
-        index without blobs or cache ids, the head, and the pyramid
-        partials.  :meth:`TimeSeriesStore.restore_series` inverts it."""
+        """Snapshot-serializable sealed state (one manifest entry): the
+        chunk index without blobs or cache ids, and the pyramid
+        partials; the open head is its block's to export.
+        :meth:`TimeSeriesStore.restore_series` inverts it."""
         return {
             "chunks": [(c.summary, c.hint, c.ref) for c in self.chunks],
-            "head_t": list(self.head_t),
-            "head_v": list(self.head_v),
             "pyramid": (self.pyramid.export_state()
                         if self.pyramid is not None else None),
         }
 
     @property
     def n_samples(self) -> int:
-        return self.n_sealed_samples + len(self.head_t)
-
-    def compressed_bytes(self) -> int:
-        return self.sealed_bytes + 16 * len(self.head_t)
+        return self.n_sealed_samples + int(self.block.counts[self.row])
 
 
 # --------------------------------------------------------------------------
@@ -953,6 +1121,7 @@ class TimeSeriesStore(SeriesQueryMixin):
             if pyramid_levels else None
         )
         self._series: dict[MetricKey, _Series] = {}
+        self._blocks: dict[str, _HeadBlock] = {}    # metric -> open heads
         # per-metric mutation epochs: bumped on any change that can alter
         # query results, so the serving plane's result cache invalidates
         # precisely (stale entries die, untouched metrics keep serving)
@@ -977,26 +1146,52 @@ class TimeSeriesStore(SeriesQueryMixin):
             self._sealed_chunks += 1
             self._sealed_bytes += sealed[1]
 
+    def _block(self, metric: str) -> _HeadBlock:
+        block = self._blocks.get(metric)
+        if block is None:
+            block = self._blocks[metric] = _HeadBlock(self.chunk_size)
+        return block
+
     def _new_series(self, key: MetricKey) -> _Series:
-        s = self._series[key] = _Series(self.pyramid_levels,
-                                        tier=self.disk, key=key)
+        block = self._block(key.metric)
+        row = block.table.add(key.component)
+        block.fit()
+        block.counts[row] = 0       # live, and empty
+        s = self._series[key] = block.series[row] = _Series(
+            block, row, self.pyramid_levels, tier=self.disk, key=key)
         return s
+
+    def _run(self, series: _Series, t: np.ndarray, v: np.ndarray) -> None:
+        """One series' next samples in arrival order, sealing every
+        time its head fills."""
+        block, row = series.block, series.row
+        i = 0
+        while i < len(t):
+            i += block.run(row, t[i:], v[i:])
+            if block.counts[row] >= self.chunk_size:
+                self._note_seal(series.seal())
 
     # -- ingest ---------------------------------------------------------------
 
     def append(self, batch: SeriesBatch) -> int:
         """Ingest a batch; returns the number of samples stored.
 
-        Rows are grouped by component and appended columnarly — one
-        ``append_array`` per series per batch, not one Python-level
-        ``float()`` conversion per sample.
+        Components map to rows of the metric's head block through its
+        :class:`~repro.core.soa.ComponentTable` (memoized on the
+        identity of the components array, which fleet collectors
+        republish every tick), and a batch of distinct components — the
+        synchronized sweep — is one column write, one vectorised
+        ``count >= chunk_size`` test, and a Python loop over only the
+        rows that seal, in batch order.  Whether the block keeps one
+        shared time column or goes ragged is :class:`_HeadBlock`'s rule.
+        A batch that repeats components hands each series its samples
+        as one run, in component order.
         """
         n = len(batch)
         if n == 0:
             return 0
-        self._epochs[batch.metric] = self._epochs.get(batch.metric, 0) + 1
-        comps = batch.components.tolist()
-        n_uniq = len(set(comps))
+        metric = batch.metric
+        self._epochs[metric] = self._epochs.get(metric, 0) + 1
         if self.disk is not None:
             # WAL before any head mutation: unsealed points survive a
             # crash up to the last fsync batch
@@ -1017,26 +1212,27 @@ class TimeSeriesStore(SeriesQueryMixin):
                 hops.append([HOP_INGEST, t, t, 1])
             else:
                 tr.truncated += 1
-        cs = self.chunk_size
-        if n_uniq == n:
-            # sweep shape (every row its own series): grouping would
-            # produce n single-sample slices, so append scalars instead
-            get = self._series.get
-            t_list = np.asarray(batch.times, dtype=np.float64).tolist()
-            v_list = np.asarray(batch.values, dtype=np.float64).tolist()
-            for c, t, v in zip(comps, t_list, v_list):
-                key = MetricKey(batch.metric, str(c))
-                series = get(key)
-                if series is None:
-                    series = self._new_series(key)
-                series.head_t.append(t)
-                series.head_v.append(v)
-                if len(series.head_t) >= cs:
-                    self._note_seal(series.seal())
-            self._samples += n
+        self._samples += n
+        times, values = batch.times, batch.values
+        block = self._block(metric)
+        if n == 1:
+            # a single point is a run of one: no array-sized work
+            row = block.table.row(batch.components[0])
+            if row is not None and block.counts[row] >= 0:
+                self._run(block.series[row], times, values)
+                return n
+        rows, unique = block.table.rows(batch.components)
+        block.fit()
+        if unique:
+            full = block.write(rows, times, values)
+            if full is None:    # no live series yet: new, or dropped
+                for i in np.flatnonzero(block.counts[rows] < 0).tolist():
+                    self._new_series(
+                        MetricKey(metric, str(batch.components[i])))
+                full = block.write(rows, times, values)
+            for r in full.tolist():
+                self._note_seal(block.series[r].seal())
             return n
-        times = np.asarray(batch.times, dtype=np.float64)
-        values = np.asarray(batch.values, dtype=np.float64)
         uniq, inv = np.unique(batch.components.astype(str),
                               return_inverse=True)
         order = np.argsort(inv, kind="stable")
@@ -1044,23 +1240,11 @@ class TimeSeriesStore(SeriesQueryMixin):
             ([0], np.cumsum(np.bincount(inv, minlength=len(uniq))))
         )
         st, sv = times[order], values[order]
-        chunks = samples = nbytes = 0
         for g in range(len(uniq)):
-            key = MetricKey(batch.metric, str(uniq[g]))
-            series = self._series.get(key)
-            if series is None:
-                series = self._new_series(key)
-            c, smp, byt = series.append_array(
-                st[bounds[g] : bounds[g + 1]],
-                sv[bounds[g] : bounds[g + 1]], cs,
-            )
-            chunks += c
-            samples += smp
-            nbytes += byt
-        self._sealed_chunks += chunks
-        self._sealed_samples += samples
-        self._sealed_bytes += nbytes
-        self._samples += n
+            key = MetricKey(metric, str(uniq[g]))
+            series = self._series.get(key) or self._new_series(key)
+            self._run(series, st[bounds[g] : bounds[g + 1]],
+                      sv[bounds[g] : bounds[g + 1]])
         return n
 
     def append_many(self, batches: Iterable[SeriesBatch]) -> int:
@@ -1126,21 +1310,28 @@ class TimeSeriesStore(SeriesQueryMixin):
             self.disk.forget(s)
         self.cache.invalidate(c.cid for c in s.chunks)
         self._samples -= s.n_samples
+        s.block.take(s.row, len(s.head()[0]))
+        s.block.counts[s.row] = -1      # the row has no live series
+        s.block.series[s.row] = None
         self._sealed_samples -= s.n_sealed_samples
         self._sealed_chunks -= len(s.chunks)
         self._sealed_bytes -= s.sealed_bytes
         return True
 
     def stats(self) -> StoreStats:
-        # O(1) from counters maintained at every mutation point: the
-        # self-monitoring plane reads this on a cadence, against
-        # thousands of series
+        # from counters maintained at every mutation point, O(metrics)
+        # not O(series): the self-monitoring plane reads this on a
+        # cadence, against thousands of series.  Open heads count what
+        # is held: 8 B per value, plus 8 B per shared time-column entry
+        # of a lock-step block or per point of a ragged one
         head = self._samples - self._sealed_samples
+        time_cells = sum(b.n_times if b.row_times is None else b.n_head
+                         for b in self._blocks.values())
         return StoreStats(
             series=len(self._series),
             samples=self._samples,
             sealed_chunks=self._sealed_chunks,
-            compressed_bytes=self._sealed_bytes + 16 * head,
+            compressed_bytes=self._sealed_bytes + 8 * (head + time_cells),
             raw_bytes=self._samples * 16,  # float64 time + float64 value
         )
 
@@ -1184,10 +1375,10 @@ class TimeSeriesStore(SeriesQueryMixin):
     # hooks used by the out-of-core disk tier -----------------------------------
 
     def restore_series(self, key: MetricKey, state: dict) -> int:
-        """Recovery: rebuild one series from its manifest entry (the
-        inverse of :meth:`_Series.export_state`); returns its chunk
-        count.  Every chunk comes back ref-only and the pyramid reloads
-        its saved partials, so nothing is decompressed."""
+        """Recovery: rebuild one series' sealed state from its manifest
+        entry (the inverse of :meth:`_Series.export_state`); returns its
+        chunk count.  Every chunk comes back ref-only and the pyramid
+        reloads its saved partials, so nothing is decompressed."""
         s = self._new_series(key)
         if s.pyramid is not None:
             s.pyramid = SeriesPyramid.from_state(state["pyramid"])
@@ -1195,9 +1386,16 @@ class TimeSeriesStore(SeriesQueryMixin):
             chunk = SealedChunk(summary, hint, ref)
             s.adopt(chunk)
             self._note_seal((summary.count, chunk.nbytes))
-        s.head_t, s.head_v = state["head_t"], state["head_v"]
-        self._samples += s.n_samples
+        self._samples += s.n_sealed_samples
         return len(s.chunks)
+
+    def restore_heads(self, metric: str, state: dict) -> None:
+        """Recovery: reload one metric's open heads from its manifest
+        entry (the inverse of :meth:`_HeadBlock.export_state`), once
+        :meth:`restore_series` has rebuilt the series they belong to."""
+        block = self._blocks[metric]
+        block.load(state)
+        self._samples += block.n_head
 
     def adopt_chunk(self, key: MetricKey, chunk: SealedChunk,
                     t: np.ndarray, v: np.ndarray) -> int:
@@ -1208,8 +1406,8 @@ class TimeSeriesStore(SeriesQueryMixin):
         caller skips that many of the series' WAL points."""
         s = self._series.get(key) or self._new_series(key)
         n = chunk.summary.count
-        in_head = min(n, len(s.head_t))
-        del s.head_t[:in_head], s.head_v[:in_head]
+        in_head = min(n, len(s.head()[0]))
+        s.block.take(s.row, in_head)
         s.adopt(chunk, t, v)
         self._samples += n - in_head
         self._note_seal((n, chunk.nbytes))

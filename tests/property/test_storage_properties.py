@@ -1,11 +1,14 @@
 """Property-based tests: storage-layer invariants."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.events import Event, EventKind, Severity
 from repro.core.metric import SeriesBatch
+from repro.storage.diskier import _decode_wal_batch, _encode_wal_batch
 from repro.storage.logstore import LogStore, tokenize
 from repro.storage.tsdb import (
     TimeSeriesStore,
@@ -180,6 +183,225 @@ class TestStoreProperties:
         else:   # sums reassociate across chunk summaries: ulp-level drift
             assert np.allclose(warm.values, cold.values,
                                rtol=1e-9, atol=1e-9)
+
+
+# -- the head block against a trivial reference ----------------------------------
+
+#: integer-valued floats + specials: every summation order gives the
+#: same bits, so all six aggs compare exactly on every route
+exact_values = st.one_of(
+    st.integers(min_value=-(1 << 30), max_value=1 << 30).map(float),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0]),
+)
+grid_times = st.integers(min_value=0, max_value=200_000).map(
+    lambda ms: ms / 1000.0)      # the codec's millisecond grid
+AGGS = ("mean", "sum", "min", "max", "last", "count")
+
+
+class _Reference:
+    """What the store must answer like: per-series arrival-ordered
+    lists, one dict per flush epoch."""
+
+    def __init__(self):
+        self.epochs = [{}]
+
+    def add(self, metric, comps, times, values):
+        for c, t, v in zip(comps, times, values):
+            self.epochs[-1].setdefault((metric, c), []).append((t, v))
+
+    def drop(self, metric, comp):
+        for epoch in self.epochs:
+            epoch.pop((metric, comp), None)
+
+    def components(self, metric):
+        return sorted({c for e in self.epochs for m, c in e if m == metric})
+
+    def series(self, metric, comps):
+        """Samples of ``comps`` in the store's read order: each series
+        stably time-sorted, then the concatenation stably time-sorted."""
+        out = []
+        for c in comps:
+            out += sorted((s for e in self.epochs
+                           for s in e.get((metric, c), ())),
+                          key=lambda s: s[0])
+        return sorted(out, key=lambda s: s[0])
+
+    def bucketed(self, metric, comps, t0, t1, step, agg):
+        rows = [s for s in self.series(metric, comps) if t0 <= s[0] < t1]
+        if not rows:
+            return [], []
+        lo = t0 if math.isfinite(t0) else rows[0][0]
+        anchor = math.floor(lo / step) * step
+        buckets = {}
+        for t, v in rows:
+            buckets.setdefault(math.floor((t - anchor) / step), []).append(v)
+        nan = float("nan")
+        fold = {
+            "sum": sum,
+            "mean": lambda vs: sum(vs) / len(vs),
+            "min": lambda vs: nan if any(v != v for v in vs) else min(vs),
+            "max": lambda vs: nan if any(v != v for v in vs) else max(vs),
+            "last": lambda vs: vs[-1],
+            "count": lambda vs: float(len(vs)),
+        }[agg]
+        return ([anchor + b * step for b in buckets],
+                [fold(vs) for vs in buckets.values()])
+
+
+def _same(batch, times, values):
+    return (np.array_equal(batch.times, np.asarray(times, dtype=float))
+            and np.array_equal(batch.values, np.asarray(values, dtype=float),
+                               equal_nan=True))
+
+
+class TestHeadBlockAgainstReference:
+    @given(chunk_size=st.integers(min_value=2, max_value=8),
+           pyramid=st.booleans(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_interleaving_answers_like_per_series_lists(
+            self, chunk_size, pyramid, data):
+        levels = (10.0, 60.0) if pyramid else None
+        store = TimeSeriesStore(chunk_size=chunk_size, pyramid_levels=levels)
+        ref = _Reference()
+        members = ["a", "b", "c"]
+        spare = ["d", "e", "f"]
+        draw = data.draw
+
+        def append(metric, comps, times):
+            values = draw(st.lists(exact_values, min_size=len(comps),
+                                   max_size=len(comps)))
+            store.append(SeriesBatch(metric, comps, times, values))
+            ref.add(metric, comps, times, values)
+
+        for _ in range(draw(st.integers(min_value=1, max_value=14))):
+            metric = draw(st.sampled_from(["m", "k"]))
+            op = draw(st.sampled_from(
+                ["full", "full", "split", "subset", "join", "drop",
+                 "repeat", "ragged", "flush"]))
+            t = draw(grid_times)
+            if op == "full":
+                append(metric, members, [t] * len(members))
+            elif op == "split":         # one timestamp, disjoint subsets
+                cut = draw(st.integers(1, len(members) - 1))
+                append(metric, members[:cut], [t] * cut)
+                if draw(st.booleans()):     # ...or never completed
+                    append(metric, members[cut:],
+                           [t] * (len(members) - cut))
+            elif op == "subset":
+                comps = draw(st.lists(st.sampled_from(members), min_size=1,
+                                      unique=True))
+                append(metric, comps, [t] * len(comps))
+            elif op == "join" and spare:
+                members.append(spare.pop())
+            elif op == "drop":          # re-appended by a later sweep
+                comp = draw(st.sampled_from(members))
+                assert (store.drop_series(metric, comp)
+                        == (comp in ref.components(metric)))
+                ref.drop(metric, comp)
+            elif op == "repeat":
+                comps = draw(st.lists(st.sampled_from(members), min_size=2,
+                                      max_size=12))
+                append(metric, comps,
+                       draw(st.lists(grid_times, min_size=len(comps),
+                                     max_size=len(comps))))
+            elif op == "ragged":        # non-uniform, out-of-order times
+                append(metric, members,
+                       draw(st.lists(grid_times, min_size=len(members),
+                                     max_size=len(members))))
+            elif op == "flush":
+                store.flush()
+                ref.epochs.append({})
+            self.check(store, ref, draw)
+        self.check_blobs(store, ref, chunk_size, levels)
+
+    @staticmethod
+    def check(store, ref, draw):
+        t0 = draw(st.sampled_from([-math.inf, 0.0, 33.3, 120.0]))
+        step = draw(st.sampled_from([1.0, 7.0, 10.0, 60.0]))
+        n = 0
+        for metric in ("m", "k"):
+            comps = ref.components(metric)
+            assert store.components(metric) == comps
+            for c in comps:
+                rows = ref.series(metric, [c])
+                n += len(rows)
+                assert _same(store.query(metric, c), *zip(*rows))
+                for agg in AGGS:
+                    want = ref.bucketed(metric, [c], t0, 150.0, step, agg)
+                    for prune in (True, False):
+                        assert _same(store.downsample(
+                            metric, c, t0, 150.0, step, agg, prune=prune),
+                            *want), (agg, prune)
+            for agg in AGGS:
+                assert _same(
+                    store.aggregate_across(metric, None, t0, 150.0, step,
+                                           agg),
+                    *ref.bucketed(metric, comps, t0, 150.0, step, agg)), agg
+        assert store.stats().samples == n
+
+    @staticmethod
+    def check_blobs(store, ref, chunk_size, levels):
+        """Every sealed blob is what a store fed the same series one
+        ``for_component`` batch at a time would have sealed."""
+        plain = TimeSeriesStore(chunk_size=chunk_size, pyramid_levels=levels)
+        for epoch in ref.epochs:
+            for (metric, c), rows in epoch.items():
+                times, values = zip(*rows)
+                plain.append(SeriesBatch.for_component(metric, c, times,
+                                                       values))
+            if epoch is not ref.epochs[-1]:
+                plain.flush()
+        assert store.keys() == plain.keys()
+        for k in store.keys():
+            got, want = (s._series_view(k.metric, k.component)[0]
+                         for s in (store, plain))
+            assert ([c.blob for c in got.chunks]
+                    == [c.blob for c in want.chunks])
+            assert np.array_equal(got.head()[0], want.head()[0])
+
+
+class TestWalFrame:
+    @given(comps=st.lists(st.sampled_from(["a", "bb", "c-0c1s4n2", ""]),
+                          max_size=12),
+           one_comp=st.booleans(), one_time=st.booleans(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_is_bit_exact_under_every_flag_combination(
+            self, comps, one_comp, one_time, data):
+        if one_comp:
+            comps = comps[:1] * len(comps)
+        n = len(comps)
+        floats = st.floats(width=64, allow_nan=True, allow_infinity=True)
+        times = data.draw(st.lists(floats, min_size=n, max_size=n))
+        if one_time:
+            times = times[:1] * n
+        values = data.draw(st.lists(floats, min_size=n, max_size=n))
+        t = np.asarray(times, dtype=np.float64)
+        v = np.asarray(values, dtype=np.float64)
+        payload = _encode_wal_batch("node.power_w", comps, t, v)
+        same_comp = n > 0 and len(set(comps)) == 1
+        same_time = n > 0 and len({x.tobytes() for x in t}) == 1
+        assert payload[0] == same_comp + 2 * same_time
+        assert len(payload) == (
+            7 + len("node.power_w")
+            + (2 + len(comps[0].encode()) if same_comp
+               else 4 * n + sum(len(c.encode()) for c in comps))
+            + 8 * (1 if same_time else n) + 8 * n)
+        metric, got_c, got_t, got_v = _decode_wal_batch(payload)
+        assert (metric, got_c) == ("node.power_w", comps)
+        assert np.array_equal(got_t.view(np.uint64), t.view(np.uint64))
+        assert np.array_equal(got_v.view(np.uint64), v.view(np.uint64))
+
+    def test_frames_written_before_the_time_flag_still_decode(self):
+        # modes 0 and 1 are the old layout: per-element times
+        t, v = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        for mode, comp_block, comps in (
+                (0, b"\x01\x00\x00\x00\x01\x00\x00\x00ab", ["a", "b"]),
+                (1, b"\x01\x00a", ["a", "a"])):
+            old = (bytes([mode]) + b"\x01\x00" + b"\x02\x00\x00\x00" + b"m"
+                   + comp_block + t.tobytes() + v.tobytes())
+            metric, got_c, got_t, got_v = _decode_wal_batch(old)
+            assert (metric, got_c) == ("m", comps)
+            assert np.array_equal(got_t, t) and np.array_equal(got_v, v)
 
 
 # -- log store: index agrees with the naive scan oracle --------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import SiteConfig, build_site
 from repro.cluster import Machine, build_dragonfly
 from repro.cluster.workload import APP_LIBRARY, Job
 from repro.core.registry import default_registry
@@ -15,6 +16,7 @@ from repro.sources import (
     InjectionCollector,
     NetLinkCollector,
     NodeCounterCollector,
+    NodeHealthSuite,
     OstCounterCollector,
     PowerCollector,
     QueueStatsCollector,
@@ -156,6 +158,50 @@ class TestNetLinkCollector:
                   if b.metric == "link.traffic_flits").values
         assert (t2 >= t1).all()
         assert t2.sum() > t1.sum()
+
+
+class TestComponentColumnsArePublishedOnce:
+    """Fleet sweeps hand every batch the fleet's one name column, so the
+    identity memos downstream of the bus hit from the second tick on."""
+
+    def test_fleet_collectors_publish_the_owners_column(self, machine):
+        columns = {"node": machine.nodes.name_column,
+                   "gpu": machine.gpus.name_column,
+                   "link": machine.network.link_names()}
+        assert columns["node"].tolist() == machine.nodes.names
+        assert columns["gpu"].tolist() == machine.gpus.names
+        assert machine.network.link_names() is columns["link"]
+        for col in columns.values():
+            assert col.dtype == object and not col.flags.writeable
+        collectors = [NodeCounterCollector(), InjectionCollector(),
+                      NetLinkCollector(), SedcCollector(), NodeHealthSuite()]
+        for c in collectors:
+            for b in c.collect(machine, 0.0).batches:
+                fleet = "node" if b.metric.startswith("health.") \
+                    else b.metric.split(".")[0]
+                assert b.components is columns[fleet], b.metric
+
+    def test_the_store_sees_one_object_and_the_row_memo_hits(self):
+        p = build_site(SiteConfig(groups=1, chassis_per_group=3,
+                                  blades_per_chassis=4, tick_s=60.0,
+                                  metric_interval_s=60.0, seed=2))
+        seen = []
+        append = p.tsdb.append
+
+        def spy(batch):
+            if batch.metric == "node.power_w":
+                seen.append(batch.components)
+            return append(batch)
+
+        p.tsdb.append = spy
+        for _ in range(3):
+            p.step()
+        assert len(seen) == 3
+        assert seen[0] is seen[1] is seen[2] is p.machine.nodes.name_column
+        table = p.tsdb._blocks["node.power_w"].table
+        table.index = None      # the memo branch never consults it
+        assert table.rows(seen[-1])[1]
+        assert len(p.tsdb.query("node.power_w", seen[0][0])) == 3
 
 
 class TestScheduler:

@@ -277,6 +277,77 @@ class TestSnapshotRecover:
         assert len(again.query("m", "a")) == 50
         again.close()
 
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_block_heads_survive_snapshot_wal_tail_and_crash(self, tmp_path,
+                                                             shards):
+        # manifest v3 stores each metric's head block; the WAL tail
+        # past it replays onto the restored block in lock-step
+        if shards is None:
+            store = disk_store(tmp_path)
+            tiers = [store.disk]
+        else:
+            store = ShardedTimeSeriesStore(
+                shards=shards, chunk_size=16, disk_dir=str(tmp_path),
+                hot_bytes=1 << 12, sync_every_bytes=1 << 12)
+            tiers = [s.disk for s in store.shards]
+        comps = [f"n{i}" for i in range(12)]
+        rng = np.random.default_rng(11)
+        fill(store, n=40, comps=comps)          # 8 open samples a series
+        store.append(sweep("m2", 400.0, comps + ["late"],
+                           rng.normal(size=13)))    # m2 goes ragged
+        store.snapshot()
+        for i in range(41, 46):                 # a 5-tick WAL tail
+            for m in ("m1", "m2"):
+                store.append(sweep(m, i * 10.0, comps,
+                                   rng.normal(size=12)))
+        for tier in tiers:
+            tier.sync()
+        stats = store.stats()
+        assert stats.samples - 16 * stats.sealed_chunks == 12 * (13 + 14) + 1
+        want = {(k.metric, k.component): store.query(k.metric, k.component)
+                for k in store.keys()}
+        store.simulate_crash()
+        rec = store.reopen()
+        assert rec.recovery.wal_points_replayed == 2 * 12 * 5
+        assert rec.recovery.scanned_chunks == 0
+        # the same bytes held, not only the same points: "m1" came back
+        # sharing its time column and "m2" with per-row times
+        assert rec.stats() == stats
+        for (m, c), w in want.items():
+            got = rec.query(m, c)
+            assert np.array_equal(got.times, w.times)
+            assert np.array_equal(got.values.view(np.uint64),
+                                  w.values.view(np.uint64))
+        rec.close()
+
+    def test_a_chunk_sealed_past_the_manifest_trims_the_restored_head(
+            self, tmp_path):
+        # the arrival stream was [restored head | WAL]: a chunk found by
+        # the segment scan took the whole restored head plus the first
+        # WAL points, and the rest of the WAL lands behind it in order
+        store = disk_store(tmp_path)
+        comps = ["a", "b", "c"]
+        fill(store, n=10, metrics=("m",), comps=comps)
+        store.snapshot()
+        rng = np.random.default_rng(3)
+        for i in range(10, 20):
+            store.append(sweep("m", i * 10.0, comps, rng.normal(size=3)))
+        store.disk.sync()
+        want = {c: store.query("m", c) for c in comps}
+        stats = store.stats()
+        store.simulate_crash()
+        rec = store.reopen()
+        r = rec.recovery
+        assert (r.scanned_chunks, r.wal_points_skipped,
+                r.wal_points_replayed) == (3, 3 * 6, 3 * 4)
+        assert rec.stats() == stats
+        for c in comps:
+            got = rec.query("m", c)
+            assert np.array_equal(got.times, want[c].times)
+            assert np.array_equal(got.values.view(np.uint64),
+                                  want[c].values.view(np.uint64))
+        rec.close()
+
     def test_foreign_manifest_version_is_rejected(self, tmp_path):
         store = disk_store(tmp_path)
         fill(store, n=50, metrics=("m",), comps=("a",))
@@ -284,15 +355,17 @@ class TestSnapshotRecover:
         store.close()
         with open(path, "rb") as f:
             manifest = pickle.load(f)
-        assert manifest["version"] == 2
+        assert manifest["version"] == 3
+        # the previous build's manifest (per-series head lists) is as
+        # foreign as any other: refused, with every handle closed
         with open(path, "wb") as f:
-            pickle.dump(dict(manifest, version=1), f)
+            pickle.dump(dict(manifest, version=2), f)
         fds = open_fds()
         with pytest.raises(ValueError) as err:
             store.reopen()
         msg = str(err.value)
         assert str(path) in msg
-        assert "version 1" in msg and "version 2" in msg
+        assert "version 2" in msg and "version 3" in msg
         assert open_fds() == fds
 
 

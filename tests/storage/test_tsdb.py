@@ -1,13 +1,18 @@
 """Unit tests for the time-series store and chunk codec."""
 
+import gc
+import sys
+
 import numpy as np
 import pytest
 
 from repro.core.metric import MetricKey, SeriesBatch
+from repro.core.soa import name_column
 from repro.serve.frontend import QueryFrontend
 from repro.storage.chunkcache import ChunkCache
 from repro.storage.rollup import DEFAULT_LEVELS
 from repro.storage.tsdb import (
+    SealedChunk,
     TimeSeriesStore,
     _compress_chunk_slow,
     _decompress_chunk_slow,
@@ -374,3 +379,109 @@ class TestStats:
         assert store.drop_series("m", "a")
         assert not store.drop_series("m", "a")
         assert len(store.query("m", "a")) == 0
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestHeadBlock:
+    """The per-metric head block: lock-step, its break, its cost."""
+
+    NAMES = ["a", "b", "c", "d"]
+
+    def sweeps(self, store, n, metrics=("m", "k")):
+        for i in range(n):
+            for m in metrics:
+                store.append(sweep(m, i * 10.0, self.NAMES,
+                                   np.arange(4.0) + i))
+
+    def test_a_late_joiner_breaks_lock_step_for_its_metric_only(self):
+        store = TimeSeriesStore(chunk_size=64)
+        self.sweeps(store, 10)
+        # in lock-step a head holds 8 B per value and each metric one
+        # shared 8 B timestamp per sweep
+        assert store.stats().compressed_bytes == 8 * 80 + 8 * (10 + 10)
+        before = {c: store.query("m", c) for c in self.NAMES}
+        vals = np.array([7.0, float("nan"), -0.0, float("inf"), 5.0])
+        store.append(sweep("m", 100.0, self.NAMES + ["late"], vals))
+        # "m" carries per-row times now, 16 B per open point; "k" is
+        # untouched and still shares its column
+        assert store.stats().compressed_bytes == (
+            16 * (40 + 5) + 8 * 40 + 8 * 10)
+        for c, v in zip(self.NAMES, vals):
+            got = store.query("m", c)
+            assert np.array_equal(got.times, np.r_[before[c].times, 100.0])
+            assert np.array_equal(bits(got.values),
+                                  bits(np.r_[before[c].values, v]))
+        late = store.query("m", "late")
+        assert late.times.tolist() == [100.0] and late.values[0] == 5.0
+        for agg in ("mean", "sum", "min", "max", "last", "count"):
+            warm = store.downsample("m", "a", 0.0, 200.0, 30.0, agg)
+            cold = store.downsample("m", "a", 0.0, 200.0, 30.0, agg,
+                                    prune=False)
+            assert np.array_equal(warm.times, cold.times)
+            assert np.array_equal(warm.values, cold.values)
+        # a ragged block keeps sealing the same chunks: once every head
+        # is empty again the metric is back in lock-step
+        store.flush()
+        sealed = store.stats().compressed_bytes
+        self.sweeps(store, 1, metrics=("m",))
+        assert store.stats().compressed_bytes == sealed + 8 * 4 + 8
+
+    def test_split_and_lagging_sweeps_stay_in_lock_step(self):
+        store = TimeSeriesStore(chunk_size=4)
+        for i in range(6):      # the two halves seal in different appends
+            store.append(sweep("m", i * 10.0, ["a", "b"], [i, i + 1.0]))
+            store.append(sweep("m", i * 10.0, ["c", "d"], [i + 2.0, i + 3.0]))
+        s = store.stats()
+        assert s.sealed_chunks == 4
+        assert s.compressed_bytes - sum(
+            c.nbytes for n in self.NAMES
+            for c in store._series_view("m", n)[0].chunks) == 8 * 8 + 8 * 2
+        for j, c in enumerate(self.NAMES):
+            got = store.query("m", c)
+            assert got.times.tolist() == [i * 10.0 for i in range(6)]
+            assert got.values.tolist() == [i + float(j) for i in range(6)]
+
+    def test_adopt_chunk_trims_a_head_prefix_in_order(self):
+        # recovery finds a chunk sealed from the front of a restored
+        # head: exactly those samples leave it, the rest keep their order
+        store = TimeSeriesStore(chunk_size=64)
+        self.sweeps(store, 10, metrics=("m",))
+        want = {c: store.query("m", c) for c in self.NAMES}
+        t, v = want["b"].times[:4], want["b"].values[:4]
+        chunk = SealedChunk.of(t, v, blob=compress_chunk(t, v))
+        assert store.adopt_chunk(MetricKey("m", "b"), chunk, t, v) == 0
+        s = store.stats()
+        assert (s.samples, s.sealed_chunks) == (40, 1)
+        assert len(store._series_view("m", "b")[0].head()[0]) == 6
+        for c in self.NAMES:
+            got = store.query("m", c)
+            assert np.array_equal(got.times, want[c].times)
+            assert np.array_equal(bits(got.values), bits(want[c].values))
+        # a chunk longer than the head takes all of it and reports the
+        # rest as points the WAL replay must skip
+        t2 = np.arange(40.0, 140.0, 10.0)
+        chunk = SealedChunk.of(t2, t2, blob=compress_chunk(t2, t2))
+        assert store.adopt_chunk(MetricKey("m", "b"), chunk, t2, t2) == 4
+        assert store.stats().samples == 44
+        assert len(store.query("m", "b")) == 14
+
+    def test_a_sweep_allocates_per_batch_not_per_point(self):
+        # a count, not a timing: the list heads made two float objects
+        # and a MetricKey per point (>= 65,000 blocks for these sweeps)
+        n = 4096
+        names = name_column([f"n{i}" for i in range(n)])
+        values = np.random.default_rng(0).normal(size=n)
+        batches = [SeriesBatch.sweep("m", i * 60.0, names, values)
+                   for i in range(16)]
+        store = TimeSeriesStore(chunk_size=512)
+        for b in batches[:8]:
+            store.append(b)
+        gc.collect()
+        before = sys.getallocatedblocks()
+        for b in batches[8:]:
+            store.append(b)
+        assert sys.getallocatedblocks() - before < n
+        assert store.stats().samples == 16 * n
