@@ -456,7 +456,10 @@ _FD_LIFETIME_DIRS = ("src/repro/storage",)
 
 
 def _is_handle_call(node: ast.expr) -> bool:
-    """True for ``open(...)`` and ``mmap.mmap(...)`` call expressions."""
+    """True for ``open(...)`` and ``mmap.mmap(...)`` call expressions.
+
+    ``mmap.mmap(-1, ...)`` is not one: an anonymous map holds no
+    descriptor — it is memory, released with its last reference."""
     if not isinstance(node, ast.Call):
         return False
     f = node.func
@@ -464,7 +467,8 @@ def _is_handle_call(node: ast.expr) -> bool:
         return f.id == "open"
     if isinstance(f, ast.Attribute):
         return (f.attr == "mmap" and isinstance(f.value, ast.Name)
-                and f.value.id == "mmap")
+                and f.value.id == "mmap"
+                and not (node.args and ast.unparse(node.args[0]) == "-1"))
     return False
 
 

@@ -13,7 +13,8 @@
    between ingest ticks cost a dict lookup,
 3. **counting** — ``downsample``/``aggregate_across`` go through the
    store's one bucketed read (``SeriesQueryMixin._bucketed_read`` over
-   :func:`repro.storage.rollup.series_partials`), and the front end
+   :func:`repro.storage.rollup.series_partials` and
+   :func:`~repro.storage.rollup.head_partials`), and the front end
    counts whether each answer read rollup rows or only chunk summaries
    and samples.
 

@@ -17,12 +17,14 @@ reproduces the stable time-sort of the raw path bit-for-bit.
 This module is the *one place* that defines bucket-grid normalization
 (:func:`bucket_anchor`), partial-column folding/merging
 (:func:`fold_partials` / :func:`reduce_partials`) and which source
-answers which part of a window (:func:`series_partials`: rollup rows,
-chunk summaries, decoded samples, the open head — its rules and guards
-are stated there, once).  The store's bucketed read and the serving
-plane above it are loops over that function; the raw concat path in
-``storage/tsdb.py`` shares only the grid, which is what makes the
-exactness oracle in the property suite meaningful.
+answers which part of a window: sealed data series by series
+(:func:`series_partials`: rollup rows, chunk summaries, decoded samples
+— its rules are stated there, its guards in :func:`window_plan`, once),
+open heads a whole head block at a time (:func:`head_partials`).  The
+store's bucketed read and the serving plane above it are loops over
+those two; the raw concat path in ``storage/tsdb.py`` shares only the
+grid, which is what makes the exactness oracle in the property suite
+meaningful.
 """
 
 from __future__ import annotations
@@ -39,10 +41,12 @@ __all__ = [
     "bucket_anchor",
     "choose_level",
     "fold_partials",
+    "head_first_time",
+    "head_partials",
     "ieee_sums",
     "reduce_partials",
-    "series_first_time",
     "series_partials",
+    "window_plan",
 ]
 
 #: raw -> 10 s -> 1 min -> 1 h, the rollup ladder from the ROADMAP;
@@ -93,6 +97,27 @@ def _empty_partials() -> tuple[np.ndarray, ...]:
     return tuple(np.empty(0, dtype=d) for d in _PARTIAL_DTYPES)
 
 
+def _fold_runs(cut: np.ndarray, b: np.ndarray, t: np.ndarray, v: np.ndarray,
+               ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The one reduceat: samples folded run by run, a run ending where
+    ``cut`` (one flag per adjacent pair) is set.  Returns each run's
+    last index and its ``(b, cnt, vsum, vmin, vmax, t_last, v_last)``."""
+    ends = cut.nonzero()[0]
+    starts = np.concatenate(([0], ends + 1))
+    last = np.concatenate((ends, [len(t) - 1]))
+    with ieee_sums():
+        vsum = np.add.reduceat(v, starts)
+    return last, (
+        b[starts],
+        (last + 1 - starts).astype(np.int64),
+        vsum,
+        np.minimum.reduceat(v, starts),
+        np.maximum.reduceat(v, starts),
+        t[last],
+        v[last],
+    )
+
+
 def fold_partials(
     t: np.ndarray,
     v: np.ndarray,
@@ -112,23 +137,9 @@ def fold_partials(
     if not len(t):
         return _empty_partials()
     buckets = np.floor((t - anchor) / step).astype(np.int64)
-    cuts = np.flatnonzero(buckets[1:] != buckets[:-1]) + 1
-    starts = np.concatenate(([0], cuts))
-    last = np.append(starts[1:], len(t)) - 1
-    seq_last = (
-        seq[last].astype(np.int64) if seq is not None else seq_base + last
-    )
-    with ieee_sums():
-        vsum = np.add.reduceat(v, starts)
-    return (
-        buckets[starts],
-        (last + 1 - starts).astype(np.int64),
-        vsum,
-        np.minimum.reduceat(v, starts),
-        np.maximum.reduceat(v, starts),
-        t[last],
-        v[last],
-        seq_last,
+    last, cols = _fold_runs(buckets[1:] != buckets[:-1], buckets, t, v)
+    return cols + (
+        seq[last].astype(np.int64) if seq is not None else seq_base + last,
     )
 
 
@@ -137,7 +148,7 @@ def reduce_partials(
     anchor: float,
     step: float,
     agg: str,
-    piece_comp: Sequence[int] | None = None,
+    piece_comp: Sequence[int | np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge partial-column pieces into final ``(bucket_t, agg_v)``.
 
@@ -145,7 +156,9 @@ def reduce_partials(
     of each bucket group is the stable-time-sort winner for ``last`` —
     exactly the row the raw decompress-and-sort path would pick.
     ``piece_comp`` ranks each piece's source series for cross-component
-    aggregation, reproducing the raw path's stable concat order.
+    aggregation, reproducing the raw path's stable concat order: one
+    rank for a whole piece, or a column ranking it row by row (a head
+    block's piece holds many series).
     """
     keep = [p for p in pieces if len(p[0])]
     if not keep:
@@ -168,7 +181,6 @@ def reduce_partials(
     vmin, vmax, v_last = vmin[order], vmax[order], v_last[order]
     cuts = np.flatnonzero(b[1:] != b[:-1]) + 1
     starts = np.concatenate(([0], cuts))
-    ends = np.append(starts[1:], len(b))
     out_t = anchor + b[starts] * step
     if agg == "sum":
         with ieee_sums():
@@ -182,7 +194,7 @@ def reduce_partials(
     elif agg == "max":
         out_v = np.maximum.reduceat(vmax, starts)
     elif agg == "last":
-        out_v = v_last[ends - 1]
+        out_v = v_last[np.append(cuts, len(b)) - 1]
     else:                              # count
         out_v = np.add.reduceat(cnt, starts).astype(np.float64)
     return out_t, out_v
@@ -319,75 +331,70 @@ def choose_level(
     return None
 
 
-def series_first_time(series) -> float:
-    """Earliest sample time in a series (sealed spans + open head).
+def window_plan(levels: Sequence[float] | None, t0: float, t1: float,
+                step: float, anchor: float) -> tuple | None:
+    """Where rollup rows answer ``[t0, t1)`` on the ``(anchor, step)``
+    grid — a fact about a store's levels and the window, never about a
+    series, so computed once per read.  ``(level, a, m, j_lo, jf,
+    full_lo, full_hi)``: output buckets ``[j_lo, jf)`` (``jf`` None:
+    unbounded) span ``[full_lo, full_hi)``, each is ``m`` level buckets
+    and the anchor is level bucket ``a``.  None when there are no
+    levels, :func:`choose_level` refuses the grid, ``|t1|`` is outside
+    :data:`MAX_PLANNER_TIME` or the window holds no whole bucket."""
+    if not levels or not (t1 == np.inf or abs(t1) <= MAX_PLANNER_TIME):
+        return None
+    level = choose_level(levels, step, anchor)
+    j_lo = 0 if t0 <= anchor else 1
+    jf = None if t1 == np.inf else math.floor((t1 - anchor) / step)
+    if level is None or (jf is not None and jf <= j_lo):
+        return None
+    return (level, int(round(anchor / level)), int(round(step / level)),
+            j_lo, jf, anchor + j_lo * step,
+            np.inf if jf is None else anchor + jf * step)
 
-    Used to resolve ``t0=-inf`` aggregation windows to a concrete grid
-    anchor; ``inf`` when the series is empty.
-    """
-    lo = min((c.summary.t_min for c in series.chunks), default=math.inf)
-    ht = series.head()[0]
-    return min(lo, float(ht.min())) if len(ht) else lo
 
+def series_partials(series, cache, t0: float, t1: float, step: float,
+                    anchor: float, plan: tuple | None,
+                    ) -> list[tuple[np.ndarray, ...]]:
+    """Partial-column pieces answering the *sealed* part of one series
+    over a non-empty ``[t0, t1)`` on the ``(anchor, step)`` grid (none
+    for a series with nothing sealed; open heads are
+    :func:`head_partials`').  Each region of the window is answered from
+    its coarsest exact source:
 
-def series_partials(
-    series,
-    cache,
-    t0: float,
-    t1: float,
-    step: float,
-    anchor: float,
-) -> tuple[list[tuple[np.ndarray, ...]], bool]:
-    """Partial-column pieces answering one series over ``[t0, t1)`` on
-    the ``(anchor, step)`` grid, plus whether rollup rows were read.
-
-    Every bucketed read goes through here; each region of the window is
-    answered from its coarsest exact source:
-
-    1. **rollup rows** for the output buckets wholly inside the window
-       (a binary search + slice over one pyramid level) — when the
-       series carries a pyramid, :func:`choose_level` accepts the grid
-       and ``|t1|`` is inside :data:`MAX_PLANNER_TIME`.  Failing a guard
-       leaves this region empty; the rules below then cover the whole
-       window, so the answer degrades in cost, never in value;
+    1. **rollup rows** for the whole buckets ``plan``
+       (:func:`window_plan`) found inside the window — a binary search +
+       slice over one pyramid level.  Without a plan this region is
+       empty and the rules below cover the whole window, so the answer
+       degrades in cost, never in value;
     2. a sealed chunk's **seal-time summary** when the chunk sits wholly
        inside what is left of the window (the at-most-two edge buckets,
        or all of it) and inside one bucket — never decompressed;
     3. **decoded samples** (``series.decode``, through the shared chunk
-       cache) for any other chunk overlapping what is left;
-    4. the **open head** (a row slice of its metric's block), folded once.
+       cache) for any other chunk overlapping what is left.
 
     ``seq`` numbers continue chunk-list order on every source (pyramid
-    rows carry theirs from seal time), so the pieces reduce to *exactly*
-    the stable time-sort of the raw read.  ``anchor`` is
-    ``bucket_anchor`` of ``t0``, or of the selection's first sample when
-    ``t0`` is unbounded.
+    rows carry theirs from seal time, head samples follow the sealed
+    ones), so the pieces reduce to *exactly* the stable time-sort of the
+    raw read.  ``anchor`` is ``bucket_anchor`` of ``t0``, or of the
+    selection's first sample when ``t0`` is unbounded.
     """
     pieces: list[tuple[np.ndarray, ...]] = []
-    if not t0 < t1:                     # empty (or NaN-bounded) window
-        return pieces, False
+    if not series.chunks:
+        return pieces
     full_lo = full_hi = t1              # the region rollup rows answer
-    pyramid = series.pyramid
-    if pyramid is not None and (t1 == np.inf or abs(t1) <= MAX_PLANNER_TIME):
-        level = choose_level(pyramid.levels, step, anchor)
-        j_lo = 0 if t0 <= anchor else 1
-        jf = None if t1 == np.inf else math.floor((t1 - anchor) / step)
-        if level is not None and (jf is None or jf > j_lo):
-            full_lo = anchor + j_lo * step
-            full_hi = np.inf if jf is None else anchor + jf * step
-            m = int(round(step / level))
-            a = int(round(anchor / level))  # anchor in level-bucket units
-            cols = pyramid.level_columns(level)
-            lb = cols[0]
-            i0 = int(np.searchsorted(lb, a + j_lo * m, side="left"))
-            i1 = (
-                len(lb) if jf is None
-                else int(np.searchsorted(lb, a + jf * m, side="left"))
-            )
-            if i1 > i0:
-                out_b = (lb[i0:i1] - a) // m    # exact: int64 grid arithmetic
-                pieces.append((out_b,) + tuple(c[i0:i1] for c in cols[1:]))
-    rollup = full_hi > full_lo
+    if plan is not None:
+        level, a, m, j_lo, jf, full_lo, full_hi = plan
+        cols = series.pyramid.level_columns(level)
+        lb = cols[0]
+        i0 = int(np.searchsorted(lb, a + j_lo * m, side="left"))
+        i1 = (
+            len(lb) if jf is None
+            else int(np.searchsorted(lb, a + jf * m, side="left"))
+        )
+        if i1 > i0:
+            out_b = (lb[i0:i1] - a) // m    # exact: int64 grid arithmetic
+            pieces.append((out_b,) + tuple(c[i0:i1] for c in cols[1:]))
     # what is left: [t0, full_lo) and [full_hi, t1) — the whole window
     # when no rollup rows were read, nothing on a step-aligned side (so
     # a window they answer outright walks no chunks)
@@ -418,15 +425,77 @@ def series_partials(
             np.asarray(col, dtype=d)
             for col, d in zip(zip(*summaries), _PARTIAL_DTYPES)
         ))
-    ht, hv = series.head()
-    if len(ht):
-        mask = (ht >= t0) & (ht < t1)
-        if mask.any():
-            seq = series.n_sealed_samples + np.flatnonzero(mask)
-            ht, hv = ht[mask], hv[mask]
-            order = np.argsort(ht, kind="stable")
-            pieces.append(
-                fold_partials(ht[order], hv[order], anchor, step,
-                              seq=seq[order])
-            )
-    return pieces, rollup
+    return pieces
+
+
+def _window(t: np.ndarray, t0: float, t1: float) -> tuple[np.ndarray, ...]:
+    """Positions and times of the entries of ``t`` inside ``[t0, t1)``,
+    in stable time order (sorted only when they are out of order)."""
+    col = ((t >= t0) & (t < t1)).nonzero()[0]
+    t = t[col]
+    if len(t) > 1 and (t[1:] < t[:-1]).any():
+        order = np.argsort(t, kind="stable")
+        col, t = col[order], t[order]
+    return col, t
+
+
+def _head_gather(block, rows: Sequence[int], t0: float, t1: float) -> tuple:
+    """``(pos, col, t, v)`` of the open samples of ``rows`` of one head
+    block inside ``[t0, t1)``: ``pos`` indexes ``rows`` (None for a
+    single row, which is read through slices), ``col`` is the sample's
+    arrival position in its head, and the order is ``pos`` then stable
+    time.  Lock-step or ragged is the block's state, not an option."""
+    shared = block.row_times is None
+    if len(rows) == 1:
+        row = rows[0]
+        times = block.times if shared else block.row_times[row]
+        col, t = _window(times[:block.counts[row]], t0, t1)
+        return None, col, t, block.values[row, col]
+    rows = np.asarray(rows)
+    cnt = block.counts[rows]
+    if shared:
+        # one time column, windowed and ordered once; a row that lags it
+        # holds a prefix of those columns
+        col, t = _window(block.times[:block.n_times], t0, t1)
+        pos, j = np.nonzero(col < cnt[:, None])
+        col, t = col[j], t[j]
+    else:
+        j = np.arange(cnt.max())
+        rt = block.row_times[rows[:, None], j]
+        pos, col = np.nonzero((j < cnt[:, None]) & (rt >= t0) & (rt < t1))
+        t = rt[pos, col]
+        if len(t) > 1 and ((t[1:] < t[:-1]) & (pos[1:] == pos[:-1])).any():
+            order = np.lexsort((t, pos))
+            pos, col, t = pos[order], col[order], t[order]
+    return pos, col, t, block.values[rows[pos], col]
+
+
+def head_first_time(block, rows: Sequence[int]) -> float:
+    """Earliest open sample time among ``rows`` of one head block."""
+    t = _head_gather(block, rows, -math.inf, math.inf)[2]
+    return float(t.min()) if len(t) else math.inf
+
+
+def head_partials(block, rows: Sequence[int], seq_base: Sequence[int],
+                  t0: float, t1: float, step: float, anchor: float,
+                  ) -> tuple[tuple[np.ndarray, ...], np.ndarray | int]:
+    """The open heads of ``rows`` of one head block over ``[t0, t1)`` as
+    one partial-column piece, plus which of ``rows`` each row of the
+    piece came from (the caller's rank column).
+
+    One gather and one reduceat whose runs are the (row, bucket) pairs,
+    so every partial is folded over exactly the samples, in exactly the
+    order, a :func:`fold_partials` of that row's head alone would see.
+    ``seq_base[i]`` is how many samples ``rows[i]``'s series has sealed:
+    head samples continue its seq numbers in arrival order.
+    """
+    pos, col, t, v = _head_gather(block, rows, t0, t1)
+    if not len(t):
+        return _empty_partials(), 0
+    b = np.floor((t - anchor) / step).astype(np.int64)
+    cut = b[1:] != b[:-1]
+    if pos is not None:
+        cut |= pos[1:] != pos[:-1]
+    last, cols = _fold_runs(cut, b, t, v)
+    owner = 0 if pos is None else pos[last]
+    return cols + (np.asarray(seq_base)[owner] + col[last],), owner

@@ -396,14 +396,14 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
         return self.shards[i].query(metric, component, t0, t1)
 
     def _series_view(self, metric: str, component: str):
-        """Chunk-level surface the bucketed read resolves series through."""
-        return self._owner(metric, component)._series_view(metric, component)
-
-    def series_readable(self, metric: str, component: str) -> bool:
-        """False while the owning shard is failed (reads degrade to
-        empty) — the bucketed read skips such series so its answers
-        match what ``query`` actually returns."""
-        return self._health[self.shard_of(metric, component)] is not Health.FAILED
+        """Chunk-level surface the bucketed read resolves series through;
+        ``None`` while the owning shard is failed, so bucketed answers
+        match what ``query`` returns (reads against it degrade to empty).
+        """
+        i = self.shard_of(metric, component)
+        if self._health[i] is Health.FAILED:
+            return None
+        return self.shards[i]._series_view(metric, component)
 
     def query_epoch(self, metric: str) -> int:
         """Store-wide mutation epoch of a metric: per-shard epochs plus

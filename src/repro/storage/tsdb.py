@@ -28,7 +28,9 @@ that comparison turns on:
 * footprint/compression statistics for the storage-comparison bench.
 
 Chunks are transparently decompressed on query; the open (mutable) head
-is a zero-copy row slice of its metric's block, queried in place.
+is a zero-copy strided view of its metric's block, queried in place —
+and a bucketed read folds every head it needs of one block in one pass
+(:func:`~repro.storage.rollup.head_partials`).
 
 With a :class:`~repro.storage.diskier.DiskTier` attached (``disk=``),
 sealed blobs are additionally persisted to append-only segment files
@@ -46,6 +48,7 @@ its directory already holds (``store.recovery`` reports what was found).
 from __future__ import annotations
 
 import itertools
+import mmap
 import struct
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -57,8 +60,9 @@ from ..core.metric import MetricKey, SeriesBatch
 from ..core.soa import ComponentTable
 from ..core.tracectx import HOP_INGEST, MAX_HOPS
 from .chunkcache import ChunkCache, ChunkCacheStats
-from .rollup import (SeriesPyramid, bucket_anchor, ieee_sums, reduce_partials,
-                     series_first_time, series_partials)
+from .rollup import (SeriesPyramid, bucket_anchor, head_first_time,
+                     head_partials, ieee_sums, reduce_partials,
+                     series_partials, window_plan)
 
 __all__ = [
     "compress_chunk",
@@ -536,16 +540,28 @@ class StoreStats:
         return self.raw_bytes / self.compressed_bytes
 
 
+#: glibc's default ``M_MMAP_THRESHOLD``: from here up ``malloc`` maps too
+_MMAP_THRESHOLD = 128 << 10
+
+
 def _matrix(rows: int, cols: int) -> np.ndarray:
-    """A float64 matrix on ordinary pages.  numpy opts arrays of 4 MB and
-    up into transparent huge pages, and a head block is reallocated each
-    time it doubles: on a virtualised host a fresh huge page costs
-    anywhere from 0.3 to 20 ms/MB to fault in, against a steady 0.8 for
-    small ones — a 27,648-row block doubling to 512 columns stalls its
-    tick for 0.6 s or for 0.09 s.  Memory Python allocates is not opted
-    in."""
-    return np.frombuffer(bytearray(8 * rows * cols),
-                         dtype=np.float64).reshape(rows, cols)
+    """A zeroed float64 ``rows x cols`` matrix stored sweep-major — the
+    transpose of a C-ordered ``cols x rows`` buffer — so a column is one
+    contiguous run and the columns in use one contiguous prefix.  From
+    the size the allocator would map anyway, the buffer is an anonymous
+    private map: ordinary pages, untouched until written.  *Ordinary*:
+    numpy opts arrays of 4 MB and up into transparent huge pages, a
+    block is reallocated each time it doubles, and on a virtualised host
+    a fresh huge page costs 0.3 to 20 ms/MB to fault in against a
+    steady 0.8 for small ones.  *Untouched*: a ``bytearray``'s memset
+    faults the new half of a doubled 27,648-row block in inside one
+    tick; left alone, each sweep pays for the column it fills.  Smaller
+    buffers come from the heap — a map costs whole pages, and most
+    blocks hold a row or two."""
+    n = 8 * rows * cols
+    buf = (bytearray(n) if n < _MMAP_THRESHOLD
+           else mmap.mmap(-1, n, flags=mmap.MAP_PRIVATE))
+    return np.frombuffer(buf, dtype=np.float64).reshape(cols, rows).T
 
 
 class _HeadBlock:
@@ -553,13 +569,16 @@ class _HeadBlock:
 
     The metric's :class:`~repro.core.soa.ComponentTable` maps component
     -> row; row ``r`` holds ``counts[r]`` unsealed values in arrival
-    order (``-1``: no live series — never created, or dropped), so a
-    series' head is a zero-copy row slice and a synchronized sweep is
-    one column write.  Columns double up to ``chunk_size`` (a row seals
-    there and starts again at column 0), so a block holds at most 16 B
-    per point of its longest head — and that much for every row, which
-    is the price of a metric whose components report at very different
-    rates.
+    order (``-1``: no live series — never created, or dropped).  The
+    matrix is stored sweep-major (:func:`_matrix`): a synchronized sweep
+    is one contiguous column write, a series' head is a zero-copy
+    strided view, and growing the block copies only the columns in use,
+    as contiguous runs — the rest of the new matrix stays untouched
+    until a sweep reaches it.  Columns double up to ``chunk_size`` (a
+    row seals there and starts again at column 0), so a block holds at
+    most 16 B per point of its longest head — and that much for every
+    row, which is the price of a metric whose components report at very
+    different rates.
 
     **Lock-step.**  While every row has seen exactly the same sweeps,
     row ``r``'s sample times are ``times[:counts[r]]`` — a prefix of
@@ -584,19 +603,20 @@ class _HeadBlock:
         self.table = ComponentTable()
         self.series: list[_Series | None] = []      # row -> live series
         self.counts = np.empty(0, dtype=np.intp)
-        self.values = np.empty((0, min(4, chunk_size)))
+        self.values = _matrix(0, min(4, chunk_size))
         self.times = np.empty(self.values.shape[1])  # the shared column
         self.n_times = 0
         self.row_times: np.ndarray | None = None    # set while ragged
         self.n_head = 0                             # open samples, all rows
 
     def _resize(self, rows: int, cols: int) -> None:
-        old_rows, old_cols = self.values.shape
+        old_rows = len(self.counts)
+        used = int(self.counts.max(initial=0))  # columns holding a sample
         for name in ("values", "row_times"):
             old = getattr(self, name)
             if old is not None:
                 new = _matrix(rows, cols)
-                new[:old_rows, :old_cols] = old
+                new[:old_rows, :used] = old[:, :used]
                 setattr(self, name, new)
         self.times = np.resize(self.times, cols)
         self.counts = np.concatenate(
@@ -756,7 +776,9 @@ class _Series:
 
     def head(self) -> tuple[np.ndarray, np.ndarray]:
         """Zero-copy ``(times, values)`` of the open head, in arrival
-        order — views into the block, valid until the next write."""
+        order — views into the block, valid until the next write; the
+        values stride one sweep apart (copy before handing them to code
+        that needs them contiguous)."""
         b, row = self.block, self.row
         c = b.counts[row]
         t = b.times if b.row_times is None else b.row_times[row]
@@ -921,9 +943,10 @@ class SeriesQueryMixin:
     """Query-layer methods shared by every store with the series API.
 
     Anything exposing ``query(metric, component, t0, t1)``,
-    ``components(metric)`` and ``_series_view(metric, component)`` (the
-    chunk-level surface: a :class:`_Series` plus its cache) gets
-    multi-series queries, server-side downsampling, and cross-component
+    ``components(metric)``, ``pyramid_levels`` and
+    ``_series_view(metric, component)`` (the chunk-level surface: a
+    :class:`_Series` plus its cache, or None when reads cannot reach
+    it) gets multi-series queries, downsampling, and cross-component
     aggregation for free — this is what lets
     :class:`~repro.storage.sharded.ShardedTimeSeriesStore` present the
     exact single-store query surface over K shards.
@@ -934,11 +957,6 @@ class SeriesQueryMixin:
     ``downsample(prune=True)`` and the serving plane), which never
     decompresses a chunk a rollup row or seal-time summary can answer.
     """
-
-    def series_readable(self, metric: str, component: str) -> bool:
-        """Whether reads of this series currently reach its data (a
-        sharded store says no while the owning shard is failed)."""
-        return True
 
     def query_components(
         self,
@@ -1005,40 +1023,57 @@ class SeriesQueryMixin:
         label: str,
     ) -> tuple[SeriesBatch, bool]:
         """The one bucketed read: ``components`` of a metric reduced onto
-        the step grid as the series ``label``, and whether every
-        contributing series read rollup rows.
+        the step grid as the series ``label``, and whether rollup rows
+        answered the whole buckets of the window.
 
         Mirrors the raw path exactly: components rank in selection order
         (so ``last`` tie-breaks agree), unreadable or missing series
         contribute nothing, and an unbounded ``t0`` anchors the grid at
-        the first sample across the selection.  Which source answers
-        which part of the window is
-        :func:`~repro.storage.rollup.series_partials`' business alone.
+        the first sample across the selection.  Sealed data is read
+        series by series (:func:`~repro.storage.rollup.series_partials`,
+        under one ``window_plan``), open heads a head block at a time:
+        one :func:`~repro.storage.rollup.head_partials` per block the
+        selection touches (one on a plain store, at most one per shard),
+        for one series or ten thousand.
         """
         if agg not in _AGGS:
             raise ValueError(f"unknown agg {agg!r}; choose from {sorted(_AGGS)}")
         if step <= 0:
             raise ValueError("step must be positive")
         comps = components if components is not None else self.components(metric)
-        views = [
-            sv for c in comps if self.series_readable(metric, c)
-            and (sv := self._series_view(metric, c)) is not None
-        ]
-        lo = t0 if np.isfinite(t0) else min(
-            (series_first_time(s) for s, _ in views), default=np.inf)
+        views = [sv for c in comps
+                 if (sv := self._series_view(metric, c)) is not None]
+        if not t0 < t1:                     # empty (or NaN-bounded) window
+            return SeriesBatch.empty(metric), False
+        by_block: dict[_HeadBlock, list[int]] = {}
+        for rank, (s, _) in enumerate(views):
+            by_block.setdefault(s.block, []).append(rank)
+        # per head block: its series' ranks, rows and sealed counts
+        heads = [(block, ranks, [views[r][0].row for r in ranks],
+                  [views[r][0].n_sealed_samples for r in ranks])
+                 for block, ranks in by_block.items()]
+        lo = t0 if np.isfinite(t0) else min(itertools.chain(
+            (c.summary.t_min for s, _ in views for c in s.chunks),
+            (head_first_time(b, rows) for b, _, rows, _ in heads)),
+            default=np.inf)
         if not np.isfinite(lo):
             return SeriesBatch.empty(metric), False
         anchor = bucket_anchor(lo, step)
+        plan = window_plan(self.pyramid_levels, t0, t1, step, anchor)
         pieces: list[tuple[np.ndarray, ...]] = []
-        piece_comp: list[int] = []
-        rollup = bool(views)
+        piece_comp: list[int | np.ndarray] = []
         for rank, (series, cache) in enumerate(views):
-            ps, used = series_partials(series, cache, t0, t1, step, anchor)
+            ps = series_partials(series, cache, t0, t1, step, anchor, plan)
             pieces.extend(ps)
             piece_comp.extend([rank] * len(ps))
-            rollup = rollup and used
+        for block, ranks, rows, seq_base in heads:
+            piece, owner = head_partials(block, rows, seq_base, t0, t1, step,
+                                         anchor)
+            pieces.append(piece)
+            piece_comp.append(np.asarray(ranks)[owner])
         out_t, out_v = reduce_partials(pieces, anchor, step, agg,
                                        piece_comp=piece_comp)
+        rollup = bool(views) and plan is not None
         if not len(out_t):
             return SeriesBatch.empty(metric), rollup
         return SeriesBatch.for_component(metric, label, out_t, out_v), rollup

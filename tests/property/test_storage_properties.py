@@ -10,6 +10,7 @@ from repro.core.events import Event, EventKind, Severity
 from repro.core.metric import SeriesBatch
 from repro.storage.diskier import _decode_wal_batch, _encode_wal_batch
 from repro.storage.logstore import LogStore, tokenize
+from repro.storage.sharded import ShardedTimeSeriesStore
 from repro.storage.tsdb import (
     TimeSeriesStore,
     _compress_chunk_slow,
@@ -256,12 +257,15 @@ def _same(batch, times, values):
 
 class TestHeadBlockAgainstReference:
     @given(chunk_size=st.integers(min_value=2, max_value=8),
-           pyramid=st.booleans(), data=st.data())
+           pyramid=st.booleans(), sharded=st.booleans(), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_any_interleaving_answers_like_per_series_lists(
-            self, chunk_size, pyramid, data):
+            self, chunk_size, pyramid, sharded, data):
         levels = (10.0, 60.0) if pyramid else None
-        store = TimeSeriesStore(chunk_size=chunk_size, pyramid_levels=levels)
+        store = (ShardedTimeSeriesStore(shards=2, chunk_size=chunk_size,
+                                        pyramid_levels=levels) if sharded
+                 else TimeSeriesStore(chunk_size=chunk_size,
+                                      pyramid_levels=levels))
         ref = _Reference()
         members = ["a", "b", "c"]
         spare = ["d", "e", "f"]
@@ -317,9 +321,22 @@ class TestHeadBlockAgainstReference:
     @staticmethod
     def check(store, ref, draw):
         t0 = draw(st.sampled_from([-math.inf, 0.0, 33.3, 120.0]))
-        step = draw(st.sampled_from([1.0, 7.0, 10.0, 60.0]))
+        step = draw(st.sampled_from([1.0, 7.0, 10.0, 60.0, 1000.0]))
+        # a selection as the serving plane hands it over: any order,
+        # repeats counted once, naming series that were dropped, that
+        # lag a split sweep or that never existed
+        pick = list(dict.fromkeys(draw(st.lists(
+            st.sampled_from("abcdefz"), max_size=9))))
         n = 0
         for metric in ("m", "k"):
+            for agg in AGGS:    # the block fold against the raw concat
+                want = store.aggregate_across(metric, pick, t0, 150.0, step,
+                                              agg)
+                assert _same(store._bucketed_read(
+                    metric, pick, t0, 150.0, step, agg, "x")[0],
+                    want.times, want.values), (pick, agg)
+                assert _same(want, *ref.bucketed(metric, pick, t0, 150.0,
+                                                 step, agg)), (pick, agg)
             comps = ref.components(metric)
             assert store.components(metric) == comps
             for c in comps:

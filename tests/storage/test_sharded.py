@@ -136,6 +136,32 @@ class TestShardFailover:
         store.recover_shard(i)
         assert len(store.query(b.metric, victim)) == 1
 
+    def test_bucketed_reads_on_a_failed_shard_answer_like_query(self):
+        store = ShardedTimeSeriesStore(shards=4)
+        for s in range(5):
+            store.append(self.batch(t=10.0 * s))
+        comps = [str(c) for c in self.batch().components]
+        whole = store.aggregate_across("m.value", comps, 0.0, 50.0, 20.0)
+        victim = comps[0]
+        store.fail_shard(store.shard_of("m.value", victim))
+        # named explicitly, a failed shard's series still read as empty
+        assert len(store.query("m.value", victim)) == 0
+        assert len(store.downsample("m.value", victim, 0.0, 50.0, 20.0)) == 0
+        for agg in ("sum", "last", "count"):
+            got, _ = store._bucketed_read("m.value", comps, 0.0, 50.0, 20.0,
+                                          agg, "x")
+            want = store.aggregate_across("m.value", comps, 0.0, 50.0, 20.0,
+                                          agg)
+            assert np.array_equal(got.times, want.times)
+            assert np.array_equal(got.values, want.values)
+        lost = self.shard_split(store, self.batch())[
+            store.shard_of("m.value", victim)]
+        assert want.values[0] == 2 * (len(comps) - lost)    # the count
+        store.recover_shard(store.shard_of("m.value", victim))
+        healed, _ = store._bucketed_read("m.value", comps, 0.0, 50.0, 20.0,
+                                         "sum", "x")
+        assert np.array_equal(healed.values, whole.values)
+
     def test_redo_overflow_evicts_oldest_as_accounted_loss(self):
         from repro.core.ledger import DeliveryLedger
 

@@ -2,6 +2,7 @@
 
 import gc
 import sys
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ import pytest
 from repro.core.metric import MetricKey, SeriesBatch
 from repro.core.soa import name_column
 from repro.serve.frontend import QueryFrontend
+from repro.storage import rollup, tsdb
 from repro.storage.chunkcache import ChunkCache
 from repro.storage.rollup import DEFAULT_LEVELS
+from repro.storage.sharded import ShardedTimeSeriesStore
 from repro.storage.tsdb import (
     SealedChunk,
     TimeSeriesStore,
@@ -485,3 +488,58 @@ class TestHeadBlock:
             store.append(b)
         assert sys.getallocatedblocks() - before < n
         assert store.stats().samples == 16 * n
+
+    @pytest.mark.parametrize("shards", [0, 4])
+    def test_an_aggregate_over_open_heads_folds_blocks_not_series(
+            self, shards, monkeypatch):
+        # a count, not a timing: one fold per head block the selection
+        # touches, where the per-row read made one per series (256)
+        head = Mock(wraps=tsdb.head_partials)
+        fold = Mock(wraps=rollup.fold_partials)
+        monkeypatch.setattr(tsdb, "head_partials", head)
+        monkeypatch.setattr(rollup, "fold_partials", fold)
+        store = (ShardedTimeSeriesStore(shards=shards, chunk_size=64,
+                                        pyramid_levels=DEFAULT_LEVELS)
+                 if shards else
+                 TimeSeriesStore(chunk_size=64, pyramid_levels=DEFAULT_LEVELS))
+        names = name_column([f"n{i}" for i in range(256)])
+        values = np.arange(256.0)       # integer-valued: any order sums alike
+        for i in range(12):
+            store.append(SeriesBatch.sweep("m", i * 60.0, names, values + i))
+        got, _ = store._bucketed_read("m", list(names), 120.0, 720.0, 300.0,
+                                      "mean", "x")
+        assert fold.call_count == 0
+        assert 1 <= head.call_count <= max(shards, 1)
+        want = store.aggregate_across("m", list(names), 120.0, 720.0, 300.0,
+                                      "mean")
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.values, want.values)
+
+    def assert_block_fold_is_the_raw_answer(self, store, comps):
+        for t0, step in ((-np.inf, 10.0), (0.0, 20.0), (15.0, 7.0)):
+            for agg in ("mean", "sum", "min", "max", "last", "count"):
+                got, _ = store._bucketed_read("m", comps, t0, 200.0, step,
+                                              agg, "x")
+                want = store.aggregate_across("m", comps, t0, 200.0, step,
+                                              agg)
+                assert np.array_equal(got.times, want.times), (t0, step, agg)
+                assert np.array_equal(got.values, want.values,
+                                      equal_nan=True), (t0, step, agg)
+
+    def test_a_half_applied_split_sweep_reads_like_the_raw_path(self):
+        # rows c, d lag the shared time column by one: still lock-step
+        store = TimeSeriesStore(chunk_size=64)
+        self.sweeps(store, 5, metrics=("m",))
+        store.append(sweep("m", 50.0, ["a", "b"], [0.5, float("nan")]))
+        assert store.stats().compressed_bytes == 8 * 22 + 8 * 6
+        self.assert_block_fold_is_the_raw_answer(store, ["d", "a", "c", "b"])
+
+    def test_a_late_joiner_reads_like_the_raw_path(self):
+        # ragged: per-row times, one row far shorter, one out of order
+        store = TimeSeriesStore(chunk_size=64)
+        self.sweeps(store, 5, metrics=("m",))
+        store.append(sweep("m", 50.0, self.NAMES + ["late"], np.arange(5.0)))
+        store.append(sweep("m", 5.0, ["late", "b"], [9.0, -9.0]))
+        assert store.stats().compressed_bytes == 16 * 27
+        self.assert_block_fold_is_the_raw_answer(
+            store, ["late", "d", "b", "gone", "a"])

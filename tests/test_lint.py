@@ -365,6 +365,19 @@ class TestFdLifetimeGate:
         assert len(problems) == 1
         assert "mmap.mmap()" in problems[0]
 
+    def test_anonymous_map_holds_no_descriptor(self, tmp_path):
+        f = tmp_path / "mod.py"
+        f.write_text(
+            "import mmap\n"
+            "def zeroed(n, fd):\n"
+            "    a = mmap.mmap(-1, n, flags=mmap.MAP_PRIVATE)\n"
+            "    b = mmap.mmap(fd - 1, n)\n"       # still a descriptor
+            "    return a, b\n"
+        )
+        problems = check_mod.check_fd_lifetime(f)
+        assert len(problems) == 1
+        assert ":4:" in problems[0]
+
     def test_with_block_passes(self, tmp_path):
         f = tmp_path / "mod.py"
         f.write_text(
