@@ -161,9 +161,16 @@ class SeriesBatch:
         values: Sequence[float] | np.ndarray,
     ) -> "SeriesBatch":
         """Build a single-component series chunk."""
-        n = len(np.asarray(times))
-        comp = np.full(n, component, dtype=object)
-        return cls(metric, comp, times, values)
+        # one object scalar seen n times: a read-only zero-stride view,
+        # not n pointers (built directly: ``np.broadcast_to`` is the
+        # same array at four times the cost, and a tail read is this
+        # call plus a few tens of microseconds)
+        one = np.empty(1, dtype=object)
+        one[0] = component
+        times = np.asarray(times, dtype=np.float64)
+        column = np.ndarray(times.shape, object, one, 0, (0,))
+        column.setflags(write=False)
+        return cls(metric, column, times, values)
 
     @classmethod
     def empty(cls, metric: str) -> "SeriesBatch":

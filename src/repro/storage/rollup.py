@@ -433,7 +433,10 @@ def _window(t: np.ndarray, t0: float, t1: float) -> tuple[np.ndarray, ...]:
     in stable time order (sorted only when they are out of order)."""
     col = ((t >= t0) & (t < t1)).nonzero()[0]
     t = t[col]
-    if len(t) > 1 and (t[1:] < t[:-1]).any():
+    # count_nonzero, not ``.any()``, and no length guard: this and the
+    # row-then-columns index below are 1.5 us of the ~10 us a one-series
+    # tail read costs now that it comes through here
+    if np.count_nonzero(t[1:] < t[:-1]):
         order = np.argsort(t, kind="stable")
         col, t = col[order], t[order]
     return col, t
@@ -450,7 +453,7 @@ def _head_gather(block, rows: Sequence[int], t0: float, t1: float) -> tuple:
         row = rows[0]
         times = block.times if shared else block.row_times[row]
         col, t = _window(times[:block.counts[row]], t0, t1)
-        return None, col, t, block.values[row, col]
+        return None, col, t, block.values[row][col]   # a view, then a take
     rows = np.asarray(rows)
     cnt = block.counts[rows]
     if shared:

@@ -7,9 +7,10 @@ stores.  :class:`ShardedTimeSeriesStore` partitions the series space
 across K plain stores with *stable* series->shard hashing
 (CRC-32 of ``metric@component``, so a series lands on the same shard in
 every run and only an explicit shard-count change repartitions),
-fans ingest batches out by shard, fans ``query``/``keys`` back in, and
+fans ingest batches out by shard, fans ``keys`` back in, and
 merges per-shard counters into one O(1) ``stats()``.  The query layer
-(``query_components`` / ``downsample`` / ``aggregate_across``) is the
+(``query`` / ``query_components`` / ``downsample`` /
+``aggregate_across``, over ``_series_view``) is the
 shared :class:`~repro.storage.tsdb.SeriesQueryMixin`, so callers cannot
 tell K shards from one store — the acceptance oracle the sharding
 tests enforce.
@@ -381,24 +382,11 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
     def components(self, metric: str) -> list[str]:
         return [k.component for k in self.keys(metric)]
 
-    def query(
-        self,
-        metric: str,
-        component: str,
-        t0: float = -np.inf,
-        t1: float = np.inf,
-    ) -> SeriesBatch:
-        """Range query: one series lives on exactly one shard.  A query
-        against a failed shard degrades to empty instead of raising."""
-        i = self.shard_of(metric, component)
-        if self._health[i] is Health.FAILED:
-            return SeriesBatch.empty(metric)
-        return self.shards[i].query(metric, component, t0, t1)
-
     def _series_view(self, metric: str, component: str):
-        """Chunk-level surface the bucketed read resolves series through;
-        ``None`` while the owning shard is failed, so bucketed answers
-        match what ``query`` returns (reads against it degrade to empty).
+        """Chunk-level surface every read resolves series through: one
+        series lives on exactly one shard, and while that shard is failed
+        the answer is ``None`` — reads against it degrade to empty
+        instead of raising.
         """
         i = self.shard_of(metric, component)
         if self._health[i] is Health.FAILED:

@@ -28,9 +28,12 @@ that comparison turns on:
 * footprint/compression statistics for the storage-comparison bench.
 
 Chunks are transparently decompressed on query; the open (mutable) head
-is a zero-copy strided view of its metric's block, queried in place —
-and a bucketed read folds every head it needs of one block in one pass
-(:func:`~repro.storage.rollup.head_partials`).
+is a zero-copy strided view of its metric's block, queried in place.
+Reads work on blocks: a raw read (:func:`read_series`, one series or a
+fleet) decodes every chunk the cache misses in one batched pass
+(:func:`decompress_chunks`) and gathers the heads it needs once per
+block, and a bucketed read folds every head it needs of one block in
+one pass (:func:`~repro.storage.rollup.head_partials`).
 
 With a :class:`~repro.storage.diskier.DiskTier` attached (``disk=``),
 sealed blobs are additionally persisted to append-only segment files
@@ -60,9 +63,9 @@ from ..core.metric import MetricKey, SeriesBatch
 from ..core.soa import ComponentTable
 from ..core.tracectx import HOP_INGEST, MAX_HOPS
 from .chunkcache import ChunkCache, ChunkCacheStats
-from .rollup import (SeriesPyramid, bucket_anchor, head_first_time,
-                     head_partials, ieee_sums, reduce_partials,
-                     series_partials, window_plan)
+from .rollup import (SeriesPyramid, _head_gather, bucket_anchor,
+                     head_first_time, head_partials, ieee_sums,
+                     reduce_partials, series_partials, window_plan)
 
 __all__ = [
     "compress_chunk",
@@ -413,6 +416,7 @@ def decompress_chunk(
     if n > 1:
         sec = buf[pos:]
         m = len(sec)
+        hdr = None
         if (
             lens_hint is not None
             and lens_hint.size == n - 1
@@ -421,9 +425,13 @@ def decompress_chunk(
             tok = np.empty(n - 1, dtype=np.int64)
             tok[0] = 0
             np.cumsum(lens_hint[:-1], dtype=np.int64, out=tok[1:])
-        else:
+            hdr = sec[tok]
+            if not ((hdr & 0x0F) + 1 == lens_hint).all():
+                hdr = None                  # the index of some other chunk
+        if hdr is None:
             tok = _token_starts(sec, n - 1)
-        hdr = sec[tok].astype(np.int64)
+            hdr = sec[tok]
+        hdr = hdr.astype(np.int64)
         slen = hdr & 0x0F                    # hdr == 0 -> slen = 0 (x == 0)
         lead = hdr >> 4
         # read 8 raw bytes after each header (zero-padded past the end)
@@ -439,6 +447,120 @@ def decompress_chunk(
         bits[1:] = np.where(slen == 0, np.uint64(0), x)
         np.bitwise_xor.accumulate(bits, out=bits)
     return ts_ms.astype(np.float64) / 1000.0, bits.view(np.float64)
+
+
+#: samples :func:`decompress_chunks` decodes per pass: the dozen or so
+#: 8 B-per-sample temporaries of one slab stay at a few MiB
+_SLAB_SAMPLES = 1 << 15
+
+
+def _decode_slab(buf: np.ndarray, base: np.ndarray, size: np.ndarray,
+                 hints: Sequence[np.ndarray | None], n: int) -> tuple:
+    """``K`` chunks of ``n >= 3`` samples each, at ``buf[base:base + size]``,
+    decoded as one ``(K, n)`` problem.
+
+    Returns ``(rows, fit, t, v)``: ``rows`` are the chunks whose
+    timestamps take the regular-cadence shape (a first delta, then one
+    byte per delta-of-delta), ``t`` / ``v`` hold a row for each of them,
+    and ``fit`` says which of those rows are a decode — the ones whose
+    XOR token lengths (the chunk's hint, else one uniform stride) tile
+    the section and agree with every header byte they land on.
+    """
+    win8 = np.lib.stride_tricks.sliding_window_view(buf, 8)
+    # the first delta-of-delta IS the first delta: a varint of 1..10 bytes
+    cols = np.arange(10)
+    lead10 = buf[(base + 12)[:, None] + cols]
+    l1 = np.logical_and.accumulate(lead10 >= 0x80, axis=1).sum(axis=1) + 1
+    off = base + 12 + l1                 # then n - 2 of them, one byte each
+    rest = np.lib.stride_tricks.sliding_window_view(buf, n - 2)[off]
+    rows = np.flatnonzero((l1 <= 10) & (rest < 0x80).all(axis=1))
+    if len(rows) < len(base):
+        base, size, lead10, l1, off, rest = (
+            a[rows] for a in (base, size, lead10, l1, off, rest))
+    k = len(rows)
+    z = np.empty((k, n - 1), dtype=np.uint64)
+    z[:, 0] = (((lead10 & np.uint8(0x7F)).astype(np.uint64)
+                << (np.uint64(7) * cols.astype(np.uint64)))
+               * (cols < l1[:, None])).sum(axis=1, dtype=np.uint64)
+    z[:, 1:] = rest
+    dod = ((z >> np.uint64(1))
+           ^ (np.uint64(0) - (z & np.uint64(1)))).view(np.int64)
+    ts_ms = np.empty((k, n), dtype=np.int64)
+    ts_ms[:, 0] = win8[base + 4].view("<i8")[:, 0]
+    np.cumsum(dod, axis=1, out=dod)                  # deltas
+    np.cumsum(dod, axis=1, out=ts_ms[:, 1:])
+    ts_ms[:, 1:] += ts_ms[:, :1]
+
+    vpos = off + (n - 2)
+    sec = vpos + 8                       # the XOR section, to the blob's end
+    m = base + size - sec
+    bits = np.empty((k, n), dtype=np.uint64)
+    bits[:, 0] = win8[vpos].view("<u8")[:, 0]
+    # token lengths: one uniform stride, unless the chunk brought its index
+    lens = np.repeat(m // (n - 1), n - 1).reshape(k, n - 1)
+    hints = [hints[r] for r in rows.tolist()]
+    hinted = [j for j, hint in enumerate(hints)
+              if hint is not None and hint.size == n - 1]
+    if hinted:
+        lens[hinted] = np.stack([hints[j] for j in hinted])
+    fit = lens.sum(axis=1) == m
+    # a misfit's tokens all park on its first byte: in range, never valid
+    lens[~fit] = 0
+    tok = np.cumsum(lens, axis=1)
+    tok += sec[:, None] - lens
+    hdr = buf[tok]
+    slen = (hdr & np.uint8(0x0F)).astype(np.int64)
+    fit &= (slen + 1 == lens).all(axis=1)
+    lead = (hdr >> np.uint8(4)).astype(np.int64)
+    # the 8 raw bytes after each header as a big-endian word: its top
+    # slen bytes are the significant ones (what follows them — the next
+    # token, the next blob — is shifted out), repositioned with two shifts
+    words = win8[tok + 1].view(">u8")[..., 0].astype(np.uint64)
+    drop = np.minimum(8 * (8 - slen), 63).astype(np.uint64)
+    place = np.maximum(8 * (8 - lead - slen), 0).astype(np.uint64)
+    bits[:, 1:] = np.where(slen == 0, np.uint64(0), (words >> drop) << place)
+    np.bitwise_xor.accumulate(bits, axis=1, out=bits)
+    return rows, fit, ts_ms.astype(np.float64) / 1000.0, bits.view(np.float64)
+
+
+def decompress_chunks(
+    items: Sequence[tuple[bytes | memoryview, np.ndarray | None]],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`decompress_chunk` of every ``(blob, lens_hint)``, the chunks
+    of one length decoded together (:func:`_decode_slab`, a slab at a
+    time) — what a fleet read, which misses a chunk or three of every
+    series, pays per chunk is a row of a few matrix operations, not a
+    Python call chain.  Every array owns its memory and is bit-identical
+    to the single-chunk decode.  :func:`decompress_chunk` is the ``K = 1``
+    case and decodes whatever the shared shape does not fit: irregular
+    cadence (multi-byte varints), mixed token lengths without a usable
+    hint, fewer than three samples, fewer than three chunks of a length.
+    """
+    if len(items) < 3:      # nothing a matrix pass would pay for
+        return [decompress_chunk(*item) for item in items]
+    blobs = [blob for blob, _ in items]
+    hints = [hint for _, hint in items]
+    out: list = [None] * len(items)
+    size = np.fromiter(map(len, blobs), dtype=np.int64, count=len(blobs))
+    base = np.cumsum(size) - size
+    buf = np.frombuffer(b"".join([*blobs, bytes(16)]), dtype=np.uint8)
+    ns = buf[base[:, None] + np.arange(4)].view("<u4")[:, 0]
+    for n in np.unique(ns).tolist():
+        same = np.flatnonzero(ns == n)
+        # it costs some three single decodes before its first row
+        if n < 3 or len(same) < 3:
+            continue
+        per = max(3, _SLAB_SAMPLES // n)
+        for s in range(0, len(same), per):
+            part = same[s:s + per]
+            rows, fit, t, v = _decode_slab(
+                buf, base[part], size[part],
+                [hints[i] for i in part.tolist()], n)
+            for i, ok, ti, vi in zip(part[rows].tolist(), fit.tolist(), t, v):
+                if ok:
+                    out[i] = (ti.copy(), vi.copy())
+    return [tv if tv is not None else decompress_chunk(blobs[i], hints[i])
+            for i, tv in enumerate(out)]
 
 
 # --------------------------------------------------------------------------
@@ -853,32 +975,6 @@ class _Series:
             cache.put(chunk.cid, t, v)
         return t, v
 
-    def read(
-        self, t0: float, t1: float, cache: ChunkCache | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """All samples with ``t0 <= t < t1``, time-sorted."""
-        ts: list[np.ndarray] = []
-        vs: list[np.ndarray] = []
-        for chunk in self.chunks:
-            summ = chunk.summary
-            if summ.t_max < t0 or summ.t_min >= t1:
-                continue
-            ct, cv = self.decode(chunk, cache)
-            mask = (ct >= t0) & (ct < t1)
-            ts.append(ct[mask])
-            vs.append(cv[mask])
-        ht, hv = self.head()
-        if len(ht):
-            mask = (ht >= t0) & (ht < t1)
-            ts.append(ht[mask])
-            vs.append(hv[mask])
-        if not ts:
-            return np.empty(0), np.empty(0)
-        t = np.concatenate(ts)
-        v = np.concatenate(vs)
-        order = np.argsort(t, kind="stable")
-        return t[order], v[order]
-
     def export_state(self) -> dict:
         """Snapshot-serializable sealed state (one manifest entry): the
         chunk index without blobs or cache ids, and the pyramid
@@ -893,6 +989,88 @@ class _Series:
     @property
     def n_samples(self) -> int:
         return self.n_sealed_samples + int(self.block.counts[self.row])
+
+
+def _head_blocks(views: Sequence[tuple[_Series, ChunkCache]]
+                 ) -> list[tuple[_HeadBlock, list[int], list[int]]]:
+    """``(block, ranks, rows)`` per head block a selection touches — one
+    on a plain store, at most one per shard: the series ``views[rank]``
+    is row ``row`` of ``block``."""
+    by_block: dict[_HeadBlock, list[int]] = {}
+    for rank, (s, _) in enumerate(views):
+        by_block.setdefault(s.block, []).append(rank)
+    return [(block, ranks, [views[r][0].row for r in ranks])
+            for block, ranks in by_block.items()]
+
+
+def read_series(views: Sequence[tuple[_Series, ChunkCache]],
+                t0: float, t1: float
+                ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The samples of every series of ``views`` (``(series, cache)``
+    pairs) with ``t0 <= t < t1``, time-sorted — the one raw read, for
+    one series or a fleet.  It works on blocks: every overlapping sealed
+    chunk is probed in the chunk cache (a hit or a miss each, as a
+    single read would count them), the misses are decoded in one
+    :func:`decompress_chunks` pass and admitted, and the open heads are
+    gathered once per head block
+    (:func:`~repro.storage.rollup._head_gather`).  A series is then its
+    chunks in seal order and its head: only a chunk the window cuts is
+    trimmed, and only a concatenation that comes out of order (late
+    samples across a seal) is stable-sorted.  No array aliases the
+    chunk cache or a head block."""
+    out: list = [(np.empty(0), np.empty(0))] * len(views)
+    if not t0 < t1:                     # empty (or NaN-bounded) window
+        return out
+    sealed: dict[int, list[SealedChunk]] = {}   # rank -> overlapping chunks
+    decoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}      # by cid
+    missed: list[tuple[SealedChunk, ChunkCache]] = []
+    blobs: list[tuple] = []
+    for rank, (series, cache) in enumerate(views):
+        for chunk in series.chunks:
+            summ = chunk.summary
+            if summ.t_max < t0 or summ.t_min >= t1:
+                continue
+            blob = series.chunk_blob(chunk)
+            hit = cache.get(chunk.cid)
+            if hit is None:
+                missed.append((chunk, cache))
+                blobs.append((blob, chunk.hint))
+            else:
+                decoded[chunk.cid] = hit
+            sealed.setdefault(rank, []).append(chunk)
+    if missed:
+        for (chunk, cache), tv in zip(missed, decompress_chunks(blobs)):
+            decoded[chunk.cid] = tv
+            cache.put(chunk.cid, *tv)
+    for block, ranks, rows in _head_blocks(views):
+        pos, _, ht, hv = _head_gather(block, rows, t0, t1)
+        if pos is None:
+            out[ranks[0]] = (ht, hv)
+            continue
+        cuts = np.searchsorted(pos, np.arange(len(ranks) + 1)).tolist()
+        for rank, lo, hi in zip(ranks, cuts, cuts[1:]):
+            out[rank] = (ht[lo:hi], hv[lo:hi])
+    for rank, chunks in sealed.items():  # the rest are a head: done
+        tp, vp = [], []
+        for chunk in chunks:
+            ct, cv = decoded[chunk.cid]
+            summ = chunk.summary
+            if summ.t_min < t0:                 # the window cuts it
+                lo = ct.searchsorted(t0)
+                ct, cv = ct[lo:], cv[lo:]
+            if summ.t_max >= t1:
+                hi = ct.searchsorted(t1)
+                ct, cv = ct[:hi], cv[:hi]
+            tp.append(ct)
+            vp.append(cv)
+        tp.append(out[rank][0])
+        vp.append(out[rank][1])
+        t, v = np.concatenate(tp), np.concatenate(vp)
+        if np.count_nonzero(t[1:] < t[:-1]):    # late samples across a seal
+            order = np.argsort(t, kind="stable")
+            t, v = t[order], v[order]
+        out[rank] = (t, v)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -942,21 +1120,38 @@ def _bucket_agg(
 class SeriesQueryMixin:
     """Query-layer methods shared by every store with the series API.
 
-    Anything exposing ``query(metric, component, t0, t1)``,
-    ``components(metric)``, ``pyramid_levels`` and
+    Anything exposing ``components(metric)``, ``pyramid_levels`` and
     ``_series_view(metric, component)`` (the chunk-level surface: a
     :class:`_Series` plus its cache, or None when reads cannot reach
-    it) gets multi-series queries, downsampling, and cross-component
-    aggregation for free — this is what lets
+    it) gets range queries over one series or many, downsampling, and
+    cross-component aggregation for free — this is what lets
     :class:`~repro.storage.sharded.ShardedTimeSeriesStore` present the
     exact single-store query surface over K shards.
 
-    Bucketed answers come two ways: the raw concat + ``_bucket_agg``
+    Raw answers (``query``, ``query_components``) are one
+    :func:`read_series`, which reads sealed chunks and open heads a
+    block at a time.  Bucketed answers come two ways: the raw concat +
+    ``_bucket_agg``
     reference (``aggregate_across``, ``downsample(prune=False)``) and
     the one bucketed read over partial columns (``_bucketed_read``:
     ``downsample(prune=True)`` and the serving plane), which never
     decompresses a chunk a rollup row or seal-time summary can answer.
     """
+
+    def query(
+        self,
+        metric: str,
+        component: str,
+        t0: float = -np.inf,
+        t1: float = np.inf,
+    ) -> SeriesBatch:
+        """Range query one series -> time-sorted batch (empty when the
+        series is missing or reads cannot reach it)."""
+        view = self._series_view(metric, component)
+        if view is None:
+            return SeriesBatch.empty(metric)
+        return SeriesBatch.for_component(
+            metric, component, *read_series([view], t0, t1)[0])
 
     def query_components(
         self,
@@ -965,13 +1160,18 @@ class SeriesQueryMixin:
         t0: float = -np.inf,
         t1: float = np.inf,
     ) -> dict[str, SeriesBatch]:
-        """Range query many series at once (drill-down working set)."""
-        comps = (
-            list(components)
-            if components is not None
-            else self.components(metric)
-        )
-        return {c: self.query(metric, c, t0, t1) for c in comps}
+        """Range query many series at once (drill-down working set, or
+        with ``components=None`` the whole fleet): one
+        :func:`read_series` over every series reads can reach."""
+        comps = dict.fromkeys(
+            components if components is not None else self.components(metric))
+        views = {c: view for c in comps
+                 if (view := self._series_view(metric, c)) is not None}
+        out = dict.fromkeys(comps, SeriesBatch.empty(metric))
+        for c, (t, v) in zip(views,
+                             read_series(list(views.values()), t0, t1)):
+            out[c] = SeriesBatch.for_component(metric, c, t, v)
+        return out
 
     def downsample(
         self,
@@ -1045,13 +1245,10 @@ class SeriesQueryMixin:
                  if (sv := self._series_view(metric, c)) is not None]
         if not t0 < t1:                     # empty (or NaN-bounded) window
             return SeriesBatch.empty(metric), False
-        by_block: dict[_HeadBlock, list[int]] = {}
-        for rank, (s, _) in enumerate(views):
-            by_block.setdefault(s.block, []).append(rank)
         # per head block: its series' ranks, rows and sealed counts
-        heads = [(block, ranks, [views[r][0].row for r in ranks],
+        heads = [(block, ranks, rows,
                   [views[r][0].n_sealed_samples for r in ranks])
-                 for block, ranks in by_block.items()]
+                 for block, ranks, rows in _head_blocks(views)]
         lo = t0 if np.isfinite(t0) else min(itertools.chain(
             (c.summary.t_min for s, _ in views for c in s.chunks),
             (head_first_time(b, rows) for b, _, rows, _ in heads)),
@@ -1157,6 +1354,9 @@ class TimeSeriesStore(SeriesQueryMixin):
         )
         self._series: dict[MetricKey, _Series] = {}
         self._blocks: dict[str, _HeadBlock] = {}    # metric -> open heads
+        # metric -> its keys, sorted: an entry is dropped whenever a
+        # series of the metric is created (restored included) or dropped
+        self._metric_keys: dict[str, list[MetricKey]] = {}
         # per-metric mutation epochs: bumped on any change that can alter
         # query results, so the serving plane's result cache invalidates
         # precisely (stale entries die, untouched metrics keep serving)
@@ -1192,6 +1392,7 @@ class TimeSeriesStore(SeriesQueryMixin):
         row = block.table.add(key.component)
         block.fit()
         block.counts[row] = 0       # live, and empty
+        self._metric_keys.pop(key.metric, None)
         s = self._series[key] = block.series[row] = _Series(
             block, row, self.pyramid_levels, tier=self.disk, key=key)
         return s
@@ -1297,31 +1498,22 @@ class TimeSeriesStore(SeriesQueryMixin):
     def keys(self, metric: str | None = None) -> list[MetricKey]:
         if metric is None:
             return sorted(self._series, key=str)
-        return sorted(
-            (k for k in self._series if k.metric == metric), key=str
-        )
+        keys = self._metric_keys.get(metric)
+        if keys is None:
+            block = self._blocks.get(metric)
+            if block is None:
+                return []
+            keys = self._metric_keys[metric] = sorted(
+                (s.key for s in block.series if s is not None), key=str)
+        return list(keys)
 
     def components(self, metric: str) -> list[str]:
         return [k.component for k in self.keys(metric)]
 
-    def query(
-        self,
-        metric: str,
-        component: str,
-        t0: float = -np.inf,
-        t1: float = np.inf,
-    ) -> SeriesBatch:
-        """Range query one series -> time-sorted batch."""
-        series = self._series.get(MetricKey(metric, component))
-        if series is None:
-            return SeriesBatch.empty(metric)
-        t, v = series.read(t0, t1, self.cache)
-        return SeriesBatch.for_component(metric, component, t, v)
-
     def _series_view(
         self, metric: str, component: str
     ) -> tuple[_Series, ChunkCache] | None:
-        """Chunk-level surface the bucketed read resolves series through."""
+        """Chunk-level surface every read resolves series through."""
         series = self._series.get(MetricKey(metric, component))
         if series is None:
             return None
@@ -1341,6 +1533,7 @@ class TimeSeriesStore(SeriesQueryMixin):
         if s is None:
             return False
         self._epochs[metric] = self._epochs.get(metric, 0) + 1
+        self._metric_keys.pop(metric, None)
         if self.disk is not None:
             self.disk.forget(s)
         self.cache.invalidate(c.cid for c in s.chunks)

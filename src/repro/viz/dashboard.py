@@ -63,10 +63,13 @@ class Dashboard:
         # one read per tile, not one per component
         per = self.tsdb.query_components(metric, None, now - window_s,
                                          now + 1e-9)
-        last = {c: b for c, b in per.items() if len(b)}
-        return SeriesBatch(metric, list(last),
-                           [b.times[-1] for b in last.values()],
-                           [b.values[-1] for b in last.values()])
+        comps, times, values = [], [], []
+        for c, b in per.items():
+            if len(b):
+                comps.append(c)
+                times.append(b.times[-1])
+                values.append(b.values[-1])
+        return SeriesBatch(metric, comps, times, values)
 
     def _trend(self, metric: str, component: str, now: float,
                window_s: float = 3600.0, points: int = 24) -> str:

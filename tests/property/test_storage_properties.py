@@ -1,6 +1,8 @@
 """Property-based tests: storage-layer invariants."""
 
 import math
+import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 
 from repro.core.events import Event, EventKind, Severity
 from repro.core.metric import SeriesBatch
-from repro.storage.diskier import _decode_wal_batch, _encode_wal_batch
+from repro.storage import tsdb
+from repro.storage.diskier import (DiskTier, _decode_wal_batch,
+                                   _encode_wal_batch)
 from repro.storage.logstore import LogStore, tokenize
 from repro.storage.sharded import ShardedTimeSeriesStore
 from repro.storage.tsdb import (
@@ -18,6 +22,7 @@ from repro.storage.tsdb import (
     _xor_token_lens,
     compress_chunk,
     decompress_chunk,
+    decompress_chunks,
 )
 
 # -- chunk codec -------------------------------------------------------------
@@ -106,6 +111,87 @@ class TestVectorizedCodecEquivalence:
             assert np.array_equal(vv.view(np.uint64), sv.view(np.uint64))
             assert np.array_equal(vv.view(np.uint64),
                                   values.view(np.uint64))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _chunk_spec(draw):
+    """One sealed chunk as the read path hands it to the codec: a blob
+    (``bytes``, or the ``memoryview`` a spilled chunk maps to) and the
+    hint stored beside it — right, absent, or some other chunk's."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 3, 5, 128]))
+    if draw(st.booleans()):             # a regular cadence: 1-byte varints
+        t = (draw(st.integers(0, 10**9))
+             + draw(st.integers(1, 10**5)) * np.arange(n)) / 1000.0
+    else:                               # irregular: multi-byte varints
+        t = np.asarray(draw(st.lists(st.integers(0, 10**10), min_size=n,
+                                     max_size=n)), dtype=np.float64) / 1000.0
+    kind = draw(st.sampled_from(["const", "any", "specials", "ints"]))
+    if kind == "const":                 # uniform 1-byte tokens
+        v = np.full(n, draw(st.floats(width=64)))
+    elif kind == "ints":                # mixed short tokens
+        v = np.asarray(draw(st.lists(st.integers(0, 300), min_size=n,
+                                     max_size=n)), dtype=np.float64)
+    else:
+        pool = (special_floats if kind == "specials"
+                else st.floats(width=64, allow_nan=True,
+                               allow_infinity=True))
+        v = np.asarray(draw(st.lists(pool, min_size=n, max_size=n)),
+                       dtype=np.float64)
+    blob = compress_chunk(t, v)
+    hint = _xor_token_lens(v)
+    wrong = draw(st.sampled_from(["right", "none", "short", "sum",
+                                  "permuted"]))
+    if wrong == "none":
+        hint = None
+    elif hint is not None and wrong == "short":
+        hint = hint[:-1]
+    elif hint is not None and wrong == "sum":
+        hint = hint + np.uint8(1)
+    elif hint is not None and wrong == "permuted":
+        hint = hint[::-1].copy()
+    return (memoryview(blob) if draw(st.booleans()) else blob), hint
+
+
+class TestBatchedCodecEquivalence:
+    """``decompress_chunks`` against the scalar reference, chunk by
+    chunk and bit for bit, whatever shares the batch."""
+
+    @given(data=st.data(),
+           slab=st.sampled_from([1, 6, 300, tsdb._SLAB_SAMPLES]))
+    @settings(max_examples=150, deadline=None)
+    def test_every_chunk_of_a_mixed_batch_is_the_scalar_decode(self, data,
+                                                               slab):
+        items = [_chunk_spec(data.draw)
+                 for _ in range(data.draw(st.integers(0, 12)))]
+        # the same blob twice in one batch (a repeated selection)
+        items += data.draw(st.lists(st.sampled_from(items), max_size=4)
+                           if items else st.just([]))
+        with mock.patch.object(tsdb, "_SLAB_SAMPLES", slab):
+            got = decompress_chunks(items)
+        assert len(got) == len(items)
+        for (blob, _), (t, v) in zip(items, got):
+            want_t, want_v = _decompress_chunk_slow(bytes(blob))
+            assert t.dtype == v.dtype == np.float64
+            assert np.array_equal(_bits(t), _bits(want_t))
+            assert np.array_equal(_bits(v), _bits(want_v))
+            # an owning array: caching it pins nothing else
+            assert t.base is None or t.base.nbytes == t.nbytes
+            assert v.base is None or v.base.nbytes == v.nbytes
+
+    def test_a_batch_larger_than_one_slab(self):
+        rng = np.random.default_rng(7)
+        chunks = []
+        for i in range(2 * tsdb._SLAB_SAMPLES // 128 + 3):
+            t = 1000.0 * i + 60.0 * np.arange(128)
+            v = np.round(rng.normal(200.0, 30.0, 128), i % 3)
+            chunks.append((compress_chunk(t, v), _xor_token_lens(v), t, v))
+        got = decompress_chunks([(blob, hint) for blob, hint, _, _ in chunks])
+        for (_, _, t, v), (gt, gv) in zip(chunks, got):
+            assert np.array_equal(gt, t)
+            assert np.array_equal(_bits(gv), _bits(v))
 
 
 # -- store query semantics ------------------------------------------------------
@@ -375,6 +461,100 @@ class TestHeadBlockAgainstReference:
             assert ([c.blob for c in got.chunks]
                     == [c.blob for c in want.chunks])
             assert np.array_equal(got.head()[0], want.head()[0])
+
+
+# -- the raw block read against a reference that shares none of its code ---------
+
+def _raw_reference(store, metric, comp, t0, t1):
+    """What ``query`` must answer for one series, with no read code of
+    the store's: every sealed blob through the scalar decoder, then the
+    head, cut to the window and stably time-sorted.  A series reads
+    cannot reach (missing, or on a failed shard) is empty."""
+    view = store._series_view(metric, comp)
+    if view is None:
+        return np.empty(0), np.empty(0)
+    series = view[0]
+    parts = [_decompress_chunk_slow(bytes(series.chunk_blob(c)))
+             for c in series.chunks] + [series.head()]
+    t = np.concatenate([p[0] for p in parts])
+    v = np.concatenate([p[1] for p in parts])
+    keep = (t >= t0) & (t < t1)
+    order = np.argsort(t[keep], kind="stable")
+    return t[keep][order], v[keep][order]
+
+
+class TestRawBlockRead:
+    @given(kind=st.sampled_from(["plain", "sharded", "spilled"]),
+           chunk_size=st.integers(min_value=3, max_value=8), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_query_components_is_the_per_series_reference(self, kind,
+                                                          chunk_size, data):
+        draw = data.draw
+        members = list("abcdef")
+        with tempfile.TemporaryDirectory() as d:
+            if kind == "sharded":
+                store = ShardedTimeSeriesStore(shards=4,
+                                               chunk_size=chunk_size)
+            else:       # spilled: every sealed blob is read back mapped
+                store = TimeSeriesStore(
+                    chunk_size=chunk_size,
+                    disk=DiskTier(d, hot_bytes=0) if kind == "spilled"
+                    else None)
+            # a fixed cadence, so most chunks take the codec's regular
+            # shape and decode as a batch; the rest decode one by one
+            now, cadence = 0.0, draw(st.sampled_from([0.25, 1.0, 10.0]))
+            try:
+                for _ in range(draw(st.integers(min_value=1, max_value=40))):
+                    op = draw(st.sampled_from(
+                        ["sweep"] * 6 + ["subset", "ragged", "flush",
+                                         "drop"]))
+                    if op == "flush":
+                        store.flush()
+                        continue
+                    if op == "drop":    # the next sweep starts it again
+                        store.drop_series("m", draw(st.sampled_from(members)))
+                        continue
+                    comps = members if op != "subset" else draw(st.lists(
+                        st.sampled_from(members), min_size=1, unique=True))
+                    now += cadence
+                    times = ([now] * len(comps) if op != "ragged" else draw(
+                        st.lists(grid_times, min_size=len(comps),
+                                 max_size=len(comps))))
+                    store.append(SeriesBatch("m", comps, times, draw(
+                        st.lists(exact_values, min_size=len(comps),
+                                 max_size=len(comps)))))
+                    if draw(st.booleans()):          # reads interleave
+                        self.check(store, draw, now, rounds=1)
+                if kind == "sharded" and draw(st.booleans()):
+                    store.fail_shard(draw(st.integers(0, 3)))
+                self.check(store, draw, now)
+            finally:
+                store.close()
+
+    @staticmethod
+    def check(store, draw, now, rounds=4):
+        # mostly inside the data, so windows cut chunks and heads mid-way
+        bound = st.one_of(
+            st.integers(0, int(1000 * now) + 1000).map(lambda ms: ms / 1e3),
+            st.sampled_from([-math.inf, math.inf, float("nan")]))
+        for _ in range(rounds):
+            t0, t1 = draw(bound), draw(bound)   # any order: t0 >= t1 too
+            # any order, repeats, a component that never existed — or
+            # the whole metric
+            pick = draw(st.one_of(st.none(), st.lists(
+                st.sampled_from("abcdefz"), max_size=9)))
+            got = store.query_components("m", pick, t0, t1)
+            want = (store.components("m") if pick is None
+                    else list(dict.fromkeys(pick)))
+            assert list(got) == want
+            for c, batch in got.items():
+                t, v = _raw_reference(store, "m", c, t0, t1)
+                assert np.array_equal(_bits(batch.times), _bits(t)), c
+                assert np.array_equal(_bits(batch.values), _bits(v)), c
+                assert batch.components.tolist() == [c] * len(t)
+                one = store.query("m", c, t0, t1)
+                assert np.array_equal(_bits(one.times), _bits(t))
+                assert np.array_equal(_bits(one.values), _bits(v))
 
 
 class TestWalFrame:

@@ -134,6 +134,41 @@ class TestStoreIntegration:
         # every shard routed through the same instance
         assert all(sh.cache is store.cache for sh in store.shards)
 
+    @pytest.mark.parametrize("max_bytes", [32 << 20, 5 * 16 * 16, 0])
+    def test_a_batched_read_counts_like_the_same_chunks_one_by_one(
+            self, max_bytes):
+        comps = ["a", "b", "c", "d"]
+        batched, single = (
+            TimeSeriesStore(chunk_size=16, cache=ChunkCache(max_bytes))
+            for _ in range(2))
+        for store in (batched, single):
+            for comp in comps:
+                fill(store, comp=comp)          # 4 sealed chunks each
+        for warm in (False, True):
+            got = batched.query_components("m", comps, 5.0, 60.0)
+            want = {c: single.query("m", c, 5.0, 60.0) for c in comps}
+            for c in comps:
+                assert np.array_equal(got[c].times, want[c].times)
+                assert np.array_equal(got[c].values, want[c].values)
+            if warm and 0 < max_bytes < 16 * 16 * 16:
+                # a cache smaller than the read: the batched read probes
+                # before it admits, so it still finds the five chunks
+                # that one-by-one reading evicts on its way to them
+                assert (batched.cache_stats().hits,
+                        single.cache_stats().hits) == (5, 0)
+            else:
+                assert batched.cache_stats() == single.cache_stats()
+        cache = batched.cache
+        assert cache.stats().misses >= 16
+        assert (cache.stats().evictions > 0) == (max_bytes == 5 * 16 * 16)
+        # what was admitted owns its memory: the byte count is the truth
+        # and no entry keeps a decode batch alive
+        entries = list(cache._entries.values())
+        assert cache.resident_bytes == sum(t.nbytes + v.nbytes
+                                           for t, v in entries)
+        assert all(a.base is None or a.base.nbytes == a.nbytes
+                   for tv in entries for a in tv)
+
     @pytest.mark.parametrize("shards", [0, 4])
     def test_archive_invalidates_demoted_chunks(self, tmp_path, shards):
         if shards:

@@ -52,6 +52,7 @@ class TestHotBudget:
         d = store.disk_stats()
         assert d.spills > 0                   # the budget actually bit
         assert d.disk_bytes > 10 * store.disk.hot_bytes
+        store.close()
 
     def test_spilled_chunks_still_answer_exactly(self, tmp_path):
         store = disk_store(tmp_path)
@@ -73,6 +74,7 @@ class TestHotBudget:
                                           prune=prune)
                     assert np.array_equal(g.times, w.times)
                     assert np.array_equal(g.values, w.values)
+        store.close()
 
     def test_mmap_reads_hit_established_map(self, tmp_path):
         store = disk_store(tmp_path, hot_bytes=1 << 10)
@@ -84,6 +86,7 @@ class TestHotBudget:
         d = store.disk_stats()
         assert d.loads > 0
         assert d.map_hits > 0                 # second pass reused the map
+        store.close()
 
 
 class TestArchiveIsDemotion:
@@ -108,6 +111,7 @@ class TestArchiveIsDemotion:
                               want.values.view(np.uint64))
         # a second call finds nothing newly demotable
         assert store.archive_before(1000.0) == 0
+        store.close()
 
 
 class TestSnapshotRecover:
@@ -143,6 +147,7 @@ class TestSnapshotRecover:
                 o = want_ds[(m, c, prune)]
                 assert np.array_equal(g.times, o.times)
                 assert np.array_equal(g.values, o.values)
+        recovered.close()
 
     def test_reopening_a_directory_restores_it(self, tmp_path):
         # a restart is an open like any other: no recovery entry point
@@ -186,6 +191,7 @@ class TestSnapshotRecover:
         back = sum(recovered.points_by_metric().values())
         assert back == synced                  # tail gone...
         assert total - back == 40              # ...but exactly countable
+        recovered.close()
 
     def test_dead_tier_refuses_use(self, tmp_path):
         store = disk_store(tmp_path)
@@ -208,6 +214,7 @@ class TestSnapshotRecover:
         assert rep2.scanned_chunks == 0
         assert rep2.wal_points_replayed == 0
         assert r2.points_by_metric() == r1.points_by_metric()
+        r2.close()
 
     def test_torn_tails_truncated_and_reported(self, tmp_path):
         store = disk_store(tmp_path, sync_every_bytes=1 << 30)
@@ -235,7 +242,9 @@ class TestSnapshotRecover:
         got = recovered.query("m", "a")
         assert got.values[150:].tolist() == [float(i) for i in range(150, 170)]
         recovered.close()
-        assert len(recovered.reopen().query("m", "a")) == 170
+        last = recovered.reopen()
+        assert len(last.query("m", "a")) == 170
+        last.close()
 
     def test_crash_before_first_snapshot_keeps_declared_shape(self, tmp_path):
         # no manifest to learn the shape from: it comes from the caller
@@ -403,6 +412,7 @@ class TestSharded:
             assert np.array_equal(got.times, w.times)
             assert np.array_equal(got.values.view(np.uint64),
                                   w.values.view(np.uint64))
+        rec.close()
 
     def test_refused_opens_are_loud_and_leave_the_directory_whole(
             self, tmp_path):
@@ -439,6 +449,7 @@ class TestSharded:
         per = [s.disk_stats() for s in sh.shards]
         assert merged.disk_bytes == sum(p.disk_bytes for p in per)
         assert merged.spills == sum(p.spills for p in per)
+        sh.close()
 
     def test_in_memory_sharded_has_no_disk_stats(self):
         sh = ShardedTimeSeriesStore(shards=2, chunk_size=16)

@@ -7,11 +7,13 @@ from unittest.mock import Mock
 import numpy as np
 import pytest
 
+from repro.core.lifecycle import Health
 from repro.core.metric import MetricKey, SeriesBatch
 from repro.core.soa import name_column
 from repro.serve.frontend import QueryFrontend
 from repro.storage import rollup, tsdb
 from repro.storage.chunkcache import ChunkCache
+from repro.storage.diskier import DiskTier
 from repro.storage.rollup import DEFAULT_LEVELS
 from repro.storage.sharded import ShardedTimeSeriesStore
 from repro.storage.tsdb import (
@@ -543,3 +545,94 @@ class TestHeadBlock:
         assert store.stats().compressed_bytes == 16 * 27
         self.assert_block_fold_is_the_raw_answer(
             store, ["late", "d", "b", "gone", "a"])
+
+
+class TestMetricIndex:
+    """``components(metric)`` is answered from a per-metric index; it
+    must stay what a scan of every series would say."""
+
+    @staticmethod
+    def scan(store, metric):
+        shards = getattr(store, "shards", None)
+        if shards is None:
+            shards = [store]
+        else:
+            shards = [s for s, h in zip(shards, store.shard_health())
+                      if h is not Health.FAILED]
+        keys = sorted((k for s in shards for k in s._series
+                       if k.metric == metric), key=str)
+        return [k.component for k in keys]
+
+    def assert_scan(self, store):
+        for _ in range(2):              # building the index, then using it
+            for metric in ("m", "k", "never.seen"):
+                assert store.components(metric) == self.scan(store, metric)
+                assert ([k.component for k in store.keys(metric)]
+                        == self.scan(store, metric))
+
+    @pytest.mark.parametrize("shards", [0, 4])
+    def test_index_follows_create_drop_reopen_and_shard_health(
+            self, tmp_path, shards):
+        if shards:
+            store = ShardedTimeSeriesStore(shards=shards, chunk_size=4,
+                                           disk_dir=str(tmp_path))
+        else:
+            store = TimeSeriesStore(chunk_size=4, disk=DiskTier(tmp_path))
+        names = [f"n{i}" for i in (3, 10, 1, 2, 11)]
+        for i in range(6):
+            store.append(sweep("m", 10.0 * i, names, np.arange(5.0)))
+            store.append(sweep("k", 10.0 * i, names[:2], [1.0, 2.0]))
+        self.assert_scan(store)
+        assert store.components("m") == ["n1", "n10", "n11", "n2", "n3"]
+        store.append(sweep("m", 60.0, ["n0", "n4"], [0.0, 4.0]))   # created
+        self.assert_scan(store)
+        assert store.drop_series("m", "n10")
+        assert store.drop_series("k", "n3")
+        self.assert_scan(store)
+        assert "n10" not in store.components("m")
+        store.append(sweep("m", 70.0, ["n10"], [1.0]))      # and back
+        self.assert_scan(store)
+        before = store.components("m")
+        store.close()
+        store = store.reopen()                              # restored
+        try:
+            self.assert_scan(store)
+            assert store.components("m") == before
+            if shards:
+                i = store.shard_of("m", "n1")
+                store.fail_shard(i)
+                self.assert_scan(store)
+                assert "n1" not in store.components("m")
+                store.recover_shard(i)
+                self.assert_scan(store)
+                assert store.components("m") == before
+        finally:
+            store.close()
+
+
+class TestComponentColumn:
+    def test_for_component_is_one_read_only_scalar_seen_n_times(self):
+        b = SeriesBatch.for_component("m", "c0-0c1s4n2", [0.0, 1.0, 2.0],
+                                      [1.0, 2.0, 3.0])
+        old = np.full(3, "c0-0c1s4n2", dtype=object)
+        assert b.components.dtype == object and b.components.shape == (3,)
+        assert np.array_equal(b.components, old)
+        assert not b.components.flags.writeable
+        assert b.components.strides == (0,)         # no per-sample pointer
+        with pytest.raises(ValueError):
+            b.components[0] = "other"
+        # what consumers do with the column still works, and copies own
+        assert np.array_equal(b.in_window(1.0, 3.0).components, old[1:])
+        b.copy().components[0] = "other"
+        empty = SeriesBatch.for_component("m", "x", [], [])
+        assert len(empty) == 0 and empty.components.shape == (0,)
+
+    def test_store_answers_carry_it(self, store):
+        for t in range(40):
+            store.append(sweep("m", float(t), ["a", "b"], [t, -t]))
+        for batch in (store.query("m", "a", 3.0, 30.0),
+                      store.query_components("m")["b"],
+                      store.downsample("m", "a", 0.0, 40.0, 10.0)):
+            assert len(batch) and not batch.components.flags.writeable
+            assert batch.components.tolist() == (
+                [batch.components[0]] * len(batch))
