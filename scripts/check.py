@@ -26,7 +26,10 @@ Both paths also gate on **per-sample loops over batch columns** inside
 ``for ... in zip(batch.components, ...)`` loop (or direct iteration
 over ``.components`` / ``.times`` / ``.values``) on the hot plane is a
 regression.  The retained scalar reference implementations mark their
-loops with ``# per-sample: allowed``.
+loops with ``# per-sample: allowed``.  The same gate keeps the seal a
+block operation in ``src/repro/storage``: a ``.seal()`` or
+``compress_chunk(`` call inside a loop there is one codec pass per row
+where ``compress_chunks`` does one per group.
 
 Both paths also gate on **module-level mutable state** inside
 ``src/repro/transport`` and ``src/repro/storage``: the parallel runtime
@@ -293,6 +296,45 @@ def check_columnar(path: Path) -> list[str]:
     return problems
 
 
+def check_row_seals(path: Path) -> list[str]:
+    """Flag a per-row seal in one storage module: a ``.seal()`` or
+    ``compress_chunk(...)`` call inside a ``for`` loop or comprehension
+    (rows of a head block seal a group at a time, through
+    ``compress_chunks``).  ``# per-sample: allowed`` on the call's line
+    exempts it."""
+    src = path.read_text()
+    try:
+        tree = ast.parse(src, filename=str(path))
+    except SyntaxError:
+        return []                    # surfaced by check_file already
+    lines = src.splitlines()
+    problems: list[str] = []
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.AsyncFor, ast.ListComp,
+                                 ast.SetComp, ast.DictComp,
+                                 ast.GeneratorExp)):
+            continue
+        for node in ast.walk(loop):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(
+                f, "id", None)
+            if not (name == "compress_chunk"
+                    or (name == "seal" and isinstance(f, ast.Attribute)
+                        and not node.args)):
+                continue
+            if _PER_SAMPLE_MARKER in lines[node.lineno - 1]:
+                continue
+            problems.append(
+                f"{path}:{node.lineno}: per-row {name}() inside a loop in "
+                f"the storage plane; seal the rows as one group "
+                f"(compress_chunks) or mark the line "
+                f"'{_PER_SAMPLE_MARKER}'"
+            )
+    return sorted(set(problems))
+
+
 #: handlers this broad that do nothing hide real faults (the paper's
 #: silent-syslog-loss lesson); catch something specific or record it
 _BLIND_TYPES = frozenset({"Exception", "BaseException"})
@@ -525,13 +567,15 @@ _COLUMNAR_DIRS = ("analysis", "serve")
 
 
 def check_columnar_analysis() -> list[str]:
-    """Run :func:`check_columnar` over every columnar-only package."""
+    """Run :func:`check_columnar` over every columnar-only package, and
+    :func:`check_row_seals` over the storage plane."""
     problems: list[str] = []
-    for name in _COLUMNAR_DIRS:
+    for name, check in [(d, check_columnar) for d in _COLUMNAR_DIRS] + [
+            ("storage", check_row_seals)]:
         root = REPO / "src" / "repro" / name
         if root.is_dir():
             for path in sorted(root.rglob("*.py")):
-                problems.extend(check_columnar(path))
+                problems.extend(check(path))
     return problems
 
 

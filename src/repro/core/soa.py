@@ -22,9 +22,23 @@ views, not copies.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
-__all__ = ["ComponentTable", "name_column"]
+__all__ = ["ComponentTable", "memo_by_identity", "name_column"]
+
+
+def memo_by_identity(memo: dict, array: np.ndarray, value) -> None:
+    """File ``value`` under ``id(array)`` for as long as ``array`` lives:
+    a finalizer evicts the entry when the array dies, before its ``id``
+    can be reused.  An object that cannot be weakly referenced is not
+    filed — never memo on a raw ``id()``."""
+    try:
+        weakref.finalize(array, memo.pop, id(array), None)
+    except TypeError:
+        return
+    memo[id(array)] = value
 
 
 def name_column(names) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Bounded LRU cache of decompressed sealed chunks.
 
-Sealed chunks are immutable — once :meth:`_Series.seal` has produced a
+Sealed chunks are immutable — once the store's seal has produced a
 blob it is never rewritten, only dropped wholesale by eviction or
 archiving — so caching their decompressed arrays is *exact*: there is
 no coherence problem, only a capacity bound.  This is the same design

@@ -55,6 +55,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 
 from ..core.metric import MetricKey, SeriesBatch
+from ..core.soa import memo_by_identity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from .tsdb import SealedChunk, TimeSeriesStore, _Series
@@ -197,27 +198,31 @@ _WAL_ONE_COMP, _WAL_ONE_TIME = 1, 2
 
 
 def _encode_wal_batch(metric: str, comps: Sequence, times: np.ndarray,
-                      values: np.ndarray) -> bytes:
+                      values: np.ndarray, memo: dict | None = None) -> bytes:
     """Frame one batch.  A uniform component (the series-chunk ingest
     shape, where per-element encoding would dominate the whole WAL
     cost) and a uniform time (the synchronized sweep) are each stored
     once and flagged in the mode byte; unflagged columns take the
-    general per-element layout."""
+    general per-element layout, whose component block ``memo`` keeps by
+    the identity of ``comps`` (a fleet's name column, or a shard's part
+    of it, is one immutable array every tick): same bytes, encoded once."""
     mb = metric.encode("utf-8")
     n = len(comps)
     t = np.ascontiguousarray(times, dtype=np.float64)
     v = np.ascontiguousarray(values, dtype=np.float64)
-    mode = 0
-    if (n and comps[0] == comps[-1]
-            and bool((np.asarray(comps, dtype=object) == comps[0]).all())):
+    if (n and comps[0] == comps[-1] and bool(
+            (np.asarray(comps, dtype=object) == comps[0]).all())):
         cb = str(comps[0]).encode("utf-8")
-        comp_block = struct.pack("<H", len(cb)) + cb
-        mode |= _WAL_ONE_COMP
+        mode, comp_block = _WAL_ONE_COMP, struct.pack("<H", len(cb)) + cb
     else:
-        cbs = [str(c).encode("utf-8") for c in comps]
-        lens = np.fromiter((len(b) for b in cbs), dtype=np.uint32,
-                           count=n)
-        comp_block = lens.tobytes() + b"".join(cbs)
+        mode = 0
+        comp_block = memo.get(id(comps)) if memo is not None else None
+        if comp_block is None:
+            cbs = [str(c).encode("utf-8") for c in comps]
+            lens = np.fromiter(map(len, cbs), dtype=np.uint32, count=n)
+            comp_block = lens.tobytes() + b"".join(cbs)
+            if memo is not None:
+                memo_by_identity(memo, comps, comp_block)
     bits = t.view(np.int64)     # bit-equal, so NaN and -0.0 round-trip
     if n and bool((bits == bits[0]).all()):
         t = t[:1]
@@ -351,6 +356,8 @@ class DiskTier:
         self._wal = self._new_wal(max(wal_gens) + 1 if wal_gens else 0)
         # LRU of resident sealed blobs: chunk id -> its record
         self._hot: OrderedDict[int, "SealedChunk"] = OrderedDict()
+        # encoded WAL component blocks, by component-array identity
+        self._comp_memo: dict[int, bytes] = {}
         self.hot_bytes_used = 0
         self._unsynced = 0
         self._spills = 0
@@ -395,7 +402,8 @@ class DiskTier:
         """Log one ingest batch before it reaches any head chunk."""
         self._check_alive()
         payload = _encode_wal_batch(batch.metric, batch.components,
-                                    batch.times, batch.values)
+                                    batch.times, batch.values,
+                                    self._comp_memo)
         wal = self._wal
         wal.writer.write(_WAL_HDR.pack(_WAL_MAGIC, len(payload),
                                        zlib.crc32(payload)) + payload)

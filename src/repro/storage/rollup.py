@@ -30,7 +30,8 @@ meaningful.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from itertools import repeat
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +42,7 @@ __all__ = [
     "bucket_anchor",
     "choose_level",
     "fold_partials",
+    "fold_sealed_rows",
     "head_first_time",
     "head_partials",
     "ieee_sums",
@@ -101,20 +103,22 @@ def _fold_runs(cut: np.ndarray, b: np.ndarray, t: np.ndarray, v: np.ndarray,
                ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """The one reduceat: samples folded run by run, a run ending where
     ``cut`` (one flag per adjacent pair) is set.  Returns each run's
-    last index and its ``(b, cnt, vsum, vmin, vmax, t_last, v_last)``."""
+    last index and its ``(b, cnt, vsum, vmin, vmax, t_last, v_last)``.
+    ``v`` may be K series over the one ``t``, a C-contiguous ``(K, n)``
+    matrix: its columns then come back ``(K, runs)``, a row a series."""
     ends = cut.nonzero()[0]
     starts = np.concatenate(([0], ends + 1))
     last = np.concatenate((ends, [len(t) - 1]))
     with ieee_sums():
-        vsum = np.add.reduceat(v, starts)
+        vsum = np.add.reduceat(v, starts, axis=-1)
     return last, (
         b[starts],
         (last + 1 - starts).astype(np.int64),
         vsum,
-        np.minimum.reduceat(v, starts),
-        np.maximum.reduceat(v, starts),
+        np.minimum.reduceat(v, starts, axis=-1),
+        np.maximum.reduceat(v, starts, axis=-1),
         t[last],
-        v[last],
+        v.take(last, axis=-1),
     )
 
 
@@ -131,8 +135,8 @@ def fold_partials(
     Returns ``(b, cnt, vsum, vmin, vmax, t_last, v_last, seq_last)``,
     one row per occupied bucket of the ``(anchor, step)`` grid.  ``seq``
     optionally gives each sample's position in the series' stable time
-    order; when omitted the samples are taken as consecutive from
-    ``seq_base`` (the sealed-chunk case).
+    order; omitted, the samples are consecutive from ``seq_base`` (the
+    sealed-chunk case; :func:`fold_sealed_rows` folds K chunks in one).
     """
     if not len(t):
         return _empty_partials()
@@ -232,14 +236,17 @@ class SeriesPyramid:
         the series' chunk-list order, so seq numbers reproduce the stable
         time-sort of the raw read path.
         """
-        if not len(t):
-            return
-        for lv in self.levels:
-            self._pieces[lv].append(
-                fold_partials(t, v, 0.0, lv, seq_base=seq_base)
-            )
+        if len(t):
+            self.add_folded([fold_partials(t, v, 0.0, lv, seq_base=seq_base)
+                             for lv in self.levels], len(t))
+
+    def add_folded(self, pieces: Sequence[tuple], n: int) -> None:
+        """Append one chunk's ``n`` samples already folded, a piece per
+        level (:meth:`add_sealed`'s, or a row of :func:`fold_sealed_rows`)."""
+        for lv, piece in zip(self.levels, pieces):
+            self._pieces[lv].append(piece)
             self._merged.pop(lv, None)
-        self.samples_folded += len(t)
+        self.samples_folded += n
 
     def level_columns(self, level: float) -> tuple[np.ndarray, ...]:
         """Merged partial columns of one level, sorted by bucket id."""
@@ -248,9 +255,6 @@ class SeriesPyramid:
             cols = _merge_pieces(tuple(self._pieces[level]))
             self._merged[level] = cols
         return cols
-
-    def rows(self, level: float) -> int:
-        return len(self.level_columns(level)[0])
 
     def export_state(self) -> dict:
         """Snapshot-serializable state (the disk-tier manifest payload).
@@ -285,9 +289,11 @@ def _merge_pieces(
         return _empty_partials()
     if len(pieces) == 1:
         return pieces[0]       # a chunk's fold is already bucket-sorted
-    b, cnt, vsum, vmin, vmax, t_last, v_last, seq = (
-        np.concatenate([p[i] for p in pieces]) for i in range(8)
-    )
+    cols = tuple(np.concatenate([p[i] for p in pieces]) for i in range(8))
+    # seals in time order — each piece starts past the one before: done
+    if all(p[0][0] > q[0][-1] for q, p in zip(pieces, pieces[1:])):
+        return cols
+    b, cnt, vsum, vmin, vmax, t_last, v_last, seq = cols
     order = np.lexsort((seq, t_last, b))
     b, cnt, vsum = b[order], cnt[order], vsum[order]
     vmin, vmax = vmin[order], vmax[order]
@@ -307,6 +313,25 @@ def _merge_pieces(
         v_last[last],
         seq[last],
     )
+
+
+def fold_sealed_rows(levels: Sequence[float], t: np.ndarray, v: np.ndarray,
+                     seq_base: np.ndarray) -> Iterator[tuple]:
+    """What :meth:`SeriesPyramid.add_sealed` folds, for K chunks sealed
+    over one time column: ``v`` is ``(K, n)``, C-contiguous (a row then
+    sums in its own order); row ``i`` sealed ``seq_base[i]`` samples
+    before.  Yields each row's piece per level, bit-identical to folding
+    it alone; the bucket, count and ``t_last`` columns, equal across rows
+    by construction, are one read-only array shared by all K."""
+    per_level = []
+    for lv in levels:
+        b, cnt, vsum, vmin, vmax, t_last, v_last, seq = fold_partials(
+            t, v, 0.0, lv, seq_base=seq_base[:, None])
+        for shared in (b, cnt, t_last):
+            shared.flags.writeable = False
+        per_level.append(zip(repeat(b), repeat(cnt), vsum, vmin, vmax,
+                             repeat(t_last), v_last, seq))
+    return zip(*per_level)
 
 
 def choose_level(
@@ -380,7 +405,7 @@ def series_partials(series, cache, t0: float, t1: float, step: float,
     selection's first sample when ``t0`` is unbounded.
     """
     pieces: list[tuple[np.ndarray, ...]] = []
-    if not series.chunks:
+    if not series.chunks or series.sealed_t_max < t0:    # a head-only window
         return pieces
     full_lo = full_hi = t1              # the region rollup rows answer
     if plan is not None:

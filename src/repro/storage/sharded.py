@@ -28,7 +28,6 @@ ledger as ``crash-redo`` (redo buffers live in memory only).
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
 from dataclasses import fields
 from functools import reduce
@@ -40,6 +39,7 @@ import numpy as np
 from ..core.hashing import stable_bucket
 from ..core.lifecycle import Health
 from ..core.metric import MetricKey, SeriesBatch
+from ..core.soa import memo_by_identity
 from ..core.tracectx import HOP_INGEST
 from .chunkcache import ChunkCache, ChunkCacheStats
 from .diskier import DiskTier, RecoveryReport, merge_disk_stats
@@ -167,11 +167,8 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
         route = [(int(i), mask, components[mask])
                  for i in np.unique(idx) for mask in (idx == i,)]
         if per is None:
-            try:
-                weakref.finalize(components, self._route_memo.pop, key, None)
-            except TypeError:
-                return route   # not weakref-able: never memo on raw id()
-            per = self._route_memo[key] = {}
+            per = {}
+            memo_by_identity(self._route_memo, components, per)
         per[metric] = route
         return route
 

@@ -12,11 +12,11 @@ that comparison turns on:
   once for as long as the metric's components stay in lock-step,
 * per-series columnar chunks sealed at a fixed size and compressed with
   delta-of-delta timestamps + XOR float packing (the Facebook Gorilla
-  scheme, the same family InfluxDB's TSM files use).  The codec is
-  vectorized: the Python-level loops are over byte-length *classes*
-  (a handful), not samples.  The original scalar implementation is kept
-  as ``_compress_chunk_slow``/``_decompress_chunk_slow`` — a reference
-  oracle the property tests hold the vectorized codec byte-identical to,
+  scheme, the same family InfluxDB's TSM files use).  The codec works
+  on matrices — the rows of a block that fill in one sweep are sealed
+  in one pass (``_seal_rows``, :func:`compress_chunks`) — and the scalar
+  original is kept as ``_compress_chunk_slow``/``_decompress_chunk_slow``,
+  the oracle the property tests hold it byte-identical to,
 * range queries and server-side downsampling.  Sealing also records a
   :class:`ChunkSummary` (count/min/max/sum/first/last + span), so
   ``downsample`` answers from summaries for chunks wholly inside a
@@ -64,11 +64,12 @@ from ..core.soa import ComponentTable
 from ..core.tracectx import HOP_INGEST, MAX_HOPS
 from .chunkcache import ChunkCache, ChunkCacheStats
 from .rollup import (SeriesPyramid, _head_gather, bucket_anchor,
-                     head_first_time, head_partials, ieee_sums,
-                     reduce_partials, series_partials, window_plan)
+                     fold_sealed_rows, head_first_time, head_partials,
+                     ieee_sums, reduce_partials, series_partials, window_plan)
 
 __all__ = [
     "compress_chunk",
+    "compress_chunks",
     "decompress_chunk",
     "ChunkSummary",
     "SealedChunk",
@@ -229,63 +230,84 @@ def _encode_varints(dod: np.ndarray) -> bytes:
 _COLS9 = np.arange(9, dtype=np.uint8)
 
 
-def _encode_xor(bits: np.ndarray) -> bytes:
-    """XOR-pack consecutive float bit patterns (all but the first).
-
-    One byteswap yields the big-endian byte matrix of every XOR value;
-    row i's significant bytes are its last ``blen[i]`` columns, already
-    in stream order.  Scattering each header byte immediately *before*
-    its significant bytes makes the whole token a row suffix, so a
-    single broadcast compare + boolean take emits the packed stream.
-    """
-    x = bits[1:] ^ bits[:-1]
-    n = len(x)
+def _sig_bytes(x: np.ndarray) -> np.ndarray:
+    """Significant byte count (0..8) of each uint64."""
     blen = (x != np.uint64(0)).astype(np.uint8)
     for thresh in _BYTELEN_THRESH:          # compare-sum beats searchsorted
         blen += x >= thresh
-    lead = np.uint8(8) - blen
-    # (lead & 7) << 4 | blen is 0x00 exactly when x == 0 — no where()
-    header = ((lead & np.uint8(7)) << np.uint8(4)) | blen
-    tok = np.empty((n, 9), dtype=np.uint8)
-    tok[:, 1:] = x.byteswap().view(np.uint8).reshape(n, 8)
-    tok[np.arange(n), lead] = header
-    sel = _COLS9[None, :] >= lead[:, None]
-    return tok[sel].tobytes()
+    return blen
 
 
-def compress_chunk(times: np.ndarray, values: np.ndarray) -> bytes:
-    """Compress one sealed chunk (vectorized; byte-identical to
-    :func:`_compress_chunk_slow`).
+def _encode_xor(bits: np.ndarray) -> tuple[bytes, list[int], np.ndarray]:
+    """XOR-pack consecutive float bit patterns (all but the first) of
+    each row of a ``(K, n)`` matrix: ``(stream, ends, lens)``, the K
+    packed streams back to back, row ``i``'s ending at ``ends[i]``, and
+    the ``(K, n - 1)`` token byte lengths.
 
-    Timestamps are stored at millisecond resolution as zig-zag varint
-    delta-of-deltas — regular collection intervals (the common case:
-    synchronized sweeps every 60 s) collapse to one byte per sample.
-    Values are stored XOR-ed against the previous value with a
-    byte-aligned (leading-zero-bytes, significant-bytes) header; runs of
-    identical values (idle gauges) cost two bytes each.
+    One byteswap yields the big-endian byte matrix of every XOR value;
+    a token's significant bytes are its last ``blen`` columns, already
+    in stream order.  Scattering each header byte immediately *before*
+    its significant bytes makes the whole token a row suffix, so a
+    single broadcast compare + boolean take emits the packed streams.
     """
-    n = len(times)
-    if n == 0:
-        return struct.pack("<I", 0)
-    ts_ms = np.round(np.asarray(times, dtype=np.float64) * 1000.0).astype(
-        np.int64
-    )
+    x = bits[:, 1:] ^ bits[:, :-1]
+    blen = _sig_bytes(x)
+    lead = (np.uint8(8) - blen).ravel()
+    # (lead & 7) << 4 | blen is 0x00 exactly when x == 0 — no where()
+    header = ((lead & np.uint8(7)) << np.uint8(4)) | blen.ravel()
+    tok = np.empty((x.size, 9), dtype=np.uint8)
+    tok[:, 1:] = x.byteswap().view(np.uint8).reshape(x.size, 8)
+    tok[np.arange(x.size), lead] = header
+    lens = blen + np.uint8(1)
+    return (tok[_COLS9 >= lead[:, None]].tobytes(),
+            np.cumsum(lens.sum(axis=1, dtype=np.int64)).tolist(), lens)
+
+
+def compress_chunks(
+    times: np.ndarray, values: np.ndarray,
+) -> list[tuple[bytes, np.ndarray | None]]:
+    """``(blob, lens_hint)`` of every row of ``values`` (``(K, n)``)
+    sealed over the one time column ``times`` — the write-side twin of
+    :func:`decompress_chunks`.  Each blob is byte-identical to its row's
+    :func:`_compress_chunk_slow`, each hint is its :func:`_xor_token_lens`
+    (read off the lengths the encoder computes anyway).  The timestamp
+    section is encoded once, the XOR sections as one token matrix — some
+    30 B of temporaries per sample, so the caller bounds ``K * n``.
+
+    Timestamps are millisecond zig-zag varint delta-of-deltas — a regular
+    collection interval collapses to one byte per sample.  Values are
+    XOR-ed against the previous value under a byte-aligned (leading-zero
+    -bytes, significant-bytes) header; a repeated value costs one byte.
+    """
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    parts = [struct.pack("<I", n), struct.pack("<q", int(ts_ms[0]))]
+    k, n = bits.shape
+    if n == 0:
+        return [(struct.pack("<I", 0), None)] * k
+    ts_ms = np.round(
+        np.asarray(times, dtype=np.float64) * 1000.0).astype(np.int64)
+    head = bytearray(struct.pack("<Iq", n, int(ts_ms[0])))
     if n > 1:
         deltas = np.diff(ts_ms)
         # the first delta-of-delta IS the first delta — typically one
         # whole collection interval, far larger than the rest — so emit
         # it scalarly to keep the vector path's byte-width uniform
-        first = bytearray()
-        _write_varint(first, int(deltas[0]))
-        parts.append(bytes(first))
+        _write_varint(head, int(deltas[0]))
         if n > 2:
-            parts.append(_encode_varints(np.diff(deltas)))
-    parts.append(struct.pack("<Q", int(bits[0])))
-    if n > 1:
-        parts.append(_encode_xor(bits))
-    return b"".join(parts)
+            head += _encode_varints(np.diff(deltas))
+    firsts = bits[:, 0].astype("<u8").tobytes()
+    stream, ends, lens = _encode_xor(bits)
+    # a hint only where token lengths vary (uniform ones are recovered)
+    mixed = (lens != lens[:, :1]).any(axis=1)
+    hints = iter(lens[mixed])
+    return [(b"".join((head, firsts[8 * i:8 * i + 8], stream[lo:hi])),
+             next(hints) if m else None)
+            for i, (lo, hi, m) in enumerate(zip([0] + ends, ends,
+                                                mixed.tolist()))]
+
+
+def compress_chunk(times: np.ndarray, values: np.ndarray) -> bytes:
+    """Compress one sealed chunk: the one-row :func:`compress_chunks`."""
+    return compress_chunks(times, np.asarray(values)[None])[0][0]
 
 
 def _token_starts(sec: np.ndarray, n_tok: int) -> np.ndarray:
@@ -348,11 +370,7 @@ def _xor_token_lens(values: np.ndarray) -> np.ndarray | None:
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
     if len(bits) < 2:
         return None
-    x = bits[1:] ^ bits[:-1]
-    blen = (x != np.uint64(0)).astype(np.uint8)
-    for thresh in _BYTELEN_THRESH:
-        blen += x >= thresh
-    lens = blen + np.uint8(1)
+    lens = _sig_bytes(bits[1:] ^ bits[:-1]) + np.uint8(1)
     if bool((lens == lens[0]).all()):
         return None
     return lens
@@ -581,6 +599,7 @@ _AGGS: Mapping[str, Callable[[np.ndarray], float]] = MappingProxyType({
 #: process-wide chunk ids: unique across every store, so one shared
 #: cache can never alias chunks from different stores or shards
 _next_cid = itertools.count(1)
+_NEVER = -np.inf    # one object: a float per series is 32 B x 200 k series
 
 
 @dataclass(frozen=True, slots=True)
@@ -816,17 +835,17 @@ class _HeadBlock:
         self.n_head += end - c
         return end - c
 
-    def take(self, row: int, k: int) -> None:
-        """Remove the oldest ``k`` samples of one head: all of it when
-        it seals or its series is dropped, a prefix when recovery finds
-        them already sealed."""
+    def take(self, row, k: int) -> None:
+        """Remove the oldest ``k`` samples of a head: all of it when it
+        seals (``row`` may be an array of rows holding ``k`` each) or is
+        dropped, a prefix when recovery finds them already sealed."""
         c = self.counts[row]
-        if k < c:
+        if np.ndim(row) == 0 and k < c:
             self._unshare()
             for m in (self.values, self.row_times):
                 m[row, :c - k] = m[row, k:c]
         self.counts[row] = c - k
-        self.n_head -= k
+        self.n_head -= k * np.size(row)
         if not self.n_head:             # nothing open: lock-step again
             self.n_times, self.row_times = 0, None
 
@@ -876,7 +895,7 @@ class _Series:
     """
 
     __slots__ = ("chunks", "block", "row", "n_sealed_samples",
-                 "sealed_bytes", "pyramid", "tier", "key")
+                 "sealed_bytes", "sealed_t_max", "pyramid", "tier", "key")
 
     def __init__(
         self, block: _HeadBlock, row: int,
@@ -890,8 +909,9 @@ class _Series:
         self.row = row
         self.n_sealed_samples = 0
         self.sealed_bytes = 0       # running sum(c.nbytes for c in chunks)
+        self.sealed_t_max = _NEVER  # running max(c.summary.t_max)
         # rollup pyramid maintained incrementally at seal time (serving
-        # plane); None keeps seal() cost identical to the pre-serve store
+        # plane); None keeps the seal's cost that of the pre-serve store
         self.pyramid = (
             SeriesPyramid(pyramid_levels) if pyramid_levels else None
         )
@@ -906,46 +926,15 @@ class _Series:
         t = b.times if b.row_times is None else b.row_times[row]
         return t[:c], b.values[row, :c]
 
-    def adopt(self, chunk: SealedChunk, t: np.ndarray | None = None,
-              v: np.ndarray | None = None) -> None:
-        """Append one sealed record — shared by :meth:`seal`, the
-        manifest restore and the recovery segment scan.
-
-        ``t``/``v`` are the arrays the chunk decompresses back to; given,
-        they fold into the pyramid with seq numbers continuing the
-        chunk-list stable sort order (the manifest restore passes none:
-        it reloads saved partials instead of refolding).
-        """
-        if t is not None and self.pyramid is not None:
-            self.pyramid.add_sealed(t, v, self.n_sealed_samples)
+    def adopt(self, chunk: SealedChunk) -> None:
+        """Append one sealed record — shared by the seal, the manifest
+        restore and the recovery segment scan.  The pyramid is the
+        caller's to fold: a seal folds its whole group at once, the scan
+        the arrays it decoded, the manifest reloads saved partials."""
         self.chunks.append(chunk)
         self.n_sealed_samples += chunk.summary.count
         self.sealed_bytes += chunk.nbytes
-
-    def seal(self) -> tuple[int, int] | None:
-        """Seal the open head; returns (samples, bytes) sealed, or None.
-
-        The return value lets the owning store maintain O(1) aggregate
-        counters without re-walking every series.
-        """
-        t, v = self.head()
-        if not len(t):
-            return None
-        order = np.argsort(t, kind="stable")
-        t, v = t[order], v[order]
-        blob = compress_chunk(t, v)
-        # span + summary use the codec's ms rounding, so they describe
-        # exactly what the chunk decompresses back to
-        t_r = np.round(t * 1000.0).astype(np.int64).astype(np.float64) / 1000.0
-        chunk = SealedChunk.of(t_r, v, blob=blob)
-        if self.tier is not None:
-            # persist the immutable blob now; spill to budget afterwards
-            self.tier.on_seal(self.key, chunk)
-        self.adopt(chunk, t_r, v)
-        self.block.take(self.row, len(t))
-        if self.tier is not None:
-            self.tier.enforce_budget()
-        return len(t), len(blob)
+        self.sealed_t_max = max(self.sealed_t_max, chunk.summary.t_max)
 
     def chunk_blob(self, chunk: SealedChunk):
         """A sealed chunk's blob, resident or mapped from the disk tier.
@@ -1375,11 +1364,10 @@ class TimeSeriesStore(SeriesQueryMixin):
                 disk.close()    # a refused open leaves no handle behind
                 raise
 
-    def _note_seal(self, sealed: tuple[int, int] | None) -> None:
-        if sealed is not None:
-            self._sealed_samples += sealed[0]
-            self._sealed_chunks += 1
-            self._sealed_bytes += sealed[1]
+    def _note_seal(self, chunks: int, samples: int, nbytes: int) -> None:
+        self._sealed_chunks += chunks
+        self._sealed_samples += samples
+        self._sealed_bytes += nbytes
 
     def _block(self, metric: str) -> _HeadBlock:
         block = self._blocks.get(metric)
@@ -1405,7 +1393,69 @@ class TimeSeriesStore(SeriesQueryMixin):
         while i < len(t):
             i += block.run(row, t[i:], v[i:])
             if block.counts[row] >= self.chunk_size:
-                self._note_seal(series.seal())
+                self._seal_rows(block, np.array([row]))
+
+    def _seal_rows(self, block: _HeadBlock, rows: np.ndarray) -> None:
+        """Seal the open heads (each non-empty) of ``rows`` of one block, in
+        order — the one seal.  Consecutive lock-step rows of equal length
+        share their times and seal as one group, ``_SLAB_SAMPLES`` samples
+        (~50 B each) at a time; a ragged block's rows go one by one."""
+        counts = block.counts[rows]
+        cuts = (np.arange(1, len(rows)) if block.row_times is not None
+                else np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist()
+        for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
+            per = max(1, _SLAB_SAMPLES // int(counts[lo]))
+            for at in range(lo, hi, per):
+                self._seal_group(block, rows[at:min(at + per, hi)])
+
+    def _seal_group(self, block: _HeadBlock, rows: np.ndarray) -> None:
+        """One pass over rows of equal length and times: what they share
+        (time order, ms rounding, timestamp section, bucket columns) is
+        computed once, the XOR sections, summaries and folds as ``(K, n)``
+        matrices; per row, the record, the segment append and the index
+        — bit for bit what sealing the row alone produces."""
+        n = int(block.counts[rows[0]])
+        t = (block.times if block.row_times is None
+             else block.row_times[rows[0]])[:n]
+        # time on the contiguous axis: a row's sums add in the row's order
+        v = np.ascontiguousarray(block.values[rows, :n])
+        if np.count_nonzero(t[1:] < t[:-1]):    # out of order: one permutation
+            order = np.argsort(t, kind="stable")
+            t, v = t[order], np.ascontiguousarray(v[:, order])
+        coded = compress_chunks(t, v)
+        # span + summary use the codec's ms rounding, so they describe
+        # exactly what the chunk decompresses back to
+        t = np.round(t * 1000.0).astype(np.int64).astype(np.float64) / 1000.0
+        t_min, t_max = float(t[0]), float(t[-1])
+        with ieee_sums():
+            v_sum = v.sum(axis=1)
+        stats = zip(*(c.tolist() for c in (v.min(axis=1), v.max(axis=1),
+                                           v_sum, v[:, 0], v[:, -1])))
+        series = [block.series[r] for r in rows.tolist()]
+        folds = itertools.repeat(None)
+        if self.pyramid_levels:
+            folds = fold_sealed_rows(
+                series[0].pyramid.levels, t, v,
+                np.array([s.n_sealed_samples for s in series]))
+        done = 0
+        try:
+            for s, (blob, hint), stat, pieces in zip(series, coded, stats,
+                                                     folds):
+                chunk = SealedChunk(ChunkSummary(n, t_min, t_max, *stat),
+                                    hint, blob=blob)
+                if self.disk is not None:
+                    # persist the immutable blob now; spill to budget after
+                    self.disk.on_seal(s.key, chunk)
+                if pieces is not None:
+                    s.pyramid.add_folded(pieces, n)
+                s.adopt(chunk)
+                done += 1
+        finally:    # a failed segment append leaves every row sealed or open
+            block.take(rows[:done], n)
+            self._note_seal(done, done * n,
+                            sum(len(blob) for blob, _ in coded[:done]))
+        if self.disk is not None:
+            self.disk.enforce_budget()
 
     # -- ingest ---------------------------------------------------------------
 
@@ -1417,8 +1467,8 @@ class TimeSeriesStore(SeriesQueryMixin):
         identity of the components array, which fleet collectors
         republish every tick), and a batch of distinct components — the
         synchronized sweep — is one column write, one vectorised
-        ``count >= chunk_size`` test, and a Python loop over only the
-        rows that seal, in batch order.  Whether the block keeps one
+        ``count >= chunk_size`` test, and one block seal of the rows
+        that filled, in batch order.  Whether the block keeps one
         shared time column or goes ragged is :class:`_HeadBlock`'s rule.
         A batch that repeats components hands each series its samples
         as one run, in component order.
@@ -1466,8 +1516,8 @@ class TimeSeriesStore(SeriesQueryMixin):
                     self._new_series(
                         MetricKey(metric, str(batch.components[i])))
                 full = block.write(rows, times, values)
-            for r in full.tolist():
-                self._note_seal(block.series[r].seal())
+            if len(full):
+                self._seal_rows(block, full)
             return n
         uniq, inv = np.unique(batch.components.astype(str),
                               return_inverse=True)
@@ -1487,9 +1537,13 @@ class TimeSeriesStore(SeriesQueryMixin):
         return sum(self.append(b) for b in batches)
 
     def flush(self) -> None:
-        """Seal every open head chunk (checkpoint before archiving)."""
-        for s in self._series.values():
-            self._note_seal(s.seal())
+        """Seal every open head chunk (checkpoint before archiving), block
+        by block: a series' chunks keep its arrival order, the segment
+        records of one flush go by metric (first appearance), then row."""
+        for block in self._blocks.values():
+            rows = np.flatnonzero(block.counts > 0)
+            if len(rows):
+                self._seal_rows(block, rows)
         if self.disk is not None:
             self.disk.sync()
 
@@ -1613,7 +1667,7 @@ class TimeSeriesStore(SeriesQueryMixin):
         for summary, hint, ref in state["chunks"]:
             chunk = SealedChunk(summary, hint, ref)
             s.adopt(chunk)
-            self._note_seal((summary.count, chunk.nbytes))
+            self._note_seal(1, summary.count, chunk.nbytes)
         self._samples += s.n_sealed_samples
         return len(s.chunks)
 
@@ -1636,9 +1690,11 @@ class TimeSeriesStore(SeriesQueryMixin):
         n = chunk.summary.count
         in_head = min(n, len(s.head()[0]))
         s.block.take(s.row, in_head)
-        s.adopt(chunk, t, v)
+        if s.pyramid is not None:
+            s.pyramid.add_sealed(t, v, s.n_sealed_samples)
+        s.adopt(chunk)
         self._samples += n - in_head
-        self._note_seal((n, chunk.nbytes))
+        self._note_seal(1, n, chunk.nbytes)
         return n - in_head
 
     def disk_stats(self):

@@ -2,25 +2,29 @@
 
 import math
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.events import Event, EventKind, Severity
 from repro.core.metric import SeriesBatch
-from repro.storage import tsdb
+from repro.storage import rollup, tsdb
 from repro.storage.diskier import (DiskTier, _decode_wal_batch,
                                    _encode_wal_batch)
 from repro.storage.logstore import LogStore, tokenize
 from repro.storage.sharded import ShardedTimeSeriesStore
 from repro.storage.tsdb import (
+    SealedChunk,
     TimeSeriesStore,
     _compress_chunk_slow,
     _decompress_chunk_slow,
     _xor_token_lens,
     compress_chunk,
+    compress_chunks,
     decompress_chunk,
     decompress_chunks,
 )
@@ -82,7 +86,7 @@ adversarial_values = st.lists(
 ).map(lambda runs: np.repeat([v for v, _ in runs],
                              [n for _, n in runs]).astype(np.float64))
 
-# irregular, duplicate, and out-of-order timestamps — seal() sorts its
+# irregular, duplicate, and out-of-order timestamps — the seal sorts its
 # input, but the codec itself must round-trip any order byte-exactly
 unsorted_times_ms = st.lists(
     st.integers(min_value=0, max_value=10**10),
@@ -192,6 +196,191 @@ class TestBatchedCodecEquivalence:
         for (_, _, t, v), (gt, gv) in zip(chunks, got):
             assert np.array_equal(gt, t)
             assert np.array_equal(_bits(gv), _bits(v))
+
+
+def _value_rows(rng, k, n):
+    """``k`` rows of ``n`` values cycling through the shapes the XOR
+    coder branches on: noise, a constant, small integers (mixed short
+    tokens), and a row salted with NaN, ±inf, ±0.0 and subnormals."""
+    v = rng.normal(200.0, 30.0, (k, n))
+    v[1::4] = 3.5
+    v[2::4] = rng.integers(0, 300, v[2::4].shape)
+    specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310]
+    v[3::4] = rng.choice(specials + [1.0], v[3::4].shape)
+    return v
+
+
+class TestBlockCompress:
+    """``compress_chunks`` against the scalar encoder, row by row."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 127, 128, 512, 1000])
+    @pytest.mark.parametrize("k", [1, 2, 3, 17])
+    def test_every_row_is_the_scalar_blob_and_its_hint(self, k, n):
+        rng = np.random.default_rng(1000 * k + n)
+        columns = {
+            "regular": 1.5e9 + 60.0 * np.arange(n),
+            # a multi-byte first delta, multi-byte delta-of-deltas
+            "jittered": 1.5e9 + np.cumsum(rng.integers(1, 10**7, n)) / 1e3,
+            "unsorted": rng.permutation(1.5e9 + 0.25 * np.arange(n)),
+        }
+        wide = _value_rows(rng, k, 2 * n)
+        for name, t in columns.items():
+            # contiguous, and as a strided view of a wider matrix
+            for v in (np.ascontiguousarray(wide[:, :n]), wide[:, ::2]):
+                got = compress_chunks(t, v)
+                assert len(got) == k
+                for row, (blob, hint) in zip(v, got):
+                    assert blob == _compress_chunk_slow(t, row), name
+                    want = _xor_token_lens(row)
+                    assert (hint is None) == (want is None), name
+                    assert hint is None or (
+                        hint.dtype == want.dtype
+                        and hint.tobytes() == want.tobytes())
+        assert compress_chunk(t, v[0]) == got[0][0]
+
+    def test_no_samples_and_no_rows(self):
+        assert compress_chunks(np.empty(0), np.empty((2, 0))) == [
+            (_compress_chunk_slow(np.empty(0), np.empty(0)), None)] * 2
+        assert compress_chunks(np.arange(3.0), np.empty((0, 3))) == []
+
+
+def _seal_rows_reference(self, block, rows):
+    """The per-row sequence the block seal replaced, on the scalar codec
+    and the one-series fold: the oracle ``_seal_rows`` is held to."""
+    for r in rows.tolist():
+        s = block.series[r]
+        t, v = s.head()
+        order = np.argsort(t, kind="stable")
+        t, v = t[order], v[order]
+        blob = _compress_chunk_slow(t, v)
+        t_r = np.round(t * 1000.0).astype(np.int64).astype(np.float64) / 1000.0
+        chunk = SealedChunk.of(t_r, v, blob=blob)
+        if s.tier is not None:
+            s.tier.on_seal(s.key, chunk)
+        if s.pyramid is not None:
+            s.pyramid.add_sealed(t_r, v, s.n_sealed_samples)
+        s.adopt(chunk)
+        block.take(r, len(t))
+        if s.tier is not None:
+            s.tier.enforce_budget()
+        self._note_seal(1, len(t), len(blob))
+
+
+def _sealed_state(store):
+    """Everything a seal leaves behind, in comparable form."""
+    out = {}
+    for key, s in sorted(store._series.items(), key=lambda kv: str(kv[0])):
+        out[str(key)] = (
+            [(repr(c.summary), None if c.hint is None
+              else (str(c.hint.dtype), c.hint.tobytes()), c.ref,
+              c.blob) for c in s.chunks],
+            s.n_sealed_samples, s.sealed_bytes, s.sealed_t_max,
+            [[[(str(col.dtype), col.tobytes()) for col in piece]
+              for piece in s.pyramid._pieces[lv]]
+             for lv in s.pyramid.levels],
+            [(str(col.dtype), col.tobytes())
+             for lv in s.pyramid.levels
+             for col in s.pyramid.level_columns(lv)],
+        )
+    return out
+
+
+class TestBlockSealAgainstPerRowReference:
+    @pytest.mark.parametrize("cadence", [1.0, 5.0, 60.0])
+    def test_a_storm_seals_like_row_by_row(self, cadence, tmp_path):
+        """Lock-step groups (in order and out of order), a late joiner's
+        ragged block and a closing flush, on a disk tier whose hot budget
+        is smaller than one group: summaries, hints, every pyramid
+        column, spill counters, hot set and segment bytes all equal."""
+        n_rows, chunk = 9, 16
+
+        def run(root, seal_rows):
+            rng = np.random.default_rng(11)
+            names = np.array([f"n{i}" for i in range(n_rows)], dtype=object)
+            store = TimeSeriesStore(
+                chunk_size=chunk, pyramid_levels=(10.0, 60.0, 3600.0),
+                disk=DiskTier(root, hot_bytes=700))
+            with mock.patch.object(TimeSeriesStore, "_seal_rows", seal_rows), \
+                    mock.patch.object(tsdb, "_SLAB_SAMPLES", 4 * chunk):
+                for i in range(3 * chunk + 5):
+                    t = 3590.0 + cadence * i
+                    store.append(SeriesBatch(
+                        "m.step", names, np.full(n_rows, t),
+                        _value_rows(rng, n_rows, 1)[:, 0]))
+                    # every fourth sweep arrives before the one ahead of it
+                    store.append(SeriesBatch(
+                        "m.late", names,
+                        np.full(n_rows, t - 2.5 * cadence * (i % 4 == 3)),
+                        rng.normal(size=n_rows)))
+                    late = names if i > 6 else names[::2]
+                    store.append(SeriesBatch(
+                        "m.ragged", late, np.full(len(late), t),
+                        rng.normal(size=len(late))))
+                state = _sealed_state(store)
+                store.flush()
+            flushed = _sealed_state(store), store.disk_stats(), store.stats()
+            answers = [store.downsample("m.late", "n3", 0.0, 1e6, step, agg)
+                       for step in (10.0, 60.0) for agg in ("mean", "last")]
+            store.close()
+            segs = [p.read_bytes() for p in sorted(Path(root).glob("seg-*"))]
+            return state, flushed, segs, [
+                (b.times.tobytes(), b.values.tobytes()) for b in answers]
+
+        got = run(tmp_path / "block", TimeSeriesStore._seal_rows)
+        want = run(tmp_path / "rows", _seal_rows_reference)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+        assert got[2] == want[2] and len(got[2][0]) > 0
+        assert got[3] == want[3]
+        # the budget really was smaller than a group: it spilled, and held
+        assert got[1][1].spills > 0 and got[1][1].hot_bytes <= 700
+
+
+class TestMergePieces:
+    """The in-order concatenation against the sorted merge."""
+
+    @staticmethod
+    def _sorted_merge(pieces):
+        b, cnt, vsum, vmin, vmax, t_last, v_last, seq = (
+            np.concatenate([p[i] for p in pieces]) for i in range(8))
+        order = np.lexsort((seq, t_last, b))
+        b, cnt, vsum, vmin, vmax, t_last, v_last, seq = (
+            c[order] for c in (b, cnt, vsum, vmin, vmax, t_last, v_last, seq))
+        starts = np.concatenate(([0], np.flatnonzero(b[1:] != b[:-1]) + 1))
+        last = np.append(starts[1:], len(b)) - 1
+        with rollup.ieee_sums():
+            vsum = np.add.reduceat(vsum, starts)
+        return (b[starts], np.add.reduceat(cnt, starts), vsum,
+                np.minimum.reduceat(vmin, starts),
+                np.maximum.reduceat(vmax, starts),
+                t_last[last], v_last[last], seq[last])
+
+    @given(cuts=st.lists(st.integers(1, 59), min_size=1, max_size=5,
+                         unique=True),
+           cadence=st.sampled_from([1.0, 7.0, 60.0]),
+           shuffle=st.booleans(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_sorted_path(self, cuts, cadence, shuffle, data):
+        """Chunks cut from one series: disjoint buckets at a cadence no
+        finer than the level, a shared boundary bucket at a finer one,
+        interleaved when the chunks arrive out of time order."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        t = 1000.0 + cadence * np.arange(60)
+        v = _value_rows(rng, 4, 60)[data.draw(st.integers(0, 3))]
+        bounds = [0, *sorted(cuts), 60]
+        spans = list(zip(bounds, bounds[1:]))
+        if shuffle:
+            rng.shuffle(spans)
+        for level in (10.0, 60.0):
+            pieces, seq = [], 0
+            for lo, hi in spans:
+                pieces.append(rollup.fold_partials(t[lo:hi], v[lo:hi], 0.0,
+                                                   level, seq_base=seq))
+                seq += hi - lo
+            got = rollup._merge_pieces(pieces)
+            want = pieces[0] if len(pieces) == 1 else self._sorted_merge(pieces)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 # -- store query semantics ------------------------------------------------------

@@ -1,5 +1,6 @@
 """Unit tests for the out-of-core disk tier (spill, WAL, recovery)."""
 
+import gc
 import os
 import pickle
 
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 
 from repro.core.metric import SeriesBatch
+from repro.core.soa import name_column
 from repro.storage.diskier import (
     DiskTier,
     DiskTierStats,
     RecoveryReport,
+    _scan_segment,
     merge_disk_stats,
 )
 from repro.storage.sharded import ShardedTimeSeriesStore
@@ -356,6 +359,85 @@ class TestSnapshotRecover:
             assert np.array_equal(got.values.view(np.uint64),
                                   want[c].values.view(np.uint64))
         rec.close()
+
+    def test_flush_seals_block_by_block_and_survives_a_crash(self, tmp_path):
+        # a lock-step block with two lagging rows, a ragged block and a
+        # one-row block: flush writes metric by metric, row by row
+        store = disk_store(tmp_path)
+        comps = ["a", "b", "c", "d"]
+        rng = np.random.default_rng(2)
+        for i in range(21):
+            store.append(sweep("m1", i * 10.0, comps, rng.normal(size=4)))
+            late = comps + (["late"] if i > 17 else [])
+            store.append(sweep("m2", i * 10.0, late, rng.normal(size=len(late))))
+        store.append(sweep("m1", 210.0, ["a", "c"], [1.0, 2.0]))
+        store.append(sweep("m3", 0.0, ["z"], [3.0]))
+        before = store.stats().sealed_chunks
+        store.flush()
+        assert store.stats().sealed_chunks - before == 4 + 5 + 1
+        with open(store.disk.root / "seg-000000.dat", "rb") as f:
+            records, _ = _scan_segment(f.read(), 0)
+        assert [(m, c) for m, c, _, _ in records[before:]] == (
+            [("m1", c) for c in comps]
+            + [("m2", c) for c in comps + ["late"]] + [("m3", "z")])
+        want = {(k.metric, k.component): (
+                    store.query(k.metric, k.component),
+                    store.downsample(k.metric, k.component, 0.0, 300.0, 60.0),
+                    store._series_view(k.metric, k.component)[0].sealed_t_max)
+                for k in store.keys()}
+        stats = store.stats()
+        store.simulate_crash()
+        rec = store.reopen()
+        assert rec.recovery.scanned_chunks == stats.sealed_chunks
+        assert rec.stats() == stats
+        for (m, c), (raw, ds, t_max) in want.items():
+            got = rec.query(m, c)
+            assert np.array_equal(got.times, raw.times)
+            assert np.array_equal(got.values.view(np.uint64),
+                                  raw.values.view(np.uint64))
+            got = rec.downsample(m, c, 0.0, 300.0, 60.0)
+            assert np.array_equal(got.times, ds.times)
+            assert np.array_equal(got.values, ds.values)
+            assert rec._series_view(m, c)[0].sealed_t_max == t_max
+        rec.close()                     # a manifest now: t_max from its rows
+        again = rec.reopen()
+        assert again.recovery.scanned_chunks == 0
+        assert all(again._series_view(m, c)[0].sealed_t_max == t_max
+                   for (m, c), (_, _, t_max) in want.items())
+        again.close()
+
+    def test_a_warm_component_memo_writes_the_same_wal(self, tmp_path):
+        # the fleet's one name column hits the memo from the second
+        # tick; an equal column rebuilt per tick, or a list, never does
+        names = [f"c0-0c0s{i}n0" for i in range(9)]
+        column = name_column(names)
+        rng = np.random.default_rng(4)
+        ticks = [(i * 60.0, rng.normal(size=9)) for i in range(6)]
+        logs = []
+        for kind in ("column", "rebuilt", "list"):
+            tier = DiskTier(tmp_path / kind)
+            for t, v in ticks:
+                comps = {"column": column, "rebuilt": np.array(names, object),
+                         "list": names}[kind]
+                tier.wal_append(SeriesBatch("m", comps, np.full(9, t), v))
+                tier.wal_append(SeriesBatch("m.one", comps[:1], [t], v[:1]))
+            del comps                   # a rebuilt column dies here
+            assert len(tier._comp_memo) == (kind == "column")
+            tier.close()
+            logs.append((tmp_path / kind / "wal-000000.log").read_bytes())
+            rec = TimeSeriesStore(chunk_size=16, disk=DiskTier(tmp_path / kind))
+            assert rec.recovery.wal_points_replayed == 6 * 10
+            assert rec.query("m", names[3]).values.tolist() == [
+                v[3] for _, v in ticks]
+            rec.close()
+        assert logs[0] == logs[1] == logs[2] and len(logs[0]) > 0
+        tier = DiskTier(tmp_path / "column")
+        tier.wal_append(SeriesBatch("m", column, np.zeros(9), np.zeros(9)))
+        assert len(tier._comp_memo) == 1
+        del column
+        gc.collect()
+        assert tier._comp_memo == {}    # the entry dies with the array
+        tier.close()
 
     def test_foreign_manifest_version_is_rejected(self, tmp_path):
         store = disk_store(tmp_path)

@@ -547,6 +547,115 @@ class TestHeadBlock:
             store, ["late", "d", "b", "gone", "a"])
 
 
+class TestBlockSeal:
+    """A seal storm is sealed a group at a time, whatever mix fills."""
+
+    NAMES = ["a", "b", "c", "d"]
+    LEVELS = (10.0, 60.0)
+
+    def feed(self, store):
+        """Per sweep: a lock-step metric, a metric a late joiner made
+        ragged, and a batch that repeats components (runs, not a sweep);
+        the fourth sweep fills every head of all three."""
+        fed = []
+        rng = np.random.default_rng(5)
+        for i in range(9):
+            t = 7.0 * i
+            fed.append(sweep("m.step", t, self.NAMES, rng.normal(size=4)))
+            late = self.NAMES + (["late"] if i else [])
+            fed.append(sweep("m.ragged", t, late, rng.normal(size=len(late))))
+            fed.append(SeriesBatch(
+                "m.runs", np.array(["a", "b", "a", "b"], dtype=object),
+                np.array([t, t, t + 3.0, t + 3.0]), rng.normal(size=4)))
+        for b in fed:
+            store.append(b)
+        return fed
+
+    def assert_answers_like(self, store, ref):
+        assert store.points_by_metric() == ref.points_by_metric()
+        for key in ref.keys():
+            m, c = key.metric, key.component
+            got, want = store.query(m, c), ref.query(m, c)
+            assert np.array_equal(got.times, want.times), key
+            assert np.array_equal(bits(got.values), bits(want.values)), key
+            for agg in ("last", "min", "max", "count"):    # order-free
+                warm = store.downsample(m, c, 0.0, 100.0, 20.0, agg)
+                cold = ref.downsample(m, c, 0.0, 100.0, 20.0, agg,
+                                      prune=False)
+                assert np.array_equal(warm.times, cold.times), (key, agg)
+                assert np.array_equal(warm.values, cold.values), (key, agg)
+
+    def test_a_storm_mixes_a_group_a_late_joiner_and_repeated_components(
+            self, monkeypatch):
+        groups = Mock(wraps=tsdb.compress_chunks)
+        monkeypatch.setattr(tsdb, "compress_chunks", groups)
+        store = TimeSeriesStore(chunk_size=4, pyramid_levels=self.LEVELS)
+        self.feed(store)
+        ref = TimeSeriesStore(chunk_size=64)       # nothing seals
+        self.feed(ref)
+        # 2 storms x (4 step + 4 ragged), 2 late chunks, 4 x 2 run chunks
+        assert store.stats().sealed_chunks == 16 + 2 + 8
+        # the lock-step metric sealed four rows a call, the rest a row
+        assert sorted(len(c.args[1]) for c in groups.call_args_list) == (
+            [1] * 18 + [4, 4])
+        self.assert_answers_like(store, ref)
+        # rows sealed together share their bucket, count and t_last
+        # columns, read-only; what differs by row is a row's own
+        a, b = (store._series_view("m.step", c)[0].pyramid._pieces[10.0][0]
+                for c in "ab")
+        for i in (0, 1, 5):
+            assert a[i] is b[i] and not a[i].flags.writeable
+        assert not np.array_equal(a[2], b[2])
+
+    def test_a_crash_between_two_groups_of_a_storm_recovers_exact(
+            self, tmp_path):
+        def tier():
+            return DiskTier(tmp_path / "tier", sync_every_bytes=1 << 20)
+        store = TimeSeriesStore(chunk_size=4, pyramid_levels=self.LEVELS,
+                                disk=tier())
+        fed = self.feed(TimeSeriesStore(chunk_size=64))
+        ref = TimeSeriesStore(chunk_size=64)
+        storm = 3 * 3 + 1               # sweep 3 of the ragged metric
+        for b in fed[:storm]:
+            store.append(b)
+            ref.append(b)
+        store.snapshot()
+        ref.append(fed[storm])
+
+        class PowerLoss(Exception):
+            pass
+
+        def die_after_the_first_group():
+            store.disk.sync()           # its record and the WAL are down
+            raise PowerLoss
+        store.disk.enforce_budget = die_after_the_first_group
+        with pytest.raises(PowerLoss):
+            store.append(fed[storm])
+        # in memory, too, a row is either sealed or still open
+        assert store.points_by_metric() == ref.points_by_metric()
+        store.simulate_crash()
+        rec = store.reopen()
+        r = rec.recovery
+        assert (r.scanned_chunks, r.wal_points_skipped,
+                r.wal_points_replayed) == (1, 1, 4)
+        self.assert_answers_like(rec, ref)
+        rec.close()
+
+    def test_a_window_past_everything_sealed_reads_no_sealed_state(self):
+        store = TimeSeriesStore(chunk_size=4, pyramid_levels=self.LEVELS)
+        self.feed(store)                # sealed through t = 49, heads at 56
+        series = store._series_view("m.step", "a")[0]
+        assert series.sealed_t_max == 49.0
+        got = store.downsample("m.step", "a", 50.0, 70.0, 10.0, "mean")
+        assert series.pyramid._merged == {}     # no level was merged
+        want = store.downsample("m.step", "a", 50.0, 70.0, 10.0, "mean",
+                                prune=False)
+        assert got.times.tolist() == want.times.tolist() == [50.0]
+        assert np.array_equal(got.values, want.values)
+        store.downsample("m.step", "a", 40.0, 70.0, 10.0, "mean")
+        assert set(series.pyramid._merged) == {10.0}
+
+
 class TestMetricIndex:
     """``components(metric)`` is answered from a per-metric index; it
     must stay what a scan of every series would say."""

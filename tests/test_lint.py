@@ -176,6 +176,22 @@ class TestColumnarGate:
         f.write_text("def broken(:\n")
         assert check_mod.check_columnar(f) == []
 
+    def test_flags_a_per_row_seal_in_storage(self, tmp_path):
+        f = tmp_path / "store.py"
+        f.write_text(
+            "def flush(store, rows, t, v):\n"
+            "    for s in store.series:\n"
+            "        store.note(s.seal())\n"
+            "    blobs = [compress_chunk(t, v[r]) for r in rows]\n"
+            "    for r in rows:  # the reference loop\n"
+            "        compress_chunk(t, v[r])  # per-sample: allowed\n"
+            "    one = compress_chunk(t, v[0])\n"
+            "    return compress_chunks(t, v), blobs, one, store.seal(rows)\n"
+        )
+        problems = check_mod.check_row_seals(f)
+        assert [p.split(":")[1] for p in problems] == ["3", "4"]
+        assert "seal()" in problems[0] and "compress_chunk()" in problems[1]
+
 
 class TestSwallowGate:
     """The blind-exception-swallow lint keeping failures accounted."""
