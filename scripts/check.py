@@ -29,7 +29,10 @@ regression.  The retained scalar reference implementations mark their
 loops with ``# per-sample: allowed``.  The same gate keeps the seal a
 block operation in ``src/repro/storage``: a ``.seal()`` or
 ``compress_chunk(`` call inside a loop there is one codec pass per row
-where ``compress_chunks`` does one per group.
+where ``compress_chunks`` does one per group.  And it keeps the
+collectors in ``src/repro/sources`` columnar: a loop over a fleet's
+names (``machine.nodes.names``, ``node_clocks``, ``topo.nodes``) is one
+interpreter iteration per node per sweep.
 
 Both paths also gate on **module-level mutable state** inside
 ``src/repro/transport`` and ``src/repro/storage``: the parallel runtime
@@ -252,15 +255,10 @@ def _is_batch_column(node: ast.expr) -> bool:
     return isinstance(node, ast.Attribute) and node.attr in _BATCH_COLUMNS
 
 
-def check_columnar(path: Path) -> list[str]:
-    """Flag per-sample loops over batch columns in one analysis module.
-
-    Catches ``for ... in zip(batch.components, ...)`` (any batch column
-    among the zip arguments) and direct ``for x in batch.values`` style
-    iteration, in both statement loops and comprehensions.  A loop whose
-    source line carries ``# per-sample: allowed`` is exempt — that is
-    how the retained scalar reference implementations opt out.
-    """
+def _flagged_loops(path: Path, is_hit, message: str) -> list[str]:
+    """One problem per ``for`` loop, comprehension or generator of
+    ``path`` whose iterable ``is_hit`` and whose source lines do not
+    carry ``# per-sample: allowed``."""
     src = path.read_text()
     try:
         tree = ast.parse(src, filename=str(path))
@@ -277,23 +275,55 @@ def check_columnar(path: Path) -> list[str]:
             for gen in node.generators:
                 loops.append((gen.iter.lineno, gen.iter))
     for lineno, it in loops:
-        hit = _is_batch_column(it) or (
+        if not is_hit(it):
+            continue
+        span = lines[lineno - 1: getattr(it, "end_lineno", lineno)]
+        if any(_PER_SAMPLE_MARKER in line for line in span):
+            continue
+        problems.append(f"{path}:{lineno}: {message} or mark the line "
+                        f"'{_PER_SAMPLE_MARKER}'")
+    return problems
+
+
+def check_columnar(path: Path) -> list[str]:
+    """Flag per-sample loops over batch columns in one analysis module.
+
+    Catches ``for ... in zip(batch.components, ...)`` (any batch column
+    among the zip arguments) and direct ``for x in batch.values`` style
+    iteration, in both statement loops and comprehensions.  A loop whose
+    source line carries ``# per-sample: allowed`` is exempt — that is
+    how the retained scalar reference implementations opt out.
+    """
+    def is_hit(it: ast.expr) -> bool:
+        return _is_batch_column(it) or (
             isinstance(it, ast.Call)
             and isinstance(it.func, ast.Name)
             and it.func.id in ("zip", "enumerate")
             and any(_is_batch_column(a) for a in it.args)
         )
-        if not hit:
-            continue
-        span = lines[lineno - 1: getattr(it, "end_lineno", lineno)]
-        if any(_PER_SAMPLE_MARKER in line for line in span):
-            continue
-        problems.append(
-            f"{path}:{lineno}: per-sample loop over batch columns in the "
-            f"streaming analysis plane; vectorize it or mark the line "
-            f"'{_PER_SAMPLE_MARKER}'"
-        )
-    return problems
+
+    return _flagged_loops(
+        path, is_hit,
+        "per-sample loop over batch columns in the streaming analysis "
+        "plane; vectorize it")
+
+
+#: a fleet's per-component names, as a collector reaches them
+_FLEET_NAMES = re.compile(r"\bnodes\.names\b|\bnode_clocks\b|\btopo\.nodes\b")
+
+
+def check_fleet_loops(path: Path) -> list[str]:
+    """Flag per-node loops in one collector module: a loop,
+    comprehension or generator whose iterable mentions a fleet's names
+    (``machine.nodes.names``, ``node_clocks``, ``topo.nodes``) is one
+    interpreter iteration per node per sweep, where the fleet's columns
+    (``nodes.cpu_util``, ``clock_fleet.errors_at``) answer in one call.
+    A collector that is per node by nature marks its loop
+    ``# per-sample: allowed``."""
+    return _flagged_loops(
+        path, lambda it: bool(_FLEET_NAMES.search(ast.unparse(it))),
+        "per-node loop over a fleet's names in a collector; read the "
+        "fleet's columns")
 
 
 def check_row_seals(path: Path) -> list[str]:
@@ -567,11 +597,12 @@ _COLUMNAR_DIRS = ("analysis", "serve")
 
 
 def check_columnar_analysis() -> list[str]:
-    """Run :func:`check_columnar` over every columnar-only package, and
+    """Run :func:`check_columnar` over every columnar-only package,
+    :func:`check_fleet_loops` over the collectors and
     :func:`check_row_seals` over the storage plane."""
     problems: list[str] = []
     for name, check in [(d, check_columnar) for d in _COLUMNAR_DIRS] + [
-            ("storage", check_row_seals)]:
+            ("sources", check_fleet_loops), ("storage", check_row_seals)]:
         root = REPO / "src" / "repro" / name
         if root.is_dir():
             for path in sorted(root.rglob("*.py")):

@@ -75,18 +75,20 @@ def sweep_outliers(
     if not len(idx):
         return []
     idx = idx[np.argsort(-az[idx], kind="stable")]
-    t = batch.times
-    comps = batch.components
+    metric = batch.metric
+    # one gather per column, then plain Python floats and strs per hit
     return [
         Detection(
-            time=float(t[i]),
-            metric=batch.metric,
-            component=str(comps[i]),
-            score=float(z[i]),
+            time=ti,
+            metric=metric,
+            component=str(ci),
+            score=zi,
             kind="outlier",
-            detail=f"value={v[i]:.4g} z={z[i]:.1f}",
+            detail=f"value={vi:.4g} z={zi:.1f}",
         )
-        for i in idx
+        for ti, ci, vi, zi in zip(batch.times[idx].tolist(),
+                                  batch.components[idx].tolist(),
+                                  v[idx].tolist(), z[idx].tolist())
     ]
 
 

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..core.metric import MetricKey, SeriesBatch
-from ..core.soa import ComponentTable
+from ..core.soa import ComponentTable, row_indices
 from ..obs.hist import LatencyHistogram
 from .anomaly import Detection, sweep_outliers
 
@@ -157,9 +157,9 @@ class StreamingStats(_BusAttached):
         v = batch.values
         finite = np.isfinite(v)
         if not finite.all():
-            rows = rows[finite]
+            rows = row_indices(rows)[finite]
             v = v[finite]
-        if not len(rows):
+        if not len(v):
             return
         if unique:
             self._fold_unique(tbl, rows, v)
@@ -167,9 +167,9 @@ class StreamingStats(_BusAttached):
             self._fold_grouped(tbl, rows, v)
 
     @staticmethod
-    def _fold_unique(tbl: ComponentTable, rows: np.ndarray,
+    def _fold_unique(tbl: ComponentTable, rows: slice | np.ndarray,
                      v: np.ndarray) -> None:
-        mean = tbl.mean[rows]
+        mean = tbl.mean[rows]   # a view when rows is a slice: read-only here
         n1 = tbl.n[rows] + 1.0
         delta = v - mean
         mean1 = mean + delta / n1
@@ -307,15 +307,15 @@ class StreamingRateWatch(_BusAttached):
         t = batch.times
         v = batch.values
         if unique:
-            pt = tbl.last_t[rows]
-            pv = tbl.last_v[rows]
+            # the previous samples may be views (rows a slice): every
+            # read of them comes before the store of the new ones
+            dt = t - tbl.last_t[rows]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                rate = (v - tbl.last_v[rows]) / dt
             seen = tbl.seen[rows] > 0.0
             tbl.last_t[rows] = t
             tbl.last_v[rows] = v
             tbl.seen[rows] = 1.0
-            dt = t - pt
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                rate = (v - pv) / dt
             idx = np.flatnonzero(seen & (dt > 0.0)
                                  & (rate > self.max_rate_per_s))
             rates = rate[idx]

@@ -109,9 +109,12 @@ class Machine:
         self.gpus = GpuStore(gpu_hosts, seed=seed + 5) if gpu_hosts else None
 
         drift = clock_drift or DriftModel(seed=seed + 6)
-        self.node_clocks: dict[str, DriftingClock] = {
-            n: drift.make_clock() for n in self.topo.nodes
-        }
+        #: every node's drifting clock as columns, in ``nodes.names`` order;
+        #: ``node_clocks`` names the same clocks, each a view of its entry
+        self.clock_fleet = drift.make_fleet(len(self.topo.nodes))
+        self.node_clocks: dict[str, DriftingClock] = dict(
+            zip(self.topo.nodes, self.clock_fleet.clocks())
+        )
 
         self._event_buffer: list[Event] = []
         self.steps_taken = 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SimClock", "DriftingClock", "DriftModel"]
+__all__ = ["SimClock", "ClockFleet", "DriftingClock", "DriftModel"]
 
 
 class SimClock:
@@ -37,6 +37,34 @@ class SimClock:
         return self._now
 
 
+class ClockFleet:
+    """The drifting clocks of a fleet as ``rate_ppm / offset / epoch``
+    float64 columns: the whole fleet's error is one expression
+    (:meth:`errors_at`), and a :class:`DriftingClock` is a view of one
+    entry — what is set through either is seen by both."""
+
+    __slots__ = ("rate_ppm", "offset", "epoch")
+
+    def __init__(self, rate_ppm, offset) -> None:
+        self.rate_ppm = np.array(rate_ppm, dtype=np.float64, ndmin=1)
+        self.offset = np.array(offset, dtype=np.float64, ndmin=1)
+        self.epoch = np.zeros(len(self.rate_ppm))
+
+    def __len__(self) -> int:
+        return len(self.rate_ppm)
+
+    def clocks(self) -> list[DriftingClock]:
+        """One view per entry, in column order."""
+        return [DriftingClock._view(self, i) for i in range(len(self))]
+
+    def errors_at(self, true_time: float) -> np.ndarray:
+        """``[c.error_at(true_time) for c in self.clocks()]`` as one
+        column, bit for bit: the scalar expression's association order."""
+        local = ((true_time + self.offset)
+                 + ((true_time - self.epoch) * self.rate_ppm) * 1e-6)
+        return local - true_time
+
+
 class DriftingClock:
     """A local clock that drifts linearly away from the global timebase.
 
@@ -44,19 +72,44 @@ class DriftingClock:
     +50 ppm gains 50 microseconds per second of true time.  ``offset``
     is the accumulated error at epoch.  ``sync()`` models an NTP-style
     resynchronization that collapses the offset (but not the rate).
+    The state is entry ``_i`` of a :class:`ClockFleet` — its own
+    one-entry fleet when the clock is built alone.
     """
 
-    __slots__ = ("rate_ppm", "offset", "_epoch")
+    __slots__ = ("_fleet", "_i")
 
     def __init__(self, rate_ppm: float = 0.0, offset: float = 0.0) -> None:
-        self.rate_ppm = float(rate_ppm)
-        self.offset = float(offset)
-        self._epoch = 0.0
+        self._fleet = ClockFleet(rate_ppm, offset)
+        self._i = 0
+
+    @classmethod
+    def _view(cls, fleet: ClockFleet, i: int) -> DriftingClock:
+        clock = cls.__new__(cls)
+        clock._fleet, clock._i = fleet, i
+        return clock
+
+    @property
+    def rate_ppm(self) -> float:
+        return self._fleet.rate_ppm.item(self._i)
+
+    @rate_ppm.setter
+    def rate_ppm(self, value: float) -> None:
+        self._fleet.rate_ppm[self._i] = value
+
+    @property
+    def offset(self) -> float:
+        return self._fleet.offset.item(self._i)
+
+    @offset.setter
+    def offset(self, value: float) -> None:
+        self._fleet.offset[self._i] = value
 
     def local_time(self, true_time: float) -> float:
         """The node's local timestamp at global time ``true_time``."""
-        elapsed = true_time - self._epoch
-        return true_time + self.offset + elapsed * self.rate_ppm * 1e-6
+        f, i = self._fleet, self._i
+        elapsed = true_time - f.epoch.item(i)
+        return (true_time + f.offset.item(i)
+                + elapsed * f.rate_ppm.item(i) * 1e-6)
 
     def error_at(self, true_time: float) -> float:
         """Absolute clock error (local - true) at ``true_time``."""
@@ -65,7 +118,7 @@ class DriftingClock:
     def sync(self, true_time: float) -> None:
         """Resynchronize: zero the accumulated offset at ``true_time``."""
         self.offset = 0.0
-        self._epoch = true_time
+        self._fleet.epoch[self._i] = true_time
 
 
 class DriftModel:
@@ -87,11 +140,18 @@ class DriftModel:
         self._rng = np.random.default_rng(seed)
 
     def make_clock(self) -> DriftingClock:
-        rate = self._rng.normal(0.0, self.rate_sigma_ppm)
-        offset = self._rng.uniform(
-            -self.initial_offset_s, self.initial_offset_s
-        )
-        return DriftingClock(rate_ppm=rate, offset=offset)
+        return self.make_fleet(1).clocks()[0]
+
+    def make_fleet(self, n: int) -> ClockFleet:
+        """``n`` clocks as one fleet, drawn clock by clock (rate, then
+        offset): ``n`` :meth:`make_clock` calls draw the same ones."""
+        rate, offset = np.empty(n), np.empty(n)
+        for i in range(n):
+            rate[i] = self._rng.normal(0.0, self.rate_sigma_ppm)
+            offset[i] = self._rng.uniform(
+                -self.initial_offset_s, self.initial_offset_s
+            )
+        return ClockFleet(rate, offset)
 
     def make_clocks(self, n: int) -> list[DriftingClock]:
-        return [self.make_clock() for _ in range(n)]
+        return self.make_fleet(n).clocks()

@@ -6,9 +6,10 @@ not as one Python object per series.  :class:`ComponentTable` mirrors the
 :class:`~repro.cluster.node.NodeStore` design: a ``component -> row``
 index plus optional parallel float64 state columns, grown
 amortized-doubling as new components appear.  The streaming detectors
-fancy-index whole sweeps against the columns; the time-series store's
-head blocks (:mod:`repro.storage.tsdb`) use the same table, without
-columns, to turn a sweep into one column write.
+index whole sweeps against the columns — with a slice when a sweep's
+rows are one run, which a fleet sweep's always are — and the time-series
+store's head blocks (:mod:`repro.storage.tsdb`) use the same table,
+without columns, to turn a sweep into one column write.
 
 The only irreducibly per-component work is the string -> row mapping;
 the table memoizes it by the *identity* of the components array, so
@@ -26,7 +27,7 @@ import weakref
 
 import numpy as np
 
-__all__ = ["ComponentTable", "memo_by_identity", "name_column"]
+__all__ = ["ComponentTable", "memo_by_identity", "name_column", "row_indices"]
 
 
 def memo_by_identity(memo: dict, array: np.ndarray, value) -> None:
@@ -54,6 +55,11 @@ def name_column(names) -> np.ndarray:
     return col
 
 
+def row_indices(rows: slice | np.ndarray) -> np.ndarray:
+    """:meth:`ComponentTable.rows`' index expression as an index array."""
+    return np.arange(rows.start, rows.stop) if isinstance(rows, slice) else rows
+
+
 class ComponentTable:
     """Component -> row index plus parallel float64 state columns.
 
@@ -73,7 +79,7 @@ class ComponentTable:
             setattr(self, name, np.empty(0, dtype=np.float64))
         # identity-memoized mapping of the most recent components array
         self._memo_comps: np.ndarray | None = None
-        self._memo_rows: np.ndarray | None = None
+        self._memo_rows: slice | np.ndarray | None = None
         self._memo_unique = True
 
     def __len__(self) -> int:
@@ -97,27 +103,39 @@ class ComponentTable:
             setattr(self, name, new)
         self._cap = cap
 
-    def rows(self, components: np.ndarray) -> tuple[np.ndarray, bool]:
+    def rows(self, components: np.ndarray
+             ) -> tuple[slice | np.ndarray, bool]:
         """Row index per component, registering new components.
 
         Returns ``(rows, unique)`` where ``unique`` is True when no
         component repeats within ``components`` — the signal consumers
-        use to take the sort-free fancy-indexing fast path.  The result
-        is memoized by array identity, so repeated sweeps over the same
-        component array skip the per-component mapping entirely.
+        use to take the sort-free indexing fast path.  ``rows`` is an
+        index expression: a ``slice`` when the components are a
+        contiguous ascending run of distinct rows (every fleet sweep,
+        and every shard's sub-column of one), an index array otherwise —
+        so ``column[rows]`` is a view or a copy, and a consumer must be
+        correct for both (read what it needs of a column before storing
+        to it); :func:`row_indices` is the array form where rows must
+        pair with something per row.  The result is memoized by array
+        identity, so repeated sweeps over the same component array skip
+        the per-component mapping, and the run test, entirely.
         """
         if components is self._memo_comps:
             return self._memo_rows, self._memo_unique
-        comps = components.tolist()
         index = self.index
         before = self.size
-        rows = np.empty(len(comps), dtype=np.intp)
-        for i, c in enumerate(comps):
+        at = []
+        for c in components.tolist():
             r = index.get(c)
-            rows[i] = self.add(str(c)) if r is None else r
+            at.append(self.add(str(c)) if r is None else r)
+        n = len(at)
         # all-new components are unique by construction; otherwise check
-        unique = (self.size - before == len(comps)
-                  or len(set(rows.tolist())) == len(comps))
+        unique = self.size - before == n or len(set(at)) == n
+        # plain list work: a small batch with a fresh array pays for this
+        # on every call, and must not pay more for a slice than an array
+        rows = (slice(at[0], at[0] + n)
+                if n and at == list(range(at[0], at[0] + n))
+                else np.array(at, dtype=np.intp))
         self._memo_comps = components
         self._memo_rows = rows
         self._memo_unique = unique

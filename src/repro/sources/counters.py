@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from ..core.metric import SeriesBatch
 from .base import Collector, CollectorOutput
 
@@ -43,12 +41,6 @@ class NodeCounterCollector(Collector):
 
     def collect(self, machine: "Machine", now: float) -> CollectorOutput:
         names = machine.nodes.name_column
-        offsets = np.fromiter(
-            (machine.node_clocks[n].error_at(now)
-             for n in machine.nodes.names),
-            dtype=np.float64,
-            count=len(names),
-        )
         return CollectorOutput(
             batches=[
                 SeriesBatch.sweep(
@@ -61,7 +53,8 @@ class NodeCounterCollector(Collector):
                     "node.load1", now, names, machine.nodes.load1.copy()
                 ),
                 SeriesBatch.sweep(
-                    "node.clock_offset_s", now, names, offsets
+                    "node.clock_offset_s", now, names,
+                    machine.clock_fleet.errors_at(now),
                 ),
             ]
         )

@@ -60,7 +60,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from ..core.metric import MetricKey, SeriesBatch
-from ..core.soa import ComponentTable
+from ..core.soa import ComponentTable, row_indices
 from ..core.tracectx import HOP_INGEST, MAX_HOPS
 from .chunkcache import ChunkCache, ChunkCacheStats
 from .rollup import (SeriesPyramid, _head_gather, bucket_anchor,
@@ -781,16 +781,18 @@ class _HeadBlock:
             self.row_times = _matrix(*self.values.shape)
             self.row_times[:, :self.n_times] = self.times[:self.n_times]
 
-    def write(self, rows: np.ndarray, t: np.ndarray,
+    def write(self, rows: slice | np.ndarray, t: np.ndarray,
               v: np.ndarray) -> np.ndarray | None:
-        """One sample onto each of ``rows`` (all distinct) — the sweep.
+        """One sample onto each of ``rows`` (all distinct, an index
+        expression of :meth:`ComponentTable.rows`) — the sweep: onto a
+        run of rows in lock-step, one contiguous copy into the column.
         Returns the rows now full, in batch order; or None, having
         written nothing, when some row has no live series."""
         c = self.counts[rows]
         lo, hi = int(c.min()), int(c.max())
         if lo < 0:
             return None
-        self._widen(hi)
+        self._widen(hi)     # replaces self.counts: c is not read past here
         if self.row_times is None:
             bits = t.view(np.int64)
             in_step = lo == hi and bool((bits == bits[0]).all())
@@ -802,15 +804,15 @@ class _HeadBlock:
                 self._unshare()
         if self.row_times is None:
             self.values[rows, lo] = v
-        else:
-            self.values[rows, c] = v
-            self.row_times[rows, c] = t
-        c += 1
-        self.counts[rows] = c
-        self.n_head += len(rows)
+        else:   # each row at its own column: rows pair with counts
+            at, c = row_indices(rows), self.counts[rows]
+            self.values[at, c] = v
+            self.row_times[at, c] = t
+        self.counts[rows] += 1
+        self.n_head += len(v)
         if hi + 1 < self.chunk_size:    # the common sweep: nothing seals
-            return rows[:0]
-        return rows[c >= self.chunk_size]
+            return np.empty(0, dtype=np.intp)
+        return row_indices(rows)[self.counts[rows] >= self.chunk_size]
 
     def run(self, row: int, t: np.ndarray, v: np.ndarray) -> int:
         """As many of one row's next samples as its head has room for (a

@@ -102,6 +102,9 @@ class TestSweepOutliers:
         for found in (sweep_outliers(b), _sweep_outliers_slow(b),
                       det.drain()):
             assert [d.component for d in found] == ["c0"]
+        # field for field, the formatted detail included (z=inf at 1e300)
+        assert sweep_outliers(b) == _sweep_outliers_slow(b)
+        assert sweep_outliers(b)[0].detail.startswith(f"value={big:.4g} z=")
 
 
 class TestStreamingStateIsNotPoisoned:

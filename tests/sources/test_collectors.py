@@ -57,6 +57,23 @@ class TestNodeCounterCollector:
         assert np.abs(offsets.values).max() > 0
 
 
+    def test_clock_offsets_are_the_per_clock_errors_bit_for_bit(
+            self, machine):
+        machine.run(3600.0, dt=60.0)
+        node = machine.nodes.names[5]
+        machine.node_clocks[node].offset = 5.0      # a fault-injected step
+        machine.node_clocks[machine.nodes.names[7]].sync(machine.now)
+        out = NodeCounterCollector().collect(machine, machine.now)
+        offsets = next(
+            b for b in out.batches if b.metric == "node.clock_offset_s"
+        )
+        want = np.array([machine.node_clocks[n].error_at(machine.now)
+                         for n in machine.nodes.names])
+        assert offsets.values.tobytes() == want.tobytes()
+        assert offsets.values[5] > 4.5
+        assert offsets.components is machine.nodes.name_column
+
+
 class TestSedcCollector:
     def test_gpu_metrics_present_when_gpus(self, machine):
         out = SedcCollector().collect(machine, 0.0)

@@ -192,6 +192,34 @@ class TestColumnarGate:
         assert [p.split(":")[1] for p in problems] == ["3", "4"]
         assert "seal()" in problems[0] and "compress_chunk()" in problems[1]
 
+    def test_flags_a_per_node_loop_in_a_collector(self, tmp_path):
+        f = tmp_path / "collector.py"
+        f.write_text(
+            "def collect(machine, now):\n"
+            "    a = [machine.node_clocks[n].error_at(now)\n"
+            "         for n in machine.nodes.names]\n"
+            "    for name, clock in machine.node_clocks.items():\n"
+            "        a.append(clock.offset)\n"
+            "    return a, sum(1 for _ in enumerate(machine.topo.nodes))\n"
+        )
+        problems = check_mod.check_fleet_loops(f)
+        assert sorted(p.split(":")[1] for p in problems) == ["3", "4", "6"]
+        assert all("per-node loop" in p for p in problems)
+
+    def test_fleet_columns_and_marked_loops_pass_in_a_collector(
+            self, tmp_path):
+        f = tmp_path / "collector.py"
+        f.write_text(
+            "def collect(machine, suite, now):\n"
+            "    offsets = machine.clock_fleet.errors_at(now)\n"
+            "    names = machine.nodes.name_column\n"
+            "    for i, node in enumerate(machine.nodes.names):"
+            "  # per-sample: allowed\n"
+            "        suite.run_node(machine, node)\n"
+            "    return [b for b in (names, offsets) if len(b)]\n"
+        )
+        assert check_mod.check_fleet_loops(f) == []
+
 
 class TestSwallowGate:
     """The blind-exception-swallow lint keeping failures accounted."""
