@@ -35,9 +35,10 @@ names (``machine.nodes.names``, ``node_clocks``, ``topo.nodes``) is one
 interpreter iteration per node per sweep.
 
 Both paths also gate on **module-level mutable state** inside
-``src/repro/transport`` and ``src/repro/storage``: the parallel runtime
-runs those planes on worker threads, so a module-global ``dict`` /
-``list`` / ``set`` there is unsynchronized cross-thread shared state.
+``src/repro/transport`` and ``src/repro/storage``: a module global there
+is shared by every store and shard in the process, and by the serving
+plane's thread-safe caches that read through them, so a module-global
+``dict`` / ``list`` / ``set`` is unsynchronized state nobody owns.
 Keep mutable state on instances; a deliberate module global carries
 ``# shared-state: allowed``.
 
@@ -440,8 +441,8 @@ def check_swallows_repro() -> list[str]:
     return problems
 
 
-#: module-level mutable containers in the planes the parallel runtime
-#: fans out across workers are cross-thread shared state by definition
+#: module-level mutable containers in these planes are shared by every
+#: store, shard and serving-plane cache in the process
 _SHARED_STATE_DIRS = ("src/repro/transport", "src/repro/storage")
 _MUTABLE_CALLS = frozenset({
     "dict", "list", "set", "defaultdict", "OrderedDict", "deque",
@@ -467,12 +468,13 @@ def _is_mutable_container(value: ast.expr) -> bool:
 def check_module_state(path: Path) -> list[str]:
     """Flag module-level mutable-container state in one module.
 
-    The parallel runtime runs transport coalescing and store-shard
-    ingest on worker threads; a module-global ``dict``/``list``/``set``
-    in those packages is state shared across every pipeline *and* every
-    worker, with no lock anyone remembers to take.  Keep mutable state
-    on instances (or behind an explicit lock) — a deliberate module
-    global carries ``# shared-state: allowed`` on its assignment line.
+    A module-global ``dict``/``list``/``set`` in the transport and
+    storage packages is state shared by every pipeline, store and shard
+    in the process, and by the serving plane's thread-safe caches that
+    read through them, with no lock anyone remembers to take.  Keep
+    mutable state on instances (or behind an explicit lock) — a
+    deliberate module global carries ``# shared-state: allowed`` on its
+    assignment line.
     ``__all__`` and other dunder assignments are exempt (import-time
     constants by convention).
     """
@@ -501,8 +503,8 @@ def check_module_state(path: Path) -> list[str]:
             continue
         problems.append(
             f"{path}:{node.lineno}: module-level mutable state "
-            f"({', '.join(names)}); worker threads share module globals "
-            f"— move it onto an instance, freeze it "
+            f"({', '.join(names)}); every store in the process shares "
+            f"module globals — move it onto an instance, freeze it "
             f"(tuple/frozenset/MappingProxyType), or mark the line "
             f"'{_SHARED_STATE_MARKER}'"
         )
@@ -510,7 +512,8 @@ def check_module_state(path: Path) -> list[str]:
 
 
 def check_shared_state() -> list[str]:
-    """Run :func:`check_module_state` over the worker-shared packages."""
+    """Run :func:`check_module_state` over the transport and storage
+    packages."""
     problems: list[str] = []
     for rel in _SHARED_STATE_DIRS:
         root = REPO / rel

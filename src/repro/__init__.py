@@ -16,8 +16,8 @@ Quick tour::
     print(pipeline.active_alerts())
 
 A :class:`~repro.sites.SiteConfig` is the whole deployment as data
-(machine shape, cadences, transport tier, storage layout, workers,
-quotas); :func:`~repro.sites.build_site` is the one function that turns
+(machine shape, cadences, transport tier, storage layout, quotas);
+:func:`~repro.sites.build_site` is the one function that turns
 it into a running :class:`~repro.pipeline.MonitoringPipeline`.
 
 Subpackages:

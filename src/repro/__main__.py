@@ -522,7 +522,7 @@ def cmd_sites(args) -> int:
     from .sites import Federation, site_capabilities
     from .viz.sitematrix import capability_matrix
 
-    fed = Federation.from_presets(executor=args.workers)
+    fed = Federation.from_presets()
     nodes = sum(len(p.machine.topo.nodes)
                 for p in fed.pipelines.values())
     print(f"standing up {len(fed.pipelines)} paper sites "
@@ -633,9 +633,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output (obs scenario)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="sites scenario: fan site ticks over N "
-                             "threads")
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.scenario](args)

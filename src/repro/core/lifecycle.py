@@ -139,9 +139,9 @@ class CircuitBreaker:
     refused until ``retry_at``), *half-open* (exactly one probe allowed;
     its outcome closes or re-opens the breaker with a longer backoff).
 
-    Thread-safe: state transitions take one internal lock, so
-    concurrent plane workers recording outcomes cannot interleave a
-    trip (the half-open single-probe discipline survives races).
+    Thread-safe: state transitions take one internal lock, so two
+    threads recording outcomes cannot interleave a trip (the half-open
+    single-probe discipline survives races).
     """
 
     __slots__ = ("trip_after", "backoff", "streak", "trips", "state",
@@ -247,10 +247,11 @@ class Supervisor:
 
     Thread-safe: one supervisor lock serializes every mutating entry
     point (``record``/``observe``/``fail``/``heal`` and registration),
-    so concurrent plane workers produce exact counter totals and an
-    uncorrupted transition timeline.  ``should_run``'s closed-breaker
-    fast path stays lock-free — a stale read there only admits one
-    extra call, which the breaker then records under the lock.
+    so callers on more than one thread still leave exact counter
+    totals and an uncorrupted transition timeline.  ``should_run``'s
+    closed-breaker fast path stays lock-free — a stale read there only
+    admits one extra call, which the breaker then records under the
+    lock.
     """
 
     def __init__(

@@ -341,7 +341,7 @@ def crash_and_recover(
     :class:`~repro.storage.diskier.RecoveryReport`.
 
     Requires the pipeline's store to have been built with a disk tier
-    (``SiteConfig(store_dir=...)``); raises :class:`TypeError`
+    (``SiteConfig(store_dir=...)``); raises :class:`RuntimeError`
     otherwise.
     """
     p.tsdb.simulate_crash()

@@ -78,8 +78,6 @@ class HealthReport:
     #: freshness-tracker snapshot (hop waterfall, SLO burn) when tracing
     #: is enabled
     freshness: dict = field(default_factory=dict)
-    #: execution-model snapshot (worker topology, barrier/handoff vitals)
-    executor: dict = field(default_factory=dict)
     #: serving-plane snapshot (query front end, result cache, answer
     #: sources, per-tenant admission) when a front end is attached
     serve: dict = field(default_factory=dict)
@@ -100,7 +98,7 @@ class PipelineIntrospector:
         p = self.pipeline
         agg = p.tracer.aggregate()
         ticks = int(agg.get("tick", {}).get("count", 0))
-        # one timing row per installed stage: the executor opens a span
+        # one timing row per installed stage: the tick loop opens a span
         # named after each, custom stages included
         stages = tuple(
             StageReport(
@@ -220,7 +218,6 @@ class PipelineIntrospector:
                     if balance is not None else {}),
             freshness=(tracker.snapshot()
                        if tracker is not None and tracker.batches else {}),
-            executor=p.executor.snapshot(),
             serve=serve,
         )
 
@@ -256,15 +253,6 @@ class PipelineIntrospector:
                     f"  {name:<10} {int(s['points'])} points / "
                     f"{int(s['series'])} series / {int(s['bytes'])} B"
                 )
-        if r.executor:
-            e = r.executor
-            lines.append(
-                f"executor: {e['name']} workers={e['workers']} "
-                f"barriers={e['barriers']} tasks={e['tasks']} "
-                f"busy={e['busy_fraction']:.2f} "
-                f"barrier_wait={e['barrier_wait_ms']:.1f} ms "
-                f"handoff_depth={e['handoff_depth']}"
-            )
         lines.append("stage timings (per tick):")
         for s in r.stages:
             lines.append(

@@ -417,22 +417,6 @@ VITALS: tuple[tuple[Callable[["MonitoringPipeline"], Any],
                "Cumulative edge-triggered breaches of one freshness "
                "SLO (component = SLO name).", higher_is_worse=True),
     )),
-    (lambda p: {p.executor.name: p.executor.snapshot()}, (
-        _vital("selfmon.exec.busy_fraction", "ratio", _G, None,
-               "busy_fraction",
-               "Fraction of worker capacity kept busy between tick "
-               "barriers (component = execution-model name; 0 under "
-               "the serial model)."),
-        _vital("selfmon.exec.barrier_wait_ms", "ms", _G, None,
-               "barrier_wait_ms",
-               "Wall time the tick loop spent waiting at ordered "
-               "barriers for straggler workers since start.",
-               higher_is_worse=True),
-        _vital("selfmon.exec.handoff_depth", "count", _G, None,
-               "handoff_depth",
-               "Peak number of tasks handed to workers at one "
-               "barrier (fan-out width actually reached)."),
-    )),
     (lambda p: p, (
         _vital("selfmon.trace.dropped", "count", _C, "tracer",
                lambda p: p.tracer.dropped,

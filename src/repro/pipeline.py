@@ -20,7 +20,7 @@ One :class:`MonitoringPipeline` wires together every layer against a
 The tick loop itself is a sequence of :class:`~repro.stages.Stage`
 objects iterated under trace spans — each plane of the data path is a
 swappable unit, and every deployment knob (tick, transport tier, shards,
-disk tier, workers, quotas, ...) is read from one
+disk tier, quotas, ...) is read from one
 :class:`~repro.sites.config.SiteConfig`;
 :func:`repro.sites.build.build_site` assembles the stack the way a site
 would deploy it (Table I: "Extensibility and modularity are
@@ -46,7 +46,6 @@ from .obs.trace import Tracer
 from .response.actions import ActionEngine, AlertManager
 from .response.policy import default_sec_engine
 from .response.sec import ActionRequest, SecEngine
-from .runtime.executor import ExecutionModel, make_executor
 from .serve.frontend import QueryFrontend
 from .sites.build import build_store
 from .sites.config import SiteConfig
@@ -68,6 +67,7 @@ from .stages import (
     AnalysisHooksStage,
     Stage,
     StreamingStage,
+    TickLoop,
     default_stages,
     schedule_stages,
 )
@@ -87,12 +87,11 @@ class MonitoringPipeline:
 
     ``config`` (default ``SiteConfig()``) holds every knob: tick, alert
     renotify, selfmon cadence, supervision, collector budget, freshness,
-    quotas, site name, and the transport / store / executor tiers.  The
-    keyword parameters are live parts; one that is given replaces what
-    the config would have built, and one that contradicts a declared
-    knob (``tsdb`` against ``shards``/``store_dir``, ``executor``
-    against ``workers``) is rejected, so the stack never disagrees with
-    ``config.capabilities()``.
+    quotas, site name, and the transport and store tiers.  The keyword
+    parameters are live parts; one that is given replaces what the
+    config would have built, and one that contradicts a declared knob
+    (``tsdb`` against ``shards``/``store_dir``) is rejected, so the
+    stack never disagrees with ``config.capabilities()``.
     """
 
     def __init__(
@@ -103,7 +102,6 @@ class MonitoringPipeline:
         collectors: Sequence[Collector] = (),
         transport: Transport | None = None,
         tsdb=None,
-        executor: ExecutionModel | None = None,
         registry: MetricRegistry | None = None,
         sec: SecEngine | None = None,
         tracer: Tracer | None = None,
@@ -118,8 +116,6 @@ class MonitoringPipeline:
                 raise ValueError("pass either tsdb= or store_dir=, not both")
             if config.shards is not None:
                 raise ValueError("pass either tsdb= or shards=, not both")
-        if config.workers is not None and executor is not None:
-            raise ValueError("pass either workers= or executor=, not both")
         self.site_config = config
         # federation identity: non-empty when this stack is one site of
         # several in a process; namespaces the selfmon publisher and the
@@ -128,19 +124,7 @@ class MonitoringPipeline:
         self.site = config.name
         self.registry = registry or default_registry()
         self.tick_s = float(config.tick_s)
-
-        # execution model: how the data-parallel planes run each tick.
-        # Serial (the default) is today's behaviour, bit-identical;
-        # a parallel executor fans collection / shard ingest / aggtree
-        # coalescing across workers between tick barriers.
-        self.executor: ExecutionModel = (
-            executor if executor is not None
-            else make_executor(config.workers)
-        )
-        # envelope staging buffer used by parallel_sweep: non-None only
-        # while a parallel metric-plane sweep is routing store appends
-        # through the shard-concurrent ingest path
-        self._staged_ingest: list | None = None
+        self.executor = TickLoop()
 
         # transport and numeric store are pluggable tiers; the config's
         # defaults are the flat bus + single store
@@ -149,10 +133,6 @@ class MonitoringPipeline:
             else make_transport(config.transport)
         )
         store = tsdb if tsdb is not None else build_store(config)
-        if self.executor.parallel:
-            # transports that fan out internal work (aggtree leaf
-            # coalescing) pick the executor up from this attribute
-            self.bus.executor = self.executor
         self.logs = LogStore()
         self.jobs = JobIndex()
         self.sql = SqlStore()
@@ -280,38 +260,22 @@ class MonitoringPipeline:
         payload = env.payload
         if not isinstance(payload, SeriesBatch):
             return
-        staged = self._staged_ingest
-        if staged is not None:
-            # parallel metric-plane sweep in progress: park the
-            # envelope; _ingest_staged appends shard-concurrently at
-            # the barrier and applies the identical ledger/freshness
-            # accounting in publish order
-            staged.append(env)
-            return
+        ledger = self.ledger
+        tracked = ledger is not None and ledger.tracks(env.topic)
         try:
             stored = self.tsdb.append(payload)
         except Exception as exc:
             # a raising store degrades the tick, never kills ingest of
             # later batches; the points become accounted loss
-            self._account_store_error(env.topic, payload, exc)
+            if tracked:
+                ledger.lost_batch("store-error", payload)
+            if self.supervisor is not None:
+                self.supervisor.record(
+                    "store", False, self.machine.now,
+                    reason=f"append raised {type(exc).__name__}",
+                )
             return
-        self._account_stored(env.topic, payload, stored)
-
-    def _account_store_error(self, topic, payload, exc) -> None:
-        """Ledger + supervision accounting for one failed store append."""
-        ledger = self.ledger
-        if ledger is not None and ledger.tracks(topic):
-            ledger.lost_batch("store-error", payload)
-        if self.supervisor is not None:
-            self.supervisor.record(
-                "store", False, self.machine.now,
-                reason=f"append raised {type(exc).__name__}",
-            )
-
-    def _account_stored(self, topic, payload, stored: int) -> None:
-        """Ledger + freshness accounting for one successful append."""
-        ledger = self.ledger
-        if ledger is not None and ledger.tracks(topic):
+        if tracked:
             ledger.stored_batch(payload, stored)
             # points the store neither stored nor parked in a redo
             # buffer (single-store partial ingest) would surface here
@@ -332,50 +296,6 @@ class MonitoringPipeline:
         payload = env.payload
         if isinstance(payload, Event):
             self.logs.append(payload)
-
-    # -- parallel metric plane ---------------------------------------------------
-
-    def parallel_sweep(self, now: float, executor: ExecutionModel):
-        """One metric-plane sweep with worker fan-out at both ends.
-
-        Collection fans out inside :meth:`CollectionScheduler.poll`;
-        store appends are *staged* — ``_on_metric`` parks each delivered
-        envelope instead of appending inline — and executed
-        shard-concurrently at the barrier when the store supports it
-        (``append_parallel``).  All ledger, supervision, and freshness
-        accounting happens here afterwards, in publish order, so the
-        totals are identical to the serial path.
-        """
-        if hasattr(self.tsdb, "append_parallel"):
-            self._staged_ingest = []
-        try:
-            collected = self.scheduler.poll(
-                self.machine, now, tick=self.ticks, executor=executor
-            )
-            self.bus.pump(now)
-        finally:
-            staged, self._staged_ingest = self._staged_ingest, None
-        if staged:
-            self._ingest_staged(staged, executor)
-        return collected
-
-    def _ingest_staged(self, staged, executor: ExecutionModel) -> None:
-        """Append the staged envelopes shard-concurrently, then account.
-
-        ``append_parallel`` preserves per-shard append order (every
-        series lives on exactly one shard, and each shard consumes its
-        pieces in publish order), so query results match the serial
-        path; the accounting loop below runs in publish order, so the
-        ledger and freshness totals match too.
-        """
-        results = self.tsdb.append_parallel(
-            [env.payload for env in staged], executor
-        )
-        for env, res in zip(staged, results):
-            if isinstance(res, BaseException):
-                self._account_store_error(env.topic, env.payload, res)
-            else:
-                self._account_stored(env.topic, env.payload, res)
 
     # -- stage access ---------------------------------------------------------------
 
@@ -430,14 +350,9 @@ class MonitoringPipeline:
     # -- main loop -------------------------------------------------------------------------
 
     def step(self, dt: float | None = None) -> None:
-        """Advance the machine one tick and run the monitoring plane.
-
-        The tick body lives on the installed execution model
-        (:meth:`~repro.runtime.executor.ExecutionModel.run_tick`): the
-        stage loop itself always runs serially under trace spans, and
-        parallel executors fan out inside the data-parallel planes,
-        synchronizing at the tick barrier.
-        """
+        """Advance the machine one tick and run the monitoring plane
+        (:meth:`~repro.stages.TickLoop.run_tick`, in the calling
+        thread)."""
         self.executor.run_tick(self, self.tick_s if dt is None else dt)
 
     def run(

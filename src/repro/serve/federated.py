@@ -28,9 +28,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..core.metric import SeriesBatch
-from ..storage.rollup import bucket_anchor, fold_partials, reduce_partials
+from ..storage.rollup import (bucket_anchor, check_bucketing, fold_partials,
+                              reduce_partials)
 from .frontend import DEFAULT_TENANT, QueryFrontend
-from .plan import KNOWN_AGGS
 
 __all__ = ["FederatedFrontend", "FederatedStats"]
 
@@ -251,10 +251,7 @@ class FederatedFrontend:
         Unreachable sites contribute nothing and the answer is counted
         partial.
         """
-        if agg not in KNOWN_AGGS:
-            raise ValueError(f"unknown agg {agg!r}")
-        if step <= 0:
-            raise ValueError("step must be positive")
+        check_bucketing(agg, step)
         rows = self._resolve(metric, components, tenant)
         complete = all(ok for _, _, ok in rows)
         batches: list[SeriesBatch] = []

@@ -12,11 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-__all__ = ["KNOWN_AGGS", "QueryPlan"]
-
-#: the aggregations the store's ``_AGGS`` table supports (the federated
-#: merge checks against it; single-site plans let the store raise)
-KNOWN_AGGS: tuple[str, ...] = ("count", "last", "max", "mean", "min", "sum")
+__all__ = ["QueryPlan"]
 
 
 def _selection(components: Sequence[str] | None) -> tuple[str, ...] | None:

@@ -87,7 +87,7 @@ def build_site(
     """Assemble the full monitoring stack the config declares.
 
     ``overrides`` carries the parts that cannot be expressed as data —
-    live ``collectors``/``transport``/``tsdb``/``executor`` instances
+    live ``collectors``/``transport``/``tsdb`` instances
     and pipeline plumbing like ``sec=``/``registry=``/``stages=`` —
     handed to :class:`~repro.pipeline.MonitoringPipeline` verbatim
     (which rejects an instance that contradicts a declared knob).
@@ -125,7 +125,7 @@ def site_capabilities(pipeline: "MonitoringPipeline") -> dict:
     """The *live* Table I capability row of an assembled stack.
 
     Reads only what the running pipeline exposes (topology, transport
-    and store types, executor width, quota table) so any drift between
+    and store types, quota table) so any drift between
     a :class:`SiteConfig` and what actually got built shows up as a
     dict inequality against :meth:`SiteConfig.capabilities`.
     """
@@ -150,7 +150,6 @@ def site_capabilities(pipeline: "MonitoringPipeline") -> dict:
         "levels": len(levels),
         # every disk-backed open reports what it found, even all zeros
         "disk": getattr(tsdb, "recovery", None) is not None,
-        "workers": int(getattr(pipeline.executor, "workers", 1)),
         "cadence_s": float(pipeline.scheduler.collectors[0].interval_s)
         if pipeline.scheduler.collectors else 0.0,
         "supervised": pipeline.supervisor is not None,

@@ -6,7 +6,7 @@ config layer feeding a holistic cross-facility view, and the
 radical.pilot platform-config table is the concrete shape imitated
 here.  A :class:`SiteConfig` is the only place a deployment knob
 exists — machine shape, workload, collector cadences, pipeline loop,
-transport tier, storage layout, execution model, serving quotas — as
+transport tier, storage layout, serving quotas — as
 one validated, frozen value that can be diffed between sites and
 rebuilt into an identical stack
 (:func:`repro.sites.build.build_site`).
@@ -87,9 +87,6 @@ class SiteConfig:
     hot_bytes: int = 64 << 20
     chunk_size: int = 512
 
-    # -- execution model --------------------------------------------------
-    workers: int | None = None           # None/1 = serial
-
     # -- serving plane ----------------------------------------------------
     quotas: "dict[str, TenantQuota] | None" = None
 
@@ -143,8 +140,6 @@ class SiteConfig:
             raise ValueError("pyramid_levels must be positive")
         if self.chunk_size < 2:
             raise ValueError("chunk_size must be >= 2")
-        if self.workers is not None and int(self.workers) < 1:
-            raise ValueError("workers must be >= 1")
         for knob in ("mean_interarrival_s", "metric_interval_s",
                      "probe_interval_s", "bench_interval_s",
                      "tick_s", "renotify_s"):
@@ -189,7 +184,6 @@ class SiteConfig:
             "shards": int(self.shards) if self.shards is not None else 1,
             "levels": len(self.pyramid_levels),
             "disk": self.store_dir is not None,
-            "workers": int(self.workers) if self.workers is not None else 1,
             "cadence_s": float(self.metric_interval_s),
             "supervised": bool(self.supervision),
             "freshness": bool(self.freshness),

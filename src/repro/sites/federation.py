@@ -3,14 +3,12 @@
 The :class:`Federation` driver owns one
 :class:`~repro.pipeline.MonitoringPipeline` per site (each built from
 its :class:`~repro.sites.config.SiteConfig` by
-:func:`~repro.sites.build.build_site`) and advances them in lockstep —
-serially or fanned over the existing
-:class:`~repro.runtime.executor.ThreadedExecutor`, which is safe
-because sites share *no* state: every site has its own machine, clock
-RNGs, transport, stores, supervisor, and ledger, and job identities are
-per-machine.  That isolation is load-bearing and tested: a chaos
-campaign on one site leaves every other site's ledger, health timeline,
-and stored series bit-identical to a solo run.
+:func:`~repro.sites.build.build_site`) and advances them in lockstep,
+one site tick after another.  Sites share *no* state: every site has
+its own machine, clock RNGs, transport, stores, supervisor, and ledger,
+and job identities are per-machine.  That isolation is load-bearing and
+tested: a chaos campaign on one site leaves every other site's ledger,
+health timeline, and stored series bit-identical to a solo run.
 
 Cross-site surfaces are merge *views* with ``site/...``-qualified
 identities — the federated query front end
@@ -24,7 +22,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from ..runtime.executor import ExecutionModel, make_executor
 from ..serve.federated import FederatedFrontend
 from .build import build_site
 from .config import SiteConfig
@@ -42,7 +39,6 @@ class Federation:
     def __init__(
         self,
         sites: "Iterable[SiteConfig] | Mapping[str, MonitoringPipeline]",
-        executor: "ExecutionModel | int | None" = None,
     ) -> None:
         self.pipelines: "dict[str, MonitoringPipeline]" = {}
         if isinstance(sites, Mapping):
@@ -62,9 +58,6 @@ class Federation:
                 self._add(config.name, build_site(config))
         if not self.pipelines:
             raise ValueError("a federation needs at least one site")
-        # how cross-site stepping fans out; per-site pipelines keep
-        # their own (possibly parallel) executors for the planes inside
-        self.executor = make_executor(executor)
         self._frontend: FederatedFrontend | None = None
 
     def _add(self, name: str, pipeline: "MonitoringPipeline") -> None:
@@ -80,7 +73,6 @@ class Federation:
     def from_presets(
         cls,
         names: Iterable[str] | None = None,
-        executor: "ExecutionModel | int | None" = None,
     ) -> "Federation":
         """Stand up the paper's ten sites (or the named subset)."""
         from .presets import PAPER_SITES, paper_site
@@ -89,7 +81,7 @@ class Federation:
             [paper_site(n) for n in names] if names is not None
             else list(PAPER_SITES.values())
         )
-        return cls(configs, executor=executor)
+        return cls(configs)
 
     # -- access -------------------------------------------------------------
 
@@ -117,20 +109,12 @@ class Federation:
 
         ``None`` picks the finest site tick, so each site's own
         cadences (collectors, selfmon, stages) still fire on schedule
-        while the clocks stay exactly equal across sites.  Sites are
-        independent, so a parallel federation executor may overlap
-        whole site ticks; results are deterministic either way.
+        while the clocks stay exactly equal across sites.
         """
         if dt is None:
             dt = min(p.tick_s for p in self.pipelines.values())
-        pipelines = list(self.pipelines.values())
-        if self.executor.parallel and len(pipelines) > 1:
-            self.executor.map_ordered(
-                [lambda p=p: p.step(dt) for p in pipelines]
-            )
-        else:
-            for p in pipelines:
-                p.step(dt)
+        for p in self.pipelines.values():
+            p.step(dt)
 
     def run(
         self,
@@ -151,8 +135,8 @@ class Federation:
             p.bus.flush()
 
     def shutdown(self) -> None:
-        """Release the federation executor's workers (idempotent)."""
-        self.executor.shutdown()
+        """Nothing to release: site ticks run in the calling thread.
+        Kept because the benchmark harness under ``bench/`` calls it."""
 
     # -- merged views -------------------------------------------------------
 

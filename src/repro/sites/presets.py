@@ -5,7 +5,7 @@ paper (Section II), shaped after the machine each site describes —
 dragonflies for the XC systems, 3D tori for Blue Waters and Titan,
 hybrid GPU blades where the site's stories are GPU stories — and
 deliberately *heterogeneous* across the monitoring stack: different
-transport tiers, shard counts, cadences, executors, and tenant quota
+transport tiers, shard counts, cadences, and tenant quota
 tables, so a federation over the presets exercises every plane at once.
 
 Scales are kept small (tens of nodes per site) so ``python -m repro
@@ -24,15 +24,15 @@ __all__ = ["PAPER_SITES", "paper_site", "paper_sites"]
 
 def _sites() -> tuple[SiteConfig, ...]:
     return (
-        # LANL / Trinity: big XC40 dragonfly, sharded store, fanned
-        # collection — the largest preset.
+        # LANL / Trinity: big XC40 dragonfly, four-shard store — the
+        # largest preset.
         SiteConfig(
             name="lanl", system="Trinity",
-            description="Cray XC40 dragonfly; sharded store, threaded "
-                        "collection",
+            description="Cray XC40 dragonfly; partitioned bus, four-shard "
+                        "store",
             topology="dragonfly", groups=3, chassis_per_group=3,
             blades_per_chassis=4, nodes_per_router=4,
-            transport="partitioned", shards=4, workers=2,
+            transport="partitioned", shards=4,
             mean_interarrival_s=240.0, seed=11,
         ),
         # NCSA / Blue Waters: Gemini 3D torus, tree transport (the

@@ -41,32 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.machine import Machine
     from ..core.lifecycle import Supervisor
     from ..obs.trace import Tracer
-    from ..runtime.executor import ExecutionModel
     from ..transport.base import Transport
 
 _log = logging.getLogger(__name__)
 
 __all__ = ["CollectorOutput", "Collector", "CollectionScheduler"]
-
-
-def _sweep_thunk(c: "Collector", machine: "Machine", now: float):
-    """One worker task: run ``collect`` and capture (out, exc, wall).
-
-    Exceptions are captured, never raised — a failing collector must
-    not abort the barrier; the coordinator applies the same isolation
-    accounting it would have applied inline.  Per-collector tracer
-    spans are skipped in workers (the span stack is main-thread-only);
-    sweep wall time is measured in-worker so the overhead report still
-    reflects each collector's own cost.
-    """
-    def run():
-        t0 = _time.perf_counter()
-        try:
-            out = c.collect(machine, now)
-        except Exception as exc:
-            return None, exc, _time.perf_counter() - t0
-        return out, None, _time.perf_counter() - t0
-    return run
 
 
 @dataclass(slots=True)
@@ -162,8 +141,8 @@ class CollectionScheduler:
     def collectors(self) -> list[Collector]:
         return list(self._collectors)
 
-    def poll(self, machine: "Machine", now: float, tick: int = 0,
-             executor: "ExecutionModel | None" = None) -> CollectorOutput:
+    def poll(self, machine: "Machine", now: float,
+             tick: int = 0) -> CollectorOutput:
         """Run every due collector against the current machine state.
 
         ``tick`` is the pipeline's tick counter, recorded as the origin
@@ -174,23 +153,11 @@ class CollectionScheduler:
         sweep continues with the remaining collectors.  A quarantined
         collector is skipped entirely (its schedule still advances, so
         recovery does not trigger a catch-up burst).
-
-        With a parallel ``executor`` the due collectors' ``collect``
-        calls fan out across workers — pure reads of the frozen machine
-        state — and everything stateful (schedule advance, supervision
-        records, publish, accounting) still happens here, in due order,
-        after the barrier.  Serial behaviour is bit-identical to the
-        historic single-loop form.
         """
         total = CollectorOutput()
         tracer = self.tracer
         sup = self.supervisor
         timing = self.measure_overhead or self.budget_s is not None
-
-        # phase 1: decide who is due (advancing schedules + honouring
-        # quarantine) without running anyone — the sweep set must be
-        # fixed before any fan-out
-        due: list[tuple[Collector, str]] = []
         for i, c in enumerate(self._collectors):
             if now + 1e-9 < self._next_due[i]:
                 continue
@@ -201,32 +168,14 @@ class CollectionScheduler:
             if sup is not None and not sup.should_run(key, now):
                 self.quarantine_skips += 1
                 continue
-            due.append((c, key))
-
-        parallel = (executor is not None and executor.parallel
-                    and len(due) > 1)
-        if parallel:
-            results = executor.map_ordered(
-                [_sweep_thunk(c, machine, now) for c, _ in due]
-            )
-
-        # phase 2: accounting + publish, strictly in due order
-        for j, (c, key) in enumerate(due):
-            if parallel:
-                out, exc, wall = results[j]
-            else:
-                t0 = _time.perf_counter() if timing else 0.0
-                try:
-                    if tracer is not None and tracer.enabled:
-                        with tracer.span("collect", collector=c.name):
-                            out = c.collect(machine, now)
-                    else:
+            t0 = _time.perf_counter() if timing else 0.0
+            try:
+                if tracer is not None and tracer.enabled:
+                    with tracer.span("collect", collector=c.name):
                         out = c.collect(machine, now)
-                    exc = None
-                except Exception as e:
-                    out, exc = None, e
-                wall = (_time.perf_counter() - t0) if timing else 0.0
-            if exc is not None:
+                else:
+                    out = c.collect(machine, now)
+            except Exception as exc:
                 c.errors += 1
                 c.last_error = exc
                 _log.warning("collector %r raised during sweep: %r",
@@ -235,6 +184,7 @@ class CollectionScheduler:
                     sup.record(key, False, now,
                                reason=f"raised {type(exc).__name__}")
                 continue
+            wall = (_time.perf_counter() - t0) if timing else 0.0
             if self.measure_overhead:
                 c.collect_wall_s += wall
                 self.latency[c.name].record(wall)

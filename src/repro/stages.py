@@ -39,6 +39,7 @@ __all__ = [
     "FreshnessStage",
     "ResponseStage",
     "SelfMonStage",
+    "TickLoop",
     "default_stages",
     "schedule_stages",
 ]
@@ -48,18 +49,11 @@ __all__ = [
 class Stage(Protocol):
     """One plane of the monitoring system, advanced once per tick.
 
-    Stages additionally carry two declarative class attributes the
-    scheduler reads (both optional — absent attributes default to a
-    plane named after the stage with no dependencies):
-
-    ``plane``
-        which data plane the stage belongs to; stages on the same
-        plane share a worker affinity under parallel executors.
-
-    ``after``
-        names of stages whose data this stage consumes.  The tick
-        order is *derived* from these edges by :func:`schedule_stages`
-        (declaration order breaks ties), not hand-maintained.
+    Stages may carry one declarative class attribute the scheduler
+    reads, ``after``: names of stages whose data this stage consumes
+    (absent means no dependencies).  The tick order is *derived* from
+    these edges by :func:`schedule_stages` (declaration order breaks
+    ties), not hand-maintained.
     """
 
     name: str
@@ -108,11 +102,73 @@ def schedule_stages(stages: Sequence[Stage]) -> list[Stage]:
     return ordered
 
 
+class TickLoop:
+    """The tick body: one machine step, then every stage in order, all
+    in the calling thread.
+
+    ``parallel``, :meth:`shutdown` and :meth:`snapshot` are constants:
+    nothing runs on a worker thread, so there is no pool to release and
+    no barrier to wait at.  The benchmark harness under ``bench/``
+    still reads them.
+    """
+
+    parallel = False
+
+    def run_tick(self, pipeline: "MonitoringPipeline", dt: float) -> None:
+        """Advance the machine one tick and run the monitoring plane.
+
+        Every tick opens a root ``tick`` span and iterates the
+        dependency-scheduled stage list, one child span per stage, so
+        the introspector can attribute wall time to exactly the stage
+        that spent it.  Requests returned by a stage accumulate and are
+        executed by the response stage at its position in the order.
+        """
+        tracer = pipeline.tracer
+        pending = pipeline._pending_requests
+        sup = pipeline.supervisor
+        with tracer.span("tick"):
+            pipeline.ticks += 1
+            pipeline.machine.step(dt)
+            now = pipeline.machine.now
+            keys = pipeline._stage_keys
+            for stage in pipeline.stages:
+                if sup is not None:
+                    key = keys.get(stage.name)
+                    if key is None:
+                        key = keys[stage.name] = "stage:" + stage.name
+                    if not sup.should_run(key, now):
+                        continue   # quarantined: degrade the tick
+                with tracer.span(stage.name):
+                    if sup is None:
+                        raised = stage.run(pipeline, now)
+                    else:
+                        try:
+                            raised = stage.run(pipeline, now)
+                        except Exception as exc:
+                            # a failing stage degrades the tick instead
+                            # of killing it; the breaker quarantines a
+                            # repeat offender under backoff
+                            sup.record(
+                                key, False, now,
+                                reason=f"raised {type(exc).__name__}",
+                            )
+                            continue
+                        sup.record(key, True, now)
+                    if raised:
+                        pending.extend(raised)
+
+    def shutdown(self) -> None:
+        """Nothing to release."""
+
+    def snapshot(self) -> dict[str, float]:
+        """Nothing ever waits at a barrier."""
+        return {"barrier_wait_ms": 0.0}
+
+
 class EventPlaneStage:
     """Machine events -> router -> decoded -> log store + SEC."""
 
     name = "event-plane"
-    plane = "events"
     after: tuple[str, ...] = ()
 
     def run(self, pipeline, now):
@@ -132,18 +188,13 @@ class MetricPlaneStage:
     analysis pathways" (Table I)."""
 
     name = "metric-plane"
-    plane = "metrics"
     after = ("event-plane",)
 
     def run(self, pipeline, now):
-        ex = getattr(pipeline, "executor", None)
-        if ex is not None and ex.parallel:
-            collected = pipeline.parallel_sweep(now, ex)
-        else:
-            collected = pipeline.scheduler.poll(
-                pipeline.machine, now, tick=pipeline.ticks
-            )
-            pipeline.bus.pump(now)
+        collected = pipeline.scheduler.poll(
+            pipeline.machine, now, tick=pipeline.ticks
+        )
+        pipeline.bus.pump(now)
         if collected.events:
             return pipeline.sec.feed(collected.events)
         return ()
@@ -153,7 +204,6 @@ class JobTrackingStage:
     """Job tenancy: start/end records into the job index + SQL store."""
 
     name = "job-tracking"
-    plane = "jobs"
     after: tuple[str, ...] = ()
 
     def __init__(self) -> None:
@@ -209,7 +259,6 @@ class StreamingStage:
     """
 
     name = "streaming"
-    plane = "analysis"
     after = ("metric-plane",)
 
     def __init__(self) -> None:
@@ -249,7 +298,6 @@ class AnalysisHooksStage:
     """
 
     name = "analysis-hooks"
-    plane = "analysis"
     after = ("metric-plane", "job-tracking")
 
     def __init__(self) -> None:
@@ -290,7 +338,6 @@ class SupervisionStage:
     """
 
     name = "supervision"
-    plane = "control"
     after = ("event-plane", "metric-plane")
 
     def __init__(self) -> None:
@@ -367,7 +414,6 @@ class FreshnessStage:
     """
 
     name = "freshness"
-    plane = "control"
     after = ("metric-plane", "supervision")
 
     def run(self, pipeline, now):
@@ -398,7 +444,6 @@ class ResponseStage:
     """Execute every request the earlier stages raised this tick."""
 
     name = "response"
-    plane = "control"
     after = ("event-plane", "metric-plane", "streaming",
              "analysis-hooks", "supervision", "freshness")
 
@@ -413,7 +458,6 @@ class SelfMonStage:
     """The stack's own vitals, on their cadence, into the same bus."""
 
     name = "selfmon"
-    plane = "control"
     after = ("response",)
 
     def run(self, pipeline, now):

@@ -321,8 +321,8 @@ class DiskTier:
 
     One tier serves exactly one store (per-shard tiers live in
     subdirectories of a common root).  Not thread-safe on its own — it
-    inherits the store's threading contract: all mutation of one shard
-    happens on one worker at a time, queries run between ticks.
+    inherits the store's threading contract: all mutation happens in
+    the thread that ticks the pipeline, queries run between ticks.
     """
 
     def __init__(

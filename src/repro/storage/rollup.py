@@ -36,10 +36,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 __all__ = [
+    "AGGS",
     "DEFAULT_LEVELS",
     "MAX_PLANNER_TIME",
     "SeriesPyramid",
     "bucket_anchor",
+    "check_bucketing",
     "choose_level",
     "fold_partials",
     "fold_sealed_rows",
@@ -62,6 +64,18 @@ DEFAULT_LEVELS: tuple[float, ...] = (10.0, 60.0, 3600.0)
 #: classification provably agree (grid boundaries are exact integers,
 #: samples sit >= ~1e-3 s from them, rounding error is <= ~1e-7 s)
 MAX_PLANNER_TIME: float = 2.0 ** 35
+
+#: the aggregations every bucketed read answers — the names
+#: :func:`reduce_partials` (and the raw path's ``_bucket_agg``) branch on
+AGGS: tuple[str, ...] = ("count", "last", "max", "mean", "min", "sum")
+
+
+def check_bucketing(agg: str, step: float) -> None:
+    """The argument check every bucketing entry point runs first."""
+    if agg not in AGGS:
+        raise ValueError(f"unknown agg {agg!r}; choose from {list(AGGS)}")
+    if step <= 0:
+        raise ValueError("step must be positive")
 
 
 def bucket_anchor(t0: float, step: float) -> float:

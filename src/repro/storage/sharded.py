@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import fields
 from functools import reduce
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -44,9 +44,6 @@ from ..core.tracectx import HOP_INGEST
 from .chunkcache import ChunkCache, ChunkCacheStats
 from .diskier import DiskTier, RecoveryReport, merge_disk_stats
 from .tsdb import SeriesQueryMixin, StoreStats, TimeSeriesStore
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..runtime.executor import ExecutionModel
 
 __all__ = ["ShardedTimeSeriesStore"]
 
@@ -97,8 +94,7 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
         try:
             for i in range(self.n_shards):
                 # one tier per shard under a common root: per-shard
-                # segment files and WALs, so shard-parallel ingest never
-                # shares a file handle; the hot budget is per shard
+                # segment files and WALs; the hot budget is per shard
                 tier = None if disk_dir is None else DiskTier(
                     Path(disk_dir) / f"shard-{i}", **self._tier_budgets)
                 self.shards.append(TimeSeriesStore(
@@ -298,67 +294,6 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
     def append_many(self, batches: Iterable[SeriesBatch]) -> int:
         return sum(self.append(b) for b in batches)
 
-    def append_parallel(
-        self,
-        batches: "Sequence[SeriesBatch]",
-        executor: "ExecutionModel | None" = None,
-    ) -> list:
-        """Ingest many batches with shard-level concurrency.
-
-        Batches are split serially in publish order; each healthy
-        shard's pieces then ingest as one worker task that consumes
-        them *in that order*, so every series (which lives on exactly
-        one shard) sees the same append sequence as the serial path —
-        shard-level parallelism with per-shard serialization means the
-        stores themselves need no locks.  Deferred pieces (failed
-        shards) park in redo buffers serially, exactly as ``append``
-        would.
-
-        Returns one entry per batch: points stored (int), or the first
-        exception a piece of that batch raised — callers account a
-        raising batch the same way a raising ``append`` is accounted.
-        """
-        results: list = [0] * len(batches)
-        per_shard: list[list[tuple[int, SeriesBatch]]] = [
-            [] for _ in range(self.n_shards)
-        ]
-        for j, batch in enumerate(batches):
-            for i, piece in self.split(batch):
-                if self._health[i] is Health.FAILED:
-                    self._defer(i, piece)
-                    continue
-                per_shard[i].append((j, piece))
-        busy = [i for i in range(self.n_shards) if per_shard[i]]
-
-        def shard_task(i: int):
-            shard, pieces = self.shards[i], per_shard[i]
-
-            def run():
-                out = []
-                for j, piece in pieces:
-                    try:
-                        out.append((j, shard.append(piece), None))
-                    except Exception as exc:
-                        out.append((j, 0, exc))
-                return out
-            return run
-
-        if executor is not None and executor.parallel and len(busy) > 1:
-            shard_results = executor.map_ordered(
-                [shard_task(i) for i in busy]
-            )
-        else:
-            shard_results = [shard_task(i)() for i in busy]
-        errors: dict[int, BaseException] = {}
-        for rows in shard_results:
-            for j, stored, exc in rows:
-                if exc is not None:
-                    errors.setdefault(j, exc)
-                results[j] += stored
-        for j, exc in errors.items():
-            results[j] = exc
-        return results
-
     def flush(self) -> None:
         """Seal every open head chunk on every shard."""
         for s in self.shards:
@@ -438,8 +373,9 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
         return merge_disk_stats(per) if per else None
 
     def snapshot(self) -> list:
-        """Snapshot every disk-backed shard (per-shard manifests)."""
-        return [s.snapshot() for s in self.shards if s.disk is not None]
+        """Snapshot every shard (per-shard manifests); raises without a
+        disk tier, like a plain store."""
+        return [s.snapshot() for s in self.shards]
 
     def reopen(self) -> "ShardedTimeSeriesStore":
         """A new store of the same declared shape and tier budgets over

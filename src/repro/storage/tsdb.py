@@ -54,8 +54,7 @@ import itertools
 import mmap
 import struct
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -64,8 +63,9 @@ from ..core.soa import ComponentTable, row_indices
 from ..core.tracectx import HOP_INGEST, MAX_HOPS
 from .chunkcache import ChunkCache, ChunkCacheStats
 from .rollup import (SeriesPyramid, _head_gather, bucket_anchor,
-                     fold_sealed_rows, head_first_time, head_partials,
-                     ieee_sums, reduce_partials, series_partials, window_plan)
+                     check_bucketing, fold_sealed_rows, head_first_time,
+                     head_partials, ieee_sums, reduce_partials,
+                     series_partials, window_plan)
 
 __all__ = [
     "compress_chunk",
@@ -584,17 +584,6 @@ def decompress_chunks(
 # --------------------------------------------------------------------------
 # the store
 # --------------------------------------------------------------------------
-
-# read-only on purpose: module state shared by every store/worker must
-# not be mutable (the shared-state lint gate enforces this tree-wide)
-_AGGS: Mapping[str, Callable[[np.ndarray], float]] = MappingProxyType({
-    "mean": lambda a: float(a.mean()),
-    "sum": lambda a: float(a.sum()),
-    "min": lambda a: float(a.min()),
-    "max": lambda a: float(a.max()),
-    "last": lambda a: float(a[-1]),
-    "count": lambda a: float(len(a)),
-})
 
 #: process-wide chunk ids: unique across every store, so one shared
 #: cache can never alias chunks from different stores or shards
@@ -1191,10 +1180,7 @@ class SeriesQueryMixin:
         if prune:
             return self._bucketed_read(metric, [component], t0, t1, step,
                                        agg, component)[0]
-        if agg not in _AGGS:
-            raise ValueError(f"unknown agg {agg!r}; choose from {sorted(_AGGS)}")
-        if step <= 0:
-            raise ValueError("step must be positive")
+        check_bucketing(agg, step)
         raw = self.query(metric, component, t0, t1)
         if not len(raw):
             return SeriesBatch.empty(metric)
@@ -1227,10 +1213,7 @@ class SeriesQueryMixin:
         selection touches (one on a plain store, at most one per shard),
         for one series or ten thousand.
         """
-        if agg not in _AGGS:
-            raise ValueError(f"unknown agg {agg!r}; choose from {sorted(_AGGS)}")
-        if step <= 0:
-            raise ValueError("step must be positive")
+        check_bucketing(agg, step)
         comps = components if components is not None else self.components(metric)
         views = [sv for c in comps
                  if (sv := self._series_view(metric, c)) is not None]
@@ -1285,8 +1268,7 @@ class SeriesQueryMixin:
         ``bucket_anchor(t0, step)`` (or at the first sample when ``t0``
         is unbounded), matching every other bucketing path.
         """
-        if agg not in _AGGS:
-            raise ValueError(f"unknown agg {agg!r}")
+        check_bucketing(agg, step)
         per_comp = self.query_components(metric, components, t0, t1)
         ts: list[np.ndarray] = []
         vs: list[np.ndarray] = []
@@ -1723,7 +1705,7 @@ class TimeSeriesStore(SeriesQueryMixin):
     def simulate_crash(self) -> None:
         """Power loss: the tier truncates to its last fsync and dies."""
         if self.disk is None:
-            raise TypeError("simulate_crash() needs a disk-backed store")
+            raise RuntimeError("simulate_crash() requires a disk tier")
         self.disk.simulate_crash()
 
     def close(self) -> None:

@@ -223,27 +223,10 @@ class AggregatorTree(Transport):
         return self._root.publish(topic, payload, source)
 
     def pump(self, now: float | None = None) -> int:
-        """Coalesce due topics at every leaf and fan them in to the root.
-
-        With a parallel executor attached, the per-leaf coalescing (the
-        pure merge compute over each leaf's private due entries) fans
-        out across workers; ``take_due`` (leaf-state mutation) and the
-        merge-up/root-publish fan-in stay on the pumping thread, so
-        delivery order and every counter are identical to serial.
-        """
-        due = [leaf.take_due(now, self.window_s) for leaf in self._leaves]
-        ex = self.executor
-        busy = [entries for entries in due if entries]
-        if ex is not None and ex.parallel and len(busy) > 1:
-            merged_busy = iter(ex.map_ordered(
-                [lambda e=entries: _coalesce(e) for entries in busy]
-            ))
-            groups = [next(merged_busy) if entries else []
-                      for entries in due]
-        else:
-            groups = [_coalesce(entries) for entries in due]
-        for merged in groups:
-            self._leaf_messages += len(merged)
+        """Coalesce due topics at every leaf and fan them in to the root."""
+        groups = [_coalesce(leaf.take_due(now, self.window_s))
+                  for leaf in self._leaves]
+        self._leaf_messages += sum(map(len, groups))
         while len(groups) > 1:
             nxt: list[list[tuple[str, SeriesBatch]]] = []
             for i in range(0, len(groups), self.fan_in):

@@ -186,13 +186,6 @@ class Transport(abc.ABC):
     #: each traced batch's TraceContext at their hop edges
     clock = None
 
-    #: optional ExecutionModel; attached by the pipeline when it runs a
-    #: parallel executor, so transports with internally data-parallel
-    #: work (aggregator-tree leaf coalescing) can fan it out between
-    #: their own pump barriers.  Implementations must treat it as
-    #: compute-only: publish/deliver stays on the pumping thread.
-    executor = None
-
     def _hop_time(self, now: float | None = None) -> float | None:
         """Time to stamp a hop with: ``now`` when the caller supplies it
         (pump), else the attached clock, else None (tracing off)."""

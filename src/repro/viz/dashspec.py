@@ -17,13 +17,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..core.metric import SeriesBatch
+from ..storage.rollup import AGGS
 from ..storage.tsdb import TimeSeriesStore
 from .render import ascii_chart, bar_row, sparkline
 
 __all__ = ["PanelSpec", "DashboardSpec"]
 
 _PANEL_KINDS = ("timeseries", "stat", "percent_in_state")
-_AGGS = ("mean", "sum", "min", "max", "last", "count")
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,7 +55,7 @@ class PanelSpec:
                 f"unknown panel kind {self.kind!r}; choose from "
                 f"{_PANEL_KINDS}"
             )
-        if self.agg not in _AGGS:
+        if self.agg not in AGGS:
             raise ValueError(f"unknown agg {self.agg!r}")
         if self.kind == "percent_in_state" and self.threshold is None:
             raise ValueError("percent_in_state panels need a threshold")

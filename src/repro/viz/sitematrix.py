@@ -26,7 +26,6 @@ _COLUMNS = (
     ("shards", "shards"),
     ("levels", "levels"),
     ("disk", "disk"),
-    ("workers", "workers"),
     ("cadence_s", "cadence"),
     ("supervised", "superv"),
     ("freshness", "fresh"),

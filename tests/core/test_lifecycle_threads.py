@@ -1,11 +1,11 @@
-"""Thread-safety of the supervised lifecycle under concurrent planes.
+"""Thread-safety of the supervised lifecycle under concurrent callers.
 
-The parallel runtime lets collector sweeps, shard ingest, and leaf
-coalescing report outcomes from worker threads; the Supervisor and its
-per-component CircuitBreakers take one lock per mutating entry point so
-the counters stay exact and the transition timeline uncorrupted.  These
-tests hammer those entry points from many threads and assert the exact
-totals a serial run would produce.
+A tick runs in one thread, but a Supervisor is a shared object: the
+Supervisor and its per-component CircuitBreakers take one lock per
+mutating entry point so the counters stay exact and the transition
+timeline uncorrupted whichever threads report into them.  These tests
+hammer those entry points from many threads and assert the exact totals
+a serial run would produce.
 """
 
 import threading

@@ -58,8 +58,6 @@ class TestValidation:
     def test_bad_counts(self):
         with pytest.raises(ValueError, match="shards"):
             SiteConfig(shards=0)
-        with pytest.raises(ValueError, match="workers"):
-            SiteConfig(workers=0)
         with pytest.raises(ValueError, match="chunk_size"):
             SiteConfig(chunk_size=1)
         with pytest.raises(ValueError, match="pyramid_levels"):
@@ -100,14 +98,6 @@ class TestInstanceOverrides:
             build_site(SiteConfig(shards=4),
                        overrides={"tsdb": TimeSeriesStore()})
 
-    def test_workers_vs_executor(self):
-        from repro.runtime.executor import SerialExecutor
-
-        with pytest.raises(ValueError,
-                           match="pass either workers= or executor=, not both"):
-            build_site(SiteConfig(workers=2),
-                       overrides={"executor": SerialExecutor()})
-
     def test_the_constructor_rejects_them_too(self):
         config = SiteConfig(shards=4)
         with pytest.raises(ValueError,
@@ -115,16 +105,14 @@ class TestInstanceOverrides:
             MonitoringPipeline(build_machine(config), config, tsdb=object())
 
     def test_instances_install_verbatim(self):
-        from repro.runtime.executor import SerialExecutor
         from repro.storage.tsdb import TimeSeriesStore
         from repro.transport import MessageBus
 
-        bus, store, ex = MessageBus(), TimeSeriesStore(), SerialExecutor()
+        bus, store = MessageBus(), TimeSeriesStore()
         pipeline = build_site(SiteConfig(), overrides={
-            "transport": bus, "tsdb": store, "executor": ex})
+            "transport": bus, "tsdb": store})
         assert pipeline.bus is bus
         assert pipeline.tsdb is store
-        assert pipeline.executor is ex
 
 
 class TestRoundTrip:
@@ -213,11 +201,10 @@ class TestSinglePath:
         assert pipeline.supervisor.transitions == []
 
     def test_pipeline_always_carries_its_config(self):
-        config = SiteConfig(shards=2, workers=2, tick_s=30.0, name="s")
+        config = SiteConfig(shards=2, tick_s=30.0, name="s")
         pipeline = build_site(config)
         assert pipeline.site_config is config
         assert pipeline.tick_s == 30.0 and pipeline.site == "s"
-        pipeline.executor.shutdown()
         bare = MonitoringPipeline(build_machine(SiteConfig()))
         assert bare.site_config == SiteConfig()
 

@@ -2,9 +2,9 @@
 
 The load-bearing contract: sites in a federation share *nothing* but
 the simulated clock, so (a) job identities restart at 1 per machine,
-(b) a chaos campaign on one site leaves every other site's stored
+and (b) a chaos campaign on one site leaves every other site's stored
 series, health timeline, and delivery ledger bit-identical to a solo
-run, and (c) fanning whole site ticks over threads changes no data.
+run.
 """
 
 import numpy as np
@@ -29,10 +29,8 @@ from repro.transport import MessageBus
 
 def _timing_metric(name):
     """Series allowed to differ between two runs of the same site:
-    wall-clock timings and the size gauges that fold them in (same
-    exclusion the serial-vs-threaded determinism contract uses)."""
-    return ("_ms" in name or name.startswith("selfmon.exec.")
-            or "bytes" in name
+    wall-clock timings and the size gauges that fold them in."""
+    return ("_ms" in name or "bytes" in name
             or name.startswith("selfmon.store.shard_"))
 
 
@@ -195,35 +193,3 @@ class TestSiteIsolation:
         assert a == b
         assert a.balanced and a.unaccounted == 0
 
-
-class TestSerialThreadedFederation:
-    """Fanning site ticks over threads changes no monitoring data."""
-
-    @pytest.fixture(scope="class")
-    def runs(self):
-        serial = Federation.from_presets(["csc", "snl"], executor=None)
-        threaded = Federation.from_presets(["csc", "snl"], executor=2)
-        for fed in (serial, threaded):
-            fed.run(duration_s=900.0)
-            fed.flush()
-        yield serial, threaded
-        threaded.shutdown()
-
-    def test_every_site_series_identical(self, runs):
-        serial, threaded = runs
-        for name in serial.names():
-            _assert_same_series(serial.site(name), threaded.site(name),
-                                f"{name} serial vs threaded federation")
-
-    def test_ledgers_identical_and_balanced(self, runs):
-        serial, threaded = runs
-        a = serial.delivery_reports()
-        b = threaded.delivery_reports()
-        assert a == b
-        assert serial.balanced() and threaded.balanced()
-
-    def test_threaded_driver_actually_fanned_out(self, runs):
-        _, threaded = runs
-        snap = threaded.executor.snapshot()
-        assert snap["workers"] == 2
-        assert snap["tasks"] > 0

@@ -79,10 +79,16 @@ class TestArchive:
         assert tiered.query_epoch("m") == epoch
 
     def test_archive_without_disk_tier_raises(self):
-        with pytest.raises(RuntimeError, match="requires a disk tier"):
-            TimeSeriesStore(chunk_size=16).archive_before(T_CUT)
-        with pytest.raises(RuntimeError, match="requires a disk tier"):
-            ShardedTimeSeriesStore(shards=4).archive_before(T_CUT)
+        # every disk-only verb refuses an in-memory store of either
+        # shape, rather than reporting work that never happened
+        for store in (TimeSeriesStore(chunk_size=16),
+                      ShardedTimeSeriesStore(shards=4)):
+            fill(store, n=20)
+            for verb, args in (("archive_before", (T_CUT,)),
+                               ("snapshot", ()), ("simulate_crash", ())):
+                with pytest.raises(RuntimeError,
+                                   match=rf"{verb}\(\) requires a disk tier"):
+                    getattr(store, verb)(*args)
 
 
 class TestReload:

@@ -219,6 +219,23 @@ class TestAggregateAcross:
     def test_empty_store_empty_aggregate(self, store):
         assert len(store.aggregate_across("m")) == 0
 
+    @pytest.mark.parametrize("step", [0.0, -60.0])
+    @pytest.mark.parametrize("shards", [0, 4])
+    def test_non_positive_step_is_rejected(self, shards, step):
+        # the raw aggregate divided by it (ZeroDivisionError) or bucketed
+        # on a reversed grid; every bucketing entry point now refuses it
+        store = (ShardedTimeSeriesStore(shards=shards) if shards
+                 else TimeSeriesStore(chunk_size=16))
+        for t in range(0, 300, 60):
+            store.append(sweep("m", float(t), ["a", "b"], [1.0, 2.0]))
+        for read in (
+            lambda: store.aggregate_across("m", step=step),
+            lambda: store.downsample("m", "a", 0.0, 300.0, step, prune=False),
+            lambda: store.downsample("m", "a", 0.0, 300.0, step),
+        ):
+            with pytest.raises(ValueError, match="step must be positive"):
+                read()
+
     def test_last_is_time_ordered_not_component_ordered(self, store):
         # regression: "a" iterates first but holds the LATEST sample; a
         # concatenate-without-sort implementation returns b's 2.0

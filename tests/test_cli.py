@@ -58,11 +58,6 @@ class TestCli:
         assert doc["report"]["freshness"]["exact"] is True
         assert "selfmon.freshness.e2e_p99_s" in doc["selfmon"]
         assert "selfmon.trace.dropped" in doc["selfmon"]
-        # the execution-model section rides inside the health report
-        execu = doc["report"]["executor"]
-        assert execu["name"] == "serial"
-        assert execu["workers"] == 1
-        assert "selfmon.exec.busy_fraction" in doc["selfmon"]
 
     def test_slo_prints_exact_waterfall_for_all_tiers(self):
         proc = run_cli("slo", "--hours", "0.3")

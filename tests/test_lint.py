@@ -314,7 +314,8 @@ class TestSwallowGate:
 
 
 class TestSharedStateGate:
-    """Module-level mutable state is forbidden in worker-shared planes."""
+    """Module-level mutable state is forbidden in the process-shared
+    transport and storage planes."""
 
     def test_transport_and_storage_have_no_module_state(self):
         problems = check_mod.check_shared_state()

@@ -14,6 +14,7 @@ from repro.cluster import (
     build_dragonfly,
 )
 from repro.cluster.workload import APP_LIBRARY, Job
+from repro.stages import default_stages, schedule_stages
 
 
 def make_machine(**kw):
@@ -210,3 +211,56 @@ class TestAutomaticPostJobGate:
         assert job.state.value in ("completed", "failed")
         assert victim in m.scheduler.unavailable
         assert victim in p.health_gate.drained
+
+
+# -- dependency-declared stage scheduling -----------------------------------
+
+
+class _FakeStage:
+    def __init__(self, name, after=None):
+        self.name = name
+        if after is not None:
+            self.after = after
+
+    def run(self, pipeline, now):  # pragma: no cover - never ticked
+        return None
+
+
+class TestScheduleStages:
+    def test_default_stages_keep_historic_order(self):
+        ordered = [s.name for s in schedule_stages(default_stages())]
+        assert ordered == [
+            "event-plane", "metric-plane", "job-tracking", "streaming",
+            "analysis-hooks", "supervision", "freshness", "response",
+            "selfmon",
+        ]
+
+    def test_attrless_stages_keep_declaration_order(self):
+        stages = [_FakeStage("a"), _FakeStage("b"), _FakeStage("c")]
+        assert [s.name for s in schedule_stages(stages)] == ["a", "b", "c"]
+
+    def test_dependencies_reorder(self):
+        stages = [
+            _FakeStage("late", after=("early",)),
+            _FakeStage("early"),
+        ]
+        assert [s.name for s in schedule_stages(stages)] == [
+            "early", "late",
+        ]
+
+    def test_missing_dependencies_are_tolerated(self):
+        # a stage set without the freshness plane still schedules
+        stages = [_FakeStage("only", after=("absent-plane",))]
+        assert [s.name for s in schedule_stages(stages)] == ["only"]
+
+    def test_cycle_is_rejected(self):
+        stages = [
+            _FakeStage("a", after=("b",)),
+            _FakeStage("b", after=("a",)),
+        ]
+        with pytest.raises(ValueError, match="cycle"):
+            schedule_stages(stages)
+
+    def test_duplicate_names_are_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            schedule_stages([_FakeStage("x"), _FakeStage("x")])
