@@ -582,9 +582,6 @@ def cmd_sites(args) -> int:
           f"{'pending':>8} {'in_flight':>9} {'unacct':>6}")
     balanced = True
     for name, r in fed.delivery_reports().items():
-        if r is None:
-            print(f"{name:<8} (unsupervised)")
-            continue
         ok = r.balanced and r.unaccounted == 0
         balanced = balanced and ok
         print(f"{name:<8} {r.published:>10} {r.stored:>10} {r.lost:>6} "

@@ -59,12 +59,19 @@ def robust_zscores(x: np.ndarray) -> np.ndarray:
     component cannot hide itself by inflating the scale estimate — the
     failure mode plain z-scores have on small sweeps.  Non-finite
     samples are excluded from median and MAD; extreme finite ones score
-    by the IEEE rules of :func:`_ieee_scores`.
+    by the IEEE rules of :func:`_ieee_scores`.  Scores are scale-free,
+    so a sample whose largest magnitude is below 0.5 is first lifted by
+    an exact power of two: median and MAD of a subnormal spread would
+    otherwise round, and ``[0, 5e-324]`` would score unlike ``[0, 1]``.
     """
     x = np.asarray(x, dtype=float)
     finite = x[np.isfinite(x)]
     if len(finite) == 0:
         return np.zeros_like(x)
+    top = float(np.max(np.abs(finite)))
+    if 0.0 < top < 0.5:
+        lift = -int(np.frexp(top)[1])     # top * 2**lift is in [0.5, 1)
+        x, finite = np.ldexp(x, lift), np.ldexp(finite, lift)
     with _ieee_scores():
         med = float(np.median(finite))
         scale = mad(x)

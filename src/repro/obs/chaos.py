@@ -315,11 +315,10 @@ class ShardOutage(MonitorFault):
 
     def revert(self, p):
         p.tsdb.recover_shard(self.shard)
-        if p.supervisor is not None:
-            p.supervisor.heal(
-                f"store:shard-{self.shard}", p.machine.now,
-                reason="shard recovered, redo replayed",
-            )
+        p.supervisor.heal(
+            f"store:shard-{self.shard}", p.machine.now,
+            reason="shard recovered, redo replayed",
+        )
 
 
 def crash_and_recover(
@@ -348,11 +347,10 @@ def crash_and_recover(
     new = p.tsdb.reopen()
     p._wire_store(new)
     moved = p.ledger.account_crash(new.points_by_metric(), cause=cause)
-    if p.supervisor is not None:
-        p.supervisor.heal(
-            "store", p.machine.now,
-            reason=f"store recovered from disk, {moved} points to {cause}",
-        )
+    p.supervisor.heal(
+        "store", p.machine.now,
+        reason=f"store recovered from disk, {moved} points to {cause}",
+    )
     return moved, new.recovery
 
 

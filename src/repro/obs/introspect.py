@@ -71,12 +71,12 @@ class HealthReport:
     #: per-detector streaming-analysis counters (batches, detections,
     #: sweep-latency percentiles) when streaming detectors are installed
     analysis: dict[str, dict[str, float]] = field(default_factory=dict)
-    #: per-component supervised health when supervision is enabled
+    #: per-component supervised health
     health: dict[str, dict] = field(default_factory=dict)
-    #: delivery-ledger reconciliation when the ledger is attached
+    #: delivery-ledger reconciliation
     ledger: dict[str, float] = field(default_factory=dict)
-    #: freshness-tracker snapshot (hop waterfall, SLO burn) when tracing
-    #: is enabled
+    #: freshness-tracker snapshot (hop waterfall, SLO burn) once a
+    #: traced batch has been folded
     freshness: dict = field(default_factory=dict)
     #: serving-plane snapshot (query front end, result cache, answer
     #: sources, per-tenant admission) when a front end is attached
@@ -163,8 +163,6 @@ class PipelineIntrospector:
             if len(det.latency):
                 entry.update(ms_summary(det.latency))
         cstats = p.tsdb.cache_stats()
-        tracker = p.freshness
-        balance = p.delivery_report()
         fe = p.frontend
         sstats = fe.stats()
         serve = {
@@ -213,11 +211,9 @@ class PipelineIntrospector:
             disk=_floats(dstats) if dstats is not None else {},
             analysis=analysis,
             health=p.health_report(),
-            ledger=(_floats(balance, "published", "stored", "lost", "pending",
-                            "in_flight", "unaccounted")
-                    if balance is not None else {}),
-            freshness=(tracker.snapshot()
-                       if tracker is not None and tracker.batches else {}),
+            ledger=_floats(p.delivery_report(), "published", "stored", "lost",
+                           "pending", "in_flight", "unaccounted"),
+            freshness=p.freshness.snapshot() if p.freshness.batches else {},
             serve=serve,
         )
 

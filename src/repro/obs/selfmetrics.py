@@ -156,15 +156,14 @@ def _detector_latency(p):
 
 
 def _supervised(p):
-    sup = p.supervisor
-    return sup if sup is not None and sup.components else None
+    """The supervisor, once it has registered a component."""
+    return p.supervisor if p.supervisor.components else None
 
 
 def _freshness(read):
     """A reader of the freshness tracker, once it has folded a batch."""
     def read_tracker(p):
-        fr = p.freshness
-        return read(fr) if fr is not None and fr.batches else None
+        return read(p.freshness) if p.freshness.batches else None
     return read_tracker
 
 
@@ -174,8 +173,8 @@ _G, _C, _R, _L = (MetricClass.GAUGE, MetricClass.COUNTER, MetricClass.RATIO,
 #: every metric the self-monitoring plane publishes, in sweep order, as
 #: ``(read, rows)`` groups: ``read(pipeline)`` takes one reading of one
 #: stats surface per sweep and feeds every row of its group; a reading
-#: of None (the plane is switched off, the backend has no such surface)
-#: publishes nothing.  Table I: monitoring must have documented, bounded
+#: of None (the backend has no such surface, or the plane has no data
+#: yet) publishes nothing.  Table I: monitoring must have documented, bounded
 #: impact; these metrics are that documentation, produced live by the
 #: stack itself.
 VITALS: tuple[tuple[Callable[["MonitoringPipeline"], Any],
@@ -515,12 +514,10 @@ class SelfMonitor:
         batches = self.sample(now, elapsed_s=now - self._last_t)
         p = self.pipeline
         bus = p.bus
-        traced = p.freshness is not None
         for b in batches:
-            if traced:
-                # the selfmon plane's own batches are freshness-traced
-                # too — meta-metrics get the same timeliness guarantee
-                b.trace = TraceContext.start(now, tick=p.ticks)
+            # the selfmon plane's own batches are freshness-traced too —
+            # meta-metrics get the same timeliness guarantee
+            b.trace = TraceContext.start(now, tick=p.ticks)
             bus.publish(b.metric, b, source=self.source)
         self.emissions += 1
         return batches

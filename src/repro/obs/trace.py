@@ -17,10 +17,9 @@ tracing.  A :class:`Tracer` provides exactly that for this stack:
   incrementally, so reading summary timings never walks the ring.
 
 Overhead is the design constraint (Table I: monitoring must have
-documented, *bounded* impact): a disabled tracer returns a shared no-op
-span, and an enabled one costs two ``perf_counter`` calls plus a few
-attribute writes per span — the self-monitoring overhead benchmark
-holds the whole plane under a 10% step-loop regression.
+documented, *bounded* impact): a span costs two ``perf_counter`` calls
+plus a few attribute writes, and the tracer is always on — its cost is
+measured by the benchmark, not avoided by a switch.
 """
 
 from __future__ import annotations
@@ -67,26 +66,10 @@ class Span:
                 f"depth={self.depth})")
 
 
-class _NullSpan:
-    """Shared no-op span handed out by a disabled tracer."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class Tracer:
     """Produces spans and keeps a bounded history plus running aggregates."""
 
-    def __init__(self, enabled: bool = True, maxlen: int = 4096) -> None:
-        self.enabled = enabled
+    def __init__(self, maxlen: int = 4096) -> None:
         self.maxlen = int(maxlen)
         self._ring: deque[Span] = deque(maxlen=self.maxlen)
         self._stack: list[Span] = []
@@ -97,10 +80,8 @@ class Tracer:
 
     # -- producing spans ---------------------------------------------------
 
-    def span(self, name: str, **attrs) -> Span | _NullSpan:
+    def span(self, name: str, **attrs) -> Span:
         """Open a span; use as ``with tracer.span("stage"):``."""
-        if not self.enabled:
-            return _NULL_SPAN
         return Span(self, name, attrs)
 
     def _record(self, span: Span) -> None:

@@ -39,13 +39,13 @@ from .core.lifecycle import Supervisor
 from .core.metric import SeriesBatch
 from .core.registry import MetricRegistry, default_registry
 from .core.tracectx import HOP_INGEST
-from .obs.freshness import FreshnessSLO, FreshnessTracker, default_slos
+from .obs.freshness import FreshnessTracker, default_slos
 from .obs.introspect import PipelineIntrospector
 from .obs.selfmetrics import SelfMonitor
 from .obs.trace import Tracer
 from .response.actions import ActionEngine, AlertManager
 from .response.policy import default_sec_engine
-from .response.sec import ActionRequest, SecEngine
+from .response.sec import ActionRequest
 from .serve.frontend import QueryFrontend
 from .sites.build import build_store
 from .sites.config import SiteConfig
@@ -86,12 +86,17 @@ class MonitoringPipeline:
     """The assembled end-to-end monitoring system over one machine.
 
     ``config`` (default ``SiteConfig()``) holds every knob: tick, alert
-    renotify, selfmon cadence, supervision, collector budget, freshness,
-    quotas, site name, and the transport and store tiers.  The keyword
-    parameters are live parts; one that is given replaces what the
-    config would have built, and one that contradicts a declared knob
-    (``tsdb`` against ``shards``/``store_dir``) is rejected, so the
-    stack never disagrees with ``config.capabilities()``.
+    renotify, selfmon cadence, collector budget, quotas, site name, and
+    the transport and store tiers.  The keyword parameters are live
+    parts; one that is given replaces what the config would have built,
+    and one that contradicts a declared knob (``tsdb`` against
+    ``shards``/``store_dir``) is rejected, so the stack never disagrees
+    with ``config.capabilities()``.
+
+    The monitor always watches itself (Table I: it must not fail
+    silently, and its overhead is documented): every pipeline carries a
+    supervisor, a delivery ledger, a freshness tracker, a tracer and a
+    self-monitor.
     """
 
     def __init__(
@@ -103,10 +108,7 @@ class MonitoringPipeline:
         transport: Transport | None = None,
         tsdb=None,
         registry: MetricRegistry | None = None,
-        sec: SecEngine | None = None,
-        tracer: Tracer | None = None,
         stages: Sequence[Stage] | None = None,
-        freshness_slos: Sequence[FreshnessSLO] | None = None,
     ) -> None:
         self.machine = machine
         if config is None:
@@ -141,19 +143,12 @@ class MonitoringPipeline:
         # reports into one Supervisor, every tracked point into one
         # DeliveryLedger (attached to the transport's publish edge and
         # the store's redo path)
-        self.supervisor: Supervisor | None = (
-            Supervisor() if config.supervision else None
-        )
-        self.ledger: DeliveryLedger | None = (
-            DeliveryLedger() if config.supervision else None
-        )
-        if self.ledger is not None:
-            self.bus.ledger = self.ledger
+        self.supervisor = Supervisor()
+        self.ledger = DeliveryLedger()
+        self.bus.ledger = self.ledger
 
         # self-observability plane: span tracing + meta-metrics
-        # identity check: an empty tracer is falsy (len == ring size),
-        # and a disabled one must stay disabled
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.tracer = Tracer()
         self.scheduler = CollectionScheduler(
             self.bus, self.registry, tracer=self.tracer,
             supervisor=self.supervisor, budget_s=config.collector_budget_s,
@@ -176,15 +171,10 @@ class MonitoringPipeline:
         # transports and the store stamp their hop edges against the
         # simulated clock, _on_metric folds the finished journey
         self.ticks = 0
-        self.freshness: FreshnessTracker | None = None
-        if config.freshness:
-            slos = (list(freshness_slos) if freshness_slos is not None
-                    else default_slos(self.tick_s))
-            self.freshness = FreshnessTracker(
-                slos=slos, tier=type(self.bus).__name__
-            )
-            self.bus.clock = self._clock
-            self.scheduler.trace_batches = True
+        self.freshness = FreshnessTracker(
+            slos=default_slos(self.tick_s), tier=type(self.bus).__name__
+        )
+        self.bus.clock = self._clock
 
         # serving plane: the multi-tenant read path every dashboard-shaped
         # consumer goes through (pipeline.dashboard() reads via this);
@@ -197,7 +187,7 @@ class MonitoringPipeline:
         self.router = EventRouter()
         self.tap = self.router.attach(DelugeTap())
 
-        self.sec = sec or default_sec_engine()
+        self.sec = default_sec_engine()
         self.alerts = AlertManager(renotify_s=config.renotify_s)
         self.actions = ActionEngine(machine, self.alerts)
 
@@ -224,23 +214,20 @@ class MonitoringPipeline:
             "events.*", callback=self._on_event, name="log-ingest"
         )
 
-        self.selfmon: SelfMonitor | None = None
-        if config.selfmon_interval_s is not None:
-            self.selfmon = SelfMonitor(
-                self, interval_s=config.selfmon_interval_s,
-                source=f"{self.site}/selfmon" if self.site else "selfmon",
-            )
+        self.selfmon = SelfMonitor(
+            self, interval_s=config.selfmon_interval_s,
+            source=f"{self.site}/selfmon" if self.site else "selfmon",
+        )
 
     def _wire_store(self, store) -> None:
         """Install ``store`` as the numeric tier: at construction, and
         again when a crash recovery reopens it."""
         self.tsdb = store
-        if self.freshness is not None:
-            try:
-                store.clock = self._clock
-            except AttributeError:      # slotted custom store
-                pass
-        if self.ledger is not None and hasattr(store, "redo_pending_points"):
+        try:
+            store.clock = self._clock
+        except AttributeError:      # slotted custom store
+            pass
+        if hasattr(store, "redo_pending_points"):
             store.ledger = self.ledger
         self.frontend.store = store
         # a reopened store restarts query epochs at 0 — stale cache
@@ -261,7 +248,7 @@ class MonitoringPipeline:
         if not isinstance(payload, SeriesBatch):
             return
         ledger = self.ledger
-        tracked = ledger is not None and ledger.tracks(env.topic)
+        tracked = ledger.tracks(env.topic)
         try:
             stored = self.tsdb.append(payload)
         except Exception as exc:
@@ -269,11 +256,10 @@ class MonitoringPipeline:
             # later batches; the points become accounted loss
             if tracked:
                 ledger.lost_batch("store-error", payload)
-            if self.supervisor is not None:
-                self.supervisor.record(
-                    "store", False, self.machine.now,
-                    reason=f"append raised {type(exc).__name__}",
-                )
+            self.supervisor.record(
+                "store", False, self.machine.now,
+                reason=f"append raised {type(exc).__name__}",
+            )
             return
         if tracked:
             ledger.stored_batch(payload, stored)
@@ -281,16 +267,15 @@ class MonitoringPipeline:
             # buffer (single-store partial ingest) would surface here
             # as unaccounted; the sharded store defers the difference,
             # so nothing extra to stamp
-        fr = self.freshness
-        if fr is not None:
-            ctx = payload.trace
-            if ctx is not None:
-                if not ctx.hops or ctx.hops[-1][0] != HOP_INGEST:
-                    # custom store without a clock hook: stamp
-                    # queryable-at here so the journey still closes
-                    ctx.stamp(HOP_INGEST, self.machine.now)
-                stack = self.tracer._stack
-                fr.record(payload, span=stack[-1].name if stack else "")
+        ctx = payload.trace
+        if ctx is not None:
+            if not ctx.hops or ctx.hops[-1][0] != HOP_INGEST:
+                # custom store without a clock hook: stamp
+                # queryable-at here so the journey still closes
+                ctx.stamp(HOP_INGEST, self.machine.now)
+            stack = self.tracer._stack
+            self.freshness.record(payload,
+                                  span=stack[-1].name if stack else "")
 
     def _on_event(self, env) -> None:
         payload = env.payload
@@ -370,7 +355,7 @@ class MonitoringPipeline:
 
     # -- supervision / accounting surfaces ------------------------------------------------------
 
-    def delivery_report(self) -> BalanceReport | None:
+    def delivery_report(self) -> BalanceReport:
         """Reconcile the ledger against live pending/in-flight gauges.
 
         ``pending`` is whatever is parked in the store's redo buffers,
@@ -378,8 +363,6 @@ class MonitoringPipeline:
         ``bus.flush()`` with all shards recovered, both are zero and the
         identity collapses to ``published == stored + accounted_lost``.
         """
-        if self.ledger is None:
-            return None
         pending = 0
         redo = getattr(self.tsdb, "redo_pending_points", None)
         if redo is not None:
@@ -389,9 +372,7 @@ class MonitoringPipeline:
         )
 
     def health_report(self) -> dict[str, dict]:
-        """Per-component supervision summary (empty when unsupervised)."""
-        if self.supervisor is None:
-            return {}
+        """Per-component supervision summary."""
         return self.supervisor.report()
 
     # -- convenience surfaces -------------------------------------------------------------------

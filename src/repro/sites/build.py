@@ -88,7 +88,7 @@ def build_site(
 
     ``overrides`` carries the parts that cannot be expressed as data —
     live ``collectors``/``transport``/``tsdb`` instances
-    and pipeline plumbing like ``sec=``/``registry=``/``stages=`` —
+    and pipeline plumbing like ``registry=``/``stages=`` —
     handed to :class:`~repro.pipeline.MonitoringPipeline` verbatim
     (which rejects an instance that contradicts a declared knob).
     """
@@ -152,7 +152,5 @@ def site_capabilities(pipeline: "MonitoringPipeline") -> dict:
         "disk": getattr(tsdb, "recovery", None) is not None,
         "cadence_s": float(pipeline.scheduler.collectors[0].interval_s)
         if pipeline.scheduler.collectors else 0.0,
-        "supervised": pipeline.supervisor is not None,
-        "freshness": pipeline.freshness is not None,
         "tenants": len(getattr(pipeline.frontend.governor, "_quotas", {})),
     }

@@ -43,7 +43,12 @@ _TORUS_NODES_PER_ROUTER = 2
 
 @dataclass(frozen=True)
 class SiteConfig:
-    """One site's complete monitoring deployment, as plain data."""
+    """One site's complete monitoring deployment, as plain data.
+
+    Watching the monitor itself (supervision, the delivery ledger,
+    freshness tracing, selfmon, span timing) is not a knob: every site
+    does it.
+    """
 
     # -- identity ---------------------------------------------------------
     name: str = ""            # empty = anonymous single-site deployment
@@ -72,10 +77,8 @@ class SiteConfig:
     # -- pipeline loop ----------------------------------------------------
     tick_s: float = 10.0
     renotify_s: float = 3600.0
-    selfmon_interval_s: float | None = 60.0
+    selfmon_interval_s: float = 60.0
     collector_budget_s: float | None = None
-    supervision: bool = True
-    freshness: bool = True
 
     # -- transport tier ---------------------------------------------------
     transport: str = "flat"              # one of TRANSPORT_TIERS
@@ -142,11 +145,9 @@ class SiteConfig:
             raise ValueError("chunk_size must be >= 2")
         for knob in ("mean_interarrival_s", "metric_interval_s",
                      "probe_interval_s", "bench_interval_s",
-                     "tick_s", "renotify_s"):
-            if float(getattr(self, knob)) <= 0:
+                     "tick_s", "renotify_s", "selfmon_interval_s"):
+            if not float(getattr(self, knob) or 0) > 0:   # None, NaN too
                 raise ValueError(f"{knob} must be positive")
-        if self.selfmon_interval_s is not None and self.selfmon_interval_s <= 0:
-            raise ValueError("selfmon_interval_s must be positive")
 
     # -- derived shape ----------------------------------------------------
 
@@ -185,8 +186,6 @@ class SiteConfig:
             "levels": len(self.pyramid_levels),
             "disk": self.store_dir is not None,
             "cadence_s": float(self.metric_interval_s),
-            "supervised": bool(self.supervision),
-            "freshness": bool(self.freshness),
             "tenants": len(self.quotas) if self.quotas else 0,
         }
 

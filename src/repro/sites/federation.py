@@ -148,17 +148,17 @@ class Federation:
             )
         return self._frontend
 
-    def delivery_reports(self) -> "dict[str, BalanceReport | None]":
-        """Per-site ledger reconciliation (None for unsupervised sites)."""
+    def delivery_reports(self) -> "dict[str, BalanceReport]":
+        """Per-site ledger reconciliation."""
         return {
             name: p.delivery_report()
             for name, p in self.pipelines.items()
         }
 
     def balanced(self) -> bool:
-        """Every supervised site's delivery identity holds exactly."""
+        """Every site's delivery identity holds exactly."""
         return all(
-            r is None or (r.balanced and r.unaccounted == 0)
+            r.balanced and r.unaccounted == 0
             for r in self.delivery_reports().values()
         )
 
@@ -172,13 +172,11 @@ class Federation:
 
     def timeline(self) -> str:
         """All sites' health transitions, merged in time order."""
-        rows = []
-        for name, p in self.pipelines.items():
-            if p.supervisor is None:
-                continue
-            rows.extend(
-                (tr.time, name, tr) for tr in p.supervisor.transitions
-            )
+        rows = [
+            (tr.time, name, tr)
+            for name, p in self.pipelines.items()
+            for tr in p.supervisor.transitions
+        ]
         if not rows:
             return "(no health transitions)"
         rows.sort(key=lambda r: r[0])

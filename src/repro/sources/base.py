@@ -18,10 +18,10 @@ needs ``publish``).
 
 Collectors are supervised: a raising or over-budget collector is
 isolated (its error counted, the sweep continues with the remaining
-collectors) and, when a :class:`~repro.core.lifecycle.Supervisor` is
-attached, quarantined under deterministic backoff with half-open
-probes — a broken data source can never take down collection of
-everything else.
+collectors) and quarantined by the scheduler's
+:class:`~repro.core.lifecycle.Supervisor` under deterministic backoff
+with half-open probes — a broken data source can never take down
+collection of everything else.
 """
 
 from __future__ import annotations
@@ -32,15 +32,15 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 from ..core.events import Event
+from ..core.lifecycle import Supervisor
 from ..core.metric import SeriesBatch
 from ..core.registry import MetricRegistry
 from ..core.tracectx import HOP_COLLECT, TraceContext
 from ..obs.hist import LatencyHistogram
+from ..obs.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.machine import Machine
-    from ..core.lifecycle import Supervisor
-    from ..obs.trace import Tracer
     from ..transport.base import Transport
 
 _log = logging.getLogger(__name__)
@@ -98,31 +98,31 @@ class CollectionScheduler:
     ``events.<kind>``.  Timestamps come from the scheduler (the single
     global timebase) unless a collector stamps otherwise — exactly the
     "single global timestamp" discipline Section III-B argues for.
+
+    Every sweep is timed, traced and supervised, and every published
+    batch opens a :class:`~repro.core.tracectx.TraceContext`.  A
+    scheduler built without a ``tracer`` or ``supervisor`` makes its own.
     """
 
     def __init__(
         self,
         bus: "Transport",
         registry: MetricRegistry | None = None,
-        measure_overhead: bool = True,
-        tracer: "Tracer | None" = None,
-        supervisor: "Supervisor | None" = None,
+        tracer: Tracer | None = None,
+        supervisor: Supervisor | None = None,
         budget_s: float | None = None,
     ) -> None:
         self.bus = bus
         self.registry = registry
-        self.measure_overhead = measure_overhead
-        self.tracer = tracer
-        #: optional Supervisor quarantining misbehaving collectors
-        self.supervisor = supervisor
+        # identity check: an empty tracer is falsy (it has a length)
+        self.tracer = tracer if tracer is not None else Tracer()
+        #: the Supervisor quarantining misbehaving collectors
+        self.supervisor = supervisor or Supervisor()
         #: wall-clock budget per sweep per collector; exceeding it is a
         #: supervised failure (the "hung collector" signature)
         self.budget_s = budget_s
         #: collector sweeps skipped while quarantined (diagnostic)
         self.quarantine_skips = 0
-        #: when True, every published batch opens a TraceContext at the
-        #: collection edge (set by the pipeline's freshness plane)
-        self.trace_batches = False
         #: per-collector sweep-latency histograms (self-monitoring surface)
         self.latency: dict[str, LatencyHistogram] = {}
         self._collectors: list[Collector] = []
@@ -146,68 +146,61 @@ class CollectionScheduler:
         """Run every due collector against the current machine state.
 
         ``tick`` is the pipeline's tick counter, recorded as the origin
-        tick of each batch's trace context when tracing is on.
+        tick of each batch's trace context.
 
-        A raising collector is isolated — its error is counted (and
-        recorded with the supervisor when one is attached), but the
-        sweep continues with the remaining collectors.  A quarantined
-        collector is skipped entirely (its schedule still advances, so
-        recovery does not trigger a catch-up burst).
+        A raising collector is isolated — its error is counted and
+        recorded with the supervisor, but the sweep continues with the
+        remaining collectors.  A quarantined collector is skipped
+        entirely (its schedule still advances, so recovery does not
+        trigger a catch-up burst).
         """
         total = CollectorOutput()
         tracer = self.tracer
         sup = self.supervisor
-        timing = self.measure_overhead or self.budget_s is not None
+        budget = self.budget_s
         for i, c in enumerate(self._collectors):
             if now + 1e-9 < self._next_due[i]:
                 continue
             # schedule strictly forward, skipping missed slots
             while self._next_due[i] <= now + 1e-9:
                 self._next_due[i] += c.interval_s
-            key = "collector:" + c.name if sup is not None else ""
-            if sup is not None and not sup.should_run(key, now):
+            key = "collector:" + c.name
+            if not sup.should_run(key, now):
                 self.quarantine_skips += 1
                 continue
-            t0 = _time.perf_counter() if timing else 0.0
+            t0 = _time.perf_counter()
             try:
-                if tracer is not None and tracer.enabled:
-                    with tracer.span("collect", collector=c.name):
-                        out = c.collect(machine, now)
-                else:
+                with tracer.span("collect", collector=c.name):
                     out = c.collect(machine, now)
             except Exception as exc:
                 c.errors += 1
                 c.last_error = exc
                 _log.warning("collector %r raised during sweep: %r",
                              c.name, exc)
-                if sup is not None:
-                    sup.record(key, False, now,
-                               reason=f"raised {type(exc).__name__}")
+                sup.record(key, False, now,
+                           reason=f"raised {type(exc).__name__}")
                 continue
-            wall = (_time.perf_counter() - t0) if timing else 0.0
-            if self.measure_overhead:
-                c.collect_wall_s += wall
-                self.latency[c.name].record(wall)
-            if (self.budget_s is not None and wall > self.budget_s):
+            wall = _time.perf_counter() - t0
+            c.collect_wall_s += wall
+            self.latency[c.name].record(wall)
+            if budget is not None and wall > budget:
                 # over budget: the hung-collector signature — results
                 # still count, but supervision sees a failure
                 c.errors += 1
-                if sup is not None:
-                    sup.record(key, False, now,
-                               reason=f"over budget ({wall:.3f}s)")
-            elif sup is not None:
+                sup.record(key, False, now,
+                           reason=f"over budget ({wall:.3f}s)")
+            else:
                 sup.record(key, True, now)
             c.sweeps += 1
             c.samples_produced += out.n_samples
             for b in out.batches:
-                if self.trace_batches:
-                    # inlined TraceContext.start(now, tick=tick) — one
-                    # per published batch on the hot sweep loop
-                    tr = TraceContext.__new__(TraceContext)
-                    tr.origin_tick = tick
-                    tr.hops = [[HOP_COLLECT, now, now, 1]]
-                    tr.truncated = 0
-                    b.trace = tr
+                # inlined TraceContext.start(now, tick=tick) — one per
+                # published batch on the hot sweep loop
+                tr = TraceContext.__new__(TraceContext)
+                tr.origin_tick = tick
+                tr.hops = [[HOP_COLLECT, now, now, 1]]
+                tr.truncated = 0
+                b.trace = tr
                 self.bus.publish(f"metrics.{b.metric}", b, source=c.name)
             for e in out.events:
                 self.bus.publish(f"events.{e.kind.value}", e, source=c.name)

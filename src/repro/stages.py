@@ -18,6 +18,7 @@ gate in ``scripts/check.py`` enforces that the extraction stays acyclic.
 
 from __future__ import annotations
 
+import logging
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 from .core.events import Event, EventKind, Severity
@@ -27,6 +28,8 @@ from .response.sec import ActionRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import AnalysisHook, MonitoringPipeline
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "Stage",
@@ -122,6 +125,10 @@ class TickLoop:
         the introspector can attribute wall time to exactly the stage
         that spent it.  Requests returned by a stage accumulate and are
         executed by the response stage at its position in the order.
+
+        A raising stage degrades the tick instead of killing it: the
+        exception is logged and recorded with the supervisor, whose
+        breaker quarantines a repeat offender under backoff.
         """
         tracer = pipeline.tracer
         pending = pipeline._pending_requests
@@ -132,28 +139,21 @@ class TickLoop:
             now = pipeline.machine.now
             keys = pipeline._stage_keys
             for stage in pipeline.stages:
-                if sup is not None:
-                    key = keys.get(stage.name)
-                    if key is None:
-                        key = keys[stage.name] = "stage:" + stage.name
-                    if not sup.should_run(key, now):
-                        continue   # quarantined: degrade the tick
+                key = keys.get(stage.name)
+                if key is None:
+                    key = keys[stage.name] = "stage:" + stage.name
+                if not sup.should_run(key, now):
+                    continue   # quarantined: degrade the tick
                 with tracer.span(stage.name):
-                    if sup is None:
+                    try:
                         raised = stage.run(pipeline, now)
-                    else:
-                        try:
-                            raised = stage.run(pipeline, now)
-                        except Exception as exc:
-                            # a failing stage degrades the tick instead
-                            # of killing it; the breaker quarantines a
-                            # repeat offender under backoff
-                            sup.record(
-                                key, False, now,
-                                reason=f"raised {type(exc).__name__}",
-                            )
-                            continue
-                        sup.record(key, True, now)
+                    except Exception as exc:
+                        _log.warning("stage %r raised during tick: %r",
+                                     stage.name, exc, exc_info=True)
+                        sup.record(key, False, now,
+                                   reason=f"raised {type(exc).__name__}")
+                        continue
+                    sup.record(key, True, now)
                     if raised:
                         pending.extend(raised)
 
@@ -347,8 +347,6 @@ class SupervisionStage:
 
     def run(self, pipeline, now):
         sup = pipeline.supervisor
-        if sup is None:
-            return ()
 
         # transport health from its own delivery accounting
         stats = pipeline.bus.stats()
@@ -417,10 +415,7 @@ class FreshnessStage:
     after = ("metric-plane", "supervision")
 
     def run(self, pipeline, now):
-        fr = pipeline.freshness
-        if fr is None:
-            return ()
-        breaches = fr.evaluate(now)
+        breaches = pipeline.freshness.evaluate(now)
         if not breaches:
             return ()
         events = []
@@ -461,9 +456,8 @@ class SelfMonStage:
     after = ("response",)
 
     def run(self, pipeline, now):
-        if pipeline.selfmon is not None:
-            pipeline.selfmon.maybe_emit(now)
-            pipeline.bus.pump(now)
+        pipeline.selfmon.maybe_emit(now)
+        pipeline.bus.pump(now)
         return ()
 
 

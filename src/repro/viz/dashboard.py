@@ -184,8 +184,8 @@ class Dashboard:
                      max(skew * 1.5, 2.0),
                      "ok" if skew < 1.5 else "warn")
             )
-        # supervised-lifecycle / delivery-ledger panels (absent when the
-        # pipeline runs unsupervised)
+        # supervised-lifecycle / delivery-ledger panels (absent until
+        # selfmon has published them)
         health = self._latest_sweep("selfmon.health.state", window_s, now)
         if len(health):
             worst = float(health.values.max())
@@ -213,7 +213,7 @@ class Dashboard:
                 Tile("unaccounted points", val, "", max(abs(val) * 2, 10.0),
                      "ok" if val == 0 else "crit")
             )
-        # freshness panels (absent when trace propagation is disabled)
+        # freshness panels (absent until selfmon has published them)
         p99 = self._latest_sweep("selfmon.freshness.e2e_p99_s", window_s, now)
         if len(p99):
             val = float(p99.values[-1])

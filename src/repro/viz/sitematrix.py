@@ -27,8 +27,6 @@ _COLUMNS = (
     ("levels", "levels"),
     ("disk", "disk"),
     ("cadence_s", "cadence"),
-    ("supervised", "superv"),
-    ("freshness", "fresh"),
     ("tenants", "tenants"),
 )
 

@@ -54,6 +54,12 @@ class TestStats:
     def test_constant_series_zero_z(self):
         assert (robust_zscores(np.full(10, 3.0)) == 0).all()
 
+    def test_robust_z_of_a_subnormal_spread_is_scale_free(self):
+        # median and MAD of [0, 5e-324] round in the subnormal range
+        # unless the sample is lifted first
+        assert np.array_equal(robust_zscores([0.0, 5e-324]),
+                              robust_zscores([0.0, 1.0]))
+
     def test_ewma_converges(self):
         x = np.concatenate([np.zeros(5), np.full(200, 10.0)])
         sm = ewma(x, alpha=0.2)

@@ -209,13 +209,6 @@ class TestSelfMonitor:
         assert len(b)
         assert (b.values >= 0.0).all()
 
-    def test_disabled_selfmon_emits_nothing(self):
-        p = small_pipeline(SiteConfig(selfmon_interval_s=None))
-        assert p.selfmon is None
-        p.run(duration_s=200.0, dt=10.0)
-        metrics = {k.metric for k in p.tsdb.keys()}
-        assert not any(m.startswith("selfmon.") for m in metrics)
-
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
             SelfMonitor(small_pipeline(), interval_s=0.0)

@@ -99,20 +99,6 @@ class TestRingBuffer:
         assert tracer.aggregate() == {}
 
 
-class TestDisabled:
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        with tracer.span("tick", attr=1):
-            with tracer.span("child"):
-                pass
-        assert tracer.spans() == []
-        assert tracer.aggregate() == {}
-
-    def test_disabled_span_is_shared_noop(self):
-        tracer = Tracer(enabled=False)
-        assert tracer.span("a") is tracer.span("b")
-
-
 class TestAggregates:
     def test_aggregate_totals(self):
         tracer = Tracer()

@@ -12,7 +12,6 @@ regenerated Table I machine-checkable instead of hand-maintained.
 import numpy as np
 import pytest
 
-from repro.obs.trace import Tracer
 from repro.pipeline import MonitoringPipeline
 from repro.serve.quota import TenantQuota
 from repro.sites import (
@@ -68,8 +67,11 @@ class TestValidation:
             SiteConfig(tick_s=0.0)
         with pytest.raises(ValueError, match="selfmon_interval_s"):
             SiteConfig(selfmon_interval_s=-1.0)
-        # None means "selfmon off", not an interval
-        assert SiteConfig(selfmon_interval_s=None).selfmon_interval_s is None
+
+    def test_selfmon_cannot_be_switched_off(self):
+        # every site monitors itself: None is not an interval
+        with pytest.raises(ValueError, match="selfmon_interval_s"):
+            SiteConfig(selfmon_interval_s=None)
 
     def test_gpu_nodes_shapes(self):
         SiteConfig(gpu_nodes=None)
@@ -240,24 +242,3 @@ class TestSinglePath:
             b = built.tsdb.query(key.metric, key.component)
             assert np.array_equal(a.times, b.times), key
             assert np.array_equal(a.values, b.values), key
-
-    def test_planes_switched_off_in_the_config_are_absent(self):
-        config = SiteConfig(selfmon_interval_s=None, supervision=False,
-                            freshness=False)
-        built = build_site(config,
-                           overrides={"tracer": Tracer(enabled=False)})
-        for p in (built,
-                  MonitoringPipeline(build_machine(config), config)):
-            assert p.selfmon is None
-            assert p.supervisor is None
-            assert p.ledger is None
-            assert p.freshness is None
-        # ... and a run with them off pays and leaves nothing
-        built.run(duration_s=200.0, dt=10.0)
-        assert built.tsdb.stats().samples > 0
-        assert built.delivery_report() is None
-        assert built.health_report() == {}
-        assert not built.scheduler.trace_batches
-        assert built.tracer.aggregate() == {}
-        assert not any(k.metric.startswith("selfmon.")
-                       for k in built.tsdb.keys())

@@ -137,6 +137,7 @@ def _run_solo(name, duration_s, dt):
     return pipeline
 
 
+@pytest.mark.degrades
 class TestSiteIsolation:
     """Chaos on site A must not perturb site B at all."""
 

@@ -276,12 +276,6 @@ class TestScheduler:
         s = hist.summary()
         assert 0.0 <= s["p50_s"] <= s["p95_s"] <= s["max_s"]
 
-    def test_no_latency_recorded_when_overhead_measure_off(self, machine):
-        sched = CollectionScheduler(MessageBus(), measure_overhead=False)
-        c = sched.add(NodeCounterCollector(interval_s=60.0))
-        sched.poll(machine, 0.0)
-        assert len(sched.latency[c.name]) == 0
-
     def test_tracer_spans_per_collector(self, machine):
         from repro.obs.trace import Tracer
 

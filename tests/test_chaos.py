@@ -158,6 +158,7 @@ def random_monitor_fault(rng, t):
     return choices[int(rng.integers(0, len(choices)))]()
 
 
+@pytest.mark.degrades
 @pytest.mark.parametrize("seed", [5, 29])
 def test_monitor_fault_campaign_survives(seed):
     """Faults in the monitoring plane itself: the pipeline never raises,
@@ -229,6 +230,7 @@ def test_monitor_fault_campaign_survives(seed):
     assert len(sup.transitions) > 0
 
 
+@pytest.mark.degrades
 @pytest.mark.parametrize("seed", [11])
 def test_kill_and_recover_campaign_accounts_every_point(seed, tmp_path):
     """Hard-crash the disk-backed store mid-campaign, under transport

@@ -149,7 +149,7 @@ class TestAnalysisHooks:
         """A hook serviced by a late tick reschedules from its due time,
         not from the tick time — cadence phase never drifts."""
         m = make_machine(job_generator=None)
-        p = MonitoringPipeline(m, SiteConfig(selfmon_interval_s=None))
+        p = MonitoringPipeline(m)
         calls = []
         p.add_analysis(60.0, lambda pipeline, now: calls.append(now) or [])
         # ticks land at 70, 140, 210, ... — never on a multiple of 60
