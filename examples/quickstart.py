@@ -65,7 +65,8 @@ def main() -> None:
           f"{len(pipeline.jobs)} jobs indexed")
 
     print("\ncollection overhead per sweep:")
-    for name, rep in sorted(pipeline.overhead_report().items()):
+    collectors = pipeline.introspect().report().sections["collectors"]
+    for name, rep in sorted(collectors.items()):
         print(f"  {name:20} {rep['sweeps']:4.0f} sweeps  "
               f"{rep['wall_per_sweep_ms']:6.2f} ms/sweep  "
               f"{rep['samples']:8.0f} samples")

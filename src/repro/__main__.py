@@ -162,7 +162,6 @@ def cmd_obs(args) -> int:
          if k.metric.startswith("selfmon.")}
     )
     if as_json:
-        import dataclasses
         import json
 
         report = pipeline.introspect().report()
@@ -175,7 +174,7 @@ def cmd_obs(args) -> int:
                 "latest": float(b.values[-1]),
             }
         print(json.dumps(
-            {"report": dataclasses.asdict(report), "selfmon": series},
+            {"report": report.as_dict(), "selfmon": series},
             indent=2, sort_keys=True, default=str,
         ))
         return 0
@@ -504,8 +503,7 @@ def cmd_serve(args) -> int:
     print()
     print(f"{'tenant':<10} {'admitted':>9} {'shed(rate)':>11} "
           f"{'shed(conc)':>11}")
-    for t in fe.tenants():
-        ts = fe.tenant_stats(t)
+    for t, ts in s.tenants.items():
         print(f"{t:<10} {ts.admitted:>9} {ts.rejected_rate:>11} "
               f"{ts.rejected_concurrency:>11}")
     print()

@@ -7,13 +7,14 @@ that requirement on the reproduction itself:
 * :mod:`repro.obs.trace` — lightweight nested trace spans over the
   pipeline's own execution, with a ring-buffer exporter;
 * :mod:`repro.obs.hist` — small fixed-footprint latency histograms;
-* :mod:`repro.obs.selfmetrics` — one table (``VITALS``) declaring every
-  ``selfmon.*`` metric once, and the emitter that walks it, publishing
-  the stack's own vitals as ordinary ``SeriesBatch``es so they land in
-  the same TSDB, dashboards, and analyses as machine telemetry;
+* :mod:`repro.obs.selfmetrics` — one table (``VITALS``) that reads every
+  stats surface of the stack and declares every ``selfmon.*`` metric
+  once, and the emitter that walks it, publishing the stack's own
+  vitals as ordinary ``SeriesBatch``es so they land in the same TSDB,
+  dashboards, and analyses as machine telemetry;
 * :mod:`repro.obs.introspect` — a structured end-to-end health report
-  over the whole pipeline (per-stage timings, drop/backpressure status,
-  data-path completeness).
+  over the whole pipeline: per-stage timings from the tracer, plus one
+  section per ``VITALS`` group.
 """
 
 from .hist import LatencyHistogram

@@ -1,24 +1,27 @@
 """Meta-metrics: the stack's own vitals as ordinary telemetry.
 
 DCDB (Netti et al.) treats the monitoring system's own overhead and
-throughput as first-class monitoring data.  :class:`SelfMonitor` does
-the same here: on a configurable cadence it walks :data:`VITALS` — one
-table of the pipeline's vitals, grouped by the stats surface they are
-read from — and publishes each as an ordinary
-:class:`~repro.core.metric.SeriesBatch` on its ``selfmon.*`` topic.
+throughput as first-class monitoring data.  :data:`VITALS` is the one
+place the stack reads its own stats surfaces: named groups, each one
+surface read once and the ``selfmon.*`` rows that reading feeds.
+:class:`SelfMonitor` walks it on a cadence and publishes every row as
+an ordinary :class:`~repro.core.metric.SeriesBatch` on its ``selfmon.*``
+topic; the health report (:mod:`repro.obs.introspect`) carries each
+group's reading, as :func:`plain` data, under the group's name.
 
 Because they ride the same bus, they land in the same TSDB, dashboards,
 streaming detectors, and analysis hooks as machine telemetry: the
 monitoring plane is monitored by itself, with no parallel plumbing.
 A row *is* its registry spec (Table I: "the meaning of all raw data
-should be provided"), so the sweep, the data dictionary and
-:data:`SELFMON_METRICS` cannot drift: a new self-metric is one row.
+should be provided"), so the sweep, the data dictionary, the report
+and :data:`SELFMON_METRICS` cannot drift: a new self-metric is one row,
+a new report section one group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import itemgetter
+import inspect
+from dataclasses import dataclass, fields, is_dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..core.metric import SeriesBatch
@@ -28,34 +31,18 @@ from ..core.tracectx import TraceContext
 if TYPE_CHECKING:  # pragma: no cover
     from ..pipeline import MonitoringPipeline
 
-__all__ = ["SELFMON_METRICS", "VITALS", "SelfMonitor", "Vital",
-           "completeness_ratio", "disk_stats", "ms_summary",
-           "partition_surfaces", "selfmon_specs", "shard_stats",
-           "streaming_detectors"]
-
-
-def completeness_ratio(delivered: int, dropped: int, errors: int) -> float:
-    """Data-path completeness: fraction of attempted deliveries that
-    reached (or still await) a consumer.
-
-    ``delivered`` counts successful hand-offs (callback returned, or the
-    envelope was enqueued); ``dropped`` counts envelopes later evicted
-    by the drop-oldest policy; ``errors`` counts callback raises.  Under
-    no-drop, no-error conditions the ratio is exactly 1.0.
-    """
-    attempted = delivered + errors
-    if attempted <= 0:
-        return 1.0
-    return (delivered - dropped) / attempted
+__all__ = ["SELFMON_METRICS", "VITALS", "SelfMonitor", "Vital", "plain",
+           "selfmon_specs"]
 
 
 @dataclass(frozen=True, slots=True)
 class Vital:
     """One self-metric: its registry spec and where its value comes from.
 
-    ``field`` maps the reading of the row's stats surface to the value
-    published under ``component`` — or, for a per-component row
-    (``component`` None), to the whole ``{component: value}`` dict.
+    ``field`` maps the reading of the row's group to the value published
+    under ``component`` — or, for a per-component row (``component``
+    None), to the whole ``{component: value}`` dict.  It reads the raw
+    reading and its :func:`plain` copy in the health report alike.
     ``rate`` (single-component rows only) turns cumulative readings into
     what is published: ``rate(previous, current, elapsed_s)``, or None
     for no sample.
@@ -67,25 +54,46 @@ class Vital:
     rate: Callable[[Any, Any, float], float | None] | None = None
 
 
-def _get(record, name: str):
-    return record[name] if isinstance(record, dict) else getattr(record, name)
+def _get(record, key: str):
+    return record[key] if isinstance(record, dict) else getattr(record, key)
+
+
+def _field(path: str) -> Callable[[Any], Any]:
+    """The reader of ``key``, ``outer.key`` or ``*.key`` in a reading;
+    ``*`` maps ``key`` over every record of a ``{component: record}``
+    reading."""
+    outer, _, key = path.rpartition(".")
+    # _get is inlined below: these run for every row of every sweep
+    if outer == "*":
+        return lambda r: {
+            c: rec[key] if isinstance(rec, dict) else getattr(rec, key)
+            for c, rec in r.items()}
+    if outer:
+        return lambda r: _get(_get(r, outer), key)
+    return lambda r: r[key] if isinstance(r, dict) else getattr(r, key)
 
 
 def _vital(name: str, unit: str, klass: MetricClass, component: str | None,
            field, meaning: str, *, rate=None, **spec) -> Vital:
-    """A table row.  A string ``field`` names an attribute (or key) of
-    the reading — for a per-component row, of every record of a
-    ``{component: record}`` reading."""
+    """A table row; a string ``field`` is a path (see :func:`_field`)."""
     if isinstance(field, str):
-        key = field
-        if component is None:
-            def field(reading):
-                return {c: _get(r, key) for c, r in reading.items()}
-        else:
-            def field(reading):
-                return _get(reading, key)
+        field = _field(field)
     return Vital(MetricSpec(name, unit, klass, "monitor", meaning, **spec),
                  component, field, rate)
+
+
+def plain(reading):
+    """A group's reading as plain data — what the health report, its
+    text render and ``obs --json`` carry.  A stats record becomes the
+    dict of its fields and properties, recursively."""
+    if isinstance(reading, dict):
+        return {k: plain(v) for k, v in reading.items()}
+    if is_dataclass(reading):
+        names = [f.name for f in fields(reading)] + [
+            n for n, _ in inspect.getmembers(
+                type(reading), lambda a: isinstance(a, property))]
+        return {n: plain(getattr(reading, n)) for n in names}
+    return reading
 
 
 def _per_second(prev, cur, elapsed_s: float) -> float | None:
@@ -101,24 +109,17 @@ def _mean_tick_ms(prev, cur, _elapsed_s: float) -> float | None:
     return 1000.0 * (cur[1] - prev[1]) / d_count if d_count > 0 else None
 
 
-def ms_summary(hist) -> dict[str, float]:
+def _ms_summary(hist) -> dict[str, float]:
     """Window percentiles of a latency histogram, in milliseconds."""
     s = hist.summary()
     return {"p50_ms": 1000.0 * s["p50_s"], "p95_ms": 1000.0 * s["p95_s"],
             "max_ms": 1000.0 * s["max_s"]}
 
 
-def streaming_detectors(p) -> list:
-    """Instrumented detectors on the streaming stage (duck-typed:
-    custom detectors without the self-report surface are skipped)."""
-    for stage in p.stages:
-        if stage.name == "streaming":
-            return [d for d in stage.detectors
-                    if hasattr(d, "latency") and hasattr(d, "name")]
-    return []
+# -- the group readings: one stats surface each, read once per sweep --------
 
 
-def partition_surfaces(p):
+def _partitions(p):
     """Per-partition surfaces of a tiered transport (duck-typed: the
     flat bus has neither, the tree reports its leaves as partitions)."""
     bus = p.bus
@@ -131,13 +132,18 @@ def partition_surfaces(p):
 
 
 def _collectors(p):
+    """Cost accounting of every collector that has swept (the
+    documented-impact ask): counters plus windowed sweep latency."""
     latency = p.scheduler.latency
-    return {c.name: {"sweeps": c.sweeps, **ms_summary(hist)}
+    return {c.name: {"sweeps": c.sweeps, "samples": c.samples_produced,
+                     "wall_per_sweep_ms":
+                         1000.0 * c.collect_wall_s / (c.sweeps or 1),
+                     **_ms_summary(hist)}
             for c in p.scheduler.collectors
             if (hist := latency.get(c.name)) is not None and len(hist)}
 
 
-def shard_stats(p):
+def _shards(p):
     """``{shard name: StoreStats}`` of a sharded store, else None."""
     per_shard = getattr(p.tsdb, "per_shard_stats", None)
     if per_shard is None:
@@ -145,19 +151,40 @@ def shard_stats(p):
     return {f"shard-{i}": s for i, s in enumerate(per_shard())}
 
 
-def disk_stats(p):
-    """Disk-tier counters of a store that spills to disk, else None."""
-    return p.tsdb.disk_stats()
+def _detectors(p) -> list:
+    """Instrumented detectors on the streaming stage (duck-typed:
+    custom detectors without the self-report surface are skipped)."""
+    for stage in p.stages:
+        if stage.name == "streaming":
+            return [d for d in stage.detectors
+                    if hasattr(d, "latency") and hasattr(d, "name")]
+    return []
 
 
-def _detector_latency(p):
-    return {d.name: ms_summary(d.latency)
-            for d in streaming_detectors(p) if len(d.latency)}
+def _analysis(p):
+    return {d.name: {"batches": d.batches_observed,
+                     "samples": d.samples_observed,
+                     "detections": d.detections_total}
+            for d in _detectors(p)}
 
 
-def _supervised(p):
-    """The supervisor, once it has registered a component."""
-    return p.supervisor if p.supervisor.components else None
+def _analysis_latency(p):
+    """Batch-consumption latency of every detector that has timed one."""
+    return {d.name: _ms_summary(d.latency)
+            for d in _detectors(p) if len(d.latency)}
+
+
+def _health(p):
+    """Supervised health, once the supervisor has registered a
+    component: every state code, plus the summary of each impaired one."""
+    sup = p.supervisor
+    comps = sup.components
+    if not comps:
+        return None
+    state = {n: comps[n].health.code for n in sorted(comps)}
+    return {"state": state, "transitions": len(sup.transitions),
+            "impaired": {n: comps[n].summary()
+                         for n, code in state.items() if code}}
 
 
 def _freshness(read):
@@ -167,19 +194,26 @@ def _freshness(read):
     return read_tracker
 
 
+def _tick(p):
+    """Cumulative count and wall seconds of the tracer's root spans."""
+    count, total_s = p.tracer.snapshot_counts().get("tick", (0, 0.0))
+    return {"count": count, "total_s": total_s}
+
+
 _G, _C, _R, _L = (MetricClass.GAUGE, MetricClass.COUNTER, MetricClass.RATIO,
                   MetricClass.LATENCY)
 
 #: every metric the self-monitoring plane publishes, in sweep order, as
-#: ``(read, rows)`` groups: ``read(pipeline)`` takes one reading of one
-#: stats surface per sweep and feeds every row of its group; a reading
-#: of None (the backend has no such surface, or the plane has no data
-#: yet) publishes nothing.  Table I: monitoring must have documented, bounded
-#: impact; these metrics are that documentation, produced live by the
-#: stack itself.
-VITALS: tuple[tuple[Callable[["MonitoringPipeline"], Any],
+#: ``(section, read, rows)`` groups: ``read(pipeline)`` takes one reading
+#: of one stats surface per sweep and feeds every row of its group, and
+#: the health report carries that reading as section ``section``; a
+#: reading of None (the backend has no such surface, or the plane has no
+#: data yet) publishes nothing.  Table I: monitoring must have
+#: documented, bounded impact; these metrics are that documentation,
+#: produced live by the stack itself.
+VITALS: tuple[tuple[str, Callable[["MonitoringPipeline"], Any],
                     tuple[Vital, ...]], ...] = (
-    (lambda p: p.bus.stats(), (
+    ("bus", lambda p: p.bus.stats(), (
         _vital("selfmon.bus.publish_rate", "msg/s", _G, "bus", "published",
                "Messages published on the bus per second over the "
                "self-monitor cadence.", rate=_per_second),
@@ -196,44 +230,41 @@ VITALS: tuple[tuple[Callable[["MonitoringPipeline"], Any],
                "Cumulative subscriber-callback exceptions isolated "
                "during fan-out.", higher_is_worse=True),
         _vital("selfmon.bus.completeness", "ratio", _R, "bus",
-               lambda s: completeness_ratio(s.delivered, s.dropped, s.errors),
+               "completeness",
                "Data-path completeness: fraction of attempted "
                "deliveries that reached (or still await) a consumer.",
                derivation="(delivered - dropped)/(delivered + errors)",
                higher_is_worse=False),
-        _vital("selfmon.bus.queue_depth", "msgs", _G, None,
-               lambda s: s.queue_depths,
+        _vital("selfmon.bus.queue_depth", "msgs", _G, None, "queue_depths",
                "Current backlog of one subscription queue "
                "(component = subscription name).",
                higher_is_worse=True),
     )),
-    (partition_surfaces, (
-        _vital("selfmon.bus.partition_depth", "msgs", _G, None,
-               itemgetter("depth"),
+    ("partitions", _partitions, (
+        _vital("selfmon.bus.partition_depth", "msgs", _G, None, "depth",
                "Current backlog of one transport partition or "
                "aggregator leaf (component = partition/leaf name; "
                "absent on the flat bus).", higher_is_worse=True),
-        _vital("selfmon.bus.partition_dropped", "count", _C, None,
-               itemgetter("dropped"),
+        _vital("selfmon.bus.partition_dropped", "count", _C, None, "dropped",
                "Cumulative envelopes evicted from one bounded "
                "transport partition (component = partition name).",
                higher_is_worse=True),
     )),
-    (_collectors, (
-        _vital("selfmon.collector.sweep_p50_ms", "ms", _L, None, "p50_ms",
+    ("collectors", _collectors, (
+        _vital("selfmon.collector.sweep_p50_ms", "ms", _L, None, "*.p50_ms",
                "Median wall time of one collector sweep over the "
                "recent window (component = collector name).",
                higher_is_worse=True),
-        _vital("selfmon.collector.sweep_p95_ms", "ms", _L, None, "p95_ms",
+        _vital("selfmon.collector.sweep_p95_ms", "ms", _L, None, "*.p95_ms",
                "95th-percentile wall time of one collector sweep "
                "over the recent window.", higher_is_worse=True),
-        _vital("selfmon.collector.sweep_max_ms", "ms", _L, None, "max_ms",
+        _vital("selfmon.collector.sweep_max_ms", "ms", _L, None, "*.max_ms",
                "Maximum wall time of one collector sweep over the "
                "recent window.", higher_is_worse=True),
-        _vital("selfmon.collector.sweeps", "count", _C, None, "sweeps",
+        _vital("selfmon.collector.sweeps", "count", _C, None, "*.sweeps",
                "Cumulative sweeps a collector has run."),
     )),
-    (lambda p: p.tsdb.stats(), (
+    ("tsdb", lambda p: p.tsdb.stats(), (
         _vital("selfmon.store.tsdb_ingest_rate", "samples/s", _G, "tsdb",
                "samples",
                "Samples ingested into the TSDB per second over the "
@@ -244,16 +275,18 @@ VITALS: tuple[tuple[Callable[["MonitoringPipeline"], Any],
                "compressed_bytes",
                "Compressed footprint of the TSDB."),
     )),
-    (shard_stats, (
-        _vital("selfmon.store.shard_points", "samples", _G, None, "samples",
+    ("shards", _shards, (
+        _vital("selfmon.store.shard_points", "samples", _G, None,
+               "*.samples",
                "Resident sample count of one TSDB shard "
                "(component = shard name; absent on a single store)."),
-        _vital("selfmon.store.shard_series", "count", _G, None, "series",
+        _vital("selfmon.store.shard_series", "count", _G, None, "*.series",
                "Resident series count of one TSDB shard."),
-        _vital("selfmon.store.shard_bytes", "B", _G, None, "compressed_bytes",
+        _vital("selfmon.store.shard_bytes", "B", _G, None,
+               "*.compressed_bytes",
                "Compressed footprint of one TSDB shard."),
     )),
-    (lambda p: p.tsdb.cache_stats(), (
+    ("chunk_cache", lambda p: p.tsdb.cache_stats(), (
         _vital("selfmon.store.cache_hits", "count", _C, "chunk-cache", "hits",
                "Cumulative decompressed-chunk cache hits (reads "
                "served without decoding a sealed chunk)."),
@@ -269,7 +302,8 @@ VITALS: tuple[tuple[Callable[["MonitoringPipeline"], Any],
                "Resident bytes of decompressed chunks held by the "
                "cache."),
     )),
-    (disk_stats, (
+    # a store that spills to disk, else None
+    ("disk_tier", lambda p: p.tsdb.disk_stats(), (
         _vital("selfmon.store.disk_bytes", "B", _G, "disk-tier", "disk_bytes",
                "Bytes of sealed chunks persisted in the disk tier's "
                "segment files (plus WAL tail)."),
@@ -291,63 +325,63 @@ VITALS: tuple[tuple[Callable[["MonitoringPipeline"], Any],
                "Cumulative spilled-chunk reads served from an "
                "already-established mmap (no remap)."),
     )),
-    (lambda p: p, (
+    ("stores", lambda p: {"log_events": len(p.logs),
+                          "sql_bytes": p.sql.footprint_bytes()}, (
         _vital("selfmon.store.log_events", "count", _C, "logstore",
-               lambda p: len(p.logs),
+               "log_events",
                "Events resident in the indexed log store."),
-        _vital("selfmon.store.sql_bytes", "B", _G, "sqlstore",
-               lambda p: p.sql.footprint_bytes(),
+        _vital("selfmon.store.sql_bytes", "B", _G, "sqlstore", "sql_bytes",
                "Footprint of the relational store (sqlite page "
                "accounting)."),
-        _vital("selfmon.sec.rule_fires", "count", _C, "sec",
-               lambda p: len(p.sec.requests),
+    )),
+    ("response", lambda p: {"rule_fires": len(p.sec.requests),
+                            "events_seen": p.sec.events_seen,
+                            "actions_executed": p.actions.executed,
+                            "alerts": len(p.alerts.alerts)}, (
+        _vital("selfmon.sec.rule_fires", "count", _C, "sec", "rule_fires",
                "Cumulative action requests emitted by the SEC rule "
                "engine."),
-        _vital("selfmon.sec.events_seen", "count", _C, "sec",
-               lambda p: p.sec.events_seen,
+        _vital("selfmon.sec.events_seen", "count", _C, "sec", "events_seen",
                "Cumulative events fed through the SEC rule set."),
         _vital("selfmon.actions.executed", "count", _C, "actions",
-               lambda p: len(p.actions.audit),
-               "Cumulative action executions recorded in the audit "
-               "log."),
+               "actions_executed",
+               "Cumulative action executions (the audit log keeps "
+               "only the newest records)."),
     )),
-    (lambda p: {d.name: d for d in streaming_detectors(p)}, (
-        _vital("selfmon.analysis.batches", "count", _C, None,
-               "batches_observed",
+    ("analysis", _analysis, (
+        _vital("selfmon.analysis.batches", "count", _C, None, "*.batches",
                "Cumulative SeriesBatches consumed by one streaming "
                "detector (component = detector name)."),
         _vital("selfmon.analysis.detections", "count", _C, None,
-               "detections_total",
+               "*.detections",
                "Cumulative detections emitted by one streaming "
                "detector.", higher_is_worse=True),
     )),
-    (_detector_latency, (
-        _vital("selfmon.analysis.sweep_p50_ms", "ms", _L, None, "p50_ms",
+    ("analysis_latency", _analysis_latency, (
+        _vital("selfmon.analysis.sweep_p50_ms", "ms", _L, None, "*.p50_ms",
                "Median wall time one streaming detector spends "
                "consuming a batch (windowed histogram).",
                higher_is_worse=True),
-        _vital("selfmon.analysis.sweep_p95_ms", "ms", _L, None, "p95_ms",
+        _vital("selfmon.analysis.sweep_p95_ms", "ms", _L, None, "*.p95_ms",
                "p95 wall time one streaming detector spends "
                "consuming a batch.", higher_is_worse=True),
-        _vital("selfmon.analysis.sweep_max_ms", "ms", _L, None, "max_ms",
+        _vital("selfmon.analysis.sweep_max_ms", "ms", _L, None, "*.max_ms",
                "Worst batch-consumption wall time of one streaming "
                "detector in the histogram window.",
                higher_is_worse=True),
     )),
-    (_supervised, (
-        _vital("selfmon.health.state", "state", _G, None,
-               lambda sup: {n: sup.components[n].health.code
-                            for n in sorted(sup.components)},
+    ("health", _health, (
+        _vital("selfmon.health.state", "state", _G, None, "state",
                "Supervised-component health (component = supervised "
                "name): 0 = OK, 1 = DEGRADED, 2 = FAILED.",
                higher_is_worse=True),
         _vital("selfmon.health.transitions", "count", _C, "supervisor",
-               lambda sup: len(sup.transitions),
+               "transitions",
                "Cumulative health-state transitions across every "
                "supervised monitoring component.",
                higher_is_worse=True),
     )),
-    (lambda p: p.delivery_report(), (
+    ("ledger", lambda p: p.delivery_report(), (
         _vital("selfmon.ledger.published_points", "samples", _C, "ledger",
                "published",
                "Cumulative metric points stamped at the transport "
@@ -376,8 +410,9 @@ VITALS: tuple[tuple[Callable[["MonitoringPipeline"], Any],
                           "- in_flight",
                higher_is_worse=True),
     )),
-    (_freshness(
-        lambda fr: {**fr.e2e.summary(), "batches": fr.batches}), (
+    ("freshness", _freshness(
+        lambda fr: {**fr.e2e.summary(), "batches": fr.batches,
+                    "exact": fr.waterfall_exact()}), (
         _vital("selfmon.freshness.e2e_p50_s", "s", _L, "freshness", "p50_s",
                "Median collected-to-queryable latency of traced "
                "batches over the recent window.",
@@ -394,36 +429,36 @@ VITALS: tuple[tuple[Callable[["MonitoringPipeline"], Any],
                "Cumulative traced batches folded into the freshness "
                "histograms at store ingest."),
     )),
-    (_freshness(lambda fr: fr.hop_summaries()), (
-        _vital("selfmon.freshness.hop_mean_s", "s", _L, None, "mean_s",
+    ("freshness_hops", _freshness(lambda fr: fr.hop_summaries()), (
+        _vital("selfmon.freshness.hop_mean_s", "s", _L, None, "*.mean_s",
                "Mean latency attributed to one transport hop "
                "(component = hop id: publish/enqueue/pump/leaf/"
                "merge/root/ingest).", higher_is_worse=True),
-        _vital("selfmon.freshness.hop_p99_s", "s", _L, None, "p99_s",
+        _vital("selfmon.freshness.hop_p99_s", "s", _L, None, "*.p99_s",
                "p99 latency attributed to one transport hop over "
                "the recent window.", higher_is_worse=True),
     )),
-    (_freshness(
+    ("freshness_slos", _freshness(
         lambda fr: {s["name"]: s for s in fr.slo_status()}), (
         _vital("selfmon.freshness.slo_burn_rate", "ratio", _G, None,
-               "burn_rate",
+               "*.burn_rate",
                "Freshness-SLO error-budget burn (component = SLO "
                "name): fraction of recent batches over the latency "
                "threshold divided by the budget 1-quantile; > 1 "
                "means the SLO is being breached.",
                higher_is_worse=True),
-        _vital("selfmon.freshness.slo_breaches", "count", _C, None, "breaches",
+        _vital("selfmon.freshness.slo_breaches", "count", _C, None,
+               "*.breaches",
                "Cumulative edge-triggered breaches of one freshness "
                "SLO (component = SLO name).", higher_is_worse=True),
     )),
-    (lambda p: p, (
-        _vital("selfmon.trace.dropped", "count", _C, "tracer",
-               lambda p: p.tracer.dropped,
+    ("trace", lambda p: {"dropped": p.tracer.dropped}, (
+        _vital("selfmon.trace.dropped", "count", _C, "tracer", "dropped",
                "Spans evicted from the tracer's bounded ring buffer "
                "(accounted exporter loss; silent overwrite before).",
                higher_is_worse=True),
     )),
-    (lambda p: p.frontend.stats(), (
+    ("serve", lambda p: p.frontend.stats(), (
         _vital("selfmon.serve.qps", "queries/s", _G, "frontend", "queries",
                "Serving-plane query arrival rate (admitted + "
                "rejected) over the last selfmon cadence.",
@@ -442,7 +477,7 @@ VITALS: tuple[tuple[Callable[["MonitoringPipeline"], Any],
                "values under dashboard load mean the cache is "
                "undersized or ingest is invalidating every window."),
         _vital("selfmon.serve.cache_bytes", "B", _G, "result-cache",
-               lambda s: s.cache.bytes,
+               "cache.bytes",
                "Bytes of finished answers held by the query-result "
                "cache (bounded LRU)."),
         _vital("selfmon.serve.pyramid_answers", "count", _C, "planner",
@@ -454,10 +489,9 @@ VITALS: tuple[tuple[Callable[["MonitoringPipeline"], Any],
                "Downsample/aggregate queries answered from chunk "
                "summaries and samples only."),
     )),
-    # cumulative (count, total_s) of the tracer's root spans
-    (lambda p: p.tracer.snapshot_counts().get("tick", (0, 0.0)), (
+    ("tick", _tick, (
         _vital("selfmon.pipeline.tick_ms", "ms", _L, "pipeline",
-               lambda counts: counts,
+               lambda t: (t["count"], t["total_s"]),
                "Mean wall time of one full pipeline tick over the "
                "self-monitor cadence (from the root trace span).",
                rate=_mean_tick_ms, higher_is_worse=True),
@@ -467,7 +501,7 @@ VITALS: tuple[tuple[Callable[["MonitoringPipeline"], Any],
 
 def selfmon_specs() -> list[MetricSpec]:
     """The registry spec of every row (what ``default_registry`` loads)."""
-    return [row.spec for _read, rows in VITALS for row in rows]
+    return [row.spec for _section, _read, rows in VITALS for row in rows]
 
 
 SELFMON_METRICS: tuple[str, ...] = tuple(s.name for s in selfmon_specs())
@@ -534,7 +568,7 @@ class SelfMonitor:
         p = self.pipeline
         elapsed = max(float(elapsed_s), 1e-9)
         out: list[SeriesBatch] = []
-        for read, rows in VITALS:
+        for _section, read, rows in VITALS:
             reading = read(p)
             if reading is None:
                 continue

@@ -69,7 +69,6 @@ from .stages import (
     StreamingStage,
     TickLoop,
     default_stages,
-    schedule_stages,
 )
 from .storage.jobstore import JobIndex
 from .storage.logstore import LogStore
@@ -85,9 +84,9 @@ AnalysisHook = Callable[["MonitoringPipeline", float], Sequence[Detection]]
 class MonitoringPipeline:
     """The assembled end-to-end monitoring system over one machine.
 
-    ``config`` (default ``SiteConfig()``) holds every knob: tick, alert
-    renotify, selfmon cadence, collector budget, quotas, site name, and
-    the transport and store tiers.  The keyword parameters are live
+    ``config`` (default ``SiteConfig()``) holds every knob: tick,
+    collector budget, quotas, site name, and the transport and store
+    tiers.  The keyword parameters are live
     parts; one that is given replaces what the config would have built,
     and one that contradicts a declared knob (``tsdb`` against
     ``shards``/``store_dir``) is rejected, so the stack never disagrees
@@ -188,15 +187,19 @@ class MonitoringPipeline:
         self.tap = self.router.attach(DelugeTap())
 
         self.sec = default_sec_engine()
-        self.alerts = AlertManager(renotify_s=config.renotify_s)
+        self.alerts = AlertManager()
         self.actions = ActionEngine(machine, self.alerts)
 
-        # the tick loop: stages ordered by their declared data
-        # dependencies (declaration order breaks ties, so the default
-        # set schedules into the historic Table I order)
-        self.stages: list[Stage] = schedule_stages(
+        # the tick loop: the stages in the order given (the default set
+        # is the historic Table I order); stage(name) and the
+        # supervision keys need the names unique
+        self.stages: list[Stage] = (
             list(stages) if stages is not None else default_stages()
         )
+        names = [s.name for s in self.stages]
+        if len(set(names)) != len(names):
+            dupes = sorted({n for n in names if names.count(n) > 1})
+            raise ValueError(f"duplicate stage names: {dupes}")
         self._pending_requests: list[ActionRequest] = []
         # supervision component names, built lazily (hot loop: no
         # per-tick string formatting)
@@ -215,8 +218,7 @@ class MonitoringPipeline:
         )
 
         self.selfmon = SelfMonitor(
-            self, interval_s=config.selfmon_interval_s,
-            source=f"{self.site}/selfmon" if self.site else "selfmon",
+            self, source=f"{self.site}/selfmon" if self.site else "selfmon",
         )
 
     def _wire_store(self, store) -> None:
@@ -384,9 +386,6 @@ class MonitoringPipeline:
 
     def active_alerts(self):
         return self.alerts.active()
-
-    def overhead_report(self) -> dict:
-        return self.scheduler.overhead_report()
 
     def introspect(self) -> PipelineIntrospector:
         """Health-report view over the monitoring plane itself."""

@@ -16,13 +16,15 @@ records against the machine:
 * ``downclock``      — cap the node's p-state (thermal response);
 * ``power_cap``      — cap a set of nodes for power redirection.
 
-Every execution is appended to an audit log and emitted back into the
-event stream as an ``ACTION`` event, so responses are themselves
-monitorable (feedback "to both humans and software").
+Every execution is counted, appended to a bounded audit log (the newest
+:data:`AUDIT_RECORDS` records) and emitted back into the event stream as
+an ``ACTION`` event, so responses are themselves monitorable (feedback
+"to both humans and software").
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -32,7 +34,11 @@ from .sec import ActionRequest
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.machine import Machine
 
-__all__ = ["Alert", "AuditRecord", "AlertManager", "ActionEngine"]
+__all__ = ["AUDIT_RECORDS", "Alert", "AuditRecord", "AlertManager",
+           "ActionEngine"]
+
+#: audit records an engine keeps (the newest); ``executed`` counts all
+AUDIT_RECORDS = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,7 +102,9 @@ class ActionEngine:
         self.machine = machine
         self.alerts = alert_manager or AlertManager()
         self.dry_run = dry_run
-        self.audit: list[AuditRecord] = []
+        self.audit: deque[AuditRecord] = deque(maxlen=AUDIT_RECORDS)
+        #: cumulative executions, including those rotated out of ``audit``
+        self.executed = 0
         self._handlers: dict[str, Callable[[ActionRequest], str]] = {
             "alert": self._do_alert,
             "drain_node": self._do_drain,
@@ -112,29 +120,33 @@ class ActionEngine:
         self._handlers[action] = handler
 
     def execute(self, requests: Sequence[ActionRequest]) -> list[AuditRecord]:
-        done = []
-        for req in requests:
-            handler = self._handlers.get(req.action)
-            if handler is None:
-                outcome = f"unknown action {req.action!r}"
-            elif self.dry_run and req.action != "alert":
-                outcome = "dry-run: skipped"
-            else:
-                outcome = handler(req)
-            rec = AuditRecord(
-                req.time, req.action, req.component, req.rule, outcome
-            )
-            self.audit.append(rec)
-            done.append(rec)
-            if req.action != "alert":
-                # actions are themselves observable telemetry
-                self.machine.emit_event(
-                    EventKind.ACTION,
-                    Severity.NOTICE,
-                    req.component,
-                    f"action {req.action} by rule {req.rule}: {outcome}",
-                    fields={"rule": req.rule, "action": req.action},
+        done: list[AuditRecord] = []
+        try:
+            for req in requests:
+                handler = self._handlers.get(req.action)
+                if handler is None:
+                    outcome = f"unknown action {req.action!r}"
+                elif self.dry_run and req.action != "alert":
+                    outcome = "dry-run: skipped"
+                else:
+                    outcome = handler(req)
+                rec = AuditRecord(
+                    req.time, req.action, req.component, req.rule, outcome
                 )
+                done.append(rec)
+                if req.action != "alert":
+                    # actions are themselves observable telemetry
+                    self.machine.emit_event(
+                        EventKind.ACTION,
+                        Severity.NOTICE,
+                        req.component,
+                        f"action {req.action} by rule {req.rule}: {outcome}",
+                        fields={"rule": req.rule, "action": req.action},
+                    )
+        finally:
+            # what ran is audited even when a handler raises
+            self.audit.extend(done)
+            self.executed += len(done)
         return done
 
     # -- handlers ------------------------------------------------------------------

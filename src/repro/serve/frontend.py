@@ -47,7 +47,8 @@ class ServeStats:
 
     A bucketed answer counts under ``pyramid_answers`` when every
     contributing series read rollup rows, under ``raw_answers`` when it
-    came from chunk summaries and samples only.
+    came from chunk summaries and samples only.  ``tenants`` holds each
+    tenant's admission counters.
     """
 
     queries: int
@@ -55,6 +56,7 @@ class ServeStats:
     pyramid_answers: int
     raw_answers: int
     cache: ResultCacheStats
+    tenants: dict[str, TenantStats]
 
     @property
     def admitted(self) -> int:
@@ -228,10 +230,8 @@ class QueryFrontend:
                 pyramid_answers=self._pyramid_answers,
                 raw_answers=self._raw_answers,
                 cache=self.result_cache.stats(),
+                tenants=self.governor.all_stats(),
             )
-
-    def tenants(self) -> list[str]:
-        return self.governor.tenants()
 
     def tenant_stats(self, tenant: str) -> TenantStats:
         return self.governor.tenant_stats(tenant)

@@ -153,6 +153,13 @@ class TenantGovernor:
             return TenantStats(state.admitted, state.rejected_rate,
                                state.rejected_concurrency)
 
+    def all_stats(self) -> dict[str, TenantStats]:
+        """Every tenant's counters, by tenant name."""
+        with self._lock:
+            return {t: TenantStats(s.admitted, s.rejected_rate,
+                                   s.rejected_concurrency)
+                    for t, s in sorted(self._tenants.items())}
+
     def totals(self) -> TenantStats:
         with self._lock:
             return TenantStats(

@@ -55,6 +55,7 @@ def build_machine(config: SiteConfig) -> Machine:
 
 def build_store(config: SiteConfig):
     """The numeric-store tier the config declares."""
+    from ..storage.rollup import DEFAULT_LEVELS
     from ..storage.sharded import ShardedTimeSeriesStore
     from ..storage.tsdb import TimeSeriesStore
 
@@ -62,7 +63,7 @@ def build_store(config: SiteConfig):
         return ShardedTimeSeriesStore(
             shards=config.shards,
             chunk_size=config.chunk_size,
-            pyramid_levels=config.pyramid_levels,
+            pyramid_levels=DEFAULT_LEVELS,
             disk_dir=config.store_dir,
             hot_bytes=config.hot_bytes,
         )
@@ -70,12 +71,12 @@ def build_store(config: SiteConfig):
         from ..storage.diskier import DiskTier
         return TimeSeriesStore(
             chunk_size=config.chunk_size,
-            pyramid_levels=config.pyramid_levels,
+            pyramid_levels=DEFAULT_LEVELS,
             disk=DiskTier(config.store_dir, hot_bytes=config.hot_bytes),
         )
     return TimeSeriesStore(
         chunk_size=config.chunk_size,
-        pyramid_levels=config.pyramid_levels,
+        pyramid_levels=DEFAULT_LEVELS,
     )
 
 
@@ -138,7 +139,6 @@ def site_capabilities(pipeline: "MonitoringPipeline") -> dict:
         type(bus).__name__,
     )
     tsdb = pipeline.tsdb
-    levels = getattr(tsdb, "pyramid_levels", None) or ()
     return {
         "site": pipeline.site,
         "system": pipeline.site_config.system,
@@ -147,7 +147,6 @@ def site_capabilities(pipeline: "MonitoringPipeline") -> dict:
         "gpus": machine.gpus.n if machine.gpus is not None else 0,
         "transport": tier,
         "shards": int(getattr(tsdb, "n_shards", 1)),
-        "levels": len(levels),
         # every disk-backed open reports what it found, even all zeros
         "disk": getattr(tsdb, "recovery", None) is not None,
         "cadence_s": float(pipeline.scheduler.collectors[0].interval_s)

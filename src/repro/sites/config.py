@@ -22,7 +22,6 @@ from dataclasses import dataclass, fields
 from typing import Any
 
 from ..serve.quota import TenantQuota
-from ..storage.rollup import DEFAULT_LEVELS
 
 __all__ = [
     "SiteConfig",
@@ -76,8 +75,6 @@ class SiteConfig:
 
     # -- pipeline loop ----------------------------------------------------
     tick_s: float = 10.0
-    renotify_s: float = 3600.0
-    selfmon_interval_s: float = 60.0
     collector_budget_s: float | None = None
 
     # -- transport tier ---------------------------------------------------
@@ -85,7 +82,6 @@ class SiteConfig:
 
     # -- storage tier -----------------------------------------------------
     shards: int | None = None            # None = single store
-    pyramid_levels: tuple[float, ...] = DEFAULT_LEVELS
     store_dir: str | None = None         # out-of-core disk tier root
     hot_bytes: int = 64 << 20
     chunk_size: int = 512
@@ -137,15 +133,11 @@ class SiteConfig:
             )
         if self.shards is not None and int(self.shards) < 1:
             raise ValueError("shards must be >= 1")
-        if not self.pyramid_levels or any(
-            float(x) <= 0 for x in self.pyramid_levels
-        ):
-            raise ValueError("pyramid_levels must be positive")
         if self.chunk_size < 2:
             raise ValueError("chunk_size must be >= 2")
         for knob in ("mean_interarrival_s", "metric_interval_s",
                      "probe_interval_s", "bench_interval_s",
-                     "tick_s", "renotify_s", "selfmon_interval_s"):
+                     "tick_s"):
             if not float(getattr(self, knob) or 0) > 0:   # None, NaN too
                 raise ValueError(f"{knob} must be positive")
 
@@ -183,7 +175,6 @@ class SiteConfig:
             "gpus": self.expected_gpus(),
             "transport": self.transport,
             "shards": int(self.shards) if self.shards is not None else 1,
-            "levels": len(self.pyramid_levels),
             "disk": self.store_dir is not None,
             "cadence_s": float(self.metric_interval_s),
             "tenants": len(self.quotas) if self.quotas else 0,

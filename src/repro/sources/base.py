@@ -206,17 +206,3 @@ class CollectionScheduler:
                 self.bus.publish(f"events.{e.kind.value}", e, source=c.name)
             total.extend(out)
         return total
-
-    def overhead_report(self) -> dict[str, dict[str, float]]:
-        """Per-collector cost accounting (the documented-impact ask)."""
-        return {
-            c.name: {
-                "sweeps": c.sweeps,
-                "samples": c.samples_produced,
-                "wall_s": c.collect_wall_s,
-                "wall_per_sweep_ms": (
-                    1000.0 * c.collect_wall_s / c.sweeps if c.sweeps else 0.0
-                ),
-            }
-            for c in self._collectors
-        }

@@ -44,7 +44,6 @@ __all__ = [
     "SelfMonStage",
     "TickLoop",
     "default_stages",
-    "schedule_stages",
 ]
 
 
@@ -52,11 +51,9 @@ __all__ = [
 class Stage(Protocol):
     """One plane of the monitoring system, advanced once per tick.
 
-    Stages may carry one declarative class attribute the scheduler
-    reads, ``after``: names of stages whose data this stage consumes
-    (absent means no dependencies).  The tick order is *derived* from
-    these edges by :func:`schedule_stages` (declaration order breaks
-    ties), not hand-maintained.
+    The tick runs the pipeline's stages in list order, so a stage comes
+    after every stage whose data it consumes (:func:`default_stages`
+    lists the data path in that order).
     """
 
     name: str
@@ -67,42 +64,6 @@ class Stage(Protocol):
         """Advance this stage; returned requests flow to the response
         stage at the end of the same tick."""
         ...
-
-
-def schedule_stages(stages: Sequence[Stage]) -> list[Stage]:
-    """Topologically order ``stages`` by their declared ``after`` edges.
-
-    Kahn's algorithm with declaration order as the tie-break, so a
-    dependency-complete stage set (like :func:`default_stages`)
-    schedules into exactly the order operators are used to reading in
-    the tick trace.  Edges naming stages that are not installed are
-    ignored — removing a plane must not wedge the ones that remain.
-    A dependency cycle is a configuration error and raises
-    ``ValueError`` naming the stages involved.
-    """
-    names = [s.name for s in stages]
-    present = set(names)
-    if len(present) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise ValueError(f"duplicate stage names: {dupes}")
-    deps = {
-        s.name: [d for d in getattr(s, "after", ()) if d in present]
-        for s in stages
-    }
-    ordered: list[Stage] = []
-    placed: set[str] = set()
-    remaining = list(stages)
-    while remaining:
-        for i, s in enumerate(remaining):
-            if all(d in placed for d in deps[s.name]):
-                ordered.append(s)
-                placed.add(s.name)
-                del remaining[i]
-                break
-        else:
-            stuck = sorted(s.name for s in remaining)
-            raise ValueError(f"stage dependency cycle among: {stuck}")
-    return ordered
 
 
 class TickLoop:
@@ -121,7 +82,7 @@ class TickLoop:
         """Advance the machine one tick and run the monitoring plane.
 
         Every tick opens a root ``tick`` span and iterates the
-        dependency-scheduled stage list, one child span per stage, so
+        stage list in order, one child span per stage, so
         the introspector can attribute wall time to exactly the stage
         that spent it.  Requests returned by a stage accumulate and are
         executed by the response stage at its position in the order.
@@ -169,7 +130,6 @@ class EventPlaneStage:
     """Machine events -> router -> decoded -> log store + SEC."""
 
     name = "event-plane"
-    after: tuple[str, ...] = ()
 
     def run(self, pipeline, now):
         pipeline.router.pump(pipeline.machine)
@@ -188,7 +148,6 @@ class MetricPlaneStage:
     analysis pathways" (Table I)."""
 
     name = "metric-plane"
-    after = ("event-plane",)
 
     def run(self, pipeline, now):
         collected = pipeline.scheduler.poll(
@@ -204,7 +163,6 @@ class JobTrackingStage:
     """Job tenancy: start/end records into the job index + SQL store."""
 
     name = "job-tracking"
-    after: tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self._tracked: set[int] = set()
@@ -259,7 +217,6 @@ class StreamingStage:
     """
 
     name = "streaming"
-    after = ("metric-plane",)
 
     def __init__(self) -> None:
         self.detectors: list = []
@@ -298,7 +255,6 @@ class AnalysisHooksStage:
     """
 
     name = "analysis-hooks"
-    after = ("metric-plane", "job-tracking")
 
     def __init__(self) -> None:
         self.hooks: list[tuple[float, float, "AnalysisHook"]] = []
@@ -338,7 +294,6 @@ class SupervisionStage:
     """
 
     name = "supervision"
-    after = ("event-plane", "metric-plane")
 
     def __init__(self) -> None:
         self._last_drops = 0
@@ -412,7 +367,6 @@ class FreshnessStage:
     """
 
     name = "freshness"
-    after = ("metric-plane", "supervision")
 
     def run(self, pipeline, now):
         breaches = pipeline.freshness.evaluate(now)
@@ -439,8 +393,6 @@ class ResponseStage:
     """Execute every request the earlier stages raised this tick."""
 
     name = "response"
-    after = ("event-plane", "metric-plane", "streaming",
-             "analysis-hooks", "supervision", "freshness")
 
     def run(self, pipeline, now):
         requests = pipeline.take_pending()
@@ -453,7 +405,6 @@ class SelfMonStage:
     """The stack's own vitals, on their cadence, into the same bus."""
 
     name = "selfmon"
-    after = ("response",)
 
     def run(self, pipeline, now):
         pipeline.selfmon.maybe_emit(now)

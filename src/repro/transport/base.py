@@ -53,6 +53,21 @@ class BusStats:
     errors: int = 0
     queue_depths: dict[str, int] = field(default_factory=dict)
 
+    @property
+    def completeness(self) -> float:
+        """Data-path completeness: fraction of attempted deliveries that
+        reached (or still await) a consumer.
+
+        ``delivered`` counts successful hand-offs (callback returned, or
+        the envelope was enqueued); ``dropped`` counts envelopes later
+        evicted by the drop-oldest policy; ``errors`` counts callback
+        raises.  Under no-drop, no-error conditions it is exactly 1.0.
+        """
+        attempted = self.delivered + self.errors
+        if attempted <= 0:
+            return 1.0
+        return (self.delivered - self.dropped) / attempted
+
 
 @dataclass(frozen=True, slots=True)
 class MatchCacheInfo:

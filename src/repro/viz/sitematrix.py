@@ -24,7 +24,6 @@ _COLUMNS = (
     ("gpus", "gpus"),
     ("transport", "transport"),
     ("shards", "shards"),
-    ("levels", "levels"),
     ("disk", "disk"),
     ("cadence_s", "cadence"),
     ("tenants", "tenants"),

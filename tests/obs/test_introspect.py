@@ -75,7 +75,7 @@ class TestHealthReport:
         from repro.stages import default_stages
 
         class Heartbeat:
-            name, plane, after = "heartbeat", "obs", ()
+            name, plane = "heartbeat", "obs"
 
             def run(self, pipeline, now):
                 return []
@@ -91,8 +91,8 @@ class TestHealthReport:
     def test_completeness_is_one_under_no_drop(self, monitored_run):
         report = monitored_run.introspect().report()
         assert report.completeness == 1.0
-        assert report.bus["dropped"] == 0
-        assert report.bus["errors"] == 0
+        assert report.sections["bus"]["dropped"] == 0
+        assert report.sections["bus"]["errors"] == 0
 
     @pytest.mark.degrades
     def test_completeness_below_one_when_forced_to_drop(self):
@@ -113,12 +113,13 @@ class TestHealthReport:
     def test_queue_depth_reports_backpressure(self, monitored_run):
         p = monitored_run
         report = p.introspect().report()
-        assert "tsdb-ingest" in report.queue_depths
+        assert "tsdb-ingest" in report.sections["bus"]["queue_depths"]
         sub = p.bus.subscribe("metrics.*", name="lagging-consumer")
         for _ in range(12):            # two minutes: every collector sweeps
             p.step(10.0)
         report = p.introspect().report()
-        assert report.queue_depths["lagging-consumer"] == len(sub) > 0
+        depths = report.sections["bus"]["queue_depths"]
+        assert depths["lagging-consumer"] == len(sub) > 0
         assert "lagging-consumer" in report.backpressured
         p.bus.unsubscribe(sub)
 
@@ -131,8 +132,10 @@ class TestHealthReport:
     def test_collector_latency_summaries(self, monitored_run):
         report = monitored_run.introspect().report()
         for c in monitored_run.scheduler.collectors:
-            entry = report.collectors[c.name]
+            entry = report.sections["collectors"][c.name]
             assert entry["sweeps"] > 0
+            assert entry["samples"] == c.samples_produced
+            assert entry["wall_per_sweep_ms"] > 0.0
             assert entry["p50_ms"] <= entry["p95_ms"] <= entry["max_ms"]
 
     def test_render_is_complete(self, monitored_run):
@@ -143,6 +146,28 @@ class TestHealthReport:
         assert "slowest spans" in text
         assert "stores:" in text
         assert "chunk cache:" in text
+        assert "ledger:" in text and "unaccounted=0" in text
+        assert "exact=True" in text
+
+    def test_serve_section_carries_every_tenant(self, monitored_run):
+        p = monitored_run
+        p.frontend.query("node.cpu_util", p.tsdb.components(
+            "node.cpu_util")[0], tenant="ops")
+        serve = p.introspect().report().sections["serve"]
+        assert serve["tenants"]["ops"]["admitted"] >= 1
+        assert serve["queries"] >= serve["tenants"]["ops"]["admitted"]
+        assert "    ops: admitted=" in p.introspect().render()
+
+    @pytest.mark.degrades
+    def test_health_section_details_impaired_components(self):
+        p = build_site(SiteConfig(seed=1), machine=make_machine())
+        p.run(duration_s=120.0, dt=10.0)
+        p.supervisor.fail("store", p.machine.now, reason="disk on fire")
+        health = p.introspect().report().sections["health"]
+        assert health["state"]["store"] == 2
+        assert health["impaired"]["store"]["reason"] == "disk on fire"
+        assert list(health["impaired"]) == ["store"]
+        assert "reason=disk on fire" in p.introspect().render()
 
     def test_chunk_cache_counters_reported(self, monitored_run):
         p = monitored_run
@@ -150,10 +175,10 @@ class TestHealthReport:
         comp = p.tsdb.components("node.cpu_util")[0]
         for _ in range(2):
             p.tsdb.query("node.cpu_util", comp)
-        report = p.introspect().report()
-        assert report.chunk_cache["misses"] > 0
-        assert report.chunk_cache["hits"] > 0
-        assert 0.0 < report.chunk_cache["hit_ratio"] <= 1.0
+        cache = p.introspect().report().sections["chunk_cache"]
+        assert cache["misses"] > 0
+        assert cache["hits"] > 0
+        assert 0.0 < cache["hit_ratio"] <= 1.0
 
 
 class TestIntrospectorWithArchivedStore:
@@ -165,9 +190,10 @@ class TestIntrospectorWithArchivedStore:
         p.run(duration_s=1200.0, dt=10.0)
         assert p.tsdb.archive_before(600.0) > 0
         report = p.introspect().report()
-        assert report.stores["tsdb_points"] > 0
-        assert report.disk["spills"] > 0
-        assert report.disk["hot_bytes"] < report.stores["tsdb_bytes"]
+        tsdb, disk = report.sections["tsdb"], report.sections["disk_tier"]
+        assert tsdb["samples"] > 0
+        assert disk["spills"] > 0
+        assert disk["hot_bytes"] < tsdb["compressed_bytes"]
         assert "disk tier:" in p.introspect().render()
         p.tsdb.disk.close()
 
@@ -175,8 +201,11 @@ class TestIntrospectorWithArchivedStore:
 class TestTieredStackReport:
     def test_flat_stack_reports_no_partitions_or_shards(self, monitored_run):
         report = monitored_run.introspect().report()
-        assert report.partitions == {}
-        assert report.shards == {}
+        assert report.sections["partitions"] is None
+        assert report.sections["shards"] is None
+        assert report.sections["disk_tier"] is None
+        text = monitored_run.introspect().render()
+        assert "partitions:" not in text and "shards:" not in text
 
     @pytest.fixture(scope="class")
     def tiered_run(self):
@@ -189,11 +218,12 @@ class TestTieredStackReport:
     def test_partitioned_sharded_stack_reports_both(self, tiered_run):
         p = tiered_run
         report = p.introspect().report()
-        assert sorted(report.partitions) == [
+        assert sorted(report.sections["partitions"]["depth"]) == [
             f"partition-{i}" for i in range(4)
         ]
-        assert sorted(report.shards) == [f"shard-{i}" for i in range(4)]
-        assert (sum(s["points"] for s in report.shards.values())
+        shards = report.sections["shards"]
+        assert sorted(shards) == [f"shard-{i}" for i in range(4)]
+        assert (sum(s["samples"] for s in shards.values())
                 == p.tsdb.stats().samples)
         text = p.introspect().render()
         assert "partitions:" in text
@@ -235,20 +265,24 @@ class TestAnalysisSection:
 
     def test_report_covers_every_detector(self, streaming_run):
         report = streaming_run.introspect().report()
-        assert set(report.analysis) == {
-            "StreamingStats", "StreamingOutlierDetector"
-        }
-        for entry in report.analysis.values():
+        names = {"StreamingStats", "StreamingOutlierDetector"}
+        analysis = report.sections["analysis"]
+        latency = report.sections["analysis_latency"]
+        assert set(analysis) == set(latency) == names
+        for entry in analysis.values():
             assert entry["batches"] > 0
             assert entry["samples"] > 0
+        for entry in latency.values():
             assert entry["p50_ms"] <= entry["p95_ms"] <= entry["max_ms"]
 
     def test_render_lists_detectors(self, streaming_run):
         text = streaming_run.introspect().render()
-        assert "streaming detectors:" in text
-        assert "StreamingStats" in text
+        assert "analysis:" in text
+        assert "StreamingStats: batches=" in text
 
     def test_no_detectors_no_section(self, monitored_run):
         report = monitored_run.introspect().report()
-        assert report.analysis == {}
-        assert "streaming detectors:" not in monitored_run.introspect().render()
+        assert report.sections["analysis"] == {}
+        assert report.sections["analysis_latency"] == {}
+        text = monitored_run.introspect().render()
+        assert "analysis:" not in text and "analysis latency:" not in text

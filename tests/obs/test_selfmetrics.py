@@ -1,5 +1,7 @@
 """Unit tests for latency histograms and the self-metric emitter."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,13 +18,18 @@ from repro.obs.selfmetrics import (
     SELFMON_METRICS,
     SelfMonitor,
     Vital,
-    completeness_ratio,
     selfmon_specs,
 )
 from repro.pipeline import MonitoringPipeline
 from repro.sites import SiteConfig, build_site
 from repro.sources.counters import NodeCounterCollector
+from repro.transport.base import BusStats
 from tests.test_pipeline import make_machine
+
+
+def completeness_ratio(delivered, dropped, errors):
+    return BusStats(published=0, delivered=delivered, dropped=dropped,
+                    subscriptions=0, errors=errors).completeness
 
 
 class TestLatencyHistogram:
@@ -106,18 +113,21 @@ class TestSingleDeclaration:
         with pytest.raises(ValueError, match="different spec"):
             small_pipeline(registry=reg)
 
-    def test_one_extra_row_is_the_whole_change(self, monkeypatch):
+    def test_one_extra_row_is_the_whole_change(self, monkeypatch, capsys):
+        from repro.__main__ import main
+
         row = Vital(
             MetricSpec("selfmon.store.job_rows", "count",
                        MetricClass.GAUGE, "monitor",
                        "Jobs resident in the job index."),
-            "jobstore", lambda p: len(p.jobs))
-        monkeypatch.setattr(selfmetrics, "VITALS",
-                            (*selfmetrics.VITALS, (lambda p: p, (row,))))
+            "jobstore", lambda jobs: jobs["rows"])
+        monkeypatch.setattr(selfmetrics, "VITALS", (
+            *selfmetrics.VITALS,
+            ("jobs", lambda p: {"rows": len(p.jobs)}, (row,))))
         assert ("selfmon.store.job_rows | count | gauge | monitor | "
                 "Jobs resident in the job index."
                 in default_registry().document())
-        p = small_pipeline(SiteConfig(selfmon_interval_s=60.0))
+        p = small_pipeline()
         p.selfmon.maybe_emit(0.0)
         assert "selfmon.store.job_rows" in {
             b.metric for b in p.selfmon.sample(60.0, elapsed_s=60.0)}
@@ -125,6 +135,14 @@ class TestSingleDeclaration:
         stored = p.tsdb.query("selfmon.store.job_rows", "jobstore")
         assert len(stored)
         assert stored.values[-1] == len(p.jobs)
+        # ... and the report, its render and the JSON report follow
+        assert p.introspect().report().sections["jobs"] == {
+            "rows": len(p.jobs)}
+        assert f"jobs: rows={len(p.jobs)}" in p.introspect().render()
+        assert main(["obs", "--hours", "0.05", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["report"]["jobs"]["rows"] >= 0
+        assert "selfmon.store.job_rows" in doc["selfmon"]
 
     def test_each_stats_surface_is_read_once_per_sweep(self):
         p = small_pipeline()
@@ -143,17 +161,74 @@ class TestSingleDeclaration:
         p.selfmon.sample(60.0, elapsed_s=60.0)
         assert calls == {"bus.stats": 1, "delivery_report": 1,
                          "frontend.stats": 1}
+        # the health report is one more reading of the same table
+        p.introspect().report()
+        assert calls == {"bus.stats": 2, "delivery_report": 2,
+                         "frontend.stats": 2}
+
+
+class TestReportAgreesWithSeries:
+    """At a selfmon emit instant, every non-rate row's published value
+    is the report's reading of the same group."""
+
+    @pytest.mark.parametrize("knobs", [
+        {},
+        {"transport": "partitioned", "shards": 4, "chunk_size": 8,
+         "hot_bytes": 16 << 10, "disk": True},
+    ], ids=["flat-single", "partitioned-sharded-disk"])
+    def test_published_values_equal_the_report(self, knobs, tmp_path):
+        from repro.analysis.streaming import StreamingStats
+
+        knobs = dict(knobs)
+        if knobs.pop("disk", False):
+            knobs["store_dir"] = str(tmp_path / "store")
+        p = build_site(SiteConfig(seed=3, **knobs), machine=make_machine())
+        p.add_streaming(StreamingStats())
+        emits = []
+        sample = p.selfmon.sample
+
+        def sample_then_report(now, elapsed_s):
+            batches = sample(now, elapsed_s)
+            emits.append((batches, p.introspect().report()))
+            return batches
+
+        p.selfmon.sample = sample_then_report
+        p.run(duration_s=900.0, dt=10.0)
+        batches, report = emits[-1]
+        published = {b.metric: dict(zip(b.components, b.values.tolist()))
+                     for b in batches}
+        checked = 0
+        for section, _read, rows in selfmetrics.VITALS:
+            reading = report.sections[section]
+            for row in rows:
+                name = row.spec.name
+                if row.rate is not None:
+                    continue
+                if reading is None:
+                    assert name not in published, name
+                    continue
+                value = row.field(reading)
+                want = ({row.component: value} if row.component is not None
+                        else value)
+                got = published.get(name, {})
+                assert list(got) == list(want), name
+                assert np.array_equal(list(got.values()),
+                                      [float(v) for v in want.values()],
+                                      equal_nan=True), name
+                checked += 1
+        assert checked >= 40
+        if knobs:
+            assert report.sections["disk_tier"]["spills"] > 0
 
 
 class TestRatesAcrossStoreSwap:
-    RATES = [row.spec.name for _read, rows in selfmetrics.VITALS
+    RATES = [row.spec.name for _section, _read, rows in selfmetrics.VITALS
              for row in rows if row.rate is selfmetrics._per_second]
 
     def test_no_rate_goes_negative_across_crash_and_recover(self, tmp_path):
         p = build_site(SiteConfig(
             shards=2, chunk_size=8, store_dir=str(tmp_path),
-            hot_bytes=16 << 10, tick_s=60, metric_interval_s=60,
-            selfmon_interval_s=60))
+            hot_bytes=16 << 10, tick_s=60, metric_interval_s=60))
         for _ in range(40):
             p.step()
         before = p.tsdb.stats().samples
@@ -176,8 +251,8 @@ class TestSelfMonitor:
         assert p.selfmon.emissions == 0
 
     def test_emits_on_cadence_not_before(self):
-        p = small_pipeline(SiteConfig(selfmon_interval_s=120.0))
-        mon = p.selfmon
+        p = small_pipeline()
+        mon = p.selfmon = SelfMonitor(p, interval_s=120.0)
         mon.maybe_emit(0.0)
         assert mon.maybe_emit(60.0) == []
         batches = mon.maybe_emit(120.0)
@@ -185,7 +260,7 @@ class TestSelfMonitor:
         assert mon.emissions == 1
 
     def test_emitted_batches_land_in_tsdb_via_bus(self):
-        p = small_pipeline(SiteConfig(selfmon_interval_s=60.0))
+        p = small_pipeline()
         p.run(duration_s=200.0, dt=10.0)
         metrics = {k.metric for k in p.tsdb.keys()}
         for family in ("selfmon.bus.", "selfmon.collector.",
@@ -343,7 +418,7 @@ class TestAnalysisGauges:
             StreamingStats,
         )
 
-        p = small_pipeline(SiteConfig(selfmon_interval_s=60.0))
+        p = small_pipeline()
         p.add_streaming(StreamingStats())
         p.add_streaming(
             StreamingOutlierDetector(("node.cpu_util",), z_threshold=4.0)
@@ -361,7 +436,7 @@ class TestAnalysisGauges:
     def test_same_class_twice_gets_unique_gauge_components(self):
         from repro.analysis.streaming import StreamingStats
 
-        p = small_pipeline(SiteConfig(selfmon_interval_s=60.0))
+        p = small_pipeline()
         p.add_streaming(StreamingStats())
         p.add_streaming(StreamingStats())
         p.run(duration_s=200.0, dt=10.0)

@@ -27,8 +27,9 @@ REQUIREMENTS: list[tuple[str, str, str, str]] = [
     ("Architecture",
      "Where access and transport of data might incur impact, that "
      "impact should be well-documented",
-     "repro.sources.base:CollectionScheduler.overhead_report",
-     "per-collector wall-clock and sample accounting"),
+     "repro.obs.introspect:PipelineIntrospector.report",
+     "per-collector wall-clock and sample accounting (the collectors "
+     "section), with every other selfmon.* surface"),
     ("Architecture",
      "Multiple flexible data paths; direct data to multiple consumers",
      "repro.transport.bus:MessageBus",

@@ -109,6 +109,17 @@ class TestActionEngine:
         eng = ActionEngine(machine)
         eng.execute([req("alert", "n0"), req("alert", "n1")])
         assert len(eng.audit) == 2
+        assert eng.executed == 2
+
+    def test_audit_is_a_bounded_ring_and_the_count_is_not(self, machine):
+        eng = ActionEngine(machine)
+        eng.execute([req("alert", f"n{i}", t=float(i))
+                     for i in range(5000)])
+        assert eng.executed == 5000
+        assert len(eng.audit) == 4096
+        # the newest records are the ones kept
+        assert [r.time for r in eng.audit] == [
+            float(i) for i in range(5000 - 4096, 5000)]
 
 
 class TestDefaultPolicy:

@@ -59,19 +59,12 @@ class TestValidation:
             SiteConfig(shards=0)
         with pytest.raises(ValueError, match="chunk_size"):
             SiteConfig(chunk_size=1)
-        with pytest.raises(ValueError, match="pyramid_levels"):
-            SiteConfig(pyramid_levels=())
 
     def test_bad_intervals(self):
         with pytest.raises(ValueError, match="tick_s"):
             SiteConfig(tick_s=0.0)
-        with pytest.raises(ValueError, match="selfmon_interval_s"):
-            SiteConfig(selfmon_interval_s=-1.0)
-
-    def test_selfmon_cannot_be_switched_off(self):
-        # every site monitors itself: None is not an interval
-        with pytest.raises(ValueError, match="selfmon_interval_s"):
-            SiteConfig(selfmon_interval_s=None)
+        with pytest.raises(ValueError, match="metric_interval_s"):
+            SiteConfig(metric_interval_s=None)
 
     def test_gpu_nodes_shapes(self):
         SiteConfig(gpu_nodes=None)

@@ -7,6 +7,7 @@ from repro import SiteConfig, build_site
 from repro.cluster import Machine, build_dragonfly
 from repro.cluster.workload import APP_LIBRARY, Job
 from repro.core.registry import default_registry
+from repro.pipeline import MonitoringPipeline
 from repro.sources import (
     CollectionScheduler,
     Collector,
@@ -311,12 +312,14 @@ class TestScheduler:
             sched.add(Rogue())
 
     def test_overhead_report(self, machine):
-        sched = CollectionScheduler(MessageBus())
-        sched.add(NodeCounterCollector(interval_s=60.0))
-        sched.poll(machine, 0.0)
-        rep = sched.overhead_report()
+        # per-collector cost is the health report's collectors section
+        p = MonitoringPipeline(
+            machine, collectors=[NodeCounterCollector(interval_s=60.0)])
+        p.step(10.0)
+        rep = p.introspect().report().sections["collectors"]
         assert rep["node_counters"]["sweeps"] == 1
         assert rep["node_counters"]["samples"] > 0
+        assert rep["node_counters"]["wall_per_sweep_ms"] > 0.0
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):

@@ -44,7 +44,7 @@ class TestCli:
         assert "selfmon.collector.sweep_p95_ms" in proc.stdout
         assert "chunk cache:" in proc.stdout
         assert "selfmon.store.cache_hits" in proc.stdout
-        assert "streaming detectors:" in proc.stdout
+        assert "analysis:" in proc.stdout
         assert "selfmon.analysis.batches" in proc.stdout
 
     def test_obs_json_mode_emits_machine_readable_report(self):
@@ -52,8 +52,14 @@ class TestCli:
 
         proc = run_cli("obs", "--hours", "0.2", "--json")
         assert proc.returncode == 0
+        from repro.obs.selfmetrics import VITALS
+
         doc = json.loads(proc.stdout)
         assert set(doc) == {"report", "selfmon"}
+        # every VITALS group is a section of the report, by name
+        for section, _read, _rows in VITALS:
+            assert section in doc["report"], section
+        assert doc["report"]["collectors"]["node_counters"]["samples"] > 0
         assert "freshness" in doc["report"]
         assert doc["report"]["freshness"]["exact"] is True
         assert "selfmon.freshness.e2e_p99_s" in doc["selfmon"]

@@ -14,7 +14,7 @@ from repro.cluster import (
     build_dragonfly,
 )
 from repro.cluster.workload import APP_LIBRARY, Job
-from repro.stages import default_stages, schedule_stages
+from repro.stages import default_stages
 
 
 def make_machine(**kw):
@@ -176,10 +176,11 @@ class TestAnalysisHooks:
 
 class TestOverheadAccounting:
     def test_overhead_report_structure(self, faulty_run):
-        rep = faulty_run.overhead_report()
+        rep = faulty_run.introspect().report().sections["collectors"]
         assert "node_counters" in rep
         for stats in rep.values():
             assert stats["sweeps"] >= 1
+            assert stats["samples"] >= 0
             assert stats["wall_per_sweep_ms"] >= 0.0
 
 
@@ -213,14 +214,12 @@ class TestAutomaticPostJobGate:
         assert victim in p.health_gate.drained
 
 
-# -- dependency-declared stage scheduling -----------------------------------
+# -- the tick order is the stage list ---------------------------------------
 
 
 class _FakeStage:
-    def __init__(self, name, after=None):
+    def __init__(self, name):
         self.name = name
-        if after is not None:
-            self.after = after
 
     def run(self, pipeline, now):  # pragma: no cover - never ticked
         return None
@@ -228,39 +227,22 @@ class _FakeStage:
 
 class TestScheduleStages:
     def test_default_stages_keep_historic_order(self):
-        ordered = [s.name for s in schedule_stages(default_stages())]
-        assert ordered == [
+        assert [s.name for s in default_stages()] == [
             "event-plane", "metric-plane", "job-tracking", "streaming",
             "analysis-hooks", "supervision", "freshness", "response",
             "selfmon",
         ]
+        p = MonitoringPipeline(make_machine(job_generator=None))
+        assert ([s.name for s in p.stages]
+                == [s.name for s in default_stages()])
 
     def test_attrless_stages_keep_declaration_order(self):
         stages = [_FakeStage("a"), _FakeStage("b"), _FakeStage("c")]
-        assert [s.name for s in schedule_stages(stages)] == ["a", "b", "c"]
-
-    def test_dependencies_reorder(self):
-        stages = [
-            _FakeStage("late", after=("early",)),
-            _FakeStage("early"),
-        ]
-        assert [s.name for s in schedule_stages(stages)] == [
-            "early", "late",
-        ]
-
-    def test_missing_dependencies_are_tolerated(self):
-        # a stage set without the freshness plane still schedules
-        stages = [_FakeStage("only", after=("absent-plane",))]
-        assert [s.name for s in schedule_stages(stages)] == ["only"]
-
-    def test_cycle_is_rejected(self):
-        stages = [
-            _FakeStage("a", after=("b",)),
-            _FakeStage("b", after=("a",)),
-        ]
-        with pytest.raises(ValueError, match="cycle"):
-            schedule_stages(stages)
+        p = MonitoringPipeline(make_machine(job_generator=None),
+                               stages=stages)
+        assert [s.name for s in p.stages] == ["a", "b", "c"]
 
     def test_duplicate_names_are_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            schedule_stages([_FakeStage("x"), _FakeStage("x")])
+            MonitoringPipeline(make_machine(job_generator=None),
+                               stages=[_FakeStage("x"), _FakeStage("x")])
