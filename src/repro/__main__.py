@@ -1,99 +1,94 @@
 """Command-line demo driver: ``python -m repro [scenario]``.
 
-Runs a monitored machine scenario and prints the live outcome — the
-fastest way to see the stack end to end without writing code.
+A scenario is a :class:`~repro.sites.SiteConfig` plus a monitor-side
+fault schedule, run for ``--hours`` on one site (a 96-node all-GPU
+dragonfly with a hung node and a slow OST) by one runner, then shown.
+The CLI shows; tier-1 proves: what a scenario prints (ledger balance,
+exact waterfalls, exact answers, declared capabilities) is pinned by the
+tests, so a scenario exits 0 when it completes and an exception is the
+failure signal.
 
 Scenarios:
 
-* ``demo``        (default) — mixed workload, hung node + slow OST,
-                  full pipeline, alerts + dashboard;
-* ``figures``     — regenerate Figure 3 and Figure 4 style output from
-                  a fresh simulation;
-* ``registry``    — print the metric data dictionary (every metric's
-                  unit, meaning, and derivation);
-* ``dashboard``   — run a workload and render the shareable operations
-                  dashboard spec;
-* ``obs``         — run a workload and introspect the monitoring plane
-                  itself: per-stage span timings, data-path
-                  completeness, slowest spans, and the ``selfmon.*``
-                  meta-metric series it stored about itself;
-* ``chaos``       — break the monitoring plane itself (raising
-                  collector, hung collector, transport stall, transport
-                  drop storm, TSDB shard outage) and show the
-                  supervised lifecycle riding it out: the
-                  health-transition timeline, the self-alerts the SEC
-                  raised about its own degradation — including the
-                  freshness-SLO breach naming the stalled hop — and the
-                  delivery ledger reconciling every published point as
-                  stored or accounted loss;
-* ``slo``         — run the same workload on all three transport tiers
-                  and print the ingest-to-queryable latency waterfall
-                  each produced: per-hop attribution whose hop sums
-                  telescope *exactly* to the end-to-end latency, plus
-                  the freshness-SLO burn status;
-* ``store``       — out-of-core storage demo: run a sharded store with
-                  a deliberately tiny hot-tier byte budget so sealed
-                  chunks spill to mmap-backed segment files, snapshot,
-                  then hard-crash the store (files truncated to the
-                  last fsync) mid-campaign and recover from disk — the
-                  delivery ledger accounts every point across the
-                  crash, with unsynced loss a named cause, never a
-                  silence;
-* ``serve``       — ingest on a sharded store, then drive dashboard
-                  query rounds for two tenants through the serving
-                  plane: answers read from rollup-pyramid rows,
-                  result-cache hit ratios, per-tenant admission
-                  accounting (a burst-limited guest is shed), and an
-                  exactness spot-check of every bucketed answer against
-                  the raw decompress path;
-* ``sites``       — stand up all ten paper sites from their declarative
-                  configs on one simulated clock, run a short campaign,
-                  and print the regenerated Table I capability matrix
-                  (declared vs live-introspected, drift flagged), a
-                  cross-site federated query answered exactly through
-                  the partial-column merge, the merged health timeline,
-                  and every site's delivery-ledger identity — exits
-                  nonzero if any ledger fails to balance or any
-                  declared capability drifts from the built stack.
+* ``demo``      (default) alerts and the live dashboard;
+* ``figures``   Figure 3 and Figure 4 style plots of the run;
+* ``registry``  the metric data dictionary (no run);
+* ``dashboard`` the shareable operations dashboard spec, rendered;
+* ``obs``       the monitor's health report and its ``selfmon.*`` series;
+* ``chaos``     monitor faults: health timeline, self-alerts, ledger;
+* ``slo``       the freshness waterfall of each transport tier;
+* ``store``     a spilling sharded disk store snapshotted, crashed, reopened;
+* ``serve``     two tenants' dashboard queries through the serving plane;
+* ``sites``     the ten paper sites: Table I, a federated query, ledgers.
 
-``obs --json`` emits the full health report and the stored ``selfmon.*``
+``obs --json`` emits the health report and the stored ``selfmon.*``
 series as machine-readable JSON instead of text.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
+import numpy as np
 
-def _demo_site(seed: int, overrides: dict | None = None, **knobs):
-    """The CLI's site: a 96-node all-GPU dragonfly with a hung node and
-    a slow OST, monitored by the stack ``knobs`` declare."""
+from .obs.introspect import section_lines
+
+
+def _run(args, *, faults=(), overrides=None, streaming=(), **knobs):
+    """The CLI's site, declared by ``knobs``, run for ``args.hours`` with
+    the monitor ``faults`` injected (``streaming`` detectors attached
+    first); returns the pipeline with its bus flushed."""
     from .cluster import HungNode, SlowOst
+    from .obs.chaos import MonitorFaultInjector
     from .sites import SiteConfig, build_machine, build_site
 
     config = SiteConfig(gpu_nodes="all", mean_interarrival_s=180,
-                        seed=seed, **knobs)
+                        seed=args.seed, **knobs)
     machine = build_machine(config)
     machine.faults.add(HungNode(start=900.0, duration=1200.0,
                                 node=machine.topo.nodes[5]))
     machine.faults.add(SlowOst(start=1800.0, duration=1200.0, ost=0,
                                bw_factor=0.1))
-    return build_site(config, machine=machine, overrides=overrides)
+    pipeline = build_site(config, machine=machine, overrides=overrides)
+    for detector in streaming:
+        pipeline.add_streaming(detector)
+    injector = MonitorFaultInjector(list(faults))
+    end = machine.now + args.hours * 3600.0
+    while machine.now < end - 1e-9:
+        injector.step(pipeline, machine.now)
+        pipeline.step(10.0)
+    injector.step(pipeline, machine.now)   # revert what ended on the last tick
+    pipeline.bus.flush()
+    return pipeline
+
+
+def _show(pipeline, *sections) -> None:
+    """Print health-report sections through the introspector's renderer."""
+    report = pipeline.introspect().report()
+    for name in sections:
+        if report.sections[name]:
+            print("\n".join(section_lines(name.replace("_", " "),
+                                          report.sections[name])))
+
+
+def _alerts(pipeline, prefix: str, limit: int, width: int | None) -> None:
+    alerts = [a for a in pipeline.alerts.alerts if a.rule.startswith(prefix)]
+    print(f"\n{prefix or 'all'} alerts ({len(alerts)}):")
+    for a in alerts[:limit]:
+        print(f"  t={a.time:6.0f}s [{a.severity.name:8}] {a.rule:22} "
+              f"{a.component}: {a.message[:width]}")
+    if len(alerts) > limit:
+        print(f"  ... and {len(alerts) - limit} more")
 
 
 def cmd_demo(args) -> int:
-    pipeline = _demo_site(args.seed)
-    machine = pipeline.machine
-    print(f"simulating {len(machine.topo.nodes)} nodes for "
-          f"{args.hours:g} h with a hung node and a slow OST...")
-    pipeline.run(hours=args.hours, dt=10.0)
-    print("\nalerts:")
-    for a in pipeline.alerts.alerts:
-        print(f"  t={a.time:6.0f}s [{a.severity.name:8}] "
-              f"{a.rule:18} {a.component}: {a.message[:54]}")
+    print(f"simulating {args.hours:g} h with a hung node and a slow OST...")
+    pipeline = _run(args)
+    _alerts(pipeline, "", limit=40, width=54)
     print()
-    print(pipeline.dashboard().render(machine.now, window_s=1200.0))
+    print(pipeline.dashboard().render(pipeline.machine.now, window_s=1200.0))
     stats = pipeline.tsdb.stats()
     print(f"\n{stats.samples} samples / {stats.series} series stored, "
           f"{len(pipeline.logs)} log events, "
@@ -104,13 +99,10 @@ def cmd_demo(args) -> int:
 def cmd_figures(args) -> int:
     from .viz.figures import figure3_power, figure4_drilldown
 
-    pipeline = _demo_site(args.seed)
-    machine = pipeline.machine
-    pipeline.run(hours=args.hours, dt=10.0)
-    fig3 = figure3_power(pipeline.tsdb, 0.0, machine.now)
-    print(fig3.render(height=7))
-    fig4, result = figure4_drilldown(pipeline.tsdb, pipeline.jobs,
-                                     0.0, machine.now)
+    pipeline = _run(args)
+    now = pipeline.machine.now
+    print(figure3_power(pipeline.tsdb, 0.0, now).render(height=7))
+    fig4, _result = figure4_drilldown(pipeline.tsdb, pipeline.jobs, 0.0, now)
     print()
     print(fig4.render(height=7))
     return 0
@@ -126,14 +118,12 @@ def cmd_registry(args) -> int:
 def cmd_dashboard(args) -> int:
     from .viz.dashspec import operations_dashboard
 
-    pipeline = _demo_site(args.seed)
-    machine = pipeline.machine
-    pipeline.run(hours=args.hours, dt=10.0)
+    pipeline = _run(args)
     spec = operations_dashboard()
     print("shareable spec (JSON):")
     print(spec.to_json())
     print()
-    print(spec.render(pipeline.tsdb, machine.now))
+    print(spec.render(pipeline.tsdb, pipeline.machine.now))
     return 0
 
 
@@ -145,48 +135,35 @@ def cmd_obs(args) -> int:
     )
 
     as_json = getattr(args, "json", False)
-    pipeline = _demo_site(args.seed)
     if not as_json:
-        print(f"simulating {len(pipeline.machine.topo.nodes)} nodes for "
-              f"{args.hours:g} h, monitoring the monitoring...")
+        print(f"simulating {args.hours:g} h, monitoring the monitoring...")
     # streaming detectors on the hot sweeps, so the analysis plane has
-    # something to self-report (selfmon.analysis.* gauges below)
-    pipeline.add_streaming(StreamingStats())
-    pipeline.add_streaming(
-        StreamingOutlierDetector(("node.power_w",), z_threshold=6.0))
-    pipeline.add_streaming(
-        StreamingRateWatch("gpu.ecc_dbe", max_rate_per_s=0.01))
-    pipeline.run(hours=args.hours, dt=10.0)
-    selfmon = sorted(
-        {k.metric for k in pipeline.tsdb.keys()
-         if k.metric.startswith("selfmon.")}
-    )
+    # something to self-report (the analysis sections below)
+    pipeline = _run(args, streaming=(
+        StreamingStats(),
+        StreamingOutlierDetector(("node.power_w",), z_threshold=6.0),
+        StreamingRateWatch("gpu.ecc_dbe", max_rate_per_s=0.01),
+    ))
+    tsdb = pipeline.tsdb
+    series = {}
+    for name in sorted({k.metric for k in tsdb.keys()
+                        if k.metric.startswith("selfmon.")}):
+        comps = tsdb.components(name)
+        series[name] = {"components": len(comps),
+                        "latest": float(tsdb.query(name, comps[0]).values[-1])}
     if as_json:
-        import json
-
-        report = pipeline.introspect().report()
-        series = {}
-        for name in selfmon:
-            comps = pipeline.tsdb.components(name)
-            b = pipeline.tsdb.query(name, comps[0])
-            series[name] = {
-                "components": len(comps),
-                "latest": float(b.values[-1]),
-            }
         print(json.dumps(
-            {"report": report.as_dict(), "selfmon": series},
+            {"report": pipeline.introspect().report().as_dict(),
+             "selfmon": series},
             indent=2, sort_keys=True, default=str,
         ))
         return 0
     print()
     print(pipeline.introspect().render())
-    print()
-    print(f"selfmon series stored ({len(selfmon)} metrics):")
-    for name in selfmon:
-        comps = pipeline.tsdb.components(name)
-        b = pipeline.tsdb.query(name, comps[0])
-        print(f"  {name:<35} {len(comps):3d} component(s), "
-              f"latest={b.values[-1]:.3f}")
+    print(f"\nselfmon series stored ({len(series)} metrics):")
+    for name, s in series.items():
+        print(f"  {name:<35} {s['components']:3d} component(s), "
+              f"latest={s['latest']:.3f}")
     return 0
 
 
@@ -195,279 +172,131 @@ def cmd_chaos(args) -> int:
         ChaosTransport,
         CollectorHang,
         CollectorRaise,
-        MonitorFaultInjector,
         ShardOutage,
         TransportDropStorm,
         TransportStall,
     )
     from .transport.partitioned import PartitionedBus
 
-    pipeline = _demo_site(
-        args.seed,
-        overrides={"transport": ChaosTransport(PartitionedBus())},
-        transport="partitioned",
-        shards=4,
-        collector_budget_s=0.01,
-    )
-    machine = pipeline.machine
-    print(f"simulating {len(machine.topo.nodes)} nodes for "
-          f"{args.hours:g} h while injecting faults into the "
-          f"monitoring plane itself...")
-    inj = MonitorFaultInjector([
+    faults = [
         CollectorRaise(start=600.0, duration=900.0, target="sedc"),
-        CollectorHang(start=1200.0, duration=600.0,
-                      target="node_counters"),
+        CollectorHang(start=1200.0, duration=600.0, target="node_counters"),
         TransportStall(start=1400.0, duration=400.0),
         TransportDropStorm(start=2000.0, duration=800.0, drop_every=3),
         ShardOutage(start=3000.0, duration=1000.0, shard=1),
-    ])
+    ]
+    print(f"simulating {args.hours:g} h while injecting faults into the "
+          f"monitoring plane itself...")
     print("\nfault schedule (monitor-side ground truth):")
-    for g in inj.ground_truth():
-        tgt = f" target={g['target']}" if g["target"] else ""
-        print(f"  {g['name']:<22} t=[{g['start']:.0f}, {g['end']:.0f})"
-              f"{tgt}")
-
-    dt = 10.0
-    end = machine.now + args.hours * 3600.0
-    while machine.now < end - 1e-9:
-        inj.step(pipeline, machine.now)
-        pipeline.step(dt)
-    inj.step(pipeline, machine.now)   # revert anything still open
-    pipeline.bus.flush()
-
+    for f in faults:
+        target = f" target={f.target}" if f.target else ""
+        print(f"  {f.name:<22} t=[{f.start:.0f}, {f.start + f.duration:.0f})"
+              f"{target}")
+    pipeline = _run(
+        args, faults=faults,
+        overrides={"transport": ChaosTransport(PartitionedBus())},
+        transport="partitioned", shards=4, collector_budget_s=0.01,
+    )
     print("\nhealth-transition timeline:")
     print(pipeline.supervisor.timeline())
-
-    impaired = [
-        (name, rec) for name, rec in pipeline.health_report().items()
-        if rec["state"] != "ok"
-    ]
-    n = len(pipeline.health_report())
-    if impaired:
-        print(f"\nfinal health: {len(impaired)}/{n} components "
-              f"still impaired:")
-        for name, rec in impaired:
-            print(f"  {name}: {rec['state'].upper()} ({rec['reason']})")
-    else:
-        print(f"\nfinal health: all {n} supervised components OK "
-              f"(every fault healed)")
-
-    self_alerts = [a for a in pipeline.alerts.alerts
-                   if a.rule.startswith("monitor_self")]
-    print(f"\nself-alerts raised about the monitoring plane "
-          f"({len(self_alerts)}):")
-    for a in self_alerts[:8]:
-        print(f"  t={a.time:6.0f}s [{a.severity.name:8}] "
-              f"{a.rule:22} {a.message[:52]}")
-    if len(self_alerts) > 8:
-        print(f"  ... and {len(self_alerts) - 8} more")
-
-    fresh_alerts = [a for a in pipeline.alerts.alerts
-                    if a.rule.startswith("freshness_slo")]
-    print(f"\nfreshness-SLO breaches escalated ({len(fresh_alerts)}):")
-    for a in fresh_alerts[:4]:
-        print(f"  t={a.time:6.0f}s [{a.severity.name:8}] "
-              f"{a.rule:22} {a.message[:100]}")
-    if len(fresh_alerts) > 4:
-        print(f"  ... and {len(fresh_alerts) - 4} more")
-    stall_named = any("worst hop pump" in a.message
-                      for a in fresh_alerts)
-    if stall_named:
-        print("  -> the breach exemplar names the stalled hop (pump): "
-              "the alert points at where the latency lives")
-
-    report = pipeline.delivery_report()
     print()
-    print(report.render())
-    ok = (impaired == [] and report.balanced and inj.all_reverted()
-          and stall_named)
+    _show(pipeline, "health")
+    _alerts(pipeline, "monitor_self", limit=8, width=52)
+    # a breach's message names its exemplar's worst hop ("pump" for the
+    # stall): the alert points at where the latency lives
+    _alerts(pipeline, "freshness_slo", limit=4, width=None)
     print()
-    if ok:
-        print("chaos campaign PASSED: zero uncaught exceptions, all "
-              "components recovered, ledger reconciles exactly, "
-              "freshness breach attributed to the stalled hop")
-    else:
-        print("chaos campaign FAILED: see above")
-    return 0 if ok else 1
+    print(pipeline.delivery_report().render())
+    return 0
 
 
 def cmd_store(args) -> int:
     import tempfile
+    from dataclasses import dataclass
 
-    from .obs.chaos import MonitorFaultInjector, StoreCrash
-    from .storage.rollup import DEFAULT_LEVELS
-    from .storage.sharded import ShardedTimeSeriesStore
+    from .obs.chaos import MonitorFault, StoreCrash
+    from .obs.selfmetrics import plain
+
+    @dataclass
+    class Snapshot(MonitorFault):
+        """A manifest snapshot on the schedule: an event, not a fault."""
+
+        name: str = "snapshot"
+        duration: float | None = 0.0
+
+        def apply(self, p):
+            p.tsdb.snapshot()
 
     store_dir = tempfile.mkdtemp(prefix="repro-store-")
-    hot_budget = 16 << 10    # deliberately tiny: force spill to disk
-    # small chunks + small fsync batches so a short demo run actually
-    # seals, spills, and syncs (the defaults are sized for long runs)
-    tsdb = ShardedTimeSeriesStore(
-        shards=4, chunk_size=24, pyramid_levels=DEFAULT_LEVELS,
-        disk_dir=store_dir, hot_bytes=hot_budget,
-        sync_every_bytes=64 << 10,
-    )
-    pipeline = _demo_site(args.seed, overrides={"tsdb": tsdb})
-    machine = pipeline.machine
-    print(f"simulating {len(machine.topo.nodes)} nodes for "
-          f"{args.hours:g} h on a disk-backed sharded store\n"
-          f"  store dir   {store_dir}\n"
-          f"  hot budget  {hot_budget} B/shard (sealed chunks past "
-          f"this spill to mmap-backed segments)")
-
-    dt = 10.0
     total_s = args.hours * 3600.0
-    snap_at = machine.now + total_s * 0.5
-    crash_at = machine.now + total_s * 0.75
-    inj = MonitorFaultInjector([StoreCrash(start=crash_at)])
-    crash = inj.faults[0]
-
-    end = machine.now + total_s
-    snapped = False
-    while machine.now < end - 1e-9:
-        if not snapped and machine.now >= snap_at:
-            paths = pipeline.tsdb.snapshot()
-            print(f"\nt={machine.now:6.0f}s snapshot: "
-                  f"{len(paths)} per-shard manifests written "
-                  f"(series index + pyramid partials + heads)")
-            snapped = True
-        was_applied = crash.applied
-        if not was_applied and machine.now >= crash_at:
-            d0 = pipeline.tsdb.disk_stats()
-            print(f"\nt={machine.now:6.0f}s pre-crash tier: "
-                  f"{d0.spills} spills, {d0.hot_bytes} hot B in "
-                  f"{d0.hot_chunks} chunks, {d0.disk_bytes} B on disk")
-        inj.step(pipeline, machine.now)
-        if crash.applied and not was_applied:
-            r = crash.recovery
-            print(f"t={machine.now:6.0f}s CRASH: files truncated to "
-                  f"last fsync, store reopened on its directories")
-            print(f"  recovered {r.points} points in {r.series} series "
-                  f"({r.manifest_chunks} manifest chunks, "
-                  f"{r.scanned_chunks} scanned from segments, "
-                  f"{r.wal_points_replayed} WAL points replayed, "
-                  f"{r.wal_points_skipped} deduped)")
-            print(f"  torn tails truncated: "
-                  f"{r.torn_segment_bytes} segment B, "
-                  f"{r.torn_wal_bytes} WAL B")
-            print(f"  {crash.points_accounted} unsynced points moved "
-                  f"to accounted loss ('crash-unsynced')")
-        pipeline.step(dt)
-    inj.step(pipeline, machine.now)
-    pipeline.bus.flush()
+    snapshot = Snapshot(start=0.5 * total_s)
+    crash = StoreCrash(start=0.75 * total_s)
+    print(f"simulating {args.hours:g} h on 4 disk-backed shards in "
+          f"{store_dir}\n  with a 16 KiB hot budget per shard (sealed "
+          f"chunks past it spill to mmap-backed segments)")
+    pipeline = _run(args, faults=[snapshot, crash], shards=4,
+                    store_dir=store_dir, hot_bytes=16 << 10, chunk_size=24)
+    tsdb = pipeline.tsdb
+    print(f"\nsnapshot at t={snapshot.start:.0f}s; crash at "
+          f"t={crash.start:.0f}s (files truncated to the last fsync, "
+          f"store reopened on its directories)")
+    print("\n".join(section_lines("recovery", plain(crash.recovery))))
+    print(f"  {crash.points_accounted} unsynced points moved to accounted "
+          f"loss ('crash-unsynced')")
 
     # cold query sweep: full-range reads hit spilled chunks through the
     # mmap (decode straight from the mapped buffer, no staging copy)
-    pipeline.tsdb.cache.clear()
-    metrics = sorted(pipeline.tsdb.points_by_metric())[:50]
-    swept = sum(
-        len(pipeline.tsdb.query(m, c, 0.0, machine.now + 1.0).times)
-        for m in metrics
-        for c in pipeline.tsdb.components(m)
-    )
+    tsdb.cache.clear()
+    metrics = sorted(tsdb.points_by_metric())[:50]
+    swept = sum(len(tsdb.query(m, c, 0.0, pipeline.machine.now + 1.0).times)
+                for m in metrics for c in tsdb.components(m))
     print(f"\ncold query sweep: {swept} points read back over "
           f"{len(metrics)} metrics (spilled chunks decoded from mmap)")
-
-    d = pipeline.tsdb.disk_stats()
-    print(f"\ndisk tier after {args.hours:g} h:")
-    print(f"  on disk     {d.disk_bytes:10d} B "
-          f"({d.segments} segments, {d.wal_bytes} B WAL)")
-    print(f"  hot tier    {d.hot_bytes:10d} B in {d.hot_chunks} chunks "
-          f"(budget {4 * hot_budget} B across 4 shards)")
-    print(f"  spills {d.spills}  loads {d.loads}  "
-          f"map_hits {d.map_hits}  remaps {d.remaps}")
-    print(f"  wal records {d.wal_records}  wal fsync batches "
-          f"{d.wal_syncs}")
-    budget_held = d.hot_bytes <= 4 * hot_budget
-
-    report = pipeline.delivery_report()
     print()
-    print(report.render())
-
-    ok = (crash.applied and report.balanced and budget_held
-          and "crash-unsynced" in report.lost_by_cause)
+    _show(pipeline, "disk_tier")
     print()
-    if ok:
-        print("store scenario PASSED: hot tier held its byte budget, "
-              "the store survived a hard crash, and the ledger "
-              "reconciles exactly — crash loss is a named number, "
-              "not a silence")
-    else:
-        print("store scenario FAILED: see above")
-    return 0 if ok else 1
+    print(pipeline.delivery_report().render())
+    return 0
 
 
 def cmd_slo(args) -> int:
     from .transport.aggtree import AggregatorTree
 
+    print(f"tracing ingest-to-queryable freshness over {args.hours:g} h "
+          f"on each transport tier...")
     # a 120 s aggregation window makes the tree's merge latency visible
     # in the waterfall (the flat/partitioned tiers deliver same-tick)
-    specs = [
+    for tier, overrides in (
         ("flat", None),
         ("partitioned", None),
         ("tree", {"transport": AggregatorTree(window_s=120.0)}),
-    ]
-    print(f"tracing ingest-to-queryable freshness over {args.hours:g} h "
-          f"on each transport tier...")
-    all_exact = True
-    for label, overrides in specs:
-        pipeline = _demo_site(args.seed, overrides=overrides,
-                              transport=label)
-        pipeline.run(hours=args.hours, dt=10.0)
-        pipeline.bus.flush()     # deliver anything still windowed
-        fr = pipeline.freshness
-        fr.tier = label
+    ):
+        pipeline = _run(args, overrides=overrides, transport=tier)
+        pipeline.freshness.tier = tier
         print()
-        print(fr.render_waterfall())
-        for s in fr.slo_status():
-            state = "BREACHED" if s["active"] else "ok"
-            print(f"  slo {s['name']}: p{100 * s['quantile']:g} <= "
-                  f"{s['max_latency_s']:g}s  burn={s['burn_rate']:.2f}x"
-                  f"  breaches={s['breaches']}  [{state}]")
-        # the acceptance bar: hop attribution telescopes to the
-        # end-to-end latency with no epsilon — exact equality on the
-        # simulated clock
-        exact = (fr.hop_total() == fr.e2e_total()
-                 and fr.waterfall_exact())
-        all_exact = all_exact and exact
-        if not exact:
-            print(f"  !! hop sums diverge from end-to-end on {label}")
-    print()
-    if all_exact:
-        print("all tiers: sum(per-hop latency) == end-to-end latency "
-              "exactly (no epsilon)")
-    else:
-        print("EXACTNESS VIOLATION: at least one tier's hop sums "
-              "diverge from its end-to-end latency")
-    return 0 if all_exact else 1
+        print(pipeline.freshness.render_waterfall())
+        _show(pipeline, "freshness_slos")
+    return 0
 
 
 def cmd_serve(args) -> int:
-    import numpy as np
-
     from .serve.quota import TenantQuota
 
     print(f"ingesting {args.hours:g} h across 4 shards, then serving "
           f"dashboard queries through the multi-tenant front end...")
-    pipeline = _demo_site(
-        args.seed, shards=4,
-        quotas={
-            "ops": TenantQuota(qps=1000.0),
-            # the sim clock is frozen between ticks, so the guest's
-            # bucket never refills mid-burst: burst admissions, then shed
-            "guest": TenantQuota(qps=1.0, burst=8.0),
-        },
-    )
-    pipeline.run(hours=args.hours, dt=10.0)
-    fe = pipeline.frontend
-    t1 = pipeline.machine.now
-    metrics = ["node.load1", "node.power_w", "node.temp_c",
-               "fs.read_bps", "queue.depth"]
-    # two dashboard refresh rounds per tenant: round two should be
-    # all result-cache hits (no ingest between them)
+    pipeline = _run(args, shards=4, quotas={
+        "ops": TenantQuota(qps=1000.0),
+        # the sim clock is frozen between ticks, so the guest's bucket
+        # never refills mid-burst: burst admissions, then shed
+        "guest": TenantQuota(qps=1.0, burst=8.0),
+    })
+    fe, t1 = pipeline.frontend, pipeline.machine.now
+    # two dashboard refresh rounds per tenant: round two should be all
+    # result-cache hits (no ingest between them)
     for tenant in ("ops", "guest"):
         for _round in range(2):
-            for m in metrics:
+            for m in ("node.load1", "node.power_w", "node.temp_c",
+                      "fs.read_bps", "queue.depth"):
                 fe.aggregate_across(m, t0=0.0, t1=t1, step=60.0,
                                     agg="mean", tenant=tenant)
                 fe.aggregate_across(m, t0=0.0, t1=t1, step=600.0,
@@ -476,44 +305,9 @@ def cmd_serve(args) -> int:
                 if comps:
                     fe.downsample(m, comps[0], 0.0, t1, 60.0,
                                   agg="mean", tenant=tenant)
-    # exactness spot-check: bucketed answers against the store's
-    # forced-decompress raw path
-    exact = True
-    for m in metrics:
-        got = fe.aggregate_across(m, t0=0.0, t1=t1, step=60.0, agg="max",
-                                  tenant="ops")
-        want = pipeline.tsdb.aggregate_across(m, t0=0.0, t1=t1,
-                                              step=60.0, agg="max")
-        ok = (np.array_equal(got.times, want.times)
-              and np.array_equal(got.values, want.values, equal_nan=True))
-        exact = exact and ok
-        if not ok:
-            print(f"  !! serving-plane answer diverges from raw on {m}")
-    s = fe.stats()
     print()
-    print(f"queries: {s.queries} total, {s.admitted} admitted, "
-          f"{s.rejected} shed")
-    print(f"bucketed reads: {s.pyramid_answers} pyramid answers, "
-          f"{s.raw_answers} from summaries and samples only "
-          f"({100 * s.pyramid_ratio:.0f}% from rollups)")
-    print(f"result cache: {s.cache.hits} hits / "
-          f"{s.cache.hits + s.cache.misses} lookups "
-          f"(hit ratio {s.cache_hit_ratio:.2f}), "
-          f"{s.cache.bytes} B resident")
-    print()
-    print(f"{'tenant':<10} {'admitted':>9} {'shed(rate)':>11} "
-          f"{'shed(conc)':>11}")
-    for t, ts in s.tenants.items():
-        print(f"{t:<10} {ts.admitted:>9} {ts.rejected_rate:>11} "
-              f"{ts.rejected_concurrency:>11}")
-    print()
-    if exact:
-        print("serving-plane answers match the raw decompress path "
-              "exactly")
-    else:
-        print("EXACTNESS VIOLATION: serving plane diverged from the "
-              "raw path")
-    return 0 if exact else 1
+    _show(pipeline, "serve")
+    return 0
 
 
 def cmd_sites(args) -> int:
@@ -521,84 +315,46 @@ def cmd_sites(args) -> int:
     from .viz.sitematrix import capability_matrix
 
     fed = Federation.from_presets()
-    nodes = sum(len(p.machine.topo.nodes)
-                for p in fed.pipelines.values())
-    print(f"standing up {len(fed.pipelines)} paper sites "
-          f"({nodes} nodes total) on one simulated clock, "
-          f"{args.hours:g} h campaign...")
+    nodes = sum(len(p.machine.topo.nodes) for p in fed.pipelines.values())
+    print(f"standing up {len(fed.pipelines)} paper sites ({nodes} nodes "
+          f"total) on one simulated clock, {args.hours:g} h campaign...")
     fed.run(hours=args.hours)
     fed.flush()
-    t1 = fed.now
 
-    # Table I, regenerated: declared capabilities checked cell-by-cell
-    # against live introspection of each built stack
+    # Table I, regenerated: each built stack introspected live, cells
+    # that differ from the declared row flagged
     rows, drift = [], {}
     for name, p in fed.pipelines.items():
-        declared = p.site_config.capabilities()
-        live = site_capabilities(p)
+        declared, live = p.site_config.capabilities(), site_capabilities(p)
         rows.append(live)
-        bad = sorted(k for k in declared if declared[k] != live.get(k))
-        if bad:
-            drift[name] = bad
+        drift[name] = sorted(k for k in declared if declared[k] != live.get(k))
     print()
     print(capability_matrix(rows, drift))
 
     fe = fed.frontend()
     metric = "cabinet.power_w"
-    comps = fe.components(metric)
-    batch = fe.aggregate_across(metric, t0=0.0, t1=t1, step=600.0,
+    batch = fe.aggregate_across(metric, t0=0.0, t1=fed.now, step=600.0,
                                 agg="sum")
-    print()
-    print(f"federated query: sum({metric}) across {len(comps)} "
-          f"cabinets at {len(fed.pipelines)} sites, 600 s buckets -> "
-          f"{len(batch)} buckets")
-    if len(batch):
-        import numpy as np
-
-        finite = batch.values[np.isfinite(batch.values)]
-        if len(finite):
-            print(f"  cross-site power envelope: "
-                  f"min {finite.min():,.0f} W, "
-                  f"mean {finite.mean():,.0f} W, "
-                  f"max {finite.max():,.0f} W")
+    print(f"\nfederated query: sum({metric}) across "
+          f"{len(fe.components(metric))} cabinets at {len(fed.pipelines)} "
+          f"sites, 600 s buckets -> {len(batch)} buckets")
+    finite = batch.values[np.isfinite(batch.values)]
+    if len(finite):
+        print(f"  cross-site power envelope: min {finite.min():,.0f} W, "
+              f"mean {finite.mean():,.0f} W, max {finite.max():,.0f} W")
     s = fe.stats()
-    print(f"  fan-out: {s.fanouts} site calls over {s.queries} "
-          f"federated queries, {s.partial_answers} partial, "
+    print(f"  fan-out: {s.fanouts} site calls over {s.queries} federated "
+          f"queries, {s.partial_answers} partial, "
           f"{sum(s.site_errors.values())} site errors")
 
-    timeline = fed.timeline()
-    print()
-    print("merged health timeline (site-qualified):")
-    lines = timeline.splitlines()
-    for line in lines[:12]:
-        print(f"  {line}")
-    if len(lines) > 12:
-        print(f"  ... {len(lines) - 12} more transitions")
-
-    print()
-    print(f"{'site':<8} {'published':>10} {'stored':>10} {'lost':>6} "
+    print("\nmerged health timeline (site-qualified):")
+    print(fed.timeline())
+    print(f"\n{'site':<8} {'published':>10} {'stored':>10} {'lost':>6} "
           f"{'pending':>8} {'in_flight':>9} {'unacct':>6}")
-    balanced = True
     for name, r in fed.delivery_reports().items():
-        ok = r.balanced and r.unaccounted == 0
-        balanced = balanced and ok
         print(f"{name:<8} {r.published:>10} {r.stored:>10} {r.lost:>6} "
-              f"{r.pending:>8} {r.in_flight:>9} {r.unaccounted:>6}"
-              f"{'' if ok else '  !! IMBALANCED'}")
-    fed.shutdown()
-
-    print()
-    if balanced and not drift:
-        print("every site's delivery identity holds exactly and the "
-              "built stacks match their declared capabilities")
-        return 0
-    if not balanced:
-        print("LEDGER VIOLATION: a site's delivery identity failed "
-              "to balance")
-    if drift:
-        print("CAPABILITY DRIFT: built stacks diverge from declared "
-              f"configs at {', '.join(sorted(drift))}")
-    return 1
+              f"{r.pending:>8} {r.in_flight:>9} {r.unaccounted:>6}")
+    return 0
 
 
 COMMANDS = {

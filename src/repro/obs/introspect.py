@@ -21,7 +21,8 @@ from . import selfmetrics
 if TYPE_CHECKING:  # pragma: no cover
     from ..pipeline import MonitoringPipeline
 
-__all__ = ["StageReport", "HealthReport", "PipelineIntrospector"]
+__all__ = ["StageReport", "HealthReport", "PipelineIntrospector",
+           "section_lines"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,15 +69,16 @@ def _fmt(value) -> str:
     return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
-def _lines(label: str, section: dict, pad: str = ""):
+def section_lines(label: str, section: dict, pad: str = ""):
     """A section's scalars on one line, each nested mapping indented
-    below it."""
+    below it — the one text form of a report section (``render()`` and
+    the CLI scenarios print sections through it)."""
     scalars = " ".join(f"{k}={_fmt(v)}" for k, v in section.items()
                        if not isinstance(v, dict))
     yield f"{pad}{label}: {scalars}".rstrip()
     for k, v in section.items():
         if isinstance(v, dict) and v:
-            yield from _lines(k, v, pad + "  ")
+            yield from section_lines(k, v, pad + "  ")
 
 
 class PipelineIntrospector:
@@ -132,5 +134,5 @@ class PipelineIntrospector:
                 lines.append(f"  {ms:9.3f} ms  {name}{suffix}")
         for section, reading in r.sections.items():
             if reading:
-                lines.extend(_lines(section.replace("_", " "), reading))
+                lines.extend(section_lines(section.replace("_", " "), reading))
         return "\n".join(lines)

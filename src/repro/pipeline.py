@@ -115,7 +115,7 @@ class MonitoringPipeline:
         if tsdb is not None:
             if config.store_dir is not None:
                 raise ValueError("pass either tsdb= or store_dir=, not both")
-            if config.shards is not None:
+            if config.shards != 1:
                 raise ValueError("pass either tsdb= or shards=, not both")
         self.site_config = config
         # federation identity: non-empty when this stack is one site of
@@ -156,8 +156,8 @@ class MonitoringPipeline:
             self.scheduler.add(c)
 
         # the simulated clock, as the freshness stamps and the serving
-        # governor read it: the stamp fires three times per traced batch,
-        # so it reads the sim clock's slot directly instead of going
+        # governor read it: a traced batch is stamped at every hop, so
+        # it reads the sim clock's slot directly instead of going
         # through two property descriptors (Machine.now -> SimClock.now)
         try:
             sim = self.machine.clock
@@ -167,8 +167,8 @@ class MonitoringPipeline:
             self._clock = lambda: self.machine.now   # noqa: E731
 
         # freshness plane: collectors open a trace context per batch,
-        # transports and the store stamp their hop edges against the
-        # simulated clock, _on_metric folds the finished journey
+        # transports stamp their hop edges against the simulated clock,
+        # _on_metric stamps the ingest hop and folds the finished journey
         self.ticks = 0
         self.freshness = FreshnessTracker(
             slos=default_slos(self.tick_s), tier=type(self.bus).__name__
@@ -225,10 +225,6 @@ class MonitoringPipeline:
         """Install ``store`` as the numeric tier: at construction, and
         again when a crash recovery reopens it."""
         self.tsdb = store
-        try:
-            store.clock = self._clock
-        except AttributeError:      # slotted custom store
-            pass
         if hasattr(store, "redo_pending_points"):
             store.ledger = self.ledger
         self.frontend.store = store
@@ -271,10 +267,8 @@ class MonitoringPipeline:
             # so nothing extra to stamp
         ctx = payload.trace
         if ctx is not None:
-            if not ctx.hops or ctx.hops[-1][0] != HOP_INGEST:
-                # custom store without a clock hook: stamp
-                # queryable-at here so the journey still closes
-                ctx.stamp(HOP_INGEST, self.machine.now)
+            # queryable from now on: the journey's last hop
+            ctx.stamp(HOP_INGEST, self._clock())
             stack = self.tracer._stack
             self.freshness.record(payload,
                                   span=stack[-1].name if stack else "")

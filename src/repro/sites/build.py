@@ -54,29 +54,23 @@ def build_machine(config: SiteConfig) -> Machine:
 
 
 def build_store(config: SiteConfig):
-    """The numeric-store tier the config declares."""
-    from ..storage.rollup import DEFAULT_LEVELS
+    """The numeric-store tier the config declares: one store, or
+    ``shards`` of them behind the sharded store's redo and failover."""
+    from ..storage.diskier import DiskTier
     from ..storage.sharded import ShardedTimeSeriesStore
     from ..storage.tsdb import TimeSeriesStore
 
-    if config.shards is not None:
+    if config.shards > 1:
         return ShardedTimeSeriesStore(
             shards=config.shards,
             chunk_size=config.chunk_size,
-            pyramid_levels=DEFAULT_LEVELS,
             disk_dir=config.store_dir,
             hot_bytes=config.hot_bytes,
         )
-    if config.store_dir is not None:
-        from ..storage.diskier import DiskTier
-        return TimeSeriesStore(
-            chunk_size=config.chunk_size,
-            pyramid_levels=DEFAULT_LEVELS,
-            disk=DiskTier(config.store_dir, hot_bytes=config.hot_bytes),
-        )
     return TimeSeriesStore(
         chunk_size=config.chunk_size,
-        pyramid_levels=DEFAULT_LEVELS,
+        disk=None if config.store_dir is None
+        else DiskTier(config.store_dir, hot_bytes=config.hot_bytes),
     )
 
 

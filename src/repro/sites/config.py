@@ -81,7 +81,7 @@ class SiteConfig:
     transport: str = "flat"              # one of TRANSPORT_TIERS
 
     # -- storage tier -----------------------------------------------------
-    shards: int | None = None            # None = single store
+    shards: int = 1                      # 1 = one store, K = K shards
     store_dir: str | None = None         # out-of-core disk tier root
     hot_bytes: int = 64 << 20
     chunk_size: int = 512
@@ -131,8 +131,9 @@ class SiteConfig:
                 f"unknown transport {self.transport!r}; "
                 f"expected one of {TRANSPORT_TIERS}"
             )
-        if self.shards is not None and int(self.shards) < 1:
-            raise ValueError("shards must be >= 1")
+        if not (isinstance(self.shards, int) and self.shards >= 1):
+            raise ValueError(f"shards must be an int >= 1, not "
+                             f"{self.shards!r}")
         if self.chunk_size < 2:
             raise ValueError("chunk_size must be >= 2")
         for knob in ("mean_interarrival_s", "metric_interval_s",
@@ -174,7 +175,7 @@ class SiteConfig:
             "nodes": self.expected_nodes(),
             "gpus": self.expected_gpus(),
             "transport": self.transport,
-            "shards": int(self.shards) if self.shards is not None else 1,
+            "shards": self.shards,
             "disk": self.store_dir is not None,
             "cadence_s": float(self.metric_interval_s),
             "tenants": len(self.quotas) if self.quotas else 0,

@@ -790,7 +790,7 @@ class RecoveryReport:
 
 
 def _read_manifest(root: Path, chunk_size: int,
-                   pyramid_levels: Sequence[float] | None) -> dict | None:
+                   pyramid_levels: Sequence[float]) -> dict | None:
     """The snapshot manifest, or None before the first snapshot.
 
     The file is outside input: a version this build does not write, or
@@ -811,7 +811,7 @@ def _read_manifest(root: Path, chunk_size: int,
             f"only version {_MANIFEST_VERSION}"
         )
     found = (manifest["chunk_size"], tuple(manifest["pyramid_levels"] or ()))
-    declared = (int(chunk_size), tuple(pyramid_levels or ()))
+    declared = (int(chunk_size), tuple(pyramid_levels))
     if found != declared:
         raise ValueError(
             f"{path}: written by a store with (chunk_size, pyramid_levels)"

@@ -370,17 +370,17 @@ def choose_level(
     return None
 
 
-def window_plan(levels: Sequence[float] | None, t0: float, t1: float,
+def window_plan(levels: Sequence[float], t0: float, t1: float,
                 step: float, anchor: float) -> tuple | None:
     """Where rollup rows answer ``[t0, t1)`` on the ``(anchor, step)``
     grid — a fact about a store's levels and the window, never about a
     series, so computed once per read.  ``(level, a, m, j_lo, jf,
     full_lo, full_hi)``: output buckets ``[j_lo, jf)`` (``jf`` None:
     unbounded) span ``[full_lo, full_hi)``, each is ``m`` level buckets
-    and the anchor is level bucket ``a``.  None when there are no
-    levels, :func:`choose_level` refuses the grid, ``|t1|`` is outside
+    and the anchor is level bucket ``a``.  None when
+    :func:`choose_level` refuses the grid, ``|t1|`` is outside
     :data:`MAX_PLANNER_TIME` or the window holds no whole bucket."""
-    if not levels or not (t1 == np.inf or abs(t1) <= MAX_PLANNER_TIME):
+    if not (t1 == np.inf or abs(t1) <= MAX_PLANNER_TIME):
         return None
     level = choose_level(levels, step, anchor)
     j_lo = 0 if t0 <= anchor else 1

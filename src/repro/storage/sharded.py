@@ -40,9 +40,9 @@ from ..core.hashing import stable_bucket
 from ..core.lifecycle import Health
 from ..core.metric import MetricKey, SeriesBatch
 from ..core.soa import memo_by_identity
-from ..core.tracectx import HOP_INGEST
 from .chunkcache import ChunkCache, ChunkCacheStats
 from .diskier import DiskTier, RecoveryReport, merge_disk_stats
+from .rollup import DEFAULT_LEVELS
 from .tsdb import SeriesQueryMixin, StoreStats, TimeSeriesStore
 
 __all__ = ["ShardedTimeSeriesStore"]
@@ -66,7 +66,7 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
     def __init__(self, shards: int = 4, chunk_size: int = 512,
                  cache: ChunkCache | None = None,
                  redo_points: int = 100_000,
-                 pyramid_levels: "tuple[float, ...] | None" = None,
+                 pyramid_levels: "tuple[float, ...]" = DEFAULT_LEVELS,
                  disk_dir: "str | None" = None,
                  hot_bytes: int = 64 << 20,
                  segment_bytes: int = 64 << 20,
@@ -111,8 +111,6 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
         self._health_epoch = 0
         #: optional DeliveryLedger stamped at redo defer/evict/replay
         self.ledger = None
-        #: optional simulated-clock callable for ingest freshness stamps
-        self.clock = None
         self._health = [Health.OK] * self.n_shards
         # per-shard FIFO of batches parked while the shard is failed
         self._redo: list[deque[SeriesBatch]] = [
@@ -258,17 +256,13 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
         """Partition a batch into per-owning-shard pieces.
 
         Returns ``(shard_index, piece)`` pairs in ascending shard
-        order.  Stamps the ingest hop on the whole batch first: the
-        pieces are fresh SeriesBatch objects that do not carry the
-        trace, so this is the last sight of the full hop vector.
-        Health is *not* consulted — callers decide whether a piece is
-        appended or deferred.
+        order; the pieces are fresh SeriesBatch objects that do not
+        carry the trace.  Health is *not* consulted — callers decide
+        whether a piece is appended or deferred.
         """
         n = len(batch)
         if n == 0:
             return []
-        if self.clock is not None and batch.trace is not None:
-            batch.trace.stamp(HOP_INGEST, self.clock())
         return [
             (i, SeriesBatch(batch.metric, comps, batch.times[mask],
                             batch.values[mask]))

@@ -60,12 +60,11 @@ import numpy as np
 
 from ..core.metric import MetricKey, SeriesBatch
 from ..core.soa import ComponentTable, row_indices
-from ..core.tracectx import HOP_INGEST, MAX_HOPS
 from .chunkcache import ChunkCache, ChunkCacheStats
-from .rollup import (SeriesPyramid, _head_gather, bucket_anchor,
-                     check_bucketing, fold_sealed_rows, head_first_time,
-                     head_partials, ieee_sums, reduce_partials,
-                     series_partials, window_plan)
+from .rollup import (DEFAULT_LEVELS, SeriesPyramid, _head_gather,
+                     bucket_anchor, check_bucketing, fold_sealed_rows,
+                     head_first_time, head_partials, ieee_sums,
+                     reduce_partials, series_partials, window_plan)
 
 __all__ = [
     "compress_chunk",
@@ -889,8 +888,7 @@ class _Series:
                  "sealed_bytes", "sealed_t_max", "pyramid", "tier", "key")
 
     def __init__(
-        self, block: _HeadBlock, row: int,
-        pyramid_levels: Sequence[float] | None = None,
+        self, block: _HeadBlock, row: int, pyramid_levels: Sequence[float],
         tier=None, key: MetricKey | None = None,
     ) -> None:
         self.tier = tier            # DiskTier (duck-typed) or None
@@ -901,11 +899,8 @@ class _Series:
         self.n_sealed_samples = 0
         self.sealed_bytes = 0       # running sum(c.nbytes for c in chunks)
         self.sealed_t_max = _NEVER  # running max(c.summary.t_max)
-        # rollup pyramid maintained incrementally at seal time (serving
-        # plane); None keeps the seal's cost that of the pre-serve store
-        self.pyramid = (
-            SeriesPyramid(pyramid_levels) if pyramid_levels else None
-        )
+        # rollup pyramid maintained incrementally at seal time (serving plane)
+        self.pyramid = SeriesPyramid(pyramid_levels)
 
     def head(self) -> tuple[np.ndarray, np.ndarray]:
         """Zero-copy ``(times, values)`` of the open head, in arrival
@@ -962,8 +957,7 @@ class _Series:
         :meth:`TimeSeriesStore.restore_series` inverts it."""
         return {
             "chunks": [(c.summary, c.hint, c.ref) for c in self.chunks],
-            "pyramid": (self.pyramid.export_state()
-                        if self.pyramid is not None else None),
+            "pyramid": self.pyramid.export_state(),
         }
 
     @property
@@ -1300,14 +1294,9 @@ class TimeSeriesStore(SeriesQueryMixin):
     its tier.
     """
 
-    #: optional zero-arg simulated-clock callable; when attached (by the
-    #: pipeline, when freshness tracing is on), ingest stamps a traced
-    #: batch's context with its queryable-at time
-    clock = None
-
     def __init__(self, chunk_size: int = 512,
                  cache: ChunkCache | None = None,
-                 pyramid_levels: Sequence[float] | None = None,
+                 pyramid_levels: Sequence[float] = DEFAULT_LEVELS,
                  disk=None) -> None:
         if chunk_size < 2:
             raise ValueError("chunk_size must be >= 2")
@@ -1319,12 +1308,8 @@ class TimeSeriesStore(SeriesQueryMixin):
         # the decompressed-chunk cache may be shared (the sharded store
         # passes one instance to every shard for a global memory bound)
         self.cache = cache if cache is not None else ChunkCache()
-        # rollup-pyramid levels maintained at seal time for the serving
-        # plane (None = no pyramids, the pre-serve ingest cost)
-        self.pyramid_levels = (
-            tuple(float(x) for x in pyramid_levels)
-            if pyramid_levels else None
-        )
+        # rollup-pyramid levels maintained at seal time for the serving plane
+        self.pyramid_levels = tuple(float(x) for x in pyramid_levels)
         self._series: dict[MetricKey, _Series] = {}
         self._blocks: dict[str, _HeadBlock] = {}    # metric -> open heads
         # metric -> its keys, sorted: an entry is dropped whenever a
@@ -1416,11 +1401,9 @@ class TimeSeriesStore(SeriesQueryMixin):
         stats = zip(*(c.tolist() for c in (v.min(axis=1), v.max(axis=1),
                                            v_sum, v[:, 0], v[:, -1])))
         series = [block.series[r] for r in rows.tolist()]
-        folds = itertools.repeat(None)
-        if self.pyramid_levels:
-            folds = fold_sealed_rows(
-                series[0].pyramid.levels, t, v,
-                np.array([s.n_sealed_samples for s in series]))
+        folds = fold_sealed_rows(
+            series[0].pyramid.levels, t, v,
+            np.array([s.n_sealed_samples for s in series]))
         done = 0
         try:
             for s, (blob, hint), stat, pieces in zip(series, coded, stats,
@@ -1430,8 +1413,7 @@ class TimeSeriesStore(SeriesQueryMixin):
                 if self.disk is not None:
                     # persist the immutable blob now; spill to budget after
                     self.disk.on_seal(s.key, chunk)
-                if pieces is not None:
-                    s.pyramid.add_folded(pieces, n)
+                s.pyramid.add_folded(pieces, n)
                 s.adopt(chunk)
                 done += 1
         finally:    # a failed segment append leaves every row sealed or open
@@ -1466,22 +1448,6 @@ class TimeSeriesStore(SeriesQueryMixin):
             # WAL before any head mutation: unsealed points survive a
             # crash up to the last fsync batch
             self.disk.wal_append(batch)
-        tr = batch.trace
-        if self.clock is not None and tr is not None:
-            # inlined TraceContext.stamp(HOP_INGEST, ...) — per-batch
-            # hot path; see stamp() for the semantics
-            hops = tr.hops
-            t = self.clock()
-            if hops and hops[-1][0] == HOP_INGEST:
-                last = hops[-1]
-                if t < last[1]:
-                    last[1] = t
-                if t > last[2]:
-                    last[2] = t
-            elif len(hops) < MAX_HOPS:
-                hops.append([HOP_INGEST, t, t, 1])
-            else:
-                tr.truncated += 1
         self._samples += n
         times, values = batch.times, batch.values
         block = self._block(metric)
@@ -1646,8 +1612,7 @@ class TimeSeriesStore(SeriesQueryMixin):
         chunk count.  Every chunk comes back ref-only and the pyramid
         reloads its saved partials, so nothing is decompressed."""
         s = self._new_series(key)
-        if s.pyramid is not None:
-            s.pyramid = SeriesPyramid.from_state(state["pyramid"])
+        s.pyramid = SeriesPyramid.from_state(state["pyramid"])
         for summary, hint, ref in state["chunks"]:
             chunk = SealedChunk(summary, hint, ref)
             s.adopt(chunk)
@@ -1674,8 +1639,7 @@ class TimeSeriesStore(SeriesQueryMixin):
         n = chunk.summary.count
         in_head = min(n, len(s.head()[0]))
         s.block.take(s.row, in_head)
-        if s.pyramid is not None:
-            s.pyramid.add_sealed(t, v, s.n_sealed_samples)
+        s.pyramid.add_sealed(t, v, s.n_sealed_samples)
         s.adopt(chunk)
         self._samples += n - in_head
         self._note_seal(1, n, chunk.nbytes)

@@ -257,8 +257,7 @@ def _seal_rows_reference(self, block, rows):
         chunk = SealedChunk.of(t_r, v, blob=blob)
         if s.tier is not None:
             s.tier.on_seal(s.key, chunk)
-        if s.pyramid is not None:
-            s.pyramid.add_sealed(t_r, v, s.n_sealed_samples)
+        s.pyramid.add_sealed(t_r, v, s.n_sealed_samples)
         s.adopt(chunk)
         block.take(r, len(t))
         if s.tier is not None:
@@ -532,11 +531,11 @@ def _same(batch, times, values):
 
 class TestHeadBlockAgainstReference:
     @given(chunk_size=st.integers(min_value=2, max_value=8),
-           pyramid=st.booleans(), sharded=st.booleans(), data=st.data())
+           coarse=st.booleans(), sharded=st.booleans(), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_any_interleaving_answers_like_per_series_lists(
-            self, chunk_size, pyramid, sharded, data):
-        levels = (10.0, 60.0) if pyramid else None
+            self, chunk_size, coarse, sharded, data):
+        levels = (60.0, 3600.0) if coarse else (10.0, 60.0)
         store = (ShardedTimeSeriesStore(shards=2, chunk_size=chunk_size,
                                         pyramid_levels=levels) if sharded
                  else TimeSeriesStore(chunk_size=chunk_size,

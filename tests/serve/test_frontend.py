@@ -91,15 +91,6 @@ class TestResultCaching:
         assert s.pyramid_answers == 1 and s.raw_answers == 1
         assert 0.0 < s.pyramid_ratio < 1.0
 
-    def test_pyramidless_store_still_serves(self):
-        store = make_store(pyramid_levels=None)
-        fe = QueryFrontend(store)
-        got = fe.downsample("m.x", "c0", 0.0, 7200.0, 60.0, "max")
-        want = store.downsample("m.x", "c0", 0.0, 7200.0, 60.0, "max")
-        assert np.array_equal(got.times, want.times)
-        assert np.array_equal(got.values, want.values)
-        assert fe.stats().pyramid_answers == 0
-
 
 class TestTenantShedding:
     def test_rejection_returns_empty_shapes(self):

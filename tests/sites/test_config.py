@@ -55,8 +55,10 @@ class TestValidation:
             SiteConfig(transport="carrier-pigeon")
 
     def test_bad_counts(self):
-        with pytest.raises(ValueError, match="shards"):
-            SiteConfig(shards=0)
+        # one store is shards=1: there is no separate "unsharded" state
+        for shards in (0, None):
+            with pytest.raises(ValueError, match="shards"):
+                SiteConfig(shards=shards)
         with pytest.raises(ValueError, match="chunk_size"):
             SiteConfig(chunk_size=1)
 

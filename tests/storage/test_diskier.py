@@ -16,6 +16,7 @@ from repro.storage.diskier import (
     _scan_segment,
     merge_disk_stats,
 )
+from repro.storage.rollup import DEFAULT_LEVELS
 from repro.storage.sharded import ShardedTimeSeriesStore
 from repro.storage.tsdb import TimeSeriesStore
 
@@ -271,7 +272,8 @@ class TestSnapshotRecover:
                               want.values.view(np.uint64))
         rec.close()
 
-    @pytest.mark.parametrize("declared", [(32, None), (16, (10.0, 60.0))])
+    @pytest.mark.parametrize("declared", [(32, DEFAULT_LEVELS),
+                                          (16, (10.0, 60.0))])
     def test_manifest_disagreeing_with_declared_shape_is_an_error(
             self, tmp_path, declared):
         store = disk_store(tmp_path)
@@ -279,7 +281,8 @@ class TestSnapshotRecover:
         store.snapshot()
         store.close()
         fds = open_fds()
-        with pytest.raises(ValueError, match=r"manifest\.pkl.*\(16, \(\)\)"):
+        with pytest.raises(ValueError, match=r"manifest\.pkl.*\(16, "
+                                             r"\(10\.0, 60\.0, 3600\.0\)\)"):
             TimeSeriesStore(declared[0], pyramid_levels=declared[1],
                             disk=DiskTier(tmp_path / "tier"))
         # the refused open left no handle behind and nothing disturbed:

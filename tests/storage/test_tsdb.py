@@ -348,28 +348,28 @@ class TestSummaryPrunedDownsample:
             assert np.array_equal(warm.times, cold.times)
             assert np.array_equal(warm.values, cold.values)
         # the serving plane's cross-series aggregate takes the same
-        # bucketed read: a pyramid-less store, or a step no rollup level
-        # divides, still answers whole chunks from their summaries
-        for levels, step in ((None, 160.0), (DEFAULT_LEVELS, 165.0)):
-            cache = ChunkCache()
-            store = TimeSeriesStore(chunk_size=16, cache=cache,
-                                    pyramid_levels=levels)
-            for i in range(160):
-                store.append(sweep("m", float(i), ["a", "b", "c"],
-                                   [float(i), 2.0 * i, -1.0 * i]))
-            store.flush()
-            fe = QueryFrontend(store)
-            # 3 series x 10 sealed chunks, each inside the one bucket
-            whole = fe.aggregate_across("m", None, 0.0, 160.0, step, "sum")
-            assert cache.stats().misses == 0
-            # buckets that straddle chunks send those through the cache
-            split = fe.aggregate_across("m", None, 0.0, 160.0, 24.0, "sum")
-            assert cache.stats().misses > 0
-            for got, span in ((whole, step), (split, 24.0)):
-                want = store.aggregate_across("m", None, 0.0, 160.0, span,
-                                              "sum")
-                assert np.array_equal(got.times, want.times)
-                assert np.array_equal(got.values, want.values)
+        # bucketed read: on a step no rollup level divides, it still
+        # answers whole chunks from their summaries
+        step = 165.0
+        cache = ChunkCache()
+        store = TimeSeriesStore(chunk_size=16, cache=cache,
+                                pyramid_levels=DEFAULT_LEVELS)
+        for i in range(160):
+            store.append(sweep("m", float(i), ["a", "b", "c"],
+                               [float(i), 2.0 * i, -1.0 * i]))
+        store.flush()
+        fe = QueryFrontend(store)
+        # 3 series x 10 sealed chunks, each inside the one bucket
+        whole = fe.aggregate_across("m", None, 0.0, 160.0, step, "sum")
+        assert cache.stats().misses == 0
+        # buckets that straddle chunks send those through the cache
+        split = fe.aggregate_across("m", None, 0.0, 160.0, 24.0, "sum")
+        assert cache.stats().misses > 0
+        for got, span in ((whole, step), (split, 24.0)):
+            want = store.aggregate_across("m", None, 0.0, 160.0, span,
+                                          "sum")
+            assert np.array_equal(got.times, want.times)
+            assert np.array_equal(got.values, want.values)
         # rollup rows answer a step-aligned window outright: the chunks
         # straddling its two ends are not decoded either
         cache.clear()
