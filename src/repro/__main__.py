@@ -272,7 +272,6 @@ def cmd_slo(args) -> int:
         ("tree", {"transport": AggregatorTree(window_s=120.0)}),
     ):
         pipeline = _run(args, overrides=overrides, transport=tier)
-        pipeline.freshness.tier = tier
         print()
         print(pipeline.freshness.render_waterfall())
         _show(pipeline, "freshness_slos")

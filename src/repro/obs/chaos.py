@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 from ..core.metric import SeriesBatch
-from ..transport.base import BusStats, Subscription, Transport
+from ..transport.base import BusStats, Transport
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..pipeline import MonitoringPipeline
@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 
-class ChaosTransport(Transport):
+class ChaosTransport:
     """Transport wrapper injecting deterministic delivery faults.
 
     ``drop_every=N`` swallows every Nth tracked batch publish (counted
@@ -61,6 +61,11 @@ class ChaosTransport(Transport):
     publishes every Mth tracked batch twice.  Both default to off; the
     drop/duplicate fault objects toggle them over their windows.
     Determinism on purpose: same seed, same losses, same ledger.
+
+    The wrapper holds no transport state of its own: every surface it
+    does not override (``subscribe``, ``queue_depths``, the lanes,
+    ``in_flight_points``, ``tier``, ``ledger``) is the inner
+    transport's.
     """
 
     def __init__(self, inner: Transport) -> None:
@@ -72,20 +77,9 @@ class ChaosTransport(Transport):
         self.chaos_dropped = 0
         self.chaos_duplicated = 0
 
-    # the pipeline assigns `bus.ledger = ...`; forward it to the inner
-    # transport, whose publish edge does the actual stamping
-    @property
-    def ledger(self):
-        return self.inner.ledger
-
-    @ledger.setter
-    def ledger(self, value) -> None:
-        self.inner.ledger = value
-
-    # same forwarding for the freshness clock: Transport declares
-    # `clock = None` as a class attribute, so without this property the
-    # pipeline's assignment would land on the wrapper (shadowing
-    # __getattr__) and the inner hop edges would never see it
+    # the pipeline assigns `bus.clock = ...`: forward it to the inner
+    # transport, whose hop edges do the stamping (an assignment would
+    # otherwise land on the wrapper, where __getattr__ never looks)
     @property
     def clock(self):
         return self.inner.clock
@@ -94,28 +88,16 @@ class ChaosTransport(Transport):
     def clock(self, value) -> None:
         self.inner.clock = value
 
-    def subscribe(
-        self,
-        pattern: str,
-        callback: Callable | None = None,
-        maxlen: int | None = None,
-        name: str = "",
-    ) -> Subscription:
-        return self.inner.subscribe(pattern, callback, maxlen, name)
-
-    def unsubscribe(self, sub: Subscription) -> None:
-        self.inner.unsubscribe(sub)
-
     def publish(self, topic: str, payload, source: str = "") -> int:
         target = (isinstance(payload, SeriesBatch)
                   and (self.drop_every > 0 or self.duplicate_every > 0))
         if target:
             self._publish_count += 1
+            ledger = self.inner.ledger
             if (self.drop_every > 0
                     and self._publish_count % self.drop_every == 0):
                 self.chaos_dropped += 1
-                ledger = self.inner.ledger
-                if ledger is not None and ledger.tracks(topic):
+                if ledger.tracks(topic):
                     # the producer believes it published; account the
                     # point as published-then-lost, never as silence
                     ledger.published_batch(source, payload)
@@ -124,8 +106,7 @@ class ChaosTransport(Transport):
             if (self.duplicate_every > 0
                     and self._publish_count % self.duplicate_every == 0):
                 self.chaos_duplicated += 1
-                ledger = self.inner.ledger
-                if ledger is not None and ledger.tracks(topic):
+                if ledger.tracks(topic):
                     ledger.duplicated_batch(payload)
                 self.inner.publish(topic, payload, source)
         return self.inner.publish(topic, payload, source)
@@ -134,6 +115,9 @@ class ChaosTransport(Transport):
         if self.stall_pumps:
             return 0           # delivery frozen: backlog accumulates
         return self.inner.pump(now)
+
+    def flush(self) -> int:
+        return self.pump(None)
 
     def stats(self) -> BusStats:
         """Inner stats with injected drops folded into ``dropped`` —
@@ -144,15 +128,7 @@ class ChaosTransport(Transport):
             return inner
         return replace(inner, dropped=inner.dropped + self.chaos_dropped)
 
-    def queue_depths(self) -> dict[str, int]:
-        return self.inner.queue_depths()
-
-    def in_flight_points(self) -> int:
-        return self.inner.in_flight_points()
-
     def __getattr__(self, name: str):
-        # duck-typed selfmon surfaces (partition_depths, leaf_depths,
-        # match_cache_info, ...) pass through to the wrapped transport
         return getattr(self.inner, name)
 
 

@@ -120,15 +120,10 @@ def _ms_summary(hist) -> dict[str, float]:
 
 
 def _partitions(p):
-    """Per-partition surfaces of a tiered transport (duck-typed: the
-    flat bus has neither, the tree reports its leaves as partitions)."""
-    bus = p.bus
-    if hasattr(bus, "partition_depths"):
-        return {"depth": bus.partition_depths(),
-                "dropped": bus.partition_drops()}
-    if hasattr(bus, "leaf_depths"):
-        return {"depth": bus.leaf_depths(), "dropped": {}}
-    return None
+    """Per-lane surfaces of a tiered transport: the partitioned bus's
+    partitions, the tree's leaves; the flat bus has no lanes."""
+    depth = p.bus.lane_depths()
+    return {"depth": depth, "dropped": p.bus.lane_drops()} if depth else None
 
 
 def _collectors(p):
@@ -247,7 +242,8 @@ VITALS: tuple[tuple[str, Callable[["MonitoringPipeline"], Any],
                "absent on the flat bus).", higher_is_worse=True),
         _vital("selfmon.bus.partition_dropped", "count", _C, None, "dropped",
                "Cumulative envelopes evicted from one bounded "
-               "transport partition (component = partition name).",
+               "transport partition or aggregator leaf (component = "
+               "partition/leaf name).",
                higher_is_worse=True),
     )),
     ("collectors", _collectors, (

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 from .analysis.anomaly import Detection
 from .cluster.machine import Machine
 from .core.events import Event
-from .core.ledger import BalanceReport, DeliveryLedger
+from .core.ledger import BalanceReport
 from .core.lifecycle import Supervisor
 from .core.metric import SeriesBatch
 from .core.registry import MetricRegistry, default_registry
@@ -140,11 +140,10 @@ class MonitoringPipeline:
 
         # supervised lifecycle + exact delivery accounting: every plane
         # reports into one Supervisor, every tracked point into one
-        # DeliveryLedger (attached to the transport's publish edge and
-        # the store's redo path)
+        # DeliveryLedger (the transport's own, stamped at its publish
+        # edge; the store's redo path is handed the same one)
         self.supervisor = Supervisor()
-        self.ledger = DeliveryLedger()
-        self.bus.ledger = self.ledger
+        self.ledger = self.bus.ledger
 
         # self-observability plane: span tracing + meta-metrics
         self.tracer = Tracer()
@@ -171,7 +170,7 @@ class MonitoringPipeline:
         # _on_metric stamps the ingest hop and folds the finished journey
         self.ticks = 0
         self.freshness = FreshnessTracker(
-            slos=default_slos(self.tick_s), tier=type(self.bus).__name__
+            slos=default_slos(self.tick_s), tier=self.bus.tier
         )
         self.bus.clock = self._clock
 

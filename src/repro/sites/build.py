@@ -108,14 +108,6 @@ def build_site(
     return pipeline
 
 
-# transport classes -> declared tier names (the capability-row vocabulary)
-_TRANSPORT_TIER_OF = {
-    "MessageBus": "flat",
-    "PartitionedBus": "partitioned",
-    "AggregatorTree": "tree",
-}
-
-
 def site_capabilities(pipeline: "MonitoringPipeline") -> dict:
     """The *live* Table I capability row of an assembled stack.
 
@@ -126,12 +118,6 @@ def site_capabilities(pipeline: "MonitoringPipeline") -> dict:
     """
     machine = pipeline.machine
     topo_name = type(machine.topo).__name__.replace("Topology", "").lower()
-    bus = pipeline.bus
-    inner = getattr(bus, "inner", None)   # chaos wrapper is transparent
-    tier = _TRANSPORT_TIER_OF.get(
-        type(inner if inner is not None else bus).__name__,
-        type(bus).__name__,
-    )
     tsdb = pipeline.tsdb
     return {
         "site": pipeline.site,
@@ -139,7 +125,7 @@ def site_capabilities(pipeline: "MonitoringPipeline") -> dict:
         "topology": topo_name,
         "nodes": len(machine.topo.nodes),
         "gpus": machine.gpus.n if machine.gpus is not None else 0,
-        "transport": tier,
+        "transport": pipeline.bus.tier,
         "shards": int(getattr(tsdb, "n_shards", 1)),
         # every disk-backed open reports what it found, even all zeros
         "disk": getattr(tsdb, "recovery", None) is not None,

@@ -37,6 +37,7 @@ from typing import Iterable
 import numpy as np
 
 from ..core.hashing import stable_bucket
+from ..core.ledger import DeliveryLedger
 from ..core.lifecycle import Health
 from ..core.metric import MetricKey, SeriesBatch
 from ..core.soa import memo_by_identity
@@ -109,8 +110,9 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
         # store-wide epoch component: health flips change what reads
         # return without touching any shard's per-metric epochs
         self._health_epoch = 0
-        #: optional DeliveryLedger stamped at redo defer/evict/replay
-        self.ledger = None
+        #: DeliveryLedger stamped at redo evict/replay/crash (a pipeline
+        #: hands the store its own)
+        self.ledger = DeliveryLedger()
         self._health = [Health.OK] * self.n_shards
         # per-shard FIFO of batches parked while the shard is failed
         self._redo: list[deque[SeriesBatch]] = [
@@ -202,8 +204,7 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
             batch = redo.popleft()
             n = self.shards[i].append(batch)
             replayed += n
-            if self.ledger is not None:
-                self.ledger.stored_batch(batch, n)
+            self.ledger.stored_batch(batch, n)
         self._redo_depth[i] = 0
         self.redo_replayed += replayed
         return replayed
@@ -234,8 +235,7 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
             old = redo.popleft()
             self._redo_depth[i] -= len(old)
             self.redo_evicted += len(old)
-            if self.ledger is not None:
-                self.ledger.lost_batch("shard-redo-overflow", old)
+            self.ledger.lost_batch("shard-redo-overflow", old)
         if self._redo_depth[i] > self.redo_points:
             # a single batch larger than the bound: truncate its head
             old = redo.popleft()
@@ -245,10 +245,7 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
             redo.appendleft(kept)
             self._redo_depth[i] -= excess
             self.redo_evicted += excess
-            if self.ledger is not None:
-                self.ledger.lost_points(
-                    "shard-redo-overflow", old.metric, excess
-                )
+            self.ledger.lost_points("shard-redo-overflow", old.metric, excess)
 
     # -- ingest ---------------------------------------------------------------
 
@@ -392,9 +389,7 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
             s.simulate_crash()
         for i, redo in enumerate(self._redo):
             while redo:
-                batch = redo.popleft()
-                if self.ledger is not None:
-                    self.ledger.lost_batch("crash-redo", batch)
+                self.ledger.lost_batch("crash-redo", redo.popleft())
             self._redo_depth[i] = 0
 
     def close(self) -> None:

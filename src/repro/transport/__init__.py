@@ -1,18 +1,18 @@
 """Data transport: pluggable tiers from flat bus to aggregator tree.
 
-Every mover implements :class:`~repro.transport.base.Transport`:
-``MessageBus`` (flat synchronous fan-out, the RabbitMQ class),
-``PartitionedBus`` (topic-hash partitions with bounded lanes, the
-Kafka class), and ``AggregatorTree`` (LDMS-style multi-level
-coalescing fan-in, the one LDMS-class tree).  Syslog forwarding with
-storm loss lives in :mod:`repro.transport.syslogfwd`.
+One core, :class:`~repro.transport.base.Transport`, owns subscriptions,
+the publish edge, the fan-out and the accounting; the three tiers
+differ only in where an accepted envelope waits: nowhere
+(``MessageBus``, flat synchronous fan-out, the RabbitMQ class), in a
+topic-hashed bounded partition until ``pump`` (``PartitionedBus``, the
+Kafka class), or in a leaf coalescing window (``AggregatorTree``,
+LDMS-style multi-level fan-in).  Syslog forwarding with storm loss
+lives in :mod:`repro.transport.syslogfwd`.
 """
 
 from .aggtree import AggregatorTree, TreeTransportStats
 from .base import (
     BusStats,
-    MatchCacheInfo,
-    PatternMatcher,
     Subscription,
     Transport,
     make_transport,
@@ -32,8 +32,6 @@ __all__ = [
     "AggregatorTree",
     "TreeTransportStats",
     "BusStats",
-    "MatchCacheInfo",
-    "PatternMatcher",
     "Subscription",
     "Transport",
     "make_transport",

@@ -15,12 +15,11 @@ per-node publish count.  :class:`AggregatorTree` is that topology as a
 * on :meth:`pump`, topics whose oldest buffered sample is at least
   ``window_s`` old are coalesced — all buffered batches for the topic
   merged into one — and forwarded up through ``ceil(log_fan_in(leaves))``
-  merge levels into the delivery bus at the root;
+  merge levels to the root, where the shared fan-out delivers them;
 * leaf buffers are bounded: overflow evicts the oldest buffered batch
   (counted per leaf in batches and points, so loss is auditable);
-* non-batch payloads (events) bypass coalescing and deliver straight
-  to the root — the event plane stays timely while the metric firehose
-  is batched.
+* non-batch payloads (events) bypass coalescing and fan out at once —
+  the event plane stays timely while the metric firehose is batched.
 
 ``stats()`` exposes the coalescing win directly: ``upstream_messages``
 (merged batches entering the root) versus ``batches_in`` (publishes),
@@ -31,14 +30,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 from ..core.hashing import stable_bucket
 from ..core.metric import SeriesBatch, merge_batches
 from ..core.tracectx import HOP_LEAF, HOP_MERGE, HOP_ROOT
-from .base import BusStats, Subscription, Transport
-from .bus import MessageBus
-from .message import Envelope
+from .base import BusStats, Transport
 
 __all__ = ["AggregatorTree", "TreeTransportStats"]
 
@@ -138,7 +134,10 @@ def _coalesce(entries: list[tuple[str, SeriesBatch]]) -> list[tuple[str, SeriesB
 
 
 class AggregatorTree(Transport):
-    """Multi-level fan-in of coalesced batches over a delivery bus."""
+    """Multi-level fan-in of coalesced batches; consumers sit at the
+    root and see merged batches."""
+
+    tier = "tree"
 
     def __init__(
         self,
@@ -146,8 +145,6 @@ class AggregatorTree(Transport):
         fan_in: int = 4,
         window_s: float = 0.0,
         leaf_queue_len: int = 4096,
-        default_queue_len: int = 10_000,
-        match_cache_size: int = 4096,
     ) -> None:
         if leaves < 1:
             raise ValueError("leaves must be >= 1")
@@ -155,6 +152,7 @@ class AggregatorTree(Transport):
             raise ValueError("fan_in must be >= 2")
         if window_s < 0:
             raise ValueError("window_s must be >= 0")
+        super().__init__()
         self.n_leaves = int(leaves)
         self.fan_in = int(fan_in)
         self.window_s = float(window_s)
@@ -162,11 +160,6 @@ class AggregatorTree(Transport):
             _LeafAggregator(i, int(leaf_queue_len))
             for i in range(self.n_leaves)
         ]
-        self._root = MessageBus(
-            default_queue_len=default_queue_len,
-            match_cache_size=match_cache_size,
-        )
-        self._published = 0
         self._batches_in = 0
         self._points_in = 0
         self._leaf_messages = 0
@@ -175,7 +168,7 @@ class AggregatorTree(Transport):
 
     @property
     def levels(self) -> int:
-        """Merge levels between the leaves and the root bus."""
+        """Merge levels between the leaves and the root."""
         n, levels = self.n_leaves, 1
         while n > 1:
             n = -(-n // self.fan_in)
@@ -187,40 +180,19 @@ class AggregatorTree(Transport):
         daemon pinned to its aggregator; topic-keyed when anonymous)."""
         return stable_bucket(source or topic, self.n_leaves)
 
-    # -- Transport surface --------------------------------------------------
-
-    def subscribe(
-        self,
-        pattern: str,
-        callback: Callable[[Envelope], None] | None = None,
-        maxlen: int | None = None,
-        name: str = "",
-    ) -> Subscription:
-        """Consumers sit at the root: they see merged batches."""
-        return self._root.subscribe(pattern, callback, maxlen, name)
-
-    def unsubscribe(self, sub: Subscription) -> None:
-        self._root.unsubscribe(sub)
-
     def publish(self, topic: str, payload, source: str = "") -> int:
         """Batches buffer at a leaf; anything else delivers immediately."""
-        self._published += 1
-        if isinstance(payload, SeriesBatch):
-            self._batches_in += 1
-            self._points_in += len(payload)
-            ledger = self.ledger
-            if ledger is not None and ledger.tracks(topic):
-                ledger.published_batch(source, payload)
-            if self.clock is not None and payload.trace is not None:
-                payload.trace.stamp(HOP_LEAF, self.clock())
-            evicted = self._leaves[self.leaf_of(topic, source)].offer(
-                topic, payload
-            )
-            if (evicted is not None and ledger is not None
-                    and ledger.tracks(evicted[0])):
-                ledger.lost_batch("leaf-overflow", evicted[1])
-            return 0
-        return self._root.publish(topic, payload, source)
+        self._accept(topic, payload, source, HOP_LEAF)
+        if not isinstance(payload, SeriesBatch):
+            return self._deliver(self._envelope(topic, payload, source))
+        self._batches_in += 1
+        self._points_in += len(payload)
+        evicted = self._leaves[self.leaf_of(topic, source)].offer(
+            topic, payload
+        )
+        if evicted is not None:
+            self._lost("leaf-overflow", *evicted)
+        return 0
 
     def pump(self, now: float | None = None) -> int:
         """Coalesce due topics at every leaf and fan them in to the root."""
@@ -244,50 +216,25 @@ class AggregatorTree(Transport):
                 # the waterfall still shows the full traversal path
                 batch.trace.stamp(HOP_MERGE, t)
                 batch.trace.stamp(HOP_ROOT, t)
-            self._root.publish(topic, batch, source="aggtree")
+            self._deliver(self._envelope(topic, batch, "aggtree"))
             moved += 1
         return moved
 
-    def in_flight_points(self) -> int:
-        """Tracked points buffered in leaf coalescing windows.
+    def _held(self):
+        return ((tp, batch)
+                for leaf in self._leaves for tp, batch, _ in leaf.pending)
 
-        The root bus delivers synchronously inside its ``publish``, so
-        only the leaves hold points between pumps.
-        """
-        ledger = self.ledger
-        if ledger is None:
-            return 0
-        total = 0
-        for leaf in self._leaves:
-            for tp, batch, _ in leaf.pending:
-                if ledger.tracks(tp):
-                    total += len(batch)
-        return total
+    def lane_depths(self) -> dict[str, int]:
+        return {f"leaf-{leaf.index}": len(leaf.pending)
+                for leaf in self._leaves}
 
-    # -- self-monitoring surfaces -------------------------------------------
-
-    def leaf_depths(self) -> dict[str, int]:
-        """Buffered (not yet forwarded) batches per leaf aggregator."""
-        return {
-            f"leaf-{leaf.index}": len(leaf.pending)
-            for leaf in self._leaves
-        }
-
-    def queue_depths(self) -> dict[str, int]:
-        depths: dict[str, int] = dict(self._root.queue_depths())
-        depths.update(self.leaf_depths())
-        return depths
+    def lane_drops(self) -> dict[str, int]:
+        return {f"leaf-{leaf.index}": leaf.dropped_batches
+                for leaf in self._leaves}
 
     def stats(self) -> TreeTransportStats:
-        root = self._root.stats()
         return TreeTransportStats(
-            published=self._published,
-            delivered=root.delivered,
-            dropped=sum(lf.dropped_batches for lf in self._leaves)
-            + root.dropped,
-            subscriptions=root.subscriptions,
-            errors=root.errors,
-            queue_depths=self.queue_depths(),
+            **self._stat_fields(),
             leaves=self.n_leaves,
             levels=self.levels,
             batches_in=self._batches_in,

@@ -1,22 +1,31 @@
-"""The pluggable transport interface every data mover implements.
+"""The transport core every data mover shares.
 
 Section IV-B of the paper: sites run "a variety of transport
 mechanisms" — flat brokers (RabbitMQ at NERSC), partitioned logs
 (Kafka at CSC), and LDMS aggregator trees (LANL/NCSA/SNL) — and
 "multiple transports may in some cases be necessary and even
-desirable".  :class:`Transport` is the contract that lets one pipeline
-run over any of them: :class:`~repro.transport.bus.MessageBus` (flat
-fan-out), :class:`~repro.transport.partitioned.PartitionedBus`
-(topic-hash partitions with bounded queues), and
-:class:`~repro.transport.aggtree.AggregatorTree` (multi-level fan-in
-with batch coalescing).
+desirable".  They are one publish/subscribe protocol in different
+topologies, so :class:`Transport` is a concrete core that owns what
+they share:
 
-The shared pieces live here too: :class:`Subscription` (one consumer's
-bounded queue over a topic pattern), :class:`BusStats` (the common
-stats surface the self-monitoring plane reads), and
-:class:`PatternMatcher` (memoized topic/pattern matching — ``fnmatch``
-on every publish is the flat bus's hottest line, and (topic, pattern)
-pairs recur endlessly).
+* the subscription table and its route memo (``topic -> matching
+  subscriptions``, one dict hit per publish; cleared on subscribe,
+  unsubscribe, and past :data:`ROUTE_MEMO_MAX` topics);
+* the publish edge, :meth:`Transport._accept`: the ``published``
+  count, the delivery-ledger stamp and the tier's freshness hop stamp,
+  plus :meth:`Transport._envelope` (envelope and sequence number);
+* the fan-out, :meth:`Transport._deliver`, the one loop over
+  :meth:`Subscription.offer`;
+* the accounting surfaces: :meth:`~Transport.stats`,
+  :meth:`~Transport.queue_depths`, :meth:`~Transport.lane_depths` /
+  :meth:`~Transport.lane_drops` and :meth:`~Transport.in_flight_points`.
+
+A tier adds only where an accepted envelope waits and when it is
+released: :class:`~repro.transport.bus.MessageBus` (``"flat"``)
+delivers it at once, :class:`~repro.transport.partitioned.PartitionedBus`
+(``"partitioned"``) holds it in a topic-hashed partition until
+:meth:`~Transport.pump`, and :class:`~repro.transport.aggtree.AggregatorTree`
+(``"tree"``) holds batches in a leaf window and releases them merged.
 """
 
 from __future__ import annotations
@@ -28,18 +37,27 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+from ..core.ledger import DeliveryLedger
+from ..core.metric import SeriesBatch
+from ..core.tracectx import MAX_HOPS
 from .message import Envelope
 
 __all__ = [
     "BusStats",
-    "MatchCacheInfo",
-    "PatternMatcher",
+    "ROUTE_MEMO_MAX",
     "Subscription",
     "Transport",
     "make_transport",
 ]
 
 _log = logging.getLogger(__name__)
+
+#: subscription queue bound when ``subscribe`` is given no ``maxlen``
+DEFAULT_QUEUE_LEN = 10_000
+
+#: topics the route memo holds before it is cleared wholesale (a site's
+#: topic vocabulary is a few dozen metric and event names)
+ROUTE_MEMO_MAX = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,50 +87,6 @@ class BusStats:
         return (self.delivered - self.dropped) / attempted
 
 
-@dataclass(frozen=True, slots=True)
-class MatchCacheInfo:
-    hits: int
-    misses: int
-    size: int
-
-
-class PatternMatcher:
-    """Bounded memo cache over ``fnmatch`` topic/pattern matching.
-
-    Topic and pattern vocabularies are small and recur on every publish
-    (a few dozen metric topics against a handful of subscriptions), so
-    a dict lookup replaces a glob evaluation on the hot path.  The
-    cache is bounded: at capacity it is cleared wholesale, which keeps
-    the common steady-state (far fewer pairs than ``max_entries``)
-    at zero eviction cost while bounding pathological topic churn.
-    ``max_entries=0`` disables memoization entirely.
-    """
-
-    def __init__(self, max_entries: int = 4096) -> None:
-        self.max_entries = int(max_entries)
-        self._cache: dict[tuple[str, str], bool] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def matches(self, topic: str, pattern: str) -> bool:
-        if self.max_entries <= 0:
-            return fnmatch.fnmatchcase(topic, pattern)
-        key = (topic, pattern)
-        hit = self._cache.get(key)
-        if hit is not None:
-            self.hits += 1
-            return hit
-        self.misses += 1
-        result = fnmatch.fnmatchcase(topic, pattern)
-        if len(self._cache) >= self.max_entries:
-            self._cache.clear()
-        self._cache[key] = result
-        return result
-
-    def info(self) -> MatchCacheInfo:
-        return MatchCacheInfo(self.hits, self.misses, len(self._cache))
-
-
 class Subscription:
     """One consumer's bounded queue over a topic pattern."""
 
@@ -132,9 +106,6 @@ class Subscription:
         self.dropped = 0
         self.errors = 0
         self.last_error: BaseException | None = None
-
-    def matches(self, topic: str) -> bool:
-        return fnmatch.fnmatchcase(topic, self.pattern)
 
     def offer(self, env: Envelope) -> bool:
         """Deliver one envelope; returns True on successful hand-off.
@@ -175,47 +146,38 @@ class Subscription:
 
 
 class Transport(abc.ABC):
-    """Abstract data mover: publish/subscribe plus delivery accounting.
+    """Publish/subscribe core plus delivery accounting.
 
-    Implementations differ in *when* delivery happens: the flat
-    :class:`~repro.transport.bus.MessageBus` delivers synchronously
+    Tiers differ in *when* delivery happens: the flat bus delivers
     inside ``publish``; the partitioned bus and the aggregator tree
     accept envelopes immediately and deliver on :meth:`pump` (called by
     the pipeline at stage boundaries) or :meth:`flush` (force
     everything out, e.g. at end of run).  Consumers never care: they
     subscribe once and see the same envelopes either way.
 
-    When :attr:`ledger` is attached, implementations stamp every
-    tracked :class:`~repro.core.metric.SeriesBatch` as ``published`` at
-    the publish edge and every internal drop as accounted loss, so the
-    ledger's balance identity holds exactly (see
-    :mod:`repro.core.ledger`).
+    Every transport owns a :class:`~repro.core.ledger.DeliveryLedger`
+    (the pipeline adopts it): each tracked batch is stamped
+    ``published`` at the publish edge and every internal drop as
+    accounted loss, so the balance identity holds exactly.
     """
 
-    #: optional DeliveryLedger; attached by the pipeline, stamped by
-    #: each implementation at its publish edge and loss sites
-    ledger = None
+    #: the Table I tier this class implements (``SiteConfig.transport``)
+    tier = ""
 
-    #: optional zero-arg simulated-clock callable; when attached (by the
-    #: pipeline, when freshness tracing is on), implementations stamp
-    #: each traced batch's TraceContext at their hop edges
+    #: zero-arg simulated-clock callable; the pipeline attaches one, a
+    #: standalone transport has none and stamps no freshness hops
     clock = None
 
-    def _hop_time(self, now: float | None = None) -> float | None:
-        """Time to stamp a hop with: ``now`` when the caller supplies it
-        (pump), else the attached clock, else None (tracing off)."""
-        if now is not None:
-            return now
-        clock = self.clock
-        return clock() if clock is not None else None
+    def __init__(self) -> None:
+        self.ledger = DeliveryLedger()
+        self._subs: list[Subscription] = []
+        self._routes: dict[str, tuple[Subscription, ...]] = {}
+        self._seq = 0
+        self._published = 0
+        self._delivered = 0
 
-    def in_flight_points(self) -> int:
-        """Points buffered inside the transport awaiting delivery
-        (partition queues, coalescing windows).  Synchronous transports
-        hold nothing between calls."""
-        return 0
+    # -- subscriptions ------------------------------------------------------
 
-    @abc.abstractmethod
     def subscribe(
         self,
         pattern: str,
@@ -223,53 +185,164 @@ class Transport(abc.ABC):
         maxlen: int | None = None,
         name: str = "",
     ) -> Subscription:
-        """Register a consumer over a ``*``-wildcard topic pattern."""
+        """Register a consumer; ``pattern`` supports ``*`` wildcards
+        (``metrics.*``, ``events.hwerr``).  With a callback, delivery
+        calls it; without, envelopes land in the subscription queue
+        (``maxlen`` deep, drop-oldest)."""
+        sub = Subscription(
+            pattern, DEFAULT_QUEUE_LEN if maxlen is None else maxlen,
+            callback, name,
+        )
+        self._subs.append(sub)
+        self._routes.clear()
+        return sub
 
-    @abc.abstractmethod
     def unsubscribe(self, sub: Subscription) -> None:
-        """Remove a consumer registered with :meth:`subscribe`."""
+        self._subs.remove(sub)
+        self._routes.clear()
+
+    def _route(self, topic: str) -> tuple[Subscription, ...]:
+        """The subscriptions whose pattern matches ``topic``, in
+        subscription order (memoized per topic)."""
+        subs = self._routes.get(topic)
+        if subs is None:
+            if len(self._routes) >= ROUTE_MEMO_MAX:
+                self._routes.clear()
+            subs = self._routes[topic] = tuple(
+                s for s in self._subs if fnmatch.fnmatchcase(topic, s.pattern)
+            )
+        return subs
+
+    # -- the publish edge and the fan-out -----------------------------------
+
+    def _accept(self, topic: str, payload, source: str, hop: str) -> None:
+        """Take one publish in: count it, stamp a tracked batch on the
+        ledger and a traced batch with this tier's ``hop``."""
+        self._published += 1
+        if isinstance(payload, SeriesBatch):
+            if self.ledger.tracks(topic):
+                self.ledger.published_batch(source, payload)
+            tr = payload.trace
+            if tr is not None and (t := self._hop_time()) is not None:
+                # inlined TraceContext.stamp(hop, t) — this is the
+                # per-batch hot path; see stamp() for the semantics
+                hops = tr.hops
+                if hops and hops[-1][0] == hop:
+                    last = hops[-1]
+                    if t < last[1]:
+                        last[1] = t
+                    if t > last[2]:
+                        last[2] = t
+                elif len(hops) < MAX_HOPS:
+                    hops.append([hop, t, t, 1])
+                else:
+                    tr.truncated += 1
+
+    def _envelope(self, topic: str, payload, source: str) -> Envelope:
+        """Wrap a payload for delivery.  Built only where a tier queues
+        or delivers one: a tree batch waits in its leaf unwrapped."""
+        self._seq += 1
+        return Envelope(topic, payload, source, self._seq)
+
+    def _deliver(self, env: Envelope) -> int:
+        """Offer ``env`` to every matching subscription; returns the
+        hand-offs.  A raising callback is isolated by ``offer`` and
+        never aborts the rest of the fan-out."""
+        hits = 0
+        for sub in self._route(env.topic):
+            if sub.offer(env):
+                hits += 1
+        self._delivered += hits
+        return hits
+
+    def _lost(self, cause: str, topic: str, payload) -> None:
+        """Account an envelope the tier evicted under ``cause``."""
+        if isinstance(payload, SeriesBatch) and self.ledger.tracks(topic):
+            self.ledger.lost_batch(cause, payload)
+
+    def _hop_time(self, now: float | None = None) -> float | None:
+        """Time to stamp a hop with: ``now`` when the caller supplies it
+        (pump), else the attached clock, else None (no clock)."""
+        if now is not None:
+            return now
+        clock = self.clock
+        return clock() if clock is not None else None
 
     @abc.abstractmethod
     def publish(self, topic: str, payload, source: str = "") -> int:
         """Accept one payload for delivery; returns consumers reached
-        so far (deferred transports report 0 until :meth:`pump`)."""
-
-    @abc.abstractmethod
-    def stats(self) -> BusStats:
-        """Aggregate delivery accounting (self-monitoring surface)."""
-
-    @abc.abstractmethod
-    def queue_depths(self) -> dict[str, int]:
-        """Current backlog per internal queue (self-monitoring surface)."""
-
-    def publish_many(self, topic: str, payloads: Iterable,
-                     source: str = "") -> int:
-        return sum(self.publish(topic, p, source) for p in payloads)
+        so far (deferred tiers report 0 until :meth:`pump`)."""
 
     def pump(self, now: float | None = None) -> int:
         """Deliver whatever is due at ``now``; returns envelopes moved.
-
-        Synchronous transports have nothing pending — the default is a
-        no-op.  Deferred transports drain their internal queues here.
-        """
+        The flat bus holds nothing, so the default moves nothing."""
         return 0
 
     def flush(self) -> int:
         """Force every buffered envelope out (checkpoint / end of run)."""
         return self.pump(None)
 
+    # -- accounting ---------------------------------------------------------
 
-def make_transport(tier: str) -> "Transport":
+    def _held(self) -> Iterable[tuple[str, object]]:
+        """``(topic, payload)`` of every envelope waiting inside the
+        tier (none on the flat bus)."""
+        return ()
+
+    def in_flight_points(self) -> int:
+        """Tracked points waiting inside the tier (partition queues,
+        coalescing windows) — the ledger's ``in_flight`` gauge."""
+        tracks = self.ledger.tracks
+        return sum(len(p) for tp, p in self._held()
+                   if isinstance(p, SeriesBatch) and tracks(tp))
+
+    def lane_depths(self) -> dict[str, int]:
+        """Waiting envelopes per lane: partitions or leaves."""
+        return {}
+
+    def lane_drops(self) -> dict[str, int]:
+        """Cumulative drop-oldest evictions per lane."""
+        return {}
+
+    def queue_depths(self) -> dict[str, int]:
+        """Lane backlogs, then per-subscription queue depths.
+
+        Subscriptions sharing a name (e.g. two bare-pattern subscribers)
+        are disambiguated with a ``#i`` suffix so no depth is shadowed.
+        """
+        depths = self.lane_depths()
+        for i, sub in enumerate(self._subs):
+            key = sub.name
+            if key in depths:
+                key = f"{key}#{i}"
+            depths[key] = len(sub)
+        return depths
+
+    def _stat_fields(self) -> dict:
+        subs = self._subs
+        return dict(
+            published=self._published,
+            delivered=self._delivered,
+            dropped=sum(self.lane_drops().values())
+            + sum(s.dropped for s in subs),
+            subscriptions=len(subs),
+            errors=sum(s.errors for s in subs),
+            queue_depths=self.queue_depths(),
+        )
+
+    def stats(self) -> BusStats:
+        """Aggregate delivery accounting (self-monitoring surface)."""
+        return BusStats(**self._stat_fields())
+
+
+def make_transport(tier: str) -> Transport:
     """Build the transport a ``SiteConfig.transport`` tier names
     (``"flat"``, ``"partitioned"``, ``"tree"``)."""
     from .aggtree import AggregatorTree
     from .bus import MessageBus
     from .partitioned import PartitionedBus
-    builders = {
-        "flat": MessageBus,
-        "partitioned": PartitionedBus,
-        "tree": AggregatorTree,
-    }
+    builders = {cls.tier: cls
+                for cls in (MessageBus, PartitionedBus, AggregatorTree)}
     try:
         builder = builders[tier]
     except (KeyError, TypeError):

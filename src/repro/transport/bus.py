@@ -6,35 +6,21 @@ fanning data from many producers to many consumers.  Table I
 to multiple consumers" with "multiple flexible data paths ... easily
 configured and changed".
 
-This bus is the flat (single-broker) :class:`~repro.transport.base.Transport`:
-topic-based routing with ``*`` wildcards, per-consumer bounded queues
-with a drop-oldest overflow policy (backpressure during event storms is
-exactly the Splunk-cost scenario the paper mentions), synchronous
-delivery inside ``publish``, and delivery statistics the
-transport-comparison bench and the self-monitoring plane read.  A
-raising subscriber callback never aborts the fan-out: the exception is
-isolated, counted on the subscription, and delivery continues to the
-remaining consumers.  Topic/pattern matching is memoized through a
-bounded :class:`~repro.transport.base.PatternMatcher` — the same
-(topic, pattern) pairs recur on every publish, so the glob evaluation
-happens once per pair, not once per message.
+This bus is the flat (single-broker) tier of
+:class:`~repro.transport.base.Transport`: an accepted envelope waits
+nowhere — ``publish`` fans it out to every matching subscription
+before it returns.  Topic routing with ``*`` wildcards, per-consumer
+bounded drop-oldest queues (backpressure during event storms is
+exactly the Splunk-cost scenario the paper mentions), isolation of a
+raising subscriber callback and the delivery statistics all live in
+the shared core.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from repro.core.tracectx import HOP_PUBLISH
 
-from repro.core.metric import SeriesBatch
-from repro.core.tracectx import HOP_PUBLISH, MAX_HOPS
-
-from .base import (
-    BusStats,
-    MatchCacheInfo,
-    PatternMatcher,
-    Subscription,
-    Transport,
-)
-from .message import Envelope
+from .base import BusStats, Subscription, Transport
 
 __all__ = ["Subscription", "MessageBus", "BusStats"]
 
@@ -42,39 +28,7 @@ __all__ = ["Subscription", "MessageBus", "BusStats"]
 class MessageBus(Transport):
     """Topic router with wildcard subscriptions and synchronous fan-out."""
 
-    def __init__(
-        self,
-        default_queue_len: int = 10_000,
-        match_cache_size: int = 4096,
-    ) -> None:
-        self.default_queue_len = int(default_queue_len)
-        self._subs: list[Subscription] = []
-        self._matcher = PatternMatcher(match_cache_size)
-        self._published = 0
-        self._delivered = 0
-        self._seq = 0
-
-    def subscribe(
-        self,
-        pattern: str,
-        callback: Callable[[Envelope], None] | None = None,
-        maxlen: int | None = None,
-        name: str = "",
-    ) -> Subscription:
-        """Register a consumer; ``pattern`` supports ``*`` wildcards
-        (``metrics.*``, ``events.hwerr``).  With a callback, delivery is
-        synchronous; without, messages land in the subscription queue."""
-        sub = Subscription(
-            pattern,
-            maxlen if maxlen is not None else self.default_queue_len,
-            callback,
-            name,
-        )
-        self._subs.append(sub)
-        return sub
-
-    def unsubscribe(self, sub: Subscription) -> None:
-        self._subs.remove(sub)
+    tier = "flat"
 
     def publish(self, topic: str, payload, source: str = "") -> int:
         """Publish one payload; returns the number of consumers reached.
@@ -83,66 +37,5 @@ class MessageBus(Transport):
         earlier subscriber's callback raises (the raise is isolated and
         counted in that subscription's ``errors``).
         """
-        self._seq += 1
-        env = Envelope(topic=topic, payload=payload, source=source,
-                       seq=self._seq)
-        self._published += 1
-        ledger = self.ledger
-        if (ledger is not None and isinstance(payload, SeriesBatch)
-                and ledger.tracks(topic)):
-            ledger.published_batch(source, payload)
-        if self.clock is not None and isinstance(payload, SeriesBatch):
-            tr = payload.trace
-            if tr is not None:
-                # inlined TraceContext.stamp(HOP_PUBLISH, ...) — this is
-                # the per-batch hot path; see stamp() for the semantics
-                hops = tr.hops
-                t = self.clock()
-                if hops and hops[-1][0] == HOP_PUBLISH:
-                    last = hops[-1]
-                    if t < last[1]:
-                        last[1] = t
-                    if t > last[2]:
-                        last[2] = t
-                elif len(hops) < MAX_HOPS:
-                    hops.append([HOP_PUBLISH, t, t, 1])
-                else:
-                    tr.truncated += 1
-        hits = 0
-        matches = self._matcher.matches
-        for sub in self._subs:
-            if matches(topic, sub.pattern) and sub.offer(env):
-                hits += 1
-        self._delivered += hits
-        return hits
-
-    def publish_many(self, topic: str, payloads: Iterable, source: str = "") -> int:
-        return sum(self.publish(topic, p, source) for p in payloads)
-
-    def match_cache_info(self) -> MatchCacheInfo:
-        """Hit/miss accounting of the memoized topic/pattern matcher."""
-        return self._matcher.info()
-
-    def queue_depths(self) -> dict[str, int]:
-        """Current backlog per subscription (self-monitoring surface).
-
-        Subscriptions sharing a name (e.g. two bare-pattern subscribers)
-        are disambiguated with a ``#i`` suffix so no depth is shadowed.
-        """
-        depths: dict[str, int] = {}
-        for i, sub in enumerate(self._subs):
-            key = sub.name
-            if key in depths:
-                key = f"{key}#{i}"
-            depths[key] = len(sub)
-        return depths
-
-    def stats(self) -> BusStats:
-        return BusStats(
-            published=self._published,
-            delivered=self._delivered,
-            dropped=sum(s.dropped for s in self._subs),
-            subscriptions=len(self._subs),
-            errors=sum(s.errors for s in self._subs),
-            queue_depths=self.queue_depths(),
-        )
+        self._accept(topic, payload, source, HOP_PUBLISH)
+        return self._deliver(self._envelope(topic, payload, source))

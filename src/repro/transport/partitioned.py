@@ -7,23 +7,23 @@ queue with its own backpressure accounting.  :class:`PartitionedBus`
 models that tier: ``publish`` only appends to the owning partition
 (stable topic hash, so a topic's messages always traverse the same
 partition and stay FIFO); delivery to subscribers happens when the
-pipeline :meth:`pump`\\ s the bus at stage boundaries.  Per-partition
-queues are bounded with drop-oldest overflow and per-partition drop
-counters, so a storm on one topic family saturates *its* partition
-while the others keep flowing — visible in ``selfmon.bus.partition_depth``
-and ``selfmon.bus.partition_dropped``.
+pipeline :meth:`pump`\\ s the bus at stage boundaries.  The partition
+is all this tier adds to the shared
+:class:`~repro.transport.base.Transport` core.  Partitions are bounded
+with drop-oldest overflow and per-partition drop counters, so a storm
+on one topic family saturates *its* partition while the others keep
+flowing — visible in ``selfmon.bus.partition_depth`` and
+``selfmon.bus.partition_dropped``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 from ..core.hashing import stable_bucket
-from ..core.metric import SeriesBatch
 from ..core.tracectx import HOP_ENQUEUE, HOP_PUMP
-from .base import BusStats, PatternMatcher, Subscription, Transport
+from .base import BusStats, Transport
 from .message import Envelope
 
 __all__ = ["PartitionedBus", "PartitionedBusStats"]
@@ -41,13 +41,12 @@ class PartitionedBusStats(BusStats):
 class _Partition:
     """One bounded FIFO of undelivered envelopes."""
 
-    __slots__ = ("queue", "maxlen", "dropped", "enqueued")
+    __slots__ = ("queue", "maxlen", "dropped")
 
     def __init__(self, maxlen: int) -> None:
         self.queue: deque[Envelope] = deque()
         self.maxlen = maxlen
         self.dropped = 0
-        self.enqueued = 0
 
     def offer(self, env: Envelope) -> Envelope | None:
         """Enqueue; returns the evicted envelope when drop-oldest fires
@@ -57,62 +56,32 @@ class _Partition:
             evicted = self.queue.popleft()   # drop-oldest under storm
             self.dropped += 1
         self.queue.append(env)
-        self.enqueued += 1
         return evicted
 
 
 class PartitionedBus(Transport):
-    """N independent partitions by topic hash, delivered on ``pump``."""
+    """N independent partitions by topic hash, delivered on ``pump``.
 
-    def __init__(
-        self,
-        partitions: int = 4,
-        partition_queue_len: int = 100_000,
-        default_queue_len: int = 10_000,
-        match_cache_size: int = 4096,
-    ) -> None:
+    Subscription patterns may span partitions: a wildcard such as
+    ``metrics.*`` sees matching envelopes from every lane.
+    """
+
+    tier = "partitioned"
+
+    def __init__(self, partitions: int = 4,
+                 partition_queue_len: int = 100_000) -> None:
         if partitions < 1:
             raise ValueError("partitions must be >= 1")
+        super().__init__()
         self.n_partitions = int(partitions)
-        self.default_queue_len = int(default_queue_len)
         self._parts = [
             _Partition(int(partition_queue_len))
             for _ in range(self.n_partitions)
         ]
-        self._subs: list[Subscription] = []
-        self._matcher = PatternMatcher(match_cache_size)
-        self._published = 0
-        self._delivered = 0
-        self._seq = 0
-
-    # -- routing ------------------------------------------------------------
 
     def partition_of(self, topic: str) -> int:
         """Stable topic -> partition mapping (same topic, same lane)."""
         return stable_bucket(topic, self.n_partitions)
-
-    # -- Transport surface --------------------------------------------------
-
-    def subscribe(
-        self,
-        pattern: str,
-        callback: Callable[[Envelope], None] | None = None,
-        maxlen: int | None = None,
-        name: str = "",
-    ) -> Subscription:
-        """Register a consumer; patterns may span partitions (a wildcard
-        such as ``metrics.*`` sees matching envelopes from every lane)."""
-        sub = Subscription(
-            pattern,
-            maxlen if maxlen is not None else self.default_queue_len,
-            callback,
-            name,
-        )
-        self._subs.append(sub)
-        return sub
-
-    def unsubscribe(self, sub: Subscription) -> None:
-        self._subs.remove(sub)
 
     def publish(self, topic: str, payload, source: str = "") -> int:
         """Append to the owning partition; delivery waits for ``pump``.
@@ -121,29 +90,16 @@ class PartitionedBus(Transport):
         overflows the partition evicts the oldest one there (counted in
         that partition's ``dropped``).
         """
-        self._seq += 1
-        env = Envelope(topic=topic, payload=payload, source=source,
-                       seq=self._seq)
-        self._published += 1
-        ledger = self.ledger
-        tracked = (ledger is not None and isinstance(payload, SeriesBatch)
-                   and ledger.tracks(topic))
-        if tracked:
-            ledger.published_batch(source, payload)
-        if (self.clock is not None and isinstance(payload, SeriesBatch)
-                and payload.trace is not None):
-            payload.trace.stamp(HOP_ENQUEUE, self.clock())
+        self._accept(topic, payload, source, HOP_ENQUEUE)
+        env = self._envelope(topic, payload, source)
         evicted = self._parts[self.partition_of(topic)].offer(env)
-        if (evicted is not None and ledger is not None
-                and isinstance(evicted.payload, SeriesBatch)
-                and ledger.tracks(evicted.topic)):
-            ledger.lost_batch("partition-overflow", evicted.payload)
+        if evicted is not None:
+            self._lost("partition-overflow", evicted.topic, evicted.payload)
         return 0
 
     def pump(self, now: float | None = None) -> int:
         """Drain every partition in order, fanning out to subscribers."""
         moved = 0
-        matches = self._matcher.matches
         t = self._hop_time(now)
         for part in self._parts:
             queue = part.queue
@@ -151,62 +107,25 @@ class PartitionedBus(Transport):
                 env = queue.popleft()
                 if t is not None and env.trace is not None:
                     env.trace.stamp(HOP_PUMP, t)
-                hits = 0
-                for sub in self._subs:
-                    if matches(env.topic, sub.pattern) and sub.offer(env):
-                        hits += 1
-                self._delivered += hits
+                self._deliver(env)
                 moved += 1
         return moved
 
-    def in_flight_points(self) -> int:
-        """Tracked points sitting in partition queues awaiting pump."""
-        ledger = self.ledger
-        if ledger is None:
-            return 0
-        total = 0
-        for part in self._parts:
-            for env in part.queue:
-                if (isinstance(env.payload, SeriesBatch)
-                        and ledger.tracks(env.topic)):
-                    total += len(env.payload)
-        return total
+    def _held(self):
+        return ((env.topic, env.payload)
+                for part in self._parts for env in part.queue)
 
-    # -- self-monitoring surfaces -------------------------------------------
+    def lane_depths(self) -> dict[str, int]:
+        return {f"partition-{i}": len(p.queue)
+                for i, p in enumerate(self._parts)}
 
-    def partition_depths(self) -> dict[str, int]:
-        """Undelivered backlog per partition."""
-        return {
-            f"partition-{i}": len(p.queue)
-            for i, p in enumerate(self._parts)
-        }
-
-    def partition_drops(self) -> dict[str, int]:
-        """Cumulative drop-oldest evictions per partition."""
-        return {
-            f"partition-{i}": p.dropped
-            for i, p in enumerate(self._parts)
-        }
-
-    def queue_depths(self) -> dict[str, int]:
-        """Partition backlogs plus per-subscription queue depths."""
-        depths: dict[str, int] = self.partition_depths()
-        for i, sub in enumerate(self._subs):
-            key = sub.name
-            if key in depths:
-                key = f"{key}#{i}"
-            depths[key] = len(sub)
-        return depths
+    def lane_drops(self) -> dict[str, int]:
+        return {f"partition-{i}": p.dropped
+                for i, p in enumerate(self._parts)}
 
     def stats(self) -> PartitionedBusStats:
-        part_dropped = sum(p.dropped for p in self._parts)
         return PartitionedBusStats(
-            published=self._published,
-            delivered=self._delivered,
-            dropped=part_dropped + sum(s.dropped for s in self._subs),
-            subscriptions=len(self._subs),
-            errors=sum(s.errors for s in self._subs),
-            queue_depths=self.queue_depths(),
+            **self._stat_fields(),
             partitions=self.n_partitions,
             partition_dropped=tuple(p.dropped for p in self._parts),
             partition_depths=tuple(len(p.queue) for p in self._parts),

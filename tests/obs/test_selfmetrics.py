@@ -345,6 +345,23 @@ class TestTieredSurfaces:
         comps = p.tsdb.components("selfmon.bus.partition_depth")
         assert comps == [f"leaf-{i}" for i in range(4)]
 
+    @pytest.mark.degrades
+    def test_aggtree_reports_leaf_drops_per_leaf(self):
+        """Leaf overflow is the tree's loss: it is published per leaf,
+        like a partition's drop-oldest evictions."""
+        from repro.transport.aggtree import AggregatorTree
+
+        tree = AggregatorTree(leaves=2, leaf_queue_len=1)
+        p = small_pipeline(transport=tree)
+        p.run(duration_s=200.0, dt=10.0)
+        dropped = tree.stats().dropped_batches
+        assert dropped > 0
+        batches = {b.metric: b for b in p.selfmon.sample(
+            p.machine.now, elapsed_s=60.0)}
+        row = batches["selfmon.bus.partition_dropped"]
+        assert list(row.components) == ["leaf-0", "leaf-1"]
+        assert row.values.sum() == dropped
+
 
 class TestCacheGauges:
     """The decompressed-chunk cache is a selfmon surface like any other."""

@@ -4,10 +4,8 @@ Section IV-B: sites juggle "a variety of transport mechanisms" with
 different fidelity/overhead tradeoffs, and "multiple transports may in
 some cases be necessary and even desirable".  We measure throughput of
 each class and loss behaviour under an event storm — the scenario that
-also blows up Splunk bills — plus the two transport-tier wins of the
-refactor: the memoized match cache on the flat bus's hot path, and the
-aggregator tree's upstream message reduction at Trinity scale (27,648
-per-node publishers).
+also blows up Splunk bills — plus the aggregator tree's upstream
+message reduction at Trinity scale (27,648 per-node publishers).
 """
 
 import numpy as np
@@ -46,48 +44,6 @@ class TestBusThroughput:
         assert len(out) == 100
 
 
-class TestMatchCache:
-    """The flat bus's hottest line is topic/pattern fnmatch; the
-    bounded memo cache turns it into a dict hit on recurring pairs."""
-
-    TOPICS = [f"metrics.m{i}" for i in range(32)]
-    PATTERNS = ["metrics.*", "events.*", "selfmon.*", "*.m0"]
-
-    def _loaded_bus(self, cache_size):
-        bus = MessageBus(match_cache_size=cache_size)
-        for pat in self.PATTERNS:
-            bus.subscribe(pat, callback=lambda env: None)
-        return bus
-
-    def _publish_storm(self, bus, rounds=200):
-        for _ in range(rounds):
-            for t in self.TOPICS:
-                bus.publish(t, None)
-
-    def test_bench_cached_publish(self):
-        bus = self._loaded_bus(4096)
-        self._publish_storm(bus)
-        info = bus.match_cache_info()
-        assert info.hits > 100 * info.misses     # steady state: all hits
-        assert info.size == len(self.TOPICS) * len(self.PATTERNS)
-
-    def test_bench_uncached_publish(self):
-        bus = self._loaded_bus(0)
-        self._publish_storm(bus)
-        assert bus.match_cache_info().size == 0
-
-    def test_cache_beats_fnmatch_on_recurring_topics(self):
-        """Identical storms, cached vs uncached: the memo absorbs the
-        recurring pairs and routes exactly what fnmatch routes."""
-        cached, uncached = self._loaded_bus(4096), self._loaded_bus(0)
-        for bus in (cached, uncached):
-            self._publish_storm(bus, rounds=50)
-        assert cached.match_cache_info().hits > 0
-        assert uncached.match_cache_info().size == 0
-        assert uncached.match_cache_info().hits == 0
-        assert cached.stats().delivered == uncached.stats().delivered > 0
-
-
 class TestAggregatorTreeAtScale:
     """Table I's scale row: a Trinity-class machine (27,648 nodes) each
     publishing per-node batches must not translate into 27,648 messages
@@ -98,8 +54,7 @@ class TestAggregatorTreeAtScale:
 
     def test_upstream_message_reduction_at_trinity_scale(self):
         tree = AggregatorTree(leaves=432, fan_in=8, window_s=0.0,
-                              leaf_queue_len=10**6,
-                              default_queue_len=10**6)
+                              leaf_queue_len=10**6)
         delivered_points = 0
         delivered_msgs = 0
 

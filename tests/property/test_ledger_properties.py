@@ -13,7 +13,6 @@ create silence (unaccounted != 0).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ledger import DeliveryLedger
 from repro.core.metric import SeriesBatch
 from repro.obs.chaos import ChaosTransport
 from repro.transport.aggtree import AggregatorTree
@@ -31,9 +30,8 @@ def batch(metric: str, n: int, t: float) -> SeriesBatch:
 
 
 def attach(bus):
-    """Wire a ledger + a storing consumer onto ``bus``; returns ledger."""
-    ledger = DeliveryLedger()
-    bus.ledger = ledger
+    """Wire a storing consumer onto ``bus``; returns the bus's ledger."""
+    ledger = bus.ledger
 
     def store(env):
         if isinstance(env.payload, SeriesBatch) and ledger.tracks(env.topic):

@@ -165,6 +165,7 @@ def test_monitor_fault_campaign_survives(seed):
     every supervised component returns to OK after the fault clears, the
     delivery ledger reconciles exactly, and a stalled transport raises a
     freshness breach that names the stalled hop."""
+    from repro.core.events import EventKind
     from repro.core.lifecycle import Health
     from repro.obs.chaos import (
         ChaosTransport,
@@ -241,6 +242,23 @@ def test_monitor_fault_campaign_survives(seed):
     breaches = [a.message for a in pipeline.alerts.alerts
                 if a.rule == "freshness_slo_breach"]
     assert any("worst hop pump" in m for m in breaches), breaches
+    # ...and names the Table I tier the chaos wrapper wraps
+    tiers = {ev.fields["tier"] for ev in pipeline.logs.search(
+        kind=EventKind.HEALTH, regex="freshness SLO .* breached")}
+    assert tiers == {"partitioned"}
+
+
+def test_chaos_wrapped_site_reports_the_wrapped_tier():
+    """The live capability row and the freshness tracker name the
+    Table I tier of the transport inside the chaos wrapper."""
+    from repro.obs.chaos import ChaosTransport
+    from repro.sites import site_capabilities
+    from repro.transport.partitioned import PartitionedBus
+
+    p = build_site(SiteConfig(transport="partitioned"),
+                   overrides={"transport": ChaosTransport(PartitionedBus())})
+    assert p.freshness.tier == "partitioned"
+    assert site_capabilities(p) == p.site_config.capabilities()
 
 
 @pytest.mark.degrades

@@ -182,4 +182,4 @@ class TestSelfMonSurfaces:
                    if k.startswith("leaf-")) == 1
         assert "ingest" in depths
         tree.flush()
-        assert sum(tree.leaf_depths().values()) == 0
+        assert sum(tree.lane_depths().values()) == 0

@@ -7,7 +7,7 @@ from repro.transport.bus import MessageBus
 
 @pytest.fixture()
 def bus():
-    return MessageBus(default_queue_len=100)
+    return MessageBus()
 
 
 class TestRouting:
@@ -164,47 +164,6 @@ class TestBackpressure:
         assert all(d == 1 for d in depths.values())
 
 
-class TestMatchCache:
-    def test_cache_hits_on_repeat_topics(self, bus):
-        bus.subscribe("metrics.*")
-        for _ in range(10):
-            bus.publish("metrics.power", 1)
-        info = bus.match_cache_info()
-        assert info.misses == 1          # first (topic, pattern) pair
-        assert info.hits == 9
-        assert info.size == 1
-
-    def test_cache_is_bounded(self):
-        bus = MessageBus(match_cache_size=8)
-        bus.subscribe("metrics.*")
-        for i in range(100):
-            bus.publish(f"metrics.m{i}", i)
-        assert bus.match_cache_info().size <= 8
-
-    def test_cache_disabled_with_zero(self):
-        bus = MessageBus(match_cache_size=0)
-        sub = bus.subscribe("metrics.*")
-        for _ in range(5):
-            bus.publish("metrics.power", 1)
-        info = bus.match_cache_info()
-        assert info.size == 0 and info.hits == 0
-        assert len(sub.drain()) == 5     # matching still correct
-
-    def test_cached_and_uncached_agree(self):
-        cached = MessageBus()
-        uncached = MessageBus(match_cache_size=0)
-        topics = ["metrics.power", "events.hwerr", "metrics.temp",
-                  "selfmon.bus.dropped", "metrics.power"]
-        for b in (cached, uncached):
-            b.subscribe("metrics.*", name="m")
-            b.subscribe("events.hwerr", name="e")
-            b.subscribe("*.power", name="p")
-        counts = []
-        for b in (cached, uncached):
-            counts.append([b.publish(t, 0) for t in topics])
-        assert counts[0] == counts[1]
-
-
 class TestStats:
     def test_stats_account_everything(self, bus):
         sub = bus.subscribe("t", maxlen=2)
@@ -218,8 +177,3 @@ class TestStats:
         assert s.subscriptions == 2
         assert s.errors == 0
         assert s.queue_depths == {"t": 2, "t#1": 4}
-
-    def test_publish_many(self, bus):
-        sub = bus.subscribe("t")
-        bus.publish_many("t", [1, 2, 3])
-        assert len(sub.drain()) == 3

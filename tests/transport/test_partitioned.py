@@ -82,7 +82,7 @@ class TestBoundedPartitions:
         p = bus.partition_of("metrics.storm")
         for i in range(12):
             bus.publish("metrics.storm", i)
-        drops = bus.partition_drops()
+        drops = bus.lane_drops()
         assert drops[f"partition-{p}"] == 7
         assert sum(drops.values()) == 7
         bus.pump()
@@ -107,9 +107,9 @@ class TestBoundedPartitions:
         bus.subscribe("metrics.*", callback=lambda env: None)
         for i in range(10):
             bus.publish(f"metrics.m{i}", i)
-        assert sum(bus.partition_depths().values()) == 10
+        assert sum(bus.lane_depths().values()) == 10
         bus.pump()
-        assert sum(bus.partition_depths().values()) == 0
+        assert sum(bus.lane_depths().values()) == 0
 
 
 class TestStats:
