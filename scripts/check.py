@@ -35,10 +35,11 @@ names (``machine.nodes.names``, ``node_clocks``, ``topo.nodes``) is one
 interpreter iteration per node per sweep.
 
 Both paths also gate on **module-level mutable state** inside
-``src/repro/transport`` and ``src/repro/storage``: a module global there
-is shared by every store and shard in the process, and by the serving
-plane's thread-safe caches that read through them, so a module-global
-``dict`` / ``list`` / ``set`` is unsynchronized state nobody owns.
+``src/repro/transport``, ``src/repro/storage`` and ``src/repro/serve``:
+a module global there is shared by every transport, store, shard and
+tenant in the process (the serving plane's result cache and tenant
+governor serve every tenant), so a module-global ``dict`` / ``list`` /
+``set`` is unsynchronized state nobody owns.
 Keep mutable state on instances; a deliberate module global carries
 ``# shared-state: allowed``.
 
@@ -442,8 +443,9 @@ def check_swallows_repro() -> list[str]:
 
 
 #: module-level mutable containers in these planes are shared by every
-#: store, shard and serving-plane cache in the process
-_SHARED_STATE_DIRS = ("src/repro/transport", "src/repro/storage")
+#: transport, store, shard and tenant in the process
+_SHARED_STATE_DIRS = ("src/repro/transport", "src/repro/storage",
+                      "src/repro/serve")
 _MUTABLE_CALLS = frozenset({
     "dict", "list", "set", "defaultdict", "OrderedDict", "deque",
     "Counter",
@@ -468,10 +470,11 @@ def _is_mutable_container(value: ast.expr) -> bool:
 def check_module_state(path: Path) -> list[str]:
     """Flag module-level mutable-container state in one module.
 
-    A module-global ``dict``/``list``/``set`` in the transport and
-    storage packages is state shared by every pipeline, store and shard
-    in the process, and by the serving plane's thread-safe caches that
-    read through them, with no lock anyone remembers to take.  Keep
+    A module-global ``dict``/``list``/``set`` in the transport, storage
+    and serving packages is state shared by every pipeline, store, shard
+    and tenant in the process (the serving plane's result cache and
+    tenant governor serve every tenant), with no lock anyone remembers
+    to take.  Keep
     mutable state on instances (or behind an explicit lock) — a
     deliberate module global carries ``# shared-state: allowed`` on its
     assignment line.
@@ -512,8 +515,8 @@ def check_module_state(path: Path) -> list[str]:
 
 
 def check_shared_state() -> list[str]:
-    """Run :func:`check_module_state` over the transport and storage
-    packages."""
+    """Run :func:`check_module_state` over the transport, storage and
+    serving packages."""
     problems: list[str] = []
     for rel in _SHARED_STATE_DIRS:
         root = REPO / rel

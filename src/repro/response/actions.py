@@ -97,11 +97,9 @@ class ActionEngine:
         self,
         machine: "Machine",
         alert_manager: AlertManager | None = None,
-        dry_run: bool = False,
     ) -> None:
         self.machine = machine
         self.alerts = alert_manager or AlertManager()
-        self.dry_run = dry_run
         self.audit: deque[AuditRecord] = deque(maxlen=AUDIT_RECORDS)
         #: cumulative executions, including those rotated out of ``audit``
         self.executed = 0
@@ -126,8 +124,6 @@ class ActionEngine:
                 handler = self._handlers.get(req.action)
                 if handler is None:
                     outcome = f"unknown action {req.action!r}"
-                elif self.dry_run and req.action != "alert":
-                    outcome = "dry-run: skipped"
                 else:
                     outcome = handler(req)
                 rec = AuditRecord(

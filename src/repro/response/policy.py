@@ -167,32 +167,21 @@ def default_sec_engine() -> SecEngine:
     return SecEngine(default_rules())
 
 
-_DETECTION_ACTIONS: dict[str, tuple[str, Severity]] = {
-    # statistical-detector kind -> (action, severity)
-    "outlier": ("alert", Severity.WARNING),
-    "threshold": ("alert", Severity.WARNING),
-    "shift": ("alert", Severity.WARNING),
-    "changepoint": ("alert", Severity.WARNING),
-}
-
-
 def detections_to_requests(
     detections: Sequence[Detection],
     rule_prefix: str = "stat",
 ) -> list[ActionRequest]:
-    """Adapt statistical detections onto the action-request currency."""
+    """Adapt statistical detections onto the action-request currency:
+    every detection kind raises a warning alert."""
     out = []
     for d in detections:
-        action, severity = _DETECTION_ACTIONS.get(
-            d.kind, ("alert", Severity.WARNING)
-        )
         out.append(
             ActionRequest(
                 time=d.time,
                 rule=f"{rule_prefix}.{d.metric}.{d.kind}",
-                action=action,
+                action="alert",
                 component=d.component,
-                severity=severity,
+                severity=Severity.WARNING,
                 message=f"{d.metric} {d.kind} on {d.component}: {d.detail}",
                 fields={"score": d.score},
             )

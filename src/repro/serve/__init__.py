@@ -10,17 +10,20 @@ existing stores:
 * rollup pyramids (:mod:`repro.storage.rollup`) folded at chunk-seal
   time; the store's one bucketed read answers whole buckets from the
   coarsest sufficient level,
-* a bounded LRU query-result cache keyed on normalized query plans and
-  invalidated precisely by per-metric store epochs
-  (:mod:`repro.serve.cache`),
+* a query-result cache keyed on normalized query plans
+  (:mod:`repro.serve.plan`) and invalidated precisely by per-metric
+  store epochs — the same byte-bounded
+  :class:`~repro.storage.chunkcache.LRUCache` as the chunk cache,
 * per-tenant token-bucket quotas and concurrency limits in the
   ``response/governor`` style — rejections are accounted, not raised
   (:mod:`repro.serve.quota`),
 * the :class:`~repro.serve.frontend.QueryFrontend` tying them together
-  behind the familiar store query surface.
+  behind the familiar store query surface — every read is one
+  admit → probe → answer path — and the
+  :class:`~repro.serve.federated.FederatedFrontend`, one site-qualified
+  surface over many of them.
 """
 
-from .cache import QueryResultCache, ResultCacheStats
 from .federated import FederatedFrontend, FederatedStats
 from .frontend import QueryFrontend, ServeStats
 from .plan import QueryPlan
@@ -31,8 +34,6 @@ __all__ = [
     "FederatedStats",
     "QueryFrontend",
     "QueryPlan",
-    "QueryResultCache",
-    "ResultCacheStats",
     "ServeStats",
     "TenantGovernor",
     "TenantQuota",

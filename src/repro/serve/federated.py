@@ -129,47 +129,86 @@ class FederatedFrontend:
 
     # -- the familiar query surface, site-qualified -------------------------
 
+    def _listing(self, metric: str,
+                 tenant: str) -> list[tuple[str, list[str], bool]]:
+        """Every site's own components, in site order: ``(site, comps,
+        ok)`` (an unreachable site lists nothing, ``ok`` False)."""
+        return [(site, *self._site_call(
+                    site, lambda fe=fe: fe.components(metric, tenant=tenant),
+                    []))
+                for site, fe in self.frontends.items()]
+
     def components(self, metric: str,
                    tenant: str = DEFAULT_TENANT) -> list[str]:
         """All sites' components, qualified ``site/component``."""
-        out: list[str] = []
-        complete = True
-        for site, fe in self.frontends.items():
-            comps, ok = self._site_call(
-                site, lambda fe=fe: fe.components(metric, tenant=tenant), []
-            )
-            complete = complete and ok
-            out.extend(f"{site}/{c}" for c in comps)
-        self._note_query(complete)
-        return out
+        listing = self._listing(metric, tenant)
+        self._note_query(all(ok for _, _, ok in listing))
+        return [f"{site}/{c}" for site, comps, _ in listing for c in comps]
+
+    def _routed(self, metric: str, component: str, call) -> SeriesBatch:
+        """One series' read, routed to the owning site's front end as
+        ``call(frontend, local_component)``."""
+        site, local = self._split(component)
+        fe = self.frontends[site]
+        batch, ok = self._site_call(site, lambda: call(fe, local),
+                                    SeriesBatch.empty(metric))
+        self._note_query(ok)
+        return batch
 
     def query(self, metric: str, component: str,
               t0: float = -np.inf, t1: float = np.inf,
               tenant: str = DEFAULT_TENANT) -> SeriesBatch:
-        site, local = self._split(component)
-        fe = self.frontends[site]
-        batch, ok = self._site_call(
-            site,
-            lambda: fe.query(metric, local, t0, t1, tenant=tenant),
-            SeriesBatch.empty(metric),
-        )
-        self._note_query(ok)
-        return batch
+        return self._routed(metric, component, lambda fe, local: fe.query(
+            metric, local, t0, t1, tenant=tenant))
 
     def downsample(self, metric: str, component: str, t0: float, t1: float,
                    step: float, agg: str = "mean",
                    tenant: str = DEFAULT_TENANT) -> SeriesBatch:
         """Route one site's downsample; exactness holds site-locally."""
-        site, local = self._split(component)
-        fe = self.frontends[site]
-        batch, ok = self._site_call(
-            site,
-            lambda: fe.downsample(metric, local, t0, t1, step, agg,
-                                  tenant=tenant),
-            SeriesBatch.empty(metric),
-        )
-        self._note_query(ok)
-        return batch
+        return self._routed(
+            metric, component, lambda fe, local: fe.downsample(
+                metric, local, t0, t1, step, agg, tenant=tenant))
+
+    def _read(
+        self,
+        metric: str,
+        components: Sequence[str] | None,
+        t0: float,
+        t1: float,
+        tenant: str,
+    ) -> list[tuple[str, str, SeriesBatch]]:
+        """The one fan-out read: ``(site, local, batch)`` per selected
+        component its site answered, each read through that site's front
+        end (per-site admission applies), and the query counted partial
+        if any site was down or raised.
+
+        ``None`` selects every component of every site, in site order
+        then each site's own component order — exactly the order one
+        merged store holding ``site/component`` series site-major would
+        enumerate, which is what keeps ``last`` tie-breaks oracle-exact.
+        A repeat in an explicit selection counts once, first position
+        wins — the merged store's ``query_components`` dict order.
+        """
+        if components is None:
+            listing = self._listing(metric, tenant)
+            complete = all(ok for _, _, ok in listing)
+            wanted = [(site, c) for site, comps, _ in listing for c in comps]
+        else:
+            complete = True
+            wanted = [self._split(c) for c in dict.fromkeys(components)]
+        reads = []
+        for site, local in wanted:
+            if not local:
+                continue
+            fe = self.frontends[site]
+            batch, ok = self._site_call(
+                site, lambda: fe.query(metric, local, t0, t1, tenant=tenant),
+                None)
+            complete = complete and ok
+            if ok:
+                reads.append((site, local, batch))
+        self._note_query(complete)
+        return reads
 
     def query_components(
         self,
@@ -180,55 +219,10 @@ class FederatedFrontend:
         tenant: str = DEFAULT_TENANT,
     ) -> dict[str, SeriesBatch]:
         """Per-component batches across sites, qualified keys."""
-        out: dict[str, SeriesBatch] = {}
-        complete = True
-        for site, local, ok in self._resolve(metric, components, tenant):
-            complete = complete and ok
-            if not ok or not local:
-                continue
-            fe = self.frontends[site]
-            batch, got = self._site_call(
-                site,
-                lambda fe=fe, local=local: fe.query(
-                    metric, local, t0, t1, tenant=tenant),
-                None,
-            )
-            complete = complete and got
-            if batch is not None:
-                out[f"{site}/{local}"] = batch
-        self._note_query(complete)
-        return out
+        return {f"{site}/{local}": batch for site, local, batch
+                in self._read(metric, components, t0, t1, tenant)}
 
     # -- the cross-site exact merge -----------------------------------------
-
-    def _resolve(
-        self,
-        metric: str,
-        components: Sequence[str] | None,
-        tenant: str,
-    ) -> list[tuple[str, str, bool]]:
-        """Expand the component selection to ``(site, local, ok)`` rows.
-
-        ``None`` means every component of every site, in site order then
-        each site's own component order — exactly the order one merged
-        store holding ``site/component`` series site-major would
-        enumerate, which is what keeps ``last`` tie-breaks oracle-exact.
-        """
-        if components is not None:
-            # a repeat counts once, first position wins — the merged
-            # store's ``query_components`` dict order
-            return [(*self._split(c), True)
-                    for c in dict.fromkeys(components)]
-        rows: list[tuple[str, str, bool]] = []
-        for site, fe in self.frontends.items():
-            comps, ok = self._site_call(
-                site, lambda fe=fe: fe.components(metric, tenant=tenant),
-                [],
-            )
-            rows.extend((site, c, ok) for c in comps)
-            if not ok:
-                rows.append((site, "", False))   # unreachable marker
-        return rows
 
     def aggregate_across(
         self,
@@ -242,33 +236,17 @@ class FederatedFrontend:
     ) -> SeriesBatch:
         """Cross-site aggregate, exact via partial-column merging.
 
-        Each selected component's raw window is read through its own
-        site's front end (per-site admission applies), folded into
-        partial columns on the shared ``(anchor, step)`` grid, and
-        merged with :func:`reduce_partials` ranked by site-major
-        component position — reproducing bit-for-bit the stable
-        time-sort concat the raw single-store path performs.
-        Unreachable sites contribute nothing and the answer is counted
-        partial.
+        Each selected component's raw window comes from the one fan-out
+        read, is folded into partial columns on the shared
+        ``(anchor, step)`` grid, and merged with :func:`reduce_partials`
+        ranked by site-major component position — reproducing
+        bit-for-bit the stable time-sort concat the raw single-store
+        path performs.  Unreachable sites contribute nothing and the
+        answer is counted partial.
         """
         check_bucketing(agg, step)
-        rows = self._resolve(metric, components, tenant)
-        complete = all(ok for _, _, ok in rows)
-        batches: list[SeriesBatch] = []
-        for site, local, ok in rows:
-            if not ok or not local:
-                continue
-            fe = self.frontends[site]
-            batch, got = self._site_call(
-                site,
-                lambda fe=fe, local=local: fe.query(
-                    metric, local, t0, t1, tenant=tenant),
-                None,
-            )
-            complete = complete and got
-            if batch is not None and len(batch):
-                batches.append(batch)
-        self._note_query(complete)
+        batches = [b for _, _, b in self._read(metric, components, t0, t1,
+                                                tenant) if len(b)]
         if not batches:
             return SeriesBatch.empty(metric)
         lo = (

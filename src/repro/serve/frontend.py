@@ -7,7 +7,8 @@
 1. **admission** — every call names a ``tenant``; the
    :class:`~repro.serve.quota.TenantGovernor` sheds over-budget tenants
    by returning an *empty* answer (accounted, never raised),
-2. **result caching** — answers are cached under their normalized
+2. **result caching** — answers are cached in the one byte-bounded
+   :class:`~repro.storage.chunkcache.LRUCache` under their normalized
    :class:`~repro.serve.plan.QueryPlan` and revalidated against the
    store's per-metric mutation epoch, so repeated dashboard reads
    between ingest ticks cost a dict lookup,
@@ -32,13 +33,25 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..core.metric import SeriesBatch
-from .cache import QueryResultCache, ResultCacheStats
+from ..storage.chunkcache import CacheStats, LRUCache
 from .plan import QueryPlan
 from .quota import TenantGovernor, TenantQuota, TenantStats
 
 __all__ = ["DEFAULT_TENANT", "QueryFrontend", "ServeStats"]
 
 DEFAULT_TENANT = "default"
+
+#: fixed accounting overhead per cached answer (key + bookkeeping)
+_ENTRY_OVERHEAD = 128
+
+
+def _answer_bytes(answer) -> int:
+    """Approximate footprint of an answer: a
+    :class:`~repro.core.metric.SeriesBatch` or a dict of them (the
+    ``query_components`` shape)."""
+    if isinstance(answer, dict):
+        return sum(_answer_bytes(b) for b in answer.values())
+    return int(answer.times.nbytes + answer.values.nbytes) + 32
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,7 +68,7 @@ class ServeStats:
     rejected: int
     pyramid_answers: int
     raw_answers: int
-    cache: ResultCacheStats
+    cache: CacheStats
     tenants: dict[str, TenantStats]
 
     @property
@@ -78,70 +91,69 @@ class QueryFrontend:
     The store is a :class:`~repro.storage.tsdb.TimeSeriesStore` or a
     :class:`~repro.storage.sharded.ShardedTimeSeriesStore`: both carry
     the :class:`~repro.storage.tsdb.SeriesQueryMixin` surface plus
-    ``query_epoch`` (the result cache's validity token).  Series that
-    carry rollup pyramids (``pyramid_levels=...``) answer whole buckets
-    from rollup rows; a store built without them answers everything
-    from chunk summaries and samples — same answers, fewer shortcuts.
+    ``query_epoch`` (the result cache's validity token), and every
+    series folds rollup pyramids, so a bucketed read answers whole
+    buckets from rollup rows where a level tiles the step.  Every read
+    method is one :meth:`_serve`: admit, probe the result cache, answer,
+    cache the answer, release.
     """
 
     def __init__(
         self,
         store,
         quotas: Mapping[str, TenantQuota] | None = None,
-        default_quota: TenantQuota = TenantQuota(),
-        cache: QueryResultCache | None = None,
         clock: Callable[[], float] | None = None,
     ) -> None:
         self.store = store
-        self.result_cache = cache if cache is not None else QueryResultCache()
-        self.governor = TenantGovernor(quotas, default=default_quota,
-                                       clock=clock)
+        self.result_cache = LRUCache(16 << 20)
+        self.governor = TenantGovernor(quotas, clock=clock)
         self._lock = threading.Lock()
         self._queries = 0
         self._rejected = 0
         self._pyramid_answers = 0
         self._raw_answers = 0
 
-    # -- admission / caching scaffolding ------------------------------------
-
-    def _admit(self, tenant: str) -> bool:
+    def _serve(self, tenant: str, plan: QueryPlan | None,
+               empty: Callable[[], object], answer: Callable[[], object]):
+        """The one read path.  A shed tenant gets ``empty()`` (accounted,
+        never raised); an admitted one gets the cached answer to
+        ``plan`` if the metric has not moved since, else ``answer()``,
+        which is then cached (``plan=None``: never cached).  The
+        concurrency slot is released however the read ends."""
         ok = self.governor.admit(tenant)
         with self._lock:
             self._queries += 1
             if not ok:
                 self._rejected += 1
-        return ok
-
-    def _cached(self, plan: QueryPlan):
-        epoch = self.store.query_epoch(plan.metric)
-        return self.result_cache.get(plan, epoch), epoch
+        if not ok:
+            return empty()
+        try:
+            if plan is None:
+                return answer()
+            epoch = self.store.query_epoch(plan.metric)
+            out = self.result_cache.get(plan, epoch)
+            if out is None:
+                out = answer()
+                self.result_cache.put(
+                    plan, out, _answer_bytes(out) + _ENTRY_OVERHEAD, epoch)
+            return out
+        finally:
+            self.governor.release(tenant)
 
     # -- the store query surface --------------------------------------------
 
     def components(self, metric: str,
                    tenant: str = DEFAULT_TENANT) -> list[str]:
-        if not self._admit(tenant):
-            return []
-        try:
-            return self.store.components(metric)
-        finally:
-            self.governor.release(tenant)
+        return self._serve(tenant, None, list,
+                           lambda: self.store.components(metric))
 
     def query(self, metric: str, component: str,
               t0: float = -np.inf, t1: float = np.inf,
               tenant: str = DEFAULT_TENANT) -> SeriesBatch:
-        if not self._admit(tenant):
-            return SeriesBatch.empty(metric)
-        try:
-            plan = QueryPlan.range_query(metric, component, t0, t1)
-            hit, epoch = self._cached(plan)
-            if hit is not None:
-                return hit
-            batch = self.store.query(metric, component, t0, t1)
-            self.result_cache.put(plan, epoch, batch)
-            return batch
-        finally:
-            self.governor.release(tenant)
+        return self._serve(
+            tenant, QueryPlan.range_query(metric, component, t0, t1),
+            lambda: SeriesBatch.empty(metric),
+            lambda: self.store.query(metric, component, t0, t1))
 
     def query_components(
         self,
@@ -151,34 +163,17 @@ class QueryFrontend:
         t1: float = np.inf,
         tenant: str = DEFAULT_TENANT,
     ) -> dict[str, SeriesBatch]:
-        if not self._admit(tenant):
-            return {}
-        try:
-            plan = QueryPlan.sweep(metric, components, t0, t1)
-            hit, epoch = self._cached(plan)
-            if hit is not None:
-                return hit
-            out = self.store.query_components(metric, components, t0, t1)
-            self.result_cache.put(plan, epoch, out)
-            return out
-        finally:
-            self.governor.release(tenant)
+        return self._serve(
+            tenant, QueryPlan.sweep(metric, components, t0, t1), dict,
+            lambda: self.store.query_components(metric, components, t0, t1))
 
     def downsample(self, metric: str, component: str, t0: float, t1: float,
                    step: float, agg: str = "mean",
                    tenant: str = DEFAULT_TENANT) -> SeriesBatch:
-        if not self._admit(tenant):
-            return SeriesBatch.empty(metric)
-        try:
-            plan = QueryPlan.downsample(metric, component, t0, t1, step, agg)
-            hit, epoch = self._cached(plan)
-            if hit is not None:
-                return hit
-            batch = self._bucketed(plan, [plan.component], plan.component)
-            self.result_cache.put(plan, epoch, batch)
-            return batch
-        finally:
-            self.governor.release(tenant)
+        plan = QueryPlan.downsample(metric, component, t0, t1, step, agg)
+        return self._serve(
+            tenant, plan, lambda: SeriesBatch.empty(metric),
+            lambda: self._bucketed(plan, [plan.component], plan.component))
 
     def aggregate_across(
         self,
@@ -190,19 +185,11 @@ class QueryFrontend:
         agg: str = "sum",
         tenant: str = DEFAULT_TENANT,
     ) -> SeriesBatch:
-        if not self._admit(tenant):
-            return SeriesBatch.empty(metric)
-        try:
-            plan = QueryPlan.aggregate(metric, components, t0, t1, step, agg)
-            hit, epoch = self._cached(plan)
-            if hit is not None:
-                return hit
-            batch = self._bucketed(plan, plan.components,
-                                   f"agg({plan.agg})")
-            self.result_cache.put(plan, epoch, batch)
-            return batch
-        finally:
-            self.governor.release(tenant)
+        plan = QueryPlan.aggregate(metric, components, t0, t1, step, agg)
+        return self._serve(
+            tenant, plan, lambda: SeriesBatch.empty(metric),
+            lambda: self._bucketed(plan, plan.components,
+                                   f"agg({plan.agg})"))
 
     # -- the bucketed read, counted ------------------------------------------
 

@@ -78,18 +78,15 @@ class TenantGovernor:
     """Token-bucket + concurrency admission across every tenant.
 
     ``quotas`` maps tenant name -> :class:`TenantQuota`; unknown tenants
-    get ``default`` (unlimited unless configured otherwise), so an
-    unconfigured deployment admits everything while still accounting
-    per-tenant traffic.
+    are unlimited, so an unconfigured deployment admits everything while
+    still accounting per-tenant traffic.
     """
 
     def __init__(
         self,
         quotas: Mapping[str, TenantQuota] | None = None,
-        default: TenantQuota = TenantQuota(),
         clock: Callable[[], float] | None = None,
     ) -> None:
-        self.default = default
         self.clock = clock if clock is not None else time.monotonic
         self._quotas = dict(quotas) if quotas else {}
         self._lock = threading.Lock()
@@ -106,7 +103,7 @@ class TenantGovernor:
     def _state(self, tenant: str) -> _TenantState:
         state = self._tenants.get(tenant)
         if state is None:
-            quota = self._quotas.get(tenant, self.default)
+            quota = self._quotas.get(tenant, TenantQuota())
             state = _TenantState(quota, self.clock())
             self._tenants[tenant] = state
         return state

@@ -2,7 +2,7 @@
 tier — constructing one over a directory restores what is there),
 relational, log index, job index."""
 
-from .chunkcache import ChunkCache, ChunkCacheStats
+from .chunkcache import CacheStats, LRUCache
 from .diskier import ChunkRef, DiskTier, DiskTierStats, RecoveryReport
 from .jobstore import Allocation, JobIndex
 from .logstore import LogStore, tokenize
@@ -22,8 +22,8 @@ __all__ = [
     "JobIndex",
     "LogStore",
     "tokenize",
-    "ChunkCache",
-    "ChunkCacheStats",
+    "CacheStats",
+    "LRUCache",
     "ChunkRef",
     "ChunkSummary",
     "DiskTier",

@@ -1,26 +1,31 @@
-"""Bounded LRU cache of decompressed sealed chunks.
+"""The one byte-bounded LRU: the chunk cache and the query-result cache.
 
-Sealed chunks are immutable — once the store's seal has produced a
-blob it is never rewritten, only dropped wholesale by eviction or
-archiving — so caching their decompressed arrays is *exact*: there is
-no coherence problem, only a capacity bound.  This is the same design
-point as InfluxDB's TSM block cache and the Gorilla paper's in-memory
-block tier: compression pays for itself at rest, the cache pays for
-itself on the drill-down read path where the same recent chunks are
-decoded over and over by dashboards and analyses.
+As the **chunk cache** it holds decompressed sealed chunks,
+``chunk id -> (times, values)``.  Sealed chunks are immutable — never
+rewritten, only dropped wholesale by eviction or archiving — so caching
+their decompressed arrays is *exact*: no coherence problem, only a
+capacity bound (InfluxDB's TSM block cache, Gorilla's in-memory block
+tier).  One instance can be shared by many stores — the sharded store
+routes every shard through one cache, so the bound is global — and
+chunk ids are process-unique (restored chunks get fresh ids), so a
+crash-recovered store can share a warm cache without aliasing.  Over
+the out-of-core tier (:mod:`repro.storage.diskier`) it is the *warm*
+tier: a repeat read of spilled data costs a hit, not a disk decode.
 
-One cache instance can be shared by many stores (the sharded store
-routes every shard through a single cache so the memory bound is
-global, not per-shard).  Hit/miss/eviction counters feed the
-``selfmon.store.cache_*`` gauges.
+As the serving plane's **result cache**
+(:attr:`repro.serve.frontend.QueryFrontend.result_cache`) it holds
+finished answers keyed on normalized query plans.  An answer is only
+immutable until its metric changes, so each entry records the store's
+per-metric mutation epoch (``query_epoch``), and a read under another
+epoch drops the entry as ``stale``: the cache never serves an answer
+the store would not produce right now.  Chunk entries carry epoch 0
+and are read under it, so they are never stale.
 
-With the out-of-core tier (:mod:`repro.storage.diskier`) this cache is
-also the *warm* tier over spilled chunks: a read of a chunk whose bytes
-live only in a segment file decodes straight from the mmap-backed
-buffer (zero staging copy) and the decoded arrays land here, so repeat
-reads of cold data cost a cache hit, not a disk decode.  Chunk ids are
-process-unique and restored chunks get fresh ids, so a crash-recovered
-store can share a warm cache without aliasing stale entries.
+Every entry is ``key -> (epoch, value, nbytes)``, ``nbytes`` stated by
+the caller.  An entry larger than the whole bound is refused rather
+than admitted by evicting everything else; ``max_bytes=0`` refuses
+everything.  The counters feed the ``selfmon.store.cache_*`` and
+``selfmon.serve.cache_*`` series.
 """
 
 from __future__ import annotations
@@ -28,21 +33,24 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Hashable, Iterable
 
-import numpy as np
+__all__ = ["CHUNK_CACHE_BYTES", "CacheStats", "LRUCache"]
 
-__all__ = ["ChunkCache", "ChunkCacheStats"]
+#: a store's chunk-cache bound when none is passed in
+CHUNK_CACHE_BYTES = 32 << 20
 
 
 @dataclass(frozen=True, slots=True)
-class ChunkCacheStats:
-    """Point-in-time counters of one chunk cache."""
+class CacheStats:
+    """Point-in-time counters of one cache (lifetime totals, except
+    ``entries`` and ``bytes``)."""
 
     hits: int
     misses: int
-    evictions: int
-    invalidations: int
+    stale: int           # entries dropped because their epoch moved
+    evictions: int       # entries dropped by the LRU byte bound
+    invalidations: int   # entries dropped by :meth:`LRUCache.invalidate`
     entries: int
     bytes: int
 
@@ -52,28 +60,24 @@ class ChunkCacheStats:
         return self.hits / total if total else 0.0
 
 
-class ChunkCache:
-    """LRU over chunk-id -> (times, values), bounded by resident bytes.
+class LRUCache:
+    """Thread-safe LRU over ``key -> (epoch, value, nbytes)``, bounded
+    by the resident ``nbytes``.  Callers must treat returned values as
+    immutable — they are shared between every hit."""
 
-    Chunk ids are globally unique (issued by a process-wide counter at
-    seal time), so a shared cache never aliases chunks from different
-    stores.  ``max_bytes=0`` disables caching entirely — every ``get``
-    misses and ``put`` is a no-op — which keeps the disabled path
-    branch-free for callers.
-    """
-
-    def __init__(self, max_bytes: int = 32 << 20) -> None:
+    def __init__(self, max_bytes: int) -> None:
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
         self.max_bytes = int(max_bytes)
-        self._entries: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = (
+        self._entries: OrderedDict[Hashable, tuple[int, object, int]] = (
             OrderedDict()
         )
         self._bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
+        self._hits = 0
+        self._misses = 0
+        self._stale = 0
+        self._evictions = 0
+        self._invalidations = 0
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -83,62 +87,68 @@ class ChunkCache:
     def resident_bytes(self) -> int:
         return self._bytes
 
-    def get(self, chunk_id: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Arrays for a cached chunk, or None.  Callers must treat the
-        returned arrays as immutable (masking/fancy-indexing copies)."""
+    def get(self, key: Hashable, epoch: int = 0):
+        """The value cached under ``key``, or None; an entry recorded
+        under another epoch is dropped and counts as stale and a miss."""
         with self._lock:
-            entry = self._entries.get(chunk_id)
+            entry = self._entries.get(key)
             if entry is None:
-                self.misses += 1
+                self._misses += 1
                 return None
-            self._entries.move_to_end(chunk_id)
-            self.hits += 1
-            return entry
+            if entry[0] != epoch:
+                del self._entries[key]
+                self._bytes -= entry[2]
+                self._stale += 1
+                self._misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self._hits += 1
+            return entry[1]
 
-    def put(self, chunk_id: int, times: np.ndarray,
-            values: np.ndarray) -> None:
-        """Insert a decompressed chunk, evicting LRU entries to fit."""
-        nbytes = times.nbytes + values.nbytes
+    def put(self, key: Hashable, value, nbytes: int,
+            epoch: int = 0) -> None:
+        """Admit ``value`` (``nbytes`` of it), evicting LRU entries to
+        fit; an entry larger than the whole bound is refused."""
         if nbytes > self.max_bytes:
-            return                   # oversized (or cache disabled)
+            return
         with self._lock:
-            old = self._entries.pop(chunk_id, None)
+            old = self._entries.pop(key, None)
             if old is not None:
-                self._bytes -= old[0].nbytes + old[1].nbytes
-            self._entries[chunk_id] = (times, values)
+                self._bytes -= old[2]
+            self._entries[key] = (epoch, value, nbytes)
             self._bytes += nbytes
             while self._bytes > self.max_bytes:
-                _, (t, v) = self._entries.popitem(last=False)
-                self._bytes -= t.nbytes + v.nbytes
-                self.evictions += 1
+                _, (_, _, gone) = self._entries.popitem(last=False)
+                self._bytes -= gone
+                self._evictions += 1
 
-    def invalidate(self, chunk_ids: Iterable[int]) -> int:
-        """Drop entries for chunks that no longer exist (store eviction,
+    def invalidate(self, keys: Iterable[Hashable]) -> int:
+        """Drop the entries of keys that no longer exist (store eviction,
         series drop, archiving); returns how many were resident."""
         dropped = 0
         with self._lock:
-            for cid in chunk_ids:
-                entry = self._entries.pop(cid, None)
+            for key in keys:
+                entry = self._entries.pop(key, None)
                 if entry is not None:
-                    self._bytes -= entry[0].nbytes + entry[1].nbytes
+                    self._bytes -= entry[2]
                     dropped += 1
-            self.invalidations += dropped
+            self._invalidations += dropped
         return dropped
 
     def clear(self) -> None:
-        """Empty the cache (counters are preserved — they are lifetime
-        telemetry, not contents)."""
+        """Drop every entry; the counters survive (lifetime telemetry)."""
         with self._lock:
             self._entries.clear()
             self._bytes = 0
 
-    def stats(self) -> ChunkCacheStats:
+    def stats(self) -> CacheStats:
         with self._lock:
-            return ChunkCacheStats(
-                hits=self.hits,
-                misses=self.misses,
-                evictions=self.evictions,
-                invalidations=self.invalidations,
+            return CacheStats(
+                hits=self._hits,
+                misses=self._misses,
+                stale=self._stale,
+                evictions=self._evictions,
+                invalidations=self._invalidations,
                 entries=len(self._entries),
                 bytes=self._bytes,
             )

@@ -19,7 +19,7 @@ cache): an append-only on-disk tier under
   the segment and decode straight from the mapped buffer (the
   vectorized codec accepts any buffer; no intermediate copy), with
   decompressed arrays still served through the shared
-  :class:`~repro.storage.chunkcache.ChunkCache`.
+  :class:`~repro.storage.chunkcache.LRUCache`.
 * **WAL** (``wal-NNNNNN.log``): every appended batch is logged before
   it reaches a head chunk, so unsealed heads survive a crash.  Both
   WAL and segments are fsync-batched: durability advances at

@@ -41,7 +41,7 @@ from ..core.ledger import DeliveryLedger
 from ..core.lifecycle import Health
 from ..core.metric import MetricKey, SeriesBatch
 from ..core.soa import memo_by_identity
-from .chunkcache import ChunkCache, ChunkCacheStats
+from .chunkcache import CHUNK_CACHE_BYTES, CacheStats, LRUCache
 from .diskier import DiskTier, RecoveryReport, merge_disk_stats
 from .rollup import DEFAULT_LEVELS
 from .tsdb import SeriesQueryMixin, StoreStats, TimeSeriesStore
@@ -65,7 +65,7 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
     """
 
     def __init__(self, shards: int = 4, chunk_size: int = 512,
-                 cache: ChunkCache | None = None,
+                 cache: LRUCache | None = None,
                  redo_points: int = 100_000,
                  pyramid_levels: "tuple[float, ...]" = DEFAULT_LEVELS,
                  disk_dir: "str | None" = None,
@@ -76,7 +76,8 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
             raise ValueError("shards must be >= 1")
         self.n_shards = int(shards)
         self.chunk_size = int(chunk_size)
-        self.cache = cache if cache is not None else ChunkCache()
+        self.cache = (cache if cache is not None
+                      else LRUCache(CHUNK_CACHE_BYTES))
         self._tier_budgets = dict(hot_bytes=hot_bytes,
                                   segment_bytes=segment_bytes,
                                   sync_every_bytes=sync_every_bytes)
@@ -339,7 +340,7 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
         """Per-shard counters (the ``selfmon.store.shard_*`` surface)."""
         return [s.stats() for s in self.shards]
 
-    def cache_stats(self) -> ChunkCacheStats:
+    def cache_stats(self) -> CacheStats:
         """Counters of the shared decompressed-chunk cache."""
         return self.cache.stats()
 
@@ -375,7 +376,7 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
         no redo state survives (it never reached disk)."""
         return ShardedTimeSeriesStore(
             shards=self.n_shards, chunk_size=self.chunk_size,
-            cache=ChunkCache(self.cache.max_bytes),
+            cache=LRUCache(self.cache.max_bytes),
             redo_points=self.redo_points,
             pyramid_levels=self.pyramid_levels, disk_dir=self.disk_dir,
             **self._tier_budgets)

@@ -22,7 +22,7 @@ that comparison turns on:
   ``downsample`` answers from summaries for chunks wholly inside a
   bucket and decompresses only boundary chunks — the immutable-block
   summary trick InfluxDB TSM and Gorilla both lean on,
-* a bounded LRU :class:`~repro.storage.chunkcache.ChunkCache` of
+* a bounded LRU :class:`~repro.storage.chunkcache.LRUCache` of
   decompressed sealed chunks (sealed chunks are immutable, so
   cacheability is exact) serving repeated drill-down reads,
 * footprint/compression statistics for the storage-comparison bench.
@@ -60,7 +60,7 @@ import numpy as np
 
 from ..core.metric import MetricKey, SeriesBatch
 from ..core.soa import ComponentTable, row_indices
-from .chunkcache import ChunkCache, ChunkCacheStats
+from .chunkcache import CHUNK_CACHE_BYTES, CacheStats, LRUCache
 from .rollup import (DEFAULT_LEVELS, SeriesPyramid, _head_gather,
                      bucket_anchor, check_bucketing, fold_sealed_rows,
                      head_first_time, head_partials, ieee_sums,
@@ -936,7 +936,7 @@ class _Series:
             return blob
         return self.tier.load(chunk.ref)
 
-    def decode(self, chunk: SealedChunk, cache: ChunkCache | None
+    def decode(self, chunk: SealedChunk, cache: LRUCache | None
                ) -> tuple[np.ndarray, np.ndarray]:
         """Decompressed ``(times, values)`` of one sealed chunk, served
         from and filling the shared chunk cache."""
@@ -947,7 +947,7 @@ class _Series:
                 return hit
         t, v = decompress_chunk(blob, chunk.hint)
         if cache is not None:
-            cache.put(chunk.cid, t, v)
+            cache.put(chunk.cid, (t, v), t.nbytes + v.nbytes)
         return t, v
 
     def export_state(self) -> dict:
@@ -965,7 +965,7 @@ class _Series:
         return self.n_sealed_samples + int(self.block.counts[self.row])
 
 
-def _head_blocks(views: Sequence[tuple[_Series, ChunkCache]]
+def _head_blocks(views: Sequence[tuple[_Series, LRUCache]]
                  ) -> list[tuple[_HeadBlock, list[int], list[int]]]:
     """``(block, ranks, rows)`` per head block a selection touches — one
     on a plain store, at most one per shard: the series ``views[rank]``
@@ -977,7 +977,7 @@ def _head_blocks(views: Sequence[tuple[_Series, ChunkCache]]
             for block, ranks in by_block.items()]
 
 
-def read_series(views: Sequence[tuple[_Series, ChunkCache]],
+def read_series(views: Sequence[tuple[_Series, LRUCache]],
                 t0: float, t1: float
                 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The samples of every series of ``views`` (``(series, cache)``
@@ -997,7 +997,7 @@ def read_series(views: Sequence[tuple[_Series, ChunkCache]],
         return out
     sealed: dict[int, list[SealedChunk]] = {}   # rank -> overlapping chunks
     decoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}      # by cid
-    missed: list[tuple[SealedChunk, ChunkCache]] = []
+    missed: list[tuple[SealedChunk, LRUCache]] = []
     blobs: list[tuple] = []
     for rank, (series, cache) in enumerate(views):
         for chunk in series.chunks:
@@ -1015,7 +1015,7 @@ def read_series(views: Sequence[tuple[_Series, ChunkCache]],
     if missed:
         for (chunk, cache), tv in zip(missed, decompress_chunks(blobs)):
             decoded[chunk.cid] = tv
-            cache.put(chunk.cid, *tv)
+            cache.put(chunk.cid, tv, tv[0].nbytes + tv[1].nbytes)
     for block, ranks, rows in _head_blocks(views):
         pos, _, ht, hv = _head_gather(block, rows, t0, t1)
         if pos is None:
@@ -1295,7 +1295,7 @@ class TimeSeriesStore(SeriesQueryMixin):
     """
 
     def __init__(self, chunk_size: int = 512,
-                 cache: ChunkCache | None = None,
+                 cache: LRUCache | None = None,
                  pyramid_levels: Sequence[float] = DEFAULT_LEVELS,
                  disk=None) -> None:
         if chunk_size < 2:
@@ -1307,7 +1307,8 @@ class TimeSeriesStore(SeriesQueryMixin):
         self.disk = disk
         # the decompressed-chunk cache may be shared (the sharded store
         # passes one instance to every shard for a global memory bound)
-        self.cache = cache if cache is not None else ChunkCache()
+        self.cache = (cache if cache is not None
+                      else LRUCache(CHUNK_CACHE_BYTES))
         # rollup-pyramid levels maintained at seal time for the serving plane
         self.pyramid_levels = tuple(float(x) for x in pyramid_levels)
         self._series: dict[MetricKey, _Series] = {}
@@ -1516,7 +1517,7 @@ class TimeSeriesStore(SeriesQueryMixin):
 
     def _series_view(
         self, metric: str, component: str
-    ) -> tuple[_Series, ChunkCache] | None:
+    ) -> tuple[_Series, LRUCache] | None:
         """Chunk-level surface every read resolves series through."""
         series = self._series.get(MetricKey(metric, component))
         if series is None:
@@ -1567,7 +1568,7 @@ class TimeSeriesStore(SeriesQueryMixin):
             raw_bytes=self._samples * 16,  # float64 time + float64 value
         )
 
-    def cache_stats(self) -> ChunkCacheStats:
+    def cache_stats(self) -> CacheStats:
         """Counters of the decompressed-chunk cache (selfmon surface)."""
         return self.cache.stats()
 
@@ -1662,7 +1663,7 @@ class TimeSeriesStore(SeriesQueryMixin):
         :meth:`simulate_crash` (without a tier: an empty store)."""
         return TimeSeriesStore(
             chunk_size=self.chunk_size,
-            cache=ChunkCache(self.cache.max_bytes),
+            cache=LRUCache(self.cache.max_bytes),
             pyramid_levels=self.pyramid_levels,
             disk=self.disk.reopen() if self.disk is not None else None)
 

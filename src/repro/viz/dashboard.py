@@ -123,8 +123,8 @@ class Dashboard:
                       window_s: float = 600.0) -> list[Tile]:
         """Tiles over the monitoring plane's own ``selfmon.*`` vitals.
 
-        Empty when self-monitoring is disabled (no ``selfmon.*`` series
-        in the store) — the panel degrades away rather than erroring.
+        Empty until the self-monitor's first emission has landed in the
+        store — the panel degrades away rather than erroring.
         """
         out: list[Tile] = []
         comp = self._latest_sweep("selfmon.bus.completeness", window_s, now)

@@ -83,15 +83,6 @@ class TestActionEngine:
         (rec,) = eng.execute([req("drain_node", "scheduler")])
         assert "not a node" in rec.outcome
 
-    def test_dry_run_skips_mutation(self, machine):
-        eng = ActionEngine(machine, dry_run=True)
-        node = machine.topo.nodes[0]
-        eng.execute([req("drain_node", node)])
-        assert node not in machine.scheduler.unavailable
-        # but alerts still flow in dry-run
-        eng.execute([req("alert", node)])
-        assert eng.alerts.alerts
-
     def test_actions_become_events(self, machine):
         eng = ActionEngine(machine)
         eng.execute([req("drain_node", machine.topo.nodes[0])])

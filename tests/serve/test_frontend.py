@@ -1,6 +1,7 @@
 """Unit tests: the multi-tenant front end's caching, shedding, planning."""
 
 import numpy as np
+import pytest
 
 from repro.core.metric import SeriesBatch
 from repro.serve.frontend import QueryFrontend
@@ -93,19 +94,6 @@ class TestResultCaching:
 
 
 class TestTenantShedding:
-    def test_rejection_returns_empty_shapes(self):
-        fe = QueryFrontend(make_store(),
-                           quotas={"g": TenantQuota(qps=0.0, burst=0.0)})
-        assert len(fe.query("m.x", "c0", tenant="g")) == 0
-        assert fe.query_components("m.x", tenant="g") == {}
-        assert fe.components("m.x", tenant="g") == []
-        assert len(fe.downsample("m.x", "c0", 0.0, 1.0, 1.0,
-                                 tenant="g")) == 0
-        assert len(fe.aggregate_across("m.x", tenant="g")) == 0
-        s = fe.stats()
-        assert s.rejected == 5 and s.admitted == 0
-        assert fe.tenant_stats("g").rejected_rate == 5
-
     def test_tenants_are_isolated(self):
         fe = QueryFrontend(make_store(),
                            quotas={"g": TenantQuota(qps=0.0, burst=0.0)})
@@ -146,3 +134,95 @@ class TestShardedStore:
         healed = fe.aggregate_across("m.x", step=600.0, agg="max",
                                      t0=0.0, t1=7200.0)
         assert healed is not after
+
+
+#: every read method, as ``call(reader, **kw)`` over the front end or the
+#: store itself (same arguments, the front end's plus ``tenant``)
+READS = {
+    "components": lambda r, **kw: r.components("m.x", **kw),
+    "query": lambda r, **kw: r.query("m.x", "c0", 100.0, 5000.0, **kw),
+    "query_components": lambda r, **kw: r.query_components(
+        "m.x", None, 100.0, 5000.0, **kw),
+    "downsample": lambda r, **kw: r.downsample(
+        "m.x", "c0", 0.0, 7200.0, 600.0, "max", **kw),
+    "aggregate_across": lambda r, **kw: r.aggregate_across(
+        "m.x", None, 0.0, 7200.0, 600.0, "max", **kw),
+}
+
+
+def contract_store(kind):
+    if kind == "plain":
+        return make_store(comps=("c0", "c1", "c2", "c3"))
+    store = ShardedTimeSeriesStore(shards=3, chunk_size=64,
+                                   pyramid_levels=DEFAULT_LEVELS)
+    rng = np.random.default_rng(5)
+    t = np.sort(rng.uniform(0.0, 7200.0, 500)).round(3)
+    for c in ("c0", "c1", "c2", "c3"):
+        store.append(SeriesBatch.for_component(
+            "m.x", c, t, rng.normal(size=500)))
+    victim = store.shard_of("m.x", "c1")     # c1 and c2 go dark
+    assert victim != store.shard_of("m.x", "c0")
+    store.fail_shard(victim)
+    return store
+
+
+def assert_same(got, want):
+    if isinstance(want, SeriesBatch):
+        assert list(got.components) == list(want.components)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.values, want.values, equal_nan=True)
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_same(got[key], want[key])
+    else:
+        assert got == want
+
+
+class _Broken:
+    """A store whose every call raises."""
+
+    def __getattr__(self, name):
+        raise RuntimeError(f"store down: {name}")
+
+
+@pytest.mark.parametrize("store_kind", ["plain", "sharded-failed-shard"])
+@pytest.mark.parametrize("method", list(READS))
+class TestReadContract:
+    """One contract over every read method and both store shapes."""
+
+    def test_over_quota_tenant_gets_the_empty_shape(self, method,
+                                                    store_kind):
+        fe = QueryFrontend(contract_store(store_kind),
+                           quotas={"g": TenantQuota(qps=0.0, burst=0.0)})
+        READS[method](fe)                   # a tenant with no quota
+        before = fe.stats()
+        got = READS[method](fe, tenant="g")
+        after = fe.stats()
+        assert after.rejected == before.rejected + 1
+        assert after.admitted == before.admitted
+        assert fe.tenant_stats("g").rejected_rate == 1
+        if isinstance(got, SeriesBatch):
+            assert got.metric == "m.x" and len(got) == 0
+        else:
+            assert got == type(READS[method](fe))()
+
+    def test_admitted_answer_is_the_stores(self, method, store_kind):
+        store = contract_store(store_kind)
+        fe = QueryFrontend(store)
+        want = READS[method](store)
+        for _ in range(2):                  # a miss, then a cache hit
+            assert_same(READS[method](fe, tenant="t"), want)
+        assert fe.stats().rejected == 0
+
+    def test_raising_store_releases_the_slot(self, method, store_kind):
+        store = contract_store(store_kind)
+        fe = QueryFrontend(store,
+                           quotas={"t": TenantQuota(max_concurrent=1)})
+        fe.store = _Broken()
+        with pytest.raises(RuntimeError, match="store down"):
+            READS[method](fe, tenant="t")
+        fe.store = store
+        assert_same(READS[method](fe, tenant="t"), READS[method](store))
+        s = fe.tenant_stats("t")
+        assert (s.admitted, s.rejected_concurrency) == (2, 0)

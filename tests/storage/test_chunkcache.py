@@ -1,10 +1,11 @@
-"""Unit + integration tests for the decompressed-chunk LRU cache."""
+"""Unit + integration tests for the decompressed-chunk cache: the one
+:class:`LRUCache`, holding ``chunk id -> (times, values)`` at epoch 0."""
 
 import numpy as np
 import pytest
 
 from repro.core.metric import SeriesBatch
-from repro.storage.chunkcache import ChunkCache
+from repro.storage.chunkcache import CHUNK_CACHE_BYTES, LRUCache
 from repro.storage.diskier import DiskTier
 from repro.storage.sharded import ShardedTimeSeriesStore
 from repro.storage.tsdb import TimeSeriesStore
@@ -14,12 +15,16 @@ def arrays(n, fill=1.0):
     return np.arange(n, dtype=np.float64), np.full(n, fill)
 
 
+def put(c, cid, t, v):
+    c.put(cid, (t, v), t.nbytes + v.nbytes)
+
+
 class TestChunkCacheUnit:
     def test_get_miss_then_hit(self):
-        c = ChunkCache()
+        c = LRUCache(CHUNK_CACHE_BYTES)
         assert c.get(1) is None
         t, v = arrays(8)
-        c.put(1, t, v)
+        put(c, 1, t, v)
         got = c.get(1)
         assert got is not None and np.array_equal(got[0], t)
         s = c.stats()
@@ -29,11 +34,11 @@ class TestChunkCacheUnit:
 
     def test_lru_eviction_under_byte_bound(self):
         # each entry is 16 B/sample * 8 = 128 B; bound fits two entries
-        c = ChunkCache(max_bytes=256)
+        c = LRUCache(256)
         for cid in (1, 2):
-            c.put(cid, *arrays(8))
+            put(c, cid, *arrays(8))
         c.get(1)                       # make 2 the least-recently-used
-        c.put(3, *arrays(8))
+        put(c, 3, *arrays(8))
         assert c.get(2) is None        # evicted
         assert c.get(1) is not None
         assert c.get(3) is not None
@@ -41,45 +46,45 @@ class TestChunkCacheUnit:
         assert c.resident_bytes <= 256
 
     def test_replacing_an_entry_does_not_leak_bytes(self):
-        c = ChunkCache(max_bytes=1024)
-        c.put(1, *arrays(8))
-        c.put(1, *arrays(16))
+        c = LRUCache(1024)
+        put(c, 1, *arrays(8))
+        put(c, 1, *arrays(16))
         assert len(c) == 1
         assert c.resident_bytes == 16 * 16
 
     def test_oversized_entry_is_refused(self):
-        c = ChunkCache(max_bytes=64)
-        c.put(1, *arrays(64))
+        c = LRUCache(64)
+        put(c, 1, *arrays(64))
         assert len(c) == 0 and c.get(1) is None
 
     def test_zero_bytes_disables_caching(self):
-        c = ChunkCache(max_bytes=0)
-        c.put(1, *arrays(4))
+        c = LRUCache(0)
+        put(c, 1, *arrays(4))
         assert c.get(1) is None
         assert c.stats().evictions == 0
 
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
-            ChunkCache(max_bytes=-1)
+            LRUCache(-1)
 
     def test_invalidate_counts_only_resident(self):
-        c = ChunkCache()
-        c.put(1, *arrays(4))
-        c.put(2, *arrays(4))
+        c = LRUCache(CHUNK_CACHE_BYTES)
+        put(c, 1, *arrays(4))
+        put(c, 2, *arrays(4))
         assert c.invalidate([1, 99]) == 1
         assert c.stats().invalidations == 1
         assert len(c) == 1
 
     def test_clear_preserves_lifetime_counters(self):
-        c = ChunkCache()
-        c.put(1, *arrays(4))
+        c = LRUCache(CHUNK_CACHE_BYTES)
+        put(c, 1, *arrays(4))
         c.get(1)
         c.clear()
         assert len(c) == 0 and c.resident_bytes == 0
         assert c.stats().hits == 1
 
     def test_empty_cache_hit_ratio_is_zero(self):
-        assert ChunkCache().stats().hit_ratio == 0.0
+        assert LRUCache(CHUNK_CACHE_BYTES).stats().hit_ratio == 0.0
 
 
 def fill(store, n=64, metric="m", comp="a"):
@@ -90,7 +95,7 @@ def fill(store, n=64, metric="m", comp="a"):
 
 class TestStoreIntegration:
     def test_repeated_reads_hit_the_cache(self):
-        cache = ChunkCache()
+        cache = LRUCache(CHUNK_CACHE_BYTES)
         store = TimeSeriesStore(chunk_size=16, cache=cache)
         fill(store)
         store.query("m", "a")
@@ -102,7 +107,8 @@ class TestStoreIntegration:
         assert s.hits == 4
 
     def test_cached_and_uncached_reads_agree(self):
-        cached = TimeSeriesStore(chunk_size=16, cache=ChunkCache())
+        cached = TimeSeriesStore(chunk_size=16,
+                                 cache=LRUCache(CHUNK_CACHE_BYTES))
         plain = TimeSeriesStore(chunk_size=16)
         fill(cached), fill(plain)
         cached.query("m", "a")          # populate
@@ -112,7 +118,7 @@ class TestStoreIntegration:
         assert np.array_equal(a.values, b.values)
 
     def test_drop_series_invalidates(self):
-        cache = ChunkCache()
+        cache = LRUCache(CHUNK_CACHE_BYTES)
         store = TimeSeriesStore(chunk_size=16, cache=cache)
         fill(store)
         store.query("m", "a")
@@ -139,7 +145,7 @@ class TestStoreIntegration:
             self, max_bytes):
         comps = ["a", "b", "c", "d"]
         batched, single = (
-            TimeSeriesStore(chunk_size=16, cache=ChunkCache(max_bytes))
+            TimeSeriesStore(chunk_size=16, cache=LRUCache(max_bytes))
             for _ in range(2))
         for store in (batched, single):
             for comp in comps:
@@ -163,7 +169,7 @@ class TestStoreIntegration:
         assert (cache.stats().evictions > 0) == (max_bytes == 5 * 16 * 16)
         # what was admitted owns its memory: the byte count is the truth
         # and no entry keeps a decode batch alive
-        entries = list(cache._entries.values())
+        entries = [tv for _, tv, _ in cache._entries.values()]
         assert cache.resident_bytes == sum(t.nbytes + v.nbytes
                                            for t, v in entries)
         assert all(a.base is None or a.base.nbytes == a.nbytes
@@ -175,7 +181,8 @@ class TestStoreIntegration:
             tiered = ShardedTimeSeriesStore(shards=shards, chunk_size=16,
                                             disk_dir=str(tmp_path))
         else:
-            tiered = TimeSeriesStore(chunk_size=16, cache=ChunkCache(),
+            tiered = TimeSeriesStore(chunk_size=16,
+                                     cache=LRUCache(CHUNK_CACHE_BYTES),
                                      disk=DiskTier(tmp_path))
         fill(tiered)
         tiered.query("m", "a")

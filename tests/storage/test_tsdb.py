@@ -12,7 +12,7 @@ from repro.core.metric import MetricKey, SeriesBatch
 from repro.core.soa import name_column
 from repro.serve.frontend import QueryFrontend
 from repro.storage import rollup, tsdb
-from repro.storage.chunkcache import ChunkCache
+from repro.storage.chunkcache import CHUNK_CACHE_BYTES, LRUCache
 from repro.storage.diskier import DiskTier
 from repro.storage.rollup import DEFAULT_LEVELS
 from repro.storage.sharded import ShardedTimeSeriesStore
@@ -322,7 +322,7 @@ class TestSummaryPrunedDownsample:
         assert np.allclose(warm.values, cold.values, rtol=1e-9)
 
     def test_pruned_path_avoids_decompression(self):
-        cache = ChunkCache()
+        cache = LRUCache(CHUNK_CACHE_BYTES)
         store = TimeSeriesStore(chunk_size=16, cache=cache)
         for i in range(160):
             store.append(sweep("m", float(i), ["a"], [float(i)]))
@@ -351,7 +351,7 @@ class TestSummaryPrunedDownsample:
         # bucketed read: on a step no rollup level divides, it still
         # answers whole chunks from their summaries
         step = 165.0
-        cache = ChunkCache()
+        cache = LRUCache(CHUNK_CACHE_BYTES)
         store = TimeSeriesStore(chunk_size=16, cache=cache,
                                 pyramid_levels=DEFAULT_LEVELS)
         for i in range(160):
