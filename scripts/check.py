@@ -443,9 +443,9 @@ def check_swallows_repro() -> list[str]:
 
 
 #: module-level mutable containers in these planes are shared by every
-#: transport, store, shard and tenant in the process
+#: transport, store, shard, tenant and federated site in the process
 _SHARED_STATE_DIRS = ("src/repro/transport", "src/repro/storage",
-                      "src/repro/serve")
+                      "src/repro/serve", "src/repro/obs", "src/repro/sites")
 _MUTABLE_CALLS = frozenset({
     "dict", "list", "set", "defaultdict", "OrderedDict", "deque",
     "Counter",
@@ -470,11 +470,12 @@ def _is_mutable_container(value: ast.expr) -> bool:
 def check_module_state(path: Path) -> list[str]:
     """Flag module-level mutable-container state in one module.
 
-    A module-global ``dict``/``list``/``set`` in the transport, storage
-    and serving packages is state shared by every pipeline, store, shard
-    and tenant in the process (the serving plane's result cache and
-    tenant governor serve every tenant), with no lock anyone remembers
-    to take.  Keep
+    A module-global ``dict``/``list``/``set`` in the transport, storage,
+    serving, self-monitoring and site packages is state shared by every
+    pipeline, store, shard, tenant and federated site in the process
+    (the serving plane's result cache and tenant governor serve every
+    tenant; ten federated sites, each with its own transport chaos,
+    share one process), with no lock anyone remembers to take.  Keep
     mutable state on instances (or behind an explicit lock) — a
     deliberate module global carries ``# shared-state: allowed`` on its
     assignment line.

@@ -36,7 +36,7 @@ import numpy as np
 from .obs.introspect import section_lines
 
 
-def _run(args, *, faults=(), overrides=None, streaming=(), **knobs):
+def _run(args, *, faults=(), streaming=(), **knobs):
     """The CLI's site, declared by ``knobs``, run for ``args.hours`` with
     the monitor ``faults`` injected (``streaming`` detectors attached
     first); returns the pipeline with its bus flushed."""
@@ -51,7 +51,7 @@ def _run(args, *, faults=(), overrides=None, streaming=(), **knobs):
                                 node=machine.topo.nodes[5]))
     machine.faults.add(SlowOst(start=1800.0, duration=1200.0, ost=0,
                                bw_factor=0.1))
-    pipeline = build_site(config, machine=machine, overrides=overrides)
+    pipeline = build_site(config, machine=machine)
     for detector in streaming:
         pipeline.add_streaming(detector)
     injector = MonitorFaultInjector(list(faults))
@@ -169,14 +169,12 @@ def cmd_obs(args) -> int:
 
 def cmd_chaos(args) -> int:
     from .obs.chaos import (
-        ChaosTransport,
         CollectorHang,
         CollectorRaise,
         ShardOutage,
         TransportDropStorm,
         TransportStall,
     )
-    from .transport.partitioned import PartitionedBus
 
     faults = [
         CollectorRaise(start=600.0, duration=900.0, target="sedc"),
@@ -192,11 +190,8 @@ def cmd_chaos(args) -> int:
         target = f" target={f.target}" if f.target else ""
         print(f"  {f.name:<22} t=[{f.start:.0f}, {f.start + f.duration:.0f})"
               f"{target}")
-    pipeline = _run(
-        args, faults=faults,
-        overrides={"transport": ChaosTransport(PartitionedBus())},
-        transport="partitioned", shards=4, collector_budget_s=0.01,
-    )
+    pipeline = _run(args, faults=faults, transport="partitioned", shards=4,
+                    collector_budget_s=0.01)
     print("\nhealth-transition timeline:")
     print(pipeline.supervisor.timeline())
     print()
@@ -260,18 +255,12 @@ def cmd_store(args) -> int:
 
 
 def cmd_slo(args) -> int:
-    from .transport.aggtree import AggregatorTree
+    from .sites.config import TRANSPORT_TIERS
 
     print(f"tracing ingest-to-queryable freshness over {args.hours:g} h "
           f"on each transport tier...")
-    # a 120 s aggregation window makes the tree's merge latency visible
-    # in the waterfall (the flat/partitioned tiers deliver same-tick)
-    for tier, overrides in (
-        ("flat", None),
-        ("partitioned", None),
-        ("tree", {"transport": AggregatorTree(window_s=120.0)}),
-    ):
-        pipeline = _run(args, overrides=overrides, transport=tier)
+    for tier in TRANSPORT_TIERS:
+        pipeline = _run(args, transport=tier)
         print()
         print(pipeline.freshness.render_waterfall())
         _show(pipeline, "freshness_slos")

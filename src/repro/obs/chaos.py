@@ -17,35 +17,35 @@ plane's failure modes.
 ``pipeline.step`` — injection is part of the experiment loop, not a
 pipeline stage.
 
-:class:`ChaosTransport` wraps any transport with deterministic drop and
-duplicate injection.  Drops are stamped on the ledger as accounted loss
-(``chaos-drop``); duplicates are delivered through the inner transport
-(stamped ``published`` twice there) with the extra copy recorded on the
-diagnostic ``duplicated`` counter, so the balance identity holds under
-both fault kinds.
+:func:`transport_chaos` puts deterministic drop, duplicate and stall
+faults on the transport the site declares, whatever its tier.  A drop
+is stamped ``published``, then lost through the tier's own loss edge as
+``chaos-drop``; a duplicate is published twice, the extra copy on the
+ledger's ``duplicated`` counter; the balance identity holds under both.
 """
 
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from ..core.metric import SeriesBatch
-from ..transport.base import BusStats, Transport
+from ..transport.base import Transport
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..pipeline import MonitoringPipeline
     from ..storage.diskier import RecoveryReport
 
 __all__ = [
-    "ChaosTransport",
     "MonitorFault",
     "CollectorRaise",
     "CollectorHang",
     "TransportDropStorm",
     "TransportDuplication",
     "TransportStall",
+    "TransportChaos",
+    "transport_chaos",
     "ShardOutage",
     "StoreCrash",
     "crash_and_recover",
@@ -53,83 +53,54 @@ __all__ = [
 ]
 
 
-class ChaosTransport:
-    """Transport wrapper injecting deterministic delivery faults.
+@dataclass
+class TransportChaos:
+    """One transport's fault switches, set and cleared by the transport
+    faults over their windows (so overlapping faults compose): drop or
+    duplicate every Nth batch publish, freeze delivery.  Deterministic
+    on purpose: same seed, same losses, same ledger."""
 
-    ``drop_every=N`` swallows every Nth tracked batch publish (counted
-    and ledger-stamped as ``chaos-drop`` loss); ``duplicate_every=M``
-    publishes every Mth tracked batch twice.  Both default to off; the
-    drop/duplicate fault objects toggle them over their windows.
-    Determinism on purpose: same seed, same losses, same ledger.
+    drop_every: int = 0        # 0 = off
+    duplicate_every: int = 0   # 0 = off
+    stall_pumps: bool = False  # freeze delivery (backlog builds)
+    publishes: int = 0         # batch publishes while drop/dup is on
 
-    The wrapper holds no transport state of its own: every surface it
-    does not override (``subscribe``, ``queue_depths``, the lanes,
-    ``in_flight_points``, ``tier``, ``ledger``) is the inner
-    transport's.
-    """
 
-    def __init__(self, inner: Transport) -> None:
-        self.inner = inner
-        self.drop_every = 0        # 0 = off
-        self.duplicate_every = 0   # 0 = off
-        self.stall_pumps = False   # freeze delivery (backlog builds)
-        self._publish_count = 0
-        self.chaos_dropped = 0
-        self.chaos_duplicated = 0
+def transport_chaos(bus: Transport) -> TransportChaos:
+    """The chaos state of ``bus``, installed on first use by shadowing
+    its ``publish`` and ``pump`` (as :class:`CollectorRaise` shadows
+    ``collect``): the state lives on its transport, never shared."""
+    state = getattr(bus, "chaos", None)
+    if state is not None:
+        return state
+    state = bus.chaos = TransportChaos()
+    publish, pump, ledger = bus.publish, bus.pump, bus.ledger
 
-    # the pipeline assigns `bus.clock = ...`: forward it to the inner
-    # transport, whose hop edges do the stamping (an assignment would
-    # otherwise land on the wrapper, where __getattr__ never looks)
-    @property
-    def clock(self):
-        return self.inner.clock
-
-    @clock.setter
-    def clock(self, value) -> None:
-        self.inner.clock = value
-
-    def publish(self, topic: str, payload, source: str = "") -> int:
-        target = (isinstance(payload, SeriesBatch)
-                  and (self.drop_every > 0 or self.duplicate_every > 0))
-        if target:
-            self._publish_count += 1
-            ledger = self.inner.ledger
-            if (self.drop_every > 0
-                    and self._publish_count % self.drop_every == 0):
-                self.chaos_dropped += 1
+    def chaotic_publish(topic: str, payload, source: str = "") -> int:
+        if (isinstance(payload, SeriesBatch)
+                and (state.drop_every > 0 or state.duplicate_every > 0)):
+            state.publishes += 1
+            if (state.drop_every > 0
+                    and state.publishes % state.drop_every == 0):
+                # the producer believes it published; account the
+                # point as published-then-lost, never as silence
                 if ledger.tracks(topic):
-                    # the producer believes it published; account the
-                    # point as published-then-lost, never as silence
                     ledger.published_batch(source, payload)
-                    ledger.lost_batch("chaos-drop", payload)
+                bus._lost("chaos-drop", topic, payload)
                 return 0
-            if (self.duplicate_every > 0
-                    and self._publish_count % self.duplicate_every == 0):
-                self.chaos_duplicated += 1
+            if (state.duplicate_every > 0
+                    and state.publishes % state.duplicate_every == 0):
                 if ledger.tracks(topic):
                     ledger.duplicated_batch(payload)
-                self.inner.publish(topic, payload, source)
-        return self.inner.publish(topic, payload, source)
+                publish(topic, payload, source)
+        return publish(topic, payload, source)
 
-    def pump(self, now: float | None = None) -> int:
-        if self.stall_pumps:
-            return 0           # delivery frozen: backlog accumulates
-        return self.inner.pump(now)
+    def chaotic_pump(now: float | None = None) -> int:
+        return 0 if state.stall_pumps else pump(now)
 
-    def flush(self) -> int:
-        return self.pump(None)
-
-    def stats(self) -> BusStats:
-        """Inner stats with injected drops folded into ``dropped`` —
-        from the pipeline's perspective a chaos drop *is* a transport
-        drop, so supervision sees the storm."""
-        inner = self.inner.stats()
-        if self.chaos_dropped == 0:
-            return inner
-        return replace(inner, dropped=inner.dropped + self.chaos_dropped)
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)
+    bus.publish = chaotic_publish
+    bus.pump = chaotic_pump
+    return state
 
 
 @dataclass
@@ -224,15 +195,10 @@ class TransportDropStorm(MonitorFault):
     drop_every: int = 3
 
     def apply(self, p):
-        if not isinstance(p.bus, ChaosTransport):
-            raise TypeError(
-                "TransportDropStorm needs the pipeline built over a "
-                "ChaosTransport wrapper"
-            )
-        p.bus.drop_every = self.drop_every
+        transport_chaos(p.bus).drop_every = self.drop_every
 
     def revert(self, p):
-        p.bus.drop_every = 0
+        transport_chaos(p.bus).drop_every = 0
 
 
 @dataclass
@@ -243,22 +209,17 @@ class TransportDuplication(MonitorFault):
     duplicate_every: int = 5
 
     def apply(self, p):
-        if not isinstance(p.bus, ChaosTransport):
-            raise TypeError(
-                "TransportDuplication needs the pipeline built over a "
-                "ChaosTransport wrapper"
-            )
-        p.bus.duplicate_every = self.duplicate_every
+        transport_chaos(p.bus).duplicate_every = self.duplicate_every
 
     def revert(self, p):
-        p.bus.duplicate_every = 0
+        transport_chaos(p.bus).duplicate_every = 0
 
 
 @dataclass
 class TransportStall(MonitorFault):
     """Freeze pumps: nothing is lost, everything arrives *late*.
 
-    The backlog sits in the inner transport's queues as ledger
+    The backlog sits in the transport's queues as ledger
     ``in_flight`` (the balance identity keeps holding); on revert the
     flood of stale batches lands with hop latencies up to the stall
     duration — the freshness-SLO breach signature, as opposed to the
@@ -268,15 +229,10 @@ class TransportStall(MonitorFault):
     name: str = "transport-stall"
 
     def apply(self, p):
-        if not isinstance(p.bus, ChaosTransport):
-            raise TypeError(
-                "TransportStall needs the pipeline built over a "
-                "ChaosTransport wrapper"
-            )
-        p.bus.stall_pumps = True
+        transport_chaos(p.bus).stall_pumps = True
 
     def revert(self, p):
-        p.bus.stall_pumps = False
+        transport_chaos(p.bus).stall_pumps = False
 
 
 @dataclass

@@ -522,10 +522,6 @@ class SelfMonitor:
         self._next_due = 0.0
         #: last cumulative reading of every ``rate`` row, by metric name
         self._prev: dict[str, Any] = {}
-        # declare what this plane publishes, the way collectors do; a
-        # caller's registry that disagrees on a meaning is rejected
-        for spec in selfmon_specs():
-            pipeline.registry.register(spec)
 
     # -- cadence -----------------------------------------------------------
 

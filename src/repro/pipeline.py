@@ -37,7 +37,7 @@ from .core.events import Event
 from .core.ledger import BalanceReport
 from .core.lifecycle import Supervisor
 from .core.metric import SeriesBatch
-from .core.registry import MetricRegistry, default_registry
+from .core.registry import default_registry
 from .core.tracectx import HOP_INGEST
 from .obs.freshness import FreshnessTracker, default_slos
 from .obs.introspect import PipelineIntrospector
@@ -86,11 +86,9 @@ class MonitoringPipeline:
 
     ``config`` (default ``SiteConfig()``) holds every knob: tick,
     collector budget, quotas, site name, and the transport and store
-    tiers.  The keyword parameters are live
-    parts; one that is given replaces what the config would have built,
-    and one that contradicts a declared knob (``tsdb`` against
-    ``shards``/``store_dir``) is rejected, so the stack never disagrees
-    with ``config.capabilities()``.
+    tiers.  The pipeline builds every part from it — only the
+    ``collectors`` are handed in — so the stack cannot disagree with
+    ``config.capabilities()``.
 
     The monitor always watches itself (Table I: it must not fail
     silently, and its overhead is documented): every pipeline carries a
@@ -104,36 +102,24 @@ class MonitoringPipeline:
         config: SiteConfig | None = None,
         *,
         collectors: Sequence[Collector] = (),
-        transport: Transport | None = None,
-        tsdb=None,
-        registry: MetricRegistry | None = None,
-        stages: Sequence[Stage] | None = None,
     ) -> None:
         self.machine = machine
         if config is None:
             config = SiteConfig()
-        if tsdb is not None:
-            if config.store_dir is not None:
-                raise ValueError("pass either tsdb= or store_dir=, not both")
-            if config.shards != 1:
-                raise ValueError("pass either tsdb= or shards=, not both")
         self.site_config = config
         # federation identity: non-empty when this stack is one site of
         # several in a process; namespaces the selfmon publisher and the
         # merged supervisor/ledger views (per-site surfaces stay local,
         # so a site federated with others reports identically to solo)
         self.site = config.name
-        self.registry = registry or default_registry()
+        self.registry = default_registry()
         self.tick_s = float(config.tick_s)
         self.executor = TickLoop()
 
-        # transport and numeric store are pluggable tiers; the config's
-        # defaults are the flat bus + single store
-        self.bus: Transport = (
-            transport if transport is not None
-            else make_transport(config.transport)
-        )
-        store = tsdb if tsdb is not None else build_store(config)
+        # transport and numeric store are the tiers the config declares
+        # (by default the flat bus + single store)
+        self.bus: Transport = make_transport(config.transport)
+        store = build_store(config)
         self.logs = LogStore()
         self.jobs = JobIndex()
         self.sql = SqlStore()
@@ -158,12 +144,7 @@ class MonitoringPipeline:
         # governor read it: a traced batch is stamped at every hop, so
         # it reads the sim clock's slot directly instead of going
         # through two property descriptors (Machine.now -> SimClock.now)
-        try:
-            sim = self.machine.clock
-            sim._now
-            self._clock = lambda c=sim: c._now   # noqa: E731
-        except AttributeError:                   # custom machine/clock
-            self._clock = lambda: self.machine.now   # noqa: E731
+        self._clock = lambda c=machine.clock: c._now   # noqa: E731
 
         # freshness plane: collectors open a trace context per batch,
         # transports stamp their hop edges against the simulated clock,
@@ -189,16 +170,8 @@ class MonitoringPipeline:
         self.alerts = AlertManager()
         self.actions = ActionEngine(machine, self.alerts)
 
-        # the tick loop: the stages in the order given (the default set
-        # is the historic Table I order); stage(name) and the
-        # supervision keys need the names unique
-        self.stages: list[Stage] = (
-            list(stages) if stages is not None else default_stages()
-        )
-        names = [s.name for s in self.stages]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise ValueError(f"duplicate stage names: {dupes}")
+        # the tick loop: the stages in Table I order
+        self.stages: list[Stage] = default_stages()
         self._pending_requests: list[ActionRequest] = []
         # supervision component names, built lazily (hot loop: no
         # per-tick string formatting)
@@ -230,13 +203,6 @@ class MonitoringPipeline:
         # a reopened store restarts query epochs at 0 — stale cache
         # entries would otherwise validate against the wrong generation
         self.frontend.result_cache.clear()
-
-    # -- transport alias ---------------------------------------------------------
-
-    @property
-    def transport(self) -> Transport:
-        """The installed transport (``.bus`` kept as the historic name)."""
-        return self.bus
 
     # -- bus sinks ---------------------------------------------------------------
 

@@ -81,26 +81,31 @@ def build_site(
 ) -> "MonitoringPipeline":
     """Assemble the full monitoring stack the config declares.
 
-    ``overrides`` carries the parts that cannot be expressed as data —
-    live ``collectors``/``transport``/``tsdb`` instances
-    and pipeline plumbing like ``registry=``/``stages=`` —
-    handed to :class:`~repro.pipeline.MonitoringPipeline` verbatim
-    (which rejects an instance that contradicts a declared knob).
+    The config chooses every part, so :func:`site_capabilities` equals
+    the declared row.  Only the collector set, code rather than data,
+    may be handed in (``overrides={"collectors": [...]}``); any other
+    key is a :class:`TypeError`.
     """
     from ..pipeline import MonitoringPipeline, default_collectors
 
     overrides = dict(overrides) if overrides else {}
+    collectors = overrides.pop("collectors", None)
+    if overrides:
+        raise TypeError(
+            f"build_site takes only a 'collectors' override; got "
+            f"{sorted(overrides)} (declare the stack in SiteConfig)"
+        )
     if machine is None:
         machine = build_machine(config)
-    if overrides.get("collectors") is None:
-        overrides["collectors"] = default_collectors(
+    if collectors is None:
+        collectors = default_collectors(
             machine,
             metric_interval_s=config.metric_interval_s,
             probe_interval_s=config.probe_interval_s,
             bench_interval_s=config.bench_interval_s,
             seed=config.seed,
         )
-    pipeline = MonitoringPipeline(machine, config, **overrides)
+    pipeline = MonitoringPipeline(machine, config, collectors=collectors)
     if config.with_health_gate and machine.scheduler.health_gate is None:
         gate = HealthGate(machine)
         machine.scheduler.health_gate = gate.gate
@@ -128,8 +133,8 @@ def site_capabilities(pipeline: "MonitoringPipeline") -> dict:
         "transport": pipeline.bus.tier,
         "shards": int(getattr(tsdb, "n_shards", 1)),
         # every disk-backed open reports what it found, even all zeros
-        "disk": getattr(tsdb, "recovery", None) is not None,
+        "disk": tsdb.recovery is not None,
         "cadence_s": float(pipeline.scheduler.collectors[0].interval_s)
         if pipeline.scheduler.collectors else 0.0,
-        "tenants": len(getattr(pipeline.frontend.governor, "_quotas", {})),
+        "tenants": len(pipeline.frontend.governor._quotas),
     }

@@ -20,7 +20,7 @@ report and timeline, and the per-site delivery-ledger reports whose
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
 from ..serve.federated import FederatedFrontend
 from .build import build_site
@@ -36,38 +36,22 @@ __all__ = ["Federation"]
 class Federation:
     """Drive N per-site pipelines on one simulated clock."""
 
-    def __init__(
-        self,
-        sites: "Iterable[SiteConfig] | Mapping[str, MonitoringPipeline]",
-    ) -> None:
+    def __init__(self, sites: Iterable[SiteConfig]) -> None:
         self.pipelines: "dict[str, MonitoringPipeline]" = {}
-        if isinstance(sites, Mapping):
-            for name, pipeline in sites.items():
-                self._add(str(name), pipeline)
-        else:
-            for config in sites:
-                if not isinstance(config, SiteConfig):
-                    raise TypeError(
-                        "pass SiteConfigs or a name->pipeline mapping; got "
-                        f"{type(config).__name__}"
-                    )
-                if not config.name:
-                    raise ValueError(
-                        "federated sites need non-empty names"
-                    )
-                self._add(config.name, build_site(config))
+        for config in sites:
+            if not isinstance(config, SiteConfig):
+                raise TypeError(
+                    f"pass SiteConfigs; got {type(config).__name__}"
+                )
+            name = config.name
+            if not name:
+                raise ValueError("federated sites need non-empty names")
+            if name in self.pipelines:
+                raise ValueError(f"duplicate site name {name!r}")
+            self.pipelines[name] = build_site(config)
         if not self.pipelines:
             raise ValueError("a federation needs at least one site")
         self._frontend: FederatedFrontend | None = None
-
-    def _add(self, name: str, pipeline: "MonitoringPipeline") -> None:
-        if not name or "/" in name or any(c.isspace() for c in name):
-            raise ValueError(
-                f"bad site name {name!r}: non-empty, no '/' or whitespace"
-            )
-        if name in self.pipelines:
-            raise ValueError(f"duplicate site name {name!r}")
-        self.pipelines[name] = pipeline
 
     @classmethod
     def from_presets(

@@ -16,6 +16,9 @@ scenario stresses.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+from typing import Mapping
+
 from ..serve.quota import TenantQuota
 from .config import SiteConfig
 
@@ -126,7 +129,9 @@ def _sites() -> tuple[SiteConfig, ...]:
 
 
 #: the ten paper sites, keyed by site name, in the paper's order
-PAPER_SITES: dict[str, SiteConfig] = {c.name: c for c in _sites()}
+#: (read-only: every federation in the process reads the same table)
+PAPER_SITES: Mapping[str, SiteConfig] = MappingProxyType(
+    {c.name: c for c in _sites()})
 
 
 def paper_sites() -> list[SiteConfig]:

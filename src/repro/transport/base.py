@@ -77,8 +77,9 @@ class BusStats:
         reached (or still await) a consumer.
 
         ``delivered`` counts successful hand-offs (callback returned, or
-        the envelope was enqueued); ``dropped`` counts envelopes later
-        evicted by the drop-oldest policy; ``errors`` counts callback
+        the envelope was enqueued); ``dropped`` counts envelopes the
+        tier or a subscription lost (drop-oldest evictions, injected
+        chaos drops); ``errors`` counts callback
         raises.  Under no-drop, no-error conditions it is exactly 1.0.
         """
         attempted = self.delivered + self.errors
@@ -175,6 +176,7 @@ class Transport(abc.ABC):
         self._seq = 0
         self._published = 0
         self._delivered = 0
+        self._dropped = 0
 
     # -- subscriptions ------------------------------------------------------
 
@@ -256,7 +258,9 @@ class Transport(abc.ABC):
         return hits
 
     def _lost(self, cause: str, topic: str, payload) -> None:
-        """Account an envelope the tier evicted under ``cause``."""
+        """Count an envelope the tier lost under ``cause`` (a lane
+        eviction, a chaos drop) and account it on the ledger."""
+        self._dropped += 1
         if isinstance(payload, SeriesBatch) and self.ledger.tracks(topic):
             self.ledger.lost_batch(cause, payload)
 
@@ -323,8 +327,7 @@ class Transport(abc.ABC):
         return dict(
             published=self._published,
             delivered=self._delivered,
-            dropped=sum(self.lane_drops().values())
-            + sum(s.dropped for s in subs),
+            dropped=self._dropped + sum(s.dropped for s in subs),
             subscriptions=len(subs),
             errors=sum(s.errors for s in subs),
             queue_depths=self.queue_depths(),

@@ -295,3 +295,66 @@ class TestMergedBatchFreshness:
         # oldest-path journey: collected at t=0, queryable at t=120
         assert tracker.e2e_total() == 120.0
         assert merged.trace.hops[0][3] == 3   # three contexts merged
+
+
+class TestWindowedTreeWaterfall:
+    """An aggregator tree with a coalescing window holds every metric
+    batch for the window, so the merge hop carries the whole
+    ingest-to-queryable latency.  Sites declare no window (their trees
+    merge within the tick), so this is pinned on a standalone tree."""
+
+    WINDOW_S = 120.0
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        """One simulated hour through the tree: the tracker, and the
+        breaches evaluated before the end-of-run flush."""
+        from repro.transport.aggtree import AggregatorTree
+
+        now = [0.0]
+        tree = AggregatorTree(window_s=self.WINDOW_S)
+        tree.clock = lambda: now[0]
+        tracker = FreshnessTracker(slos=default_slos(10.0), tier=tree.tier)
+
+        def ingest(env):
+            env.payload.trace.stamp(HOP_INGEST, now[0])
+            tracker.record(env.payload)
+
+        tree.subscribe("metrics.*", callback=ingest)
+        for tick in range(360):              # one hour of 10 s ticks
+            t = now[0] = 10.0 * tick
+            for src, every in (("sedc", 60), ("probes", 60),
+                               ("counters", 10)):
+                if tick % (every // 10) == 0:
+                    b = SeriesBatch(f"node.{src}", ["n0", "n1"], [t, t],
+                                    [1.0, 2.0])
+                    b.trace = TraceContext.start(t, tick=tick)
+                    tree.publish(f"metrics.{src}", b, source=src)
+            tree.pump(t)
+        breaches = tracker.evaluate(now[0])
+        tree.flush()                         # the tail lands early
+        return tracker, breaches
+
+    def test_merge_hop_carries_the_latency(self, run):
+        tracker, _ = run
+        rows = {r["hop"]: r for r in tracker.waterfall()}
+        assert list(rows) == ["leaf", "merge", "root", "ingest"]
+        merge = rows.pop("merge")
+        assert merge["share"] == 1.0
+        assert merge["p99_s"] == merge["max_s"] == self.WINDOW_S
+        # the flushed tail waited less than a window
+        assert 100.0 < merge["mean_s"] < self.WINDOW_S
+        assert all(r["total_s"] == 0.0 for r in rows.values())
+
+    def test_waterfall_is_exact(self, run):
+        tracker, _ = run
+        assert tracker.waterfall_exact()
+        assert tracker.e2e_total() > 0.0
+
+    def test_default_ingest_slo_breaches(self, run):
+        tracker, breaches = run
+        (breach,) = breaches
+        assert breach.slo.name == "ingest-p99"
+        assert breach.tier == "tree"
+        assert breach.burn_rate > 1.0
+        assert tracker.breach_count() == 1

@@ -72,16 +72,14 @@ class TestHealthReport:
         assert report.ticks == 360                    # one hour at 10 s
 
     def test_custom_stage_gets_a_timing_row(self):
-        from repro.stages import default_stages
-
         class Heartbeat:
             name, plane = "heartbeat", "obs"
 
             def run(self, pipeline, now):
                 return []
 
-        p = build_site(SiteConfig(seed=1), machine=make_machine(),
-                       overrides={"stages": [*default_stages(), Heartbeat()]})
+        p = build_site(SiteConfig(seed=1), machine=make_machine())
+        p.stages.append(Heartbeat())
         p.run(duration_s=100.0, dt=10.0)
         row = next(s for s in p.introspect().report().stages
                    if s.name == "heartbeat")

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.registry import (
     MetricClass,
-    MetricRegistry,
     MetricSpec,
     default_registry,
 )
@@ -76,12 +75,11 @@ class TestCompleteness:
         assert completeness_ratio(90, 0, 10) == pytest.approx(0.9)
 
 
-def small_pipeline(config=None, **parts):
+def small_pipeline(**knobs):
     return MonitoringPipeline(
         make_machine(),
-        config,
+        SiteConfig(**knobs),
         collectors=[NodeCounterCollector(interval_s=60.0)],
-        **parts,
     )
 
 
@@ -94,24 +92,6 @@ class TestSingleDeclaration:
         assert len({s.name for s in specs}) == len(specs)
         for spec in specs:
             assert reg.get(spec.name) is spec
-
-    def test_callers_registry_gains_the_rows(self):
-        reg = MetricRegistry()
-        for spec in default_registry():
-            if not spec.name.startswith("selfmon."):
-                reg.register(spec)
-        p = build_site(SiteConfig(seed=1), overrides={"registry": reg})
-        assert p.registry is reg
-        for name in SELFMON_METRICS:
-            assert name in reg
-
-    def test_conflicting_spec_in_callers_registry_is_rejected(self):
-        reg = default_registry()
-        reg._specs["selfmon.bus.dropped"] = MetricSpec(
-            "selfmon.bus.dropped", "count", MetricClass.COUNTER, "monitor",
-            "Something else entirely.")
-        with pytest.raises(ValueError, match="different spec"):
-            small_pipeline(registry=reg)
 
     def test_one_extra_row_is_the_whole_change(self, monkeypatch, capsys):
         from repro.__main__ import main
@@ -308,9 +288,7 @@ class TestTieredSurfaces:
         assert "selfmon.store.shard_points" not in emitted
 
     def test_partitioned_bus_emits_partition_gauges(self):
-        from repro.transport.partitioned import PartitionedBus
-
-        p = small_pipeline(transport=PartitionedBus(partitions=4))
+        p = small_pipeline(transport="partitioned")
         p.run(duration_s=200.0, dt=10.0)
         comps = p.tsdb.components("selfmon.bus.partition_depth")
         assert comps == [f"partition-{i}" for i in range(4)]
@@ -318,9 +296,7 @@ class TestTieredSurfaces:
         assert drops == comps
 
     def test_sharded_store_emits_shard_gauges(self):
-        from repro.storage.sharded import ShardedTimeSeriesStore
-
-        p = small_pipeline(tsdb=ShardedTimeSeriesStore(shards=3))
+        p = small_pipeline(shards=3)
         p.run(duration_s=200.0, dt=10.0)
         for metric in ("selfmon.store.shard_points",
                        "selfmon.store.shard_series",
@@ -338,28 +314,27 @@ class TestTieredSurfaces:
         assert t > 0
 
     def test_aggtree_reports_leaf_depths_as_partition_gauge(self):
-        from repro.transport.aggtree import AggregatorTree
-
-        p = small_pipeline(transport=AggregatorTree(leaves=4))
+        p = small_pipeline(transport="tree")
         p.run(duration_s=200.0, dt=10.0)
         comps = p.tsdb.components("selfmon.bus.partition_depth")
-        assert comps == [f"leaf-{i}" for i in range(4)]
+        assert comps == [f"leaf-{i}" for i in range(p.bus.n_leaves)]
 
     @pytest.mark.degrades
     def test_aggtree_reports_leaf_drops_per_leaf(self):
         """Leaf overflow is the tree's loss: it is published per leaf,
         like a partition's drop-oldest evictions."""
-        from repro.transport.aggtree import AggregatorTree
-
-        tree = AggregatorTree(leaves=2, leaf_queue_len=1)
-        p = small_pipeline(transport=tree)
+        p = small_pipeline(transport="tree")
+        tree = p.bus
+        for leaf in tree._leaves:      # overflow every leaf of the live tree
+            leaf.maxlen = 1
         p.run(duration_s=200.0, dt=10.0)
         dropped = tree.stats().dropped_batches
         assert dropped > 0
         batches = {b.metric: b for b in p.selfmon.sample(
             p.machine.now, elapsed_s=60.0)}
         row = batches["selfmon.bus.partition_dropped"]
-        assert list(row.components) == ["leaf-0", "leaf-1"]
+        assert list(row.components) == [f"leaf-{i}"
+                                        for i in range(tree.n_leaves)]
         assert row.values.sum() == dropped
 
 
@@ -397,9 +372,7 @@ class TestCacheGauges:
         assert (hits, misses) == (float(s.hits), float(s.misses))
 
     def test_cache_gauges_emitted_for_sharded_store(self):
-        from repro.storage.sharded import ShardedTimeSeriesStore
-
-        p = small_pipeline(tsdb=ShardedTimeSeriesStore(shards=3))
+        p = small_pipeline(shards=3)
         p.selfmon.maybe_emit(0.0)
         emitted = {b.metric for b in p.selfmon.sample(60.0, elapsed_s=60.0)}
         assert set(self.CACHE_METRICS) <= emitted

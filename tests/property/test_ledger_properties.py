@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.metric import SeriesBatch
-from repro.obs.chaos import ChaosTransport
+from repro.obs.chaos import transport_chaos
+from repro.sites.config import TRANSPORT_TIERS
 from repro.transport.aggtree import AggregatorTree
+from repro.transport.base import make_transport
 from repro.transport.bus import MessageBus
 from repro.transport.partitioned import PartitionedBus
 
@@ -122,38 +124,41 @@ class TestLedgerBalancesEveryTransport:
 
 class TestLedgerBalancesUnderChaos:
     @given(script=script,
+           tier=st.sampled_from(TRANSPORT_TIERS),
            drop_every=st.integers(0, 5),
            duplicate_every=st.integers(0, 5))
     @settings(max_examples=100, deadline=None)
     def test_chaos_drops_and_duplicates_stay_accounted(
-        self, script, drop_every, duplicate_every
+        self, script, tier, drop_every, duplicate_every
     ):
-        bus = ChaosTransport(MessageBus())
+        bus = make_transport(tier)
         ledger = attach(bus)
-        bus.drop_every = drop_every
-        bus.duplicate_every = duplicate_every
+        chaos = transport_chaos(bus)
+        chaos.drop_every = drop_every
+        chaos.duplicate_every = duplicate_every
         for k, (src, n) in enumerate(script):
             bus.publish("metrics.test", batch("m.x", n, float(k)),
                         source=f"s{src}")
             assert_balanced(bus, ledger)
         bus.flush()
         report = assert_balanced(bus, ledger)
+        assert report.in_flight == 0
         if drop_every:
             assert report.lost == \
                 report.lost_by_cause.get("chaos-drop", 0)
         else:
             assert report.lost == 0
+        assert bus.stats().dropped == (
+            len(script) // drop_every if drop_every else 0)
         if not duplicate_every:
             assert report.duplicated == 0
 
     @given(script=script, queue_len=st.integers(1, 10))
     @settings(max_examples=50, deadline=None)
     def test_chaos_over_partitioned_composes(self, script, queue_len):
-        bus = ChaosTransport(
-            PartitionedBus(partitions=2, partition_queue_len=queue_len)
-        )
+        bus = PartitionedBus(partitions=2, partition_queue_len=queue_len)
         ledger = attach(bus)
-        bus.drop_every = 3
+        transport_chaos(bus).drop_every = 3
         for k, (src, n) in enumerate(script):
             bus.publish("metrics.test", batch("m.x", n, float(k)),
                         source=f"s{src}")

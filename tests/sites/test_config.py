@@ -77,12 +77,19 @@ class TestValidation:
 
 
 class TestInstanceOverrides:
-    """A live part may replace what the config would build, never
-    contradict what it declares."""
+    """A site is its config: only the collectors are handed in, and a
+    live part that would replace (or contradict) what the config builds
+    is refused before anything is built."""
+
+    @pytest.mark.parametrize("key", ["transport", "tsdb", "registry",
+                                     "stages"])
+    def test_every_other_part_is_a_type_error(self, key):
+        with pytest.raises(TypeError, match="only a 'collectors' override"):
+            build_site(SiteConfig(transport="partitioned"),
+                       overrides={key: object()})
 
     def test_tsdb_vs_store_dir(self):
-        with pytest.raises(ValueError,
-                           match="pass either tsdb= or store_dir=, not both"):
+        with pytest.raises(TypeError, match="declare the stack in SiteConfig"):
             build_site(SiteConfig(store_dir="/tmp/x"),
                        overrides={"tsdb": object()})
 
@@ -90,26 +97,24 @@ class TestInstanceOverrides:
         from repro.storage.tsdb import TimeSeriesStore
 
         # would build one store under a row declaring four shards
-        with pytest.raises(ValueError,
-                           match="pass either tsdb= or shards=, not both"):
+        with pytest.raises(TypeError, match="declare the stack in SiteConfig"):
             build_site(SiteConfig(shards=4),
                        overrides={"tsdb": TimeSeriesStore()})
 
     def test_the_constructor_rejects_them_too(self):
         config = SiteConfig(shards=4)
-        with pytest.raises(ValueError,
-                           match="pass either tsdb= or shards=, not both"):
-            MonitoringPipeline(build_machine(config), config, tsdb=object())
+        machine = build_machine(config)
+        for key in ("transport", "tsdb", "registry", "stages"):
+            with pytest.raises(TypeError, match=key):
+                MonitoringPipeline(machine, config, **{key: object()})
 
     def test_instances_install_verbatim(self):
-        from repro.storage.tsdb import TimeSeriesStore
-        from repro.transport import MessageBus
-
-        bus, store = MessageBus(), TimeSeriesStore()
-        pipeline = build_site(SiteConfig(), overrides={
-            "transport": bus, "tsdb": store})
-        assert pipeline.bus is bus
-        assert pipeline.tsdb is store
+        collectors = _lean_collectors()
+        config = SiteConfig(transport="tree", shards=2)
+        pipeline = build_site(config, overrides={"collectors": collectors})
+        assert pipeline.scheduler.collectors == collectors
+        # every other part is the one the config declares
+        assert site_capabilities(pipeline) == config.capabilities()
 
 
 class TestRoundTrip:
@@ -204,13 +209,6 @@ class TestSinglePath:
         assert pipeline.tick_s == 30.0 and pipeline.site == "s"
         bare = MonitoringPipeline(build_machine(SiteConfig()))
         assert bare.site_config == SiteConfig()
-
-    def test_pipeline_only_plumbing_passes_through(self):
-        from repro.core.registry import default_registry
-
-        reg = default_registry()
-        pipeline = build_site(SiteConfig(), overrides={"registry": reg})
-        assert pipeline.registry is reg
 
     def test_constructor_and_build_site_agree(self):
         config = SiteConfig(metric_interval_s=60.0, tick_s=60.0,

@@ -12,7 +12,6 @@ import pytest
 
 from repro.cluster.workload import Job, JobGenerator
 from repro.obs.chaos import (
-    ChaosTransport,
     CollectorRaise,
     MonitorFaultInjector,
     TransportDropStorm,
@@ -24,7 +23,6 @@ from repro.sites import (
     build_site,
     paper_site,
 )
-from repro.transport import MessageBus
 
 
 def _timing_metric(name):
@@ -148,12 +146,8 @@ class TestSiteIsolation:
         dt = 5.0                      # min(csc tick 10, snl tick 5)
         solo = _run_solo("snl", self.DURATION, dt)
 
-        chaotic = build_site(
-            paper_site("csc"),
-            overrides={"transport": ChaosTransport(MessageBus())},
-        )
-        calm = build_site(paper_site("snl"))
-        fed = Federation({"csc": chaotic, "snl": calm})
+        fed = Federation([paper_site("csc"), paper_site("snl")])
+        chaotic = fed.site("csc")
         inj = MonitorFaultInjector([
             CollectorRaise(start=300.0, duration=600.0, target="sedc"),
             TransportStall(start=600.0, duration=300.0),

@@ -167,12 +167,8 @@ def test_monitor_fault_campaign_survives(seed):
     freshness breach that names the stalled hop."""
     from repro.core.events import EventKind
     from repro.core.lifecycle import Health
-    from repro.obs.chaos import (
-        ChaosTransport,
-        MonitorFaultInjector,
-        TransportStall,
-    )
-    from repro.transport.partitioned import PartitionedBus
+    from repro.obs.chaos import MonitorFaultInjector, TransportStall
+    from repro.sites import site_capabilities
 
     rng = np.random.default_rng(seed)
     topo = build_dragonfly(groups=2, chassis_per_group=3,
@@ -189,9 +185,10 @@ def test_monitor_fault_campaign_survives(seed):
     machine.faults.add(HungNode(start=600.0, duration=900.0,
                                 node=topo.nodes[3]))
     pipeline = build_site(
-        SiteConfig(seed=seed, shards=4, collector_budget_s=0.01),
+        SiteConfig(seed=seed, gpu_nodes="all", mean_interarrival_s=200,
+                   transport="partitioned", shards=4,
+                   collector_budget_s=0.01),
         machine=machine,
-        overrides={"transport": ChaosTransport(PartitionedBus())},
     )
     total_s = 4000.0
     inj = MonitorFaultInjector([
@@ -242,23 +239,43 @@ def test_monitor_fault_campaign_survives(seed):
     breaches = [a.message for a in pipeline.alerts.alerts
                 if a.rule == "freshness_slo_breach"]
     assert any("worst hop pump" in m for m in breaches), breaches
-    # ...and names the Table I tier the chaos wrapper wraps
+    # ...and names the Table I tier the site declares
     tiers = {ev.fields["tier"] for ev in pipeline.logs.search(
         kind=EventKind.HEALTH, regex="freshness SLO .* breached")}
     assert tiers == {"partitioned"}
+    # the campaign ran the stack its config declares
+    assert site_capabilities(pipeline) == pipeline.site_config.capabilities()
 
 
-def test_chaos_wrapped_site_reports_the_wrapped_tier():
-    """The live capability row and the freshness tracker name the
-    Table I tier of the transport inside the chaos wrapper."""
-    from repro.obs.chaos import ChaosTransport
+@pytest.mark.degrades
+@pytest.mark.parametrize("tier", ["flat", "partitioned", "tree"])
+def test_site_under_transport_chaos_reports_its_declared_tier(tier):
+    """Transport faults act on the transport the site declares: the
+    live capability row and the freshness tracker keep naming its
+    Table I tier while the faults are on."""
+    from repro.obs.chaos import (
+        MonitorFaultInjector,
+        TransportDropStorm,
+        TransportStall,
+    )
     from repro.sites import site_capabilities
-    from repro.transport.partitioned import PartitionedBus
 
-    p = build_site(SiteConfig(transport="partitioned"),
-                   overrides={"transport": ChaosTransport(PartitionedBus())})
-    assert p.freshness.tier == "partitioned"
+    p = build_site(SiteConfig(transport=tier, seed=3))
+    inj = MonitorFaultInjector([
+        TransportDropStorm(start=0.0, duration=300.0, drop_every=2),
+        TransportStall(start=100.0, duration=100.0),
+    ])
+    for _ in range(40):
+        inj.step(p, p.machine.now)
+        p.step(10.0)
+    inj.step(p, p.machine.now)
+    p.bus.flush()
+    assert inj.all_reverted()
+    assert p.bus.tier == p.freshness.tier == tier
     assert site_capabilities(p) == p.site_config.capabilities()
+    report = p.delivery_report()
+    assert report.balanced and report.unaccounted == 0
+    assert set(report.lost_by_cause) == {"chaos-drop"}
 
 
 @pytest.mark.degrades
@@ -271,16 +288,13 @@ def test_kill_and_recover_campaign_accounts_every_point(seed, tmp_path):
     never a silence."""
     from repro.core.lifecycle import Health
     from repro.obs.chaos import (
-        ChaosTransport,
         CollectorRaise,
         MonitorFaultInjector,
         ShardOutage,
         StoreCrash,
         TransportDropStorm,
     )
-    from repro.storage.rollup import DEFAULT_LEVELS
-    from repro.storage.sharded import ShardedTimeSeriesStore
-    from repro.transport.partitioned import PartitionedBus
+    from repro.sites import site_capabilities
 
     topo = build_dragonfly(groups=2, chassis_per_group=3,
                            blades_per_chassis=4)
@@ -294,16 +308,12 @@ def test_kill_and_recover_campaign_accounts_every_point(seed, tmp_path):
     )
     # small chunks and a tiny hot budget so the campaign actually
     # seals, spills, and WAL-syncs before the crash lands
-    tsdb = ShardedTimeSeriesStore(
-        shards=4, chunk_size=24, pyramid_levels=DEFAULT_LEVELS,
-        disk_dir=str(tmp_path), hot_bytes=16 << 10,
-        sync_every_bytes=64 << 10,
-    )
     pipeline = build_site(
-        SiteConfig(seed=seed, collector_budget_s=0.01),
+        SiteConfig(seed=seed, gpu_nodes="all", mean_interarrival_s=200,
+                   transport="partitioned", shards=4,
+                   chunk_size=24, store_dir=str(tmp_path),
+                   hot_bytes=16 << 10, collector_budget_s=0.01),
         machine=machine,
-        overrides={"transport": ChaosTransport(PartitionedBus()),
-                   "tsdb": tsdb},
     )
     total_s = 4000.0
     crash = StoreCrash(start=2400.0)
@@ -321,7 +331,7 @@ def test_kill_and_recover_campaign_accounts_every_point(seed, tmp_path):
     snapped = False
     while machine.now < end - 1e-9:       # must not raise, ever
         if not snapped and machine.now >= 1500.0:
-            tsdb.snapshot()               # manifest + WAL rotation
+            pipeline.tsdb.snapshot()      # manifest + WAL rotation
             snapped = True
         inj.step(pipeline, machine.now)
         pipeline.step(dt)
@@ -360,6 +370,8 @@ def test_kill_and_recover_campaign_accounts_every_point(seed, tmp_path):
     comp = pipeline.tsdb.components(metric)[0]
     res = pipeline.frontend.query(metric, comp, 0.0, machine.now)
     assert len(res.times) > 0
+    # the campaign ran the stack its config declares
+    assert site_capabilities(pipeline) == pipeline.site_config.capabilities()
 
 
 @pytest.mark.parametrize("shards", [1, 2])

@@ -315,11 +315,17 @@ class TestSwallowGate:
 
 class TestSharedStateGate:
     """Module-level mutable state is forbidden in the process-shared
-    transport and storage planes."""
+    transport, storage, serving, self-monitoring and site planes."""
 
     def test_transport_and_storage_have_no_module_state(self):
         problems = check_mod.check_shared_state()
         assert not problems, "\n".join(problems)
+
+    def test_gate_covers_chaos_and_the_site_presets(self):
+        # ten federated sites share one process: transport chaos state
+        # and the preset table must not be module state either
+        assert {"src/repro/obs", "src/repro/sites"} <= set(
+            check_mod._SHARED_STATE_DIRS)
 
     def test_flags_module_level_dict(self, tmp_path):
         f = tmp_path / "mod.py"

@@ -217,14 +217,6 @@ class TestAutomaticPostJobGate:
 # -- the tick order is the stage list ---------------------------------------
 
 
-class _FakeStage:
-    def __init__(self, name):
-        self.name = name
-
-    def run(self, pipeline, now):  # pragma: no cover - never ticked
-        return None
-
-
 class TestScheduleStages:
     def test_default_stages_keep_historic_order(self):
         assert [s.name for s in default_stages()] == [
@@ -235,14 +227,3 @@ class TestScheduleStages:
         p = MonitoringPipeline(make_machine(job_generator=None))
         assert ([s.name for s in p.stages]
                 == [s.name for s in default_stages()])
-
-    def test_attrless_stages_keep_declaration_order(self):
-        stages = [_FakeStage("a"), _FakeStage("b"), _FakeStage("c")]
-        p = MonitoringPipeline(make_machine(job_generator=None),
-                               stages=stages)
-        assert [s.name for s in p.stages] == ["a", "b", "c"]
-
-    def test_duplicate_names_are_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            MonitoringPipeline(make_machine(job_generator=None),
-                               stages=[_FakeStage("x"), _FakeStage("x")])

@@ -2,25 +2,39 @@
 
 The flat bus, the partitioned bus and the aggregator tree share one
 core (subscriptions, route memo, publish edge, fan-out, accounting) and
-differ only in where an envelope waits, so every tier — and the chaos
-wrapper around one — must pass the same cases.  Each publish is
-followed by ``flush()``, which releases whatever the tier holds.
+differ only in where an envelope waits, so every tier — and one with
+idle transport chaos installed — must pass the same cases.  Each
+publish is followed by ``flush()``, which releases whatever the tier
+holds.  Transport faults (drop, duplicate, stall) then act on every
+tier the same way, through the tier's own loss edge.
 """
 
 import fnmatch
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core.metric import SeriesBatch
-from repro.obs.chaos import ChaosTransport
+from repro.obs.chaos import (
+    TransportDropStorm,
+    TransportDuplication,
+    TransportStall,
+    transport_chaos,
+)
 from repro.sites.config import TRANSPORT_TIERS
 from repro.transport.base import ROUTE_MEMO_MAX, make_transport
-from repro.transport.partitioned import PartitionedBus
+
+
+def _idle_chaos(tier):
+    bus = make_transport(tier)
+    transport_chaos(bus)
+    return bus
+
 
 BUILDERS = {tier: (lambda t=tier: make_transport(t))
             for tier in TRANSPORT_TIERS}
-BUILDERS["chaos-partitioned"] = lambda: ChaosTransport(PartitionedBus())
+BUILDERS["chaos-partitioned"] = lambda: _idle_chaos("partitioned")
 
 
 @pytest.fixture(params=sorted(BUILDERS))
@@ -103,8 +117,7 @@ def test_route_memo_is_bounded(transport):
         transport.publish(f"metrics.m{i}", i)
     transport.flush()
     assert len(sub) == ROUTE_MEMO_MAX + 10
-    inner = getattr(transport, "inner", transport)
-    assert 0 < len(inner._routes) <= ROUTE_MEMO_MAX
+    assert 0 < len(transport._routes) <= ROUTE_MEMO_MAX
 
 
 TOPICS = ["metrics.node.power_w", "metrics.cpu", "metrics", "metricsX.a",
@@ -141,3 +154,112 @@ def test_ledger_balances_and_nothing_is_left_in_flight(transport):
     report = ledger.balance(in_flight=0)
     assert report.balanced and report.lost == 0
     assert report.published == report.stored == sum(range(1, 13))
+
+
+# -- transport faults act on every tier --------------------------------------
+
+def storing(transport):
+    """A storing consumer on ``metrics.*``; returns the stored batches."""
+    ledger, stored = transport.ledger, []
+
+    def store(env):
+        ledger.stored_batch(env.payload, len(env.payload))
+        stored.append(env.payload)
+
+    transport.subscribe("metrics.*", callback=store, name="store")
+    return stored
+
+
+def feed(transport, k0, k1):
+    for k in range(k0, k1):
+        transport.publish(f"metrics.m{k % 3}", batch(float(k), n=k % 5 + 1,
+                                                     t=float(k)),
+                          source=f"s{k % 4}")
+
+
+@pytest.fixture(params=TRANSPORT_TIERS)
+def tier(request):
+    return request.param
+
+
+def test_chaos_drop_is_accounted_loss_on_every_tier(tier):
+    transport = make_transport(tier)
+    storing(transport)
+    site = SimpleNamespace(bus=transport)
+    TransportDropStorm(start=0.0, drop_every=3).apply(site)
+    feed(transport, 0, 30)
+    transport.flush()
+    assert transport.stats().dropped == 10      # every third publish
+    report = transport.ledger.balance(in_flight=transport.in_flight_points())
+    assert report.balanced and report.in_flight == 0
+    dropped_points = sum(k % 5 + 1 for k in range(2, 30, 3))
+    assert report.lost_by_cause == {"chaos-drop": dropped_points}
+    assert report.stored == report.published - dropped_points
+
+
+def test_chaos_duplicate_is_delivered_twice_and_balances(tier):
+    transport = make_transport(tier)
+    storing(transport)
+    TransportDuplication(start=0.0, duplicate_every=2).apply(
+        SimpleNamespace(bus=transport))
+    feed(transport, 0, 10)
+    transport.flush()
+    duplicated = sum(k % 5 + 1 for k in range(1, 10, 2))
+    report = transport.ledger.balance(in_flight=0)
+    assert report.balanced and report.lost == 0
+    assert report.duplicated == duplicated
+    assert report.stored == sum(k % 5 + 1 for k in range(10)) + duplicated
+    assert transport.stats().dropped == 0
+
+
+def test_chaos_stall_holds_everything_in_flight(tier):
+    transport = make_transport(tier)
+    storing(transport)
+    site = SimpleNamespace(bus=transport)
+    stall = TransportStall(start=0.0)
+    stall.apply(site)
+    feed(transport, 0, 10)
+    assert transport.pump(1e9) == 0 and transport.flush() == 0
+    held = transport.in_flight_points()
+    report = transport.ledger.balance(in_flight=held)
+    assert report.balanced and report.lost == 0
+    # the flat tier delivers inside publish: a stall has nothing to hold
+    assert (held == 0) == (tier == "flat")
+    stall.revert(site)
+    transport.flush()
+    report = transport.ledger.balance(in_flight=transport.in_flight_points())
+    assert report.in_flight == 0 and report.stored == report.published
+
+
+@pytest.mark.parametrize("order", ["fifo", "lifo"])
+def test_overlapping_faults_revert_to_an_untouched_twin(tier, order):
+    transport, twin = make_transport(tier), make_transport(tier)
+    stored, twin_stored = storing(transport), storing(twin)
+    site = SimpleNamespace(bus=transport)
+    faults = [TransportDropStorm(start=0.0, drop_every=4),
+              TransportDuplication(start=0.0, duplicate_every=3),
+              TransportStall(start=0.0)]
+    for f in faults:
+        f.apply(site)
+    feed(transport, 0, 24)
+    for f in (faults if order == "fifo" else faults[::-1]):
+        f.revert(site)
+    chaos = transport_chaos(transport)
+    assert (chaos.drop_every, chaos.duplicate_every, chaos.stall_pumps) \
+        == (0, 0, False)
+    transport.flush()
+    before = transport.stats()
+    del stored[:]
+    feed(transport, 24, 48)
+    feed(twin, 24, 48)
+    transport.flush()
+    twin.flush()
+    after, want = transport.stats(), twin.stats()
+    for field in ("published", "delivered", "dropped", "errors"):
+        assert getattr(after, field) - getattr(before, field) \
+            == getattr(want, field), field
+    assert [(b.metric, b.values.tolist()) for b in stored] == \
+        [(b.metric, b.values.tolist()) for b in twin_stored]
+    report = transport.ledger.balance(in_flight=0)
+    assert report.balanced and report.unaccounted == 0
+    assert set(report.lost_by_cause) <= {"chaos-drop"}
