@@ -39,9 +39,14 @@ Both paths also gate on **module-level mutable state** inside
 a module global there is shared by every transport, store, shard and
 tenant in the process (the serving plane's result cache and tenant
 governor serve every tenant), so a module-global ``dict`` / ``list`` /
-``set`` is unsynchronized state nobody owns.
-Keep mutable state on instances; a deliberate module global carries
-``# shared-state: allowed``.
+``set`` is state nobody owns.  Keep mutable state on instances; a
+deliberate module global carries ``# shared-state: allowed``.
+
+Both paths also gate on **threading imports** inside ``src/repro``: a
+tick runs in the calling thread, so no module there imports
+``threading``, ``_thread`` or ``concurrent.futures`` (in any form, at
+any depth).  State is owned by the one thread that ticks and queries,
+not guarded by locks nobody contends.
 
 Both paths also gate on **unmanaged file/mmap handles** inside
 ``src/repro/storage``: the out-of-core tier keeps long-lived segment
@@ -137,41 +142,39 @@ def _is_type_checking_if(node: ast.stmt) -> bool:
     return False
 
 
+def _import_targets(node: ast.Import | ast.ImportFrom,
+                    module: str) -> set[str]:
+    """Dotted module names one import statement in ``module`` loads.
+
+    ``import a.b`` loads ``a.b``; ``from m import name`` loads ``m`` (a
+    relative ``m`` resolved against ``module``) and may bind the
+    submodule ``m.name``, so both spellings are recorded — callers
+    collapse names that aren't real modules.
+    """
+    if isinstance(node, ast.Import):
+        return {a.name for a in node.names}
+    mod = node.module
+    if node.level:
+        # `from .x import y` inside a.b.c: level 1 strips the leaf
+        parts = module.split(".")
+        if node.level > len(parts):
+            return set()
+        mod = ".".join(parts[: len(parts) - node.level]
+                       + ([node.module] if node.module else []))
+    return {mod} | {f"{mod}.{a.name}" for a in node.names if a.name != "*"}
+
+
 def _runtime_imports(tree: ast.Module, module: str, package: str) -> set[str]:
     """Modules (dotted names inside ``package``) that ``module`` imports
     at runtime — module-level statements only, TYPE_CHECKING excluded."""
-
-    def resolve_relative(level: int, target: str | None) -> str | None:
-        # `from .x import y` inside a.b.c: level 1 strips the leaf
-        parts = module.split(".")
-        if level > len(parts):
-            return None
-        base = parts[: len(parts) - level]
-        return ".".join(base + ([target] if target else []))
-
     out: set[str] = set()
 
     def visit(body: list[ast.stmt]) -> None:
         for node in body:
-            if isinstance(node, ast.Import):
-                for a in node.names:
-                    if a.name.startswith(package):
-                        out.add(a.name)
-            elif isinstance(node, ast.ImportFrom):
-                if node.level:
-                    mod = resolve_relative(node.level, node.module)
-                elif node.module and node.module.startswith(package):
-                    mod = node.module
-                else:
-                    mod = None
-                if mod is not None:
-                    out.add(mod)
-                    # `from .pkg import name` may bind the submodule
-                    # pkg.name; record both spellings — the cycle check
-                    # collapses names that aren't real modules.
-                    for a in node.names:
-                        if a.name != "*":
-                            out.add(f"{mod}.{a.name}")
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                relative = isinstance(node, ast.ImportFrom) and node.level
+                out.update(t for t in _import_targets(node, module)
+                           if relative or t.startswith(package))
             elif _is_type_checking_if(node):
                 continue            # erased at runtime
             elif isinstance(node, (ast.If, ast.Try)):
@@ -245,6 +248,46 @@ def check_import_cycles() -> list[str]:
     if cycle:
         return ["import cycle in src/repro: " + " -> ".join(cycle)]
     return []
+
+
+#: a tick runs in the calling thread, so nothing in src/repro starts or
+#: synchronizes a thread; a future execution tier brings its own
+_THREAD_MODULES = ("threading", "_thread", "concurrent.futures")
+
+
+def check_thread_imports(path: Path) -> list[str]:
+    """Flag every import of a threading module in one module, at any
+    depth (a function-local import counts too)."""
+    src = path.read_text()
+    try:
+        tree = ast.parse(src, filename=str(path))
+    except SyntaxError:
+        return []                    # surfaced by check_file already
+    problems: list[str] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.level):
+            continue                 # a relative import stays in-package
+        hits = sorted({m for t in _import_targets(node, "")
+                       for m in _THREAD_MODULES
+                       if t == m or t.startswith(m + ".")})
+        if hits:
+            problems.append(
+                f"{path}:{node.lineno}: imports {', '.join(hits)}; a tick "
+                f"runs in one thread, so src/repro takes no locks and "
+                f"starts no threads"
+            )
+    return problems
+
+
+def check_no_threads() -> list[str]:
+    """Run :func:`check_thread_imports` over all of ``src/repro``."""
+    root = REPO / "src" / "repro"
+    problems: list[str] = []
+    if root.is_dir():
+        for path in sorted(root.rglob("*.py")):
+            problems.extend(check_thread_imports(path))
+    return problems
 
 
 #: SeriesBatch per-sample columns; iterating them in analysis code is a
@@ -475,10 +518,9 @@ def check_module_state(path: Path) -> list[str]:
     pipeline, store, shard, tenant and federated site in the process
     (the serving plane's result cache and tenant governor serve every
     tenant; ten federated sites, each with its own transport chaos,
-    share one process), with no lock anyone remembers to take.  Keep
-    mutable state on instances (or behind an explicit lock) — a
-    deliberate module global carries ``# shared-state: allowed`` on its
-    assignment line.
+    share one process), owned by no one.  Keep mutable state on
+    instances — a deliberate module global carries
+    ``# shared-state: allowed`` on its assignment line.
     ``__all__`` and other dunder assignments are exempt (import-time
     constants by convention).
     """
@@ -618,9 +660,9 @@ def check_columnar_analysis() -> list[str]:
 
 
 def lint() -> int:
-    gate_problems = (check_import_cycles() + check_columnar_analysis()
-                     + check_swallows_repro() + check_shared_state()
-                     + check_fd_lifetime_storage())
+    gate_problems = (check_import_cycles() + check_no_threads()
+                     + check_columnar_analysis() + check_swallows_repro()
+                     + check_shared_state() + check_fd_lifetime_storage())
     for p in gate_problems:
         print(p)
     if gate_problems:

@@ -43,7 +43,6 @@ timebase), so supervision behaves identically run to run.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
@@ -138,14 +137,10 @@ class CircuitBreaker:
     States: *closed* (normal operation), *open* (quarantined — calls
     refused until ``retry_at``), *half-open* (exactly one probe allowed;
     its outcome closes or re-opens the breaker with a longer backoff).
-
-    Thread-safe: state transitions take one internal lock, so two
-    threads recording outcomes cannot interleave a trip (the half-open
-    single-probe discipline survives races).
     """
 
     __slots__ = ("trip_after", "backoff", "streak", "trips", "state",
-                 "retry_at", "failures", "successes", "_lock")
+                 "retry_at", "failures", "successes")
 
     CLOSED, OPEN, HALF_OPEN = "closed", "open", "half-open"
 
@@ -164,41 +159,29 @@ class CircuitBreaker:
         self.retry_at = float("-inf")
         self.failures = 0
         self.successes = 0
-        self._lock = threading.Lock()
 
     def allow(self, now: float) -> bool:
         """May the component run at ``now``?  An open breaker whose
         backoff has elapsed admits exactly one half-open probe."""
-        # fast path: a closed breaker admits without the lock (a stale
-        # read here only delays quarantine by one call, never corrupts)
-        if self.state == self.CLOSED:
-            return True
-        with self._lock:
-            if self.state == self.CLOSED:
-                return True
-            if self.state == self.OPEN and now + 1e-9 >= self.retry_at:
-                self.state = self.HALF_OPEN
-                return True
-            return self.state == self.HALF_OPEN
+        if self.state == self.OPEN and now + 1e-9 >= self.retry_at:
+            self.state = self.HALF_OPEN
+        return self.state != self.OPEN
 
     def record_success(self, now: float) -> None:
-        with self._lock:
-            self.successes += 1
-            self.streak = 0
-            self.state = self.CLOSED
-            self.retry_at = float("-inf")
+        self.successes += 1
+        self.streak = 0
+        self.state = self.CLOSED
+        self.retry_at = float("-inf")
 
     def record_failure(self, now: float) -> None:
-        with self._lock:
-            self.failures += 1
-            self.streak += 1
-            if (self.state == self.HALF_OPEN
-                    or self.streak >= self.trip_after):
-                # probe failed, or the streak reached the trip
-                # threshold: (re)open with the next backoff step
-                self.state = self.OPEN
-                self.retry_at = now + self.backoff.delay(self.trips)
-                self.trips += 1
+        self.failures += 1
+        self.streak += 1
+        if self.state == self.HALF_OPEN or self.streak >= self.trip_after:
+            # probe failed, or the streak reached the trip threshold:
+            # (re)open with the next backoff step
+            self.state = self.OPEN
+            self.retry_at = now + self.backoff.delay(self.trips)
+            self.trips += 1
 
     @property
     def quarantined(self) -> bool:
@@ -244,14 +227,6 @@ class Supervisor:
 
     Every state change lands in :attr:`transitions` — the health
     timeline.
-
-    Thread-safe: one supervisor lock serializes every mutating entry
-    point (``record``/``observe``/``fail``/``heal`` and registration),
-    so callers on more than one thread still leave exact counter
-    totals and an uncorrupted transition timeline.  ``should_run``'s
-    closed-breaker fast path stays lock-free — a stale read there only
-    admits one extra call, which the breaker then records under the
-    lock.
     """
 
     def __init__(
@@ -265,23 +240,16 @@ class Supervisor:
         self.heal_after = int(heal_after)
         self.components: dict[str, ComponentRecord] = {}
         self.transitions: list[Transition] = []
-        self._lock = threading.Lock()
 
     # -- registry -----------------------------------------------------------
 
     def register(self, name: str) -> ComponentRecord:
         rec = self.components.get(name)
-        if rec is not None:
-            return rec
-        with self._lock:
-            rec = self.components.get(name)
-            if rec is None:
-                rec = ComponentRecord(
-                    name,
-                    breaker=CircuitBreaker(self.trip_after, self.backoff),
-                )
-                self.components[name] = rec
-            return rec
+        if rec is None:
+            rec = ComponentRecord(
+                name, breaker=CircuitBreaker(self.trip_after, self.backoff))
+            self.components[name] = rec
+        return rec
 
     def health(self, name: str) -> Health:
         rec = self.components.get(name)
@@ -302,38 +270,25 @@ class Supervisor:
     def should_run(self, name: str, now: float) -> bool:
         """True when the component may run (not quarantined, or due a
         half-open probe)."""
-        rec = self.components.get(name)
-        if rec is None:
-            rec = self.register(name)
-        br = rec.breaker
-        # fast path: a closed breaker always admits (this runs for every
-        # stage every tick, so skip the allow() call on the happy path)
-        if br.state == CircuitBreaker.CLOSED:
-            return True
-        return br.allow(now)
+        return self.register(name).breaker.allow(now)
 
     def record(self, name: str, ok: bool, now: float,
                reason: str = "") -> None:
         """Record one call outcome; drives the breaker and the health."""
-        rec = self.components.get(name)
-        if rec is None:
-            rec = self.register(name)
+        rec = self.register(name)
         br = rec.breaker
-        with self._lock:
-            if ok:
-                # fast path: a healthy component succeeding changes
-                # nothing beyond its success counter
-                if br.streak == 0 and rec.health is Health.OK:
-                    br.successes += 1
-                    return
-                br.record_success(now)
-                self._set_health(rec, Health.OK, now, reason or "recovered")
+        if ok:
+            # fast path: a healthy component succeeding changes nothing
+            # beyond its success counter
+            if br.streak == 0 and rec.health is Health.OK:
+                br.successes += 1
                 return
-            br.record_failure(now)
-            if br.quarantined:
-                self._set_health(rec, Health.FAILED, now, reason)
-            else:
-                self._set_health(rec, Health.DEGRADED, now, reason)
+            br.record_success(now)
+            self._set_health(rec, Health.OK, now, reason or "recovered")
+            return
+        br.record_failure(now)
+        self._set_health(rec, Health.FAILED if br.quarantined
+                         else Health.DEGRADED, now, reason)
 
     # -- observation-driven supervision -------------------------------------
 
@@ -343,33 +298,29 @@ class Supervisor:
         an impaired component must look clean ``heal_after`` consecutive
         times before it transitions back to OK."""
         rec = self.register(name)
-        with self._lock:
-            if health is Health.OK:
-                if rec.health is Health.OK:
-                    return
-                rec.clean_streak += 1
-                if rec.clean_streak >= self.heal_after:
-                    self._set_health(rec, Health.OK, now,
-                                     reason or "recovered")
-                    rec.clean_streak = 0
+        if health is Health.OK:
+            if rec.health is Health.OK:
                 return
-            rec.clean_streak = 0
-            self._set_health(rec, health, now, reason)
+            rec.clean_streak += 1
+            if rec.clean_streak >= self.heal_after:
+                self._set_health(rec, Health.OK, now, reason or "recovered")
+                rec.clean_streak = 0
+            return
+        rec.clean_streak = 0
+        self._set_health(rec, health, now, reason)
 
     # -- explicit transitions (fault injection / recovery) -------------------
 
     def fail(self, name: str, now: float, reason: str = "") -> None:
         rec = self.register(name)
-        with self._lock:
-            rec.clean_streak = 0
-            self._set_health(rec, Health.FAILED, now, reason)
+        rec.clean_streak = 0
+        self._set_health(rec, Health.FAILED, now, reason)
 
     def heal(self, name: str, now: float, reason: str = "") -> None:
         rec = self.register(name)
-        with self._lock:
-            rec.breaker.record_success(now)
-            rec.clean_streak = 0
-            self._set_health(rec, Health.OK, now, reason or "healed")
+        rec.breaker.record_success(now)
+        rec.clean_streak = 0
+        self._set_health(rec, Health.OK, now, reason or "healed")
 
     # -- reporting ----------------------------------------------------------
 

@@ -464,7 +464,7 @@ VITALS: tuple[tuple[str, Callable[["MonitoringPipeline"], Any],
                "end across every tenant."),
         _vital("selfmon.serve.rejected", "count", _C, "frontend", "rejected",
                "Cumulative queries shed by tenant admission "
-               "control (rate or concurrency); rejections return "
+               "control (token-bucket rate); rejections return "
                "empty answers, never exceptions.",
                higher_is_worse=True),
         _vital("selfmon.serve.cache_hit_ratio", "ratio", _G, "result-cache",

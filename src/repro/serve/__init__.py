@@ -14,8 +14,7 @@ existing stores:
   (:mod:`repro.serve.plan`) and invalidated precisely by per-metric
   store epochs — the same byte-bounded
   :class:`~repro.storage.chunkcache.LRUCache` as the chunk cache,
-* per-tenant token-bucket quotas and concurrency limits in the
-  ``response/governor`` style — rejections are accounted, not raised
+* per-tenant token-bucket quotas in the ``response/governor`` style — rejections are accounted, not raised
   (:mod:`repro.serve.quota`),
 * the :class:`~repro.serve.frontend.QueryFrontend` tying them together
   behind the familiar store query surface — every read is one

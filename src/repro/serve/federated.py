@@ -21,7 +21,6 @@ errors rather than anyone seeing an exception.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -60,7 +59,6 @@ class FederatedFrontend:
                 )
         self.frontends: dict[str, QueryFrontend] = dict(frontends)
         self._down: set[str] = set()
-        self._lock = threading.Lock()
         self._queries = 0
         self._fanouts = 0
         self._partial_answers = 0
@@ -107,25 +105,20 @@ class FederatedFrontend:
         a failed shard into an accounted partial result instead of an
         exception.
         """
-        with self._lock:
-            self._fanouts += 1
+        self._fanouts += 1
         if site in self._down:
             return default, False
         try:
             return fn(), True
         except Exception:    # swallow: allowed — degraded sites are
             # accounted in stats(), not raised to the reader
-            with self._lock:
-                self._site_errors[site] = (
-                    self._site_errors.get(site, 0) + 1
-                )
+            self._site_errors[site] = self._site_errors.get(site, 0) + 1
             return default, False
 
     def _note_query(self, complete: bool) -> None:
-        with self._lock:
-            self._queries += 1
-            if not complete:
-                self._partial_answers += 1
+        self._queries += 1
+        if not complete:
+            self._partial_answers += 1
 
     # -- the familiar query surface, site-qualified -------------------------
 
@@ -267,12 +260,11 @@ class FederatedFrontend:
     # -- stats ---------------------------------------------------------------
 
     def stats(self) -> FederatedStats:
-        with self._lock:
-            return FederatedStats(
-                sites=len(self.frontends),
-                queries=self._queries,
-                fanouts=self._fanouts,
-                partial_answers=self._partial_answers,
-                site_errors=dict(self._site_errors),
-                down=tuple(sorted(self._down)),
-            )
+        return FederatedStats(
+            sites=len(self.frontends),
+            queries=self._queries,
+            fanouts=self._fanouts,
+            partial_answers=self._partial_answers,
+            site_errors=dict(self._site_errors),
+            down=tuple(sorted(self._down)),
+        )

@@ -26,7 +26,6 @@ property suite holds as an invariant.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -95,7 +94,7 @@ class QueryFrontend:
     series folds rollup pyramids, so a bucketed read answers whole
     buckets from rollup rows where a level tiles the step.  Every read
     method is one :meth:`_serve`: admit, probe the result cache, answer,
-    cache the answer, release.
+    cache the answer.
     """
 
     def __init__(
@@ -107,7 +106,6 @@ class QueryFrontend:
         self.store = store
         self.result_cache = LRUCache(16 << 20)
         self.governor = TenantGovernor(quotas, clock=clock)
-        self._lock = threading.Lock()
         self._queries = 0
         self._rejected = 0
         self._pyramid_answers = 0
@@ -118,27 +116,20 @@ class QueryFrontend:
         """The one read path.  A shed tenant gets ``empty()`` (accounted,
         never raised); an admitted one gets the cached answer to
         ``plan`` if the metric has not moved since, else ``answer()``,
-        which is then cached (``plan=None``: never cached).  The
-        concurrency slot is released however the read ends."""
-        ok = self.governor.admit(tenant)
-        with self._lock:
-            self._queries += 1
-            if not ok:
-                self._rejected += 1
-        if not ok:
+        which is then cached (``plan=None``: never cached)."""
+        self._queries += 1
+        if not self.governor.admit(tenant):
+            self._rejected += 1
             return empty()
-        try:
-            if plan is None:
-                return answer()
-            epoch = self.store.query_epoch(plan.metric)
-            out = self.result_cache.get(plan, epoch)
-            if out is None:
-                out = answer()
-                self.result_cache.put(
-                    plan, out, _answer_bytes(out) + _ENTRY_OVERHEAD, epoch)
-            return out
-        finally:
-            self.governor.release(tenant)
+        if plan is None:
+            return answer()
+        epoch = self.store.query_epoch(plan.metric)
+        out = self.result_cache.get(plan, epoch)
+        if out is None:
+            out = answer()
+            self.result_cache.put(
+                plan, out, _answer_bytes(out) + _ENTRY_OVERHEAD, epoch)
+        return out
 
     # -- the store query surface --------------------------------------------
 
@@ -200,25 +191,23 @@ class QueryFrontend:
         batch, rollup = self.store._bucketed_read(
             plan.metric, components, plan.t0, plan.t1, plan.step, plan.agg,
             label)
-        with self._lock:
-            if rollup:
-                self._pyramid_answers += 1
-            else:
-                self._raw_answers += 1
+        if rollup:
+            self._pyramid_answers += 1
+        else:
+            self._raw_answers += 1
         return batch
 
     # -- stats --------------------------------------------------------------
 
     def stats(self) -> ServeStats:
-        with self._lock:
-            return ServeStats(
-                queries=self._queries,
-                rejected=self._rejected,
-                pyramid_answers=self._pyramid_answers,
-                raw_answers=self._raw_answers,
-                cache=self.result_cache.stats(),
-                tenants=self.governor.all_stats(),
-            )
+        return ServeStats(
+            queries=self._queries,
+            rejected=self._rejected,
+            pyramid_answers=self._pyramid_answers,
+            raw_answers=self._raw_answers,
+            cache=self.result_cache.stats(),
+            tenants=self.governor.all_stats(),
+        )
 
     def tenant_stats(self, tenant: str) -> TenantStats:
         return self.governor.tenant_stats(tenant)

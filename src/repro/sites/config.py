@@ -187,8 +187,7 @@ class SiteConfig:
         for f in fields(self):
             v = getattr(self, f.name)
             if f.name == "quotas" and v:
-                v = {t: (q.qps, q.burst, q.max_concurrent)
-                     for t, q in v.items()}
+                v = {t: (q.qps, q.burst) for t, q in v.items()}
             out[f.name] = v
         return out
 

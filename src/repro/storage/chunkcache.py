@@ -30,7 +30,6 @@ everything.  The counters feed the ``selfmon.store.cache_*`` and
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Iterable
@@ -61,8 +60,8 @@ class CacheStats:
 
 
 class LRUCache:
-    """Thread-safe LRU over ``key -> (epoch, value, nbytes)``, bounded
-    by the resident ``nbytes``.  Callers must treat returned values as
+    """LRU over ``key -> (epoch, value, nbytes)``, bounded by the
+    resident ``nbytes``.  Callers must treat returned values as
     immutable — they are shared between every hit."""
 
     def __init__(self, max_bytes: int) -> None:
@@ -78,7 +77,6 @@ class LRUCache:
         self._stale = 0
         self._evictions = 0
         self._invalidations = 0
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -90,20 +88,19 @@ class LRUCache:
     def get(self, key: Hashable, epoch: int = 0):
         """The value cached under ``key``, or None; an entry recorded
         under another epoch is dropped and counts as stale and a miss."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            if entry[0] != epoch:
-                del self._entries[key]
-                self._bytes -= entry[2]
-                self._stale += 1
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return entry[1]
+        entry = self._entries.get(key)
+        if entry is None:
+            self._misses += 1
+            return None
+        if entry[0] != epoch:
+            del self._entries[key]
+            self._bytes -= entry[2]
+            self._stale += 1
+            self._misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self._hits += 1
+        return entry[1]
 
     def put(self, key: Hashable, value, nbytes: int,
             epoch: int = 0) -> None:
@@ -111,44 +108,40 @@ class LRUCache:
         fit; an entry larger than the whole bound is refused."""
         if nbytes > self.max_bytes:
             return
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= old[2]
-            self._entries[key] = (epoch, value, nbytes)
-            self._bytes += nbytes
-            while self._bytes > self.max_bytes:
-                _, (_, _, gone) = self._entries.popitem(last=False)
-                self._bytes -= gone
-                self._evictions += 1
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self._bytes -= old[2]
+        self._entries[key] = (epoch, value, nbytes)
+        self._bytes += nbytes
+        while self._bytes > self.max_bytes:
+            _, (_, _, gone) = self._entries.popitem(last=False)
+            self._bytes -= gone
+            self._evictions += 1
 
     def invalidate(self, keys: Iterable[Hashable]) -> int:
         """Drop the entries of keys that no longer exist (store eviction,
         series drop, archiving); returns how many were resident."""
         dropped = 0
-        with self._lock:
-            for key in keys:
-                entry = self._entries.pop(key, None)
-                if entry is not None:
-                    self._bytes -= entry[2]
-                    dropped += 1
-            self._invalidations += dropped
+        for key in keys:
+            entry = self._entries.pop(key, None)
+            if entry is not None:
+                self._bytes -= entry[2]
+                dropped += 1
+        self._invalidations += dropped
         return dropped
 
     def clear(self) -> None:
         """Drop every entry; the counters survive (lifetime telemetry)."""
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
+        self._entries.clear()
+        self._bytes = 0
 
     def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                stale=self._stale,
-                evictions=self._evictions,
-                invalidations=self._invalidations,
-                entries=len(self._entries),
-                bytes=self._bytes,
-            )
+        return CacheStats(
+            hits=self._hits,
+            misses=self._misses,
+            stale=self._stale,
+            evictions=self._evictions,
+            invalidations=self._invalidations,
+            entries=len(self._entries),
+            bytes=self._bytes,
+        )

@@ -320,9 +320,9 @@ class DiskTier:
     """The on-disk tier under one :class:`TimeSeriesStore`.
 
     One tier serves exactly one store (per-shard tiers live in
-    subdirectories of a common root).  Not thread-safe on its own — it
-    inherits the store's threading contract: all mutation happens in
-    the thread that ticks the pipeline, queries run between ticks.
+    subdirectories of a common root).  One thread ticks and queries:
+    all mutation happens in the thread that ticks the pipeline, and
+    queries run between ticks.
     """
 
     def __init__(

@@ -98,10 +98,7 @@ class SqlStore:
     """sqlite3-backed relational store (in-memory by default)."""
 
     def __init__(self, path: str = ":memory:") -> None:
-        # a pipeline may be built on one thread and ticked on another;
-        # access is still serialized (one tick at a time per pipeline),
-        # so cross-thread use is safe
-        self._db = sqlite3.connect(path, check_same_thread=False)
+        self._db = sqlite3.connect(path)
         self._db.executescript(_SCHEMA)
 
     def close(self) -> None:

@@ -1,5 +1,8 @@
 """Unit tests for the relational store."""
 
+import sqlite3
+import threading
+
 import pytest
 
 from repro.core.metric import SeriesBatch
@@ -91,3 +94,22 @@ class TestSamples:
                                         list(range(20))))
         db.commit()
         assert db.footprint_bytes() > before
+
+
+class TestOneThread:
+    def test_another_thread_is_refused(self, db):
+        """The store keeps sqlite's own same-thread check: the thread
+        that built it is the one that ticks and queries."""
+        raised = []
+
+        def call():
+            try:
+                db.sample_count()
+            except sqlite3.ProgrammingError as exc:
+                raised.append(exc)
+
+        t = threading.Thread(target=call)
+        t.start()
+        t.join()
+        assert len(raised) == 1
+        assert db.sample_count() == 0    # the owning thread still reads

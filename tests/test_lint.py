@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "scripts"))
 
@@ -311,6 +313,41 @@ class TestSwallowGate:
 
         src = inspect.getsource(check_mod.lint)
         assert "check_swallows_repro" in src
+
+
+class TestNoThreadsGate:
+    """A tick runs in one thread: src/repro imports no threading module."""
+
+    def test_src_repro_imports_no_threading(self):
+        assert check_mod.check_no_threads() == []
+
+    @pytest.mark.parametrize("stmt", [
+        "import threading",
+        "from threading import Lock",
+        "import _thread",
+        "from _thread import allocate_lock",
+        "import concurrent.futures",
+        "from concurrent.futures import ThreadPoolExecutor",
+        "from concurrent import futures",
+    ])
+    def test_flags_each_import_form(self, tmp_path, stmt):
+        f = tmp_path / "mod.py"
+        f.write_text(f"def f():\n    {stmt}\n")
+        problems = check_mod.check_thread_imports(f)
+        assert len(problems) == 1
+        assert ":2:" in problems[0] and "one thread" in problems[0]
+
+    def test_unrelated_and_relative_imports_pass(self, tmp_path):
+        f = tmp_path / "mod.py"
+        f.write_text("import concurrent\nimport time\n"
+                     "from .threading import x\nx, time, concurrent\n")
+        assert check_mod.check_thread_imports(f) == []
+
+    def test_gate_is_wired_into_lint(self):
+        import inspect
+
+        src = inspect.getsource(check_mod.lint)
+        assert "check_no_threads" in src
 
 
 class TestSharedStateGate:
