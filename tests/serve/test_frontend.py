@@ -208,8 +208,9 @@ class TestReadContract:
             assert_same(READS[method](fe, tenant="t"), want)
         assert fe.stats().rejected == 0
 
-    def test_raising_store_propagates_and_the_next_read_answers(
-            self, method, store_kind):
+    def test_raising_store_releases_the_slot(self, method, store_kind):
+        """A raising store propagates and leaves nothing held: the next
+        read is admitted and answers."""
         store = contract_store(store_kind)
         fe = QueryFrontend(store)
         fe.store = _Broken()
