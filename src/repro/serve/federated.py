@@ -2,21 +2,22 @@
 
 :class:`FederatedFrontend` is the MPCDF-style single query surface over
 N heterogeneous sites: every component name is qualified as
-``"site/component"``, single-series calls route to the owning site's
-:class:`~repro.serve.frontend.QueryFrontend` (admission, caching, and
-planning all happen *there*, so per-site tenancy and quotas stay
-intact), and ``aggregate_across`` fans out raw per-site reads and
-merges them through the partial-column machinery
-(:func:`~repro.storage.rollup.fold_partials` /
-:func:`~repro.storage.rollup.reduce_partials`) — the same columns the
-rollup pyramids use — so a cross-site answer is bit-exact against
-concatenating the per-site raw reads into one store.
+``"site/component"``, and a read is one call per site asked, to that
+site's :class:`~repro.serve.frontend.QueryFrontend` (admission, caching
+and rollup planning all happen *there*, so per-site tenancy and quotas
+stay intact).  ``aggregate_across`` is the paper's aggregation tree
+applied to reads: each site answers with its partial columns on the
+shared ``(anchor, step)`` grid (``QueryFrontend.partials``) and one
+:func:`~repro.storage.rollup.reduce_partials` merges them, ranked by
+selection position — so a cross-site answer is the answer of one store
+holding every ``site/component`` series.
 
 Unreachable sites mirror the failed-shard semantics of the sharded
-store: a site that is marked down (or whose front end raises) is
-skipped, the answer covers the remaining sites, and the degradation is
-*accounted* — ``stats()`` reports the partial answers and per-site
-errors rather than anyone seeing an exception.
+store: a site that is marked down, sheds the tenant, or whose front
+end raises is skipped, the answer covers the remaining sites, and the
+degradation is *accounted* — ``stats()`` reports the partial answers
+and per-site errors (raises only) rather than anyone seeing an
+exception.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..core.metric import SeriesBatch
-from ..storage.rollup import (bucket_anchor, check_bucketing, fold_partials,
-                              reduce_partials)
+from ..storage.rollup import bucket_anchor, check_bucketing, reduce_partials
 from .frontend import DEFAULT_TENANT, QueryFrontend
 
 __all__ = ["FederatedFrontend", "FederatedStats"]
@@ -97,23 +97,54 @@ class FederatedFrontend:
 
     # -- per-site sub-calls, with accounted degradation ---------------------
 
-    def _site_call(self, site: str, fn, default):
-        """One fan-out leg; a down or raising site yields ``default``.
-
-        Returns ``(result, ok)`` — the caller folds ``ok`` into the
-        partial-answer accounting, mirroring how the sharded store turns
-        a failed shard into an accounted partial result instead of an
-        exception.
+    def _asks(self, components: Sequence[str] | None
+              ) -> list[tuple[str, list[str] | None, np.ndarray | None]]:
+        """Whom a selection asks, in site order: ``(site, local, ranks)``
+        per site it touches.  ``None`` asks every site for everything
+        (``local``, ``ranks`` None; a piece ranks site-major, as one
+        merged store would enumerate ``site/component``).  An explicit
+        selection asks each site for its components in selection order,
+        a repeat counting once (first position wins); ``ranks[i]`` is
+        the selection position of the site's ``i``-th component.
         """
-        self._fanouts += 1
-        if site in self._down:
-            return default, False
-        try:
-            return fn(), True
-        except Exception:    # swallow: allowed — degraded sites are
-            # accounted in stats(), not raised to the reader
-            self._site_errors[site] = self._site_errors.get(site, 0) + 1
-            return default, False
+        if components is None:
+            return [(site, None, None) for site in self.frontends]
+        by_site: dict[str, tuple[list[str], list[int]]] = {}
+        for pos, c in enumerate(dict.fromkeys(components)):
+            site, local = self._split(c)
+            if local:
+                comps, ranks = by_site.setdefault(site, ([], []))
+                comps.append(local)
+                ranks.append(pos)
+        return [(site, by_site[site][0], np.asarray(by_site[site][1]))
+                for site in self.frontends if site in by_site]
+
+    def _fan_out(self, asks, call) -> tuple[dict[str, object], bool]:
+        """One site call per ask, ``call(frontend, local)``: the answers
+        of the sites that gave one, in site order, and whether every
+        site asked did.
+
+        A site that is marked down, sheds the tenant or raises gives no
+        answer — mirroring how the sharded store turns a failed shard
+        into an accounted partial result instead of an exception.  Only
+        a raise counts as a site error.
+        """
+        got = {}
+        for site, local, _ in asks:
+            self._fanouts += 1
+            if site in self._down:
+                continue
+            fe = self.frontends[site]
+            shed = fe.rejected
+            try:
+                out = call(fe, local)
+            except Exception:    # swallow: allowed — degraded sites are
+                # accounted in stats(), not raised to the reader
+                self._site_errors[site] = self._site_errors.get(site, 0) + 1
+                continue
+            if fe.rejected == shed:
+                got[site] = out
+        return got, len(got) == len(asks)
 
     def _note_query(self, complete: bool) -> None:
         self._queries += 1
@@ -122,31 +153,22 @@ class FederatedFrontend:
 
     # -- the familiar query surface, site-qualified -------------------------
 
-    def _listing(self, metric: str,
-                 tenant: str) -> list[tuple[str, list[str], bool]]:
-        """Every site's own components, in site order: ``(site, comps,
-        ok)`` (an unreachable site lists nothing, ``ok`` False)."""
-        return [(site, *self._site_call(
-                    site, lambda fe=fe: fe.components(metric, tenant=tenant),
-                    []))
-                for site, fe in self.frontends.items()]
-
     def components(self, metric: str,
                    tenant: str = DEFAULT_TENANT) -> list[str]:
         """All sites' components, qualified ``site/component``."""
-        listing = self._listing(metric, tenant)
-        self._note_query(all(ok for _, _, ok in listing))
-        return [f"{site}/{c}" for site, comps, _ in listing for c in comps]
+        got, complete = self._fan_out(
+            self._asks(None),
+            lambda fe, _: fe.components(metric, tenant=tenant))
+        self._note_query(complete)
+        return [f"{site}/{c}" for site, comps in got.items() for c in comps]
 
     def _routed(self, metric: str, component: str, call) -> SeriesBatch:
         """One series' read, routed to the owning site's front end as
         ``call(frontend, local_component)``."""
         site, local = self._split(component)
-        fe = self.frontends[site]
-        batch, ok = self._site_call(site, lambda: call(fe, local),
-                                    SeriesBatch.empty(metric))
-        self._note_query(ok)
-        return batch
+        got, complete = self._fan_out([(site, local, None)], call)
+        self._note_query(complete)
+        return got[site] if complete else SeriesBatch.empty(metric)
 
     def query(self, metric: str, component: str,
               t0: float = -np.inf, t1: float = np.inf,
@@ -157,51 +179,13 @@ class FederatedFrontend:
     def downsample(self, metric: str, component: str, t0: float, t1: float,
                    step: float, agg: str = "mean",
                    tenant: str = DEFAULT_TENANT) -> SeriesBatch:
-        """Route one site's downsample; exactness holds site-locally."""
+        """Route one site's downsample; exactness holds site-locally.  A
+        bad ``agg`` or ``step`` is the caller's error, raised before any
+        site is asked."""
+        check_bucketing(agg, step)
         return self._routed(
             metric, component, lambda fe, local: fe.downsample(
                 metric, local, t0, t1, step, agg, tenant=tenant))
-
-    def _read(
-        self,
-        metric: str,
-        components: Sequence[str] | None,
-        t0: float,
-        t1: float,
-        tenant: str,
-    ) -> list[tuple[str, str, SeriesBatch]]:
-        """The one fan-out read: ``(site, local, batch)`` per selected
-        component its site answered, each read through that site's front
-        end (per-site admission applies), and the query counted partial
-        if any site was down or raised.
-
-        ``None`` selects every component of every site, in site order
-        then each site's own component order — exactly the order one
-        merged store holding ``site/component`` series site-major would
-        enumerate, which is what keeps ``last`` tie-breaks oracle-exact.
-        A repeat in an explicit selection counts once, first position
-        wins — the merged store's ``query_components`` dict order.
-        """
-        if components is None:
-            listing = self._listing(metric, tenant)
-            complete = all(ok for _, _, ok in listing)
-            wanted = [(site, c) for site, comps, _ in listing for c in comps]
-        else:
-            complete = True
-            wanted = [self._split(c) for c in dict.fromkeys(components)]
-        reads = []
-        for site, local in wanted:
-            if not local:
-                continue
-            fe = self.frontends[site]
-            batch, ok = self._site_call(
-                site, lambda: fe.query(metric, local, t0, t1, tenant=tenant),
-                None)
-            complete = complete and ok
-            if ok:
-                reads.append((site, local, batch))
-        self._note_query(complete)
-        return reads
 
     def query_components(
         self,
@@ -211,9 +195,20 @@ class FederatedFrontend:
         t1: float = np.inf,
         tenant: str = DEFAULT_TENANT,
     ) -> dict[str, SeriesBatch]:
-        """Per-component batches across sites, qualified keys."""
-        return {f"{site}/{local}": batch for site, local, batch
-                in self._read(metric, components, t0, t1, tenant)}
+        """Per-component batches across sites, qualified keys: one site
+        ``query_components`` per site asked, keys site-major for
+        ``None`` and in selection order otherwise."""
+        got, complete = self._fan_out(
+            self._asks(components),
+            lambda fe, local: fe.query_components(metric, local, t0, t1,
+                                                  tenant=tenant))
+        self._note_query(complete)
+        per_site = {f"{site}/{c}": b
+                    for site, per in got.items() for c, b in per.items()}
+        if components is None:
+            return per_site
+        return {c: per_site[c] for c in dict.fromkeys(components)
+                if c in per_site}
 
     # -- the cross-site exact merge -----------------------------------------
 
@@ -227,32 +222,36 @@ class FederatedFrontend:
         agg: str = "sum",
         tenant: str = DEFAULT_TENANT,
     ) -> SeriesBatch:
-        """Cross-site aggregate, exact via partial-column merging.
-
-        Each selected component's raw window comes from the one fan-out
-        read, is folded into partial columns on the shared
-        ``(anchor, step)`` grid, and merged with :func:`reduce_partials`
-        ranked by site-major component position — reproducing
-        bit-for-bit the stable time-sort concat the raw single-store
-        path performs.  Unreachable sites contribute nothing and the
-        answer is counted partial.
+        """Cross-site aggregate, exact via partial-column merging: one
+        ``partials`` call per site asked, every piece re-ranked by its
+        component's place in the selection (:meth:`_asks`), one
+        :func:`reduce_partials` — the stable time-sort concat the raw
+        single-store path performs.  An unbounded ``t0`` first asks each
+        site its first sample time and reads ``[earliest, t1)``: the
+        same samples, the same anchor.  Unreachable or shedding sites
+        contribute nothing and the answer is counted partial.
         """
         check_bucketing(agg, step)
-        batches = [b for _, _, b in self._read(metric, components, t0, t1,
-                                                tenant) if len(b)]
-        if not batches:
-            return SeriesBatch.empty(metric)
-        lo = (
-            t0 if np.isfinite(t0)
-            else min(float(b.times[0]) for b in batches)
-        )
-        anchor = bucket_anchor(lo, step)
-        pieces = [
-            fold_partials(b.times, b.values, anchor, step) for b in batches
-        ]
-        out_t, out_v = reduce_partials(
-            pieces, anchor, step, agg, piece_comp=range(len(pieces))
-        )
+        asks = self._asks(components)
+        complete = True
+        if t0 == -np.inf:
+            firsts, complete = self._fan_out(
+                asks, lambda fe, local: fe.first_time(metric, local,
+                                                      tenant=tenant))
+            t0 = min(firsts.values(), default=np.inf)
+        got, ok = self._fan_out(
+            asks, lambda fe, local: fe.partials(metric, local, t0, t1, step,
+                                                tenant=tenant))
+        self._note_query(complete and ok)
+        pieces, piece_comp = [], []
+        for i, (site, _, ranks) in enumerate(asks):
+            if site in got:
+                site_pieces, site_comp, _ = got[site]
+                pieces.extend(site_pieces)
+                piece_comp.extend((i << 32) + c if ranks is None
+                                  else ranks[c] for c in site_comp)
+        out_t, out_v = reduce_partials(pieces, bucket_anchor(t0, step), step,
+                                       agg, piece_comp=piece_comp)
         if not len(out_t):
             return SeriesBatch.empty(metric)
         return SeriesBatch.for_component(metric, f"agg({agg})", out_t, out_v)

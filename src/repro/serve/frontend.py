@@ -13,11 +13,14 @@
    store's per-metric mutation epoch, so repeated dashboard reads
    between ingest ticks cost a dict lookup,
 3. **counting** — ``downsample``/``aggregate_across`` go through the
-   store's one bucketed read (``SeriesQueryMixin._bucketed_read`` over
+   store's one bucketed read (``SeriesQueryMixin._bucketed_read``: the
+   ``bucket_partials`` step over
    :func:`repro.storage.rollup.series_partials` and
-   :func:`~repro.storage.rollup.head_partials`), and the front end
+   :func:`~repro.storage.rollup.head_partials`, then one
+   :func:`~repro.storage.rollup.reduce_partials`), and the front end
    counts whether each answer read rollup rows or only chunk summaries
-   and samples.
+   and samples.  A federated aggregate asks for the same read stopped
+   before its reduce (:meth:`QueryFrontend.partials`).
 
 The front end does no arithmetic of its own: every answer — cached or
 not — is exactly the answer the underlying store would give, which the
@@ -33,6 +36,7 @@ import numpy as np
 
 from ..core.metric import SeriesBatch
 from ..storage.chunkcache import CacheStats, LRUCache
+from ..storage.rollup import bucket_anchor
 from .plan import QueryPlan
 from .quota import TenantGovernor, TenantQuota, TenantStats
 
@@ -46,11 +50,20 @@ _ENTRY_OVERHEAD = 128
 
 def _answer_bytes(answer) -> int:
     """Approximate footprint of an answer: a
-    :class:`~repro.core.metric.SeriesBatch` or a dict of them (the
-    ``query_components`` shape)."""
+    :class:`~repro.core.metric.SeriesBatch`, a dict of them (the
+    ``query_components`` shape), the arrays of a :meth:`partials`
+    answer, or a scalar.  A partials array may be a slice of a rollup
+    level, which it keeps alive whole: it counts as that level."""
+    if isinstance(answer, SeriesBatch):
+        return int(answer.times.nbytes + answer.values.nbytes) + 32
+    if isinstance(answer, np.ndarray):
+        base = answer.base
+        return int((base if isinstance(base, np.ndarray) else answer).nbytes)
     if isinstance(answer, dict):
-        return sum(_answer_bytes(b) for b in answer.values())
-    return int(answer.times.nbytes + answer.values.nbytes) + 32
+        return sum(map(_answer_bytes, answer.values()))
+    if isinstance(answer, (tuple, list)):
+        return sum(map(_answer_bytes, answer))
+    return 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,20 +195,49 @@ class QueryFrontend:
             lambda: self._bucketed(plan, plan.components,
                                    f"agg({plan.agg})"))
 
+    # -- the federation's reads: one call per site ---------------------------
+
+    def partials(self, metric: str, components: Sequence[str] | None,
+                 t0: float, t1: float, step: float,
+                 tenant: str = DEFAULT_TENANT) -> tuple[list, list, bool]:
+        """The store's ``bucket_partials`` over ``[t0, t1)`` on the
+        ``(bucket_anchor(t0, step), step)`` grid; its plan leaves ``agg``
+        empty, so one answer serves every agg.  ``t0`` is finite (see
+        :meth:`first_time`); a shed tenant gets no pieces."""
+        plan = QueryPlan.aggregate(metric, components, t0, t1, step, "")
+        return self._serve(
+            tenant, plan, lambda: ([], [], False),
+            lambda: self._count(self.store.bucket_partials(
+                metric, plan.components, plan.t0, plan.t1, plan.step,
+                bucket_anchor(plan.t0, plan.step))))
+
+    def first_time(self, metric: str, components: Sequence[str] | None,
+                   tenant: str = DEFAULT_TENANT) -> float:
+        """Earliest sample time across a selection (``inf``: none, or
+        shed) — where an unbounded aggregate anchors its grid."""
+        plan = QueryPlan.first_time(metric, components)
+        return self._serve(
+            tenant, plan, lambda: np.inf,
+            lambda: self.store.first_time(metric, plan.components))
+
     # -- the bucketed read, counted ------------------------------------------
+
+    def _count(self, answer: tuple):
+        """Count whether a bucketed answer (``rollup`` last) read rollup
+        rows or only chunk summaries and samples; pass it through."""
+        if answer[-1]:
+            self._pyramid_answers += 1
+        else:
+            self._raw_answers += 1
+        return answer
 
     def _bucketed(self, plan: QueryPlan, components: Sequence[str] | None,
                   label: str) -> SeriesBatch:
         """Answer a downsample / aggregate plan through the store's one
         bucketed read and count which sources it drew on."""
-        batch, rollup = self.store._bucketed_read(
+        return self._count(self.store._bucketed_read(
             plan.metric, components, plan.t0, plan.t1, plan.step, plan.agg,
-            label)
-        if rollup:
-            self._pyramid_answers += 1
-        else:
-            self._raw_answers += 1
-        return batch
+            label))[0]
 
     # -- stats --------------------------------------------------------------
 
@@ -211,3 +253,8 @@ class QueryFrontend:
 
     def tenant_stats(self, tenant: str) -> TenantStats:
         return self.governor.tenant_stats(tenant)
+
+    @property
+    def rejected(self) -> int:
+        """Reads shed so far (``stats().rejected`` without the rest)."""
+        return self._rejected

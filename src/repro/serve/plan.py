@@ -29,8 +29,10 @@ class QueryPlan:
     """One normalized read: what is being asked, not how to answer it.
 
     ``kind`` is ``"range"`` (raw samples of one series), ``"sweep"``
-    (range over many series), ``"downsample"`` or ``"aggregate"``.
-    Unused fields are ``None``/0 so equal questions hash equal.
+    (range over many series), ``"downsample"``, ``"aggregate"`` (with
+    ``agg`` empty: the partial columns every agg reduces from) or
+    ``"first"`` (a selection's earliest sample time).  Unused fields are
+    ``None``/0 so equal questions hash equal.
     """
 
     kind: str
@@ -66,3 +68,9 @@ class QueryPlan:
                   agg: str) -> "QueryPlan":
         return cls("aggregate", metric, None, _selection(components),
                    float(t0), float(t1), float(step), str(agg))
+
+    @classmethod
+    def first_time(cls, metric: str,
+                   components: Sequence[str] | None) -> "QueryPlan":
+        return cls("first", metric, None, _selection(components),
+                   0.0, 0.0, 0.0, "")

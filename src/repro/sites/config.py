@@ -18,7 +18,7 @@ that live-pipeline introspection must reproduce exactly (the contract
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any
 
 from ..serve.quota import TenantQuota
@@ -180,14 +180,3 @@ class SiteConfig:
             "cadence_s": float(self.metric_interval_s),
             "tenants": len(self.quotas) if self.quotas else 0,
         }
-
-    def to_dict(self) -> dict:
-        """Plain-data view (quota values expanded), for diffing sites."""
-        out: dict = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name == "quotas" and v:
-                v = {t: (q.qps, q.burst) for t, q in v.items()}
-            out[f.name] = v
-        return out
-

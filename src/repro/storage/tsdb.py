@@ -1183,6 +1183,71 @@ class SeriesQueryMixin:
         out_t, out_v = _bucket_agg(raw.times, raw.values, anchor, step, agg)
         return SeriesBatch.for_component(metric, component, out_t, out_v)
 
+    def _views(self, metric: str, components: Sequence[str] | None
+               ) -> tuple[np.ndarray, list[tuple[_Series, LRUCache]]]:
+        """The views of a selection's components that reads can reach
+        (``None``: the metric's components), and each one's position in
+        the selection — the rank that orders ``last`` tie-breaks."""
+        comps = components if components is not None else self.components(metric)
+        views = [self._series_view(metric, c) for c in comps]
+        ranks = np.arange(len(views))
+        if None in views:
+            ranks = ranks[[v is not None for v in views]]
+            views = [v for v in views if v is not None]
+        return ranks, views
+
+    def first_time(self, metric: str,
+                   components: Sequence[str] | None = None) -> float:
+        """Earliest sample time across a selection (``inf`` when it holds
+        none): where an unbounded bucketed read anchors its grid."""
+        views = self._views(metric, components)[1]
+        return min(itertools.chain(
+            (c.summary.t_min for s, _ in views for c in s.chunks),
+            (head_first_time(b, rows) for b, _, rows in _head_blocks(views))),
+            default=np.inf)
+
+    def bucket_partials(
+        self,
+        metric: str,
+        components: Sequence[str] | None,
+        t0: float,
+        t1: float,
+        step: float,
+        anchor: float,
+    ) -> tuple[list[tuple[np.ndarray, ...]], list[int | np.ndarray], bool]:
+        """The partials step of a bucketed read: ``(pieces, piece_comp,
+        rollup)`` for ``components`` of a metric over ``[t0, t1)`` on the
+        ``(anchor, step)`` grid, ready for
+        :func:`~repro.storage.rollup.reduce_partials`, and whether rollup
+        rows answered the whole buckets of the window.
+
+        A piece ranks by its component's position in the selection (so
+        ``last`` tie-breaks agree with the raw path); unreadable or
+        missing series contribute nothing, an empty window or a
+        non-finite anchor nothing at all.  Sealed data is read series by
+        series (:func:`~repro.storage.rollup.series_partials`, under one
+        ``window_plan``), open heads with one
+        :func:`~repro.storage.rollup.head_partials` per head block the
+        selection touches (one on a plain store, at most one per shard).
+        """
+        if not (t0 < t1 and np.isfinite(anchor)):
+            return [], [], False
+        ranks, views = self._views(metric, components)
+        plan = window_plan(self.pyramid_levels, t0, t1, step, anchor)
+        pieces: list[tuple[np.ndarray, ...]] = []
+        piece_comp: list[int | np.ndarray] = []
+        for rank, (series, cache) in zip(ranks.tolist(), views):
+            ps = series_partials(series, cache, t0, t1, step, anchor, plan)
+            pieces.extend(ps)
+            piece_comp.extend([rank] * len(ps))
+        for block, idx, rows in _head_blocks(views):
+            piece, owner = head_partials(
+                block, rows, [views[i][0].n_sealed_samples for i in idx],
+                t0, t1, step, anchor)
+            pieces.append(piece)
+            piece_comp.append(ranks[idx][owner])
+        return pieces, piece_comp, bool(views) and plan is not None
+
     def _bucketed_read(
         self,
         metric: str,
@@ -1195,50 +1260,17 @@ class SeriesQueryMixin:
     ) -> tuple[SeriesBatch, bool]:
         """The one bucketed read: ``components`` of a metric reduced onto
         the step grid as the series ``label``, and whether rollup rows
-        answered the whole buckets of the window.
-
-        Mirrors the raw path exactly: components rank in selection order
-        (so ``last`` tie-breaks agree), unreadable or missing series
-        contribute nothing, and an unbounded ``t0`` anchors the grid at
-        the first sample across the selection.  Sealed data is read
-        series by series (:func:`~repro.storage.rollup.series_partials`,
-        under one ``window_plan``), open heads a head block at a time:
-        one :func:`~repro.storage.rollup.head_partials` per block the
-        selection touches (one on a plain store, at most one per shard),
-        for one series or ten thousand.
+        answered the whole buckets of the window — :meth:`first_time`
+        (an unbounded ``t0`` anchors the grid at the selection's first
+        sample), :meth:`bucket_partials`, one ``reduce_partials``.
         """
         check_bucketing(agg, step)
-        comps = components if components is not None else self.components(metric)
-        views = [sv for c in comps
-                 if (sv := self._series_view(metric, c)) is not None]
-        if not t0 < t1:                     # empty (or NaN-bounded) window
-            return SeriesBatch.empty(metric), False
-        # per head block: its series' ranks, rows and sealed counts
-        heads = [(block, ranks, rows,
-                  [views[r][0].n_sealed_samples for r in ranks])
-                 for block, ranks, rows in _head_blocks(views)]
-        lo = t0 if np.isfinite(t0) else min(itertools.chain(
-            (c.summary.t_min for s, _ in views for c in s.chunks),
-            (head_first_time(b, rows) for b, _, rows, _ in heads)),
-            default=np.inf)
-        if not np.isfinite(lo):
-            return SeriesBatch.empty(metric), False
+        lo = self.first_time(metric, components) if t0 == -np.inf else t0
         anchor = bucket_anchor(lo, step)
-        plan = window_plan(self.pyramid_levels, t0, t1, step, anchor)
-        pieces: list[tuple[np.ndarray, ...]] = []
-        piece_comp: list[int | np.ndarray] = []
-        for rank, (series, cache) in enumerate(views):
-            ps = series_partials(series, cache, t0, t1, step, anchor, plan)
-            pieces.extend(ps)
-            piece_comp.extend([rank] * len(ps))
-        for block, ranks, rows, seq_base in heads:
-            piece, owner = head_partials(block, rows, seq_base, t0, t1, step,
-                                         anchor)
-            pieces.append(piece)
-            piece_comp.append(np.asarray(ranks)[owner])
+        pieces, piece_comp, rollup = self.bucket_partials(
+            metric, components, t0, t1, step, anchor)
         out_t, out_v = reduce_partials(pieces, anchor, step, agg,
                                        piece_comp=piece_comp)
-        rollup = bool(views) and plan is not None
         if not len(out_t):
             return SeriesBatch.empty(metric), rollup
         return SeriesBatch.for_component(metric, label, out_t, out_v), rollup

@@ -100,6 +100,31 @@ class TestFederatedEqualsMerged:
         assert fed.stats().partial_answers == 0
 
     @given(times=times_ms, step=steps, window=windows,
+           agg=st.sampled_from(AGGS),
+           unbounded=st.booleans(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_interleaved_selection_matches_merged_store(
+            self, times, step, window, agg, unbounded, data):
+        """An explicit selection interleaving sites (a permutation of a
+        subset of every ``site/comp``) ranks each component by its place
+        in the selection, as the merged store's stable concat does: the
+        equal-timestamp ``last`` ties across sites catch any other
+        rank."""
+        fed, merged = _build(times, data, n_comps=3)
+        names = [f"{site}/c{c}" for site in SITES for c in range(3)]
+        sel = data.draw(st.permutations(names))[
+            :data.draw(st.integers(min_value=1, max_value=len(names)))]
+        t0, t1 = (-np.inf, np.inf) if unbounded else window
+        got = fed.aggregate_across("m.x", sel, t0, t1, step, agg)
+        want = merged.aggregate_across("m.x", sel, t0, t1, step, agg)
+        assert_batches_equal(got, want, (sel, step, agg, t0, t1))
+        per = fed.query_components("m.x", sel, t0, t1)
+        assert list(per) == sel
+        for c, batch in per.items():
+            assert_batches_equal(batch, merged.query("m.x", c, t0, t1), c)
+        assert fed.stats().partial_answers == 0
+
+    @given(times=times_ms, step=steps, window=windows,
            agg=st.sampled_from(AGGS), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_downed_site_degrades_to_accounted_partial(

@@ -6,7 +6,7 @@ import pytest
 from repro.core.metric import SeriesBatch
 from repro.serve.frontend import QueryFrontend
 from repro.serve.quota import TenantQuota, TenantStats
-from repro.storage.rollup import DEFAULT_LEVELS
+from repro.storage.rollup import DEFAULT_LEVELS, bucket_anchor, reduce_partials
 from repro.storage.sharded import ShardedTimeSeriesStore
 from repro.storage.tsdb import TimeSeriesStore
 
@@ -83,6 +83,44 @@ class TestResultCaching:
         assert fe.aggregate_across("m", ["a", "a", "b"], 0.0, 600.0, 60.0,
                                    "count") is got
         assert fe.stats().cache.hits == 1
+
+    def test_partials_serve_every_agg_from_one_entry(self):
+        """The federation's per-site reads: one cached partials answer
+        (its plan has no agg) reduces to the store's answer for all six
+        aggs; a shed tenant gets no pieces and no first time."""
+        store = make_store()
+        fe = QueryFrontend(store, quotas={"g": TenantQuota(0.0, 0.0)})
+        t0 = fe.first_time("m.x", None)
+        assert t0 == store.first_time("m.x") == store.query(
+            "m.x", "c0").times[0]
+        for agg in ("mean", "sum", "min", "max", "last", "count"):
+            pieces, comp, _ = fe.partials("m.x", None, t0, 7000.0, 600.0)
+            got_t, got_v = reduce_partials(
+                pieces, bucket_anchor(t0, 600.0), 600.0, agg, comp)
+            want = store.aggregate_across("m.x", None, -np.inf, 7000.0,
+                                          600.0, agg)
+            assert np.array_equal(got_t, want.times)
+            assert np.allclose(got_v, want.values, rtol=1e-12)
+        s = fe.stats()
+        assert s.cache.hits == 5 and s.pyramid_answers == 1
+        assert fe.partials("m.x", None, t0, 7000.0, 600.0,
+                           tenant="g") == ([], [], False)
+        assert fe.first_time("m.x", None, tenant="g") == np.inf
+        assert fe.rejected == 2
+
+    def test_partials_are_charged_the_levels_they_keep_alive(self):
+        """Rollup rows in a partials answer are slices of a series'
+        merged level, which a cached answer keeps alive whole: the
+        result cache's byte bound counts the level, not the slice."""
+        store = TimeSeriesStore(chunk_size=16, pyramid_levels=DEFAULT_LEVELS)
+        store.append(SeriesBatch.for_component(
+            "m", "c0", np.arange(2000) * 10.0, np.ones(2000)))
+        fe = QueryFrontend(store)
+        pieces, _, rollup = fe.partials("m", None, 19000.0, 19600.0, 60.0)
+        kept = {id(a.base): a.base.nbytes for piece in pieces for a in piece
+                if isinstance(a.base, np.ndarray)}
+        assert rollup and kept
+        assert fe.stats().cache.bytes >= sum(kept.values())
 
     def test_pyramid_counter_moves_on_eligible_grid(self):
         fe = QueryFrontend(make_store())

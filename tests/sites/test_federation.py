@@ -7,10 +7,13 @@ series, health timeline, and delivery ledger bit-identical to a solo
 run.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.cluster.workload import Job, JobGenerator
+from repro.core.metric import SeriesBatch
 from repro.obs.chaos import (
     CollectorRaise,
     MonitorFaultInjector,
@@ -23,6 +26,10 @@ from repro.sites import (
     build_site,
     paper_site,
 )
+from repro.serve.federated import FederatedFrontend
+from repro.serve.frontend import QueryFrontend
+from repro.serve.quota import TenantStats
+from repro.storage.tsdb import TimeSeriesStore
 
 
 def _timing_metric(name):
@@ -188,3 +195,68 @@ class TestSiteIsolation:
         assert a == b
         assert a.balanced and a.unaccounted == 0
 
+
+class TestFederatedAdmission:
+    """A federated read is one admitted call per site asked, and a site
+    that sheds the tenant makes an accounted partial answer."""
+
+    def test_one_token_per_site_and_a_shed_site_is_partial(self):
+        fed = Federation.from_presets(["kaust", "alcf"])
+        for _ in range(40):
+            fed.step()
+        fe, kaust = fed.frontend(), fed.site("kaust").frontend
+        now = fed.now
+
+        def read():
+            return fe.aggregate_across("node.power_w", None, now - 600.0,
+                                       now, 60.0, "count", tenant="users")
+
+        # back-to-back reads agree, and each draws one token from KAUST's
+        # users bucket (TenantQuota(qps=50): 50 tokens, frozen sim clock)
+        first = read()
+        before = fe.stats()
+        second = read()
+        after = fe.stats()
+        assert np.array_equal(first.times, second.times)
+        assert np.array_equal(first.values, second.values)
+        assert kaust.tenant_stats("users") == TenantStats(2, 0)
+        assert after.fanouts - before.fanouts == 2     # one per site asked
+        assert after.partial_answers == 0
+        # a selection that touches one site asks that site alone
+        one = [c for c in fe.components("node.power_w")
+               if c.startswith("alcf/")][:3]
+        before = fe.stats()
+        fe.aggregate_across("node.power_w", one, now - 600.0, now, 60.0)
+        assert fe.stats().fanouts - before.fanouts == 1
+
+        # drain KAUST's bucket one read per token: the read it sheds
+        # covers ALCF alone and is counted partial, not a site error
+        while kaust.tenant_stats("users").rejected == 0:
+            assert fe.stats().partial_answers == 0
+            shed = read()
+        assert kaust.tenant_stats("users") == TenantStats(50, 1)
+        s = fe.stats()
+        assert s.partial_answers == 1 and s.site_errors == {}
+        alcf = fed.site("alcf").frontend.aggregate_across(
+            "node.power_w", None, now - 600.0, now, 60.0, "count",
+            tenant="users")
+        assert np.array_equal(shed.times, alcf.times)
+        assert np.array_equal(shed.values, alcf.values)
+
+
+class TestCallerErrors:
+    def test_bad_downsample_arguments_raise_before_routing(self):
+        """A bad ``step`` or ``agg`` is the caller's error, raised with
+        the store's message, not a site error or a partial answer."""
+        store = TimeSeriesStore()
+        store.append(SeriesBatch.for_component(
+            "m", "a", np.arange(60) * 10.0, np.ones(60)))
+        fed = FederatedFrontend({"x": QueryFrontend(store)})
+        before = fed.stats()
+        for step, agg in ((0.0, "mean"), (60.0, "p99")):
+            with pytest.raises(ValueError) as want:
+                store.downsample("m", "a", 0.0, 600.0, step, agg)
+            with pytest.raises(ValueError,
+                               match=re.escape(str(want.value))):
+                fed.downsample("m", "x/a", 0.0, 600.0, step, agg)
+        assert fed.stats() == before
