@@ -40,8 +40,7 @@ def _run(args, *, faults=(), streaming=(), **knobs):
     """The CLI's site, declared by ``knobs``, run for ``args.hours`` with
     the monitor ``faults`` injected (``streaming`` detectors attached
     first); returns the pipeline with its bus flushed."""
-    from .cluster import HungNode, SlowOst
-    from .obs.chaos import MonitorFaultInjector
+    from .cluster import FaultInjector, HungNode, SlowOst
     from .sites import SiteConfig, build_machine, build_site
 
     config = SiteConfig(gpu_nodes="all", mean_interarrival_s=180,
@@ -54,7 +53,7 @@ def _run(args, *, faults=(), streaming=(), **knobs):
     pipeline = build_site(config, machine=machine)
     for detector in streaming:
         pipeline.add_streaming(detector)
-    injector = MonitorFaultInjector(list(faults))
+    injector = FaultInjector(list(faults))
     end = machine.now + args.hours * 3600.0
     while machine.now < end - 1e-9:
         injector.step(pipeline, machine.now)
@@ -209,11 +208,12 @@ def cmd_store(args) -> int:
     import tempfile
     from dataclasses import dataclass
 
-    from .obs.chaos import MonitorFault, StoreCrash
+    from .cluster import Fault
+    from .obs.chaos import StoreCrash
     from .obs.selfmetrics import plain
 
     @dataclass
-    class Snapshot(MonitorFault):
+    class Snapshot(Fault):
         """A manifest snapshot on the schedule: an event, not a fault."""
 
         name: str = "snapshot"
@@ -251,6 +251,7 @@ def cmd_store(args) -> int:
     _show(pipeline, "disk_tier")
     print()
     print(pipeline.delivery_report().render())
+    tsdb.close()
     return 0
 
 

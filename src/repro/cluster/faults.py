@@ -23,7 +23,9 @@ ThermalExcursion       NERSC environmental monitoring
 
 A :class:`FaultInjector` owns a schedule of faults, applies each at its
 start time, reverts it when its window ends, and keeps the ground-truth
-record that tests compare detector output against.
+record that tests compare detector output against.  The monitor faults
+of :mod:`repro.obs.chaos` are :class:`Fault` subclasses too, stepped by
+a :class:`FaultInjector` of their own against the pipeline.
 """
 
 from __future__ import annotations
@@ -56,7 +58,12 @@ __all__ = [
 
 @dataclass
 class Fault:
-    """Base fault: active over [start, start + duration)."""
+    """Base fault: active over [start, start + duration).
+
+    ``apply`` / ``revert`` receive what the fault breaks: the
+    :class:`~repro.cluster.machine.Machine` for the faults here, the
+    :class:`~repro.pipeline.MonitoringPipeline` for a monitor fault.
+    """
 
     start: float
     duration: float | None = None   # None = until explicitly cleared
@@ -382,7 +389,8 @@ class ThermalExcursion(Fault):
 
 
 class FaultInjector:
-    """Applies scheduled faults against a machine as time advances."""
+    """Applies scheduled faults as time advances, against the machine
+    (or, for monitor faults, the pipeline) passed to :meth:`step`."""
 
     def __init__(self, faults: list[Fault] | None = None) -> None:
         self.faults: list[Fault] = list(faults or [])
@@ -391,7 +399,7 @@ class FaultInjector:
         self.faults.append(fault)
         return fault
 
-    def step(self, m: "Machine", now: float) -> None:
+    def step(self, m, now: float) -> None:
         for f in self.faults:
             if not f.applied and now >= f.start:
                 f.apply(m)
@@ -405,11 +413,15 @@ class FaultInjector:
                 f.revert(m)
                 f.reverted = True
 
-    def clear(self, m: "Machine", fault: Fault) -> None:
+    def clear(self, m, fault: Fault) -> None:
         """Explicitly end an open-ended fault."""
         if fault.applied and not fault.reverted:
             fault.revert(m)
             fault.reverted = True
+
+    def all_reverted(self) -> bool:
+        """True when no applied fault is still in effect."""
+        return all(f.reverted or not f.applied for f in self.faults)
 
     def ground_truth(self) -> list[dict]:
         """The injected-condition record tests compare detectors against."""

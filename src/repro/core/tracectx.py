@@ -166,14 +166,6 @@ class TraceContext:
 
     # -- latency folding ---------------------------------------------------
 
-    def collected_at(self) -> float:
-        """Earliest collection stamp (NaN when unstamped)."""
-        return self.hops[0][1] if self.hops else float("nan")
-
-    def queryable_at(self) -> float:
-        """Stamp of the final hop's oldest path (NaN when unstamped)."""
-        return self.hops[-1][1] if self.hops else float("nan")
-
     def end_to_end(self) -> float:
         """Ingest-to-queryable latency of the oldest point's journey."""
         if len(self.hops) < 2:

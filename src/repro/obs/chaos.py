@@ -10,12 +10,12 @@ known ground truth: the paper's sites report silent syslog/LDMS loss as
 a top pain point precisely because nothing ever *tested* the monitoring
 plane's failure modes.
 
-:class:`MonitorFault` mirrors the machine-fault idiom (active over
-``[start, start + duration)``, ``apply``/``revert``), but targets a
-:class:`~repro.pipeline.MonitoringPipeline`.  The
-:class:`MonitorFaultInjector` steps the schedule each tick, *before*
-``pipeline.step`` — injection is part of the experiment loop, not a
-pipeline stage.
+Each fault here is a :class:`~repro.cluster.faults.Fault` (active over
+``[start, start + duration)``, ``apply``/``revert``) whose ``apply`` /
+``revert`` receive a :class:`~repro.pipeline.MonitoringPipeline`.  A
+:class:`~repro.cluster.faults.FaultInjector` steps the schedule against
+the pipeline each tick, *before* ``pipeline.step`` — injection is part
+of the experiment loop, not a pipeline stage.
 
 :func:`transport_chaos` puts deterministic drop, duplicate and stall
 faults on the transport the site declares, whatever its tier.  A drop
@@ -30,6 +30,7 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
+from ..cluster.faults import Fault
 from ..core.metric import SeriesBatch
 from ..transport.base import Transport
 
@@ -38,7 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..storage.diskier import RecoveryReport
 
 __all__ = [
-    "MonitorFault",
     "CollectorRaise",
     "CollectorHang",
     "TransportDropStorm",
@@ -49,7 +49,6 @@ __all__ = [
     "ShardOutage",
     "StoreCrash",
     "crash_and_recover",
-    "MonitorFaultInjector",
 ]
 
 
@@ -103,30 +102,6 @@ def transport_chaos(bus: Transport) -> TransportChaos:
     return state
 
 
-@dataclass
-class MonitorFault:
-    """Base monitor fault: active over [start, start + duration)."""
-
-    start: float
-    duration: float | None = None
-    name: str = "monitor-fault"
-    target: str = ""
-
-    applied: bool = field(default=False, init=False)
-    reverted: bool = field(default=False, init=False)
-
-    def apply(self, p: "MonitoringPipeline") -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def revert(self, p: "MonitoringPipeline") -> None:
-        """Default: nothing to undo."""
-
-    def active_at(self, t: float) -> bool:
-        if t < self.start:
-            return False
-        return self.duration is None or t < self.start + self.duration
-
-
 def _find_collector(p: "MonitoringPipeline", name: str):
     for c in p.scheduler.collectors:
         if c.name == name:
@@ -138,7 +113,7 @@ def _find_collector(p: "MonitoringPipeline", name: str):
 
 
 @dataclass
-class CollectorRaise(MonitorFault):
+class CollectorRaise(Fault):
     """Make one collector raise on every sweep during the window."""
 
     name: str = "collector-raise"
@@ -160,7 +135,7 @@ class CollectorRaise(MonitorFault):
 
 
 @dataclass
-class CollectorHang(MonitorFault):
+class CollectorHang(Fault):
     """Make one collector stall past the sweep budget (hang signature).
 
     The stall is a real (tiny) wall-clock sleep so the scheduler's
@@ -188,7 +163,7 @@ class CollectorHang(MonitorFault):
 
 
 @dataclass
-class TransportDropStorm(MonitorFault):
+class TransportDropStorm(Fault):
     """Drop every Nth tracked batch at the transport edge."""
 
     name: str = "transport-drop-storm"
@@ -202,7 +177,7 @@ class TransportDropStorm(MonitorFault):
 
 
 @dataclass
-class TransportDuplication(MonitorFault):
+class TransportDuplication(Fault):
     """Deliver every Nth tracked batch twice."""
 
     name: str = "transport-duplication"
@@ -216,7 +191,7 @@ class TransportDuplication(MonitorFault):
 
 
 @dataclass
-class TransportStall(MonitorFault):
+class TransportStall(Fault):
     """Freeze pumps: nothing is lost, everything arrives *late*.
 
     The backlog sits in the transport's queues as ledger
@@ -236,7 +211,7 @@ class TransportStall(MonitorFault):
 
 
 @dataclass
-class ShardOutage(MonitorFault):
+class ShardOutage(Fault):
     """Fail one TSDB shard; recovery replays its redo buffer."""
 
     name: str = "shard-outage"
@@ -287,7 +262,7 @@ def crash_and_recover(
 
 
 @dataclass
-class StoreCrash(MonitorFault):
+class StoreCrash(Fault):
     """Kill-and-recover the disk-backed store at ``start``.
 
     A point-in-time fault: ``duration`` defaults to ``0.0`` so the
@@ -306,54 +281,3 @@ class StoreCrash(MonitorFault):
         self.points_accounted, self.recovery = crash_and_recover(
             p, cause=self.cause
         )
-
-
-class MonitorFaultInjector:
-    """Applies scheduled monitor faults as the experiment loop advances.
-
-    Call :meth:`step` *before* ``pipeline.step`` each tick (mirrors
-    :class:`repro.cluster.faults.FaultInjector` driven against the
-    machine).
-    """
-
-    def __init__(self, faults: list[MonitorFault] | None = None) -> None:
-        self.faults: list[MonitorFault] = list(faults or [])
-
-    def add(self, fault: MonitorFault) -> MonitorFault:
-        self.faults.append(fault)
-        return fault
-
-    def step(self, p: "MonitoringPipeline", now: float) -> None:
-        for f in self.faults:
-            if not f.applied and now >= f.start:
-                f.apply(p)
-                f.applied = True
-            if (
-                f.applied
-                and not f.reverted
-                and f.duration is not None
-                and now >= f.start + f.duration
-            ):
-                f.revert(p)
-                f.reverted = True
-
-    def clear(self, p: "MonitoringPipeline", fault: MonitorFault) -> None:
-        """Explicitly end an open-ended fault."""
-        if fault.applied and not fault.reverted:
-            fault.revert(p)
-            fault.reverted = True
-
-    def all_reverted(self) -> bool:
-        return all(f.reverted or not f.applied for f in self.faults)
-
-    def ground_truth(self) -> list[dict]:
-        return [
-            {
-                "name": f.name,
-                "target": f.target,
-                "start": f.start,
-                "end": None if f.duration is None else f.start + f.duration,
-                "applied": f.applied,
-            }
-            for f in self.faults
-        ]

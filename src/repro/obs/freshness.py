@@ -5,17 +5,16 @@ point accounted.  This module proves *timeliness*: every traced batch's
 :class:`~repro.core.tracectx.TraceContext` is folded, at store-ingest
 time, into
 
-* per-hop and end-to-end latency histograms keyed by metric group
-  (``metrics`` vs ``selfmon`` vs anything else dotted in front), with
-  per-bucket **exemplars** — the worst offending batch's full hop
-  vector and the trace span active when it was recorded — so a fat
-  bucket links straight to the hop that caused it;
+* an end-to-end and one per-hop :class:`~repro.obs.hist.LatencyHistogram`
+  (the ``selfmon.freshness.*`` rows);
 * configurable **freshness SLOs** (:class:`FreshnessSLO`, e.g. "p99
   ingest-to-queryable <= 2 ticks") with burn-rate breach tracking: the
   fraction of recent batches over the threshold, divided by the SLO's
   error budget ``1 - quantile``.  Burn > 1 means the budget is being
   spent faster than the SLO allows; a breach fires once per excursion
-  (edge-triggered) and carries the worst exemplar;
+  (edge-triggered) and carries the excursion's worst batch as an
+  :class:`Exemplar` — its full hop vector and the trace span active
+  when it was recorded — so the alert names the hop that caused it;
 * an **exact waterfall**: lifetime per-hop latency totals whose sum
   equals the lifetime end-to-end total identically on the simulated
   clock (hop deltas telescope per batch; stamps are integral multiples
@@ -29,29 +28,19 @@ Everything here is pure folding — the transports stamp, the pipeline's
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 from ..core.metric import SeriesBatch
 from ..core.tracectx import TraceContext
-from .hist import _quantile
+from .hist import LatencyHistogram
 
 __all__ = [
-    "DEFAULT_BUCKETS_S",
     "Exemplar",
-    "FreshnessHistogram",
     "FreshnessSLO",
     "FreshnessBreach",
     "FreshnessTracker",
 ]
-
-#: histogram bucket upper edges (seconds); tick-scaled traffic lands in
-#: the low buckets, pathological backlogs in the tail, +inf catches all
-DEFAULT_BUCKETS_S: tuple[float, ...] = (
-    1.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0, float("inf")
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,103 +71,18 @@ class Exemplar:
                 + (f", span {self.span}" if self.span else "") + "]")
 
 
-class FreshnessHistogram:
-    """Bucketed latency histogram with per-bucket worst exemplars.
-
-    Keeps the :class:`~repro.obs.hist.LatencyHistogram` recipe — a
-    bounded recent window answering percentile queries plus O(1)
-    lifetime aggregates — and adds fixed buckets, each remembering the
-    worst offending batch that landed in it, so any part of the
-    distribution can be traced back to a concrete journey.
-    """
-
-    __slots__ = ("buckets", "bucket_counts", "bucket_exemplars",
-                 "_window", "count", "total_s", "max_s")
-
-    def __init__(self, window: int = 512,
-                 buckets: tuple[float, ...] = DEFAULT_BUCKETS_S) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.buckets = tuple(float(b) for b in buckets)
-        if not self.buckets or self.buckets[-1] != float("inf"):
-            raise ValueError("bucket edges must end with +inf")
-        self.bucket_counts = [0] * len(self.buckets)
-        self.bucket_exemplars: list[Exemplar | None] = (
-            [None] * len(self.buckets)
-        )
-        self._window: deque[float] = deque(maxlen=int(window))
-        self.count = 0
-        self.total_s = 0.0
-        self.max_s = 0.0
-
-    def record(self, seconds: float,
-               exemplar_fn: "Callable[[], Exemplar] | None" = None) -> None:
-        """Fold one latency; ``exemplar_fn`` builds the linked exemplar
-        lazily — it is only called when this sample becomes a bucket's
-        new worst, so the steady state pays no construction cost."""
-        s = float(seconds)
-        self._window.append(s)
-        self.count += 1
-        self.total_s += s
-        if s > self.max_s:
-            self.max_s = s
-        i = bisect_left(self.buckets, s)
-        self.bucket_counts[i] += 1
-        if exemplar_fn is not None:
-            cur = self.bucket_exemplars[i]
-            if cur is None or s > cur.latency_s:
-                self.bucket_exemplars[i] = exemplar_fn()
-
-    def __len__(self) -> int:
-        return len(self._window)
-
-    def percentile(self, p: float) -> float:
-        if not self._window:
-            return float("nan")
-        return _quantile(sorted(self._window), p)
-
-    def worst_exemplar(self) -> Exemplar | None:
-        """Highest-latency exemplar across every bucket."""
-        best: Exemplar | None = None
-        for ex in self.bucket_exemplars:
-            if ex is not None and (best is None
-                                   or ex.latency_s > best.latency_s):
-                best = ex
-        return best
-
-    def summary(self) -> dict[str, float]:
-        if self._window:
-            xs = sorted(self._window)
-            p50, p99, w_max = (_quantile(xs, 50.0), _quantile(xs, 99.0),
-                               xs[-1])
-        else:
-            p50 = p99 = w_max = float("nan")
-        return {
-            "p50_s": p50,
-            "p99_s": p99,
-            "max_s": w_max,
-            "count": float(self.count),
-            "mean_s": self.total_s / self.count if self.count
-            else float("nan"),
-        }
-
-
 @dataclass(frozen=True, slots=True)
 class FreshnessSLO:
-    """One freshness objective over the recent batch window.
+    """One end-to-end freshness objective over the recent batch window.
 
     ``quantile`` sets the error budget: a q-quantile SLO tolerates a
-    fraction ``1 - q`` of batches over ``max_latency_s``.  ``hop``
-    narrows the objective to one hop's latency share; ``group`` narrows
-    it to one metric group (first dotted segment).  ``min_count`` stops
-    a cold window from alarming on its first slow batch.
+    fraction ``1 - q`` of batches over ``max_latency_s``.  ``min_count``
+    stops a cold window from alarming on its first slow batch.
     """
 
     name: str
     max_latency_s: float
     quantile: float = 0.99
-    hop: str | None = None
-    group: str | None = None
     window: int = 256
     min_count: int = 16
 
@@ -242,7 +146,7 @@ class _SloTrack:
     """Mutable burn-rate state for one :class:`FreshnessSLO`."""
 
     __slots__ = ("slo", "_over", "_over_count", "active", "breaches",
-                 "_worst")
+                 "worst")
 
     def __init__(self, slo: FreshnessSLO) -> None:
         self.slo = slo
@@ -250,21 +154,21 @@ class _SloTrack:
         self._over_count = 0      # running sum(self._over)
         self.active = False       # currently in breach (edge trigger)
         self.breaches = 0         # lifetime breach count
-        self._worst: Exemplar | None = None
+        self.worst: Exemplar | None = None   # this excursion's worst
 
-    def observe(self, latency_s: float,
-                exemplar: Exemplar | None = None) -> None:
+    def observe(self, latency_s: float) -> bool:
+        """Slide the window over one batch.  True when the batch is
+        over the threshold and worse than :attr:`worst`: the caller
+        then hands its exemplar to :attr:`worst`."""
         over = latency_s > self.slo.max_latency_s
         q = self._over
         if len(q) == q.maxlen and q[0]:
             self._over_count -= 1
         q.append(over)
-        if over:
-            self._over_count += 1
-            if exemplar is not None:
-                if (self._worst is None
-                        or latency_s > self._worst.latency_s):
-                    self._worst = exemplar
+        if not over:
+            return False
+        self._over_count += 1
+        return self.worst is None or latency_s > self.worst.latency_s
 
     def burn_rate(self) -> float:
         if not self._over:
@@ -286,9 +190,9 @@ class _SloTrack:
         breach = FreshnessBreach(
             slo=self.slo, tier=tier, time=now, burn_rate=burn,
             over=self._over_count, observed=len(self._over),
-            exemplar=self._worst,
+            exemplar=self.worst,
         )
-        self._worst = None        # next excursion finds its own worst
+        self.worst = None         # next excursion finds its own worst
         return breach
 
     def status(self) -> dict:
@@ -308,19 +212,6 @@ def default_slos(tick_s: float = 10.0) -> list[FreshnessSLO]:
     return [FreshnessSLO("ingest-p99", max_latency_s=2.0 * tick_s)]
 
 
-def _exemplar_of(metric: str, e2e: float, hops: list,
-                 origin_tick: int, span: str) -> Exemplar:
-    """Freeze one batch's journey into an exemplar (hot path builds at
-    most one of these per batch, and only when it sets a new worst)."""
-    return Exemplar(
-        metric=metric,
-        latency_s=e2e,
-        hops=tuple(tuple(h) for h in hops),
-        origin_tick=origin_tick,
-        span=span,
-    )
-
-
 class FreshnessTracker:
     """Folds traced batches into histograms, waterfalls, and SLOs."""
 
@@ -334,128 +225,50 @@ class FreshnessTracker:
         self._window = int(window)
         self.batches = 0          # traced batches folded
         self.points = 0
-        self.e2e = FreshnessHistogram(window)
-        self._groups: dict[str, FreshnessHistogram] = {}
-        self._hops: dict[str, FreshnessHistogram] = {}
-        # exact lifetime accumulators: stamps are integral multiples of
-        # the tick, so these sums telescope with zero rounding and
-        # sum(hop totals) == e2e total holds with ==, not isclose
-        self._hop_totals: dict[str, float] = {}
-        self._e2e_total = 0.0
-        self._hop_order: list[str] = []
-        self._group_memo: dict[str, tuple] = {}
+        self.e2e = LatencyHistogram(window)
+        # per-hop histograms in traversal (first-seen) order; stamps are
+        # integral multiples of the tick, so the lifetime totals
+        # telescope with zero rounding and sum(hop totals) == e2e total
+        # holds with ==, not isclose
+        self._hops: dict[str, LatencyHistogram] = {}
         self._tracks = [_SloTrack(s) for s in (slos or [])]
-        # split once so the per-batch hop loop only scans hop-keyed
-        # tracks (usually none) instead of every configured SLO
-        self._hop_tracks = [t for t in self._tracks
-                            if t.slo.hop is not None]
-        self._e2e_tracks = [t for t in self._tracks if t.slo.hop is None]
 
     # -- folding -----------------------------------------------------------
 
     def record(self, batch: SeriesBatch, span: str = "") -> None:
         """Fold one ingested batch's trace context (no-op if untraced).
 
-        This runs once per ingested batch on the hot step loop, so the
-        histogram folds are inlined (see :meth:`FreshnessHistogram.record`
-        for the reference implementation) and the exemplar is built
-        lazily — at most once per batch, and only when some bucket or
-        SLO track takes it as its new worst.  In the steady state no
-        exemplar construction happens at all.
+        Latencies follow the ``t_min`` path (the oldest point's
+        journey).  The exemplar is built at most once per batch, and
+        only when the batch is over an SLO's threshold and that track's
+        new worst.
         """
         ctx = batch.trace
         if ctx is None:
             return
-        chops = ctx.hops
-        if len(chops) < 2:
+        hops = ctx.hops
+        if len(hops) < 2:
             return
-        prev = chops[0][1]
-        e2e = chops[-1][1] - prev
-        metric = batch.metric
-        ex: Exemplar | None = None      # built at most once, on demand
-
+        prev = hops[0][1]
+        e2e = hops[-1][1] - prev
         self.batches += 1
         self.points += len(batch.times)
-        self._e2e_total += e2e
-        # metric names form a small fixed set, so the group split and
-        # histogram lookup are memoized per full metric name
-        memo = self._group_memo.get(metric)
-        if memo is None:
-            group = metric.split(".", 1)[0]
-            gh = self._groups.get(group)
-            if gh is None:
-                gh = self._groups[group] = FreshnessHistogram(self._window)
-            memo = self._group_memo[metric] = (group, gh)
-        group, gh = memo
-        for h in (self.e2e, gh):
-            h._window.append(e2e)
-            h.count += 1
-            h.total_s += e2e
-            if e2e > h.max_s:
-                h.max_s = e2e
-            i = 0 if e2e <= h.buckets[0] else bisect_left(h.buckets, e2e)
-            h.bucket_counts[i] += 1
-            cur = h.bucket_exemplars[i]
-            if cur is None or e2e > cur.latency_s:
-                if ex is None:
-                    ex = _exemplar_of(metric, e2e, chops,
-                                      ctx.origin_tick, span)
-                h.bucket_exemplars[i] = ex
-        hops = self._hops
-        totals = self._hop_totals
-        hop_tracks = self._hop_tracks
-        for entry in chops[1:]:
-            hop = entry[0]
-            t = entry[1]
-            delta = t - prev
+        self.e2e.record(e2e)
+        hists = self._hops
+        for hop, t, _t_max, _count in hops[1:]:
+            hist = hists.get(hop)
+            if hist is None:
+                hist = hists[hop] = LatencyHistogram(self._window)
+            hist.record(t - prev)
             prev = t
-            hh = hops.get(hop)
-            if hh is None:
-                hh = hops[hop] = FreshnessHistogram(self._window)
-                totals[hop] = 0.0
-                self._hop_order.append(hop)
-            totals[hop] += delta
-            hh._window.append(delta)
-            hh.count += 1
-            hh.total_s += delta
-            if delta > hh.max_s:
-                hh.max_s = delta
-            i = (0 if delta <= hh.buckets[0]
-                 else bisect_left(hh.buckets, delta))
-            hh.bucket_counts[i] += 1
-            cur = hh.bucket_exemplars[i]
-            if cur is None or delta > cur.latency_s:
+        ex: Exemplar | None = None
+        for track in self._tracks:
+            if track.observe(e2e):
                 if ex is None:
-                    ex = _exemplar_of(metric, e2e, chops,
-                                      ctx.origin_tick, span)
-                hh.bucket_exemplars[i] = ex
-            if hop_tracks:
-                for track in hop_tracks:
-                    slo = track.slo
-                    if slo.hop == hop and (slo.group is None
-                                           or slo.group == group):
-                        if ex is None and delta > slo.max_latency_s:
-                            ex = _exemplar_of(metric, e2e, chops,
-                                              ctx.origin_tick, span)
-                        track.observe(delta, ex)
-        for track in self._e2e_tracks:
-            slo = track.slo
-            if slo.group is None or slo.group == group:
-                # inlined _SloTrack.observe(e2e, ...) — one call per
-                # batch; see observe() for the semantics
-                over = e2e > slo.max_latency_s
-                q = track._over
-                if len(q) == q.maxlen and q[0]:
-                    track._over_count -= 1
-                q.append(over)
-                if over:
-                    track._over_count += 1
-                    if ex is None:
-                        ex = _exemplar_of(metric, e2e, chops,
-                                          ctx.origin_tick, span)
-                    w = track._worst
-                    if w is None or e2e > w.latency_s:
-                        track._worst = ex
+                    ex = Exemplar(batch.metric, e2e,
+                                  tuple(tuple(h) for h in hops),
+                                  ctx.origin_tick, span)
+                track.worst = ex
 
     # -- SLO evaluation ----------------------------------------------------
 
@@ -468,10 +281,6 @@ class FreshnessTracker:
                 out.append(breach)
         return out
 
-    def burn_rate(self) -> float:
-        """Worst burn rate across the configured SLOs."""
-        return max((t.burn_rate() for t in self._tracks), default=0.0)
-
     def breach_count(self) -> int:
         return sum(t.breaches for t in self._tracks)
 
@@ -482,34 +291,28 @@ class FreshnessTracker:
 
     def waterfall(self) -> list[dict]:
         """Per-hop latency attribution rows in traversal order."""
-        total = self._e2e_total
-        rows = []
-        for hop in self._hop_order:
-            h = self._hops[hop]
-            rows.append({
-                "hop": hop,
-                "count": h.count,
-                "total_s": self._hop_totals[hop],
-                "mean_s": (self._hop_totals[hop] / h.count
-                           if h.count else 0.0),
-                "p99_s": h.percentile(99.0),
-                "max_s": h.max_s,
-                "share": (self._hop_totals[hop] / total
-                          if total > 0 else 0.0),
-            })
-        return rows
+        total = self.e2e.total_s
+        return [{
+            "hop": hop,
+            "count": h.count,
+            "total_s": h.total_s,
+            "mean_s": h.total_s / h.count if h.count else 0.0,
+            "p99_s": h.percentile(99.0),
+            "max_s": h.max_s,
+            "share": h.total_s / total if total > 0 else 0.0,
+        } for hop, h in self._hops.items()]
 
     def hop_total(self) -> float:
         """Sum of per-hop latency totals (== :meth:`e2e_total`)."""
-        return sum(self._hop_totals[h] for h in self._hop_order)
+        return sum(h.total_s for h in self._hops.values())
 
     def e2e_total(self) -> float:
         """Lifetime end-to-end latency total across traced batches."""
-        return self._e2e_total
+        return self.e2e.total_s
 
     def waterfall_exact(self) -> bool:
         """True when hop attribution sums to end-to-end *exactly*."""
-        return self.hop_total() == self._e2e_total
+        return self.hop_total() == self.e2e.total_s
 
     def render_waterfall(self, width: int = 28) -> str:
         """Text waterfall: one bar per hop, share-scaled."""
@@ -529,7 +332,7 @@ class FreshnessTracker:
                 f"mean {r['mean_s']:7.2f}s  p99 {r['p99_s']:7.2f}s  "
                 f"max {r['max_s']:7.2f}s  share {100 * r['share']:5.1f}%"
             )
-        e2e = self.e2e.summary()
+        e2e = self.e2e.summary(99.0)
         lines.append(
             f"  end-to-end: p50 {e2e['p50_s']:.2f}s  "
             f"p99 {e2e['p99_s']:.2f}s  max {e2e['max_s']:.2f}s"
@@ -537,30 +340,10 @@ class FreshnessTracker:
         lines.append(
             f"  exact: sum(hops) {self.hop_total():g}s "
             f"{'==' if self.waterfall_exact() else '!='} "
-            f"end-to-end {self._e2e_total:g}s"
+            f"end-to-end {self.e2e.total_s:g}s"
         )
         return "\n".join(lines)
 
-    # -- summaries for selfmon / introspect --------------------------------
-
-    def group_summaries(self) -> dict[str, dict[str, float]]:
-        return {g: h.summary() for g, h in sorted(self._groups.items())}
-
     def hop_summaries(self) -> dict[str, dict[str, float]]:
-        return {h: self._hops[h].summary() for h in self._hop_order}
-
-    def snapshot(self) -> dict:
-        """JSON-able state for the introspector report."""
-        worst = self.e2e.worst_exemplar()
-        return {
-            "tier": self.tier,
-            "batches": self.batches,
-            "points": self.points,
-            "e2e": self.e2e.summary(),
-            "waterfall": self.waterfall(),
-            "exact": self.waterfall_exact(),
-            "groups": self.group_summaries(),
-            "slos": self.slo_status(),
-            "worst_exemplar": (worst.describe()
-                               if worst is not None else None),
-        }
+        """Window p50/p99/max and lifetime count/mean of every hop."""
+        return {hop: h.summary(99.0) for hop, h in self._hops.items()}

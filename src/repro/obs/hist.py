@@ -2,10 +2,11 @@
 
 Per-collector sweep latencies feed p50/p95/max summaries on a cadence
 (DCDB-style: the monitoring system's own overhead is first-class
-telemetry).  A bounded deque of recent observations keeps memory
-constant over arbitrarily long runs while still answering percentile
-queries over the recent window — the window *is* the cadence the
-self-monitor samples on, so nothing older matters.
+telemetry), and the freshness plane's end-to-end and per-hop data-path
+latencies feed p50/p99/max ones.  A bounded deque of recent
+observations keeps memory constant over arbitrarily long runs while
+still answering percentile queries over the recent window — the window
+*is* the cadence the self-monitor samples on, so nothing older matters.
 """
 
 from __future__ import annotations
@@ -62,18 +63,19 @@ class LatencyHistogram:
             return float("nan")
         return _quantile(sorted(self._window), p)
 
-    def summary(self) -> dict[str, float]:
-        """p50/p95/max over the window plus lifetime count and mean."""
+    def summary(self, tail: float = 95.0) -> dict[str, float]:
+        """p50, the ``tail`` percentile (key ``p95_s`` by default) and
+        max over the window, plus lifetime count and mean."""
         if self._window:
             xs = sorted(self._window)
             p50 = _quantile(xs, 50.0)
-            p95 = _quantile(xs, 95.0)
+            p_tail = _quantile(xs, tail)
             w_max = xs[-1]
         else:
-            p50 = p95 = w_max = float("nan")
+            p50 = p_tail = w_max = float("nan")
         return {
             "p50_s": p50,
-            "p95_s": p95,
+            f"p{tail:g}_s": p_tail,
             "max_s": w_max,
             "count": float(self.count),
             "mean_s": self.total_s / self.count if self.count else float("nan"),

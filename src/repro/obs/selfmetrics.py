@@ -407,7 +407,7 @@ VITALS: tuple[tuple[str, Callable[["MonitoringPipeline"], Any],
                higher_is_worse=True),
     )),
     ("freshness", _freshness(
-        lambda fr: {**fr.e2e.summary(), "batches": fr.batches,
+        lambda fr: {**fr.e2e.summary(99.0), "batches": fr.batches,
                     "exact": fr.waterfall_exact()}), (
         _vital("selfmon.freshness.e2e_p50_s", "s", _L, "freshness", "p50_s",
                "Median collected-to-queryable latency of traced "

@@ -141,6 +141,13 @@ class SiteConfig:
                      "tick_s"):
             if not float(getattr(self, knob) or 0) > 0:   # None, NaN too
                 raise ValueError(f"{knob} must be positive")
+        budget = self.collector_budget_s
+        if budget is not None and not 0 < float(budget) < float("inf"):
+            # 0 or less impairs every collector; NaN switches it off
+            raise ValueError(
+                f"collector_budget_s must be None or a positive finite "
+                f"number of seconds, not {budget!r}"
+            )
 
     # -- derived shape ----------------------------------------------------
 

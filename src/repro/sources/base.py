@@ -35,7 +35,7 @@ from ..core.events import Event
 from ..core.lifecycle import Supervisor
 from ..core.metric import SeriesBatch
 from ..core.registry import MetricRegistry
-from ..core.tracectx import HOP_COLLECT, TraceContext
+from ..core.tracectx import TraceContext
 from ..obs.hist import LatencyHistogram
 from ..obs.trace import Tracer
 
@@ -194,13 +194,7 @@ class CollectionScheduler:
             c.sweeps += 1
             c.samples_produced += out.n_samples
             for b in out.batches:
-                # inlined TraceContext.start(now, tick=tick) — one per
-                # published batch on the hot sweep loop
-                tr = TraceContext.__new__(TraceContext)
-                tr.origin_tick = tick
-                tr.hops = [[HOP_COLLECT, now, now, 1]]
-                tr.truncated = 0
-                b.trace = tr
+                b.trace = TraceContext.start(now, tick=tick)
                 self.bus.publish(f"metrics.{b.metric}", b, source=c.name)
             for e in out.events:
                 self.bus.publish(f"events.{e.kind.value}", e, source=c.name)

@@ -280,6 +280,23 @@ class AnalysisHooksStage:
         return requests
 
 
+def _escalate(pipeline, now, source, alerts):
+    """Escalate monitor trouble exactly like machine trouble: one HEALTH
+    event per ``(severity, component, message, fields)`` alert,
+    published on ``events.health`` from ``source``, delivered, and fed
+    to the SEC.  Returns the SEC's requests (none for no alerts)."""
+    if not alerts:
+        return ()
+    events = [Event(time=now, kind=EventKind.HEALTH, severity=severity,
+                    component=component, message=message, fields=fields)
+              for severity, component, message, fields in alerts]
+    for ev in events:
+        pipeline.bus.publish(f"events.{EventKind.HEALTH.value}", ev,
+                             source=source)
+    pipeline.bus.pump(now)
+    return pipeline.sec.feed(events)
+
+
 class SupervisionStage:
     """The monitoring system watching its own planes.
 
@@ -335,23 +352,12 @@ class SupervisionStage:
         # every fresh transition -> HEALTH event on the bus + SEC feed
         fresh = sup.transitions[self._seen_transitions:]
         self._seen_transitions = len(sup.transitions)
-        if not fresh:
-            return ()
-        events = []
-        for tr in fresh:
-            worse = tr.new.code > tr.old.code
-            events.append(Event(
-                time=now,
-                kind=EventKind.HEALTH,
-                severity=Severity.ERROR if worse else Severity.NOTICE,
-                component=f"monitor:{tr.component}",
-                message=tr.describe(),
-            ))
-        for ev in events:
-            pipeline.bus.publish(f"events.{ev.kind.value}", ev,
-                                 source="supervision")
-        pipeline.bus.pump(now)
-        return pipeline.sec.feed(events)
+        return _escalate(pipeline, now, "supervision", [
+            (Severity.ERROR if tr.new.code > tr.old.code
+             else Severity.NOTICE,
+             f"monitor:{tr.component}", tr.describe(), {})
+            for tr in fresh
+        ])
 
 
 class FreshnessStage:
@@ -369,24 +375,11 @@ class FreshnessStage:
     name = "freshness"
 
     def run(self, pipeline, now):
-        breaches = pipeline.freshness.evaluate(now)
-        if not breaches:
-            return ()
-        events = []
-        for b in breaches:
-            events.append(Event(
-                time=now,
-                kind=EventKind.HEALTH,
-                severity=Severity.ERROR,
-                component=f"monitor:freshness:{b.slo.name}",
-                message=b.describe(),
-                fields=b.fields(),
-            ))
-        for ev in events:
-            pipeline.bus.publish(f"events.{ev.kind.value}", ev,
-                                 source="freshness")
-        pipeline.bus.pump(now)
-        return pipeline.sec.feed(events)
+        return _escalate(pipeline, now, "freshness", [
+            (Severity.ERROR, f"monitor:freshness:{b.slo.name}",
+             b.describe(), b.fields())
+            for b in pipeline.freshness.evaluate(now)
+        ])
 
 
 class ResponseStage:

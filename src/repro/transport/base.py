@@ -39,7 +39,6 @@ from typing import Callable, Iterable
 
 from ..core.ledger import DeliveryLedger
 from ..core.metric import SeriesBatch
-from ..core.tracectx import MAX_HOPS
 from .message import Envelope
 
 __all__ = [
@@ -226,19 +225,7 @@ class Transport(abc.ABC):
                 self.ledger.published_batch(source, payload)
             tr = payload.trace
             if tr is not None and (t := self._hop_time()) is not None:
-                # inlined TraceContext.stamp(hop, t) — this is the
-                # per-batch hot path; see stamp() for the semantics
-                hops = tr.hops
-                if hops and hops[-1][0] == hop:
-                    last = hops[-1]
-                    if t < last[1]:
-                        last[1] = t
-                    if t > last[2]:
-                        last[2] = t
-                elif len(hops) < MAX_HOPS:
-                    hops.append([hop, t, t, 1])
-                else:
-                    tr.truncated += 1
+                tr.stamp(hop, t)
 
     def _envelope(self, topic: str, payload, source: str) -> Envelope:
         """Wrap a payload for delivery.  Built only where a tier queues

@@ -1,8 +1,6 @@
 """Unit tests for the freshness plane: trace contexts, histograms,
 SLO burn-rate tracking, exemplar linking, and the exact waterfall."""
 
-import math
-
 import pytest
 
 from repro.core.metric import SeriesBatch, merge_batches
@@ -14,9 +12,6 @@ from repro.core.tracectx import (
     TraceContext,
 )
 from repro.obs.freshness import (
-    Exemplar,
-    FreshnessBreach,
-    FreshnessHistogram,
     FreshnessSLO,
     FreshnessTracker,
     default_slos,
@@ -98,37 +93,6 @@ class TestTraceContext:
         assert not bad.is_monotone()
 
 
-class TestFreshnessHistogram:
-    def test_fold_and_percentiles(self):
-        h = FreshnessHistogram(window=16)
-        for s in (1.0, 5.0, 10.0, 100.0):
-            h.record(s)
-        assert h.count == 4
-        assert h.total_s == 116.0
-        assert h.max_s == 100.0
-        assert h.percentile(100.0) == 100.0
-
-    def test_exemplar_built_only_on_new_bucket_worst(self):
-        h = FreshnessHistogram()
-        calls = []
-
-        def make(s):
-            def fn():
-                calls.append(s)
-                return Exemplar("m", s, (("collect", 0.0, 0.0, 1),), 0)
-            return fn
-
-        h.record(5.0, make(5.0))
-        h.record(3.0, make(3.0))   # same bucket, not a new worst
-        h.record(8.0, make(8.0))   # same bucket, new worst
-        assert calls == [5.0, 8.0]
-        assert h.worst_exemplar().latency_s == 8.0
-
-    def test_buckets_must_end_with_inf(self):
-        with pytest.raises(ValueError):
-            FreshnessHistogram(buckets=(1.0, 10.0))
-
-
 class TestSloBurnRate:
     def test_burn_is_over_fraction_divided_by_budget(self):
         slo = FreshnessSLO("s", max_latency_s=10.0, quantile=0.9,
@@ -194,39 +158,6 @@ class TestFreshnessTracker:
         tracker.record(traced_batch(hops=[(HOP_COLLECT, 0.0)]))
         assert tracker.batches == 0
 
-    def test_group_keying_splits_metrics_from_selfmon(self):
-        tracker = FreshnessTracker()
-        tracker.record(traced_batch("node.power_w",
-                                    self.flat_hops(0.0, 10.0)))
-        tracker.record(traced_batch("selfmon.bus.delivered",
-                                    self.flat_hops(0.0, 30.0)))
-        groups = tracker.group_summaries()
-        assert set(groups) == {"node", "selfmon"}
-        assert groups["node"]["max_s"] == 10.0
-        assert groups["selfmon"]["max_s"] == 30.0
-
-    def test_group_scoped_slo_ignores_other_groups(self):
-        slo = FreshnessSLO("n", max_latency_s=5.0, group="node",
-                           window=8, min_count=1)
-        tracker = FreshnessTracker([slo])
-        tracker.record(traced_batch("selfmon.x",
-                                    self.flat_hops(0.0, 50.0)))
-        assert tracker._tracks[0].burn_rate() == 0.0
-        tracker.record(traced_batch("node.power_w",
-                                    self.flat_hops(0.0, 50.0)))
-        assert tracker._tracks[0].burn_rate() > 1.0
-
-    def test_hop_scoped_slo_observes_that_hops_share(self):
-        slo = FreshnessSLO("pump-slo", max_latency_s=5.0, hop="pump",
-                           window=8, min_count=1)
-        tracker = FreshnessTracker([slo])
-        b = traced_batch(hops=[(HOP_COLLECT, 0.0), ("enqueue", 0.0),
-                               ("pump", 20.0), (HOP_INGEST, 20.0)])
-        tracker.record(b)
-        (breach,) = tracker.evaluate(now=20.0)
-        assert breach.slo.name == "pump-slo"
-        assert breach.exemplar.worst_hop()[0] == "pump"
-
     def test_breach_fields_carry_the_offending_hop(self):
         slo = FreshnessSLO("s", max_latency_s=5.0, window=8, min_count=1)
         tracker = FreshnessTracker([slo], tier="flat")
@@ -241,14 +172,18 @@ class TestFreshnessTracker:
         assert breach.exemplar.span == "tick"
         assert "worst hop ingest" in breach.describe()
 
-    def test_snapshot_is_json_shaped(self):
-        tracker = FreshnessTracker(default_slos(), tier="flat")
-        tracker.record(traced_batch(hops=self.flat_hops(0.0, 10.0)))
-        snap = tracker.snapshot()
-        assert snap["exact"] is True
-        assert snap["batches"] == 1
-        assert snap["slos"][0]["name"] == "ingest-p99"
-        assert not math.isnan(snap["e2e"]["p99_s"])
+    def test_breach_exemplar_is_the_excursions_worst(self):
+        slo = FreshnessSLO("s", max_latency_s=5.0, window=8, min_count=1)
+        tracker = FreshnessTracker([slo], tier="flat")
+        track = tracker._tracks[0]
+        tracker.record(traced_batch(hops=self.flat_hops(0.0, 1.0)))
+        assert track.worst is None            # under threshold: no exemplar
+        for lat in (30.0, 50.0, 40.0):
+            tracker.record(traced_batch(hops=self.flat_hops(0.0, lat)))
+        assert track.worst.latency_s == 50.0
+        (breach,) = tracker.evaluate(now=50.0)
+        assert breach.exemplar.latency_s == 50.0
+        assert track.worst is None            # the next excursion's own
 
 
 class TestBreachEscalation:
@@ -295,6 +230,110 @@ class TestMergedBatchFreshness:
         # oldest-path journey: collected at t=0, queryable at t=120
         assert tracker.e2e_total() == 120.0
         assert merged.trace.hops[0][3] == 3   # three contexts merged
+
+
+def _summary(p50, p99, w_max, count, mean):
+    return {"p50_s": p50, "p99_s": p99, "max_s": w_max,
+            "count": float(count), "mean_s": mean}
+
+
+def _row(hop, count, total, mean, p99, w_max, share):
+    return {"hop": hop, "count": count, "total_s": total, "mean_s": mean,
+            "p99_s": p99, "max_s": w_max, "share": share}
+
+
+class TestPublishedReadings:
+    """The exact values ``VITALS`` publishes from the tracker — the
+    ``freshness`` and ``freshness_hops`` sections behind
+    ``selfmon.freshness.*`` — and the ``slo`` waterfall rows, for
+    hand-built journeys on each tier (the tree's includes a merged
+    batch)."""
+
+    JOURNEYS = {
+        "flat": [
+            [(HOP_COLLECT, 0.0), (HOP_PUBLISH, 0.0), (HOP_INGEST, 10.0)],
+            [(HOP_COLLECT, 10.0), (HOP_PUBLISH, 10.0), (HOP_INGEST, 20.0)],
+            [(HOP_COLLECT, 20.0), (HOP_PUBLISH, 30.0), (HOP_INGEST, 60.0)],
+            [(HOP_COLLECT, 60.0), (HOP_PUBLISH, 60.0), (HOP_INGEST, 60.0)],
+        ],
+        "partitioned": [
+            [(HOP_COLLECT, 0.0), ("enqueue", 0.0), ("pump", 20.0),
+             (HOP_INGEST, 20.0)],
+            [(HOP_COLLECT, 0.0), ("enqueue", 0.0), ("pump", 10.0),
+             (HOP_INGEST, 30.0)],
+            [(HOP_COLLECT, 100.0), ("enqueue", 100.0), ("pump", 150.0),
+             (HOP_INGEST, 150.0)],
+        ],
+    }
+
+    EXPECTED = {
+        "flat": (
+            {**_summary(10.0, 39.099999999999994, 40.0, 4, 15.0),
+             "batches": 4, "exact": True},
+            {"publish": _summary(0.0, 9.699999999999998, 10.0, 4, 2.5),
+             "ingest": _summary(10.0, 29.4, 30.0, 4, 12.5)},
+            [_row("publish", 4, 10.0, 2.5, 9.699999999999998, 10.0,
+                  0.16666666666666666),
+             _row("ingest", 4, 50.0, 12.5, 29.4, 30.0,
+                  0.8333333333333334)],
+        ),
+        "partitioned": (
+            {**_summary(30.0, 49.6, 50.0, 3, 33.333333333333336),
+             "batches": 3, "exact": True},
+            {"enqueue": _summary(0.0, 0.0, 0.0, 3, 0.0),
+             "pump": _summary(20.0, 49.4, 50.0, 3, 26.666666666666668),
+             "ingest": _summary(0.0, 19.6, 20.0, 3, 6.666666666666667)},
+            [_row("enqueue", 3, 0.0, 0.0, 0.0, 0.0, 0.0),
+             _row("pump", 3, 80.0, 26.666666666666668, 49.4, 50.0, 0.8),
+             _row("ingest", 3, 20.0, 6.666666666666667, 19.6, 20.0, 0.2)],
+        ),
+        "tree": (
+            {**_summary(25.0, 29.9, 30.0, 2, 25.0),
+             "batches": 2, "exact": True},
+            {"leaf": _summary(0.0, 0.0, 0.0, 2, 0.0),
+             "merge": _summary(20.0, 29.8, 30.0, 2, 20.0),
+             "root": _summary(0.0, 0.0, 0.0, 2, 0.0),
+             "ingest": _summary(5.0, 9.9, 10.0, 2, 5.0)},
+            [_row("leaf", 2, 0.0, 0.0, 0.0, 0.0, 0.0),
+             _row("merge", 2, 40.0, 20.0, 29.8, 30.0, 0.8),
+             _row("root", 2, 0.0, 0.0, 0.0, 0.0, 0.0),
+             _row("ingest", 2, 10.0, 5.0, 9.9, 10.0, 0.2)],
+        ),
+    }
+
+    def batches(self, tier):
+        if tier != "tree":
+            return [traced_batch(hops=j, tick=i)
+                    for i, j in enumerate(self.JOURNEYS[tier])]
+        parts = []
+        for i in range(3):      # collected and buffered at 0, 10, 20
+            b = SeriesBatch("node.power_w", [f"n{i}"], [10.0 * i], [1.0])
+            b.trace = TraceContext.start(10.0 * i, tick=i)
+            b.trace.stamp("leaf", 10.0 * i)
+            parts.append(b)
+        merged = merge_batches(parts)
+        for hop in ("merge", "root", HOP_INGEST):
+            merged.trace.stamp(hop, 30.0)
+        return [merged, traced_batch(
+            hops=[(HOP_COLLECT, 40.0), ("leaf", 40.0), ("merge", 50.0),
+                  ("root", 50.0), (HOP_INGEST, 60.0)], tick=4)]
+
+    @pytest.mark.parametrize("tier", ["flat", "partitioned", "tree"])
+    def test_readings_are_exact(self, tier):
+        from types import SimpleNamespace
+
+        from repro.obs.selfmetrics import VITALS
+
+        tracker = FreshnessTracker(default_slos(), tier=tier)
+        for b in self.batches(tier):
+            tracker.record(b)
+        read = {name: fn for name, fn, _ in VITALS}
+        p = SimpleNamespace(freshness=tracker)
+        e2e, hops, rows = self.EXPECTED[tier]
+        assert read["freshness"](p) == e2e
+        assert read["freshness_hops"](p) == hops
+        assert tracker.hop_summaries() == hops
+        assert tracker.waterfall() == rows
 
 
 class TestWindowedTreeWaterfall:

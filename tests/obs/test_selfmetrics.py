@@ -32,6 +32,15 @@ def completeness_ratio(delivered, dropped, errors):
 
 
 class TestLatencyHistogram:
+    def test_fold_and_percentiles(self):
+        h = LatencyHistogram(window=16)
+        for s in (1.0, 5.0, 10.0, 100.0):
+            h.record(s)
+        assert h.count == 4
+        assert h.total_s == 116.0
+        assert h.max_s == 100.0
+        assert h.percentile(100.0) == 100.0
+
     def test_percentiles_over_window(self):
         h = LatencyHistogram()
         for v in (1.0, 2.0, 3.0, 4.0, 5.0):
@@ -42,6 +51,8 @@ class TestLatencyHistogram:
         assert s["max_s"] == 5.0
         assert s["count"] == 5.0
         assert s["mean_s"] == 3.0
+        assert list(h.summary(99.0)) == ["p50_s", "p99_s", "max_s",
+                                         "count", "mean_s"]
 
     def test_window_is_bounded_but_lifetime_stats_persist(self):
         h = LatencyHistogram(window=4)
@@ -199,6 +210,7 @@ class TestReportAgreesWithSeries:
         assert checked >= 40
         if knobs:
             assert report.sections["disk_tier"]["spills"] > 0
+        p.tsdb.close()
 
 
 class TestRatesAcrossStoreSwap:
@@ -222,6 +234,7 @@ class TestRatesAcrossStoreSwap:
                 values = p.tsdb.query(metric, comp).values
                 assert len(values)
                 assert (values >= 0.0).all(), (metric, values.min())
+        p.tsdb.close()
 
 
 class TestSelfMonitor:

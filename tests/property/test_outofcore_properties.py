@@ -18,6 +18,7 @@ Three invariants, each against an oracle that never touches disk:
 """
 
 import tempfile
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -107,11 +108,11 @@ class TestSpillIsInvisible:
                   ("m.x", "c0", times, _values(data, n))]
         oracle = TimeSeriesStore(chunk_size=8,
                                  pyramid_levels=DEFAULT_LEVELS)
-        with tempfile.TemporaryDirectory() as d:
-            store = TimeSeriesStore(
-                chunk_size=8, pyramid_levels=DEFAULT_LEVELS,
-                disk=DiskTier(Path(d), hot_bytes=1 << 9),
-            )
+        with (tempfile.TemporaryDirectory() as d,
+              closing(TimeSeriesStore(
+                  chunk_size=8, pyramid_levels=DEFAULT_LEVELS,
+                  disk=DiskTier(Path(d), hot_bytes=1 << 9),
+              )) as store):
             for i, (m, c, t, v) in enumerate(chunks):
                 b = SeriesBatch.for_component(m, c, t, v)
                 ob = SeriesBatch.for_component(m, c, t, v)
@@ -140,11 +141,11 @@ class TestSpillIsInvisible:
     @settings(max_examples=40, deadline=None)
     def test_sharded_spilled_matches_sharded_memory(self, times, step,
                                                     agg, data):
-        with tempfile.TemporaryDirectory() as d:
-            spilled = ShardedTimeSeriesStore(
-                shards=3, chunk_size=8, pyramid_levels=DEFAULT_LEVELS,
-                disk_dir=d, hot_bytes=1 << 9,
-            )
+        with (tempfile.TemporaryDirectory() as d,
+              closing(ShardedTimeSeriesStore(
+                  shards=3, chunk_size=8, pyramid_levels=DEFAULT_LEVELS,
+                  disk_dir=d, hot_bytes=1 << 9,
+              )) as spilled):
             oracle = ShardedTimeSeriesStore(
                 shards=3, chunk_size=8, pyramid_levels=DEFAULT_LEVELS,
             )
@@ -174,11 +175,11 @@ class TestCrashRecovery:
     @settings(max_examples=40, deadline=None)
     def test_synced_crash_preserves_every_answer(self, times, step, agg,
                                                  data):
-        with tempfile.TemporaryDirectory() as d:
-            store = TimeSeriesStore(
-                chunk_size=8, pyramid_levels=DEFAULT_LEVELS,
-                disk=DiskTier(Path(d), hot_bytes=1 << 9),
-            )
+        with (tempfile.TemporaryDirectory() as d,
+              closing(TimeSeriesStore(
+                  chunk_size=8, pyramid_levels=DEFAULT_LEVELS,
+                  disk=DiskTier(Path(d), hot_bytes=1 << 9),
+              )) as store):
             half = len(times) // 2
             store.append(SeriesBatch.for_component(
                 "m.x", "c0", times[:half], _values(data, half)))
@@ -192,14 +193,14 @@ class TestCrashRecovery:
                                                step, agg, prune=prune)
                        for prune in (False, True)}
             store.disk.simulate_crash()
-            recovered = store.reopen()
-            got = recovered.query("m.x", "c0")
-            assert np.array_equal(got.times, want_q.times)
-            assert bits_equal(got.values, want_q.values)
-            for prune in (False, True):
-                g = recovered.downsample("m.x", "c0", 0.0, 3700.0, step,
-                                         agg, prune=prune)
-                w = want_ds[prune]
-                assert np.array_equal(g.times, w.times), prune
-                assert np.array_equal(g.values, w.values,
-                                      equal_nan=True), prune
+            with closing(store.reopen()) as recovered:
+                got = recovered.query("m.x", "c0")
+                assert np.array_equal(got.times, want_q.times)
+                assert bits_equal(got.values, want_q.values)
+                for prune in (False, True):
+                    g = recovered.downsample("m.x", "c0", 0.0, 3700.0,
+                                             step, agg, prune=prune)
+                    w = want_ds[prune]
+                    assert np.array_equal(g.times, w.times), prune
+                    assert np.array_equal(g.values, w.values,
+                                          equal_nan=True), prune

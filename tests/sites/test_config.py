@@ -68,6 +68,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="metric_interval_s"):
             SiteConfig(metric_interval_s=None)
 
+    @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"),
+                                        float("inf")])
+    def test_collector_budget_must_be_positive_and_finite(self, budget):
+        with pytest.raises(ValueError, match="collector_budget_s"):
+            SiteConfig(collector_budget_s=budget)
+
     def test_gpu_nodes_shapes(self):
         SiteConfig(gpu_nodes=None)
         SiteConfig(gpu_nodes="all")
@@ -149,7 +155,9 @@ class TestRoundTrip:
         config = SiteConfig(metric_interval_s=60.0, tick_s=60.0, seed=3,
                             **knobs)
         assert config.expected_nodes() == 96
-        assert site_capabilities(build_site(config)) == config.capabilities()
+        pipeline = build_site(config)
+        assert site_capabilities(pipeline) == config.capabilities()
+        pipeline.tsdb.close()
 
     def test_disk_tier_round_trips(self, tmp_path):
         config = SiteConfig(name="d", shards=2,
@@ -158,6 +166,7 @@ class TestRoundTrip:
         caps = site_capabilities(pipeline)
         assert caps == config.capabilities()
         assert caps["disk"] is True and caps["shards"] == 2
+        pipeline.tsdb.close()
 
     def test_quotas_round_trip(self):
         config = SiteConfig(name="q", quotas={

@@ -12,11 +12,11 @@ import re
 import numpy as np
 import pytest
 
+from repro.cluster import FaultInjector
 from repro.cluster.workload import Job, JobGenerator
 from repro.core.metric import SeriesBatch
 from repro.obs.chaos import (
     CollectorRaise,
-    MonitorFaultInjector,
     TransportDropStorm,
     TransportStall,
 )
@@ -155,7 +155,7 @@ class TestSiteIsolation:
 
         fed = Federation([paper_site("csc"), paper_site("snl")])
         chaotic = fed.site("csc")
-        inj = MonitorFaultInjector([
+        inj = FaultInjector([
             CollectorRaise(start=300.0, duration=600.0, target="sedc"),
             TransportStall(start=600.0, duration=300.0),
             TransportDropStorm(start=1000.0, duration=400.0,

@@ -471,6 +471,7 @@ class TestSeriesLifecycle:
         store.drop_series("m", "a")
         store.drop_series("m", "b")
         assert store.disk.hot_bytes_used == 0
+        store.close()
 
 
 class TestSharded:

@@ -13,6 +13,7 @@ import pytest
 from repro.cluster import (
     BerDegradation,
     ConfigDrift,
+    FaultInjector,
     HungNode,
     LinkFailure,
     LoadImbalance,
@@ -167,7 +168,7 @@ def test_monitor_fault_campaign_survives(seed):
     freshness breach that names the stalled hop."""
     from repro.core.events import EventKind
     from repro.core.lifecycle import Health
-    from repro.obs.chaos import MonitorFaultInjector, TransportStall
+    from repro.obs.chaos import TransportStall
     from repro.sites import site_capabilities
 
     rng = np.random.default_rng(seed)
@@ -191,7 +192,7 @@ def test_monitor_fault_campaign_survives(seed):
         machine=machine,
     )
     total_s = 4000.0
-    inj = MonitorFaultInjector([
+    inj = FaultInjector([
         random_monitor_fault(rng, float(rng.uniform(60.0, 2000.0)))
         for _ in range(int(rng.integers(3, 6)))
     ])
@@ -253,15 +254,11 @@ def test_site_under_transport_chaos_reports_its_declared_tier(tier):
     """Transport faults act on the transport the site declares: the
     live capability row and the freshness tracker keep naming its
     Table I tier while the faults are on."""
-    from repro.obs.chaos import (
-        MonitorFaultInjector,
-        TransportDropStorm,
-        TransportStall,
-    )
+    from repro.obs.chaos import TransportDropStorm, TransportStall
     from repro.sites import site_capabilities
 
     p = build_site(SiteConfig(transport=tier, seed=3))
-    inj = MonitorFaultInjector([
+    inj = FaultInjector([
         TransportDropStorm(start=0.0, duration=300.0, drop_every=2),
         TransportStall(start=100.0, duration=100.0),
     ])
@@ -289,7 +286,6 @@ def test_kill_and_recover_campaign_accounts_every_point(seed, tmp_path):
     from repro.core.lifecycle import Health
     from repro.obs.chaos import (
         CollectorRaise,
-        MonitorFaultInjector,
         ShardOutage,
         StoreCrash,
         TransportDropStorm,
@@ -319,7 +315,7 @@ def test_kill_and_recover_campaign_accounts_every_point(seed, tmp_path):
     crash = StoreCrash(start=2400.0)
     # the crash lands while shard 1 holds redo state: redo-parked points
     # are not WAL-logged, so they must leave as named loss, not silence
-    inj = MonitorFaultInjector([
+    inj = FaultInjector([
         CollectorRaise(start=600.0, duration=900.0, target="sedc"),
         TransportDropStorm(start=1200.0, duration=800.0, drop_every=3),
         ShardOutage(start=2300.0, duration=300.0, shard=1),
@@ -372,6 +368,7 @@ def test_kill_and_recover_campaign_accounts_every_point(seed, tmp_path):
     assert len(res.times) > 0
     # the campaign ran the stack its config declares
     assert site_capabilities(pipeline) == pipeline.site_config.capabilities()
+    pipeline.tsdb.close()
 
 
 @pytest.mark.parametrize("shards", [1, 2])
