@@ -71,7 +71,7 @@ def main() -> None:
         [b.times[len(b) // 2] for b in lat.values()],
         [float(np.median(b.values)) for b in lat.values()],
     )
-    for det in sweep_outliers(sweep, z_threshold=4.0):
+    for det in sweep_outliers(sweep, z_threshold=4.0).detections():
         print(f"  OUTLIER {det.component}: {det.detail}")
 
     # -- 2. Figure 4: aggregate -> drill-down -> job ----------------------

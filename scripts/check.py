@@ -641,8 +641,8 @@ def check_fd_lifetime_storage() -> list[str]:
 
 
 #: packages held to the no-per-sample-loop rule: the streaming analysis
-#: plane and the serving plane (both sit on the query hot path)
-_COLUMNAR_DIRS = ("analysis", "serve")
+#: plane, the response plane its detections reach, and the serving plane
+_COLUMNAR_DIRS = ("analysis", "response", "serve")
 
 
 def check_columnar_analysis() -> list[str]:

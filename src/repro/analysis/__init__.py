@@ -5,6 +5,7 @@ from .aggressor import AggressorReport, AppVariability, classify
 from .anomaly import (
     CusumDetector,
     Detection,
+    DetectionBatch,
     EwmaDetector,
     ThresholdDetector,
     iqr_outliers,
@@ -68,6 +69,7 @@ __all__ = [
     "classify",
     "CusumDetector",
     "Detection",
+    "DetectionBatch",
     "EwmaDetector",
     "ThresholdDetector",
     "iqr_outliers",

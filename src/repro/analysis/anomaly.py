@@ -11,8 +11,10 @@ shapes:
   where behaviour changed (:class:`EwmaDetector`,
   :class:`CusumDetector`, :func:`iqr_outliers`).
 
-All detectors return :class:`Detection` records so the response layer
-can treat them uniformly.
+Series detectors return :class:`Detection` records.  A sweep detector
+returns a :class:`DetectionBatch`: the hits as columns over the sweep,
+which the response plane dedups without building an object per hit
+(:meth:`DetectionBatch.detections` materializes the records).
 
 Every detector is columnar: masks and cumulative statistics are
 computed over whole value arrays and :class:`Detection` objects are
@@ -29,10 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.metric import SeriesBatch
+from ..core.soa import occurrence_passes
 from .stats import ewma, mad, robust_zscores
 
 __all__ = [
     "Detection",
+    "DetectionBatch",
     "sweep_outliers",
     "ThresholdDetector",
     "iqr_outliers",
@@ -53,43 +57,71 @@ class Detection:
     detail: str = ""
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class DetectionBatch:
+    """One detector's hits on one sweep, as columns.
+
+    ``components`` is the sweep's own component column (shared, not
+    copied) and ``at`` the hit positions in it, in detection order:
+    descending |z| for outliers, arrival order for rate hits.  ``times``,
+    ``scores`` and ``values`` are the hits' columns in that order;
+    ``values`` holds the reading of an outlier and the rate of a rate
+    hit, ``limit`` the rate limit the latter exceeded.
+    """
+
+    metric: str
+    kind: str             # "outlier" | "threshold"
+    components: np.ndarray
+    at: np.ndarray
+    times: np.ndarray
+    scores: np.ndarray
+    values: np.ndarray
+    limit: float = float("nan")
+
+    def __len__(self) -> int:
+        return len(self.at)
+
+    def detail(self, j: int) -> str:
+        """The ``Detection.detail`` of hit ``j``."""
+        v = float(self.values[j])
+        if self.kind == "outlier":
+            return f"value={v:.4g} z={float(self.scores[j]):.1f}"
+        return f"rate {v:.4g}/s exceeds {self.limit:g}/s"
+
+    def detections(self) -> list[Detection]:
+        """The hits as :class:`Detection` records, in batch order."""
+        return [
+            Detection(time=t, metric=self.metric, component=str(c), score=s,
+                      kind=self.kind, detail=self.detail(j))
+            for j, (t, c, s) in enumerate(zip(
+                self.times.tolist(), self.components[self.at].tolist(),
+                self.scores.tolist()))
+        ]
+
+
 def sweep_outliers(
     batch: SeriesBatch, z_threshold: float = 4.0
-) -> list[Detection]:
+) -> DetectionBatch:
     """Components whose value in a synchronized sweep is a robust outlier.
 
     The workhorse for "one of 10,000 like components is misbehaving":
     hung nodes in power sweeps, one slow OST in a latency sweep, one hot
     link in a stall sweep.  The finite+threshold mask is computed over
-    the whole sweep first; ``Detection`` objects exist only for the
-    (rare) hits, already ordered by descending |z|.  Only a non-finite
-    *sample* is exempt: an extreme finite reading whose score overflows
-    to ``±inf`` (:func:`robust_zscores`) is the outlier of the sweep.
+    the whole sweep and the hits gathered into a :class:`DetectionBatch`,
+    ordered by descending |z|.  Only a non-finite *sample* is exempt: an
+    extreme finite reading whose score overflows to ``±inf``
+    (:func:`robust_zscores`) is the outlier of the sweep.
     """
-    if len(batch) < 4:
-        return []
     v = batch.values
-    z = robust_zscores(v)
-    az = np.abs(z)
-    idx = np.flatnonzero(np.isfinite(v) & (az >= z_threshold))
-    if not len(idx):
-        return []
-    idx = idx[np.argsort(-az[idx], kind="stable")]
-    metric = batch.metric
-    # one gather per column, then plain Python floats and strs per hit
-    return [
-        Detection(
-            time=ti,
-            metric=metric,
-            component=str(ci),
-            score=zi,
-            kind="outlier",
-            detail=f"value={vi:.4g} z={zi:.1f}",
-        )
-        for ti, ci, vi, zi in zip(batch.times[idx].tolist(),
-                                  batch.components[idx].tolist(),
-                                  v[idx].tolist(), z[idx].tolist())
-    ]
+    idx = np.empty(0, dtype=np.intp)
+    z = np.empty(0)
+    if len(batch) >= 4:
+        z = robust_zscores(v)
+        az = np.abs(z)
+        idx = np.flatnonzero(np.isfinite(v) & (az >= z_threshold))
+        idx = idx[np.argsort(-az[idx], kind="stable")]
+    return DetectionBatch(batch.metric, "outlier", batch.components, idx,
+                          batch.times[idx], z[idx], v[idx])
 
 
 def _sweep_outliers_slow(
@@ -151,18 +183,11 @@ class ThresholdDetector:
             passes = [np.arange(n)]
         else:
             # repeated components interleave breach/clear per sample:
-            # rank each sample by its occurrence index within its
-            # component and run one pass per rank.  Samples of equal
-            # rank name distinct components, and a component's ranks
-            # run in arrival order — all the hysteresis state needs.
-            _, inv, counts = np.unique(comps.astype(str), return_inverse=True,
-                                       return_counts=True)
-            order = np.argsort(inv, kind="stable")
-            rank = np.empty(n, dtype=np.int64)
-            rank[order] = np.arange(n) - np.repeat(
-                np.cumsum(counts) - counts, counts)
-            passes = [np.flatnonzero(rank == r)
-                      for r in range(int(counts.max()))]
+            # one pass per occurrence rank.  Samples of equal rank name
+            # distinct components, and a component's ranks run in
+            # arrival order — all the hysteresis state needs.
+            _, inv = np.unique(comps.astype(str), return_inverse=True)
+            passes = occurrence_passes(inv)
         firing = self._firing
         hits = []
         for idx in passes:

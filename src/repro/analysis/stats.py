@@ -74,7 +74,8 @@ def robust_zscores(x: np.ndarray) -> np.ndarray:
         x, finite = np.ldexp(x, lift), np.ldexp(finite, lift)
     with _ieee_scores():
         med = float(np.median(finite))
-        scale = mad(x)
+        # mad(x), reusing the median just taken
+        scale = _MAD_TO_SIGMA * float(np.median(np.abs(finite - med)))
         if not np.isfinite(scale) or scale == 0.0:
             # degenerate bulk (e.g. every idle node at exactly idle
             # power): fall back to the mean absolute deviation, which a

@@ -17,8 +17,9 @@ with O(1) state per series:
   whose derivative exceeds a limit (e.g. error counters accelerating).
 
 All three attach to a :class:`~repro.transport.bus.MessageBus` with one
-call and expose drainable detection queues, so the pipeline can treat
-them exactly like analysis hooks.
+call; the two detectors queue their hits as
+:class:`~repro.analysis.anomaly.DetectionBatch` columns, one per sweep,
+which the pipeline drains into the response plane each tick.
 
 The hot detectors are *columnar*: per-series state lives in a
 :class:`~repro.core.soa.ComponentTable` (component -> row index plus
@@ -43,7 +44,7 @@ import numpy as np
 from ..core.metric import MetricKey, SeriesBatch
 from ..core.soa import ComponentTable, row_indices
 from ..obs.hist import LatencyHistogram
-from .anomaly import Detection, sweep_outliers
+from .anomaly import Detection, DetectionBatch, sweep_outliers
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..transport.bus import MessageBus, Subscription
@@ -262,7 +263,7 @@ class StreamingOutlierDetector(_BusAttached):
         self.metrics = set(metrics)
         self.z_threshold = float(z_threshold)
         self.min_sweep = int(min_sweep)
-        self._detections: list[Detection] = []
+        self._batches: list[DetectionBatch] = []
         self.sweeps_checked = 0
 
     def observe(self, batch: SeriesBatch) -> None:
@@ -270,13 +271,13 @@ class StreamingOutlierDetector(_BusAttached):
             return
         self.sweeps_checked += 1
         found = sweep_outliers(batch, z_threshold=self.z_threshold)
-        if found:
-            self._detections.extend(found)
+        if len(found):
+            self._batches.append(found)
             self.detections_total += len(found)
 
-    def drain(self) -> list[Detection]:
-        out = self._detections
-        self._detections = []
+    def drain(self) -> list[DetectionBatch]:
+        out = self._batches
+        self._batches = []
         return out
 
 
@@ -297,7 +298,7 @@ class StreamingRateWatch(_BusAttached):
         self.metric = metric
         self.max_rate_per_s = float(max_rate_per_s)
         self._table = ComponentTable(last_t=0.0, last_v=0.0, seen=0.0)
-        self._detections: list[Detection] = []
+        self._batches: list[DetectionBatch] = []
 
     def observe(self, batch: SeriesBatch) -> None:
         if batch.metric != self.metric or not len(batch):
@@ -350,23 +351,16 @@ class StreamingRateWatch(_BusAttached):
             rates = rate[hit][back]
         if len(idx):
             mr = self.max_rate_per_s
-            comps = batch.components
-            self._detections.extend(
-                Detection(
-                    time=float(t[i]),
-                    metric=self.metric,
-                    component=str(comps[i]),
-                    score=rv / mr,
-                    kind="threshold",
-                    detail=f"rate {rv:.4g}/s exceeds {mr:g}/s",
-                )
-                for i, rv in zip(idx.tolist(), rates.tolist())
-            )
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                scores = rates / mr
+            self._batches.append(DetectionBatch(
+                self.metric, "threshold", batch.components, idx, t[idx],
+                scores, rates, limit=mr))
             self.detections_total += len(idx)
 
-    def drain(self) -> list[Detection]:
-        out = self._detections
-        self._detections = []
+    def drain(self) -> list[DetectionBatch]:
+        out = self._batches
+        self._batches = []
         return out
 
 

@@ -23,6 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core.soa import name_column
+
 __all__ = ["IODemand", "LustreFS"]
 
 
@@ -54,6 +56,10 @@ class LustreFS:
     ) -> None:
         self.name = name
         self.n_ost = int(n_ost)
+        #: the component columns every sweep of this filesystem publishes
+        self.name_column = name_column([name])
+        self.mds_name_column = name_column([f"{name}-mds"])
+        self.ost_name_column = name_column(self.ost_names())
         self.ost_bw_Bps = float(ost_bw_Bps)
         self.ost_capacity_bytes = float(ost_capacity_bytes)
         self.mds_ops_per_s = float(mds_ops_per_s)

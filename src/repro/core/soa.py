@@ -27,7 +27,8 @@ import weakref
 
 import numpy as np
 
-__all__ = ["ComponentTable", "memo_by_identity", "name_column", "row_indices"]
+__all__ = ["ComponentTable", "memo_by_identity", "name_column",
+           "occurrence_passes", "row_indices"]
 
 
 def memo_by_identity(memo: dict, array: np.ndarray, value) -> None:
@@ -58,6 +59,21 @@ def name_column(names) -> np.ndarray:
 def row_indices(rows: slice | np.ndarray) -> np.ndarray:
     """:meth:`ComponentTable.rows`' index expression as an index array."""
     return np.arange(rows.start, rows.stop) if isinstance(rows, slice) else rows
+
+
+def occurrence_passes(rows: np.ndarray) -> list[np.ndarray]:
+    """Positions of ``rows`` grouped by occurrence: pass ``k`` holds each
+    row's ``k``-th appearance, in order.  A pass names distinct rows and
+    a row's passes run in arrival order, so applying the passes one
+    after another is the per-element loop, one array op per pass."""
+    order = np.argsort(rows, kind="stable")
+    r = rows[order]
+    starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+    counts = np.diff(np.r_[starts, len(r)])
+    rank = np.empty(len(r), dtype=np.intp)
+    rank[order] = np.arange(len(r)) - np.repeat(starts, counts)
+    return [np.flatnonzero(rank == k)
+            for k in range(int(counts.max(initial=0)))]
 
 
 class ComponentTable:

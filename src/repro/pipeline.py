@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .analysis.anomaly import Detection
+from .analysis.anomaly import Detection, DetectionBatch
 from .cluster.machine import Machine
 from .core.events import Event
 from .core.ledger import BalanceReport
@@ -172,7 +172,7 @@ class MonitoringPipeline:
 
         # the tick loop: the stages in Table I order
         self.stages: list[Stage] = default_stages()
-        self._pending_requests: list[ActionRequest] = []
+        self._pending_requests: list[ActionRequest | DetectionBatch] = []
         # supervision component names, built lazily (hot loop: no
         # per-tick string formatting)
         self._stage_keys: dict[str, str] = {}
@@ -255,7 +255,7 @@ class MonitoringPipeline:
             f"{[s.name for s in self.stages]}"
         )
 
-    def take_pending(self) -> list[ActionRequest]:
+    def take_pending(self) -> list[ActionRequest | DetectionBatch]:
         """Drain the requests accumulated by earlier stages this tick."""
         out = self._pending_requests
         self._pending_requests = []

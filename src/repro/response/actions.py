@@ -10,16 +10,20 @@ envisioned richer ones ("downclocking components", power redirection).
 records against the machine:
 
 * ``alert``          — record + deduplicate an alert (no machine effect);
+  the streaming stage's :class:`~repro.analysis.anomaly.DetectionBatch`\\ es
+  are alerts too, deduplicated as columns;
 * ``drain_node``     — take the component out of scheduling;
 * ``return_node``    — give it back;
 * ``kill_jobs``      — fail whatever runs on the component;
 * ``downclock``      — cap the node's p-state (thermal response);
 * ``power_cap``      — cap a set of nodes for power redirection.
 
-Every execution is counted, appended to a bounded audit log (the newest
-:data:`AUDIT_RECORDS` records) and emitted back into the event stream as
-an ``ACTION`` event, so responses are themselves monitorable (feedback
-"to both humans and software").
+Every execution is counted.  A raised alert and every other action is
+appended to a bounded audit log (the newest :data:`AUDIT_RECORDS`
+records) — a suppressed duplicate is only counted — and every action
+but an alert is emitted back into the event stream as an ``ACTION``
+event, so responses are themselves monitorable (feedback "to both
+humans and software").
 """
 
 from __future__ import annotations
@@ -28,7 +32,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
+import numpy as np
+
+from ..analysis.anomaly import DetectionBatch
 from ..core.events import EventKind, Severity
+from ..core.soa import ComponentTable, occurrence_passes
+from .policy import detection_message, detection_rule
 from .sec import ActionRequest
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,6 +48,8 @@ __all__ = ["AUDIT_RECORDS", "Alert", "AuditRecord", "AlertManager",
 
 #: audit records an engine keeps (the newest); ``executed`` counts all
 AUDIT_RECORDS = 4096
+
+_RAISED = "alert raised"
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,13 +62,35 @@ class Alert:
 
 
 class AlertManager:
-    """Alert intake with per-(rule, component) dedup and renotify."""
+    """Alert intake with per-(rule, component) dedup and renotify.
+
+    The dedup state is columnar: one component -> row
+    :class:`~repro.core.soa.ComponentTable` shared by every rule, and
+    per rule one column of last-raised times (``-inf``: never raised).
+    :meth:`raise_alert` reads and writes one cell; :meth:`raise_batch`
+    dedups a whole :class:`DetectionBatch` with one row lookup, one mask
+    and one scatter, and builds :class:`Alert`\\ s only for what it
+    raises.
+    """
 
     def __init__(self, renotify_s: float = 3600.0) -> None:
         self.renotify_s = float(renotify_s)
         self.alerts: list[Alert] = []
         self.suppressed = 0
-        self._last: dict[tuple[str, str], float] = {}
+        self._rows = ComponentTable()
+        self._raised_at: dict[str, np.ndarray] = {}
+
+    def _column(self, rule: str) -> np.ndarray:
+        """``rule``'s last-raised times, one per table row."""
+        col = self._raised_at.get(rule)
+        have, n = (0 if col is None else len(col)), self._rows.size
+        if have < n:
+            # a fleet registers whole: its column is sized to it once
+            grown = np.full(max(n, 2 * have), -np.inf)
+            if have:
+                grown[:have] = col
+            col = self._raised_at[rule] = grown
+        return col
 
     def raise_alert(
         self,
@@ -67,15 +100,50 @@ class AlertManager:
         rule: str,
         message: str,
     ) -> Alert | None:
-        key = (rule, component)
-        last = self._last.get(key)
-        if last is not None and time - last < self.renotify_s:
+        r = self._rows.add(component)
+        col = self._column(rule)
+        # as Python floats: a -inf time against the never-raised -inf
+        # is a quiet NaN gap, which raises
+        if float(time) - float(col[r]) < self.renotify_s:
             self.suppressed += 1
             return None
-        self._last[key] = time
+        col[r] = time
         alert = Alert(time, severity, component, rule, message)
         self.alerts.append(alert)
         return alert
+
+    def raise_batch(self, batch: DetectionBatch, rule: str) -> list[Alert]:
+        """Every hit of ``batch`` as a warning alert under ``rule``, in
+        batch order: exactly what :meth:`raise_alert` per hit would
+        raise and suppress, messages included."""
+        rows, unique = self._rows.rows(batch.components)
+        hit = (batch.at + rows.start if isinstance(rows, slice)
+               else rows[batch.at])
+        col = self._column(rule)
+        t = batch.times
+        keep = np.zeros(len(hit), dtype=bool)
+        # a component hit twice is applied in batch order: one pass per
+        # occurrence, so a repeat sees what the earlier hit raised
+        for sel in ([np.arange(len(hit))] if unique
+                    else occurrence_passes(hit)):
+            r = hit[sel]
+            # written as the scalar test's negation: a NaN gap raises
+            with np.errstate(over="ignore", invalid="ignore"):
+                ok = ~(t[sel] - col[r] < self.renotify_s)
+            col[r[ok]] = t[sel][ok]
+            keep[sel[ok]] = True
+        raised = np.flatnonzero(keep)
+        self.suppressed += len(hit) - len(raised)
+        metric, kind = batch.metric, batch.kind
+        comps = batch.components[batch.at[raised]].tolist()
+        new = [
+            Alert(ti, Severity.WARNING, c, rule,
+                  detection_message(metric, kind, c, batch.detail(j)))
+            for j, ti, c in zip(raised.tolist(), t[raised].tolist(),
+                                map(str, comps))  # per-sample: allowed
+        ]
+        self.alerts += new
+        return new
 
     def active(self, min_severity: Severity = Severity.WARNING) -> list[Alert]:
         return [a for a in self.alerts if a.severity >= min_severity]
@@ -103,7 +171,7 @@ class ActionEngine:
         self.audit: deque[AuditRecord] = deque(maxlen=AUDIT_RECORDS)
         #: cumulative executions, including those rotated out of ``audit``
         self.executed = 0
-        self._handlers: dict[str, Callable[[ActionRequest], str]] = {
+        self._handlers: dict[str, Callable[[ActionRequest], str | None]] = {
             "alert": self._do_alert,
             "drain_node": self._do_drain,
             "return_node": self._do_return,
@@ -113,23 +181,39 @@ class ActionEngine:
         }
 
     def register(self, action: str,
-                 handler: Callable[[ActionRequest], str]) -> None:
+                 handler: Callable[[ActionRequest], str | None]) -> None:
         """Add a custom action (Table I extensibility requirement)."""
         self._handlers[action] = handler
 
-    def execute(self, requests: Sequence[ActionRequest]) -> list[AuditRecord]:
+    def execute(
+        self, requests: Sequence[ActionRequest | DetectionBatch]
+    ) -> list[AuditRecord]:
+        """Run ``requests`` in order; returns what was audited.  A
+        :class:`DetectionBatch` is the streaming stage's hits: every row
+        is an executed alert under ``stream.<metric>.<kind>``."""
         done: list[AuditRecord] = []
         try:
             for req in requests:
+                if isinstance(req, DetectionBatch):
+                    rule = detection_rule("stream", req.metric, req.kind)
+                    done += [
+                        AuditRecord(a.time, "alert", a.component, rule,
+                                    _RAISED)
+                        for a in self.alerts.raise_batch(req, rule)
+                    ]
+                    self.executed += len(req)
+                    continue
                 handler = self._handlers.get(req.action)
                 if handler is None:
                     outcome = f"unknown action {req.action!r}"
                 else:
                     outcome = handler(req)
-                rec = AuditRecord(
+                self.executed += 1
+                if outcome is None:
+                    continue    # a suppressed duplicate: counted only
+                done.append(AuditRecord(
                     req.time, req.action, req.component, req.rule, outcome
-                )
-                done.append(rec)
+                ))
                 if req.action != "alert":
                     # actions are themselves observable telemetry
                     self.machine.emit_event(
@@ -142,16 +226,15 @@ class ActionEngine:
         finally:
             # what ran is audited even when a handler raises
             self.audit.extend(done)
-            self.executed += len(done)
         return done
 
     # -- handlers ------------------------------------------------------------------
 
-    def _do_alert(self, req: ActionRequest) -> str:
+    def _do_alert(self, req: ActionRequest) -> str | None:
         alert = self.alerts.raise_alert(
             req.time, req.severity, req.component, req.rule, req.message
         )
-        return "alert raised" if alert else "alert suppressed (dedup)"
+        return _RAISED if alert else None
 
     def _node_exists(self, component: str) -> bool:
         return component in self.machine.nodes.index

@@ -16,7 +16,8 @@ from ..analysis.anomaly import Detection
 from ..core.events import Severity
 from .sec import ActionRequest, PairRule, SecEngine, SingleRule, ThresholdRule
 
-__all__ = ["default_rules", "default_sec_engine", "detections_to_requests"]
+__all__ = ["default_rules", "default_sec_engine", "detection_message",
+           "detection_rule", "detections_to_requests"]
 
 
 def default_rules() -> list[SingleRule | PairRule | ThresholdRule]:
@@ -167,6 +168,17 @@ def default_sec_engine() -> SecEngine:
     return SecEngine(default_rules())
 
 
+def detection_rule(prefix: str, metric: str, kind: str) -> str:
+    """The rule a detection's alert is raised and deduplicated under."""
+    return f"{prefix}.{metric}.{kind}"
+
+
+def detection_message(metric: str, kind: str, component: str,
+                      detail: str) -> str:
+    """What a detection's alert says."""
+    return f"{metric} {kind} on {component}: {detail}"
+
+
 def detections_to_requests(
     detections: Sequence[Detection],
     rule_prefix: str = "stat",
@@ -178,11 +190,12 @@ def detections_to_requests(
         out.append(
             ActionRequest(
                 time=d.time,
-                rule=f"{rule_prefix}.{d.metric}.{d.kind}",
+                rule=detection_rule(rule_prefix, d.metric, d.kind),
                 action="alert",
                 component=d.component,
                 severity=Severity.WARNING,
-                message=f"{d.metric} {d.kind} on {d.component}: {d.detail}",
+                message=detection_message(d.metric, d.kind, d.component,
+                                          d.detail),
                 fields={"score": d.score},
             )
         )

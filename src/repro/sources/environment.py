@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 
 from ..core.events import Event, EventKind, Severity
 from ..core.metric import SeriesBatch
+from ..core.soa import name_column
 from .base import Collector, CollectorOutput
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,19 +42,20 @@ class EnvironmentCollector(Collector):
     def __init__(self, interval_s: float = 300.0, room: str = "room0") -> None:
         super().__init__("environment", interval_s)
         self.room = room
+        self._room = name_column([room])   # every sweep's column
         self._over_limit = False
 
     def collect(self, machine: "Machine", now: float) -> CollectorOutput:
         env = machine.room
         out = CollectorOutput(
             batches=[
-                SeriesBatch.sweep("env.temp_c", now, [self.room],
+                SeriesBatch.sweep("env.temp_c", now, self._room,
                                   [env.ambient_c]),
-                SeriesBatch.sweep("env.humidity", now, [self.room],
+                SeriesBatch.sweep("env.humidity", now, self._room,
                                   [env.humidity]),
-                SeriesBatch.sweep("env.corrosion_rate", now, [self.room],
+                SeriesBatch.sweep("env.corrosion_rate", now, self._room,
                                   [env.corrosion_rate]),
-                SeriesBatch.sweep("env.particulate", now, [self.room],
+                SeriesBatch.sweep("env.particulate", now, self._room,
                                   [env.particulate]),
             ]
         )

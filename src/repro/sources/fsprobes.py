@@ -50,10 +50,10 @@ class FsProbeCollector(Collector):
         return CollectorOutput(
             batches=[
                 SeriesBatch.sweep(
-                    "probe.io_latency_s", now, fs.ost_names(), lat
+                    "probe.io_latency_s", now, fs.ost_name_column, lat
                 ),
                 SeriesBatch.sweep(
-                    "probe.md_latency_s", now, [f"{fs.name}-mds"], [md]
+                    "probe.md_latency_s", now, fs.mds_name_column, [md]
                 ),
             ]
         )
@@ -76,7 +76,7 @@ class OstCounterCollector(Collector):
 
     def collect(self, machine: "Machine", now: float) -> CollectorOutput:
         fs = machine.fs
-        names = fs.ost_names()
+        names = fs.ost_name_column
         batches = [
             SeriesBatch.sweep("ost.read_bps", now, names,
                               fs.ost_read_Bps.copy()),
@@ -84,9 +84,9 @@ class OstCounterCollector(Collector):
                               fs.ost_write_Bps.copy()),
             SeriesBatch.sweep("ost.fill_frac", now, names,
                               fs.fill_fractions()),
-            SeriesBatch.sweep("fs.read_bps", now, [fs.name],
+            SeriesBatch.sweep("fs.read_bps", now, fs.name_column,
                               [fs.read_Bps_total()]),
-            SeriesBatch.sweep("fs.write_bps", now, [fs.name],
+            SeriesBatch.sweep("fs.write_bps", now, fs.name_column,
                               [fs.write_Bps_total()]),
         ]
         # per-job attribution series (Figure 4's "job responsible")

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING
 
 from ..cluster.power import PowerModel
 from ..core.metric import SeriesBatch
+from ..core.soa import name_column
 from .base import Collector, CollectorOutput
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -29,16 +30,19 @@ class PowerCollector(Collector):
     def __init__(self, machine: "Machine", interval_s: float = 60.0) -> None:
         super().__init__("power", interval_s)
         self._pm = PowerModel(machine.topo, machine.nodes)
+        # every sweep's component columns, published once
+        self._cabinets = name_column(self._pm.cabinet_names())
+        self._system = name_column(["system"])
 
     def collect(self, machine: "Machine", now: float) -> CollectorOutput:
         cab = self._pm.cabinet_power_w()
         return CollectorOutput(
             batches=[
                 SeriesBatch.sweep(
-                    "cabinet.power_w", now, self._pm.cabinet_names(), cab
+                    "cabinet.power_w", now, self._cabinets, cab
                 ),
                 SeriesBatch.sweep(
-                    "system.power_w", now, ["system"], [float(cab.sum())]
+                    "system.power_w", now, self._system, [float(cab.sum())]
                 ),
             ]
         )

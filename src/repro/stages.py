@@ -3,8 +3,9 @@
 ``MonitoringPipeline.step()`` used to inline every stage of the data
 path; each is now a :class:`Stage` — a named object whose ``run``
 advances one plane of the monitoring system for one tick and returns
-any :class:`~repro.response.sec.ActionRequest`\\ s it raised.  The tick
-loop reduces to "iterate stages under trace spans", so stages are
+any :class:`~repro.response.sec.ActionRequest`\\ s it raised (the
+streaming stage: :class:`~repro.analysis.anomaly.DetectionBatch`\\ es).
+The tick loop reduces to "iterate stages under trace spans", so stages are
 individually testable, reorderable, and replaceable (Table I:
 "Extensibility and modularity are fundamental").  Each stage's name is
 the per-tick child span the introspector reports a timing row for.
@@ -19,6 +20,7 @@ gate in ``scripts/check.py`` enforces that the extraction stays acyclic.
 from __future__ import annotations
 
 import logging
+import math
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 from .core.events import Event, EventKind, Severity
@@ -27,6 +29,7 @@ from .response.policy import detections_to_requests
 from .response.sec import ActionRequest
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .analysis.anomaly import DetectionBatch
     from .pipeline import AnalysisHook, MonitoringPipeline
 
 _log = logging.getLogger(__name__)
@@ -60,7 +63,7 @@ class Stage(Protocol):
 
     def run(
         self, pipeline: "MonitoringPipeline", now: float
-    ) -> Sequence[ActionRequest]:
+    ) -> Sequence["ActionRequest | DetectionBatch"]:
         """Advance this stage; returned requests flow to the response
         stage at the end of the same tick."""
         ...
@@ -232,16 +235,12 @@ class StreamingStage:
         )
 
     def run(self, pipeline, now):
-        requests: list[ActionRequest] = []
+        batches: list[DetectionBatch] = []
         for det in self.detectors:
             drain = getattr(det, "drain", None)
             if drain is not None:
-                found = drain()
-                if found:
-                    requests += detections_to_requests(
-                        list(found), rule_prefix="stream"
-                    )
-        return requests
+                batches += drain()
+        return batches
 
 
 class AnalysisHooksStage:
@@ -260,8 +259,9 @@ class AnalysisHooksStage:
         self.hooks: list[tuple[float, float, "AnalysisHook"]] = []
 
     def add(self, interval_s: float, hook: "AnalysisHook") -> None:
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
+        if not (interval_s > 0 and math.isfinite(interval_s)):
+            raise ValueError(
+                f"interval_s must be positive and finite, got {interval_s!r}")
         self.hooks.append((float(interval_s), 0.0, hook))
 
     def run(self, pipeline, now):

@@ -707,7 +707,9 @@ class _HeadBlock:
     row seals there and starts again at column 0), so a block holds at
     most 16 B per point of its longest head — and that much for every
     row, which is the price of a metric whose components report at very
-    different rates.
+    different rates.  A matrix of map size (``_MMAP_THRESHOLD``) is
+    allocated at ``chunk_size`` columns at once: its unwritten pages
+    cost nothing, and a fleet's block never copies itself to widen.
 
     **Lock-step.**  While every row has seen exactly the same sweeps,
     row ``r``'s sample times are ``times[:counts[r]]`` — a prefix of
@@ -739,6 +741,11 @@ class _HeadBlock:
         self.n_head = 0                             # open samples, all rows
 
     def _resize(self, rows: int, cols: int) -> None:
+        if 8 * rows * cols >= _MMAP_THRESHOLD:
+            # a mapped matrix is allocated at full width once: its pages
+            # stay untouched until a sweep writes them, and the block
+            # never copies its columns to widen again
+            cols = self.chunk_size
         old_rows = len(self.counts)
         used = int(self.counts.max(initial=0))  # columns holding a sample
         for name in ("values", "row_times"):

@@ -80,13 +80,13 @@ class TestSweepOutliers:
         v = np.array([10.0, 11.0, 9.0, 10.5, 9.5, 10.2,
                       NAN, INF, -INF, 10.1, 9.9, 60.0])
         b = SeriesBatch.sweep("node.power_w", 0.0, comps, v)
-        out = sweep_outliers(b, z_threshold=4.0)
+        out = sweep_outliers(b, z_threshold=4.0).detections()
         assert [d.component for d in out] == ["n11"]
 
     def test_all_nan_sweep_is_quiet(self):
         comps = np.array([f"n{i}" for i in range(8)], dtype=object)
         b = SeriesBatch.sweep("node.power_w", 0.0, comps, np.full(8, NAN))
-        assert sweep_outliers(b, z_threshold=1.0) == []
+        assert sweep_outliers(b, z_threshold=1.0).detections() == []
 
     @pytest.mark.parametrize("big", [1e6, 1e300])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -99,12 +99,14 @@ class TestSweepOutliers:
         assert robust_zscores(b.values)[0] > 1e300
         det = StreamingOutlierDetector(("m",), min_sweep=4)
         det.observe(b)
-        for found in (sweep_outliers(b), _sweep_outliers_slow(b),
-                      det.drain()):
+        (drained,) = det.drain()
+        for found in (sweep_outliers(b).detections(), _sweep_outliers_slow(b),
+                      drained.detections()):
             assert [d.component for d in found] == ["c0"]
         # field for field, the formatted detail included (z=inf at 1e300)
-        assert sweep_outliers(b) == _sweep_outliers_slow(b)
-        assert sweep_outliers(b)[0].detail.startswith(f"value={big:.4g} z=")
+        fast = sweep_outliers(b).detections()
+        assert fast == _sweep_outliers_slow(b)
+        assert fast[0].detail.startswith(f"value={big:.4g} z=")
 
 
 class TestStreamingStateIsNotPoisoned:
@@ -137,7 +139,8 @@ class TestStreamingStateIsNotPoisoned:
         # a real counter jump after the gap still fires
         w.observe(batch([1e9], metric="ctr", times=[180.0]))
         w.observe(batch([2e9], metric="ctr", times=[240.0]))
-        assert any(d.component == "c" for d in w.drain())
+        assert any(d.component == "c"
+                   for found in w.drain() for d in found.detections())
 
     def test_outlier_detector_quiet_on_all_nan(self):
         det = StreamingOutlierDetector(("node.power_w",), z_threshold=3.0)

@@ -97,22 +97,22 @@ class TestSweepOutliers:
         rng = np.random.default_rng(2)
         values = rng.normal(95, 2, 100)
         values[13] = 330.0   # hung at busy power while others idle
-        dets = sweep_outliers(self.sweep(values))
+        dets = sweep_outliers(self.sweep(values)).detections()
         assert dets[0].component == "n13"
         assert dets[0].kind == "outlier"
 
     def test_clean_sweep_no_detections(self):
         rng = np.random.default_rng(3)
-        assert sweep_outliers(self.sweep(rng.normal(95, 2, 100))) == []
+        assert sweep_outliers(self.sweep(rng.normal(95, 2, 100))).detections() == []
 
     def test_tiny_sweep_skipped(self):
-        assert sweep_outliers(self.sweep([1.0, 2.0])) == []
+        assert sweep_outliers(self.sweep([1.0, 2.0])).detections() == []
 
     def test_detections_sorted_by_magnitude(self):
         values = np.full(50, 10.0) + np.random.default_rng(4).normal(0, 0.1, 50)
         values[5] = 20.0
         values[7] = 50.0
-        dets = sweep_outliers(self.sweep(values))
+        dets = sweep_outliers(self.sweep(values)).detections()
         assert dets[0].component == "n7"
 
 

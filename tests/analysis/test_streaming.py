@@ -72,7 +72,8 @@ class TestStreamingOutlierDetector:
         values = np.full(32, 95.0)
         values[7] = 340.0
         det.observe(self.sweep(values))
-        (d,) = det.drain()
+        (found,) = det.drain()
+        (d,) = found.detections()
         assert d.component == "n7"
         assert det.drain() == []
 
@@ -94,7 +95,8 @@ class TestStreamingRateWatch:
         watch = StreamingRateWatch("gpu.ecc_dbe", max_rate_per_s=0.1)
         watch.observe(SeriesBatch.sweep("gpu.ecc_dbe", 0.0, ["g0"], [0.0]))
         watch.observe(SeriesBatch.sweep("gpu.ecc_dbe", 10.0, ["g0"], [50.0]))
-        (d,) = watch.drain()
+        (found,) = watch.drain()
+        (d,) = found.detections()
         assert d.component == "g0"
         assert d.score == pytest.approx(50.0)   # 5/s over a 0.1/s limit
 

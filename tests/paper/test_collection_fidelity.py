@@ -46,7 +46,7 @@ def run_with_interval(interval_s: float, seed: int = 7):
             "node.power_w", float(t), comps,
             [series[c].values[i] for c in comps],
         )
-        dets = sweep_outliers(sweep, z_threshold=4.0)
+        dets = sweep_outliers(sweep, z_threshold=4.0).detections()
         if any(d.component == victim for d in dets):
             detect_t = float(t)
             break

@@ -155,7 +155,7 @@ class TestSweepOutliersEquivalence:
            z=st.floats(min_value=0.5, max_value=8.0))
     @settings(max_examples=200, deadline=None)
     def test_exact_detection_equality(self, b, z):
-        assert same_detections(sweep_outliers(b, z_threshold=z),
+        assert same_detections(sweep_outliers(b, z_threshold=z).detections(),
                                _sweep_outliers_slow(b, z_threshold=z))
 
     def test_titan_scale_sweep_flags_exactly_the_planted(self):
@@ -169,7 +169,7 @@ class TestSweepOutliersEquivalence:
         power[planted] += 400.0
         comps = np.array([f"c{i:05d}" for i in range(n)], dtype=object)
         sweep = SeriesBatch.sweep("node.power_w", 0.0, comps, power)
-        fast = sweep_outliers(sweep, 6.0)
+        fast = sweep_outliers(sweep, 6.0).detections()
         assert {d.component for d in fast} == set(comps[planted])
         assert len(fast) == 5
         assert same_detections(fast, _sweep_outliers_slow(sweep, 6.0))
@@ -192,7 +192,9 @@ class TestRateWatchEquivalence:
         for b in bs:
             fast.observe(b)
             slow.observe(b)
-        assert same_detections(fast.drain(), slow.drain())
+        assert same_detections(
+            [d for found in fast.drain() for d in found.detections()],
+            slow.drain())
         assert fast.detections_total == slow.detections_total
 
 

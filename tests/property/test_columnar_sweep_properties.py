@@ -159,7 +159,8 @@ def _run(batches, chunk_size, table):
     return {
         "stats": {m: _table_state(t) for m, t in stats._tables.items()},
         "watch": _table_state(watch._table),
-        "detections": _freeze(watch.drain()),
+        "detections": _freeze([d for found in watch.drain()
+                               for d in found.detections()]),
         "heads": heads,
         "sealed": sealed,
         "block": (_table_state(block.table), block.n_head, block.n_times,

@@ -3,6 +3,11 @@
 import pytest
 
 from repro.analysis.anomaly import Detection
+from repro.analysis.streaming import (
+    StreamingOutlierDetector,
+    StreamingRateWatch,
+    StreamingStats,
+)
 from repro.cluster import Machine, build_dragonfly
 from repro.cluster.workload import APP_LIBRARY, Job, JobState
 from repro.core.events import EventKind, Severity
@@ -12,6 +17,9 @@ from repro.response.policy import (
     detections_to_requests,
 )
 from repro.response.sec import ActionRequest
+from repro.sites import SiteConfig, build_site
+from repro.sources.counters import NodeCounterCollector
+from repro.sources.sedc import SedcCollector
 
 
 @pytest.fixture()
@@ -134,3 +142,31 @@ class TestDefaultPolicy:
         assert r.component == "n3"
         assert "node.power_w" in r.rule
         assert r.fields["score"] == 8.5
+
+
+class TestStreamingAlertsAtFleetScale:
+    def test_sweep_stack_alert_totals_are_pinned(self):
+        """The bench's sweep stack at its 96-node smoke shape: the
+        streaming stage's batches, deduplicated as columns, raise and
+        suppress exactly what one request per hit did (the totals are
+        those of the per-hit path), and only raised alerts are audited."""
+        cfg = SiteConfig(groups=1, chassis_per_group=3, blades_per_chassis=8,
+                         nodes_per_router=4, metric_interval_s=60.0,
+                         tick_s=60.0, with_health_gate=False, seed=0)
+        p = build_site(cfg, overrides={"collectors": [
+            NodeCounterCollector(60.0), SedcCollector(60.0)]})
+        p.add_streaming(StreamingStats())
+        p.add_streaming(StreamingOutlierDetector(
+            ("node.power_w", "node.temp_c", "node.cpu_util")))
+        p.add_streaming(StreamingRateWatch("node.energy_j",
+                                           max_rate_per_s=1e9))
+        for _ in range(180):
+            p.step()
+        alerts = p.alerts.alerts
+        assert len(alerts) == 192
+        assert p.actions.executed == 2952
+        assert p.alerts.suppressed == 2760
+        assert len(p.actions.audit) == 192
+        assert {a.rule for a in alerts} == {
+            "stream.node.power_w.outlier", "stream.node.temp_c.outlier",
+            "stream.node.cpu_util.outlier"}

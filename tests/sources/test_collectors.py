@@ -199,6 +199,23 @@ class TestComponentColumnsArePublishedOnce:
                     else b.metric.split(".")[0]
                 assert b.components is columns[fleet], b.metric
 
+    def test_facility_collectors_republish_one_column(self, machine):
+        """Room, filesystem and power sweeps hand every sweep the same
+        column object, not a fresh list (per-job I/O rows come and go
+        with the jobs, so that sweep's column is built each time)."""
+        run_with_job(machine)
+        for c in [EnvironmentCollector(), FsProbeCollector(),
+                  OstCounterCollector(), PowerCollector(machine)]:
+            first, second = (
+                {b.metric: b.components
+                 for b in c.collect(machine, t).batches
+                 if b.metric != "job.io_bps"}
+                for t in (0.0, 60.0))
+            assert first, type(c).__name__
+            for metric, col in first.items():
+                assert second[metric] is col, metric
+                assert col.dtype == object and not col.flags.writeable
+
     def test_the_store_sees_one_object_and_the_row_memo_hits(self):
         p = build_site(SiteConfig(groups=1, chassis_per_group=3,
                                   blades_per_chassis=4, tick_s=60.0,

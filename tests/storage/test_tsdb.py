@@ -490,6 +490,65 @@ class TestHeadBlock:
         assert store.stats().samples == 44
         assert len(store.query("m", "b")) == 14
 
+    def test_a_block_below_the_map_threshold_doubles(self):
+        store = TimeSeriesStore(chunk_size=64)
+        names = name_column([f"n{i}" for i in range(16)])
+        widths = []
+        for i in range(20):
+            store.append(SeriesBatch.sweep("m", i * 10.0, names,
+                                           np.arange(16.0) + i))
+            widths.append(store._blocks["m"].values.shape[1])
+        assert sorted(set(widths)) == [4, 8, 16, 32]
+        assert 8 * 16 * 64 < tsdb._MMAP_THRESHOLD
+
+    def test_a_map_sized_block_is_full_width_from_its_first_sweep(self):
+        # 4,096 rows x 4 columns is exactly the map threshold: the one
+        # resize takes all chunk_size columns, and no sweep of the whole
+        # chunk (nor the seal storm, nor the next chunk) replaces them
+        n = 4096
+        assert 8 * n * 4 == tsdb._MMAP_THRESHOLD
+        store = TimeSeriesStore(chunk_size=64)
+        names = name_column([f"n{i}" for i in range(n)])
+        store.append(SeriesBatch.sweep("m", 0.0, names, np.arange(n) + 0.0))
+        block = store._blocks["m"]
+        values = block.values
+        assert values.shape == (n, 64)
+        for i in range(1, 70):
+            store.append(SeriesBatch.sweep("m", i * 10.0, names,
+                                           np.arange(n) + i))
+            assert block.values is values
+        assert block.row_times is None      # lock-step throughout
+        assert store.stats().sealed_chunks == n
+        for j in (0, 1, 2047, n - 1):
+            got = store.query("m", f"n{j}")
+            assert got.times.tolist() == [i * 10.0 for i in range(70)]
+            assert got.values.tolist() == [j + float(i) for i in range(70)]
+
+    def test_a_block_growing_past_the_map_threshold_goes_full_width(self):
+        # a small doubling block gains late joiners (ragged from then
+        # on): the resize that maps it takes every column at once
+        store = TimeSeriesStore(chunk_size=64)
+        small = name_column([f"n{i}" for i in range(16)])
+        for i in range(5):
+            store.append(SeriesBatch.sweep("m", i * 10.0, small,
+                                           np.arange(16.0) + i))
+        block = store._blocks["m"]
+        assert block.values.shape == (16, 8)
+        big = name_column([f"n{i}" for i in range(4096)])
+        for i in range(5, 80):
+            store.append(SeriesBatch.sweep("m", i * 10.0, big,
+                                           np.arange(4096.0) + i))
+            if i == 5:
+                values = block.values
+                assert values.shape == (4096, 64)
+                assert block.row_times.shape == (4096, 64)
+            assert block.values is values
+        for j, first in ((0, 0), (15, 0), (16, 5), (4095, 5)):
+            got = store.query("m", f"n{j}")
+            assert got.times.tolist() == [i * 10.0 for i in range(first, 80)]
+            assert got.values.tolist() == [j + float(i)
+                                           for i in range(first, 80)]
+
     def test_a_sweep_allocates_per_batch_not_per_point(self):
         # a count, not a timing: the list heads made two float objects
         # and a MetricKey per point (>= 65,000 blocks for these sweeps)

@@ -122,6 +122,18 @@ class TestColumnarGate:
     def test_analysis_plane_is_columnar(self):
         assert check_mod.check_columnar_analysis() == []
 
+    def test_the_response_plane_is_gated(self, tmp_path, monkeypatch):
+        # a per-hit loop over a detection batch's columns in response/
+        hot = tmp_path / "src" / "repro" / "response" / "hot.py"
+        hot.parent.mkdir(parents=True)
+        hot.write_text(
+            "def f(batch):\n"
+            "    return [str(c) for c in batch.components]\n"
+        )
+        monkeypatch.setattr(check_mod, "REPO", tmp_path)
+        (problem,) = check_mod.check_columnar_analysis()
+        assert "hot.py:2:" in problem and "per-sample loop" in problem
+
     def test_flags_zip_over_batch_columns(self, tmp_path):
         f = tmp_path / "hot.py"
         f.write_text(

@@ -123,7 +123,7 @@ class TestDetectionEndToEnd:
         sweep = SeriesBatch.sweep(
             "node.power_w", m.now, m.nodes.names, m.nodes.power_w
         )
-        dets = sweep_outliers(sweep, z_threshold=4.0)
+        dets = sweep_outliers(sweep, z_threshold=4.0).detections()
         assert any(d.component == victim for d in dets)
 
 
@@ -165,6 +165,16 @@ class TestAnalysisHooks:
         p = MonitoringPipeline(make_machine(job_generator=None))
         with pytest.raises(ValueError):
             p.add_analysis(0.0, lambda pipeline, now: [])
+
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf"),
+                                          float("-inf")])
+    def test_hook_rejects_nonfinite_interval(self, interval):
+        """A NaN cadence would fire on every tick, an infinite one once
+        and never again."""
+        p = MonitoringPipeline(make_machine(job_generator=None))
+        with pytest.raises(ValueError, match="positive and finite"):
+            p.add_analysis(interval, lambda pipeline, now: [])
+        assert p.stage("analysis-hooks").hooks == []
 
     def test_run_argument_validation(self):
         p = MonitoringPipeline(make_machine(job_generator=None))
