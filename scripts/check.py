@@ -371,12 +371,12 @@ def check_fleet_loops(path: Path) -> list[str]:
         "fleet's columns")
 
 
-def check_row_seals(path: Path) -> list[str]:
-    """Flag a per-row seal in one storage module: a ``.seal()`` or
-    ``compress_chunk(...)`` call inside a ``for`` loop or comprehension
-    (rows of a head block seal a group at a time, through
-    ``compress_chunks``).  ``# per-sample: allowed`` on the call's line
-    exempts it."""
+def _flagged_calls(path: Path, is_hit, advice: str) -> list[str]:
+    """``path:line: <advice>`` for each call inside a ``for`` loop or
+    comprehension of one module that ``is_hit(call, name)`` accepts
+    (``name``: the called attribute or function name; ``{name}`` in
+    ``advice`` is filled with it).  ``# per-sample: allowed`` on the
+    call's line exempts it."""
     src = path.read_text()
     try:
         tree = ast.parse(src, filename=str(path))
@@ -395,19 +395,42 @@ def check_row_seals(path: Path) -> list[str]:
             f = node.func
             name = f.attr if isinstance(f, ast.Attribute) else getattr(
                 f, "id", None)
-            if not (name == "compress_chunk"
-                    or (name == "seal" and isinstance(f, ast.Attribute)
-                        and not node.args)):
+            if not is_hit(node, name):
                 continue
             if _PER_SAMPLE_MARKER in lines[node.lineno - 1]:
                 continue
-            problems.append(
-                f"{path}:{node.lineno}: per-row {name}() inside a loop in "
-                f"the storage plane; seal the rows as one group "
-                f"(compress_chunks) or mark the line "
-                f"'{_PER_SAMPLE_MARKER}'"
-            )
+            problems.append(f"{path}:{node.lineno}: "
+                            + advice.format(name=name))
     return sorted(set(problems))
+
+
+def check_row_seals(path: Path) -> list[str]:
+    """Flag a per-row seal in one storage module: a ``.seal()`` or
+    ``compress_chunk(...)`` call inside a ``for`` loop or comprehension
+    (rows of a head block seal a group at a time, through
+    ``compress_chunks``).  ``# per-sample: allowed`` on the call's line
+    exempts it."""
+    return _flagged_calls(
+        path,
+        lambda call, name: name == "compress_chunk" or (
+            name == "seal" and isinstance(call.func, ast.Attribute)
+            and not call.args),
+        "per-row {name}() inside a loop in the storage plane; seal the "
+        f"rows as one group (compress_chunks) or mark the line "
+        f"'{_PER_SAMPLE_MARKER}'")
+
+
+def check_series_resolution(path: Path) -> list[str]:
+    """Flag per-component series resolution in one storage or serving
+    module: a ``_series_view(...)`` call inside a ``for`` loop or
+    comprehension (a read resolves its whole selection once, as rows of
+    the metric's head blocks, through ``SeriesQueryMixin._resolve``).
+    ``# per-sample: allowed`` on the call's line exempts it."""
+    return _flagged_calls(
+        path, lambda call, name: name == "_series_view",
+        "per-component {name}() inside a loop in the read path; resolve "
+        f"the selection once (_resolve) or mark the line "
+        f"'{_PER_SAMPLE_MARKER}'")
 
 
 #: handlers this broad that do nothing hide real faults (the paper's
@@ -647,11 +670,15 @@ _COLUMNAR_DIRS = ("analysis", "response", "serve")
 
 def check_columnar_analysis() -> list[str]:
     """Run :func:`check_columnar` over every columnar-only package,
-    :func:`check_fleet_loops` over the collectors and
-    :func:`check_row_seals` over the storage plane."""
+    :func:`check_fleet_loops` over the collectors,
+    :func:`check_row_seals` over the storage plane and
+    :func:`check_series_resolution` over the storage and serving
+    planes."""
     problems: list[str] = []
     for name, check in [(d, check_columnar) for d in _COLUMNAR_DIRS] + [
-            ("sources", check_fleet_loops), ("storage", check_row_seals)]:
+            ("sources", check_fleet_loops), ("storage", check_row_seals),
+            ("storage", check_series_resolution),
+            ("serve", check_series_resolution)]:
         root = REPO / "src" / "repro" / name
         if root.is_dir():
             for path in sorted(root.rglob("*.py")):

@@ -154,10 +154,10 @@ class QueryFrontend:
     def query(self, metric: str, component: str,
               t0: float = -np.inf, t1: float = np.inf,
               tenant: str = DEFAULT_TENANT) -> SeriesBatch:
+        plan = QueryPlan.range_query(metric, component, t0, t1)
         return self._serve(
-            tenant, QueryPlan.range_query(metric, component, t0, t1),
-            lambda: SeriesBatch.empty(metric),
-            lambda: self.store.query(metric, component, t0, t1))
+            tenant, plan, lambda: SeriesBatch.empty(metric),
+            lambda: self.store.query(metric, plan.component, plan.t0, plan.t1))
 
     def query_components(
         self,
@@ -167,9 +167,10 @@ class QueryFrontend:
         t1: float = np.inf,
         tenant: str = DEFAULT_TENANT,
     ) -> dict[str, SeriesBatch]:
+        plan = QueryPlan.sweep(metric, components, t0, t1)
         return self._serve(
-            tenant, QueryPlan.sweep(metric, components, t0, t1), dict,
-            lambda: self.store.query_components(metric, components, t0, t1))
+            tenant, plan, dict, lambda: self.store.query_components(
+                metric, plan.components, plan.t0, plan.t1))
 
     def downsample(self, metric: str, component: str, t0: float, t1: float,
                    step: float, agg: str = "mean",

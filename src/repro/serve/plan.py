@@ -21,7 +21,7 @@ def _selection(components: Sequence[str] | None) -> tuple[str, ...] | None:
     is what ranks ``last`` tie-breaks)."""
     if components is None:
         return None
-    return tuple(dict.fromkeys(str(c) for c in components))
+    return tuple(dict.fromkeys(map(str, components)))
 
 
 @dataclass(frozen=True, slots=True)

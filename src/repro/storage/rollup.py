@@ -176,28 +176,35 @@ def reduce_partials(
     ``piece_comp`` ranks each piece's source series for cross-component
     aggregation, reproducing the raw path's stable concat order: one
     rank for a whole piece, or a column ranking it row by row (a head
-    block's piece holds many series).
+    block's piece holds many series).  One piece whose buckets strictly
+    increase (a drill-down's) is already in merge order, one row per
+    bucket: it is reduced as it stands, with no concatenation or sort.
     """
     keep = [p for p in pieces if len(p[0])]
     if not keep:
         return np.empty(0), np.empty(0)
-    comp = None
-    if piece_comp is not None:
-        comp = np.concatenate([
-            np.full(len(p[0]), c, dtype=np.int64)
-            for p, c in zip(pieces, piece_comp)
-            if len(p[0])
-        ])
-    b, cnt, vsum, vmin, vmax, t_last, v_last, seq = (
-        np.concatenate([p[i] for p in keep]) for i in range(8)
-    )
-    order = (
-        np.lexsort((seq, t_last, b)) if comp is None
-        else np.lexsort((seq, comp, t_last, b))
-    )
-    b, cnt, vsum = b[order], cnt[order], vsum[order]
-    vmin, vmax, v_last = vmin[order], vmax[order], v_last[order]
-    cuts = np.flatnonzero(b[1:] != b[:-1]) + 1
+    b = keep[0][0]
+    if len(keep) == 1 and not np.count_nonzero(b[1:] <= b[:-1]):
+        _, cnt, vsum, vmin, vmax, _, v_last, _ = keep[0]
+        cuts = np.arange(1, len(b))
+    else:
+        comp = None
+        if piece_comp is not None:
+            comp = np.concatenate([
+                np.full(len(p[0]), c, dtype=np.int64)
+                for p, c in zip(pieces, piece_comp)
+                if len(p[0])
+            ])
+        b, cnt, vsum, vmin, vmax, t_last, v_last, seq = (
+            np.concatenate([p[i] for p in keep]) for i in range(8)
+        )
+        order = (
+            np.lexsort((seq, t_last, b)) if comp is None
+            else np.lexsort((seq, comp, t_last, b))
+        )
+        b, cnt, vsum = b[order], cnt[order], vsum[order]
+        vmin, vmax, v_last = vmin[order], vmax[order], v_last[order]
+        cuts = np.flatnonzero(b[1:] != b[:-1]) + 1
     starts = np.concatenate(([0], cuts))
     out_t = anchor + b[starts] * step
     if agg == "sum":

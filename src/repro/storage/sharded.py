@@ -10,10 +10,12 @@ every run and only an explicit shard-count change repartitions),
 fans ingest batches out by shard, fans ``keys`` back in, and
 merges per-shard counters into one O(1) ``stats()``.  The query layer
 (``query`` / ``query_components`` / ``downsample`` /
-``aggregate_across``, over ``_series_view``) is the
-shared :class:`~repro.storage.tsdb.SeriesQueryMixin`, so callers cannot
-tell K shards from one store — the acceptance oracle the sharding
-tests enforce.
+``aggregate_across``) is the shared
+:class:`~repro.storage.tsdb.SeriesQueryMixin`, so callers cannot tell K
+shards from one store — the acceptance oracle the sharding tests
+enforce.  A read resolves its selection in each healthy shard's head
+block (``_blocks_of``) rather than hashing its components: a series
+lives on exactly one shard, so ``shard_of`` routes writes only.
 
 Shards are :class:`~repro.core.lifecycle.Supervised`: a failed shard
 (``fail_shard``) degrades the store to the remaining shards — writes
@@ -28,6 +30,8 @@ ledger as ``crash-redo`` (redo buffers live in memory only).
 
 from __future__ import annotations
 
+import itertools
+import operator
 from collections import deque
 from dataclasses import fields
 from functools import reduce
@@ -129,6 +133,9 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
         # once per (array, metric) instead of once per batch; entries
         # die with the array (weakref.finalize), so id() cannot alias
         self._route_memo: dict[int, dict[str, list]] = {}
+        # metric -> (health epoch, the healthy shards' sorted key lists,
+        # their merge): see keys()
+        self._keys: dict[str, tuple] = {}
 
     # -- routing ------------------------------------------------------------
 
@@ -293,21 +300,43 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
 
     # -- query (fan-out) ------------------------------------------------------
 
+    def _live(self) -> list[TimeSeriesStore]:
+        """The shards reads can reach: a failed shard's series are
+        unreachable until recovery."""
+        return [s for s, h in zip(self.shards, self._health)
+                if h is not Health.FAILED]
+
     def keys(self, metric: str | None = None) -> list[MetricKey]:
         """Series names across every healthy shard, in single-store
-        order (a failed shard's series are unreachable until recovery)."""
-        out: list[MetricKey] = []
-        for i, s in enumerate(self.shards):
-            if self._health[i] is Health.FAILED:
-                continue
-            out.extend(s.keys(metric))
-        return sorted(out, key=str)
+        order.  A metric's list is memoized until a healthy shard's own
+        sorted list of it is replaced (a series created or dropped) or
+        shard health changes."""
+        if metric is None:
+            return sorted((k for s in self._live() for k in s.keys()),
+                          key=str)
+        per = [s._sorted_keys(metric) for s in self._live()]
+        memo = self._keys.get(metric)
+        if (memo is None or memo[0] != self._health_epoch
+                or not all(map(operator.is_, memo[1], per))):
+            # the memo holds the shard lists it merged, so an identity
+            # match cannot be a recycled id
+            memo = self._keys[metric] = (
+                self._health_epoch, per,
+                sorted(itertools.chain.from_iterable(per), key=str))
+        return list(memo[2])
 
     def components(self, metric: str) -> list[str]:
         return [k.component for k in self.keys(metric)]
 
+    def _blocks_of(self, metric: str) -> list:
+        """The metric's head block on every shard reads can reach — a
+        selection resolves in each (a series lives on exactly one)."""
+        return [b for s, h in zip(self.shards, self._health)
+                if h is not Health.FAILED
+                and (b := s._blocks.get(metric)) is not None]
+
     def _series_view(self, metric: str, component: str):
-        """Chunk-level surface every read resolves series through: one
+        """One series and the chunk cache, for a single-series read: the
         series lives on exactly one shard, and while that shard is failed
         the answer is ``None`` — reads against it degrade to empty
         instead of raising.

@@ -698,7 +698,8 @@ class _HeadBlock:
 
     The metric's :class:`~repro.core.soa.ComponentTable` maps component
     -> row; row ``r`` holds ``counts[r]`` unsealed values in arrival
-    order (``-1``: no live series — never created, or dropped).  The
+    order (``-1``: no live series — never created, or dropped), and its
+    series has sealed ``sealed[r]`` samples before them.  The
     matrix is stored sweep-major (:func:`_matrix`): a synchronized sweep
     is one contiguous column write, a series' head is a zero-copy
     strided view, and growing the block copies only the columns in use,
@@ -726,14 +727,15 @@ class _HeadBlock:
     ``flush``) the block is trivially in lock-step again.
     """
 
-    __slots__ = ("chunk_size", "table", "series", "counts", "values",
-                 "times", "n_times", "row_times", "n_head")
+    __slots__ = ("chunk_size", "table", "series", "counts", "sealed",
+                 "values", "times", "n_times", "row_times", "n_head")
 
     def __init__(self, chunk_size: int) -> None:
         self.chunk_size = chunk_size
         self.table = ComponentTable()
         self.series: list[_Series | None] = []      # row -> live series
         self.counts = np.empty(0, dtype=np.intp)
+        self.sealed = np.empty(0, dtype=np.int64)
         self.values = _matrix(0, min(4, chunk_size))
         self.times = np.empty(self.values.shape[1])  # the shared column
         self.n_times = 0
@@ -757,6 +759,8 @@ class _HeadBlock:
         self.times = np.resize(self.times, cols)
         self.counts = np.concatenate(
             (self.counts, np.full(rows - old_rows, -1, dtype=np.intp)))
+        self.sealed = np.concatenate(
+            (self.sealed, np.zeros(rows - old_rows, dtype=np.int64)))
         self.series.extend([None] * (rows - old_rows))
 
     def fit(self) -> None:
@@ -891,8 +895,8 @@ class _Series:
     uses.  The open head is row ``row`` of the metric's ``block``.
     """
 
-    __slots__ = ("chunks", "block", "row", "n_sealed_samples",
-                 "sealed_bytes", "sealed_t_max", "pyramid", "tier", "key")
+    __slots__ = ("chunks", "block", "row", "sealed_bytes", "sealed_t_max",
+                 "pyramid", "tier", "key")
 
     def __init__(
         self, block: _HeadBlock, row: int, pyramid_levels: Sequence[float],
@@ -903,7 +907,6 @@ class _Series:
         self.chunks: list[SealedChunk] = []
         self.block = block
         self.row = row
-        self.n_sealed_samples = 0
         self.sealed_bytes = 0       # running sum(c.nbytes for c in chunks)
         self.sealed_t_max = _NEVER  # running max(c.summary.t_max)
         # rollup pyramid maintained incrementally at seal time (serving plane)
@@ -925,7 +928,7 @@ class _Series:
         caller's to fold: a seal folds its whole group at once, the scan
         the arrays it decoded, the manifest reloads saved partials."""
         self.chunks.append(chunk)
-        self.n_sealed_samples += chunk.summary.count
+        self.block.sealed[self.row] += chunk.summary.count
         self.sealed_bytes += chunk.nbytes
         self.sealed_t_max = max(self.sealed_t_max, chunk.summary.t_max)
 
@@ -943,18 +946,25 @@ class _Series:
             return blob
         return self.tier.load(chunk.ref)
 
-    def decode(self, chunk: SealedChunk, cache: LRUCache | None
+    def cached(self, chunk: SealedChunk, cache: LRUCache):
+        """The chunk cache's ``(times, values)`` of one sealed chunk, or
+        None — probed before the blob is touched: a hit on a resident
+        blob keeps its place in the tier's LRU, as reading it would, and
+        a spilled one is not loaded at all."""
+        hit = cache.get(chunk.cid)
+        if hit is not None and chunk.blob is not None and self.tier is not None:
+            self.tier.touch(chunk.cid)
+        return hit
+
+    def decode(self, chunk: SealedChunk, cache: LRUCache
                ) -> tuple[np.ndarray, np.ndarray]:
         """Decompressed ``(times, values)`` of one sealed chunk, served
         from and filling the shared chunk cache."""
-        blob = self.chunk_blob(chunk)
-        if cache is not None:
-            hit = cache.get(chunk.cid)
-            if hit is not None:
-                return hit
-        t, v = decompress_chunk(blob, chunk.hint)
-        if cache is not None:
-            cache.put(chunk.cid, (t, v), t.nbytes + v.nbytes)
+        hit = self.cached(chunk, cache)
+        if hit is not None:
+            return hit
+        t, v = decompress_chunk(self.chunk_blob(chunk), chunk.hint)
+        cache.put(chunk.cid, (t, v), t.nbytes + v.nbytes)
         return t, v
 
     def export_state(self) -> dict:
@@ -968,68 +978,64 @@ class _Series:
         }
 
     @property
+    def n_sealed_samples(self) -> int:
+        return int(self.block.sealed[self.row])
+
+    @property
     def n_samples(self) -> int:
         return self.n_sealed_samples + int(self.block.counts[self.row])
 
 
-def _head_blocks(views: Sequence[tuple[_Series, LRUCache]]
-                 ) -> list[tuple[_HeadBlock, list[int], list[int]]]:
-    """``(block, ranks, rows)`` per head block a selection touches — one
-    on a plain store, at most one per shard: the series ``views[rank]``
-    is row ``row`` of ``block``."""
-    by_block: dict[_HeadBlock, list[int]] = {}
-    for rank, (s, _) in enumerate(views):
-        by_block.setdefault(s.block, []).append(rank)
-    return [(block, ranks, [views[r][0].row for r in ranks])
-            for block, ranks in by_block.items()]
+#: a resolved selection, one entry per head block holding any of it:
+#: row ``rows[i]`` of ``block`` is the series of selection position
+#: ``ranks[i]`` (:meth:`SeriesQueryMixin._resolve`)
+Selection = list[tuple[_HeadBlock, np.ndarray, np.ndarray]]
 
 
-def read_series(views: Sequence[tuple[_Series, LRUCache]],
-                t0: float, t1: float
-                ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The samples of every series of ``views`` (``(series, cache)``
-    pairs) with ``t0 <= t < t1``, time-sorted — the one raw read, for
-    one series or a fleet.  It works on blocks: every overlapping sealed
-    chunk is probed in the chunk cache (a hit or a miss each, as a
-    single read would count them), the misses are decoded in one
-    :func:`decompress_chunks` pass and admitted, and the open heads are
-    gathered once per head block
+def read_series(parts: Selection, n: int, cache: LRUCache,
+                t0: float, t1: float) -> list[tuple | None]:
+    """The samples with ``t0 <= t < t1`` of every series of a resolved
+    selection of ``n`` positions, time-sorted, by position (None where
+    no series was found) — the one raw read, for one series or a fleet.
+    It works on blocks: every overlapping sealed chunk is probed in the
+    chunk cache (a hit or a miss each, as a single read would count
+    them), the misses are decoded in one :func:`decompress_chunks` pass
+    and admitted, and the open heads are gathered once per head block
     (:func:`~repro.storage.rollup._head_gather`).  A series is then its
     chunks in seal order and its head: only a chunk the window cuts is
     trimmed, and only a concatenation that comes out of order (late
     samples across a seal) is stable-sorted.  No array aliases the
     chunk cache or a head block."""
-    out: list = [(np.empty(0), np.empty(0))] * len(views)
-    if not t0 < t1:                     # empty (or NaN-bounded) window
-        return out
+    out: list = [None] * n
     sealed: dict[int, list[SealedChunk]] = {}   # rank -> overlapping chunks
     decoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}      # by cid
-    missed: list[tuple[SealedChunk, LRUCache]] = []
+    missed: list[SealedChunk] = []
     blobs: list[tuple] = []
-    for rank, (series, cache) in enumerate(views):
-        for chunk in series.chunks:
-            summ = chunk.summary
-            if summ.t_max < t0 or summ.t_min >= t1:
-                continue
-            blob = series.chunk_blob(chunk)
-            hit = cache.get(chunk.cid)
-            if hit is None:
-                missed.append((chunk, cache))
-                blobs.append((blob, chunk.hint))
-            else:
-                decoded[chunk.cid] = hit
-            sealed.setdefault(rank, []).append(chunk)
+    for block, rows, ranks in parts if t0 < t1 else ():   # NaN: empty too
+        for i in block.sealed[rows].nonzero()[0].tolist():
+            series, rank = block.series[rows[i]], int(ranks[i])
+            for chunk in series.chunks:
+                summ = chunk.summary
+                if summ.t_max < t0 or summ.t_min >= t1:
+                    continue
+                hit = series.cached(chunk, cache)
+                if hit is None:
+                    missed.append(chunk)
+                    blobs.append((series.chunk_blob(chunk), chunk.hint))
+                else:
+                    decoded[chunk.cid] = hit
+                sealed.setdefault(rank, []).append(chunk)
     if missed:
-        for (chunk, cache), tv in zip(missed, decompress_chunks(blobs)):
+        for chunk, tv in zip(missed, decompress_chunks(blobs)):
             decoded[chunk.cid] = tv
             cache.put(chunk.cid, tv, tv[0].nbytes + tv[1].nbytes)
-    for block, ranks, rows in _head_blocks(views):
+    for block, rows, ranks in parts:
         pos, _, ht, hv = _head_gather(block, rows, t0, t1)
         if pos is None:
             out[ranks[0]] = (ht, hv)
             continue
         cuts = np.searchsorted(pos, np.arange(len(ranks) + 1)).tolist()
-        for rank, lo, hi in zip(ranks, cuts, cuts[1:]):
+        for rank, lo, hi in zip(ranks.tolist(), cuts, cuts[1:]):
             out[rank] = (ht[lo:hi], hv[lo:hi])
     for rank, chunks in sealed.items():  # the rest are a head: done
         tp, vp = [], []
@@ -1101,14 +1107,17 @@ def _bucket_agg(
 class SeriesQueryMixin:
     """Query-layer methods shared by every store with the series API.
 
-    Anything exposing ``components(metric)``, ``pyramid_levels`` and
-    ``_series_view(metric, component)`` (the chunk-level surface: a
-    :class:`_Series` plus its cache, or None when reads cannot reach
+    Anything exposing ``components(metric)``, ``pyramid_levels``, a
+    chunk ``cache``, ``_blocks_of(metric)`` (the metric's head blocks
+    that reads can reach) and ``_series_view(metric, component)`` (one
+    :class:`_Series` plus the cache, or None when reads cannot reach
     it) gets range queries over one series or many, downsampling, and
     cross-component aggregation for free — this is what lets
     :class:`~repro.storage.sharded.ShardedTimeSeriesStore` present the
     exact single-store query surface over K shards.
 
+    A selection is resolved once, as rows of head blocks
+    (:meth:`_resolve`); nothing downstream looks a series up by name.
     Raw answers (``query``, ``query_components``) are one
     :func:`read_series`, which reads sealed chunks and open heads a
     block at a time.  Bucketed answers come two ways: the raw concat +
@@ -1128,11 +1137,14 @@ class SeriesQueryMixin:
     ) -> SeriesBatch:
         """Range query one series -> time-sorted batch (empty when the
         series is missing or reads cannot reach it)."""
+        component = str(component)
         view = self._series_view(metric, component)
         if view is None:
             return SeriesBatch.empty(metric)
+        s, cache = view
+        part = (s.block, np.array([s.row]), np.zeros(1, dtype=np.intp))
         return SeriesBatch.for_component(
-            metric, component, *read_series([view], t0, t1)[0])
+            metric, component, *read_series([part], 1, cache, t0, t1)[0])
 
     def query_components(
         self,
@@ -1143,16 +1155,13 @@ class SeriesQueryMixin:
     ) -> dict[str, SeriesBatch]:
         """Range query many series at once (drill-down working set, or
         with ``components=None`` the whole fleet): one
-        :func:`read_series` over every series reads can reach."""
-        comps = dict.fromkeys(
-            components if components is not None else self.components(metric))
-        views = {c: view for c in comps
-                 if (view := self._series_view(metric, c)) is not None}
-        out = dict.fromkeys(comps, SeriesBatch.empty(metric))
-        for c, (t, v) in zip(views,
-                             read_series(list(views.values()), t0, t1)):
-            out[c] = SeriesBatch.for_component(metric, c, t, v)
-        return out
+        :func:`read_series` over the resolved selection, keyed by the
+        selection's components (empty where reads reach no series)."""
+        comps, parts = self._resolve(metric, components)
+        got = read_series(parts, len(comps), self.cache, t0, t1)
+        return {c: SeriesBatch.empty(metric) if tv is None
+                else SeriesBatch.for_component(metric, c, *tv)
+                for c, tv in zip(comps, got)}
 
     def downsample(
         self,
@@ -1190,27 +1199,41 @@ class SeriesQueryMixin:
         out_t, out_v = _bucket_agg(raw.times, raw.values, anchor, step, agg)
         return SeriesBatch.for_component(metric, component, out_t, out_v)
 
-    def _views(self, metric: str, components: Sequence[str] | None
-               ) -> tuple[np.ndarray, list[tuple[_Series, LRUCache]]]:
-        """The views of a selection's components that reads can reach
-        (``None``: the metric's components), and each one's position in
-        the selection — the rank that orders ``last`` tie-breaks."""
-        comps = components if components is not None else self.components(metric)
-        views = [self._series_view(metric, c) for c in comps]
-        ranks = np.arange(len(views))
-        if None in views:
-            ranks = ranks[[v is not None for v in views]]
-            views = [v for v in views if v is not None]
-        return ranks, views
+    def _resolve(self, metric: str, components: Sequence[str] | None
+                 ) -> tuple[list[str], Selection]:
+        """A selection as rows: ``(comps, parts)``.  ``comps`` is the
+        selection as reads key it — str components, a repeat counted
+        once at its first position (``None``: the metric's components,
+        in :meth:`keys` order); ``parts`` holds, per head block that
+        reads can reach and that holds any of it, the block's rows and
+        their positions in ``comps`` — the ranks that order ``last``
+        tie-breaks.  Unknown components and dropped rows are left out.
+        One dict pass per block: a series lives in exactly one block, so
+        on a sharded store most blocks hold none of a small selection."""
+        comps = (self.components(metric) if components is None
+                 else list(dict.fromkeys(map(str, components))))
+        parts: Selection = []
+        for block in self._blocks_of(metric):
+            rows = list(map(block.table.index.get, comps, itertools.repeat(-1)))
+            if max(rows, default=-1) < 0:
+                continue
+            rows = np.array(rows, dtype=np.intp)
+            ranks = (rows >= 0).nonzero()[0]
+            ranks = ranks[block.counts[rows[ranks]] >= 0]
+            if len(ranks):
+                parts.append((block, rows[ranks], ranks))
+        return comps, parts
 
     def first_time(self, metric: str,
                    components: Sequence[str] | None = None) -> float:
         """Earliest sample time across a selection (``inf`` when it holds
         none): where an unbounded bucketed read anchors its grid."""
-        views = self._views(metric, components)[1]
+        parts = self._resolve(metric, components)[1]
         return min(itertools.chain(
-            (c.summary.t_min for s, _ in views for c in s.chunks),
-            (head_first_time(b, rows) for b, _, rows in _head_blocks(views))),
+            (c.summary.t_min for block, rows, _ in parts
+             for row in rows[block.sealed[rows] > 0].tolist()
+             for c in block.series[row].chunks),
+            (head_first_time(block, rows) for block, rows, _ in parts)),
             default=np.inf)
 
     def bucket_partials(
@@ -1231,29 +1254,31 @@ class SeriesQueryMixin:
         A piece ranks by its component's position in the selection (so
         ``last`` tie-breaks agree with the raw path); unreadable or
         missing series contribute nothing, an empty window or a
-        non-finite anchor nothing at all.  Sealed data is read series by
-        series (:func:`~repro.storage.rollup.series_partials`, under one
-        ``window_plan``), open heads with one
-        :func:`~repro.storage.rollup.head_partials` per head block the
-        selection touches (one on a plain store, at most one per shard).
+        non-finite anchor nothing at all.  Per head block the selection
+        touches (one on a plain store, at most one per shard), sealed
+        data is read series by series for the rows that have any
+        (:func:`~repro.storage.rollup.series_partials`, under one
+        ``window_plan``), and the open heads with one
+        :func:`~repro.storage.rollup.head_partials`.
         """
         if not (t0 < t1 and np.isfinite(anchor)):
             return [], [], False
-        ranks, views = self._views(metric, components)
+        parts = self._resolve(metric, components)[1]
         plan = window_plan(self.pyramid_levels, t0, t1, step, anchor)
         pieces: list[tuple[np.ndarray, ...]] = []
         piece_comp: list[int | np.ndarray] = []
-        for rank, (series, cache) in zip(ranks.tolist(), views):
-            ps = series_partials(series, cache, t0, t1, step, anchor, plan)
-            pieces.extend(ps)
-            piece_comp.extend([rank] * len(ps))
-        for block, idx, rows in _head_blocks(views):
-            piece, owner = head_partials(
-                block, rows, [views[i][0].n_sealed_samples for i in idx],
-                t0, t1, step, anchor)
+        for block, rows, ranks in parts:
+            seq_base = block.sealed[rows]
+            for i in seq_base.nonzero()[0].tolist():
+                ps = series_partials(block.series[rows[i]], self.cache,
+                                     t0, t1, step, anchor, plan)
+                pieces.extend(ps)
+                piece_comp.extend([ranks[i]] * len(ps))
+            piece, owner = head_partials(block, rows, seq_base,
+                                         t0, t1, step, anchor)
             pieces.append(piece)
-            piece_comp.append(ranks[idx][owner])
-        return pieces, piece_comp, bool(views) and plan is not None
+            piece_comp.append(ranks[owner])
+        return pieces, piece_comp, bool(parts) and plan is not None
 
     def _bucketed_read(
         self,
@@ -1388,7 +1413,7 @@ class TimeSeriesStore(SeriesQueryMixin):
         block = self._block(key.metric)
         row = block.table.add(key.component)
         block.fit()
-        block.counts[row] = 0       # live, and empty
+        block.counts[row] = block.sealed[row] = 0   # live, and empty
         self._metric_keys.pop(key.metric, None)
         s = self._series[key] = block.series[row] = _Series(
             block, row, self.pyramid_levels, tier=self.disk, key=key)
@@ -1441,9 +1466,8 @@ class TimeSeriesStore(SeriesQueryMixin):
         stats = zip(*(c.tolist() for c in (v.min(axis=1), v.max(axis=1),
                                            v_sum, v[:, 0], v[:, -1])))
         series = [block.series[r] for r in rows.tolist()]
-        folds = fold_sealed_rows(
-            series[0].pyramid.levels, t, v,
-            np.array([s.n_sealed_samples for s in series]))
+        folds = fold_sealed_rows(series[0].pyramid.levels, t, v,
+                                 block.sealed[rows])
         done = 0
         try:
             for s, (blob, hint), stat, pieces in zip(series, coded, stats,
@@ -1542,22 +1566,30 @@ class TimeSeriesStore(SeriesQueryMixin):
     def keys(self, metric: str | None = None) -> list[MetricKey]:
         if metric is None:
             return sorted(self._series, key=str)
+        return list(self._sorted_keys(metric))
+
+    def _sorted_keys(self, metric: str) -> list[MetricKey]:
+        """The metric's keys, sorted: one memoized list, replaced (never
+        mutated) when a series of the metric is created or dropped."""
         keys = self._metric_keys.get(metric)
         if keys is None:
             block = self._blocks.get(metric)
-            if block is None:
-                return []
-            keys = self._metric_keys[metric] = sorted(
+            keys = self._metric_keys[metric] = [] if block is None else sorted(
                 (s.key for s in block.series if s is not None), key=str)
-        return list(keys)
+        return keys
 
     def components(self, metric: str) -> list[str]:
         return [k.component for k in self.keys(metric)]
 
+    def _blocks_of(self, metric: str) -> list[_HeadBlock]:
+        """The metric's head block, the one a selection resolves in."""
+        block = self._blocks.get(metric)
+        return [] if block is None else [block]
+
     def _series_view(
         self, metric: str, component: str
     ) -> tuple[_Series, LRUCache] | None:
-        """Chunk-level surface every read resolves series through."""
+        """One series and the chunk cache: a single-series read."""
         series = self._series.get(MetricKey(metric, component))
         if series is None:
             return None

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.metric import SeriesBatch
 from repro.serve.frontend import QueryFrontend
-from repro.storage.rollup import DEFAULT_LEVELS
+from repro.storage.rollup import DEFAULT_LEVELS, ieee_sums, reduce_partials
 from repro.storage.sharded import ShardedTimeSeriesStore
 from repro.storage.tsdb import TimeSeriesStore
 
@@ -152,3 +152,124 @@ class TestServingEqualsRaw:
         if span >= 60.0:
             # at least one full bucket => planner eligibility
             assert fe.stats().pyramid_answers == 1
+
+
+#: what a selection may name: live series, a dropped one, an unknown
+#: one, and ints that str-normalize to series names
+_UNIVERSE = ("a", "b", "c", "d", "1", "2")
+_SELECTABLE = _UNIVERSE + ("zz", 1, 2)
+
+
+def _selection_store(data):
+    """A plain or sharded (K = 1-4) store over ``_UNIVERSE`` with sealed
+    chunks and open heads, maybe a dropped series and a failed shard
+    (recovered, or still failed)."""
+    k = data.draw(st.integers(0, 4), label="shards")
+    store = (ShardedTimeSeriesStore(shards=k, chunk_size=4) if k
+             else TimeSeriesStore(chunk_size=4))
+    n = data.draw(st.integers(1, 14), label="sweeps")
+    comps = np.array(_UNIVERSE, dtype=object)
+    for i in range(n):
+        t = 7.0 * i + data.draw(st.sampled_from([0.0, 0.5]))
+        store.append(SeriesBatch.sweep("m", t, comps,
+                                       _values(data, len(comps))))
+    for c in data.draw(st.lists(st.sampled_from(_UNIVERSE), max_size=2)):
+        store.drop_series("m", c)
+    if k and data.draw(st.booleans(), label="fail a shard"):
+        i = data.draw(st.integers(0, k - 1))
+        store.fail_shard(i)
+        if data.draw(st.booleans(), label="recover it"):
+            store.recover_shard(i)
+    return store
+
+
+def _selection(data):
+    return data.draw(st.one_of(
+        st.none(), st.lists(st.sampled_from(_SELECTABLE), max_size=10)),
+        label="selection")
+
+
+class TestSelectionResolution:
+    """A read resolves its selection once, as rows of head blocks; every
+    answer must be the one a per-component lookup gives."""
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_resolved_rows_are_the_per_component_views(self, data):
+        store = _selection_store(data)
+        sel = _selection(data)
+        comps, parts = store._resolve("m", sel)
+        want_comps = (store.components("m") if sel is None
+                      else list(dict.fromkeys(map(str, sel))))
+        assert comps == want_comps
+        want = [(rank, view[0]) for rank, c in enumerate(want_comps)
+                if (view := store._series_view("m", c)) is not None]
+        got = sorted((rank, block.series[row])
+                     for block, rows, ranks in parts
+                     for row, rank in zip(rows.tolist(), ranks.tolist()))
+        assert [r for r, _ in got] == [r for r, _ in want]
+        assert all(a is b for (_, a), (_, b) in zip(got, want))
+        if isinstance(store, ShardedTimeSeriesStore):
+            # every series found sits on the shard shard_of routes it to
+            owner = {id(s._blocks["m"]): i for i, s in enumerate(store.shards)
+                     if "m" in s._blocks}
+            for block, rows, _ in parts:
+                for row in rows.tolist():
+                    assert store.shard_of(
+                        "m", block.series[row].key.component) == owner[id(block)]
+
+    @given(data=st.data(), agg=st.sampled_from(AGGS), step=steps,
+           unbounded=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_bucketed_read_is_the_raw_aggregate(self, data, agg, step,
+                                                unbounded):
+        store = _selection_store(data)
+        sel = _selection(data)
+        t0, t1 = ((-np.inf, np.inf) if unbounded
+                  else data.draw(windows.map(lambda w: (w[0] / 50, w[1] / 50))))
+        got, _ = store._bucketed_read("m", sel, t0, t1, step, agg, "x")
+        want = store.aggregate_across("m", sel, t0, t1, step, agg)
+        # integer-valued draws: sum and mean are bit-exact here too
+        assert_batches_equal(got, want, (sel, t0, t1, step, agg))
+
+
+#: one partial-column piece whose buckets strictly increase
+def _one_piece(data):
+    b = np.asarray(sorted(data.draw(st.sets(
+        st.integers(-50, 50), min_size=1, max_size=12))), dtype=np.int64)
+    n = len(b)
+    specials = st.one_of(exact_values, st.floats(allow_nan=True))
+    col = (lambda: np.asarray(data.draw(st.lists(
+        specials, min_size=n, max_size=n)), dtype=np.float64))
+    cnt = np.asarray(data.draw(st.lists(st.integers(1, 9), min_size=n,
+                                        max_size=n)), dtype=np.int64)
+    seq = np.asarray(data.draw(st.lists(st.integers(0, 99), min_size=n,
+                                        max_size=n)), dtype=np.int64)
+    return (b, cnt, col(), col(), col(), col(), col(), seq)
+
+
+class TestOnePieceFastPath:
+    @given(data=st.data(), agg=st.sampled_from(AGGS),
+           comp=st.one_of(st.none(), st.integers(0, 5)))
+    @settings(max_examples=150, deadline=None)
+    def test_one_piece_is_reduced_like_the_general_merge(self, data, agg,
+                                                        comp):
+        piece = _one_piece(data)
+        anchor, step = 30.0, 7.5
+        got = reduce_partials([piece], anchor, step, agg,
+                              None if comp is None else [comp])
+        b, cnt, vsum, vmin, vmax, _, v_last, _ = piece
+        with ieee_sums():
+            direct = {"sum": vsum, "mean": vsum / cnt, "min": vmin,
+                      "max": vmax, "last": v_last,
+                      "count": cnt.astype(np.float64)}[agg]
+        assert np.array_equal(got[0], anchor + b * step)
+        assert np.array_equal(got[1], direct, equal_nan=True)
+        if len(b) > 1:      # the same rows as two pieces take the merge
+            k = data.draw(st.integers(1, len(b) - 1))
+            halves = [tuple(c[:k] for c in piece), tuple(c[k:] for c in piece)]
+            merged = reduce_partials(halves, anchor, step, agg,
+                                     None if comp is None else [comp, comp])
+            for g, w in zip(got, merged):
+                assert np.array_equal(g, w, equal_nan=True)
+                assert g.tobytes() == w.tobytes()

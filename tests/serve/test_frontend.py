@@ -131,6 +131,33 @@ class TestResultCaching:
         assert 0.0 < s.pyramid_ratio < 1.0
 
 
+@pytest.mark.parametrize("shards", [0, 3])
+class TestNonStrComponents:
+    """The store keys components by ``str``; the front end asks it with
+    the plan's normalized components, never the caller's raw ones."""
+
+    @staticmethod
+    def make(shards):
+        store = (ShardedTimeSeriesStore(shards=shards) if shards
+                 else TimeSeriesStore())
+        for i in range(3):
+            store.append(SeriesBatch.sweep("n", 10.0 * i, ["1", "2"],
+                                           [i, -i]))
+        return store
+
+    def test_an_int_component_reads_its_series_and_caches_that(self, shards):
+        fe = QueryFrontend(self.make(shards))
+        assert len(fe.query("n", 1)) == 3
+        again = fe.query("n", "1")
+        assert len(again) == 3 and fe.stats().cache.hits == 1
+
+    def test_an_int_selection_reads_its_series(self, shards):
+        fe = QueryFrontend(self.make(shards))
+        got = fe.query_components("n", [2])
+        assert list(got) == ["2"] and got["2"].values.tolist() == [0, -1, -2]
+        assert fe.query_components("n", ["2"]) is got
+
+
 class TestTenantShedding:
     def test_tenants_are_isolated(self):
         fe = QueryFrontend(make_store(),

@@ -1,5 +1,6 @@
 """Unit tests for the out-of-core disk tier (spill, WAL, recovery)."""
 
+import contextlib
 import gc
 import os
 import pickle
@@ -91,6 +92,40 @@ class TestHotBudget:
         assert d.loads > 0
         assert d.map_hits > 0                 # second pass reused the map
         store.close()
+
+
+    @pytest.mark.parametrize("read", ["query", "downsample"])
+    def test_a_chunk_cache_hit_loads_nothing_and_keeps_spill_order(
+            self, tmp_path, read):
+        """The chunk cache is probed before the blob: a hit on a spilled
+        chunk maps nothing, and a hit on a resident one still refreshes
+        its place in the hot tier's LRU, as reading its blob would."""
+        store = disk_store(tmp_path, hot_bytes=1 << 11)
+        with contextlib.closing(store):
+            fill(store, n=200, metrics=("m",), comps=("a", "b"))
+
+            def do(c):      # 7 s buckets: every chunk decodes (none in one)
+                if read == "query":
+                    return store.query("m", c)
+                return store.downsample("m", c, 1.0, 1995.0, 7.0)
+
+            first = {c: do(c) for c in ("a", "b")}
+            chunks = store._series_view("m", "a")[0].chunks
+            resident = [c.cid for c in chunks if c.blob is not None]
+            assert resident and len(resident) < len(chunks)   # both kinds
+            hot = list(store.disk._hot)
+            loads = store.disk_stats().loads
+            hits = store.cache_stats().hits
+            again = do("a")
+            assert store.cache_stats().hits == hits + len(chunks)
+            assert store.disk_stats().loads == loads
+            assert np.array_equal(again.values, first["a"].values)
+            want = [cid for cid in hot if cid not in resident] + resident
+            assert list(store.disk._hot) == want
+            # so the next spill takes the same victim it always took
+            store.disk.hot_bytes = store.disk.hot_bytes_used - 1
+            store.disk.enforce_budget()
+            assert want[0] not in store.disk._hot and want[1] in store.disk._hot
 
 
 class TestArchiveIsDemotion:

@@ -751,6 +751,7 @@ class TestMetricIndex:
     def assert_scan(self, store):
         for _ in range(2):              # building the index, then using it
             for metric in ("m", "k", "never.seen"):
+                store.keys(metric).clear()  # the caller's copy, not the index
                 assert store.components(metric) == self.scan(store, metric)
                 assert ([k.component for k in store.keys(metric)]
                         == self.scan(store, metric))
@@ -793,6 +794,78 @@ class TestMetricIndex:
                 assert store.components("m") == before
         finally:
             store.close()
+
+
+def _store(shards, **kw):
+    return (ShardedTimeSeriesStore(shards=shards, **kw) if shards
+            else TimeSeriesStore(**kw))
+
+
+@pytest.mark.parametrize("shards", [0, 3])
+class TestSelectionReads:
+    """A read resolves its selection once: str components, a repeat
+    counted once at its first position."""
+
+    @pytest.mark.parametrize("agg", rollup.AGGS)
+    def test_a_repeated_component_counts_once(self, shards, agg):
+        store = _store(shards, chunk_size=16)
+        for i in range(3):
+            store.append(sweep("m", 60.0 * i, ["a", "b"], [i + 1.0, 9.0]))
+        pieces, comp, _ = store.bucket_partials("m", ["a", "a"], 0.0, 180.0,
+                                                60.0, 0.0)
+        assert rollup.reduce_partials(pieces, 0.0, 60.0, "count",
+                                      piece_comp=comp)[1].tolist() == [1, 1, 1]
+        got, _ = store._bucketed_read("m", ["a", "a"], 0.0, 180.0, 60.0,
+                                      agg, "x")
+        want = store.aggregate_across("m", ["a", "a"], 0.0, 180.0, 60.0, agg)
+        assert np.array_equal(got.values, want.values)
+        assert got.values.tolist() == {
+            "count": [1, 1, 1]}.get(agg, [1, 2, 3])
+        assert np.array_equal(got.values, store._bucketed_read(
+            "m", ["a"], 0.0, 180.0, 60.0, agg, "x")[0].values)
+
+    def test_a_non_str_component_reads_its_series(self, shards):
+        store = _store(shards, chunk_size=2)
+        for i in range(3):
+            store.append(sweep("n", 10.0 * i, ["1", "2"], [i, -i]))
+        assert len(store.query("n", 1)) == 3
+        got = store.query_components("n", [2, "2", 7])
+        assert list(got) == ["2", "7"]
+        assert got["2"].values.tolist() == [0, -1, -2]
+        assert len(got["7"]) == 0
+        assert np.array_equal(
+            store.aggregate_across("n", [1, 2], 0.0, 30.0, 10.0).values,
+            [0.0, 0.0, 0.0])
+
+    def test_sealed_state_is_read_only_for_rows_that_have_some(
+            self, shards, monkeypatch):
+        calls = Mock(wraps=tsdb.series_partials)
+        monkeypatch.setattr(tsdb, "series_partials", calls)
+        store = _store(shards, chunk_size=4)
+        names = [f"n{i}" for i in range(8)]
+        for i in range(6):      # n0 and n1 seal a chunk; the rest stay open
+            k = 8 if i < 2 else 2
+            store.append(sweep("m", 10.0 * i, names[:k], np.arange(8.0)[:k]))
+        got, _ = store._bucketed_read("m", names, 0.0, 60.0, 20.0, "sum",
+                                      "x")
+        assert calls.call_count == 2
+        want = store.aggregate_across("m", names, 0.0, 60.0, 20.0, "sum")
+        assert np.array_equal(got.values, want.values)
+
+    def test_a_recreated_series_starts_its_sealed_count_over(self, shards):
+        store = _store(shards, chunk_size=4)
+        for i in range(6):
+            store.append(sweep("m", 10.0 * i, ["a", "b"], [1.0, 2.0]))
+        assert store.drop_series("m", "a")
+        store.append(sweep("m", 100.0, ["a"], [5.0]))
+        view = store._series_view("m", "a")[0]
+        assert view.n_sealed_samples == 0 and view.n_samples == 1
+        assert store.query("m", "a").values.tolist() == [5.0]
+        got, _ = store._bucketed_read("m", None, -np.inf, np.inf, 50.0,
+                                      "count", "x")
+        assert got.values.tolist() == [5.0, 1.0, 1.0]     # b, b, new a
+        assert np.array_equal(got.values, store.aggregate_across(
+            "m", None, step=50.0, agg="count").values)
 
 
 class TestComponentColumn:

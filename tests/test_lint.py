@@ -206,6 +206,27 @@ class TestColumnarGate:
         assert [p.split(":")[1] for p in problems] == ["3", "4"]
         assert "seal()" in problems[0] and "compress_chunk()" in problems[1]
 
+    def test_flags_per_component_series_resolution(self, tmp_path):
+        f = tmp_path / "reads.py"
+        f.write_text(
+            "def views(store, metric, comps):\n"
+            "    out = [store._series_view(metric, c) for c in comps]\n"
+            "    for c in comps:\n"
+            "        out.append(store._series_view(metric, c))\n"
+            "    for c in comps:  # the reference loop\n"
+            "        store._series_view(metric, c)  # per-sample: allowed\n"
+            "    return out, store._series_view(metric, comps[0])\n"
+        )
+        problems = check_mod.check_series_resolution(f)
+        assert [p.split(":")[1] for p in problems] == ["2", "4"]
+        assert all("per-component _series_view()" in p for p in problems)
+
+    def test_the_read_path_resolves_selections_once(self):
+        for plane in ("storage", "serve"):
+            root = check_mod.REPO / "src" / "repro" / plane
+            for path in sorted(root.rglob("*.py")):
+                assert check_mod.check_series_resolution(path) == [], path
+
     def test_flags_a_per_node_loop_in_a_collector(self, tmp_path):
         f = tmp_path / "collector.py"
         f.write_text(
