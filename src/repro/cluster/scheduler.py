@@ -202,7 +202,8 @@ class BatchScheduler:
             if placed:
                 started.append(job)
                 self.queue.pop(i)
-                free = [n for n in free if n not in set(job.nodes)]
+                taken = set(job.nodes)
+                free = [n for n in free if n not in taken]
                 continue
             if blocked_head_size is None:
                 # FCFS head can't start; only strictly smaller jobs may

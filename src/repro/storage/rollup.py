@@ -42,6 +42,7 @@ __all__ = [
     "SeriesPyramid",
     "bucket_anchor",
     "check_bucketing",
+    "check_levels",
     "choose_level",
     "fold_partials",
     "fold_sealed_rows",
@@ -76,6 +77,16 @@ def check_bucketing(agg: str, step: float) -> None:
         raise ValueError(f"unknown agg {agg!r}; choose from {list(AGGS)}")
     if step <= 0:
         raise ValueError("step must be positive")
+
+
+def check_levels(levels: Sequence[float]) -> tuple[float, ...]:
+    """The levels as floats; ``ValueError`` unless there are some and
+    each is positive and finite (NaN folds garbage bucket ids, and no
+    grid can choose an infinite level)."""
+    lv = tuple(float(x) for x in levels)
+    if not lv or not all(0.0 < x < math.inf for x in lv):
+        raise ValueError(f"pyramid levels must be positive and finite: {lv}")
+    return lv
 
 
 def bucket_anchor(t0: float, step: float) -> float:
@@ -142,23 +153,32 @@ def fold_partials(
     anchor: float,
     step: float,
     seq: np.ndarray | None = None,
-    seq_base: int = 0,
+    seq_base: int | np.ndarray = 0,
 ) -> tuple[np.ndarray, ...]:
     """One reduceat pass folding time-sorted samples into partial columns.
 
     Returns ``(b, cnt, vsum, vmin, vmax, t_last, v_last, seq_last)``,
-    one row per occupied bucket of the ``(anchor, step)`` grid.  ``seq``
-    optionally gives each sample's position in the series' stable time
-    order; omitted, the samples are consecutive from ``seq_base`` (the
-    sealed-chunk case; :func:`fold_sealed_rows` folds K chunks in one).
+    one read-only row per occupied bucket of the ``(anchor, step)`` grid.
+    ``seq`` optionally gives each sample's position in the series' stable
+    time order; omitted, the samples are consecutive from ``seq_base``
+    (the sealed-chunk case; :func:`fold_sealed_rows` folds K chunks in
+    one).  When each bucket holds one sample the partials are views of
+    the samples: a one-element reduceat returns its element bit for bit.
     """
     if not len(t):
         return _empty_partials()
     buckets = np.floor((t - anchor) / step).astype(np.int64)
-    last, cols = _fold_runs(buckets[1:] != buckets[:-1], buckets, t, v)
-    return cols + (
-        seq[last].astype(np.int64) if seq is not None else seq_base + last,
-    )
+    cut = buckets[1:] != buckets[:-1]
+    if cut.all():                   # one sample a bucket: the samples
+        last, v = np.arange(len(t)), v.view()
+        cols = (buckets, np.ones(len(t), np.int64), v, v, v, t.view(), v)
+    else:
+        last, cols = _fold_runs(cut, buckets, t, v)
+    cols += (seq[last].astype(np.int64) if seq is not None
+             else seq_base + last,)
+    for col in cols:
+        col.flags.writeable = False
+    return cols
 
 
 def reduce_partials(
@@ -228,26 +248,22 @@ def reduce_partials(
 class SeriesPyramid:
     """Per-series rollup levels, folded incrementally at chunk-seal time.
 
-    Each seal appends one partial-column *piece* per level (a single
-    reduceat pass over the chunk, anchored at 0 so every query grid that
-    divides the level reuses the same rows).  Reads see a per-level
-    merged, bucket-sorted view that is materialized lazily and cached
-    until the next seal — so steady-state reads are a binary search plus
-    a slice, and ingest pays one O(chunk) fold per level.
+    Each seal appends one read-only partial-column *piece* per level (a
+    single reduceat pass over the chunk, anchored at 0 so every query
+    grid that divides the level reuses the same rows).  A read merges
+    each level's pieces into one bucket-sorted piece that replaces them
+    — so steady-state reads are a binary search plus a slice, and ingest
+    pays one O(chunk) fold per level.
     """
 
-    __slots__ = ("levels", "samples_folded", "_pieces", "_merged")
+    __slots__ = ("levels", "samples_folded", "_pieces")
 
     def __init__(self, levels: Sequence[float] = DEFAULT_LEVELS) -> None:
-        lv = tuple(sorted(float(x) for x in levels))
-        if not lv or any(x <= 0 for x in lv):
-            raise ValueError("pyramid levels must be positive")
-        self.levels = lv
+        self.levels = tuple(sorted(check_levels(levels)))
         self.samples_folded = 0
         self._pieces: dict[float, list[tuple[np.ndarray, ...]]] = {
-            x: [] for x in lv
+            x: [] for x in self.levels
         }
-        self._merged: dict[float, tuple[np.ndarray, ...]] = {}
 
     def add_sealed(self, t: np.ndarray, v: np.ndarray,
                    seq_base: int) -> None:
@@ -258,24 +274,27 @@ class SeriesPyramid:
         time-sort of the raw read path.
         """
         if len(t):
-            self.add_folded([fold_partials(t, v, 0.0, lv, seq_base=seq_base)
-                             for lv in self.levels], len(t))
+            self.add_folded(next(fold_sealed_rows(
+                self.levels, t, v[None], np.array([seq_base]))), len(t))
 
     def add_folded(self, pieces: Sequence[tuple], n: int) -> None:
         """Append one chunk's ``n`` samples already folded, a piece per
         level (:meth:`add_sealed`'s, or a row of :func:`fold_sealed_rows`)."""
         for lv, piece in zip(self.levels, pieces):
             self._pieces[lv].append(piece)
-            self._merged.pop(lv, None)
         self.samples_folded += n
 
     def level_columns(self, level: float) -> tuple[np.ndarray, ...]:
-        """Merged partial columns of one level, sorted by bucket id."""
-        cols = self._merged.get(level)
-        if cols is None:
-            cols = _merge_pieces(tuple(self._pieces[level]))
-            self._merged[level] = cols
-        return cols
+        """Merged partial columns of one level, sorted by bucket id.
+        The levels whose last piece aliases its values (one-sample folds
+        of the same seals) merge with it, so they keep sharing them."""
+        pieces = self._pieces[level]
+        if len(pieces) > 1:
+            memo: dict = {}
+            self._pieces = {lv: [_merge_pieces(p, memo)]
+                            if p and p[-1][2] is pieces[-1][2] else p
+                            for lv, p in self._pieces.items()}
+        return (self._pieces[level] or [_empty_partials()])[0]
 
     def export_state(self) -> dict:
         """Snapshot-serializable state (the disk-tier manifest payload).
@@ -302,18 +321,26 @@ class SeriesPyramid:
 
 
 def _merge_pieces(
-    pieces: Sequence[tuple[np.ndarray, ...]],
+    pieces: Sequence[tuple[np.ndarray, ...]], memo: dict | None = None,
 ) -> tuple[np.ndarray, ...]:
-    """Collapse per-seal pieces into one row per bucket (sorted by bucket)."""
+    """Collapse per-seal pieces into one row per bucket (sorted by bucket),
+    concatenating each distinct column object once (``memo``: the ids
+    concatenated -> the result, over pieces alive through its use)."""
     pieces = [p for p in pieces if len(p[0])]
     if not pieces:
         return _empty_partials()
     if len(pieces) == 1:
         return pieces[0]       # a chunk's fold is already bucket-sorted
-    cols = tuple(np.concatenate([p[i] for p in pieces]) for i in range(8))
+    memo, cols = {} if memo is None else memo, []
+    for parts in zip(*pieces):          # a column across the pieces
+        key = tuple(map(id, parts))
+        col = memo.get(key)
+        if col is None:
+            col = memo[key] = np.concatenate(parts)
+        cols.append(col)
     # seals in time order — each piece starts past the one before: done
     if all(p[0][0] > q[0][-1] for q, p in zip(pieces, pieces[1:])):
-        return cols
+        return tuple(cols)
     b, cnt, vsum, vmin, vmax, t_last, v_last, seq = cols
     order = np.lexsort((seq, t_last, b))
     b, cnt, vsum = b[order], cnt[order], vsum[order]
@@ -342,14 +369,20 @@ def fold_sealed_rows(levels: Sequence[float], t: np.ndarray, v: np.ndarray,
     over one time column: ``v`` is ``(K, n)``, C-contiguous (a row then
     sums in its own order); row ``i`` sealed ``seq_base[i]`` samples
     before.  Yields each row's piece per level, bit-identical to folding
-    it alone; the bucket, count and ``t_last`` columns, equal across rows
-    by construction, are one read-only array shared by all K."""
-    per_level = []
+    it alone; what is equal across rows (bucket, count, ``t_last``, and
+    seq when every ``seq_base`` agrees) is one array shared by all K.  A
+    level of one sample a bucket is the samples: every such level takes
+    one view of a row's values as its four value columns (~8 B/point)."""
+    one = not np.count_nonzero(seq_base != seq_base[0])
+    per_level, samples = [], None
     for lv in levels:
         b, cnt, vsum, vmin, vmax, t_last, v_last, seq = fold_partials(
-            t, v, 0.0, lv, seq_base=seq_base[:, None])
-        for shared in (b, cnt, t_last):
-            shared.flags.writeable = False
+            t, v, 0.0, lv, seq_base=seq_base[:1 if one else None, None])
+        seq = repeat(seq[0]) if one else list(seq)
+        if vsum is v_last:      # one sample a bucket: the first such level's
+            samples = samples or (cnt, list(vsum), t_last, seq)
+            cnt, vmin, t_last, seq = samples
+            vsum = vmax = v_last = vmin
         per_level.append(zip(repeat(b), repeat(cnt), vsum, vmin, vmax,
                              repeat(t_last), v_last, seq))
     return zip(*per_level)

@@ -47,7 +47,7 @@ from ..core.metric import MetricKey, SeriesBatch
 from ..core.soa import memo_by_identity
 from .chunkcache import CHUNK_CACHE_BYTES, CacheStats, LRUCache
 from .diskier import DiskTier, RecoveryReport, merge_disk_stats
-from .rollup import DEFAULT_LEVELS
+from .rollup import DEFAULT_LEVELS, check_levels
 from .tsdb import SeriesQueryMixin, StoreStats, TimeSeriesStore
 
 __all__ = ["ShardedTimeSeriesStore"]
@@ -78,6 +78,7 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
                  sync_every_bytes: int = 1 << 20) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
+        check_levels(pyramid_levels)     # before any shard directory exists
         self.n_shards = int(shards)
         self.chunk_size = int(chunk_size)
         self.cache = (cache if cache is not None

@@ -62,9 +62,9 @@ from ..core.metric import MetricKey, SeriesBatch
 from ..core.soa import ComponentTable, row_indices
 from .chunkcache import CHUNK_CACHE_BYTES, CacheStats, LRUCache
 from .rollup import (DEFAULT_LEVELS, SeriesPyramid, _head_gather,
-                     bucket_anchor, check_bucketing, fold_sealed_rows,
-                     head_first_time, head_partials, ieee_sums,
-                     reduce_partials, series_partials, window_plan)
+                     bucket_anchor, check_bucketing, check_levels,
+                     fold_sealed_rows, head_first_time, head_partials,
+                     ieee_sums, reduce_partials, series_partials, window_plan)
 
 __all__ = [
     "compress_chunk",
@@ -1362,8 +1362,14 @@ class TimeSeriesStore(SeriesQueryMixin):
                  cache: LRUCache | None = None,
                  pyramid_levels: Sequence[float] = DEFAULT_LEVELS,
                  disk=None) -> None:
-        if chunk_size < 2:
-            raise ValueError("chunk_size must be >= 2")
+        try:    # a refused shape leaves no handle behind
+            if chunk_size < 2:
+                raise ValueError("chunk_size must be >= 2")
+            self.pyramid_levels = check_levels(pyramid_levels)
+        except ValueError:
+            if disk is not None:
+                disk.close()
+            raise
         self.chunk_size = int(chunk_size)
         # optional out-of-core tier (repro.storage.diskier.DiskTier,
         # duck-typed): sealed blobs persist to segments, appends are
@@ -1373,8 +1379,6 @@ class TimeSeriesStore(SeriesQueryMixin):
         # passes one instance to every shard for a global memory bound)
         self.cache = (cache if cache is not None
                       else LRUCache(CHUNK_CACHE_BYTES))
-        # rollup-pyramid levels maintained at seal time for the serving plane
-        self.pyramid_levels = tuple(float(x) for x in pyramid_levels)
         self._series: dict[MetricKey, _Series] = {}
         self._blocks: dict[str, _HeadBlock] = {}    # metric -> open heads
         # metric -> its keys, sorted: an entry is dropped whenever a

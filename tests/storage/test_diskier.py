@@ -17,7 +17,7 @@ from repro.storage.diskier import (
     _scan_segment,
     merge_disk_stats,
 )
-from repro.storage.rollup import DEFAULT_LEVELS
+from repro.storage.rollup import AGGS, DEFAULT_LEVELS
 from repro.storage.sharded import ShardedTimeSeriesStore
 from repro.storage.tsdb import TimeSeriesStore
 
@@ -496,6 +496,91 @@ class TestSnapshotRecover:
         assert str(path) in msg
         assert "version 2" in msg and "version 3" in msg
         assert open_fds() == fds
+
+
+class TestOneSampleManifest:
+    """At a 60 s cadence the 10 s and 60 s levels alias the sealed
+    values; the manifest is one pickle, so it writes them once and a
+    restore shares them again."""
+
+    NAMES = [f"n{i}" for i in range(16)]
+
+    def reads(self, store, t1):
+        out = {}
+        for step in (10.0, 60.0, 600.0, 3600.0):
+            for agg in AGGS:
+                out[step, agg] = store.aggregate_across("m", None, 0.0, t1,
+                                                        step, agg)
+                for c in self.NAMES[:3]:
+                    out[step, agg, c] = store.downsample("m", c, 0.0, t1,
+                                                         step, agg)
+        return out
+
+    def test_restored_levels_share_memory_and_answer_bit_for_bit(
+            self, tmp_path):
+        store = TimeSeriesStore(chunk_size=32,
+                                disk=DiskTier(tmp_path / "tier"))
+        rng = np.random.default_rng(4)
+        n = 32 * 6 + 7                  # six seals and an open head
+        for i in range(n):
+            store.append(sweep("m", 60.0 * i, self.NAMES,
+                               rng.normal(size=len(self.NAMES))))
+        t1 = 60.0 * n
+        want = self.reads(store, t1)
+        manifest = store.snapshot().stat().st_size
+        store.close()
+        rec = store.reopen()
+        for c in self.NAMES:
+            p = rec._series_view("m", c)[0].pyramid
+            fine, coarse = (p.level_columns(lv) for lv in (10.0, 60.0))
+            assert np.shares_memory(fine[2], coarse[2])
+        got = self.reads(rec, t1)
+        for key, w in want.items():
+            g = got[key]
+            assert np.array_equal(g.times, w.times), key
+            assert np.array_equal(g.values.view(np.int64),
+                                  w.values.view(np.int64)), key
+        # ~57 B a sealed point; a copy per level folded took ~138
+        sealed = len(self.NAMES) * 32 * 6
+        assert manifest / sealed < 90.0
+        rec.close()
+
+
+class TestRefusedLevels:
+    """A pyramid level that is not positive and finite is refused when
+    the store is built, before its tier is restored, with every handle
+    closed — not at the first seal (NaN bucket ids), never (an infinite
+    level no grid can choose) or at the first series (no levels)."""
+
+    BAD = [(float("nan"),), (float("inf"),), (), (-10.0,), (10.0, 0.0)]
+
+    @pytest.mark.parametrize("levels", BAD)
+    def test_a_store_in_memory_refuses_them(self, levels):
+        with pytest.raises(ValueError, match="positive and finite"):
+            TimeSeriesStore(chunk_size=16, pyramid_levels=levels)
+        with pytest.raises(ValueError, match="positive and finite"):
+            ShardedTimeSeriesStore(shards=2, pyramid_levels=levels)
+
+    @pytest.mark.parametrize("levels", BAD)
+    def test_a_store_on_disk_refuses_them_and_leaves_no_handle(
+            self, tmp_path, levels):
+        store = disk_store(tmp_path)
+        fill(store, n=50, metrics=("m",), comps=("a",))
+        store.snapshot()
+        store.close()
+        fds = open_fds()
+        with pytest.raises(ValueError, match="positive and finite"):
+            TimeSeriesStore(16, pyramid_levels=levels,
+                            disk=DiskTier(tmp_path / "tier"))
+        with pytest.raises(ValueError, match="positive and finite"):
+            ShardedTimeSeriesStore(shards=2, chunk_size=16,
+                                   pyramid_levels=levels,
+                                   disk_dir=str(tmp_path / "sharded"))
+        assert open_fds() == fds
+        assert not (tmp_path / "sharded").exists()
+        again = store.reopen()
+        assert len(again.query("m", "a")) == 50
+        again.close()
 
 
 class TestSeriesLifecycle:

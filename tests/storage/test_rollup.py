@@ -141,3 +141,60 @@ class TestIeeeSums:
             assert list(got.times) == [0.0, 60.0], name
             assert np.isnan(got.values[0]), name
             assert got.values[1] == finite, name
+
+
+def sweep_store(n_sweeps, k=64, chunk_size=32, cadence=60.0, store=None):
+    """A store fed ``n_sweeps`` lock-step sweeps of ``k`` nodes."""
+    store = store or TimeSeriesStore(chunk_size=chunk_size)
+    names = [f"n{i}" for i in range(k)]
+    rng = np.random.default_rng(11)
+    for i in range(n_sweeps):
+        store.append(SeriesBatch.sweep("m", cadence * i, names,
+                                       rng.normal(size=k)))
+    return store
+
+
+def pyramid_bytes(store):
+    """Bytes of the distinct buffers every pyramid piece column is a
+    view of (a buffer several pieces share counts once)."""
+    bases = {}
+    for s in store._series.values():
+        for pieces in s.pyramid._pieces.values():
+            for col in (c for piece in pieces for c in piece):
+                while isinstance(col.base, np.ndarray):
+                    col = col.base
+                bases[id(col)] = col
+    return sum(b.nbytes for b in bases.values())
+
+
+class TestOneSampleLevels:
+    """At a 60 s cadence the 10 s and 60 s levels hold one sample a
+    bucket: they are views of the sealed values, not five copies."""
+
+    @pytest.mark.parametrize("chunks", [4, 40])
+    def test_a_sealed_point_costs_at_most_16_bytes(self, chunks):
+        # 40 chunks is the same history grown 10x: the cost stays flat
+        store = sweep_store(32 * chunks)
+        sealed = store.stats().samples - store._blocks["m"].n_head
+        assert sealed == 64 * 32 * chunks
+        assert pyramid_bytes(store) / sealed <= 16.0
+
+    def test_the_one_sample_levels_share_the_values(self):
+        store = sweep_store(32 * 4 + 5)
+        p = store._series_view("m", "n3")[0].pyramid
+        fine, coarse = (p._pieces[lv][-1] for lv in (10.0, 60.0))
+        assert fine[2] is coarse[2] is fine[6]
+        assert np.shares_memory(fine[2], coarse[2])
+        # a read of one of them merges both in place of their pieces
+        # (not the hour level, which folds), still sharing one values column
+        coarse = p.level_columns(60.0)
+        assert [len(p._pieces[lv]) for lv in DEFAULT_LEVELS] == [1, 1, 4]
+        fine, hour = p.level_columns(10.0), p.level_columns(3600.0)
+        assert coarse is p.level_columns(60.0)
+        assert fine[2] is coarse[2] is coarse[3] is coarse[4] is coarse[6]
+        assert not np.shares_memory(hour[2], fine[2])
+        assert len(fine[2]) == 32 * 4
+        want = store.downsample("m", "n3", 0.0, 32 * 4 * 60.0, 600.0, "max",
+                                prune=False)
+        got = store.downsample("m", "n3", 0.0, 32 * 4 * 60.0, 600.0, "max")
+        assert np.array_equal(got.values, want.values)
