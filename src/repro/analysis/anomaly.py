@@ -11,21 +11,20 @@ shapes:
   where behaviour changed (:class:`EwmaDetector`,
   :class:`CusumDetector`, :func:`iqr_outliers`).
 
-Series detectors return :class:`Detection` records.  A sweep detector
-returns a :class:`DetectionBatch`: the hits as columns over the sweep,
-which the response plane dedups without building an object per hit
-(:meth:`DetectionBatch.detections` materializes the records).
-
-Every detector is columnar: masks and cumulative statistics are
-computed over whole value arrays and :class:`Detection` objects are
-materialized only for ``np.flatnonzero`` hit indices.  The per-sample
-originals are retained as ``*_slow`` paths — the reference
-implementations the hypothesis property tests hold the kernels
-equivalent to.
+Every detector but :func:`iqr_outliers` (a mask) returns one
+:class:`DetectionBatch`: its hits as columns over the input batch,
+which the response plane dedups and alerts on without building an
+object per hit (:meth:`DetectionBatch.detections` materializes
+:class:`Detection` records).  Masks and cumulative statistics are
+computed over whole value arrays.  The per-sample originals are
+retained as ``*_slow`` paths returning :class:`Detection` lists — the
+reference implementations the hypothesis property tests hold the
+kernels equivalent to.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,18 +58,27 @@ class Detection:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class DetectionBatch:
-    """One detector's hits on one sweep, as columns.
+    """One detector's hits on one input batch, as columns.
 
-    ``components`` is the sweep's own component column (shared, not
+    ``components`` is the input's own component column (shared, not
     copied) and ``at`` the hit positions in it, in detection order:
-    descending |z| for outliers, arrival order for rate hits.  ``times``,
-    ``scores`` and ``values`` are the hits' columns in that order;
-    ``values`` holds the reading of an outlier and the rate of a rate
-    hit, ``limit`` the rate limit the latter exceeded.
+    descending |z| for outliers, arrival order for every other form.
+    ``times``, ``scores`` and ``values`` are the hits' columns in that
+    order.  ``form`` names the hits' detail format, and ``values`` and
+    ``limit`` hold what it prints:
+
+    * ``"outlier"``: the reading (and the score, a robust z);
+    * ``"rate"``: the rate, and the rate limit it exceeded;
+    * ``"threshold"``: the reading, and the threshold it crossed;
+    * ``"shift"``: the residual, and the control band's sigma;
+    * ``"changepoint"``: the CUSUM direction, ``+1`` up and ``-1`` down.
+
+    A rate hit is of kind ``"threshold"``; every other form is its own
+    kind.
     """
 
     metric: str
-    kind: str             # "outlier" | "threshold"
+    form: str
     components: np.ndarray
     at: np.ndarray
     times: np.ndarray
@@ -78,15 +86,34 @@ class DetectionBatch:
     values: np.ndarray
     limit: float = float("nan")
 
+    @classmethod
+    def over(cls, batch: SeriesBatch, form: str, at: np.ndarray,
+             scores: np.ndarray, values: np.ndarray,
+             limit: float = float("nan")) -> "DetectionBatch":
+        """The hits at positions ``at`` of ``batch``."""
+        return cls(batch.metric, form, batch.components, at,
+                   batch.times[at], scores, values, limit)
+
+    @property
+    def kind(self) -> str:
+        """``"outlier"`` | ``"threshold"`` | ``"shift"`` | ``"changepoint"``."""
+        return "threshold" if self.form == "rate" else self.form
+
     def __len__(self) -> int:
         return len(self.at)
 
     def detail(self, j: int) -> str:
         """The ``Detection.detail`` of hit ``j``."""
-        v = float(self.values[j])
-        if self.kind == "outlier":
+        v, limit, form = float(self.values[j]), self.limit, self.form
+        if form == "outlier":
             return f"value={v:.4g} z={float(self.scores[j]):.1f}"
-        return f"rate {v:.4g}/s exceeds {self.limit:g}/s"
+        if form == "rate":
+            return f"rate {v:.4g}/s exceeds {limit:g}/s"
+        if form == "threshold":
+            return f"value={v:.4g} threshold={limit:g}"
+        if form == "shift":
+            return f"resid={v:.4g} sigma={limit:.4g}"
+        return f"direction={'up' if v > 0 else 'down'}"
 
     def detections(self) -> list[Detection]:
         """The hits as :class:`Detection` records, in batch order."""
@@ -97,6 +124,12 @@ class DetectionBatch:
                 self.times.tolist(), self.components[self.at].tolist(),
                 self.scores.tolist()))
         ]
+
+
+def _quiet(batch: SeriesBatch, form: str) -> DetectionBatch:
+    """No hits on ``batch``."""
+    return DetectionBatch.over(batch, form, np.empty(0, dtype=np.intp),
+                               np.empty(0), np.empty(0))
 
 
 def sweep_outliers(
@@ -120,8 +153,7 @@ def sweep_outliers(
         az = np.abs(z)
         idx = np.flatnonzero(np.isfinite(v) & (az >= z_threshold))
         idx = idx[np.argsort(-az[idx], kind="stable")]
-    return DetectionBatch(batch.metric, "outlier", batch.components, idx,
-                          batch.times[idx], z[idx], v[idx])
+    return DetectionBatch.over(batch, "outlier", idx, z[idx], v[idx])
 
 
 def _sweep_outliers_slow(
@@ -158,6 +190,8 @@ class ThresholdDetector:
         above: bool = True,
         clear_fraction: float = 0.9,
     ) -> None:
+        if not math.isfinite(threshold):
+            raise ValueError(f"threshold must be finite, got {threshold!r}")
         self.metric = metric
         self.threshold = float(threshold)
         self.above = above
@@ -166,9 +200,10 @@ class ThresholdDetector:
         )
         self._firing: set[str] = set()
 
-    def check(self, batch: SeriesBatch) -> list[Detection]:
+    def check(self, batch: SeriesBatch) -> DetectionBatch:
+        """Every component of ``batch`` that starts an episode."""
         if batch.metric != self.metric:
-            return []
+            return _quiet(batch, "threshold")
         comps = batch.components
         clist = comps.tolist()
         n = len(clist)
@@ -204,20 +239,11 @@ class ThresholdDetector:
             # skipped when the comp was *added* by this very sample)
             firing.difference_update(
                 map(str, comps[idx[f0 & cleared[idx]]].tolist()))
-        t = batch.times
-        return [
-            Detection(
-                time=float(t[i]),
-                metric=self.metric,
-                component=str(comps[i]),
-                score=float(v[i] - self.threshold)
-                if self.above
-                else float(self.threshold - v[i]),
-                kind="threshold",
-                detail=f"value={v[i]:.4g} threshold={self.threshold:g}",
-            )
-            for i in np.sort(np.concatenate(hits)).tolist()
-        ]
+        at = np.sort(np.concatenate(hits))
+        v = v[at]
+        excess = v - self.threshold if self.above else self.threshold - v
+        return DetectionBatch.over(batch, "threshold", at, excess, v,
+                                   self.threshold)
 
     def _check_slow(self, batch: SeriesBatch) -> list[Detection]:
         """Per-sample reference for :meth:`check`."""
@@ -257,6 +283,16 @@ def iqr_outliers(values: np.ndarray, k: float = 1.5) -> np.ndarray:
     return (v < lo) | (v > hi)
 
 
+def _check_positive(name: str, x: float) -> None:
+    if not 0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+
+
+def _check_warmup(warmup: int) -> None:
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup!r}")
+
+
 class EwmaDetector:
     """Detects level shifts in one series via an EWMA control band."""
 
@@ -266,6 +302,10 @@ class EwmaDetector:
         band_sigmas: float = 4.0,
         warmup: int = 10,
     ) -> None:
+        if not 0 < alpha <= 1:
+            raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
+        _check_positive("band_sigmas", band_sigmas)
+        _check_warmup(warmup)
         self.alpha = alpha
         self.band_sigmas = band_sigmas
         self.warmup = warmup
@@ -278,13 +318,13 @@ class EwmaDetector:
     # a non-finite sample turns the smooth, sigma and residual it
     # touches into NaN, which never breaches: defined, so not warned
     @np.errstate(invalid="ignore")
-    def detect(self, batch: SeriesBatch) -> list[Detection]:
+    def detect(self, batch: SeriesBatch) -> DetectionBatch:
         n = len(batch)
         if n <= self.warmup:
-            return []
+            return _quiet(batch, "shift")
         v = batch.values
         smooth = ewma(v, self.alpha)
-        sigma = self._sigma(v)
+        sigma = float(self._sigma(v))
         # residual of each post-warmup sample vs the smooth one step back
         # (warmup=0 wraps to smooth[-1], matching the scalar reference's
         # Python negative-index semantics)
@@ -296,20 +336,9 @@ class EwmaDetector:
         breach = np.abs(resid) > self.band_sigmas * sigma
         rising = breach.copy()
         rising[1:] &= ~breach[:-1]      # fire on not-breach -> breach edges
-        out = []
-        for j in np.flatnonzero(rising).tolist():
-            i = self.warmup + j
-            out.append(
-                Detection(
-                    time=float(batch.times[i]),
-                    metric=batch.metric,
-                    component=str(batch.components[i]),
-                    score=float(resid[j] / sigma),
-                    kind="shift",
-                    detail=f"resid={resid[j]:.4g} sigma={sigma:.4g}",
-                )
-            )
-        return out
+        j = np.flatnonzero(rising)
+        return DetectionBatch.over(batch, "shift", self.warmup + j,
+                                   resid[j] / sigma, resid[j], sigma)
 
     @np.errstate(invalid="ignore")
     def _detect_slow(self, batch: SeriesBatch) -> list[Detection]:
@@ -360,6 +389,10 @@ class CusumDetector:
     _BLOCK = 4096
 
     def __init__(self, k: float = 0.5, h: float = 5.0, warmup: int = 10) -> None:
+        if not 0 <= k < math.inf:
+            raise ValueError(f"k must be finite and >= 0, got {k!r}")
+        _check_positive("h", h)
+        _check_warmup(warmup)
         self.k = k
         self.h = h
         self.warmup = warmup
@@ -371,14 +404,16 @@ class CusumDetector:
             sigma = float(np.std(v[: self.warmup])) or 1e-12
         return mu, sigma
 
-    def detect(self, batch: SeriesBatch) -> list[Detection]:
+    def detect(self, batch: SeriesBatch) -> DetectionBatch:
         n = len(batch)
         if n <= self.warmup:
-            return []
+            return _quiet(batch, "changepoint")
         v = batch.values
         mu, sigma = self._estimate(v)
         nan_v = np.isnan(v)
-        out: list[Detection] = []
+        at: list[int] = []
+        scores: list[float] = []
+        ups: list[float] = []       # +1 up, -1 down
         s_hi = s_lo = 0.0
         i = self.warmup
         while i < n:
@@ -402,17 +437,9 @@ class CusumDetector:
             if len(trip):
                 j = int(trip[0])
                 gi = i + j
-                direction = "up" if hi[j] > self.h else "down"
-                out.append(
-                    Detection(
-                        time=float(batch.times[gi]),
-                        metric=batch.metric,
-                        component=str(batch.components[gi]),
-                        score=float(max(hi[j], lo[j])),
-                        kind="changepoint",
-                        detail=f"direction={direction}",
-                    )
-                )
+                at.append(gi)
+                scores.append(float(max(hi[j], lo[j])))
+                ups.append(1.0 if hi[j] > self.h else -1.0)
                 s_hi = s_lo = 0.0   # restart after signalling
                 mu = float(np.median(v[max(0, gi - self.warmup): gi + 1]))
                 i = gi + 1
@@ -424,7 +451,9 @@ class CusumDetector:
                 i += limit + 1
             else:
                 i += len(z)
-        return out
+        return DetectionBatch.over(batch, "changepoint",
+                                   np.array(at, dtype=np.intp),
+                                   np.array(scores), np.array(ups))
 
     def _detect_slow(self, batch: SeriesBatch) -> list[Detection]:
         """Per-sample reference for :meth:`detect`."""

@@ -353,9 +353,8 @@ class StreamingRateWatch(_BusAttached):
             mr = self.max_rate_per_s
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 scores = rates / mr
-            self._batches.append(DetectionBatch(
-                self.metric, "threshold", batch.components, idx, t[idx],
-                scores, rates, limit=mr))
+            self._batches.append(DetectionBatch.over(
+                batch, "rate", idx, scores, rates, mr))
             self.detections_total += len(idx)
 
     def drain(self) -> list[DetectionBatch]:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .analysis.anomaly import Detection, DetectionBatch
+from .analysis.anomaly import DetectionBatch
 from .cluster.machine import Machine
 from .core.events import Event
 from .core.ledger import BalanceReport
@@ -43,7 +43,7 @@ from .obs.freshness import FreshnessTracker, default_slos
 from .obs.introspect import PipelineIntrospector
 from .obs.selfmetrics import SelfMonitor
 from .obs.trace import Tracer
-from .response.actions import ActionEngine, AlertManager
+from .response.actions import ActionEngine, AlertManager, QueuedBatch
 from .response.policy import default_sec_engine
 from .response.sec import ActionRequest
 from .serve.frontend import QueryFrontend
@@ -78,7 +78,7 @@ from .viz.dashboard import Dashboard
 
 __all__ = ["MonitoringPipeline", "default_collectors"]
 
-AnalysisHook = Callable[["MonitoringPipeline", float], Sequence[Detection]]
+AnalysisHook = Callable[["MonitoringPipeline", float], Sequence[DetectionBatch]]
 
 
 class MonitoringPipeline:
@@ -172,7 +172,7 @@ class MonitoringPipeline:
 
         # the tick loop: the stages in Table I order
         self.stages: list[Stage] = default_stages()
-        self._pending_requests: list[ActionRequest | DetectionBatch] = []
+        self._pending_requests: list[ActionRequest | QueuedBatch] = []
         # supervision component names, built lazily (hot loop: no
         # per-tick string formatting)
         self._stage_keys: dict[str, str] = {}
@@ -255,7 +255,7 @@ class MonitoringPipeline:
             f"{[s.name for s in self.stages]}"
         )
 
-    def take_pending(self) -> list[ActionRequest | DetectionBatch]:
+    def take_pending(self) -> list[ActionRequest | QueuedBatch]:
         """Drain the requests accumulated by earlier stages this tick."""
         out = self._pending_requests
         self._pending_requests = []
@@ -264,8 +264,9 @@ class MonitoringPipeline:
     # -- analysis hooks ---------------------------------------------------------------
 
     def add_analysis(self, interval_s: float, hook: AnalysisHook) -> None:
-        """Run ``hook(pipeline, now)`` every ``interval_s``; returned
-        detections flow through the response policy into actions."""
+        """Run ``hook(pipeline, now)`` every ``interval_s``; the
+        :class:`~repro.analysis.anomaly.DetectionBatch`\\ es it returns
+        raise warning alerts under ``stat.<metric>.<kind>``."""
         stage = self.stage("analysis-hooks")
         assert isinstance(stage, AnalysisHooksStage)
         stage.add(interval_s, hook)

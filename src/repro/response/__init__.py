@@ -2,7 +2,7 @@
 
 from .actions import ActionEngine, Alert, AlertManager, AuditRecord
 from .governor import CongestionAwarePlacement, PowerGovernor
-from .policy import default_rules, default_sec_engine, detections_to_requests
+from .policy import default_rules, default_sec_engine
 from .sec import ActionRequest, PairRule, SecEngine, SingleRule, ThresholdRule
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "AuditRecord",
     "default_rules",
     "default_sec_engine",
-    "detections_to_requests",
     "ActionRequest",
     "PairRule",
     "SecEngine",

@@ -10,7 +10,7 @@ envisioned richer ones ("downclocking components", power redirection).
 records against the machine:
 
 * ``alert``          — record + deduplicate an alert (no machine effect);
-  the streaming stage's :class:`~repro.analysis.anomaly.DetectionBatch`\\ es
+  every detector's :class:`~repro.analysis.anomaly.DetectionBatch`\\ es
   are alerts too, deduplicated as columns;
 * ``drain_node``     — take the component out of scheduling;
 * ``return_node``    — give it back;
@@ -36,20 +36,22 @@ import numpy as np
 
 from ..analysis.anomaly import DetectionBatch
 from ..core.events import EventKind, Severity
-from ..core.soa import ComponentTable, occurrence_passes
-from .policy import detection_message, detection_rule
+from ..core.soa import ComponentTable
 from .sec import ActionRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.machine import Machine
 
 __all__ = ["AUDIT_RECORDS", "Alert", "AuditRecord", "AlertManager",
-           "ActionEngine"]
+           "ActionEngine", "QueuedBatch"]
 
 #: audit records an engine keeps (the newest); ``executed`` counts all
 AUDIT_RECORDS = 4096
 
 _RAISED = "alert raised"
+
+#: a detector's hits as a stage queues them: ``(rule prefix, batch)``
+QueuedBatch = tuple[str, DetectionBatch]
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,9 +70,10 @@ class AlertManager:
     :class:`~repro.core.soa.ComponentTable` shared by every rule, and
     per rule one column of last-raised times (``-inf``: never raised).
     :meth:`raise_alert` reads and writes one cell; :meth:`raise_batch`
-    dedups a whole :class:`DetectionBatch` with one row lookup, one mask
-    and one scatter, and builds :class:`Alert`\\ s only for what it
-    raises.
+    dedups a :class:`DetectionBatch` of distinct components (a sweep's)
+    with one row lookup, one mask and one scatter, and one that repeats
+    a component (a series') hit by hit, and builds :class:`Alert`\\ s
+    only for what it raises.
     """
 
     def __init__(self, renotify_s: float = 3600.0) -> None:
@@ -121,24 +124,27 @@ class AlertManager:
                else rows[batch.at])
         col = self._column(rule)
         t = batch.times
-        keep = np.zeros(len(hit), dtype=bool)
-        # a component hit twice is applied in batch order: one pass per
-        # occurrence, so a repeat sees what the earlier hit raised
-        for sel in ([np.arange(len(hit))] if unique
-                    else occurrence_passes(hit)):
-            r = hit[sel]
+        if unique:
             # written as the scalar test's negation: a NaN gap raises
             with np.errstate(over="ignore", invalid="ignore"):
-                ok = ~(t[sel] - col[r] < self.renotify_s)
-            col[r[ok]] = t[sel][ok]
-            keep[sel[ok]] = True
+                keep = ~(t - col[hit] < self.renotify_s)
+            col[hit[keep]] = t[keep]
+        else:
+            # a repeated component (every series detector's batch) chains
+            # through its own raises: its hits apply one by one, in batch
+            # order, with :meth:`raise_alert`'s Python-float test
+            keep = np.zeros(len(hit), dtype=bool)
+            for j, (r, ti) in enumerate(zip(hit.tolist(), t.tolist())):  # per-sample: allowed
+                if not ti - float(col[r]) < self.renotify_s:
+                    col[r] = ti
+                    keep[j] = True
         raised = np.flatnonzero(keep)
         self.suppressed += len(hit) - len(raised)
         metric, kind = batch.metric, batch.kind
         comps = batch.components[batch.at[raised]].tolist()
         new = [
             Alert(ti, Severity.WARNING, c, rule,
-                  detection_message(metric, kind, c, batch.detail(j)))
+                  f"{metric} {kind} on {c}: {batch.detail(j)}")
             for j, ti, c in zip(raised.tolist(), t[raised].tolist(),
                                 map(str, comps))  # per-sample: allowed
         ]
@@ -186,22 +192,24 @@ class ActionEngine:
         self._handlers[action] = handler
 
     def execute(
-        self, requests: Sequence[ActionRequest | DetectionBatch]
+        self, requests: Sequence[ActionRequest | QueuedBatch]
     ) -> list[AuditRecord]:
         """Run ``requests`` in order; returns what was audited.  A
-        :class:`DetectionBatch` is the streaming stage's hits: every row
-        is an executed alert under ``stream.<metric>.<kind>``."""
+        ``(prefix, batch)`` pair is a detector's hits, queued by a stage
+        that names them with ``prefix``: every row is an executed
+        warning alert under ``<prefix>.<metric>.<kind>``."""
         done: list[AuditRecord] = []
         try:
             for req in requests:
-                if isinstance(req, DetectionBatch):
-                    rule = detection_rule("stream", req.metric, req.kind)
+                if isinstance(req, tuple):
+                    prefix, batch = req
+                    rule = f"{prefix}.{batch.metric}.{batch.kind}"
                     done += [
                         AuditRecord(a.time, "alert", a.component, rule,
                                     _RAISED)
-                        for a in self.alerts.raise_batch(req, rule)
+                        for a in self.alerts.raise_batch(batch, rule)
                     ]
-                    self.executed += len(req)
+                    self.executed += len(batch)
                     continue
                 handler = self._handlers.get(req.action)
                 if handler is None:

@@ -1,23 +1,16 @@
-"""Response policy: wiring detections and rules to actions.
+"""Response policy: wiring rules to actions.
 
 The glue Table I asks for — "Data and analysis results should be able to
 be exposed to applications and system software" — expressed as a default
-rule set covering every fault the substrate can inject, plus an adapter
-that turns :class:`~repro.analysis.anomaly.Detection` records from the
-statistical detectors into the same :class:`ActionRequest` currency the
-SEC rules use, so one action engine serves both pathways.
+rule set covering every fault the substrate can inject.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from ..analysis.anomaly import Detection
 from ..core.events import Severity
-from .sec import ActionRequest, PairRule, SecEngine, SingleRule, ThresholdRule
+from .sec import PairRule, SecEngine, SingleRule, ThresholdRule
 
-__all__ = ["default_rules", "default_sec_engine", "detection_message",
-           "detection_rule", "detections_to_requests"]
+__all__ = ["default_rules", "default_sec_engine"]
 
 
 def default_rules() -> list[SingleRule | PairRule | ThresholdRule]:
@@ -166,37 +159,3 @@ def default_rules() -> list[SingleRule | PairRule | ThresholdRule]:
 
 def default_sec_engine() -> SecEngine:
     return SecEngine(default_rules())
-
-
-def detection_rule(prefix: str, metric: str, kind: str) -> str:
-    """The rule a detection's alert is raised and deduplicated under."""
-    return f"{prefix}.{metric}.{kind}"
-
-
-def detection_message(metric: str, kind: str, component: str,
-                      detail: str) -> str:
-    """What a detection's alert says."""
-    return f"{metric} {kind} on {component}: {detail}"
-
-
-def detections_to_requests(
-    detections: Sequence[Detection],
-    rule_prefix: str = "stat",
-) -> list[ActionRequest]:
-    """Adapt statistical detections onto the action-request currency:
-    every detection kind raises a warning alert."""
-    out = []
-    for d in detections:
-        out.append(
-            ActionRequest(
-                time=d.time,
-                rule=detection_rule(rule_prefix, d.metric, d.kind),
-                action="alert",
-                component=d.component,
-                severity=Severity.WARNING,
-                message=detection_message(d.metric, d.kind, d.component,
-                                          d.detail),
-                fields={"score": d.score},
-            )
-        )
-    return out

@@ -4,7 +4,8 @@
 path; each is now a :class:`Stage` — a named object whose ``run``
 advances one plane of the monitoring system for one tick and returns
 any :class:`~repro.response.sec.ActionRequest`\\ s it raised (the
-streaming stage: :class:`~repro.analysis.anomaly.DetectionBatch`\\ es).
+streaming and analysis-hook stages: ``(rule prefix,``
+:class:`~repro.analysis.anomaly.DetectionBatch` ``)`` pairs).
 The tick loop reduces to "iterate stages under trace spans", so stages are
 individually testable, reorderable, and replaceable (Table I:
 "Extensibility and modularity are fundamental").  Each stage's name is
@@ -25,12 +26,11 @@ from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 from .core.events import Event, EventKind, Severity
 from .core.lifecycle import Health
-from .response.policy import detections_to_requests
-from .response.sec import ActionRequest
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .analysis.anomaly import DetectionBatch
     from .pipeline import AnalysisHook, MonitoringPipeline
+    from .response.actions import QueuedBatch
+    from .response.sec import ActionRequest
 
 _log = logging.getLogger(__name__)
 
@@ -63,7 +63,7 @@ class Stage(Protocol):
 
     def run(
         self, pipeline: "MonitoringPipeline", now: float
-    ) -> Sequence["ActionRequest | DetectionBatch"]:
+    ) -> Sequence["ActionRequest | QueuedBatch"]:
         """Advance this stage; returned requests flow to the response
         stage at the end of the same tick."""
         ...
@@ -235,11 +235,11 @@ class StreamingStage:
         )
 
     def run(self, pipeline, now):
-        batches: list[DetectionBatch] = []
+        batches: list[QueuedBatch] = []
         for det in self.detectors:
             drain = getattr(det, "drain", None)
             if drain is not None:
-                batches += drain()
+                batches += [("stream", b) for b in drain()]
         return batches
 
 
@@ -265,19 +265,17 @@ class AnalysisHooksStage:
         self.hooks.append((float(interval_s), 0.0, hook))
 
     def run(self, pipeline, now):
-        requests: list[ActionRequest] = []
+        batches: list[QueuedBatch] = []
         for i, (interval, next_due, hook) in enumerate(self.hooks):
             if now + 1e-9 < next_due:
                 continue
-            detections = hook(pipeline, now)
-            if detections:
-                requests += detections_to_requests(list(detections))
+            batches += [("stat", b) for b in hook(pipeline, now) if len(b)]
             # reschedule strictly forward from the DUE time, skipping
             # missed slots — never from `now`, which would drift phase
             while next_due <= now + 1e-9:
                 next_due += interval
             self.hooks[i] = (interval, next_due, hook)
-        return requests
+        return batches
 
 
 def _escalate(pipeline, now, source, alerts):

@@ -106,14 +106,15 @@ def ieee_sums() -> np.errstate:
     """Context every sum in the storage plane runs under.
 
     Sums are IEEE-754: a bucket (or chunk) holding both ``+inf`` and
-    ``-inf`` sums to NaN, and ``mean`` follows — on the raw, the
-    summary-pruned and the pyramid route alike.  numpy reports that
-    defined result as an "invalid value" ``RuntimeWarning``; this
-    silences exactly that flag at the sum sites, so any other
-    floating-point warning out of ``repro.storage`` is a real defect
-    (the test suite turns them into errors).
+    ``-inf`` sums to NaN, finite readings whose sum passes the float
+    range sum to ``±inf``, and ``mean`` follows — on the raw, the
+    summary-pruned and the pyramid route alike.  numpy reports those
+    defined results as "invalid value" and "overflow" ``RuntimeWarning``\\ s;
+    this silences exactly those two flags at the sum sites, so any
+    other floating-point warning out of ``repro.storage`` is a real
+    defect (the test suite turns them into errors).
     """
-    return np.errstate(invalid="ignore")
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 #: column dtypes of one partial-column piece, in column order

@@ -154,17 +154,16 @@ class TestStreamingStateIsNotPoisoned:
 class TestSeriesDetectorsOnNonfinite:
     def test_ewma_all_nan_is_quiet(self):
         det = EwmaDetector(alpha=0.3, warmup=4)
-        assert det.detect(batch(np.full(32, NAN))) == []
+        assert len(det.detect(batch(np.full(32, NAN)))) == 0
 
     def test_ewma_nan_laced_shift_no_nan_detection(self):
         v = np.r_[np.full(20, 10.0), [NAN], np.full(20, 10.0)]
         det = EwmaDetector(alpha=0.3, warmup=8)
-        for d in det.detect(batch(v)):
-            assert np.isfinite(d.score)
+        assert np.isfinite(det.detect(batch(v)).scores).all()
 
     def test_cusum_all_nan_is_quiet(self):
         det = CusumDetector(k=0.5, h=4.0, warmup=8)
-        assert det.detect(batch(np.full(64, NAN))) == []
+        assert len(det.detect(batch(np.full(64, NAN)))) == 0
 
     def test_cusum_nan_resets_but_real_shift_still_trips(self):
         rng = np.random.default_rng(3)
@@ -173,4 +172,4 @@ class TestSeriesDetectorsOnNonfinite:
         det = CusumDetector(k=0.5, h=4.0, warmup=16)
         out = det.detect(batch(v))
         assert len(out) >= 1
-        assert all(np.isfinite(d.score) for d in out)
+        assert np.isfinite(out.scores).all()

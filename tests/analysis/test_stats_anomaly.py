@@ -125,7 +125,7 @@ class TestThresholdDetector:
         det = ThresholdDetector("node.temp_c", 80.0)
         first = det.check(self.sweep(0.0, [85.0, 50.0]))
         again = det.check(self.sweep(60.0, [86.0, 50.0]))
-        assert len(first) == 1 and again == []
+        assert len(first) == 1 and len(again) == 0
 
     def test_rearm_after_clear(self):
         det = ThresholdDetector("node.temp_c", 80.0, clear_fraction=0.9)
@@ -136,12 +136,12 @@ class TestThresholdDetector:
 
     def test_below_threshold_mode(self):
         det = ThresholdDetector("node.temp_c", 10.0, above=False)
-        out = det.check(self.sweep(0.0, [5.0, 20.0]))
+        out = det.check(self.sweep(0.0, [5.0, 20.0])).detections()
         assert len(out) == 1 and out[0].component == "n0"
 
     def test_wrong_metric_ignored(self):
         det = ThresholdDetector("other.metric", 1.0)
-        assert det.check(self.sweep(0.0, [100.0])) == []
+        assert len(det.check(self.sweep(0.0, [100.0]))) == 0
 
 
 class TestIqrOutliers:
@@ -156,6 +156,46 @@ class TestIqrOutliers:
         assert not iqr_outliers(np.array([1.0, 100.0])).any()
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestDetectorParameters:
+    """A parameter that would give a wrong answer (a negative warmup
+    fires late or not at all) or fail deep inside the first call is
+    refused when the detector is built."""
+
+    @pytest.mark.parametrize("make, kwargs", [
+        (EwmaDetector, {"warmup": -3}),
+        (CusumDetector, {"warmup": -3}),
+        (EwmaDetector, {"alpha": 0.0}),
+        (EwmaDetector, {"alpha": 1.5}),
+        (EwmaDetector, {"alpha": NAN}),
+        (EwmaDetector, {"band_sigmas": 0.0}),
+        (EwmaDetector, {"band_sigmas": -4.0}),
+        (EwmaDetector, {"band_sigmas": INF}),
+        (EwmaDetector, {"band_sigmas": NAN}),
+        (CusumDetector, {"h": 0.0}),
+        (CusumDetector, {"h": -5.0}),
+        (CusumDetector, {"h": INF}),
+        (CusumDetector, {"h": NAN}),
+        (CusumDetector, {"k": -0.5}),
+        (CusumDetector, {"k": INF}),
+        (CusumDetector, {"k": NAN}),
+        (ThresholdDetector, {"metric": "m", "threshold": NAN}),
+        (ThresholdDetector, {"metric": "m", "threshold": INF}),
+        (ThresholdDetector, {"metric": "m", "threshold": -INF}),
+    ])
+    def test_refused_at_construction(self, make, kwargs):
+        (name,) = kwargs.keys() - {"metric"}
+        with pytest.raises(ValueError, match=name):
+            make(**kwargs)
+
+    def test_the_closed_ends_of_each_range_are_accepted(self):
+        EwmaDetector(alpha=1.0)
+        CusumDetector(k=0.0)
+        ThresholdDetector("m", -1e308)
+
+
 def series(values, dt=60.0):
     t = np.arange(len(values)) * dt
     return SeriesBatch.for_component("bench.fom", "dgemm", t, values)
@@ -165,16 +205,16 @@ class TestEwmaDetector:
     def test_detects_level_shift(self):
         rng = np.random.default_rng(6)
         v = np.concatenate([rng.normal(100, 1, 30), rng.normal(70, 1, 30)])
-        dets = EwmaDetector().detect(series(v))
+        dets = EwmaDetector().detect(series(v)).detections()
         assert dets
         assert 29 * 60 <= dets[0].time <= 33 * 60
 
     def test_quiet_series_silent(self):
         rng = np.random.default_rng(7)
-        assert EwmaDetector().detect(series(rng.normal(100, 1, 60))) == []
+        assert len(EwmaDetector().detect(series(rng.normal(100, 1, 60)))) == 0
 
     def test_short_series_skipped(self):
-        assert EwmaDetector().detect(series(np.ones(5))) == []
+        assert len(EwmaDetector().detect(series(np.ones(5)))) == 0
 
 
 class TestCusumDetector:
@@ -183,7 +223,7 @@ class TestCusumDetector:
         v = np.concatenate(
             [rng.normal(100, 1, 40), rng.normal(97, 1, 60)]  # subtle shift
         )
-        dets = CusumDetector().detect(series(v))
+        dets = CusumDetector().detect(series(v)).detections()
         assert dets
         assert dets[0].detail == "direction=down"
         assert dets[0].time >= 40 * 60
@@ -192,10 +232,10 @@ class TestCusumDetector:
         rng = np.random.default_rng(9)
         v = rng.normal(100, 1, 80)
         v[40] = 120.0
-        assert CusumDetector().detect(series(v)) == []
+        assert len(CusumDetector().detect(series(v))) == 0
 
     def test_upward_shift_direction(self):
         rng = np.random.default_rng(10)
         v = np.concatenate([rng.normal(10, 0.5, 30), rng.normal(14, 0.5, 30)])
-        dets = CusumDetector().detect(series(v))
+        dets = CusumDetector().detect(series(v)).detections()
         assert dets and dets[0].detail == "direction=up"

@@ -1,13 +1,13 @@
 """Property-based tests: alert dedup of a detection batch == per-row raises.
 
-The streaming stage hands the action engine its hits as
-:class:`~repro.analysis.anomaly.DetectionBatch` columns, deduplicated
-with one mask over the alert manager's last-raised columns.  The
-reference is the scalar path every detection took before: one
-``ActionRequest`` per hit, in batch order, through ``raise_alert``.
-Draws cover repeated components within a batch, NaN and +/-inf times,
-a gap of exactly ``renotify_s``, and SEC-style scalar raises of the
-same rules interleaved with the batches.
+The streaming and analysis-hook stages hand the action engine their hits
+as ``(rule prefix, DetectionBatch)`` pairs, deduplicated with one mask
+over the alert manager's last-raised columns.  The reference is the
+scalar path: one ``ActionRequest`` per ``detections()`` row, in batch
+order, through ``raise_alert``.  Draws cover every hit form under both
+stage prefixes, repeated components within a batch, NaN and +/-inf
+times, a gap of exactly ``renotify_s``, and SEC-style scalar raises of
+the same rules interleaved with the batches.
 """
 
 import math
@@ -20,7 +20,6 @@ from repro.analysis.anomaly import DetectionBatch
 from repro.core.events import Severity
 from repro.core.soa import name_column
 from repro.response.actions import ActionEngine, AlertManager
-from repro.response.policy import detections_to_requests
 from repro.response.sec import ActionRequest
 
 RENOTIFY = 10.0
@@ -46,20 +45,22 @@ def detection_batches(draw):
     at = np.array(draw(st.permutations(range(n)))[:draw(st.integers(1, n))],
                   dtype=np.intp)
     k = len(at)
-    kind = draw(st.sampled_from(["outlier", "threshold"]))
     col = st.lists(readings, min_size=k, max_size=k).map(np.array)
-    return DetectionBatch(
-        draw(st.sampled_from(["m", "k"])), kind, components, at,
+    return draw(st.sampled_from(["stream", "stat"])), DetectionBatch(
+        draw(st.sampled_from(["m", "k"])),
+        draw(st.sampled_from(["outlier", "rate", "threshold", "shift",
+                              "changepoint"])),
+        components, at,
         np.array(draw(st.lists(times, min_size=k, max_size=k))),
-        draw(col), draw(col),
-        limit=draw(st.floats(1e-3, 1e3)) if kind == "threshold" else math.nan)
+        draw(col), draw(col), limit=draw(readings))
 
 
 scalar_raises = st.builds(
     lambda t, comp, rule: ActionRequest(t, rule, "alert", comp,
                                         Severity.ERROR, "sec"),
     times, st.sampled_from(POOL),
-    st.sampled_from(["stream.m.outlier", "stream.k.threshold", "sec_rule"]))
+    st.sampled_from(["stream.m.outlier", "stream.k.threshold",
+                     "stat.m.shift", "stat.k.threshold", "sec_rule"]))
 
 scripts = st.lists(st.one_of(detection_batches(), scalar_raises),
                    min_size=1, max_size=12)
@@ -77,9 +78,14 @@ class TestBatchDedupEqualsScalarReference:
         scalar = ActionEngine(None, AlertManager(renotify_s=RENOTIFY))
         for item in script:
             batched.execute([item])
-            if isinstance(item, DetectionBatch):
-                scalar.execute(detections_to_requests(
-                    item.detections(), rule_prefix="stream"))
+            if isinstance(item, tuple):
+                prefix, batch = item
+                scalar.execute([
+                    ActionRequest(
+                        d.time, f"{prefix}.{d.metric}.{d.kind}", "alert",
+                        d.component, Severity.WARNING,
+                        f"{d.metric} {d.kind} on {d.component}: {d.detail}")
+                    for d in batch.detections()])
             else:
                 scalar.execute([item])
         got, want = batched.alerts, scalar.alerts

@@ -212,7 +212,8 @@ class TestThresholdDetectorEquivalence:
                                  clear_fraction=clear_fraction)
         fast._check_slow = None     # the reference is not a product path
         for b in bs:
-            assert same_detections(fast.check(b), slow._check_slow(b))
+            assert same_detections(fast.check(b).detections(),
+                                   slow._check_slow(b))
             assert fast._firing == slow._firing
 
 
@@ -233,7 +234,8 @@ class TestEwmaDetectorEquivalence:
     @settings(max_examples=150, deadline=None)
     def test_exact_detection_equality(self, b, alpha, warmup):
         det = EwmaDetector(alpha=alpha, warmup=warmup)
-        assert same_detections(det.detect(b), det._detect_slow(b))
+        assert same_detections(det.detect(b).detections(),
+                               det._detect_slow(b))
 
 
 class TestCusumEquivalence:
@@ -252,7 +254,7 @@ class TestCusumEquivalence:
     @settings(max_examples=200, deadline=None)
     def test_detections_match_scalar(self, b, k, h, warmup):
         det = CusumDetector(k=k, h=h, warmup=warmup)
-        fast, slow = det.detect(b), det._detect_slow(b)
+        fast, slow = det.detect(b).detections(), det._detect_slow(b)
         assert len(fast) == len(slow)
         for f, s in zip(fast, slow):
             assert f.time == s.time

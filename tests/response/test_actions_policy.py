@@ -1,8 +1,14 @@
 """Unit tests for action execution, alerts, and the default policy."""
 
+import numpy as np
 import pytest
 
-from repro.analysis.anomaly import Detection
+from repro.analysis.anomaly import (
+    CusumDetector,
+    EwmaDetector,
+    ThresholdDetector,
+    sweep_outliers,
+)
 from repro.analysis.streaming import (
     StreamingOutlierDetector,
     StreamingRateWatch,
@@ -11,13 +17,12 @@ from repro.analysis.streaming import (
 from repro.cluster import Machine, build_dragonfly
 from repro.cluster.workload import APP_LIBRARY, Job, JobState
 from repro.core.events import EventKind, Severity
+from repro.core.metric import SeriesBatch
 from repro.response.actions import ActionEngine, AlertManager
-from repro.response.policy import (
-    default_sec_engine,
-    detections_to_requests,
-)
+from repro.response.policy import default_sec_engine
 from repro.response.sec import ActionRequest
 from repro.sites import SiteConfig, build_site
+from repro.stages import AnalysisHooksStage
 from repro.sources.counters import NodeCounterCollector
 from repro.sources.sedc import SedcCollector
 
@@ -134,14 +139,58 @@ class TestDefaultPolicy:
                          "queue_blocked", "bench_degraded"):
             assert expected in names
 
-    def test_detections_adapter(self):
-        d = Detection(10.0, "node.power_w", "n3", 8.5, "outlier",
-                      "value=330")
-        (r,) = detections_to_requests([d])
-        assert r.action == "alert"
-        assert r.component == "n3"
-        assert "node.power_w" in r.rule
-        assert r.fields["score"] == 8.5
+    def test_hook_batches_alert_under_stat_rules(self, machine):
+        """An analysis hook's batches of every detail format raise
+        warning alerts under ``stat.<metric>.<kind>``, with the messages
+        the per-hit path printed; a repeat inside ``renotify_s`` is
+        executed and suppressed, and builds no alert or audit record."""
+        names = [f"n{i}" for i in range(8)]
+        t = np.arange(60) * 60.0
+        low_high = np.r_[np.full(30, 10.0), np.full(30, 20.0)]
+        watch = StreamingRateWatch("node.energy_j", max_rate_per_s=1.0)
+        watch.observe(SeriesBatch.sweep("node.energy_j", 0.0, names[:2],
+                                        [0.0, 0.0]))
+        watch.observe(SeriesBatch.sweep("node.energy_j", 10.0, names[:2],
+                                        [5.0, 125.0]))
+        found = [
+            sweep_outliers(SeriesBatch.sweep(
+                "node.power_w", 0.0, names, [250.0] * 7 + [330.0])),
+            *watch.drain(),
+            ThresholdDetector("node.temp_c", 80.0).check(SeriesBatch.sweep(
+                "node.temp_c", 0.0, names[:2], [50.0, 85.5])),
+            EwmaDetector().detect(
+                SeriesBatch.for_component("bench.fom", "dgemm", t, low_high)),
+            CusumDetector().detect(SeriesBatch.for_component(
+                "bench.stream", "triad", t, low_high[::-1])),
+        ]
+        stage = AnalysisHooksStage()
+        stage.add(60.0, lambda pipeline, now: found)
+        eng = ActionEngine(machine)
+        audited = eng.execute(stage.run(None, 0.0))
+        assert [(a.time, a.severity, a.component, a.rule, a.message)
+                for a in eng.alerts.alerts] == [
+            (0.0, Severity.WARNING, "n7", "stat.node.power_w.outlier",
+             "node.power_w outlier on n7: value=330 z=6.4"),
+            (10.0, Severity.WARNING, "n1", "stat.node.energy_j.threshold",
+             "node.energy_j threshold on n1: rate 12.5/s exceeds 1/s"),
+            (0.0, Severity.WARNING, "n1", "stat.node.temp_c.threshold",
+             "node.temp_c threshold on n1: value=85.5 threshold=80"),
+            (1800.0, Severity.WARNING, "dgemm", "stat.bench.fom.shift",
+             "bench.fom shift on dgemm: resid=10 sigma=1e-12"),
+            (1860.0, Severity.WARNING, "triad",
+             "stat.bench.stream.changepoint",
+             "bench.stream changepoint on triad: direction=down"),
+        ]
+        # the changepoint batch's two later hits repeat its first
+        hits = sum(map(len, found))
+        assert (eng.executed, eng.alerts.suppressed) == (hits, hits - 5)
+        assert [(r.rule, r.outcome) for r in audited] == [
+            (a.rule, "alert raised") for a in eng.alerts.alerts]
+        # the hook's next slot, inside renotify_s: counted, not raised
+        assert eng.execute(stage.run(None, 60.0)) == []
+        assert len(eng.alerts.alerts) == len(eng.audit) == 5
+        assert (eng.executed, eng.alerts.suppressed) == (2 * hits,
+                                                         2 * hits - 5)
 
 
 class TestStreamingAlertsAtFleetScale:

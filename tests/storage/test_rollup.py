@@ -143,6 +143,29 @@ class TestIeeeSums:
             assert got.values[1] == finite, name
 
 
+    def test_finite_readings_that_overflow_a_sum_seal_to_inf(self):
+        """Two 1e308 readings sum past the float range: the chunk seals
+        and every route reads ``inf``, with no overflow warning."""
+        store = TimeSeriesStore(chunk_size=4, pyramid_levels=DEFAULT_LEVELS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            store.append(SeriesBatch.for_component(
+                "m.x", "a", [0.0, 10.0, 20.0, 30.0], [1e308, 1e308, 1.0, 2.0]))
+            fe = QueryFrontend(store)
+            for step in (60.0, 600.0, 3600.0):
+                for agg, want in (("sum", np.inf), ("mean", np.inf),
+                                  ("max", 1e308)):
+                    routes = [
+                        store.downsample("m.x", "a", 0.0, 3600.0, step, agg,
+                                         prune=prune)
+                        for prune in (False, True)
+                    ] + [fe.downsample("m.x", "a", 0.0, 3600.0, step, agg)]
+                    for got in routes:
+                        assert list(got.times) == [0.0], (step, agg)
+                        assert got.values.tolist() == [want], (step, agg)
+        assert store.stats().sealed_chunks == 1
+
+
 def sweep_store(n_sweeps, k=64, chunk_size=32, cadence=60.0, store=None):
     """A store fed ``n_sweeps`` lock-step sweeps of ``k`` nodes."""
     store = store or TimeSeriesStore(chunk_size=chunk_size)

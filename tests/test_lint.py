@@ -541,3 +541,25 @@ class TestFdLifetimeGate:
 
         src = inspect.getsource(check_mod.lint)
         assert "check_fd_lifetime_storage" in src
+
+
+class TestWarningFilters:
+    def test_a_failing_property_reports_its_example(self, tmp_path):
+        """Under the suite's every-warning-is-an-error filters, a failing
+        hypothesis test still ends as one failure naming its falsifying
+        example, not as a pytest INTERNALERROR."""
+        (tmp_path / "test_fails.py").write_text(
+            "from hypothesis import given, strategies as st\n\n\n"
+            "@given(st.integers())\n"
+            "def test_fails(x):\n"
+            "    assert x < 5\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-c", str(REPO / "pyproject.toml"),
+             "--rootdir", str(tmp_path), "-p", "no:cacheprovider",
+             "test_fails.py"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        out = proc.stdout + proc.stderr
+        assert proc.returncode == 1, out
+        assert "Falsifying example" in out
+        assert "INTERNALERROR" not in out

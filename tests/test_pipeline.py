@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import MonitoringPipeline, SiteConfig, build_site
-from repro.analysis.anomaly import sweep_outliers
+from repro.analysis.anomaly import DetectionBatch, sweep_outliers
 from repro.cluster import (
     HungNode,
     JobGenerator,
@@ -14,6 +14,7 @@ from repro.cluster import (
     build_dragonfly,
 )
 from repro.cluster.workload import APP_LIBRARY, Job
+from repro.core.metric import SeriesBatch
 from repro.stages import default_stages
 
 
@@ -119,7 +120,6 @@ class TestDetectionEndToEnd:
         victim = job.nodes[0]
         m.faults.add(HungNode(start=m.now, node=victim))
         p.run(duration_s=900.0, dt=10.0)       # walltime kills the job
-        from repro.core.metric import SeriesBatch
         sweep = SeriesBatch.sweep(
             "node.power_w", m.now, m.nodes.names, m.nodes.power_w
         )
@@ -135,8 +135,9 @@ class TestAnalysisHooks:
 
         def hook(pipeline, now):
             calls.append(now)
-            from repro.analysis.anomaly import Detection
-            return [Detection(now, "x.y", "n0", 9.0, "outlier", "synthetic")]
+            hit = SeriesBatch.for_component("x.y", "n0", [now], [330.0])
+            return [DetectionBatch.over(hit, "outlier", np.array([0]),
+                                        np.array([9.0]), hit.values)]
 
         p.add_analysis(60.0, hook)
         p.run(duration_s=300.0, dt=10.0)
