@@ -29,7 +29,10 @@ regression.  The retained scalar reference implementations mark their
 loops with ``# per-sample: allowed``.  The same gate keeps the seal a
 block operation in ``src/repro/storage``: a ``.seal()`` or
 ``compress_chunk(`` call inside a loop there is one codec pass per row
-where ``compress_chunks`` does one per group.  And it keeps the
+where ``compress_chunks`` does one per group, and a ``series_partials(``
+call inside a loop there (or in ``src/repro/serve``) reads a fleet's
+sealed partials series by series where ``group_partials`` reads a seal
+group at a time.  And it keeps the
 collectors in ``src/repro/sources`` columnar: a loop over a fleet's
 names (``machine.nodes.names``, ``node_clocks``, ``topo.nodes``) is one
 interpreter iteration per node per sweep.
@@ -420,6 +423,19 @@ def check_row_seals(path: Path) -> list[str]:
         f"'{_PER_SAMPLE_MARKER}'")
 
 
+def check_row_partials(path: Path) -> list[str]:
+    """Flag per-series partials in one storage or serving module: a
+    ``series_partials(...)`` call inside a ``for`` loop or comprehension
+    (a bucketed read answers sealed data a seal group at a time, through
+    ``group_partials``; only what a series sealed alone is read series
+    by series).  ``# per-sample: allowed`` on the call's line exempts
+    it."""
+    return _flagged_calls(
+        path, lambda call, name: name == "series_partials",
+        "per-series {name}() inside a loop in the read path; read seal "
+        f"groups (group_partials) or mark the line '{_PER_SAMPLE_MARKER}'")
+
+
 def check_series_resolution(path: Path) -> list[str]:
     """Flag per-component series resolution in one storage or serving
     module: a ``_series_view(...)`` call inside a ``for`` loop or
@@ -672,13 +688,14 @@ def check_columnar_analysis() -> list[str]:
     """Run :func:`check_columnar` over every columnar-only package,
     :func:`check_fleet_loops` over the collectors,
     :func:`check_row_seals` over the storage plane and
-    :func:`check_series_resolution` over the storage and serving
-    planes."""
+    :func:`check_series_resolution` and :func:`check_row_partials` over
+    the storage and serving planes."""
     problems: list[str] = []
     for name, check in [(d, check_columnar) for d in _COLUMNAR_DIRS] + [
             ("sources", check_fleet_loops), ("storage", check_row_seals),
             ("storage", check_series_resolution),
-            ("serve", check_series_resolution)]:
+            ("serve", check_series_resolution),
+            ("storage", check_row_partials), ("serve", check_row_partials)]:
         root = REPO / "src" / "repro" / name
         if root.is_dir():
             for path in sorted(root.rglob("*.py")):

@@ -288,9 +288,11 @@ def _check_positive(name: str, x: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {x!r}")
 
 
-def _check_warmup(warmup: int) -> None:
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup!r}")
+def _check_warmup(warmup: int, least: int) -> None:
+    """A warmup shorter than ``least`` leaves the sigma (and median) the
+    detector scores against undefined, so it could never fire."""
+    if warmup < least:
+        raise ValueError(f"warmup must be >= {least}, got {warmup!r}")
 
 
 class EwmaDetector:
@@ -305,7 +307,7 @@ class EwmaDetector:
         if not 0 < alpha <= 1:
             raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
         _check_positive("band_sigmas", band_sigmas)
-        _check_warmup(warmup)
+        _check_warmup(warmup, 2)        # sigma is a MAD of differences
         self.alpha = alpha
         self.band_sigmas = band_sigmas
         self.warmup = warmup
@@ -326,13 +328,7 @@ class EwmaDetector:
         smooth = ewma(v, self.alpha)
         sigma = float(self._sigma(v))
         # residual of each post-warmup sample vs the smooth one step back
-        # (warmup=0 wraps to smooth[-1], matching the scalar reference's
-        # Python negative-index semantics)
-        if self.warmup == 0:
-            prev = np.r_[smooth[-1], smooth[:-1]]
-        else:
-            prev = smooth[self.warmup - 1: n - 1]
-        resid = v[self.warmup:] - prev
+        resid = v[self.warmup:] - smooth[self.warmup - 1: n - 1]
         breach = np.abs(resid) > self.band_sigmas * sigma
         rising = breach.copy()
         rising[1:] &= ~breach[:-1]      # fire on not-breach -> breach edges
@@ -392,7 +388,7 @@ class CusumDetector:
         if not 0 <= k < math.inf:
             raise ValueError(f"k must be finite and >= 0, got {k!r}")
         _check_positive("h", h)
-        _check_warmup(warmup)
+        _check_warmup(warmup, 1)        # mu is a median of the warmup
         self.k = k
         self.h = h
         self.warmup = warmup

@@ -94,7 +94,11 @@ def ewma(x: np.ndarray, alpha: float) -> np.ndarray:
     has the closed form ``o_j = w^j * (w*acc + alpha * sum_l x_l w^-l)``
     within a block, so it reduces to a scaled ``cumsum``.  ``w^-l``
     grows without bound, so blocks are sized to keep it well inside
-    float64 range and the accumulator is carried across blocks.
+    float64 range and the accumulator is carried across blocks: at
+    most ``w^-(block-1)`` ~1e200, and less where the largest finite
+    reading times ``w^-(block-1)``, summed over the series, would pass
+    ~1e300 (a reading near the float maximum folds one sample a block,
+    the plain recurrence).
     """
     if not (0 < alpha <= 1):
         raise ValueError("alpha must be in (0, 1]")
@@ -112,8 +116,12 @@ def ewma(x: np.ndarray, alpha: float) -> np.ndarray:
         out[prev_bad] = np.nan
         return out
     w = 1.0 - alpha
-    # keep w^-(block-1) below ~1e200 so cumsum terms cannot overflow
-    block = max(1, min(n, int(200.0 / -np.log10(w))))
+    # keep w^-(block-1) below ~1e200, and every cumsum term and partial
+    # sum below ~1e300 however large the readings are
+    big = np.abs(x[np.isfinite(x)]).max(initial=1.0)
+    room = 300.0 - np.log10(big) - np.log10(n)
+    block = max(1, min(n, int(200.0 / -np.log10(w)),
+                       int(room / -np.log10(w)) + 1))
     out = np.empty_like(x)
     powers = w ** np.arange(block)
     acc = x[0]

@@ -9,8 +9,9 @@ stay intact).  ``aggregate_across`` is the paper's aggregation tree
 applied to reads: each site answers with its partial columns on the
 shared ``(anchor, step)`` grid (``QueryFrontend.partials``) and one
 :func:`~repro.storage.rollup.reduce_partials` merges them, ranked by
-selection position — so a cross-site answer is the answer of one store
-holding every ``site/component`` series.
+selection position — a site's seal-group piece re-ranked as one
+``(K,)`` column, so it stays one piece — and a cross-site answer is
+the answer of one store holding every ``site/component`` series.
 
 Unreachable sites mirror the failed-shard semantics of the sharded
 store: a site that is marked down, sheds the tenant, or whose front
@@ -224,7 +225,8 @@ class FederatedFrontend:
     ) -> SeriesBatch:
         """Cross-site aggregate, exact via partial-column merging: one
         ``partials`` call per site asked, every piece re-ranked by its
-        component's place in the selection (:meth:`_asks`), one
+        components' places in the selection (:meth:`_asks`; a rank, a
+        rank column, or a group piece's ``(K,)`` ranks, elementwise), one
         :func:`reduce_partials` — the stable time-sort concat the raw
         single-store path performs.  An unbounded ``t0`` first asks each
         site its first sample time and reads ``[earliest, t1)``: the

@@ -15,7 +15,8 @@
 3. **counting** — ``downsample``/``aggregate_across`` go through the
    store's one bucketed read (``SeriesQueryMixin._bucketed_read``: the
    ``bucket_partials`` step over
-   :func:`repro.storage.rollup.series_partials` and
+   :func:`repro.storage.rollup.group_partials`,
+   :func:`~repro.storage.rollup.series_partials` and
    :func:`~repro.storage.rollup.head_partials`, then one
    :func:`~repro.storage.rollup.reduce_partials`), and the front end
    counts whether each answer read rollup rows or only chunk summaries

@@ -17,20 +17,24 @@ reproduces the stable time-sort of the raw path bit-for-bit.
 This module is the *one place* that defines bucket-grid normalization
 (:func:`bucket_anchor`), partial-column folding/merging
 (:func:`fold_partials` / :func:`reduce_partials`) and which source
-answers which part of a window: sealed data series by series
-(:func:`series_partials`: rollup rows, chunk summaries, decoded samples
-— its rules are stated there, its guards in :func:`window_plan`, once),
-open heads a whole head block at a time (:func:`head_partials`).  The
-store's bucketed read and the serving plane above it are loops over
-those two; the raw concat path in ``storage/tsdb.py`` shares only the
-grid, which is what makes the exactness oracle in the property suite
-meaningful.
+answers which part of a window: sealed data a seal group at a time
+(:func:`group_partials`: rollup rows, chunk summaries, decoded samples
+of K series at once — the rules are stated at :func:`series_partials`,
+which applies them to what a series holds alone, the guards in
+:func:`window_plan`, once), open heads a whole head block at a time
+(:func:`head_partials`).  A seal group's fold is one *group piece* per
+level — its K series' value columns one ``(K, B)`` matrix over shared
+bucket columns — and :func:`reduce_partials` orders those columns, not
+their rows.  The store's bucketed read and the serving plane above it
+are loops over these; the raw concat path in ``storage/tsdb.py`` shares
+only the grid, which is what makes the exactness oracle in the property
+suite meaningful.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from types import MappingProxyType
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -39,17 +43,22 @@ __all__ = [
     "AGGS",
     "DEFAULT_LEVELS",
     "MAX_PLANNER_TIME",
+    "SealGroup",
     "SeriesPyramid",
     "bucket_anchor",
     "check_bucketing",
     "check_levels",
     "choose_level",
+    "fold_group",
     "fold_partials",
     "fold_sealed_rows",
+    "group_partials",
     "head_first_time",
     "head_partials",
     "ieee_sums",
+    "plan_pieces",
     "reduce_partials",
+    "row_piece",
     "series_partials",
     "window_plan",
 ]
@@ -160,11 +169,13 @@ def fold_partials(
 
     Returns ``(b, cnt, vsum, vmin, vmax, t_last, v_last, seq_last)``,
     one read-only row per occupied bucket of the ``(anchor, step)`` grid.
-    ``seq`` optionally gives each sample's position in the series' stable
-    time order; omitted, the samples are consecutive from ``seq_base``
-    (the sealed-chunk case; :func:`fold_sealed_rows` folds K chunks in
-    one).  When each bucket holds one sample the partials are views of
-    the samples: a one-element reduceat returns its element bit for bit.
+    A sample's seq number is ``seq_base`` plus its position: ``seq``
+    optionally gives the positions (a window of a chunk), else the
+    samples are consecutive (the sealed-chunk case).  ``v`` may be K
+    rows over the one ``t`` with ``seq_base`` a ``(K, 1)`` column: the
+    value and seq columns then come back ``(K, B)`` (a group piece).
+    When each bucket holds one sample the partials are views of the
+    samples: a one-element reduceat returns its element bit for bit.
     """
     if not len(t):
         return _empty_partials()
@@ -175,11 +186,20 @@ def fold_partials(
         cols = (buckets, np.ones(len(t), np.int64), v, v, v, t.view(), v)
     else:
         last, cols = _fold_runs(cut, buckets, t, v)
-    cols += (seq[last].astype(np.int64) if seq is not None
-             else seq_base + last,)
+    cols += (seq_base + (last if seq is None else seq[last]),)
     for col in cols:
         col.flags.writeable = False
     return cols
+
+
+#: rows up to which :func:`reduce_partials` sorts rows, not columns: a
+#: column sort's fixed cost (a signature per set of tied pieces) beats
+#: the row ``lexsort`` only from a few thousand rows on
+_ROW_SORT_MAX = 4096
+
+#: the partial column each agg reduces (``count`` reads counts only)
+_AGG_COLUMN = MappingProxyType(
+    {"sum": 2, "mean": 2, "min": 3, "max": 4, "last": 6})
 
 
 def reduce_partials(
@@ -195,69 +215,228 @@ def reduce_partials(
     of each bucket group is the stable-time-sort winner for ``last`` —
     exactly the row the raw decompress-and-sort path would pick.
     ``piece_comp`` ranks each piece's source series for cross-component
-    aggregation, reproducing the raw path's stable concat order: one
-    rank for a whole piece, or a column ranking it row by row (a head
-    block's piece holds many series).  One piece whose buckets strictly
-    increase (a drill-down's) is already in merge order, one row per
-    bucket: it is reduced as it stands, with no concatenation or sort.
+    aggregation, reproducing the raw path's stable concat order.  A
+    piece is one of two shapes:
+
+    * **one-row columns** (every column ``(n,)``), ranked by one int, or
+      by a column ranking it row by row (a ragged head block's piece);
+    * a **group piece**: bucket, count and ``t_last`` ``(B,)``, value and
+      seq columns ``(K, B)`` — K series over the same buckets (a seal
+      group, a lock-step head block) — ranked by a ``(K,)`` array.
+
+    Each column of a group piece (each row of a one-row piece) is sorted
+    by ``(bucket, t_last)`` once; where columns tie, their rows follow
+    by rank, one permutation for every tie over the same pieces.  A tie
+    whose ranks repeat (a series' late samples across a seal) or that
+    holds a row-ranked column is ordered by ``(rank, seq)`` element by
+    element.  The sums then run over one gather of the values in that
+    order, so the answer is bit for bit the concatenate-and-lexsort of
+    every row — which is what runs when every piece has one row, or
+    when there are at most :data:`_ROW_SORT_MAX` rows.  One piece whose
+    buckets strictly increase (a drill-down's) is already in merge
+    order: it is reduced as it stands, with no sort.
     """
-    keep = [p for p in pieces if len(p[0])]
+    keep = [i for i, p in enumerate(pieces) if p[2].size]
     if not keep:
         return np.empty(0), np.empty(0)
-    b = keep[0][0]
-    if len(keep) == 1 and not np.count_nonzero(b[1:] <= b[:-1]):
-        _, cnt, vsum, vmin, vmax, _, v_last, _ = keep[0]
-        cuts = np.arange(1, len(b))
-    else:
-        comp = None
-        if piece_comp is not None:
-            comp = np.concatenate([
-                np.full(len(p[0]), c, dtype=np.int64)
-                for p, c in zip(pieces, piece_comp)
-                if len(p[0])
-            ])
-        b, cnt, vsum, vmin, vmax, t_last, v_last, seq = (
-            np.concatenate([p[i] for p in keep]) for i in range(8)
-        )
-        order = (
-            np.lexsort((seq, t_last, b)) if comp is None
-            else np.lexsort((seq, comp, t_last, b))
-        )
-        b, cnt, vsum = b[order], cnt[order], vsum[order]
-        vmin, vmax, v_last = vmin[order], vmax[order], v_last[order]
-        cuts = np.flatnonzero(b[1:] != b[:-1]) + 1
-    starts = np.concatenate(([0], cuts))
-    out_t = anchor + b[starts] * step
+    col = _AGG_COLUMN.get(agg)
+    b = pieces[keep[0]][0]
+    if (len(keep) == 1 and pieces[keep[0]][2].size == len(b)
+            and not np.count_nonzero(b[1:] <= b[:-1])):
+        p = pieces[keep[0]]
+        return _reduce_runs(anchor + b * step, np.arange(len(b)),
+                            None if col is None else p[col].reshape(-1),
+                            p[1], agg)
+    ps = [pieces[i] for i in keep]
+    comps = [0] * len(pieces) if piece_comp is None else piece_comp
+    width = [len(p[0]) for p in ps]
+    height = [len(p[2]) if p[2].ndim == 2 else 1 for p in ps]
+    if sum(k * w for k, w in zip(height, width)) <= _ROW_SORT_MAX or max(
+            height) == 1:           # the row sort: group pieces as rows
+        rows = [p if k == 1 and p[2].ndim == 1 else tuple(
+            np.tile(c, k) if c.ndim == 1 else c.reshape(-1) for c in p)
+            for p, k in zip(ps, height)]
+        b, cnt, t_last, seq = (np.concatenate([r[c] for r in rows])
+                               for c in (0, 1, 5, 7))
+        vals = None if col is None else np.concatenate([r[col] for r in rows])
+        comp = np.concatenate([_row_ranks(comps[i], p, w)
+                               for i, p, w in zip(keep, ps, width)])
+        order = np.lexsort((seq, comp, t_last, b))
+        b = b[order]
+        starts = np.flatnonzero(np.append(True, b[1:] != b[:-1]))
+        return _reduce_runs(anchor + b[starts] * step, starts,
+                            None if vals is None else vals[order],
+                            np.add.reduceat(cnt[order], starts), agg)
+    width, height = np.array(width), np.array(height)
+    # a rank a row, or (one-row columns ranked row by row) a rank a column
+    ranks = [np.broadcast_to(comps[i], (w,) if p[2].ndim == 1
+                             and np.ndim(comps[i]) else (k,))
+             for i, p, k, w in zip(keep, ps, height, width)]
+    # every column, sorted by (bucket, t_last): a stable sort keeps the
+    # columns of one tie in piece order
+    cb = np.concatenate([p[0] for p in ps])
+    ct = np.concatenate([p[5] for p in ps])
+    order = np.lexsort((ct, cb))
+    sb, st = cb[order], ct[order]
+    sp = np.repeat(np.arange(len(ps)), width)[order]
+    sj = (np.arange(len(cb))
+          - np.repeat(np.cumsum(width) - width, width))[order]
+    new = np.ones(len(sb), dtype=bool)
+    new[1:] = (sb[1:] != sb[:-1]) | (st[1:] != st[:-1])
+    first = new.nonzero()[0]                    # each tie's first column
+    size = np.diff(np.append(first, len(sb)))   # columns in each tie
+    n_el = np.add.reduceat(height[sp], first)   # rows in each tie
+    tie_at = np.cumsum(n_el) - n_el             # its first output slot
+    tb = sb[first]
+    bucket = np.flatnonzero(np.append(True, tb[1:] != tb[:-1]))
+    cnt = np.concatenate([p[1] for p in ps])[order] * height[sp]
+    vals = None
+    if col is not None:
+        vals = np.empty(int(n_el.sum()))
+        mats = [p[col] if p[col].ndim == 2 else p[col][None] for p in ps]
+        for m in np.unique(size).tolist():
+            ties = (size == m).nonzero()[0]
+            at = first[ties][:, None] + np.arange(m)
+            sigs, which = np.unique(sp[at], axis=0, return_inverse=True)
+            which = which.reshape(-1)
+            for k, sig in enumerate(sigs.tolist()):
+                pick = which == k
+                _place(vals, mats, ps, ranks, height, sig,
+                       tie_at[ties[pick]], sj[at[pick]])
+    return _reduce_runs(anchor + tb[bucket] * step, tie_at[bucket], vals,
+                        np.add.reduceat(cnt, first[bucket]), agg)
+
+
+def _row_ranks(comp, piece: tuple, width: int) -> np.ndarray:
+    """The rank of each row of ``piece`` as :func:`reduce_partials`'
+    row sort lays them out: a group piece's rank a row repeated along
+    its row, a one-row piece's one rank or rank column."""
+    rows = len(piece[2]) if piece[2].ndim == 2 else 1
+    if np.size(comp) == 1:          # one rank for the whole piece
+        return np.full(rows * width, comp)
+    return np.repeat(comp, width) if rows > 1 else np.asarray(comp)
+
+
+def _place(vals: np.ndarray, mats: list, ps: list, ranks: list,
+           height: np.ndarray, sig: list[int], tie_at: np.ndarray,
+           cols: np.ndarray) -> None:
+    """Scatter the ties over the pieces ``sig`` (``cols[t, s]``: tie
+    ``t``'s column of piece ``sig[s]``; ``tie_at[t]``: its first output
+    slot) into ``vals`` in ``(rank, seq)`` order."""
+    span = np.cumsum(height[sig])
+    total = int(span[-1])
+    span = span - height[sig]
+    rank = [ranks[p] for p in sig]
+    if (len(set(sig)) == len(sig) and all(r.size == height[p]
+                                          for p, r in zip(sig, rank))):
+        r = np.concatenate(rank)
+        perm = np.argsort(r, kind="stable")
+        if not np.count_nonzero(r[perm][1:] == r[perm][:-1]):
+            inv = np.empty(total, dtype=np.intp)
+            inv[perm] = np.arange(total)
+            dest = tie_at[:, None] + inv
+            for s, p in enumerate(sig):
+                vals[dest[:, span[s]:span[s] + height[p]]] = (
+                    mats[p][:, cols[:, s]].T)
+            return
+    # the row sort, within each tie: (tie, rank, seq) element by element
+    n = len(tie_at)
+    rk = np.concatenate([
+        np.broadcast_to(r[cols[:, s]][:, None] if r.size != height[p]
+                        else r[None, :], (n, height[p]))
+        for s, (p, r) in enumerate(zip(sig, rank))], axis=1)
+    seq = np.concatenate([
+        (ps[p][7] if ps[p][7].ndim == 2 else ps[p][7][None])[:, cols[:, s]].T
+        for s, p in enumerate(sig)], axis=1)
+    o = np.lexsort((seq.ravel(), rk.ravel(), np.repeat(np.arange(n), total)))
+    dest = np.empty(n * total, dtype=np.intp)
+    dest[o] = np.repeat(tie_at, total) + np.tile(np.arange(total), n)
+    dest = dest.reshape(n, total)
+    for s, p in enumerate(sig):
+        vals[dest[:, span[s]:span[s] + height[p]]] = mats[p][:, cols[:, s]].T
+
+
+def _reduce_runs(out_t: np.ndarray, starts: np.ndarray,
+                 vals: np.ndarray | None, counts: np.ndarray | None,
+                 agg: str) -> tuple[np.ndarray, np.ndarray]:
+    """The agg over runs of ``vals`` (merge-ordered values of the agg's
+    column) that begin at ``starts``, one per output bucket; ``counts``
+    holds each bucket's sample count (``mean`` and ``count``)."""
     if agg == "sum":
         with ieee_sums():
-            out_v = np.add.reduceat(vsum, starts)
+            out_v = np.add.reduceat(vals, starts)
     elif agg == "mean":
         with ieee_sums():
-            out_v = (np.add.reduceat(vsum, starts)
-                     / np.add.reduceat(cnt, starts))
+            out_v = np.add.reduceat(vals, starts) / counts
     elif agg == "min":
-        out_v = np.minimum.reduceat(vmin, starts)
+        out_v = np.minimum.reduceat(vals, starts)
     elif agg == "max":
-        out_v = np.maximum.reduceat(vmax, starts)
+        out_v = np.maximum.reduceat(vals, starts)
     elif agg == "last":
-        out_v = v_last[np.append(cuts, len(b)) - 1]
+        out_v = vals[np.append(starts[1:], len(vals)) - 1]
     else:                              # count
-        out_v = np.add.reduceat(cnt, starts).astype(np.float64)
+        out_v = counts.astype(np.float64)
     return out_t, out_v
+
+
+class SealGroup:
+    """One seal of ``K`` rows of a head block that share their times:
+    the sealed chunk of each row and the group's fold, one piece per
+    level (:func:`fold_group`) — bucket, count and ``t_last`` ``(B,)``,
+    value and seq columns ``(K, B)``.  ``rows`` are the block rows the
+    K series live in (``-1`` once a series is dropped), ``seq_base``
+    what each had sealed before, ``n`` / ``t_min`` / ``t_max`` the span
+    the K chunks share.  A fleet read answers its sealed part one group
+    at a time (:func:`group_partials`)."""
+
+    __slots__ = ("rows", "chunks", "seq_base", "n", "t_min", "t_max",
+                 "pieces")
+
+    def __init__(self, rows: np.ndarray, seq_base: np.ndarray, t: np.ndarray,
+                 pieces: dict) -> None:
+        self.rows = np.array(rows, dtype=np.intp)
+        self.chunks: list = []      # one SealedChunk a row, None once dropped
+        self.seq_base = seq_base
+        self.n, self.t_min, self.t_max = len(t), float(t[0]), float(t[-1])
+        self.pieces = pieces
+
+    def drop(self, k: int) -> None:
+        """Row ``k``'s series is gone: no read selects it again."""
+        self.rows[k] = -1
+        self.chunks[k] = None
+
+
+def row_piece(piece: tuple, k: int, memo: dict) -> tuple:
+    """Row ``k`` of a group piece as one-row columns (views).  ``memo``
+    hands out one view per ``(column, row)`` — every row for a column
+    that repeats one row (a shared seq) — so a column several levels
+    share stays one object in their rows too."""
+    out = []
+    for col in piece:
+        if col.ndim == 2:
+            key = (id(col), 0 if col.strides[0] == 0 else k)
+            view = memo.get(key)
+            if view is None:
+                view = memo[key] = col[key[1]]
+            col = view
+        out.append(col)
+    return tuple(out)
 
 
 class SeriesPyramid:
     """Per-series rollup levels, folded incrementally at chunk-seal time.
 
-    Each seal appends one read-only partial-column *piece* per level (a
-    single reduceat pass over the chunk, anchored at 0 so every query
-    grid that divides the level reuses the same rows).  A read merges
-    each level's pieces into one bucket-sorted piece that replaces them
-    — so steady-state reads are a binary search plus a slice, and ingest
-    pays one O(chunk) fold per level.
+    A seal shared with other rows of its head block (a :class:`SealGroup`)
+    is held as a ``(group, row)`` reference: the series' partials are
+    row ``row`` of the group's pieces, which no read copies out.  A seal
+    of one row, and the levels a manifest restores, are the series' own
+    one-row pieces, one per level a seal (a single reduceat pass over
+    the chunk, anchored at 0 so every query grid that divides the level
+    reuses the same rows); a read of them replaces each level's pieces
+    by their sorted union (:meth:`own_columns`).
     """
 
-    __slots__ = ("levels", "samples_folded", "_pieces")
+    __slots__ = ("levels", "samples_folded", "_pieces", "_shared")
 
     def __init__(self, levels: Sequence[float] = DEFAULT_LEVELS) -> None:
         self.levels = tuple(sorted(check_levels(levels)))
@@ -265,6 +444,9 @@ class SeriesPyramid:
         self._pieces: dict[float, list[tuple[np.ndarray, ...]]] = {
             x: [] for x in self.levels
         }
+        # (group, row) per seal shared with other rows; None until the
+        # first (a fleet's series may never seal)
+        self._shared: list[tuple[SealGroup, int]] | None = None
 
     def add_sealed(self, t: np.ndarray, v: np.ndarray,
                    seq_base: int) -> None:
@@ -279,35 +461,68 @@ class SeriesPyramid:
                 self.levels, t, v[None], np.array([seq_base]))), len(t))
 
     def add_folded(self, pieces: Sequence[tuple], n: int) -> None:
-        """Append one chunk's ``n`` samples already folded, a piece per
-        level (:meth:`add_sealed`'s, or a row of :func:`fold_sealed_rows`)."""
+        """Append one chunk's ``n`` samples already folded, a one-row
+        piece per level (:meth:`add_sealed`'s, or a row of
+        :func:`fold_sealed_rows`)."""
         for lv, piece in zip(self.levels, pieces):
             self._pieces[lv].append(piece)
         self.samples_folded += n
 
-    def level_columns(self, level: float) -> tuple[np.ndarray, ...]:
-        """Merged partial columns of one level, sorted by bucket id.
-        The levels whose last piece aliases its values (one-sample folds
-        of the same seals) merge with it, so they keep sharing them."""
+    def add_shared(self, group: SealGroup, k: int) -> None:
+        """Append row ``k`` of a seal group: a reference, no copy."""
+        if self._shared is None:
+            self._shared = []
+        self._shared.append((group, k))
+        self.samples_folded += group.n
+
+    def leave_groups(self) -> list[SealGroup]:
+        """The series is dropped: its rows leave their seal groups.
+        Returns the groups it leaves with no row at all."""
+        shared = self._shared or ()
+        for group, k in shared:
+            group.drop(k)
+        return [g for g, _ in shared if not np.count_nonzero(g.rows >= 0)]
+
+    def own_columns(self, level: float) -> tuple[np.ndarray, ...]:
+        """The rows of the series' own pieces of one level as one piece,
+        sorted by ``(b, t_last, seq)`` and nothing combined (what
+        :func:`series_partials` reads; seal-group rows are
+        :func:`group_partials`'), so no answer depends on when a read
+        came.  The union replaces the pieces; the levels whose last
+        piece aliases its values (one-sample folds of the same seals)
+        are joined with it, so they keep sharing them."""
         pieces = self._pieces[level]
         if len(pieces) > 1:
             memo: dict = {}
-            self._pieces = {lv: [_merge_pieces(p, memo)]
+            self._pieces = {lv: [_union(p, memo)]
                             if p and p[-1][2] is pieces[-1][2] else p
                             for lv, p in self._pieces.items()}
         return (self._pieces[level] or [_empty_partials()])[0]
 
+    def level_columns(self, level: float, memo: tuple[dict, dict] | None = None
+                      ) -> tuple[np.ndarray, ...]:
+        """The whole level, one row per bucket sorted by bucket id: the
+        own rows and every seal-group row, a bucket's rows combined
+        (:func:`_merge_pieces`).  Built on each call and kept nowhere;
+        levels merged under one ``memo`` share what their pieces share."""
+        views, concat = memo or ({}, {})
+        rows = [row_piece(g.pieces[level], k, views)
+                for g, k in self._shared or ()]
+        return _merge_pieces([self.own_columns(level)] + rows, concat)
+
     def export_state(self) -> dict:
         """Snapshot-serializable state (the disk-tier manifest payload).
 
-        Pieces are merged per level first, so the manifest carries one
+        Each level is merged first, so the manifest carries one
         consolidated bucket-sorted piece per level instead of one per
         seal — and restore never refolds from a chunk decompress.
         """
+        memo: tuple[dict, dict] = ({}, {})
         return {
             "levels": self.levels,
             "samples_folded": self.samples_folded,
-            "pieces": {lv: self.level_columns(lv) for lv in self.levels},
+            "pieces": {lv: self.level_columns(lv, memo)
+                       for lv in self.levels},
         }
 
     @classmethod
@@ -321,12 +536,12 @@ class SeriesPyramid:
         return p
 
 
-def _merge_pieces(
-    pieces: Sequence[tuple[np.ndarray, ...]], memo: dict | None = None,
-) -> tuple[np.ndarray, ...]:
-    """Collapse per-seal pieces into one row per bucket (sorted by bucket),
-    concatenating each distinct column object once (``memo``: the ids
-    concatenated -> the result, over pieces alive through its use)."""
+def _union(pieces: Sequence[tuple[np.ndarray, ...]], memo: dict | None = None,
+           ) -> tuple[np.ndarray, ...]:
+    """Per-seal pieces as one, every row kept, sorted by ``(b, t_last,
+    seq)``: each distinct column object concatenated once (``memo``: the
+    ids concatenated -> the result, over pieces alive through its use)
+    and, unless the seals came in time order, permuted once."""
     pieces = [p for p in pieces if len(p[0])]
     if not pieces:
         return _empty_partials()
@@ -342,13 +557,33 @@ def _merge_pieces(
     # seals in time order — each piece starts past the one before: done
     if all(p[0][0] > q[0][-1] for q, p in zip(pieces, pieces[1:])):
         return tuple(cols)
+    order = np.lexsort((cols[7], cols[5], cols[0]))
+    done: dict = {}
+    for c in cols:
+        if id(c) not in done:
+            done[id(c)] = c[order]
+    return tuple(done[id(c)] for c in cols)
+
+
+def _merge_pieces(
+    pieces: Sequence[tuple[np.ndarray, ...]], memo: dict | None = None,
+) -> tuple[np.ndarray, ...]:
+    """Collapse per-seal pieces into one row per bucket (sorted by
+    bucket): their :func:`_union`, the rows of a bucket several seals
+    share combined in ``(t_last, seq)`` order by one reduceat."""
+    cols = _union(pieces, memo)
+    b = cols[0]
+    if not np.count_nonzero(b[1:] == b[:-1]):
+        return cols
+    return _combine_runs(cols,
+                         np.flatnonzero(np.append(True, b[1:] != b[:-1])))
+
+
+def _combine_runs(cols: tuple, starts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Sorted partial rows combined run by run (a run begins at each of
+    ``starts``): counts and sums added in row order, min and max, and
+    the last row's ``t_last``, ``v_last`` and seq."""
     b, cnt, vsum, vmin, vmax, t_last, v_last, seq = cols
-    order = np.lexsort((seq, t_last, b))
-    b, cnt, vsum = b[order], cnt[order], vsum[order]
-    vmin, vmax = vmin[order], vmax[order]
-    t_last, v_last, seq = t_last[order], v_last[order], seq[order]
-    cuts = np.flatnonzero(b[1:] != b[:-1]) + 1
-    starts = np.concatenate(([0], cuts))
     last = np.append(starts[1:], len(b)) - 1
     with ieee_sums():
         vsum = np.add.reduceat(vsum, starts)
@@ -364,29 +599,40 @@ def _merge_pieces(
     )
 
 
-def fold_sealed_rows(levels: Sequence[float], t: np.ndarray, v: np.ndarray,
-                     seq_base: np.ndarray) -> Iterator[tuple]:
-    """What :meth:`SeriesPyramid.add_sealed` folds, for K chunks sealed
-    over one time column: ``v`` is ``(K, n)``, C-contiguous (a row then
-    sums in its own order); row ``i`` sealed ``seq_base[i]`` samples
-    before.  Yields each row's piece per level, bit-identical to folding
-    it alone; what is equal across rows (bucket, count, ``t_last``, and
-    seq when every ``seq_base`` agrees) is one array shared by all K.  A
-    level of one sample a bucket is the samples: every such level takes
-    one view of a row's values as its four value columns (~8 B/point)."""
+def fold_group(levels: Sequence[float], t: np.ndarray, v: np.ndarray,
+               seq_base: np.ndarray) -> list[tuple]:
+    """K chunks sealed over one time column folded once per level: ``v``
+    is ``(K, n)``, C-contiguous (a row then sums in its own order); row
+    ``i`` sealed ``seq_base[i]`` samples before.  Returns one group
+    piece a level — bucket, count and ``t_last`` ``(B,)``, value and seq
+    columns ``(K, B)``, every column read-only — whose row ``i`` is bit
+    for bit the fold of row ``i`` alone.  A level of one sample a bucket
+    is the samples: its four value columns are ``v`` itself, shared with
+    every such level along with the count, ``t_last`` and seq objects
+    (~8 B/point for all of them).  Seq is one row repeated (no memory)
+    when every ``seq_base`` agrees."""
     one = not np.count_nonzero(seq_base != seq_base[0])
-    per_level, samples = [], None
+    out, samples = [], None
     for lv in levels:
         b, cnt, vsum, vmin, vmax, t_last, v_last, seq = fold_partials(
             t, v, 0.0, lv, seq_base=seq_base[:1 if one else None, None])
-        seq = repeat(seq[0]) if one else list(seq)
+        if one:
+            seq = np.broadcast_to(seq, (len(v), len(b)))
         if vsum is v_last:      # one sample a bucket: the first such level's
-            samples = samples or (cnt, list(vsum), t_last, seq)
-            cnt, vmin, t_last, seq = samples
-            vsum = vmax = v_last = vmin
-        per_level.append(zip(repeat(b), repeat(cnt), vsum, vmin, vmax,
-                             repeat(t_last), v_last, seq))
-    return zip(*per_level)
+            samples = samples or (cnt, vsum, t_last, seq)
+            cnt, vsum, t_last, seq = samples
+            vmin = vmax = v_last = vsum
+        out.append((b, cnt, vsum, vmin, vmax, t_last, v_last, seq))
+    return out
+
+
+def fold_sealed_rows(levels: Sequence[float], t: np.ndarray, v: np.ndarray,
+                     seq_base: np.ndarray) -> Iterator[tuple]:
+    """:func:`fold_group`, row by row: yields each row's one-row piece
+    per level (views), what the rows share one object in all of them."""
+    pieces, memo = fold_group(levels, t, v, seq_base), {}
+    return (tuple(row_piece(p, k, memo) for p in pieces)
+            for k in range(len(v)))
 
 
 def choose_level(
@@ -435,18 +681,21 @@ def window_plan(levels: Sequence[float], t0: float, t1: float,
 
 def series_partials(series, cache, t0: float, t1: float, step: float,
                     anchor: float, plan: tuple | None,
-                    ) -> list[tuple[np.ndarray, ...]]:
-    """Partial-column pieces answering the *sealed* part of one series
-    over a non-empty ``[t0, t1)`` on the ``(anchor, step)`` grid (none
-    for a series with nothing sealed; open heads are
-    :func:`head_partials`').  Each region of the window is answered from
+                    ) -> tuple[tuple | None, list[tuple[np.ndarray, ...]]]:
+    """What one series holds alone of its sealed part over a non-empty
+    ``[t0, t1)`` on the ``(anchor, step)`` grid: its own pyramid pieces
+    and the chunks no seal group holds (a seal of one row, a restored or
+    recovered chunk) — nothing for a series with none of its own.
+    Seal-group rows are :func:`group_partials`', open heads
+    :func:`head_partials`'.  Each region of the window is answered from
     its coarsest exact source:
 
     1. **rollup rows** for the whole buckets ``plan``
        (:func:`window_plan`) found inside the window — a binary search +
-       slice over one pyramid level.  Without a plan this region is
-       empty and the rules below cover the whole window, so the answer
-       degrades in cost, never in value;
+       slice over one pyramid level, returned first, still on the
+       level's grid (:func:`plan_pieces` puts them on the query's).
+       Without a plan this region is empty and the rules below cover
+       the whole window, so the answer degrades in cost, never in value;
     2. a sealed chunk's **seal-time summary** when the chunk sits wholly
        inside what is left of the window (the at-most-two edge buckets,
        or all of it) and inside one bucket — never decompressed;
@@ -461,20 +710,11 @@ def series_partials(series, cache, t0: float, t1: float, step: float,
     """
     pieces: list[tuple[np.ndarray, ...]] = []
     if not series.chunks or series.sealed_t_max < t0:    # a head-only window
-        return pieces
-    full_lo = full_hi = t1              # the region rollup rows answer
+        return None, pieces
+    rows, full_lo, full_hi = None, t1, t1   # the region rollup rows answer
     if plan is not None:
-        level, a, m, j_lo, jf, full_lo, full_hi = plan
-        cols = series.pyramid.level_columns(level)
-        lb = cols[0]
-        i0 = int(np.searchsorted(lb, a + j_lo * m, side="left"))
-        i1 = (
-            len(lb) if jf is None
-            else int(np.searchsorted(lb, a + jf * m, side="left"))
-        )
-        if i1 > i0:
-            out_b = (lb[i0:i1] - a) // m    # exact: int64 grid arithmetic
-            pieces.append((out_b,) + tuple(c[i0:i1] for c in cols[1:]))
+        full_lo, full_hi = plan[5], plan[6]
+        rows = _level_rows(series.pyramid.own_columns(plan[0]), plan, None)
     # what is left: [t0, full_lo) and [full_hi, t1) — the whole window
     # when no rollup rows were read, nothing on a step-aligned side (so
     # a window they answer outright walks no chunks)
@@ -484,28 +724,244 @@ def series_partials(series, cache, t0: float, t1: float, step: float,
     for chunk in series.chunks if left or right else ():
         summ = chunk.summary
         lo, hi, n = summ.t_min, summ.t_max, summ.count
-        if ((left and hi >= t0 and lo < full_lo)
-                or (right and hi >= full_hi and lo < t1)):
-            b = math.floor((lo - anchor) / step)
-            if (((lo >= t0 and hi < full_lo) or (lo >= full_hi and hi < t1))
-                    and b == math.floor((hi - anchor) / step)):
+        if not chunk.grouped and _edge(lo, hi, t0, t1, full_lo, full_hi):
+            b = _one_bucket(lo, hi, t0, t1, full_lo, full_hi, step, anchor)
+            if b is not None:
                 summaries.append((b, n, summ.v_sum, summ.v_min, summ.v_max,
                                   hi, summ.v_last, seq_base + n - 1))
             else:
                 ct, cv = series.decode(chunk, cache)
-                mask = (((ct >= t0) & (ct < full_lo))
-                        | ((ct >= full_hi) & (ct < t1)))
-                if mask.any():
-                    pieces.append(fold_partials(
-                        ct[mask], cv[mask], anchor, step,
-                        seq=seq_base + np.flatnonzero(mask)))
+                piece = _edge_fold(ct, cv, seq_base, t0, t1, full_lo,
+                                   full_hi, step, anchor)
+                if piece is not None:
+                    pieces.append(piece)
         seq_base += n
     if summaries:
         pieces.append(tuple(
             np.asarray(col, dtype=d)
             for col, d in zip(zip(*summaries), _PARTIAL_DTYPES)
         ))
-    return pieces
+    return rows, pieces
+
+
+def _cut(piece: tuple, sel: np.ndarray | None, at) -> tuple:
+    """Columns ``at`` (a slice, or a mask with ``sel`` None) of rows
+    ``sel`` (None: every row — views where ``at`` is a slice) of a
+    piece; a column the piece repeats stays one object, one row
+    repeated stays a repetition."""
+    memo: dict = {}
+    out = []
+    for col in piece:
+        got = memo.get(id(col))
+        if got is None:
+            if col.ndim == 1:
+                got = col[at]
+            elif col.strides[0] == 0:           # one row repeated
+                row = col[0, at]
+                got = np.broadcast_to(
+                    row, (len(col) if sel is None else len(sel), len(row)))
+            else:
+                got = col[:, at] if sel is None else col[sel, at]
+            memo[id(col)] = got
+        out.append(got)
+    return tuple(out)
+
+
+def _level_rows(cols: tuple, plan: tuple, sel: np.ndarray | None
+                ) -> tuple | None:
+    """The rows of one level piece inside ``plan``'s whole buckets, on
+    the level's own grid; of a group piece, the rows ``sel`` (None: all
+    of them, as views)."""
+    _, a, m, j_lo, jf, _, _ = plan
+    lb = cols[0]
+    i0 = int(np.searchsorted(lb, a + j_lo * m, side="left"))
+    i1 = (len(lb) if jf is None
+          else int(np.searchsorted(lb, a + jf * m, side="left")))
+    return _cut(cols, sel, slice(i0, i1)) if i1 > i0 else None
+
+
+def plan_pieces(sources: list[tuple], plan: tuple
+                ) -> tuple[list[tuple], list]:
+    """The rollup rows of one head block's selection on the query grid,
+    as pieces and their ranks.  ``sources`` are ``(rows, rank)`` pairs
+    in the level's grid: a seal group's (``rank`` a ``(K,)`` column)
+    or a series' own (an int); a rank names one series of the block.
+
+    A level holds one row per seal and bucket, and a series' rows that
+    share a level bucket — the bucket a seal boundary cuts, or late
+    samples — count as one row, combined in ``(t_last, seq)`` order by
+    one reduceat (what :meth:`SeriesPyramid.level_columns` and the
+    manifest hold).  Only columns that some source shares with another
+    holding the same series are taken apart for that; the rest stay
+    group pieces.  Labels become query buckets exactly: ``(b - a) //
+    m`` in int64."""
+    a, m = plan[1], plan[2]
+    if len(sources) == 1 and np.ndim(sources[0][1]):    # one seal group
+        p, r = sources[0]
+        return [((p[0] - a) // m,) + p[1:]], [r]
+    masks = []
+    for p, r in sources:    # a series' own union repeats a shared bucket
+        mask = np.zeros(len(p[0]), dtype=bool)
+        if not np.ndim(r):
+            dup = p[0][1:] == p[0][:-1]
+            mask[1:] |= dup
+            mask[:-1] |= dup
+        masks.append(mask)
+
+    def take(at: list[int], lo, hi) -> None:
+        for i in at:                # conservative: every column in range
+            b = sources[i][0][0]
+            masks[i] |= (b >= lo) & (b <= hi)
+
+    # the groups of one seal share their span and never a series: compare
+    # seals, each with the next ones its level buckets reach
+    seals: dict[tuple, list[int]] = {}
+    for i, (p, r) in enumerate(sources):
+        if np.ndim(r):
+            seals.setdefault((p[0][0], p[0][-1]), []).append(i)
+    spans = sorted(seals)
+    held = [np.concatenate([sources[i][1] for i in seals[s]]) for s in spans]
+    for x, (lo, hi) in enumerate(spans):
+        if (len(seals[lo, hi]) > 1      # two seals, one span?
+                and len(np.unique(held[x])) < len(held[x])):
+            take(seals[lo, hi], lo, hi)
+        for y in range(x + 1, len(spans)):
+            lo2, hi2 = spans[y]
+            if lo2 > hi:
+                break
+            if np.intersect1d(held[x], held[y]).size:
+                take(seals[lo, hi] + seals[lo2, hi2], lo2, min(hi, hi2))
+    own = [i for i, (_, r) in enumerate(sources) if not np.ndim(r)]
+    if own and spans:
+        own_rank = np.array([sources[i][1] for i in own])
+        own_lo = np.array([sources[i][0][0][0] for i in own])
+        own_hi = np.array([sources[i][0][0][-1] for i in own])
+        for (lo, hi), rank in zip(spans, held):
+            hit = (own_lo <= hi) & (own_hi >= lo) & np.isin(own_rank, rank)
+            for k in hit.nonzero()[0].tolist():
+                take(seals[lo, hi] + [own[k]], max(lo, own_lo[k]),
+                     min(hi, own_hi[k]))
+    pieces, ranks, taken = [], [], []
+    for (p, r), mask in zip(sources, masks):
+        runs = [p]
+        if mask.any():      # the columns left, as runs of views
+            taken.append((p, r, mask))
+            edge = np.flatnonzero(np.diff(np.r_[True, mask, True]))
+            runs = [_cut(p, None, slice(lo, hi))
+                    for lo, hi in zip(edge[::2], edge[1::2]) if hi > lo]
+        for p in runs:
+            pieces.append(((p[0] - a) // m,) + p[1:])
+            ranks.append(r)
+    if taken:
+        piece, rank = _combine(taken)
+        pieces.append(((piece[0] - a) // m,) + piece[1:])
+        ranks.append(rank)
+    return pieces, ranks
+
+
+def _combine(taken: list[tuple]) -> tuple[tuple, np.ndarray]:
+    """The columns ``mask`` of each ``(piece, rank, mask)`` as one-row
+    columns, a series' rows of one bucket combined in ``(t_last, seq)``
+    order (``_merge_pieces``' reduceat); returns them with their rank
+    column."""
+    cols: list[list] = [[] for _ in range(9)]
+    for p, r, mask in taken:
+        k = len(p[2]) if p[2].ndim == 2 else 1
+        j = mask.nonzero()[0]
+        for c in (0, 1, 5):                     # shared by the rows
+            cols[c].append(np.tile(p[c][j], k))
+        for c in (2, 3, 4, 6, 7):
+            cols[c].append(p[c][..., j].reshape(-1))
+        cols[8].append(np.repeat(np.broadcast_to(r, (k,)), len(j)))
+    *cols, rank = (np.concatenate(c) for c in cols)
+    order = np.lexsort((cols[7], cols[5], cols[0], rank))
+    cols, rank = [c[order] for c in cols], rank[order]
+    b = cols[0]
+    starts = np.flatnonzero(np.append(True, (b[1:] != b[:-1])
+                                      | (rank[1:] != rank[:-1])))
+    return _combine_runs(cols, starts), rank[starts]
+
+
+def _edge(lo: float, hi: float, t0: float, t1: float, full_lo: float,
+          full_hi: float) -> bool:
+    """Whether a chunk spanning ``[lo, hi]`` meets what rollup rows leave
+    of ``[t0, t1)``: ``[t0, full_lo)`` and ``[full_hi, t1)``."""
+    return ((t0 < full_lo and hi >= t0 and lo < full_lo)
+            or (full_hi < t1 and hi >= full_hi and lo < t1))
+
+
+def _one_bucket(lo: float, hi: float, t0: float, t1: float, full_lo: float,
+                full_hi: float, step: float, anchor: float) -> int | None:
+    """The bucket a chunk's summary answers outright — the chunk wholly
+    inside one edge region and inside one bucket — or None."""
+    b = math.floor((lo - anchor) / step)
+    if (((lo >= t0 and hi < full_lo) or (lo >= full_hi and hi < t1))
+            and b == math.floor((hi - anchor) / step)):
+        return b
+    return None
+
+
+def _edge_fold(ct: np.ndarray, cv: np.ndarray, seq_base, t0: float,
+               t1: float, full_lo: float, full_hi: float, step: float,
+               anchor: float) -> tuple | None:
+    """The decoded samples of one chunk (``cv`` one row, or ``(K, n)``
+    rows over the one ``ct`` with ``seq_base`` a ``(K, 1)`` column) that
+    fall in the edge regions, folded onto the query grid."""
+    mask = ((ct >= t0) & (ct < full_lo)) | ((ct >= full_hi) & (ct < t1))
+    if not mask.any():
+        return None
+    return fold_partials(ct[mask], cv[..., mask], anchor, step,
+                         seq=np.flatnonzero(mask), seq_base=seq_base)
+
+
+def group_partials(group: SealGroup, ranks: np.ndarray, decode, t0: float,
+                   t1: float, step: float, anchor: float, plan: tuple | None,
+                   ) -> tuple[tuple | None, list[tuple], np.ndarray]:
+    """One seal group's part of a selection over a non-empty ``[t0,
+    t1)``: its rollup rows on the level's grid (or None), its other
+    pieces, and their ``(K,)`` rank column.  ``ranks[k]`` is row ``k``'s
+    selection rank (-1: not selected).  The sources of
+    :func:`series_partials`, for every selected row at once: one binary
+    search on the group's shared bucket column and one gather of the
+    selected rows (none when all are), a summary column, or one fold
+    over the rows' decoded chunks — ``decode(ks)`` returns the
+    ``(times, values)`` of rows ``ks``' chunks."""
+    sel = (ranks >= 0).nonzero()[0]
+    if len(sel) == len(ranks):
+        sel = None
+    comp = ranks if sel is None else ranks[sel]
+    rows, pieces = None, []
+    if not len(comp):
+        return rows, pieces, comp
+    full_lo = full_hi = t1
+    if plan is not None:
+        full_lo, full_hi = plan[5], plan[6]
+        level = group.pieces[plan[0]]
+        if len(comp) == 1:      # one series: its row, as views
+            rows = _level_rows(row_piece(level, int((ranks >= 0).argmax()),
+                                         {}), plan, None)
+        else:
+            rows = _level_rows(level, plan, sel)
+    lo, hi, n = group.t_min, group.t_max, group.n
+    if not _edge(lo, hi, t0, t1, full_lo, full_hi):
+        return rows, pieces, comp
+    ks = np.arange(len(ranks)) if sel is None else sel
+    seq_base = group.seq_base[ks][:, None]
+    b = _one_bucket(lo, hi, t0, t1, full_lo, full_hi, step, anchor)
+    if b is not None:
+        v_sum, v_min, v_max, v_last = np.array([
+            (c.v_sum, c.v_min, c.v_max, c.v_last)
+            for c in (group.chunks[k].summary for k in ks.tolist())]).T[
+                :, :, None]
+        pieces.append((np.array([b]), np.array([n]), v_sum, v_min, v_max,
+                       np.array([hi]), v_last, seq_base + (n - 1)))
+    else:
+        got = decode(ks)
+        piece = _edge_fold(got[0][0], np.stack([v for _, v in got]),
+                           seq_base, t0, t1, full_lo, full_hi, step, anchor)
+        if piece is not None:
+            pieces.append(piece)
+    return rows, pieces, comp
 
 
 def _window(t: np.ndarray, t0: float, t1: float) -> tuple[np.ndarray, ...]:
@@ -569,9 +1025,25 @@ def head_partials(block, rows: Sequence[int], seq_base: Sequence[int],
     One gather and one reduceat whose runs are the (row, bucket) pairs,
     so every partial is folded over exactly the samples, in exactly the
     order, a :func:`fold_partials` of that row's head alone would see.
-    ``seq_base[i]`` is how many samples ``rows[i]``'s series has sealed:
-    head samples continue its seq numbers in arrival order.
+    Rows of a lock-step block that hold the same samples come back as
+    one group piece, ``(K, B)`` over the one time column; otherwise the
+    runs are one-row columns.  ``seq_base[i]`` is how many samples
+    ``rows[i]``'s series has sealed: head samples continue its seq
+    numbers in arrival order.
     """
+    seq_base = np.asarray(seq_base)
+    if block.row_times is None and len(rows) > 1:
+        cnt = block.counts[rows]
+        if not np.count_nonzero(cnt != cnt[0]):     # one (K, n) matrix
+            col, t = _window(block.times[:cnt[0]], t0, t1)
+            if not len(t):
+                return _empty_partials(), 0
+            b = np.floor((t - anchor) / step).astype(np.int64)
+            v = np.ascontiguousarray(block.values[np.asarray(rows)[:, None],
+                                                  col])
+            last, cols = _fold_runs(b[1:] != b[:-1], b, t, v)
+            return (cols + (seq_base[:, None] + col[last],),
+                    np.arange(len(rows)))
     pos, col, t, v = _head_gather(block, rows, t0, t1)
     if not len(t):
         return _empty_partials(), 0
@@ -581,4 +1053,4 @@ def head_partials(block, rows: Sequence[int], seq_base: Sequence[int],
         cut |= pos[1:] != pos[:-1]
     last, cols = _fold_runs(cut, b, t, v)
     owner = 0 if pos is None else pos[last]
-    return cols + (np.asarray(seq_base)[owner] + col[last],), owner
+    return cols + (seq_base[owner] + col[last],), owner

@@ -53,6 +53,7 @@ from __future__ import annotations
 import itertools
 import mmap
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -61,10 +62,11 @@ import numpy as np
 from ..core.metric import MetricKey, SeriesBatch
 from ..core.soa import ComponentTable, row_indices
 from .chunkcache import CHUNK_CACHE_BYTES, CacheStats, LRUCache
-from .rollup import (DEFAULT_LEVELS, SeriesPyramid, _head_gather,
+from .rollup import (DEFAULT_LEVELS, SealGroup, SeriesPyramid, _head_gather,
                      bucket_anchor, check_bucketing, check_levels,
-                     fold_sealed_rows, head_first_time, head_partials,
-                     ieee_sums, reduce_partials, series_partials, window_plan)
+                     fold_group, group_partials, head_first_time,
+                     head_partials, ieee_sums, plan_pieces, reduce_partials,
+                     row_piece, series_partials, window_plan)
 
 __all__ = [
     "compress_chunk",
@@ -634,7 +636,9 @@ class SealedChunk:
     (or None), ``ref`` the disk-tier location (None without a tier),
     ``blob`` the resident compressed bytes — ``None`` once spilled or
     archived, when :meth:`_Series.chunk_blob` maps it back — and
-    ``cid`` the process-unique chunk-cache key.
+    ``cid`` the process-unique chunk-cache key.  ``grouped`` marks a
+    chunk sealed in a seal group (:class:`~repro.storage.rollup.SealGroup`),
+    which reads reach through the group, not the series.
     """
 
     summary: ChunkSummary
@@ -642,6 +646,7 @@ class SealedChunk:
     ref: object | None = None          # diskier.ChunkRef
     blob: bytes | None = None
     cid: int = field(default_factory=_next_cid.__next__)
+    grouped: bool = False
 
     @classmethod
     def of(cls, t: np.ndarray, v: np.ndarray, ref=None,
@@ -699,7 +704,10 @@ class _HeadBlock:
     The metric's :class:`~repro.core.soa.ComponentTable` maps component
     -> row; row ``r`` holds ``counts[r]`` unsealed values in arrival
     order (``-1``: no live series — never created, or dropped), and its
-    series has sealed ``sealed[r]`` samples before them.  The
+    series has sealed ``sealed[r]`` samples before them.  Rows that
+    seal together are one :class:`~repro.storage.rollup.SealGroup` in
+    ``groups``; ``own_t_max[r]`` is the newest chunk row ``r``'s series
+    sealed alone (a seal of one row, a restore), ``-inf`` for none.  The
     matrix is stored sweep-major (:func:`_matrix`): a synchronized sweep
     is one contiguous column write, a series' head is a zero-copy
     strided view, and growing the block copies only the columns in use,
@@ -728,7 +736,8 @@ class _HeadBlock:
     """
 
     __slots__ = ("chunk_size", "table", "series", "counts", "sealed",
-                 "values", "times", "n_times", "row_times", "n_head")
+                 "own_t_max", "groups", "values", "times", "n_times",
+                 "row_times", "n_head")
 
     def __init__(self, chunk_size: int) -> None:
         self.chunk_size = chunk_size
@@ -736,6 +745,9 @@ class _HeadBlock:
         self.series: list[_Series | None] = []      # row -> live series
         self.counts = np.empty(0, dtype=np.intp)
         self.sealed = np.empty(0, dtype=np.int64)
+        # the newest chunk a row's series holds alone (not in a group)
+        self.own_t_max = np.empty(0)
+        self.groups: list[SealGroup] = []   # seal groups, in seal order
         self.values = _matrix(0, min(4, chunk_size))
         self.times = np.empty(self.values.shape[1])  # the shared column
         self.n_times = 0
@@ -761,6 +773,8 @@ class _HeadBlock:
             (self.counts, np.full(rows - old_rows, -1, dtype=np.intp)))
         self.sealed = np.concatenate(
             (self.sealed, np.zeros(rows - old_rows, dtype=np.int64)))
+        self.own_t_max = np.concatenate(
+            (self.own_t_max, np.full(rows - old_rows, _NEVER)))
         self.series.extend([None] * (rows - old_rows))
 
     def fit(self) -> None:
@@ -931,6 +945,9 @@ class _Series:
         self.block.sealed[self.row] += chunk.summary.count
         self.sealed_bytes += chunk.nbytes
         self.sealed_t_max = max(self.sealed_t_max, chunk.summary.t_max)
+        if not chunk.grouped:
+            own = self.block.own_t_max
+            own[self.row] = max(own[self.row], chunk.summary.t_max)
 
     def chunk_blob(self, chunk: SealedChunk):
         """A sealed chunk's blob, resident or mapped from the disk tier.
@@ -1008,9 +1025,7 @@ def read_series(parts: Selection, n: int, cache: LRUCache,
     chunk cache or a head block."""
     out: list = [None] * n
     sealed: dict[int, list[SealedChunk]] = {}   # rank -> overlapping chunks
-    decoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}      # by cid
-    missed: list[SealedChunk] = []
-    blobs: list[tuple] = []
+    wanted: list[tuple[_Series, SealedChunk]] = []
     for block, rows, ranks in parts if t0 < t1 else ():   # NaN: empty too
         for i in block.sealed[rows].nonzero()[0].tolist():
             series, rank = block.series[rows[i]], int(ranks[i])
@@ -1018,17 +1033,10 @@ def read_series(parts: Selection, n: int, cache: LRUCache,
                 summ = chunk.summary
                 if summ.t_max < t0 or summ.t_min >= t1:
                     continue
-                hit = series.cached(chunk, cache)
-                if hit is None:
-                    missed.append(chunk)
-                    blobs.append((series.chunk_blob(chunk), chunk.hint))
-                else:
-                    decoded[chunk.cid] = hit
+                wanted.append((series, chunk))
                 sealed.setdefault(rank, []).append(chunk)
-    if missed:
-        for chunk, tv in zip(missed, decompress_chunks(blobs)):
-            decoded[chunk.cid] = tv
-            cache.put(chunk.cid, tv, tv[0].nbytes + tv[1].nbytes)
+    decoded = {chunk.cid: tv
+               for (_, chunk), tv in zip(wanted, _decode(wanted, cache))}
     for block, rows, ranks in parts:
         pos, _, ht, hv = _head_gather(block, rows, t0, t1)
         if pos is None:
@@ -1058,6 +1066,28 @@ def read_series(parts: Selection, n: int, cache: LRUCache,
             t, v = t[order], v[order]
         out[rank] = (t, v)
     return out
+
+
+def _decode(wanted: list[tuple[_Series, SealedChunk]], cache: LRUCache
+            ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``(times, values)`` of each ``(series, chunk)``: every chunk
+    probed in the chunk cache in turn (a hit or a miss each, as a single
+    read would count them), the misses decoded in one
+    :func:`decompress_chunks` pass and admitted."""
+    got: list = []
+    missed: list[int] = []
+    blobs: list[tuple] = []
+    for series, chunk in wanted:
+        tv = series.cached(chunk, cache)
+        if tv is None:
+            missed.append(len(got))
+            blobs.append((series.chunk_blob(chunk), chunk.hint))
+        got.append(tv)
+    if missed:
+        for i, tv in zip(missed, decompress_chunks(blobs)):
+            got[i] = tv
+            cache.put(wanted[i][1].cid, tv, tv[0].nbytes + tv[1].nbytes)
+    return got
 
 
 # --------------------------------------------------------------------------
@@ -1255,11 +1285,16 @@ class SeriesQueryMixin:
         ``last`` tie-breaks agree with the raw path); unreadable or
         missing series contribute nothing, an empty window or a
         non-finite anchor nothing at all.  Per head block the selection
-        touches (one on a plain store, at most one per shard), sealed
-        data is read series by series for the rows that have any
+        touches (one on a plain store, at most one per shard): each seal
+        group whose span meets the window, for all of its selected rows
+        at once (:func:`~repro.storage.rollup.group_partials`: a group
+        piece ranked by a ``(K,)`` column), what a row's series sealed
+        alone — a seal of one row, a restore — series by series, only
+        for rows that have some reaching ``t0``
         (:func:`~repro.storage.rollup.series_partials`, under one
         ``window_plan``), and the open heads with one
-        :func:`~repro.storage.rollup.head_partials`.
+        :func:`~repro.storage.rollup.head_partials`.  A lock-step fleet
+        therefore makes no per-series call at all.
         """
         if not (t0 < t1 and np.isfinite(anchor)):
             return [], [], False
@@ -1268,12 +1303,40 @@ class SeriesQueryMixin:
         pieces: list[tuple[np.ndarray, ...]] = []
         piece_comp: list[int | np.ndarray] = []
         for block, rows, ranks in parts:
+            level_rows: list[tuple] = []    # (rollup rows, rank), level grid
+            groups = [g for g in block.groups
+                      if g.t_max >= t0 and g.t_min < t1]
+            if groups:
+                # row -> selection rank; the extra last slot answers a
+                # dropped row (-1) with -1
+                rank_of = np.full(len(block.counts) + 1, -1)
+                rank_of[rows] = ranks
+            for group in groups:
+                lv, ps, comp = group_partials(
+                    group, rank_of[group.rows],
+                    lambda ks, g=group: _decode(
+                        [(block.series[g.rows[k]], g.chunks[k])
+                         for k in ks.tolist()], self.cache),
+                    t0, t1, step, anchor, plan)
+                if lv is not None:
+                    level_rows.append((lv, comp))
+                pieces.extend(ps)
+                piece_comp.extend([comp] * len(ps))
             seq_base = block.sealed[rows]
-            for i in seq_base.nonzero()[0].tolist():
-                ps = series_partials(block.series[rows[i]], self.cache,
-                                     t0, t1, step, anchor, plan)
+            # rows whose own chunks reach t0 (none: own_t_max is -inf)
+            own = block.own_t_max[rows] >= max(t0, -sys.float_info.max)
+            for i in own.nonzero()[0].tolist():
+                lv, ps = series_partials(  # per-sample: allowed (own chunks)
+                    block.series[rows[i]], self.cache, t0, t1, step,
+                    anchor, plan)
+                if lv is not None:
+                    level_rows.append((lv, ranks[i]))
                 pieces.extend(ps)
                 piece_comp.extend([ranks[i]] * len(ps))
+            if level_rows:
+                ps, comp = plan_pieces(level_rows, plan)
+                pieces.extend(ps)
+                piece_comp.extend(comp)
             piece, owner = head_partials(block, rows, seq_base,
                                          t0, t1, step, anchor)
             pieces.append(piece)
@@ -1418,6 +1481,7 @@ class TimeSeriesStore(SeriesQueryMixin):
         row = block.table.add(key.component)
         block.fit()
         block.counts[row] = block.sealed[row] = 0   # live, and empty
+        block.own_t_max[row] = _NEVER
         self._metric_keys.pop(key.metric, None)
         s = self._series[key] = block.series[row] = _Series(
             block, row, self.pyramid_levels, tier=self.disk, key=key)
@@ -1451,7 +1515,10 @@ class TimeSeriesStore(SeriesQueryMixin):
         (time order, ms rounding, timestamp section, bucket columns) is
         computed once, the XOR sections, summaries and folds as ``(K, n)``
         matrices; per row, the record, the segment append and the index
-        — bit for bit what sealing the row alone produces."""
+        — bit for bit what sealing the row alone produces.  Two rows or
+        more keep their fold as one :class:`~repro.storage.rollup.SealGroup`
+        (the block's, each series' pyramid a ``(group, row)``
+        reference); a row sealed alone keeps its own one-row pieces."""
         n = int(block.counts[rows[0]])
         t = (block.times if block.row_times is None
              else block.row_times[rows[0]])[:n]
@@ -1470,22 +1537,35 @@ class TimeSeriesStore(SeriesQueryMixin):
         stats = zip(*(c.tolist() for c in (v.min(axis=1), v.max(axis=1),
                                            v_sum, v[:, 0], v[:, -1])))
         series = [block.series[r] for r in rows.tolist()]
-        folds = fold_sealed_rows(series[0].pyramid.levels, t, v,
-                                 block.sealed[rows])
+        levels = series[0].pyramid.levels
+        seq_base = block.sealed[rows]
+        pieces = fold_group(levels, t, v, seq_base)
+        group = None if len(rows) == 1 else SealGroup(
+            rows, seq_base, t, dict(zip(levels, pieces)))
         done = 0
         try:
-            for s, (blob, hint), stat, pieces in zip(series, coded, stats,
-                                                     folds):
+            for k, (s, (blob, hint), stat) in enumerate(zip(series, coded,
+                                                            stats)):
                 chunk = SealedChunk(ChunkSummary(n, t_min, t_max, *stat),
-                                    hint, blob=blob)
+                                    hint, blob=blob, grouped=group is not None)
                 if self.disk is not None:
                     # persist the immutable blob now; spill to budget after
                     self.disk.on_seal(s.key, chunk)
-                s.pyramid.add_folded(pieces, n)
+                if group is None:
+                    memo: dict = {}
+                    s.pyramid.add_folded(
+                        [row_piece(p, 0, memo) for p in pieces], n)
+                else:
+                    group.chunks.append(chunk)
+                    s.pyramid.add_shared(group, k)
                 s.adopt(chunk)
                 done += 1
         finally:    # a failed segment append leaves every row sealed or open
             block.take(rows[:done], n)
+            if group is not None and done:
+                group.rows[done:] = -1          # still open: not the group's
+                group.chunks += [None] * (len(rows) - done)
+                block.groups.append(group)
             self._note_seal(done, done * n,
                             sum(len(blob) for blob, _ in coded[:done]))
         if self.disk is not None:
@@ -1617,6 +1697,8 @@ class TimeSeriesStore(SeriesQueryMixin):
         if self.disk is not None:
             self.disk.forget(s)
         self.cache.invalidate(c.cid for c in s.chunks)
+        for group in s.pyramid.leave_groups():
+            s.block.groups.remove(group)
         self._samples -= s.n_samples
         s.block.take(s.row, len(s.head()[0]))
         s.block.counts[s.row] = -1      # the row has no live series

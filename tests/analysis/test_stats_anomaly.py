@@ -184,6 +184,11 @@ class TestDetectorParameters:
         (ThresholdDetector, {"metric": "m", "threshold": NAN}),
         (ThresholdDetector, {"metric": "m", "threshold": INF}),
         (ThresholdDetector, {"metric": "m", "threshold": -INF}),
+        # too short for a sigma (EWMA: a MAD of differences) or a median
+        # (CUSUM): built, they would never fire
+        (EwmaDetector, {"warmup": 0}),
+        (EwmaDetector, {"warmup": 1}),
+        (CusumDetector, {"warmup": 0}),
     ])
     def test_refused_at_construction(self, make, kwargs):
         (name,) = kwargs.keys() - {"metric"}
@@ -194,6 +199,11 @@ class TestDetectorParameters:
         EwmaDetector(alpha=1.0)
         CusumDetector(k=0.0)
         ThresholdDetector("m", -1e308)
+
+    def test_the_shortest_warmups_accepted_fire_on_a_clean_step(self):
+        step = series(np.r_[np.full(20, 10.0), np.full(20, 20.0)])
+        assert len(EwmaDetector(warmup=2).detect(step).at) == 1
+        assert len(CusumDetector(warmup=1).detect(step).at) == 1
 
 
 def series(values, dt=60.0):

@@ -265,6 +265,15 @@ def _seal_rows_reference(self, block, rows):
         self._note_seal(1, len(t), len(blob))
 
 
+def _seal_rows(pyramid, level):
+    """Every seal's rows of a level, sorted by ``(b, t_last, seq)``: the
+    series' own pieces and its rows of seal groups, nothing combined —
+    the same whichever reads merged the own pieces before."""
+    return rollup._union(list(pyramid._pieces[level]) + [
+        rollup.row_piece(group.pieces[level], k, {})
+        for group, k in pyramid._shared or ()])
+
+
 def _sealed_state(store):
     """Everything a seal leaves behind, in comparable form."""
     out = {}
@@ -274,8 +283,8 @@ def _sealed_state(store):
               else (str(c.hint.dtype), c.hint.tobytes()), c.ref,
               c.blob) for c in s.chunks],
             s.n_sealed_samples, s.sealed_bytes, s.sealed_t_max,
-            [[[(str(col.dtype), col.tobytes()) for col in piece]
-              for piece in s.pyramid._pieces[lv]]
+            [[(str(col.dtype), col.tobytes())
+              for col in _seal_rows(s.pyramid, lv)]
              for lv in s.pyramid.levels],
             [(str(col.dtype), col.tobytes())
              for lv in s.pyramid.levels

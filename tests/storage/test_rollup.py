@@ -177,16 +177,26 @@ def sweep_store(n_sweeps, k=64, chunk_size=32, cadence=60.0, store=None):
     return store
 
 
-def pyramid_bytes(store):
-    """Bytes of the distinct buffers every pyramid piece column is a
-    view of (a buffer several pieces share counts once)."""
-    bases = {}
+def pyramid_arrays(store):
+    """Every array a series' pyramid reaches: its own pieces, and the
+    pieces and row columns of the seal groups it references."""
     for s in store._series.values():
-        for pieces in s.pyramid._pieces.values():
-            for col in (c for piece in pieces for c in piece):
-                while isinstance(col.base, np.ndarray):
-                    col = col.base
-                bases[id(col)] = col
+        p = s.pyramid
+        yield from (c for pieces in p._pieces.values()
+                    for piece in pieces for c in piece)
+        for group, _ in p._shared or ():
+            yield from (c for piece in group.pieces.values() for c in piece)
+            yield from (group.rows, group.seq_base)
+
+
+def pyramid_bytes(store):
+    """Bytes of the distinct buffers the pyramids reach (a buffer
+    several pieces, series or levels share counts once)."""
+    bases = {}
+    for col in pyramid_arrays(store):
+        while isinstance(col.base, np.ndarray):
+            col = col.base
+        bases[id(col)] = col
     return sum(b.nbytes for b in bases.values())
 
 
@@ -202,21 +212,42 @@ class TestOneSampleLevels:
         assert sealed == 64 * 32 * chunks
         assert pyramid_bytes(store) / sealed <= 16.0
 
+    def test_reads_leave_a_sealed_point_at_most_10_bytes_flat(self):
+        """A fleet aggregate and a downsample of every series read the
+        seal groups in place: no pyramid reaches a merged copy after
+        them, so a sealed point costs at most 10 B, flat (within 10%)
+        as the history grows 10x."""
+        per_point = []
+        for chunks in (4, 40):
+            store = sweep_store(128 * chunks, chunk_size=128)
+            sealed = store.stats().samples - store._blocks["m"].n_head
+            assert sealed == 64 * 128 * chunks
+            fe = QueryFrontend(store)
+            t1 = 128 * chunks * 60.0
+            fe.aggregate_across("m", None, 0.0, t1, 600.0, "max")
+            for c in store.components("m"):
+                fe.downsample("m", c, 0.0, t1, 60.0, "mean")
+            assert fe.stats().pyramid_answers == 1 + 64
+            per_point.append(pyramid_bytes(store) / sealed)
+        assert max(per_point) <= 10.0
+        assert abs(per_point[1] / per_point[0] - 1.0) <= 0.10
+
     def test_the_one_sample_levels_share_the_values(self):
         store = sweep_store(32 * 4 + 5)
         p = store._series_view("m", "n3")[0].pyramid
-        fine, coarse = (p._pieces[lv][-1] for lv in (10.0, 60.0))
+        group, k = p._shared[-1]
+        fine, coarse = (group.pieces[lv] for lv in (10.0, 60.0))
         assert fine[2] is coarse[2] is fine[6]
         assert np.shares_memory(fine[2], coarse[2])
-        # a read of one of them merges both in place of their pieces
-        # (not the hour level, which folds), still sharing one values column
-        coarse = p.level_columns(60.0)
-        assert [len(p._pieces[lv]) for lv in DEFAULT_LEVELS] == [1, 1, 4]
-        fine, hour = p.level_columns(10.0), p.level_columns(3600.0)
-        assert coarse is p.level_columns(60.0)
+        # a merge of the levels (the manifest's) still shares one values
+        # column between them (not the hour level, which folds), and
+        # leaves no copy behind: the series holds its four references
+        merged = p.export_state()["pieces"]
+        fine, coarse, hour = (merged[lv] for lv in DEFAULT_LEVELS)
         assert fine[2] is coarse[2] is coarse[3] is coarse[4] is coarse[6]
         assert not np.shares_memory(hour[2], fine[2])
         assert len(fine[2]) == 32 * 4
+        assert len(p._shared) == 4 and not any(p._pieces.values())
         want = store.downsample("m", "n3", 0.0, 32 * 4 * 60.0, 600.0, "max",
                                 prune=False)
         got = store.downsample("m", "n3", 0.0, 32 * 4 * 60.0, 600.0, "max")

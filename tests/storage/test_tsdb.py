@@ -1,6 +1,7 @@
 """Unit tests for the time-series store and chunk codec."""
 
 import gc
+import itertools
 import sys
 from unittest.mock import Mock
 
@@ -593,6 +594,35 @@ class TestHeadBlock:
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.values, want.values)
 
+    @pytest.mark.parametrize("shards", [0, 4])
+    def test_a_fleet_read_reads_seal_groups_not_series(
+            self, shards, monkeypatch):
+        # a count, not a timing: rows that sealed together are read one
+        # seal group at a time, rows that sealed alone one by one
+        calls = Mock(wraps=tsdb.series_partials)
+        monkeypatch.setattr(tsdb, "series_partials", calls)
+        names = name_column([f"n{i}" for i in range(64)])
+        values = np.arange(64.0)        # integer-valued: any order sums alike
+        jitter = np.arange(64) / 1000.0
+        lock, ragged = (
+            ShardedTimeSeriesStore(shards=shards, chunk_size=16) if shards
+            else TimeSeriesStore(chunk_size=16) for _ in range(2))
+        for i in range(40):
+            lock.append(SeriesBatch.sweep("m", i * 60.0, names, values + i))
+            ragged.append(SeriesBatch("m", names, i * 60.0 + jitter,
+                                      values - i))
+        for store, per_row in ((lock, 0), (ragged, 64)):
+            calls.reset_mock()
+            for agg, t0 in itertools.product(rollup.AGGS, (0.0, -np.inf)):
+                got, rolled = store._bucketed_read(
+                    "m", None, t0, 2400.0, 600.0, agg, "x")
+                assert rolled and calls.call_count == per_row
+                calls.reset_mock()
+                want = store.aggregate_across("m", None, t0, 2400.0, 600.0,
+                                              agg)
+                assert np.array_equal(got.times, want.times)
+                assert np.array_equal(got.values, want.values)
+
     def assert_block_fold_is_the_raw_answer(self, store, comps):
         for t0, step in ((-np.inf, 10.0), (0.0, 20.0), (15.0, 7.0)):
             for agg in ("mean", "sum", "min", "max", "last", "count"):
@@ -674,15 +704,23 @@ class TestBlockSeal:
         # the lock-step metric sealed four rows a call, the rest a row
         assert sorted(len(c.args[1]) for c in groups.call_args_list) == (
             [1] * 18 + [4, 4])
-        # rows sealed together share their bucket, count and t_last
-        # columns, read-only; what differs by row is a row's own (checked
-        # before a read merges each series' pieces into its own)
-        a, b = (store._series_view("m.step", c)[0].pyramid._pieces[10.0][0]
-                for c in "ab")
+        # rows sealed together are one seal group: each series holds a
+        # reference to its row, whose bucket, count and t_last columns
+        # are the group's own, read-only; what differs by row is the row
+        (ga, ka), (gb, kb) = (
+            store._series_view("m.step", c)[0].pyramid._shared[0]
+            for c in "ab")
+        assert ga is gb and ka != kb
+        memo = {}
+        a, b = (rollup.row_piece(ga.pieces[10.0], k, memo) for k in (ka, kb))
         for i in (0, 1, 5):
             assert a[i] is b[i] and not a[i].flags.writeable
         assert not np.array_equal(a[2], b[2])
         self.assert_answers_like(store, ref)
+        # and no read copied a row out of its group
+        for c in "ab":
+            assert not any(store._series_view(
+                "m.step", c)[0].pyramid._pieces.values())
 
     def test_a_crash_between_two_groups_of_a_storm_recovers_exact(
             self, tmp_path):
@@ -718,21 +756,27 @@ class TestBlockSeal:
         self.assert_answers_like(rec, ref)
         rec.close()
 
-    def test_a_window_past_everything_sealed_reads_no_sealed_state(self):
+    def test_a_window_past_everything_sealed_reads_no_sealed_state(
+            self, monkeypatch):
+        groups = Mock(wraps=tsdb.group_partials)
+        monkeypatch.setattr(tsdb, "group_partials", groups)
         store = TimeSeriesStore(chunk_size=4, pyramid_levels=self.LEVELS)
         self.feed(store)                # sealed through t = 49, heads at 56
         series = store._series_view("m.step", "a")[0]
         assert series.sealed_t_max == 49.0
+        assert len(series.pyramid._shared) == 2     # two seals, two groups
         got = store.downsample("m.step", "a", 50.0, 70.0, 10.0, "mean")
-        assert len(series.pyramid._pieces[10.0]) == 2  # no level merged
+        assert groups.call_count == 0   # no group's span meets the window
         want = store.downsample("m.step", "a", 50.0, 70.0, 10.0, "mean",
                                 prune=False)
         assert got.times.tolist() == want.times.tolist() == [50.0]
         assert np.array_equal(got.values, want.values)
         store.downsample("m.step", "a", 40.0, 70.0, 10.0, "mean")
-        # only the level read merged (at this cadence no level aliases it)
-        assert [len(series.pyramid._pieces[lv]) for lv in self.LEVELS] == [
-            1, 2]
+        # only the group holding [40, 50) is read, and nothing is copied
+        # out of it: the series still holds its two references
+        assert groups.call_count == 1
+        assert len(series.pyramid._shared) == 2
+        assert not any(series.pyramid._pieces.values())
 
 
 class TestMetricIndex:
@@ -843,7 +887,9 @@ class TestSelectionReads:
     def test_sealed_state_is_read_only_for_rows_that_have_some(
             self, shards, monkeypatch):
         calls = Mock(wraps=tsdb.series_partials)
+        groups = Mock(wraps=tsdb.group_partials)
         monkeypatch.setattr(tsdb, "series_partials", calls)
+        monkeypatch.setattr(tsdb, "group_partials", groups)
         store = _store(shards, chunk_size=4)
         names = [f"n{i}" for i in range(8)]
         for i in range(6):      # n0 and n1 seal a chunk; the rest stay open
@@ -851,7 +897,10 @@ class TestSelectionReads:
             store.append(sweep("m", 10.0 * i, names[:k], np.arange(8.0)[:k]))
         got, _ = store._bucketed_read("m", names, 0.0, 60.0, 20.0, "sum",
                                       "x")
-        assert calls.call_count == 2
+        # two rows sealed: alone (a shard each) or as one seal group
+        read = calls.call_count + sum(
+            int(np.count_nonzero(c.args[1] >= 0)) for c in groups.call_args_list)
+        assert read == 2
         want = store.aggregate_across("m", names, 0.0, 60.0, 20.0, "sum")
         assert np.array_equal(got.values, want.values)
 

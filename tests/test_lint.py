@@ -206,6 +206,29 @@ class TestColumnarGate:
         assert [p.split(":")[1] for p in problems] == ["3", "4"]
         assert "seal()" in problems[0] and "compress_chunk()" in problems[1]
 
+    def test_flags_per_series_partials(self, tmp_path):
+        f = tmp_path / "reads.py"
+        f.write_text(
+            "def partials(block, rows, window):\n"
+            "    out = [series_partials(block.series[r], *window)\n"
+            "           for r in rows]\n"
+            "    for r in rows:\n"
+            "        out += rollup.series_partials(block.series[r], *window)\n"
+            "    for r in rows:  # a series' own chunks\n"
+            "        series_partials(block.series[r], *window)"
+            "  # per-sample: allowed\n"
+            "    return out, series_partials(block.series[0], *window)\n"
+        )
+        problems = check_mod.check_row_partials(f)
+        assert [p.split(":")[1] for p in problems] == ["2", "5"]
+        assert all("per-series series_partials()" in p for p in problems)
+
+    def test_the_read_path_reads_seal_groups(self):
+        for plane in ("storage", "serve"):
+            root = check_mod.REPO / "src" / "repro" / plane
+            for path in sorted(root.rglob("*.py")):
+                assert check_mod.check_row_partials(path) == [], path
+
     def test_flags_per_component_series_resolution(self, tmp_path):
         f = tmp_path / "reads.py"
         f.write_text(
