@@ -14,6 +14,14 @@ summation order (the same caveat :class:`~repro.storage.tsdb.ChunkSummary`
 already carries), and ``last`` via the (t_last, seq) winner rule that
 reproduces the stable time-sort of the raw path bit-for-bit.
 
+A pyramid level holds **one row per seal and bucket** — in memory, in
+the manifest and after a restore — and the rows of one bucket meet in
+one place only: :func:`reduce_partials`, in ``(bucket, t_last, rank,
+seq)`` order.  Nothing else adds partial rows together, so a live store
+and its restore answer bit for bit alike; a ``sum``/``mean`` bucket that
+a seal boundary cuts adds its rows in that order, which is the
+summation order the caveat above leaves open.
+
 This module is the *one place* that defines bucket-grid normalization
 (:func:`bucket_anchor`), partial-column folding/merging
 (:func:`fold_partials` / :func:`reduce_partials`) and which source
@@ -56,7 +64,6 @@ __all__ = [
     "head_first_time",
     "head_partials",
     "ieee_sums",
-    "plan_pieces",
     "reduce_partials",
     "row_piece",
     "series_partials",
@@ -81,11 +88,12 @@ AGGS: tuple[str, ...] = ("count", "last", "max", "mean", "min", "sum")
 
 
 def check_bucketing(agg: str, step: float) -> None:
-    """The argument check every bucketing entry point runs first."""
+    """The argument check every bucketing entry point runs first (a NaN
+    or infinite step makes no grid: bucket ids would be garbage)."""
     if agg not in AGGS:
         raise ValueError(f"unknown agg {agg!r}; choose from {list(AGGS)}")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
 
 
 def check_levels(levels: Sequence[float]) -> tuple[float, ...]:
@@ -426,10 +434,13 @@ def row_piece(piece: tuple, k: int, memo: dict) -> tuple:
 class SeriesPyramid:
     """Per-series rollup levels, folded incrementally at chunk-seal time.
 
-    A seal shared with other rows of its head block (a :class:`SealGroup`)
-    is held as a ``(group, row)`` reference: the series' partials are
-    row ``row`` of the group's pieces, which no read copies out.  A seal
-    of one row, and the levels a manifest restores, are the series' own
+    A level holds one row per seal and bucket, and keeps holding them
+    that way in the manifest and after a restore: the rows a seal
+    boundary (or a late sample) puts in one bucket stay apart.  A seal
+    shared with other rows of its head block (a :class:`SealGroup`) is
+    held as a ``(group, row)`` reference: the series' partials are row
+    ``row`` of the group's pieces, which no read copies out.  A seal of
+    one row, and the levels a manifest restores, are the series' own
     one-row pieces, one per level a seal (a single reduceat pass over
     the chunk, anchored at 0 so every query grid that divides the level
     reuses the same rows); a read of them replaces each level's pieces
@@ -501,21 +512,23 @@ class SeriesPyramid:
 
     def level_columns(self, level: float, memo: tuple[dict, dict] | None = None
                       ) -> tuple[np.ndarray, ...]:
-        """The whole level, one row per bucket sorted by bucket id: the
-        own rows and every seal-group row, a bucket's rows combined
-        (:func:`_merge_pieces`).  Built on each call and kept nowhere;
-        levels merged under one ``memo`` share what their pieces share."""
+        """The whole level as one piece: the own rows and every seal-group
+        row, one row per seal and bucket, sorted by ``(b, t_last, seq)``
+        (:func:`_union`; nothing combined — a bucket's rows meet only in
+        :func:`reduce_partials`).  Built on each call and kept nowhere;
+        levels built under one ``memo`` share what their pieces share."""
         views, concat = memo or ({}, {})
         rows = [row_piece(g.pieces[level], k, views)
                 for g, k in self._shared or ()]
-        return _merge_pieces([self.own_columns(level)] + rows, concat)
+        return _union([self.own_columns(level)] + rows, concat)
 
     def export_state(self) -> dict:
         """Snapshot-serializable state (the disk-tier manifest payload).
 
-        Each level is merged first, so the manifest carries one
-        consolidated bucket-sorted piece per level instead of one per
-        seal — and restore never refolds from a chunk decompress.
+        Each level is :meth:`level_columns` — one bucket-sorted piece per
+        level, the rows it holds in memory — so restore never refolds
+        from a chunk decompress, and one-sample levels that alias the
+        sealed values in memory write them once.
         """
         memo: tuple[dict, dict] = ({}, {})
         return {
@@ -563,40 +576,6 @@ def _union(pieces: Sequence[tuple[np.ndarray, ...]], memo: dict | None = None,
         if id(c) not in done:
             done[id(c)] = c[order]
     return tuple(done[id(c)] for c in cols)
-
-
-def _merge_pieces(
-    pieces: Sequence[tuple[np.ndarray, ...]], memo: dict | None = None,
-) -> tuple[np.ndarray, ...]:
-    """Collapse per-seal pieces into one row per bucket (sorted by
-    bucket): their :func:`_union`, the rows of a bucket several seals
-    share combined in ``(t_last, seq)`` order by one reduceat."""
-    cols = _union(pieces, memo)
-    b = cols[0]
-    if not np.count_nonzero(b[1:] == b[:-1]):
-        return cols
-    return _combine_runs(cols,
-                         np.flatnonzero(np.append(True, b[1:] != b[:-1])))
-
-
-def _combine_runs(cols: tuple, starts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Sorted partial rows combined run by run (a run begins at each of
-    ``starts``): counts and sums added in row order, min and max, and
-    the last row's ``t_last``, ``v_last`` and seq."""
-    b, cnt, vsum, vmin, vmax, t_last, v_last, seq = cols
-    last = np.append(starts[1:], len(b)) - 1
-    with ieee_sums():
-        vsum = np.add.reduceat(vsum, starts)
-    return (
-        b[starts],
-        np.add.reduceat(cnt, starts),
-        vsum,
-        np.minimum.reduceat(vmin, starts),
-        np.maximum.reduceat(vmax, starts),
-        t_last[last],
-        v_last[last],
-        seq[last],
-    )
 
 
 def fold_group(levels: Sequence[float], t: np.ndarray, v: np.ndarray,
@@ -681,7 +660,7 @@ def window_plan(levels: Sequence[float], t0: float, t1: float,
 
 def series_partials(series, cache, t0: float, t1: float, step: float,
                     anchor: float, plan: tuple | None,
-                    ) -> tuple[tuple | None, list[tuple[np.ndarray, ...]]]:
+                    ) -> list[tuple[np.ndarray, ...]]:
     """What one series holds alone of its sealed part over a non-empty
     ``[t0, t1)`` on the ``(anchor, step)`` grid: its own pyramid pieces
     and the chunks no seal group holds (a seal of one row, a restored or
@@ -692,8 +671,9 @@ def series_partials(series, cache, t0: float, t1: float, step: float,
 
     1. **rollup rows** for the whole buckets ``plan``
        (:func:`window_plan`) found inside the window — a binary search +
-       slice over one pyramid level, returned first, still on the
-       level's grid (:func:`plan_pieces` puts them on the query's).
+       slice over one pyramid level, relabelled to query buckets and
+       returned first, a row per seal and level bucket as the level
+       holds them (:func:`reduce_partials` is where they meet).
        Without a plan this region is empty and the rules below cover
        the whole window, so the answer degrades in cost, never in value;
     2. a sealed chunk's **seal-time summary** when the chunk sits wholly
@@ -710,11 +690,13 @@ def series_partials(series, cache, t0: float, t1: float, step: float,
     """
     pieces: list[tuple[np.ndarray, ...]] = []
     if not series.chunks or series.sealed_t_max < t0:    # a head-only window
-        return None, pieces
-    rows, full_lo, full_hi = None, t1, t1   # the region rollup rows answer
+        return pieces
+    full_lo = full_hi = t1          # the region rollup rows answer
     if plan is not None:
         full_lo, full_hi = plan[5], plan[6]
         rows = _level_rows(series.pyramid.own_columns(plan[0]), plan, None)
+        if rows is not None:
+            pieces.append(rows)
     # what is left: [t0, full_lo) and [full_hi, t1) — the whole window
     # when no rollup rows were read, nothing on a step-aligned side (so
     # a window they answer outright walks no chunks)
@@ -741,17 +723,26 @@ def series_partials(series, cache, t0: float, t1: float, step: float,
             np.asarray(col, dtype=d)
             for col, d in zip(zip(*summaries), _PARTIAL_DTYPES)
         ))
-    return rows, pieces
+    return pieces
 
 
-def _cut(piece: tuple, sel: np.ndarray | None, at) -> tuple:
-    """Columns ``at`` (a slice, or a mask with ``sel`` None) of rows
-    ``sel`` (None: every row — views where ``at`` is a slice) of a
-    piece; a column the piece repeats stays one object, one row
-    repeated stays a repetition."""
-    memo: dict = {}
-    out = []
-    for col in piece:
+def _level_rows(cols: tuple, plan: tuple, sel: np.ndarray | None
+                ) -> tuple | None:
+    """The rows of one level piece inside ``plan``'s whole buckets as an
+    ordinary piece of the query grid: level bucket ``b`` becomes query
+    bucket ``(b - a) // m``, exact in int64.  Of a group piece, the rows
+    ``sel`` (None: all of them, as views); a column the piece repeats
+    stays one object, one row repeated stays a repetition."""
+    _, a, m, j_lo, jf, _, _ = plan
+    lb = cols[0]
+    i0 = int(np.searchsorted(lb, a + j_lo * m, side="left"))
+    i1 = (len(lb) if jf is None
+          else int(np.searchsorted(lb, a + jf * m, side="left")))
+    if i1 <= i0:
+        return None
+    at, memo = slice(i0, i1), {}
+    out = [(lb[at] - a) // m]
+    for col in cols[1:]:
         got = memo.get(id(col))
         if got is None:
             if col.ndim == 1:
@@ -765,121 +756,6 @@ def _cut(piece: tuple, sel: np.ndarray | None, at) -> tuple:
             memo[id(col)] = got
         out.append(got)
     return tuple(out)
-
-
-def _level_rows(cols: tuple, plan: tuple, sel: np.ndarray | None
-                ) -> tuple | None:
-    """The rows of one level piece inside ``plan``'s whole buckets, on
-    the level's own grid; of a group piece, the rows ``sel`` (None: all
-    of them, as views)."""
-    _, a, m, j_lo, jf, _, _ = plan
-    lb = cols[0]
-    i0 = int(np.searchsorted(lb, a + j_lo * m, side="left"))
-    i1 = (len(lb) if jf is None
-          else int(np.searchsorted(lb, a + jf * m, side="left")))
-    return _cut(cols, sel, slice(i0, i1)) if i1 > i0 else None
-
-
-def plan_pieces(sources: list[tuple], plan: tuple
-                ) -> tuple[list[tuple], list]:
-    """The rollup rows of one head block's selection on the query grid,
-    as pieces and their ranks.  ``sources`` are ``(rows, rank)`` pairs
-    in the level's grid: a seal group's (``rank`` a ``(K,)`` column)
-    or a series' own (an int); a rank names one series of the block.
-
-    A level holds one row per seal and bucket, and a series' rows that
-    share a level bucket — the bucket a seal boundary cuts, or late
-    samples — count as one row, combined in ``(t_last, seq)`` order by
-    one reduceat (what :meth:`SeriesPyramid.level_columns` and the
-    manifest hold).  Only columns that some source shares with another
-    holding the same series are taken apart for that; the rest stay
-    group pieces.  Labels become query buckets exactly: ``(b - a) //
-    m`` in int64."""
-    a, m = plan[1], plan[2]
-    if len(sources) == 1 and np.ndim(sources[0][1]):    # one seal group
-        p, r = sources[0]
-        return [((p[0] - a) // m,) + p[1:]], [r]
-    masks = []
-    for p, r in sources:    # a series' own union repeats a shared bucket
-        mask = np.zeros(len(p[0]), dtype=bool)
-        if not np.ndim(r):
-            dup = p[0][1:] == p[0][:-1]
-            mask[1:] |= dup
-            mask[:-1] |= dup
-        masks.append(mask)
-
-    def take(at: list[int], lo, hi) -> None:
-        for i in at:                # conservative: every column in range
-            b = sources[i][0][0]
-            masks[i] |= (b >= lo) & (b <= hi)
-
-    # the groups of one seal share their span and never a series: compare
-    # seals, each with the next ones its level buckets reach
-    seals: dict[tuple, list[int]] = {}
-    for i, (p, r) in enumerate(sources):
-        if np.ndim(r):
-            seals.setdefault((p[0][0], p[0][-1]), []).append(i)
-    spans = sorted(seals)
-    held = [np.concatenate([sources[i][1] for i in seals[s]]) for s in spans]
-    for x, (lo, hi) in enumerate(spans):
-        if (len(seals[lo, hi]) > 1      # two seals, one span?
-                and len(np.unique(held[x])) < len(held[x])):
-            take(seals[lo, hi], lo, hi)
-        for y in range(x + 1, len(spans)):
-            lo2, hi2 = spans[y]
-            if lo2 > hi:
-                break
-            if np.intersect1d(held[x], held[y]).size:
-                take(seals[lo, hi] + seals[lo2, hi2], lo2, min(hi, hi2))
-    own = [i for i, (_, r) in enumerate(sources) if not np.ndim(r)]
-    if own and spans:
-        own_rank = np.array([sources[i][1] for i in own])
-        own_lo = np.array([sources[i][0][0][0] for i in own])
-        own_hi = np.array([sources[i][0][0][-1] for i in own])
-        for (lo, hi), rank in zip(spans, held):
-            hit = (own_lo <= hi) & (own_hi >= lo) & np.isin(own_rank, rank)
-            for k in hit.nonzero()[0].tolist():
-                take(seals[lo, hi] + [own[k]], max(lo, own_lo[k]),
-                     min(hi, own_hi[k]))
-    pieces, ranks, taken = [], [], []
-    for (p, r), mask in zip(sources, masks):
-        runs = [p]
-        if mask.any():      # the columns left, as runs of views
-            taken.append((p, r, mask))
-            edge = np.flatnonzero(np.diff(np.r_[True, mask, True]))
-            runs = [_cut(p, None, slice(lo, hi))
-                    for lo, hi in zip(edge[::2], edge[1::2]) if hi > lo]
-        for p in runs:
-            pieces.append(((p[0] - a) // m,) + p[1:])
-            ranks.append(r)
-    if taken:
-        piece, rank = _combine(taken)
-        pieces.append(((piece[0] - a) // m,) + piece[1:])
-        ranks.append(rank)
-    return pieces, ranks
-
-
-def _combine(taken: list[tuple]) -> tuple[tuple, np.ndarray]:
-    """The columns ``mask`` of each ``(piece, rank, mask)`` as one-row
-    columns, a series' rows of one bucket combined in ``(t_last, seq)``
-    order (``_merge_pieces``' reduceat); returns them with their rank
-    column."""
-    cols: list[list] = [[] for _ in range(9)]
-    for p, r, mask in taken:
-        k = len(p[2]) if p[2].ndim == 2 else 1
-        j = mask.nonzero()[0]
-        for c in (0, 1, 5):                     # shared by the rows
-            cols[c].append(np.tile(p[c][j], k))
-        for c in (2, 3, 4, 6, 7):
-            cols[c].append(p[c][..., j].reshape(-1))
-        cols[8].append(np.repeat(np.broadcast_to(r, (k,)), len(j)))
-    *cols, rank = (np.concatenate(c) for c in cols)
-    order = np.lexsort((cols[7], cols[5], cols[0], rank))
-    cols, rank = [c[order] for c in cols], rank[order]
-    b = cols[0]
-    starts = np.flatnonzero(np.append(True, (b[1:] != b[:-1])
-                                      | (rank[1:] != rank[:-1])))
-    return _combine_runs(cols, starts), rank[starts]
 
 
 def _edge(lo: float, hi: float, t0: float, t1: float, full_lo: float,
@@ -916,23 +792,23 @@ def _edge_fold(ct: np.ndarray, cv: np.ndarray, seq_base, t0: float,
 
 def group_partials(group: SealGroup, ranks: np.ndarray, decode, t0: float,
                    t1: float, step: float, anchor: float, plan: tuple | None,
-                   ) -> tuple[tuple | None, list[tuple], np.ndarray]:
+                   ) -> tuple[list[tuple], np.ndarray]:
     """One seal group's part of a selection over a non-empty ``[t0,
-    t1)``: its rollup rows on the level's grid (or None), its other
-    pieces, and their ``(K,)`` rank column.  ``ranks[k]`` is row ``k``'s
-    selection rank (-1: not selected).  The sources of
-    :func:`series_partials`, for every selected row at once: one binary
-    search on the group's shared bucket column and one gather of the
-    selected rows (none when all are), a summary column, or one fold
-    over the rows' decoded chunks — ``decode(ks)`` returns the
+    t1)``: its pieces — rollup rows first, relabelled to query buckets
+    as in :func:`series_partials` — and their ``(K,)`` rank column.
+    ``ranks[k]`` is row ``k``'s selection rank (-1: not selected).  The
+    sources of :func:`series_partials`, for every selected row at once:
+    one binary search on the group's shared bucket column and one gather
+    of the selected rows (none when all are), a summary column, or one
+    fold over the rows' decoded chunks — ``decode(ks)`` returns the
     ``(times, values)`` of rows ``ks``' chunks."""
     sel = (ranks >= 0).nonzero()[0]
     if len(sel) == len(ranks):
         sel = None
     comp = ranks if sel is None else ranks[sel]
-    rows, pieces = None, []
+    pieces: list[tuple] = []
     if not len(comp):
-        return rows, pieces, comp
+        return pieces, comp
     full_lo = full_hi = t1
     if plan is not None:
         full_lo, full_hi = plan[5], plan[6]
@@ -942,9 +818,11 @@ def group_partials(group: SealGroup, ranks: np.ndarray, decode, t0: float,
                                          {}), plan, None)
         else:
             rows = _level_rows(level, plan, sel)
+        if rows is not None:
+            pieces.append(rows)
     lo, hi, n = group.t_min, group.t_max, group.n
     if not _edge(lo, hi, t0, t1, full_lo, full_hi):
-        return rows, pieces, comp
+        return pieces, comp
     ks = np.arange(len(ranks)) if sel is None else sel
     seq_base = group.seq_base[ks][:, None]
     b = _one_bucket(lo, hi, t0, t1, full_lo, full_hi, step, anchor)
@@ -961,7 +839,7 @@ def group_partials(group: SealGroup, ranks: np.ndarray, decode, t0: float,
                            seq_base, t0, t1, full_lo, full_hi, step, anchor)
         if piece is not None:
             pieces.append(piece)
-    return rows, pieces, comp
+    return pieces, comp
 
 
 def _window(t: np.ndarray, t0: float, t1: float) -> tuple[np.ndarray, ...]:

@@ -65,7 +65,7 @@ from .chunkcache import CHUNK_CACHE_BYTES, CacheStats, LRUCache
 from .rollup import (DEFAULT_LEVELS, SealGroup, SeriesPyramid, _head_gather,
                      bucket_anchor, check_bucketing, check_levels,
                      fold_group, group_partials, head_first_time,
-                     head_partials, ieee_sums, plan_pieces, reduce_partials,
+                     head_partials, ieee_sums, reduce_partials,
                      row_piece, series_partials, window_plan)
 
 __all__ = [
@@ -1294,7 +1294,9 @@ class SeriesQueryMixin:
         (:func:`~repro.storage.rollup.series_partials`, under one
         ``window_plan``), and the open heads with one
         :func:`~repro.storage.rollup.head_partials`.  A lock-step fleet
-        therefore makes no per-series call at all.
+        therefore makes no per-series call at all.  Rollup rows come back
+        as ordinary pieces already on the query grid, one row per seal
+        and bucket: the rows of a bucket meet only in ``reduce_partials``.
         """
         if not (t0 < t1 and np.isfinite(anchor)):
             return [], [], False
@@ -1303,7 +1305,6 @@ class SeriesQueryMixin:
         pieces: list[tuple[np.ndarray, ...]] = []
         piece_comp: list[int | np.ndarray] = []
         for block, rows, ranks in parts:
-            level_rows: list[tuple] = []    # (rollup rows, rank), level grid
             groups = [g for g in block.groups
                       if g.t_max >= t0 and g.t_min < t1]
             if groups:
@@ -1312,31 +1313,23 @@ class SeriesQueryMixin:
                 rank_of = np.full(len(block.counts) + 1, -1)
                 rank_of[rows] = ranks
             for group in groups:
-                lv, ps, comp = group_partials(
+                ps, comp = group_partials(
                     group, rank_of[group.rows],
                     lambda ks, g=group: _decode(
                         [(block.series[g.rows[k]], g.chunks[k])
                          for k in ks.tolist()], self.cache),
                     t0, t1, step, anchor, plan)
-                if lv is not None:
-                    level_rows.append((lv, comp))
                 pieces.extend(ps)
                 piece_comp.extend([comp] * len(ps))
             seq_base = block.sealed[rows]
             # rows whose own chunks reach t0 (none: own_t_max is -inf)
             own = block.own_t_max[rows] >= max(t0, -sys.float_info.max)
             for i in own.nonzero()[0].tolist():
-                lv, ps = series_partials(  # per-sample: allowed (own chunks)
+                ps = series_partials(  # per-sample: allowed (own chunks)
                     block.series[rows[i]], self.cache, t0, t1, step,
                     anchor, plan)
-                if lv is not None:
-                    level_rows.append((lv, ranks[i]))
                 pieces.extend(ps)
                 piece_comp.extend([ranks[i]] * len(ps))
-            if level_rows:
-                ps, comp = plan_pieces(level_rows, plan)
-                pieces.extend(ps)
-                piece_comp.extend(comp)
             piece, owner = head_partials(block, rows, seq_base,
                                          t0, t1, step, anchor)
             pieces.append(piece)

@@ -179,6 +179,8 @@ class TestFederatedEqualsMerged:
             fed.aggregate_across("m.x", None, agg="p99")
         with pytest.raises(ValueError, match="step must be positive"):
             fed.aggregate_across("m.x", None, step=0.0)
+        with pytest.raises(ValueError, match="step must be positive"):
+            fed.aggregate_across("m.x", None, step=float("nan"))
 
 
     def test_repeated_component_counts_once(self):

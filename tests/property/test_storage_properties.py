@@ -344,53 +344,6 @@ class TestBlockSealAgainstPerRowReference:
         assert got[1][1].spills > 0 and got[1][1].hot_bytes <= 700
 
 
-class TestMergePieces:
-    """The in-order concatenation against the sorted merge."""
-
-    @staticmethod
-    def _sorted_merge(pieces):
-        b, cnt, vsum, vmin, vmax, t_last, v_last, seq = (
-            np.concatenate([p[i] for p in pieces]) for i in range(8))
-        order = np.lexsort((seq, t_last, b))
-        b, cnt, vsum, vmin, vmax, t_last, v_last, seq = (
-            c[order] for c in (b, cnt, vsum, vmin, vmax, t_last, v_last, seq))
-        starts = np.concatenate(([0], np.flatnonzero(b[1:] != b[:-1]) + 1))
-        last = np.append(starts[1:], len(b)) - 1
-        with rollup.ieee_sums():
-            vsum = np.add.reduceat(vsum, starts)
-        return (b[starts], np.add.reduceat(cnt, starts), vsum,
-                np.minimum.reduceat(vmin, starts),
-                np.maximum.reduceat(vmax, starts),
-                t_last[last], v_last[last], seq[last])
-
-    @given(cuts=st.lists(st.integers(1, 59), min_size=1, max_size=5,
-                         unique=True),
-           cadence=st.sampled_from([1.0, 7.0, 60.0]),
-           shuffle=st.booleans(), data=st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_equals_the_sorted_path(self, cuts, cadence, shuffle, data):
-        """Chunks cut from one series: disjoint buckets at a cadence no
-        finer than the level, a shared boundary bucket at a finer one,
-        interleaved when the chunks arrive out of time order."""
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        t = 1000.0 + cadence * np.arange(60)
-        v = _value_rows(rng, 4, 60)[data.draw(st.integers(0, 3))]
-        bounds = [0, *sorted(cuts), 60]
-        spans = list(zip(bounds, bounds[1:]))
-        if shuffle:
-            rng.shuffle(spans)
-        for level in (10.0, 60.0):
-            pieces, seq = [], 0
-            for lo, hi in spans:
-                pieces.append(rollup.fold_partials(t[lo:hi], v[lo:hi], 0.0,
-                                                   level, seq_base=seq))
-                seq += hi - lo
-            got = rollup._merge_pieces(pieces)
-            want = pieces[0] if len(pieces) == 1 else self._sorted_merge(pieces)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-
-
 # -- store query semantics ------------------------------------------------------
 
 samples_strategy = st.lists(

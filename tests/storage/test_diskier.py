@@ -511,6 +511,10 @@ class TestOneSampleManifest:
             for agg in AGGS:
                 out[step, agg] = store.aggregate_across("m", None, 0.0, t1,
                                                         step, agg)
+                # the fleet on the bucketed route: seal groups live, the
+                # restored series' own rows after a reopen
+                out[step, agg, None] = store._bucketed_read(
+                    "m", None, 0.0, t1, step, agg, "m")[0]
                 for c in self.NAMES[:3]:
                     out[step, agg, c] = store.downsample("m", c, 0.0, t1,
                                                          step, agg)

@@ -8,6 +8,7 @@ import pytest
 from repro.core.metric import SeriesBatch
 from repro.serve.frontend import QueryFrontend
 from repro.storage.rollup import (
+    AGGS,
     DEFAULT_LEVELS,
     SeriesPyramid,
     bucket_anchor,
@@ -98,18 +99,41 @@ class TestPyramidMaintenance:
         rng = np.random.default_rng(9)
         t = np.sort(rng.uniform(0.0, 2000.0, 300)).round(3)
         # integer-valued so partial sums are associativity-independent
-        # and the vsum column is held bit-exact, not approximately
+        # and every answer is held bit-exact, not approximately
         v = rng.integers(-1000, 1000, 300).astype(np.float64)
+        seals = range(0, 300, 64)
         inc = SeriesPyramid(DEFAULT_LEVELS)
-        for lo in range(0, 300, 64):
+        for lo in seals:
             inc.add_sealed(t[lo:lo + 64], v[lo:lo + 64], lo)
         batch = SeriesPyramid(DEFAULT_LEVELS)
         batch.add_sealed(t, v, 0)
         for level in DEFAULT_LEVELS:
+            # the level is the sorted union of each seal's own fold: a
+            # bucket a seal boundary cuts keeps a row per seal
+            own = [fold_partials(t[lo:lo + 64], v[lo:lo + 64], 0.0, level,
+                                 seq_base=lo) for lo in seals]
+            want = [np.concatenate(col) for col in zip(*own)]
+            order = np.lexsort((want[7], want[5], want[0]))
             got = inc.level_columns(level)
-            want = batch.level_columns(level)
             for g, w in zip(got, want):
-                assert np.array_equal(g, w)
+                assert g.dtype == w.dtype
+                assert np.array_equal(g, w[order])
+            whole = batch.level_columns(level)
+            assert len(got[0]) == len(whole[0]) + int(np.count_nonzero(
+                want[0][1:] == want[0][:-1]))
+            # and its rows meet in reduce_partials as the one fold's do
+            for step in (10.0, 60.0, 600.0, 3600.0):
+                m = int(step // level)
+                if m * level != step:
+                    continue
+                for agg in AGGS:
+                    g_t, g_v = reduce_partials(
+                        [(got[0] // m,) + got[1:]], 0.0, step, agg)
+                    w_t, w_v = reduce_partials(
+                        [(whole[0] // m,) + whole[1:]], 0.0, step, agg)
+                    assert np.array_equal(g_t, w_t), (level, step, agg)
+                    assert np.array_equal(g_v, w_v), (level, step, agg)
+        assert len(inc.level_columns(3600.0)[0]) == len(seals)
 
 
 class TestIeeeSums:

@@ -220,11 +220,12 @@ class TestAggregateAcross:
     def test_empty_store_empty_aggregate(self, store):
         assert len(store.aggregate_across("m")) == 0
 
-    @pytest.mark.parametrize("step", [0.0, -60.0])
+    @pytest.mark.parametrize("step", [0.0, -60.0, np.nan, np.inf])
     @pytest.mark.parametrize("shards", [0, 4])
     def test_non_positive_step_is_rejected(self, shards, step):
-        # the raw aggregate divided by it (ZeroDivisionError) or bucketed
-        # on a reversed grid; every bucketing entry point now refuses it
+        # the raw aggregate divided by it (ZeroDivisionError), bucketed
+        # on a reversed grid, or (NaN, inf) cast garbage bucket ids;
+        # every bucketing entry point now refuses it
         store = (ShardedTimeSeriesStore(shards=shards) if shards
                  else TimeSeriesStore(chunk_size=16))
         for t in range(0, 300, 60):
