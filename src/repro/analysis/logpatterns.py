@@ -145,9 +145,6 @@ class TemplateTracker:
             [buckets.get(b, 0) for b in range(b0, b1)], dtype=np.int64
         )
 
-    def first_seen(self, template: str) -> float | None:
-        return self._first_seen.get(template)
-
     def rate_anomalies(
         self,
         t0: float,

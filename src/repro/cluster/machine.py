@@ -33,7 +33,7 @@ from .network import Flow, NetworkState
 from .node import NodeStore
 from .scheduler import BatchScheduler, PlacementPolicy
 from .topology import Topology, build_dragonfly
-from .workload import Job, JobGenerator, JobState
+from .workload import JobGenerator, JobState
 
 __all__ = ["RoomEnv", "Machine"]
 
@@ -281,12 +281,3 @@ class Machine:
     @property
     def now(self) -> float:
         return self.clock.now
-
-    def running_job_on(self, node: str) -> Job | None:
-        jid = self.scheduler.allocated.get(node)
-        if jid is None:
-            return None
-        for j in self.scheduler.running:
-            if j.id == jid:
-                return j
-        return None

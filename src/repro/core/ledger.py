@@ -72,12 +72,6 @@ class BalanceReport:
     def balanced(self) -> bool:
         return self.unaccounted == 0
 
-    @property
-    def loss_fraction(self) -> float:
-        if self.published == 0:
-            return 0.0
-        return self.lost / self.published
-
     def render(self) -> str:
         lines = [
             "delivery ledger",

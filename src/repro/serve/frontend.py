@@ -37,7 +37,7 @@ import numpy as np
 
 from ..core.metric import SeriesBatch
 from ..storage.chunkcache import CacheStats, LRUCache
-from ..storage.rollup import bucket_anchor
+from ..storage.rollup import bucket_anchor, check_step
 from .plan import QueryPlan
 from .quota import TenantGovernor, TenantQuota, TenantStats
 
@@ -205,7 +205,9 @@ class QueryFrontend:
         """The store's ``bucket_partials`` over ``[t0, t1)`` on the
         ``(bucket_anchor(t0, step), step)`` grid; its plan leaves ``agg``
         empty, so one answer serves every agg.  ``t0`` is finite (see
-        :meth:`first_time`); a shed tenant gets no pieces."""
+        :meth:`first_time`); a shed tenant gets no pieces.  A step that
+        is not positive and finite is refused before admission."""
+        check_step(step)
         plan = QueryPlan.aggregate(metric, components, t0, t1, step, "")
         return self._serve(
             tenant, plan, lambda: ([], [], False),

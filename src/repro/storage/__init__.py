@@ -7,7 +7,7 @@ from .diskier import ChunkRef, DiskTier, DiskTierStats, RecoveryReport
 from .jobstore import Allocation, JobIndex
 from .logstore import LogStore, tokenize
 from .sharded import ShardedTimeSeriesStore
-from .sqlstore import JobRow, SqlStore, TestResultRow
+from .sqlstore import JobRow, SqlStore
 from .tsdb import (
     ChunkSummary,
     SeriesQueryMixin,
@@ -32,7 +32,6 @@ __all__ = [
     "ShardedTimeSeriesStore",
     "JobRow",
     "SqlStore",
-    "TestResultRow",
     "SeriesQueryMixin",
     "StoreStats",
     "TimeSeriesStore",

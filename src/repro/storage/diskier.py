@@ -564,18 +564,21 @@ class DiskTier:
     def snapshot(self, store: "TimeSeriesStore") -> Path:
         """Write a manifest of the store's full state; rotate the WAL.
 
-        The manifest carries each series' exported state — one
-        ``(summary, hint, ref)`` row per chunk and serialized pyramid
-        partials, so restore rebuilds pyramids from the partials without
-        decompressing any chunk — and each metric's open head block.
+        The manifest carries each sealed series' exported state — one
+        ``(summary, hint, ref)`` row per chunk and its pyramid partials
+        (its own and its rows of the seal groups), so restore rebuilds
+        levels from the partials without decompressing any chunk — and
+        each metric's open head block, where a series that has never
+        sealed lives.
         Covered segment extents bound the recovery scan, and WAL
         generations older than the manifest are deleted once the
         manifest is durably in place (write-tmp, fsync, rename).
         """
         self._check_alive()
         self.sync()
-        series_state = {(key.metric, key.component): series.export_state()
-                        for key, series in store._series.items()}
+        series_state = {key: state for block in store._blocks.values()
+                        for key, state in block.export_series(
+                            store.pyramid_levels).items()}
         old_wal = self._wal
         self._handles.release(old_wal.writer)
         new_wal = self._new_wal(old_wal.gen + 1)

@@ -1,4 +1,4 @@
-"""Rollup pyramids and the one bucketed source: partial columns per series.
+"""Rollup pyramids and the one bucketed source: partial columns per seal.
 
 Dashboard-shaped ``downsample``/``aggregate_across`` reads are answered
 from pre-aggregated rollup levels instead of re-scanning raw series —
@@ -33,10 +33,13 @@ which applies them to what a series holds alone, the guards in
 (:func:`head_partials`).  A seal group's fold is one *group piece* per
 level — its K series' value columns one ``(K, B)`` matrix over shared
 bucket columns — and :func:`reduce_partials` orders those columns, not
-their rows.  The store's bucketed read and the serving plane above it
-are loops over these; the raw concat path in ``storage/tsdb.py`` shares
-only the grid, which is what makes the exactness oracle in the property
-suite meaningful.
+their rows.  ``SealGroup.rows`` is the one record of which series a
+group holds; a :class:`SeriesPyramid` exists only for a series that
+sealed alone, and :func:`export_levels` joins the two for a manifest.
+The store's bucketed read and the serving plane above it are loops
+over these; the raw concat path in ``storage/tsdb.py`` shares only the
+grid, which is what makes the exactness oracle in the property suite
+meaningful.
 """
 
 from __future__ import annotations
@@ -56,7 +59,9 @@ __all__ = [
     "bucket_anchor",
     "check_bucketing",
     "check_levels",
+    "check_step",
     "choose_level",
+    "export_levels",
     "fold_group",
     "fold_partials",
     "fold_sealed_rows",
@@ -87,23 +92,32 @@ MAX_PLANNER_TIME: float = 2.0 ** 35
 AGGS: tuple[str, ...] = ("count", "last", "max", "mean", "min", "sum")
 
 
-def check_bucketing(agg: str, step: float) -> None:
-    """The argument check every bucketing entry point runs first (a NaN
-    or infinite step makes no grid: bucket ids would be garbage)."""
-    if agg not in AGGS:
-        raise ValueError(f"unknown agg {agg!r}; choose from {list(AGGS)}")
+def check_step(step: float) -> None:
+    """The step check every bucketed entry point runs first, the agg-free
+    ones included (a NaN or infinite step makes no grid: bucket ids
+    would be garbage)."""
     if not 0.0 < step < math.inf:
         raise ValueError("step must be positive and finite")
 
 
+def check_bucketing(agg: str, step: float) -> None:
+    """The argument check every bucketing entry point with an agg runs
+    first."""
+    if agg not in AGGS:
+        raise ValueError(f"unknown agg {agg!r}; choose from {list(AGGS)}")
+    check_step(step)
+
+
 def check_levels(levels: Sequence[float]) -> tuple[float, ...]:
-    """The levels as floats; ``ValueError`` unless there are some and
-    each is positive and finite (NaN folds garbage bucket ids, and no
-    grid can choose an infinite level)."""
+    """The levels as ascending floats — a store checks and sorts them
+    once, and every fold and pyramid of the store shares the tuple;
+    ``ValueError`` unless there are some and each is positive and
+    finite (NaN folds garbage bucket ids, and no grid can choose an
+    infinite level)."""
     lv = tuple(float(x) for x in levels)
     if not lv or not all(0.0 < x < math.inf for x in lv):
         raise ValueError(f"pyramid levels must be positive and finite: {lv}")
-    return lv
+    return tuple(sorted(lv))
 
 
 def bucket_anchor(t0: float, step: float) -> float:
@@ -432,32 +446,30 @@ def row_piece(piece: tuple, k: int, memo: dict) -> tuple:
 
 
 class SeriesPyramid:
-    """Per-series rollup levels, folded incrementally at chunk-seal time.
+    """What one series sealed alone, folded at seal time: the rollup
+    levels of a seal of one row, of the chunks a manifest restores and
+    of the chunks a recovery scan finds.  A series whose seals were all
+    shared with other rows of its head block has none: its rows live in
+    the block's seal groups, and :class:`SealGroup` ``rows`` are the one
+    record of which.
 
     A level holds one row per seal and bucket, and keeps holding them
     that way in the manifest and after a restore: the rows a seal
-    boundary (or a late sample) puts in one bucket stay apart.  A seal
-    shared with other rows of its head block (a :class:`SealGroup`) is
-    held as a ``(group, row)`` reference: the series' partials are row
-    ``row`` of the group's pieces, which no read copies out.  A seal of
-    one row, and the levels a manifest restores, are the series' own
-    one-row pieces, one per level a seal (a single reduceat pass over
-    the chunk, anchored at 0 so every query grid that divides the level
-    reuses the same rows); a read of them replaces each level's pieces
-    by their sorted union (:meth:`own_columns`).
+    boundary (or a late sample) puts in one bucket stay apart.  Each
+    seal adds a one-row piece per level (a single reduceat pass over the
+    chunk, anchored at 0 so every query grid that divides the level
+    reuses the same rows); a read of a level replaces its pieces by
+    their sorted union (:meth:`level_columns`).  ``levels`` are the
+    store's, checked and sorted once when the store is built.
     """
 
-    __slots__ = ("levels", "samples_folded", "_pieces", "_shared")
+    __slots__ = ("levels", "_pieces")
 
     def __init__(self, levels: Sequence[float] = DEFAULT_LEVELS) -> None:
-        self.levels = tuple(sorted(check_levels(levels)))
-        self.samples_folded = 0
+        self.levels = levels
         self._pieces: dict[float, list[tuple[np.ndarray, ...]]] = {
-            x: [] for x in self.levels
+            x: [] for x in levels
         }
-        # (group, row) per seal shared with other rows; None until the
-        # first (a fleet's series may never seal)
-        self._shared: list[tuple[SealGroup, int]] | None = None
 
     def add_sealed(self, t: np.ndarray, v: np.ndarray,
                    seq_base: int) -> None:
@@ -469,39 +481,21 @@ class SeriesPyramid:
         """
         if len(t):
             self.add_folded(next(fold_sealed_rows(
-                self.levels, t, v[None], np.array([seq_base]))), len(t))
+                self.levels, t, v[None], np.array([seq_base]))))
 
-    def add_folded(self, pieces: Sequence[tuple], n: int) -> None:
-        """Append one chunk's ``n`` samples already folded, a one-row
-        piece per level (:meth:`add_sealed`'s, or a row of
-        :func:`fold_sealed_rows`)."""
+    def add_folded(self, pieces: Sequence[tuple]) -> None:
+        """Append one chunk already folded, a one-row piece per level
+        (:meth:`add_sealed`'s, or a row of :func:`fold_sealed_rows`)."""
         for lv, piece in zip(self.levels, pieces):
             self._pieces[lv].append(piece)
-        self.samples_folded += n
 
-    def add_shared(self, group: SealGroup, k: int) -> None:
-        """Append row ``k`` of a seal group: a reference, no copy."""
-        if self._shared is None:
-            self._shared = []
-        self._shared.append((group, k))
-        self.samples_folded += group.n
-
-    def leave_groups(self) -> list[SealGroup]:
-        """The series is dropped: its rows leave their seal groups.
-        Returns the groups it leaves with no row at all."""
-        shared = self._shared or ()
-        for group, k in shared:
-            group.drop(k)
-        return [g for g, _ in shared if not np.count_nonzero(g.rows >= 0)]
-
-    def own_columns(self, level: float) -> tuple[np.ndarray, ...]:
-        """The rows of the series' own pieces of one level as one piece,
-        sorted by ``(b, t_last, seq)`` and nothing combined (what
-        :func:`series_partials` reads; seal-group rows are
-        :func:`group_partials`'), so no answer depends on when a read
-        came.  The union replaces the pieces; the levels whose last
-        piece aliases its values (one-sample folds of the same seals)
-        are joined with it, so they keep sharing them."""
+    def level_columns(self, level: float) -> tuple[np.ndarray, ...]:
+        """The rows of one level as one piece, sorted by ``(b, t_last,
+        seq)`` and nothing combined (what :func:`series_partials` reads;
+        seal-group rows are :func:`group_partials`'), so no answer
+        depends on when a read came.  The union replaces the pieces; the
+        levels whose last piece aliases its values (one-sample folds of
+        the same seals) are joined with it, so they keep sharing them."""
         pieces = self._pieces[level]
         if len(pieces) > 1:
             memo: dict = {}
@@ -510,43 +504,38 @@ class SeriesPyramid:
                             for lv, p in self._pieces.items()}
         return (self._pieces[level] or [_empty_partials()])[0]
 
-    def level_columns(self, level: float, memo: tuple[dict, dict] | None = None
-                      ) -> tuple[np.ndarray, ...]:
-        """The whole level as one piece: the own rows and every seal-group
-        row, one row per seal and bucket, sorted by ``(b, t_last, seq)``
-        (:func:`_union`; nothing combined — a bucket's rows meet only in
-        :func:`reduce_partials`).  Built on each call and kept nowhere;
-        levels built under one ``memo`` share what their pieces share."""
-        views, concat = memo or ({}, {})
-        rows = [row_piece(g.pieces[level], k, views)
-                for g, k in self._shared or ()]
-        return _union([self.own_columns(level)] + rows, concat)
-
-    def export_state(self) -> dict:
-        """Snapshot-serializable state (the disk-tier manifest payload).
-
-        Each level is :meth:`level_columns` — one bucket-sorted piece per
-        level, the rows it holds in memory — so restore never refolds
-        from a chunk decompress, and one-sample levels that alias the
-        sealed values in memory write them once.
-        """
-        memo: tuple[dict, dict] = ({}, {})
-        return {
-            "levels": self.levels,
-            "samples_folded": self.samples_folded,
-            "pieces": {lv: self.level_columns(lv, memo)
-                       for lv in self.levels},
-        }
-
     @classmethod
-    def from_state(cls, state: dict) -> "SeriesPyramid":
-        """Inverse of :meth:`export_state`."""
-        p = cls(state["levels"])
-        p.samples_folded = int(state["samples_folded"])
+    def from_state(cls, state: dict, levels: Sequence[float]
+                   ) -> "SeriesPyramid":
+        """The levels a manifest entry holds (:func:`export_levels`),
+        over the store's ``levels``."""
+        p = cls(levels)
         for lv, cols in state["pieces"].items():
             if len(cols[0]):
                 p._pieces[float(lv)].append(tuple(cols))
         return p
+
+
+def export_levels(levels: Sequence[float], pyramid: SeriesPyramid | None,
+                  shared: Sequence[tuple[SealGroup, int]]) -> dict:
+    """One series' levels as a manifest entry holds them: per level one
+    piece, the rows of its own pyramid and its row ``k`` of every seal
+    group ``(group, k)`` in ``shared``, one row per seal and bucket,
+    sorted by ``(b, t_last, seq)`` (:func:`_union`; nothing combined — a
+    bucket's rows meet only in :func:`reduce_partials`).  The levels are
+    built under one memo, so the one-sample levels that alias the sealed
+    values in memory write them once, and a restore never refolds from a
+    chunk decompress."""
+    views: dict = {}
+    concat: dict = {}
+    own = [] if pyramid is None else [pyramid]
+    return {
+        "levels": tuple(levels),
+        "pieces": {lv: _union([p.level_columns(lv) for p in own]
+                              + [row_piece(g.pieces[lv], k, views)
+                                 for g, k in shared], concat)
+                   for lv in levels},
+    }
 
 
 def _union(pieces: Sequence[tuple[np.ndarray, ...]], memo: dict | None = None,
@@ -658,13 +647,15 @@ def window_plan(levels: Sequence[float], t0: float, t1: float,
             np.inf if jf is None else anchor + jf * step)
 
 
-def series_partials(series, cache, t0: float, t1: float, step: float,
+def series_partials(series, decode, t0: float, t1: float, step: float,
                     anchor: float, plan: tuple | None,
                     ) -> list[tuple[np.ndarray, ...]]:
     """What one series holds alone of its sealed part over a non-empty
     ``[t0, t1)`` on the ``(anchor, step)`` grid: its own pyramid pieces
     and the chunks no seal group holds (a seal of one row, a restored or
-    recovered chunk) — nothing for a series with none of its own.
+    recovered chunk).  The caller asks only for a series whose own
+    chunks reach ``t0`` (the block's ``own_t_max`` column), so the
+    series has a pyramid.
     Seal-group rows are :func:`group_partials`', open heads
     :func:`head_partials`'.  Each region of the window is answered from
     its coarsest exact source:
@@ -679,7 +670,7 @@ def series_partials(series, cache, t0: float, t1: float, step: float,
     2. a sealed chunk's **seal-time summary** when the chunk sits wholly
        inside what is left of the window (the at-most-two edge buckets,
        or all of it) and inside one bucket — never decompressed;
-    3. **decoded samples** (``series.decode``, through the shared chunk
+    3. **decoded samples** (``decode(chunk)``, through the shared chunk
        cache) for any other chunk overlapping what is left.
 
     ``seq`` numbers continue chunk-list order on every source (pyramid
@@ -689,12 +680,10 @@ def series_partials(series, cache, t0: float, t1: float, step: float,
     selection's first sample when ``t0`` is unbounded.
     """
     pieces: list[tuple[np.ndarray, ...]] = []
-    if not series.chunks or series.sealed_t_max < t0:    # a head-only window
-        return pieces
     full_lo = full_hi = t1          # the region rollup rows answer
     if plan is not None:
         full_lo, full_hi = plan[5], plan[6]
-        rows = _level_rows(series.pyramid.own_columns(plan[0]), plan, None)
+        rows = _level_rows(series.pyramid.level_columns(plan[0]), plan, None)
         if rows is not None:
             pieces.append(rows)
     # what is left: [t0, full_lo) and [full_hi, t1) — the whole window
@@ -712,7 +701,7 @@ def series_partials(series, cache, t0: float, t1: float, step: float,
                 summaries.append((b, n, summ.v_sum, summ.v_min, summ.v_max,
                                   hi, summ.v_last, seq_base + n - 1))
             else:
-                ct, cv = series.decode(chunk, cache)
+                ct, cv = decode(chunk)
                 piece = _edge_fold(ct, cv, seq_base, t0, t1, full_lo,
                                    full_hi, step, anchor)
                 if piece is not None:

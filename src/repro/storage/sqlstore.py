@@ -3,15 +3,12 @@
 NCSA keeps compute-node performance data "in a pre-existing MySQL
 database containing other system and workload data"; NERSC uses MySQL
 "for a variety of job, software usage and node-state data".  The value is
-*joinability* — jobs against node state against test results — and the
-cost is ingest/query scalability, which the storage-comparison bench
-measures against the TSDB.
+*joinability*, and the cost is ingest/query scalability, which the
+storage-comparison bench measures against the TSDB.
 
 Schema:
 
 * ``jobs``          — job lifecycle records,
-* ``node_state``    — periodic node-state snapshots,
-* ``test_results``  — benchmark / health-test outcomes,
 * ``samples``       — generic numeric samples (the apples-to-apples
   ingest target for the comparison bench).
 """
@@ -24,7 +21,7 @@ from typing import Any, Sequence
 
 from ..core.metric import SeriesBatch
 
-__all__ = ["SqlStore", "JobRow", "TestResultRow"]
+__all__ = ["SqlStore", "JobRow"]
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -37,27 +34,6 @@ CREATE TABLE IF NOT EXISTS jobs (
     state       TEXT NOT NULL,
     nodes       TEXT NOT NULL DEFAULT ''
 );
-CREATE TABLE IF NOT EXISTS node_state (
-    time        REAL NOT NULL,
-    node        TEXT NOT NULL,
-    up          INTEGER NOT NULL,
-    healthy     INTEGER NOT NULL,
-    cpu_util    REAL,
-    mem_free_gb REAL,
-    power_w     REAL
-);
-CREATE INDEX IF NOT EXISTS idx_node_state_time ON node_state(time);
-CREATE INDEX IF NOT EXISTS idx_node_state_node ON node_state(node);
-CREATE TABLE IF NOT EXISTS test_results (
-    time    REAL NOT NULL,
-    suite   TEXT NOT NULL,
-    test    TEXT NOT NULL,
-    target  TEXT NOT NULL,
-    passed  INTEGER NOT NULL,
-    value   REAL,
-    detail  TEXT NOT NULL DEFAULT ''
-);
-CREATE INDEX IF NOT EXISTS idx_test_results_time ON test_results(time);
 CREATE TABLE IF NOT EXISTS samples (
     metric    TEXT NOT NULL,
     component TEXT NOT NULL,
@@ -79,19 +55,6 @@ class JobRow:
     end_time: float | None
     state: str
     nodes: tuple[str, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class TestResultRow:
-    __test__ = False  # not a pytest test class despite the name
-
-    time: float
-    suite: str
-    test: str
-    target: str
-    passed: bool
-    value: float | None
-    detail: str
 
 
 class SqlStore:
@@ -151,14 +114,6 @@ class SqlStore:
         q += " ORDER BY job_id"
         return [self._job_row(r) for r in self._db.execute(q, args)]
 
-    def jobs_running_at(self, t: float) -> list[JobRow]:
-        rows = self._db.execute(
-            "SELECT * FROM jobs WHERE start_time IS NOT NULL "
-            "AND start_time <= ? AND (end_time IS NULL OR end_time > ?)",
-            (t, t),
-        )
-        return [self._job_row(r) for r in rows]
-
     @staticmethod
     def _job_row(row: tuple) -> JobRow:
         return JobRow(
@@ -171,65 +126,6 @@ class SqlStore:
             state=row[6],
             nodes=tuple(row[7].split(",")) if row[7] else (),
         )
-
-    # -- node state -----------------------------------------------------------------
-
-    def insert_node_state(
-        self,
-        time: float,
-        node: str,
-        up: bool,
-        healthy: bool,
-        cpu_util: float | None = None,
-        mem_free_gb: float | None = None,
-        power_w: float | None = None,
-    ) -> None:
-        self._db.execute(
-            "INSERT INTO node_state VALUES (?,?,?,?,?,?,?)",
-            (time, node, int(up), int(healthy), cpu_util, mem_free_gb,
-             power_w),
-        )
-
-    def unhealthy_nodes_at(self, t0: float, t1: float) -> list[str]:
-        rows = self._db.execute(
-            "SELECT DISTINCT node FROM node_state "
-            "WHERE time >= ? AND time < ? AND healthy = 0 ORDER BY node",
-            (t0, t1),
-        )
-        return [r[0] for r in rows]
-
-    # -- test results ------------------------------------------------------------------
-
-    def insert_test_result(self, r: TestResultRow) -> None:
-        self._db.execute(
-            "INSERT INTO test_results VALUES (?,?,?,?,?,?,?)",
-            (r.time, r.suite, r.test, r.target, int(r.passed), r.value,
-             r.detail),
-        )
-
-    def test_results(
-        self,
-        suite: str | None = None,
-        test: str | None = None,
-        only_failures: bool = False,
-        t0: float = float("-inf"),
-        t1: float = float("inf"),
-    ) -> list[TestResultRow]:
-        q = "SELECT * FROM test_results WHERE time >= ? AND time < ?"
-        args: list[Any] = [t0, t1]
-        if suite is not None:
-            q += " AND suite=?"
-            args.append(suite)
-        if test is not None:
-            q += " AND test=?"
-            args.append(test)
-        if only_failures:
-            q += " AND passed=0"
-        q += " ORDER BY time"
-        return [
-            TestResultRow(r[0], r[1], r[2], r[3], bool(r[4]), r[5], r[6])
-            for r in self._db.execute(q, args)
-        ]
 
     # -- generic samples (comparison-bench surface) ---------------------------------------
 

@@ -9,7 +9,10 @@ that comparison turns on:
   into one *head block* per metric (:class:`_HeadBlock`): a components x
   time value matrix in which a synchronized sweep — NCSA's whole-system
   sampling model — is one column write, and its timestamp is stored
-  once for as long as the metric's components stay in lock-step,
+  once for as long as the metric's components stay in lock-step.  The
+  blocks are the one series index: a series is a row, made live in one
+  vectorised step for a whole batch, and gets a record (:class:`_Series`,
+  its chunk list) only when it first seals,
 * per-series columnar chunks sealed at a fixed size and compressed with
   delta-of-delta timestamps + XOR float packing (the Facebook Gorilla
   scheme, the same family InfluxDB's TSM files use).  The codec works
@@ -39,7 +42,7 @@ With a :class:`~repro.storage.diskier.DiskTier` attached (``disk=``),
 sealed blobs are additionally persisted to append-only segment files
 and the resident set is bounded by the tier's ``hot_bytes`` budget:
 cold blobs are spilled to ``(segment, offset, len)`` refs and read back
-zero-copy through ``mmap`` (``_Series.chunk_blob`` is the one accessor
+zero-copy through ``mmap`` (:func:`_chunk_blob` is the one accessor
 every read path goes through).  ``archive_before`` demotes by age
 instead of by budget and ``locate_archived`` names where each demoted
 chunk lives — Table I's hierarchical archive / locate / reload is a
@@ -64,9 +67,10 @@ from ..core.soa import ComponentTable, row_indices
 from .chunkcache import CHUNK_CACHE_BYTES, CacheStats, LRUCache
 from .rollup import (DEFAULT_LEVELS, SealGroup, SeriesPyramid, _head_gather,
                      bucket_anchor, check_bucketing, check_levels,
-                     fold_group, group_partials, head_first_time,
-                     head_partials, ieee_sums, reduce_partials,
-                     row_piece, series_partials, window_plan)
+                     export_levels, fold_group, group_partials,
+                     head_first_time, head_partials, ieee_sums,
+                     reduce_partials, row_piece, series_partials,
+                     window_plan)
 
 __all__ = [
     "compress_chunk",
@@ -635,7 +639,7 @@ class SealedChunk:
     seal-time aggregates, ``hint`` the XOR block index for fast decode
     (or None), ``ref`` the disk-tier location (None without a tier),
     ``blob`` the resident compressed bytes — ``None`` once spilled or
-    archived, when :meth:`_Series.chunk_blob` maps it back — and
+    archived, when :func:`_chunk_blob` maps it back — and
     ``cid`` the process-unique chunk-cache key.  ``grouped`` marks a
     chunk sealed in a seal group (:class:`~repro.storage.rollup.SealGroup`),
     which reads reach through the group, not the series.
@@ -699,15 +703,21 @@ def _matrix(rows: int, cols: int) -> np.ndarray:
 
 
 class _HeadBlock:
-    """The open heads of one metric: a components x time value matrix.
+    """One metric's series: a components x time value matrix of open
+    heads, and the columns that index every series of the metric.
 
-    The metric's :class:`~repro.core.soa.ComponentTable` maps component
-    -> row; row ``r`` holds ``counts[r]`` unsealed values in arrival
-    order (``-1``: no live series — never created, or dropped), and its
-    series has sealed ``sealed[r]`` samples before them.  Rows that
-    seal together are one :class:`~repro.storage.rollup.SealGroup` in
-    ``groups``; ``own_t_max[r]`` is the newest chunk row ``r``'s series
-    sealed alone (a seal of one row, a restore), ``-inf`` for none.  The
+    A series is a row.  The metric's
+    :class:`~repro.core.soa.ComponentTable` maps component -> row; row
+    ``r`` holds ``counts[r]`` unsealed values in arrival order (``-1``:
+    no live series — never created, or dropped), and its series has
+    sealed ``sealed[r]`` samples before them.  ``series[r]`` is the
+    row's :class:`_Series` record — what a column cannot hold (the chunk
+    list) — made at its first seal, restore or recovery scan: a row that
+    has never sealed has none.  Rows that seal together are one
+    :class:`~repro.storage.rollup.SealGroup` in ``groups``, whose
+    ``rows`` are the one record of that membership; ``own_t_max[r]`` is
+    the newest chunk row ``r``'s series sealed alone (a seal of one row,
+    a restore), ``-inf`` for none.  The
     matrix is stored sweep-major (:func:`_matrix`): a synchronized sweep
     is one contiguous column write, a series' head is a zero-copy
     strided view, and growing the block copies only the columns in use,
@@ -735,14 +745,17 @@ class _HeadBlock:
     ``flush``) the block is trivially in lock-step again.
     """
 
-    __slots__ = ("chunk_size", "table", "series", "counts", "sealed",
-                 "own_t_max", "groups", "values", "times", "n_times",
-                 "row_times", "n_head")
+    __slots__ = ("metric", "chunk_size", "tier", "table", "names", "series",
+                 "counts", "sealed", "own_t_max", "groups", "values",
+                 "times", "n_times", "row_times", "n_head")
 
-    def __init__(self, chunk_size: int) -> None:
+    def __init__(self, metric: str, chunk_size: int, tier=None) -> None:
+        self.metric = metric
         self.chunk_size = chunk_size
+        self.tier = tier            # DiskTier (duck-typed) or None
         self.table = ComponentTable()
-        self.series: list[_Series | None] = []      # row -> live series
+        self.names: list[str] = []      # row -> component, filled on demand
+        self.series: list[_Series | None] = []      # row -> record, or None
         self.counts = np.empty(0, dtype=np.intp)
         self.sealed = np.empty(0, dtype=np.int64)
         # the newest chunk a row's series holds alone (not in a group)
@@ -864,6 +877,86 @@ class _HeadBlock:
         if not self.n_head:             # nothing open: lock-step again
             self.n_times, self.row_times = 0, None
 
+    def activate(self, rows) -> int:
+        """Make every one of ``rows`` (an index expression) a live, empty
+        series where it has none — creating a series is column growth.
+        Returns how many rows were made live."""
+        c = self.counts[rows]
+        new = int(np.count_nonzero(c < 0))
+        if new:
+            self.counts[rows] = np.maximum(c, 0)
+        return new
+
+    def key(self, row: int) -> MetricKey:
+        """The key of row ``row``'s series (table rows are in add order)."""
+        names = self.names
+        if row >= len(names):       # rows registered since: names in order
+            names.extend(itertools.islice(self.table.index, len(names),
+                                          None))
+        return MetricKey(self.metric, names[row])
+
+    def record(self, row: int) -> _Series:
+        """Row ``row``'s record, made at its first seal, restore or scan."""
+        s = self.series[row]
+        if s is None:
+            s = self.series[row] = _Series(self.key(row))
+        return s
+
+    def adopt(self, row: int, chunk: SealedChunk) -> None:
+        """Append one sealed record to a row's series — shared by the
+        seal, the manifest restore and the recovery segment scan.  The
+        rollup is the caller's to fold: a seal folds its whole group at
+        once, the scan the arrays it decoded, the manifest reloads saved
+        partials."""
+        s = self.record(row)
+        s.chunks.append(chunk)
+        s.sealed_bytes += chunk.nbytes
+        self.sealed[row] += chunk.summary.count
+        if not chunk.grouped:
+            self.own_t_max[row] = max(self.own_t_max[row], chunk.summary.t_max)
+
+    def shared(self) -> dict[int, list[tuple[SealGroup, int]]]:
+        """Row -> its ``(group, k)`` of every seal group it is in, in seal
+        order: one pass over ``groups``."""
+        out: dict[int, list[tuple[SealGroup, int]]] = {}
+        for g in self.groups:
+            for k, r in enumerate(g.rows.tolist()):
+                if r >= 0:
+                    out.setdefault(r, []).append((g, k))
+        return out
+
+    def drop(self, row: int) -> None:
+        """The row's series is gone: it leaves every seal group (one pass
+        over ``groups``; a group left with no row goes), its head empties
+        and the row holds no live series."""
+        keep = []
+        for g in self.groups:
+            at = (g.rows == row).nonzero()[0]
+            if len(at):
+                g.drop(int(at[0]))
+            if np.count_nonzero(g.rows >= 0):
+                keep.append(g)
+        self.groups = keep
+        self.take(row, int(self.counts[row]))
+        self.counts[row] = -1
+        self.sealed[row] = 0
+        self.own_t_max[row] = _NEVER
+        self.series[row] = None
+
+    def export_series(self, levels: Sequence[float]) -> dict:
+        """Snapshot-serializable sealed state, one manifest entry per row
+        with a record: the chunk index without blobs or cache ids, and
+        the row's levels (:func:`~repro.storage.rollup.export_levels`:
+        its own pyramid and its rows of the block's seal groups); the
+        open heads are :meth:`export_state`'s.
+        :meth:`TimeSeriesStore.restore_series` inverts an entry."""
+        shared = self.shared()
+        return {(s.key.metric, s.key.component): {
+                    "chunks": [(c.summary, c.hint, c.ref) for c in s.chunks],
+                    "pyramid": export_levels(levels, s.pyramid,
+                                             shared.get(r, ())),
+                } for r, s in enumerate(self.series) if s is not None}
+
     def export_state(self) -> dict:
         """Snapshot-serializable open heads (one manifest entry per
         metric): every row by component name; a 1-D ``times`` is the
@@ -879,9 +972,10 @@ class _HeadBlock:
         }
 
     def load(self, state: dict) -> None:
-        """Inverse of :meth:`export_state`, onto the empty block of a
-        store whose series :meth:`TimeSeriesStore.restore_series` has
-        already rebuilt (rows are matched by name, not by position)."""
+        """Inverse of :meth:`export_state`, onto the empty heads of a
+        block whose sealed series :meth:`TimeSeriesStore.restore_series`
+        has already rebuilt (rows are matched by name, not by position;
+        a series that never sealed becomes live here)."""
         rows = self.table.rows(
             np.asarray(state["components"], dtype=object))[0]
         self.fit()
@@ -900,107 +994,41 @@ class _HeadBlock:
 
 
 class _Series:
-    """One (metric, component) series: sealed chunks + open head.
+    """What one sealed series holds that a block column cannot.
 
     ``chunks`` is the one chunk index, a list of :class:`SealedChunk`
-    records in seal order; :meth:`adopt` is the only way a record
-    enters it.  A spilled chunk has ``blob is None`` and is read back
-    through :meth:`chunk_blob` — the single accessor every query path
-    uses.  The open head is row ``row`` of the metric's ``block``.
+    records in seal order; :meth:`_HeadBlock.adopt` is the only way a
+    record enters it, and ``sealed_bytes`` is its running
+    ``sum(c.nbytes)``.  ``pyramid`` holds what the series sealed alone
+    (:class:`~repro.storage.rollup.SeriesPyramid`; None while every seal
+    was shared with other rows).  A spilled chunk has ``blob is None``
+    and is read back through :func:`_chunk_blob` — the single accessor
+    every query path uses.  The open head, the sample counts and the
+    seal-group membership are its row's, in the block.
     """
 
-    __slots__ = ("chunks", "block", "row", "sealed_bytes", "sealed_t_max",
-                 "pyramid", "tier", "key")
+    __slots__ = ("key", "chunks", "sealed_bytes", "pyramid")
 
-    def __init__(
-        self, block: _HeadBlock, row: int, pyramid_levels: Sequence[float],
-        tier=None, key: MetricKey | None = None,
-    ) -> None:
-        self.tier = tier            # DiskTier (duck-typed) or None
+    def __init__(self, key: MetricKey) -> None:
         self.key = key              # needed for segment records
         self.chunks: list[SealedChunk] = []
-        self.block = block
-        self.row = row
-        self.sealed_bytes = 0       # running sum(c.nbytes for c in chunks)
-        self.sealed_t_max = _NEVER  # running max(c.summary.t_max)
-        # rollup pyramid maintained incrementally at seal time (serving plane)
-        self.pyramid = SeriesPyramid(pyramid_levels)
+        self.sealed_bytes = 0
+        self.pyramid: SeriesPyramid | None = None
 
-    def head(self) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-copy ``(times, values)`` of the open head, in arrival
-        order — views into the block, valid until the next write; the
-        values stride one sweep apart (copy before handing them to code
-        that needs them contiguous)."""
-        b, row = self.block, self.row
-        c = b.counts[row]
-        t = b.times if b.row_times is None else b.row_times[row]
-        return t[:c], b.values[row, :c]
 
-    def adopt(self, chunk: SealedChunk) -> None:
-        """Append one sealed record — shared by the seal, the manifest
-        restore and the recovery segment scan.  The pyramid is the
-        caller's to fold: a seal folds its whole group at once, the scan
-        the arrays it decoded, the manifest reloads saved partials."""
-        self.chunks.append(chunk)
-        self.block.sealed[self.row] += chunk.summary.count
-        self.sealed_bytes += chunk.nbytes
-        self.sealed_t_max = max(self.sealed_t_max, chunk.summary.t_max)
-        if not chunk.grouped:
-            own = self.block.own_t_max
-            own[self.row] = max(own[self.row], chunk.summary.t_max)
+def _chunk_blob(tier, chunk: SealedChunk):
+    """A sealed chunk's blob, resident or mapped from the disk tier.
 
-    def chunk_blob(self, chunk: SealedChunk):
-        """A sealed chunk's blob, resident or mapped from the disk tier.
-
-        Returns ``bytes`` for hot chunks (touching the tier LRU) or a
-        zero-copy ``memoryview`` over the segment mmap for spilled ones
-        — :func:`decompress_chunk` accepts either.
-        """
-        blob = chunk.blob
-        if blob is not None:
-            if self.tier is not None:
-                self.tier.touch(chunk.cid)
-            return blob
-        return self.tier.load(chunk.ref)
-
-    def cached(self, chunk: SealedChunk, cache: LRUCache):
-        """The chunk cache's ``(times, values)`` of one sealed chunk, or
-        None — probed before the blob is touched: a hit on a resident
-        blob keeps its place in the tier's LRU, as reading it would, and
-        a spilled one is not loaded at all."""
-        hit = cache.get(chunk.cid)
-        if hit is not None and chunk.blob is not None and self.tier is not None:
-            self.tier.touch(chunk.cid)
-        return hit
-
-    def decode(self, chunk: SealedChunk, cache: LRUCache
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """Decompressed ``(times, values)`` of one sealed chunk, served
-        from and filling the shared chunk cache."""
-        hit = self.cached(chunk, cache)
-        if hit is not None:
-            return hit
-        t, v = decompress_chunk(self.chunk_blob(chunk), chunk.hint)
-        cache.put(chunk.cid, (t, v), t.nbytes + v.nbytes)
-        return t, v
-
-    def export_state(self) -> dict:
-        """Snapshot-serializable sealed state (one manifest entry): the
-        chunk index without blobs or cache ids, and the pyramid
-        partials; the open head is its block's to export.
-        :meth:`TimeSeriesStore.restore_series` inverts it."""
-        return {
-            "chunks": [(c.summary, c.hint, c.ref) for c in self.chunks],
-            "pyramid": self.pyramid.export_state(),
-        }
-
-    @property
-    def n_sealed_samples(self) -> int:
-        return int(self.block.sealed[self.row])
-
-    @property
-    def n_samples(self) -> int:
-        return self.n_sealed_samples + int(self.block.counts[self.row])
+    Returns ``bytes`` for hot chunks (touching the tier LRU) or a
+    zero-copy ``memoryview`` over the segment mmap for spilled ones —
+    :func:`decompress_chunk` accepts either.
+    """
+    blob = chunk.blob
+    if blob is not None:
+        if tier is not None:
+            tier.touch(chunk.cid)
+        return blob
+    return tier.load(chunk.ref)
 
 
 #: a resolved selection, one entry per head block holding any of it:
@@ -1025,7 +1053,7 @@ def read_series(parts: Selection, n: int, cache: LRUCache,
     chunk cache or a head block."""
     out: list = [None] * n
     sealed: dict[int, list[SealedChunk]] = {}   # rank -> overlapping chunks
-    wanted: list[tuple[_Series, SealedChunk]] = []
+    wanted: list[tuple[object, SealedChunk]] = []
     for block, rows, ranks in parts if t0 < t1 else ():   # NaN: empty too
         for i in block.sealed[rows].nonzero()[0].tolist():
             series, rank = block.series[rows[i]], int(ranks[i])
@@ -1033,7 +1061,7 @@ def read_series(parts: Selection, n: int, cache: LRUCache,
                 summ = chunk.summary
                 if summ.t_max < t0 or summ.t_min >= t1:
                     continue
-                wanted.append((series, chunk))
+                wanted.append((block.tier, chunk))
                 sealed.setdefault(rank, []).append(chunk)
     decoded = {chunk.cid: tv
                for (_, chunk), tv in zip(wanted, _decode(wanted, cache))}
@@ -1068,20 +1096,24 @@ def read_series(parts: Selection, n: int, cache: LRUCache,
     return out
 
 
-def _decode(wanted: list[tuple[_Series, SealedChunk]], cache: LRUCache
+def _decode(wanted: list[tuple[object, SealedChunk]], cache: LRUCache
             ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The ``(times, values)`` of each ``(series, chunk)``: every chunk
+    """The ``(times, values)`` of each ``(tier, chunk)``: every chunk
     probed in the chunk cache in turn (a hit or a miss each, as a single
-    read would count them), the misses decoded in one
-    :func:`decompress_chunks` pass and admitted."""
+    read would count them) before its blob is touched — a hit on a
+    resident blob keeps its place in the tier's LRU, as reading it
+    would, and a spilled one is not loaded at all — the misses decoded
+    in one :func:`decompress_chunks` pass and admitted."""
     got: list = []
     missed: list[int] = []
     blobs: list[tuple] = []
-    for series, chunk in wanted:
-        tv = series.cached(chunk, cache)
+    for tier, chunk in wanted:
+        tv = cache.get(chunk.cid)
         if tv is None:
             missed.append(len(got))
-            blobs.append((series.chunk_blob(chunk), chunk.hint))
+            blobs.append((_chunk_blob(tier, chunk), chunk.hint))
+        elif chunk.blob is not None and tier is not None:
+            tier.touch(chunk.cid)
         got.append(tv)
     if missed:
         for i, tv in zip(missed, decompress_chunks(blobs)):
@@ -1140,8 +1172,8 @@ class SeriesQueryMixin:
     Anything exposing ``components(metric)``, ``pyramid_levels``, a
     chunk ``cache``, ``_blocks_of(metric)`` (the metric's head blocks
     that reads can reach) and ``_series_view(metric, component)`` (one
-    :class:`_Series` plus the cache, or None when reads cannot reach
-    it) gets range queries over one series or many, downsampling, and
+    series' ``(record, cache, block, row)``, or None when reads cannot
+    reach it) gets range queries over one series or many, downsampling, and
     cross-component aggregation for free — this is what lets
     :class:`~repro.storage.sharded.ShardedTimeSeriesStore` present the
     exact single-store query surface over K shards.
@@ -1171,8 +1203,8 @@ class SeriesQueryMixin:
         view = self._series_view(metric, component)
         if view is None:
             return SeriesBatch.empty(metric)
-        s, cache = view
-        part = (s.block, np.array([s.row]), np.zeros(1, dtype=np.intp))
+        _, cache, block, row = view
+        part = (block, np.array([row]), np.zeros(1, dtype=np.intp))
         return SeriesBatch.for_component(
             metric, component, *read_series([part], 1, cache, t0, t1)[0])
 
@@ -1316,8 +1348,8 @@ class SeriesQueryMixin:
                 ps, comp = group_partials(
                     group, rank_of[group.rows],
                     lambda ks, g=group: _decode(
-                        [(block.series[g.rows[k]], g.chunks[k])
-                         for k in ks.tolist()], self.cache),
+                        [(block.tier, g.chunks[k]) for k in ks.tolist()],
+                        self.cache),
                     t0, t1, step, anchor, plan)
                 pieces.extend(ps)
                 piece_comp.extend([comp] * len(ps))
@@ -1326,8 +1358,10 @@ class SeriesQueryMixin:
             own = block.own_t_max[rows] >= max(t0, -sys.float_info.max)
             for i in own.nonzero()[0].tolist():
                 ps = series_partials(  # per-sample: allowed (own chunks)
-                    block.series[rows[i]], self.cache, t0, t1, step,
-                    anchor, plan)
+                    block.series[rows[i]],
+                    lambda c, tier=block.tier: _decode([(tier, c)],
+                                                       self.cache)[0],
+                    t0, t1, step, anchor, plan)
                 pieces.extend(ps)
                 piece_comp.extend([ranks[i]] * len(ps))
             piece, owner = head_partials(block, rows, seq_base,
@@ -1435,8 +1469,8 @@ class TimeSeriesStore(SeriesQueryMixin):
         # passes one instance to every shard for a global memory bound)
         self.cache = (cache if cache is not None
                       else LRUCache(CHUNK_CACHE_BYTES))
-        self._series: dict[MetricKey, _Series] = {}
-        self._blocks: dict[str, _HeadBlock] = {}    # metric -> open heads
+        # metric -> its series: the one series index (a series is a row)
+        self._blocks: dict[str, _HeadBlock] = {}
         # metric -> its keys, sorted: an entry is dropped whenever a
         # series of the metric is created (restored included) or dropped
         self._metric_keys: dict[str, list[MetricKey]] = {}
@@ -1446,6 +1480,7 @@ class TimeSeriesStore(SeriesQueryMixin):
         self._epochs: dict[str, int] = {}
         # aggregate counters so stats() is O(1), not a walk over every
         # series — the self-monitoring plane reads it on a cadence
+        self._n_series = 0
         self._samples = 0
         self._sealed_samples = 0
         self._sealed_chunks = 0
@@ -1466,24 +1501,30 @@ class TimeSeriesStore(SeriesQueryMixin):
     def _block(self, metric: str) -> _HeadBlock:
         block = self._blocks.get(metric)
         if block is None:
-            block = self._blocks[metric] = _HeadBlock(self.chunk_size)
+            block = self._blocks[metric] = _HeadBlock(
+                metric, self.chunk_size, self.disk)
         return block
 
-    def _new_series(self, key: MetricKey) -> _Series:
+    def _activate(self, block: _HeadBlock, rows) -> None:
+        """Rows of ``block`` (registered in its table) become live series
+        where they are not: column growth, one step for a whole batch."""
+        block.fit()
+        new = block.activate(rows)
+        if new:
+            self._n_series += new
+            self._metric_keys.pop(block.metric, None)
+
+    def _row(self, key: MetricKey) -> tuple[_HeadBlock, int]:
+        """The block and row of one series, made live if it is not."""
         block = self._block(key.metric)
         row = block.table.add(key.component)
-        block.fit()
-        block.counts[row] = block.sealed[row] = 0   # live, and empty
-        block.own_t_max[row] = _NEVER
-        self._metric_keys.pop(key.metric, None)
-        s = self._series[key] = block.series[row] = _Series(
-            block, row, self.pyramid_levels, tier=self.disk, key=key)
-        return s
+        self._activate(block, row)
+        return block, row
 
-    def _run(self, series: _Series, t: np.ndarray, v: np.ndarray) -> None:
+    def _run(self, block: _HeadBlock, row: int, t: np.ndarray,
+             v: np.ndarray) -> None:
         """One series' next samples in arrival order, sealing every
         time its head fills."""
-        block, row = series.block, series.row
         i = 0
         while i < len(t):
             i += block.run(row, t[i:], v[i:])
@@ -1510,8 +1551,9 @@ class TimeSeriesStore(SeriesQueryMixin):
         matrices; per row, the record, the segment append and the index
         — bit for bit what sealing the row alone produces.  Two rows or
         more keep their fold as one :class:`~repro.storage.rollup.SealGroup`
-        (the block's, each series' pyramid a ``(group, row)``
-        reference); a row sealed alone keeps its own one-row pieces."""
+        of the block, which alone records that they are in it; a row
+        sealed alone keeps its own one-row pieces in its record's
+        pyramid."""
         n = int(block.counts[rows[0]])
         t = (block.times if block.row_times is None
              else block.row_times[rows[0]])[:n]
@@ -1529,29 +1571,29 @@ class TimeSeriesStore(SeriesQueryMixin):
             v_sum = v.sum(axis=1)
         stats = zip(*(c.tolist() for c in (v.min(axis=1), v.max(axis=1),
                                            v_sum, v[:, 0], v[:, -1])))
-        series = [block.series[r] for r in rows.tolist()]
-        levels = series[0].pyramid.levels
+        levels = self.pyramid_levels
         seq_base = block.sealed[rows]
         pieces = fold_group(levels, t, v, seq_base)
         group = None if len(rows) == 1 else SealGroup(
             rows, seq_base, t, dict(zip(levels, pieces)))
         done = 0
         try:
-            for k, (s, (blob, hint), stat) in enumerate(zip(series, coded,
-                                                            stats)):
+            for r, (blob, hint), stat in zip(rows.tolist(), coded, stats):
                 chunk = SealedChunk(ChunkSummary(n, t_min, t_max, *stat),
                                     hint, blob=blob, grouped=group is not None)
+                s = block.record(r)
                 if self.disk is not None:
                     # persist the immutable blob now; spill to budget after
                     self.disk.on_seal(s.key, chunk)
                 if group is None:
+                    if s.pyramid is None:
+                        s.pyramid = SeriesPyramid(levels)
                     memo: dict = {}
-                    s.pyramid.add_folded(
-                        [row_piece(p, 0, memo) for p in pieces], n)
+                    s.pyramid.add_folded([row_piece(p, 0, memo)
+                                          for p in pieces])
                 else:
                     group.chunks.append(chunk)
-                    s.pyramid.add_shared(group, k)
-                s.adopt(chunk)
+                block.adopt(r, chunk)
                 done += 1
         finally:    # a failed segment append leaves every row sealed or open
             block.take(rows[:done], n)
@@ -1575,7 +1617,9 @@ class TimeSeriesStore(SeriesQueryMixin):
         republish every tick), and a batch of distinct components — the
         synchronized sweep — is one column write, one vectorised
         ``count >= chunk_size`` test, and one block seal of the rows
-        that filled, in batch order.  Whether the block keeps one
+        that filled, in batch order.  Its new series are one more
+        vectorised step: their rows become live, and nothing else is
+        made for them until they seal.  Whether the block keeps one
         shared time column or goes ragged is :class:`_HeadBlock`'s rule.
         A batch that repeats components hands each series its samples
         as one run, in component order.
@@ -1596,16 +1640,14 @@ class TimeSeriesStore(SeriesQueryMixin):
             # a single point is a run of one: no array-sized work
             row = block.table.row(batch.components[0])
             if row is not None and block.counts[row] >= 0:
-                self._run(block.series[row], times, values)
+                self._run(block, row, times, values)
                 return n
         rows, unique = block.table.rows(batch.components)
         block.fit()
         if unique:
             full = block.write(rows, times, values)
             if full is None:    # no live series yet: new, or dropped
-                for i in np.flatnonzero(block.counts[rows] < 0).tolist():
-                    self._new_series(
-                        MetricKey(metric, str(batch.components[i])))
+                self._activate(block, rows)
                 full = block.write(rows, times, values)
             if len(full):
                 self._seal_rows(block, full)
@@ -1618,9 +1660,9 @@ class TimeSeriesStore(SeriesQueryMixin):
         )
         st, sv = times[order], values[order]
         for g in range(len(uniq)):
-            key = MetricKey(metric, str(uniq[g]))
-            series = self._series.get(key) or self._new_series(key)
-            self._run(series, st[bounds[g] : bounds[g + 1]],
+            row = block.table.add(str(uniq[g]))
+            self._activate(block, row)
+            self._run(block, row, st[bounds[g] : bounds[g + 1]],
                       sv[bounds[g] : bounds[g + 1]])
         return n
 
@@ -1642,17 +1684,23 @@ class TimeSeriesStore(SeriesQueryMixin):
 
     def keys(self, metric: str | None = None) -> list[MetricKey]:
         if metric is None:
-            return sorted(self._series, key=str)
+            return sorted((k for m in self._blocks
+                           for k in self._sorted_keys(m)), key=str)
         return list(self._sorted_keys(metric))
 
     def _sorted_keys(self, metric: str) -> list[MetricKey]:
-        """The metric's keys, sorted: one memoized list, replaced (never
-        mutated) when a series of the metric is created or dropped."""
+        """The metric's keys, sorted: the live rows of its block's table
+        (``counts >= 0``), one memoized list, replaced (never mutated)
+        when a series of the metric is created or dropped."""
         keys = self._metric_keys.get(metric)
         if keys is None:
             block = self._blocks.get(metric)
-            keys = self._metric_keys[metric] = [] if block is None else sorted(
-                (s.key for s in block.series if s is not None), key=str)
+            live = [] if block is None else (
+                block.counts[:block.table.size] >= 0).tolist()
+            keys = self._metric_keys[metric] = sorted(
+                (MetricKey(metric, c) for c, ok in zip(block.table.index,
+                                                       live) if ok),
+                key=str) if live else []
         return keys
 
     def components(self, metric: str) -> list[str]:
@@ -1663,14 +1711,25 @@ class TimeSeriesStore(SeriesQueryMixin):
         block = self._blocks.get(metric)
         return [] if block is None else [block]
 
+    def _live_row(self, metric: str, component: str
+                  ) -> tuple[_HeadBlock, int] | None:
+        """The block and row of one live series, or None."""
+        block = self._blocks.get(metric)
+        row = None if block is None else block.table.row(component)
+        if row is None or block.counts[row] < 0:
+            return None
+        return block, row
+
     def _series_view(
         self, metric: str, component: str
-    ) -> tuple[_Series, LRUCache] | None:
-        """One series and the chunk cache: a single-series read."""
-        series = self._series.get(MetricKey(metric, component))
-        if series is None:
+    ) -> tuple[_Series | None, LRUCache, _HeadBlock, int] | None:
+        """One series' record (None until it seals), the chunk cache and
+        its block and row: a single-series read."""
+        at = self._live_row(metric, component)
+        if at is None:
             return None
-        return series, self.cache
+        block, row = at
+        return block.series[row], self.cache, block, row
 
     def query_epoch(self, metric: str) -> int:
         """Mutation epoch of a metric — the serving plane's result-cache
@@ -1682,23 +1741,24 @@ class TimeSeriesStore(SeriesQueryMixin):
     # -- maintenance / stats ---------------------------------------------------
 
     def drop_series(self, metric: str, component: str) -> bool:
-        s = self._series.pop(MetricKey(metric, component), None)
-        if s is None:
+        at = self._live_row(metric, component)
+        if at is None:
             return False
+        block, row = at
         self._epochs[metric] = self._epochs.get(metric, 0) + 1
         self._metric_keys.pop(metric, None)
-        if self.disk is not None:
-            self.disk.forget(s)
-        self.cache.invalidate(c.cid for c in s.chunks)
-        for group in s.pyramid.leave_groups():
-            s.block.groups.remove(group)
-        self._samples -= s.n_samples
-        s.block.take(s.row, len(s.head()[0]))
-        s.block.counts[s.row] = -1      # the row has no live series
-        s.block.series[s.row] = None
-        self._sealed_samples -= s.n_sealed_samples
-        self._sealed_chunks -= len(s.chunks)
-        self._sealed_bytes -= s.sealed_bytes
+        s = block.series[row]
+        if s is not None:
+            if self.disk is not None:
+                self.disk.forget(s)
+            self.cache.invalidate(c.cid for c in s.chunks)
+            self._sealed_chunks -= len(s.chunks)
+            self._sealed_bytes -= s.sealed_bytes
+        sealed = int(block.sealed[row])
+        self._n_series -= 1
+        self._samples -= sealed + int(block.counts[row])
+        self._sealed_samples -= sealed
+        block.drop(row)
         return True
 
     def stats(self) -> StoreStats:
@@ -1711,7 +1771,7 @@ class TimeSeriesStore(SeriesQueryMixin):
         time_cells = sum(b.n_times if b.row_times is None else b.n_head
                          for b in self._blocks.values())
         return StoreStats(
-            series=len(self._series),
+            series=self._n_series,
             samples=self._samples,
             sealed_chunks=self._sealed_chunks,
             compressed_bytes=self._sealed_bytes + 8 * (head + time_cells),
@@ -1736,7 +1796,8 @@ class TimeSeriesStore(SeriesQueryMixin):
         """
         if self.disk is None:
             raise RuntimeError("archive_before() requires a disk tier")
-        demoted = [c.cid for s in self._series.values() for c in s.chunks
+        demoted = [c.cid for block in self._blocks.values()
+                   for s in block.series if s is not None for c in s.chunks
                    if c.summary.t_max < t_cut and self.disk.demote(c)]
         # release the decompressed copies too — demotion exists to
         # shrink the resident set
@@ -1749,34 +1810,42 @@ class TimeSeriesStore(SeriesQueryMixin):
         """``((t_min, t_max), ChunkRef)`` of each chunk of one series
         that lives only on disk (archived or budget-spilled), oldest
         first — the catalog of what is cold and where."""
-        s = self._series.get(MetricKey(metric, component))
-        if s is None:
+        view = self._series_view(metric, component)
+        if view is None or view[0] is None:
             return []
         return [((c.summary.t_min, c.summary.t_max), c.ref)
-                for c in s.chunks if c.blob is None]
+                for c in view[0].chunks if c.blob is None]
 
     # hooks used by the out-of-core disk tier -----------------------------------
 
     def restore_series(self, key: MetricKey, state: dict) -> int:
         """Recovery: rebuild one series' sealed state from its manifest
-        entry (the inverse of :meth:`_Series.export_state`); returns its
-        chunk count.  Every chunk comes back ref-only and the pyramid
-        reloads its saved partials, so nothing is decompressed."""
-        s = self._new_series(key)
-        s.pyramid = SeriesPyramid.from_state(state["pyramid"])
-        for summary, hint, ref in state["chunks"]:
+        entry (the inverse of :meth:`_HeadBlock.export_series`); returns
+        its chunk count.  Every chunk comes back ref-only and the levels
+        reload as the series' own pyramid, so nothing is decompressed.
+        An entry with no chunks (a manifest that listed series that had
+        never sealed) makes the row live and nothing else."""
+        block, row = self._row(key)
+        chunks = state["chunks"]
+        if chunks:
+            block.record(row).pyramid = SeriesPyramid.from_state(
+                state["pyramid"], self.pyramid_levels)
+        for summary, hint, ref in chunks:
             chunk = SealedChunk(summary, hint, ref)
-            s.adopt(chunk)
+            block.adopt(row, chunk)
             self._note_seal(1, summary.count, chunk.nbytes)
-        self._samples += s.n_sealed_samples
-        return len(s.chunks)
+        self._samples += int(block.sealed[row])
+        return len(chunks)
 
     def restore_heads(self, metric: str, state: dict) -> None:
         """Recovery: reload one metric's open heads from its manifest
-        entry (the inverse of :meth:`_HeadBlock.export_state`), once
-        :meth:`restore_series` has rebuilt the series they belong to."""
-        block = self._blocks[metric]
+        entry (the inverse of :meth:`_HeadBlock.export_state`), after
+        :meth:`restore_series` has rebuilt the metric's sealed series."""
+        block = self._block(metric)
+        live = np.count_nonzero(block.counts >= 0)
         block.load(state)
+        self._n_series += np.count_nonzero(block.counts >= 0) - live
+        self._metric_keys.pop(metric, None)
         self._samples += block.n_head
 
     def adopt_chunk(self, key: MetricKey, chunk: SealedChunk,
@@ -1786,12 +1855,15 @@ class TimeSeriesStore(SeriesQueryMixin):
         arrival stream ``[restored head | WAL records]``, so that many
         samples leave the head; returns how many were *not* in it — the
         caller skips that many of the series' WAL points."""
-        s = self._series.get(key) or self._new_series(key)
+        block, row = self._row(key)
         n = chunk.summary.count
-        in_head = min(n, len(s.head()[0]))
-        s.block.take(s.row, in_head)
-        s.pyramid.add_sealed(t, v, s.n_sealed_samples)
-        s.adopt(chunk)
+        in_head = min(n, int(block.counts[row]))
+        block.take(row, in_head)
+        s = block.record(row)
+        if s.pyramid is None:
+            s.pyramid = SeriesPyramid(self.pyramid_levels)
+        s.pyramid.add_sealed(t, v, int(block.sealed[row]))
+        block.adopt(row, chunk)
         self._samples += n - in_head
         self._note_seal(1, n, chunk.nbytes)
         return n - in_head
@@ -1832,6 +1904,9 @@ class TimeSeriesStore(SeriesQueryMixin):
         """Per-metric stored point counts — the durable truth the
         ledger reconciles against after a crash recovery."""
         out: dict[str, int] = {}
-        for key, s in self._series.items():
-            out[key.metric] = out.get(key.metric, 0) + s.n_samples
+        for metric, block in self._blocks.items():
+            live = block.counts >= 0
+            if np.count_nonzero(live):
+                out[metric] = int(block.counts[live].sum()
+                                  + block.sealed[live].sum())
         return out

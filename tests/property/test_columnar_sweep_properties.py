@@ -152,10 +152,16 @@ def _run(batches, chunk_size, table):
                 watch.observe(batch)
                 store.append(batch)
     block = store._blocks["m"]
-    heads = {key: _freeze(s.head())
-             for key, s in sorted(store._series.items(), key=str)}
-    sealed = {key: (_freeze(s.export_state()), [c.blob for c in s.chunks])
-              for key, s in sorted(store._series.items(), key=str)}
+    exported = block.export_series(store.pyramid_levels)
+    heads, sealed = {}, {}
+    for key in store.keys():
+        s, _, _, row = store._series_view(key.metric, key.component)
+        c = block.counts[row]
+        t = block.times if block.row_times is None else block.row_times[row]
+        heads[key] = _freeze((t[:c], block.values[row, :c]))
+        sealed[key] = None if s is None else (
+            _freeze(exported[key.metric, key.component]),
+            [c.blob for c in s.chunks])
     return {
         "stats": {m: _table_state(t) for m, t in stats._tables.items()},
         "watch": _table_state(watch._table),

@@ -202,13 +202,14 @@ class TestSelectionResolution:
         want_comps = (store.components("m") if sel is None
                       else list(dict.fromkeys(map(str, sel))))
         assert comps == want_comps
-        want = [(rank, view[0]) for rank, c in enumerate(want_comps)
+        want = [(rank, view[2:]) for rank, c in enumerate(want_comps)
                 if (view := store._series_view("m", c)) is not None]
-        got = sorted((rank, block.series[row])
-                     for block, rows, ranks in parts
-                     for row, rank in zip(rows.tolist(), ranks.tolist()))
+        got = sorted(((rank, (block, row)) for block, rows, ranks in parts
+                      for row, rank in zip(rows.tolist(), ranks.tolist())),
+                     key=lambda x: x[0])
         assert [r for r, _ in got] == [r for r, _ in want]
-        assert all(a is b for (_, a), (_, b) in zip(got, want))
+        assert all(a[0] is b[0] and a[1] == b[1]
+                   for (_, a), (_, b) in zip(got, want))
         if isinstance(store, ShardedTimeSeriesStore):
             # every series found sits on the shard shard_of routes it to
             owner = {id(s._blocks["m"]): i for i, s in enumerate(store.shards)
@@ -216,7 +217,7 @@ class TestSelectionResolution:
             for block, rows, _ in parts:
                 for row in rows.tolist():
                     assert store.shard_of(
-                        "m", block.series[row].key.component) == owner[id(block)]
+                        "m", block.key(row).component) == owner[id(block)]
 
     @given(data=st.data(), agg=st.sampled_from(AGGS), step=steps,
            unbounded=st.booleans())

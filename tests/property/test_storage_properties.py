@@ -244,53 +244,71 @@ class TestBlockCompress:
         assert compress_chunks(np.arange(3.0), np.empty((0, 3))) == []
 
 
+def _head(block, row):
+    """Zero-copy ``(times, values)`` of one row's open head."""
+    c = block.counts[row]
+    t = block.times if block.row_times is None else block.row_times[row]
+    return t[:c], block.values[row, :c]
+
+
 def _seal_rows_reference(self, block, rows):
     """The per-row sequence the block seal replaced, on the scalar codec
     and the one-series fold: the oracle ``_seal_rows`` is held to."""
     for r in rows.tolist():
-        s = block.series[r]
-        t, v = s.head()
+        t, v = _head(block, r)
         order = np.argsort(t, kind="stable")
         t, v = t[order], v[order]
         blob = _compress_chunk_slow(t, v)
         t_r = np.round(t * 1000.0).astype(np.int64).astype(np.float64) / 1000.0
         chunk = SealedChunk.of(t_r, v, blob=blob)
-        if s.tier is not None:
-            s.tier.on_seal(s.key, chunk)
-        s.pyramid.add_sealed(t_r, v, s.n_sealed_samples)
-        s.adopt(chunk)
+        s = block.record(r)
+        if block.tier is not None:
+            block.tier.on_seal(s.key, chunk)
+        if s.pyramid is None:
+            s.pyramid = rollup.SeriesPyramid(self.pyramid_levels)
+        s.pyramid.add_sealed(t_r, v, int(block.sealed[r]))
+        block.adopt(r, chunk)
         block.take(r, len(t))
-        if s.tier is not None:
-            s.tier.enforce_budget()
+        if block.tier is not None:
+            block.tier.enforce_budget()
         self._note_seal(1, len(t), len(blob))
 
 
-def _seal_rows(pyramid, level):
+def _seal_rows(block, row, level):
     """Every seal's rows of a level, sorted by ``(b, t_last, seq)``: the
-    series' own pieces and its rows of seal groups, nothing combined —
-    the same whichever reads merged the own pieces before."""
-    return rollup._union(list(pyramid._pieces[level]) + [
+    series' own pieces and its rows of the block's seal groups, nothing
+    combined — the same whichever reads merged the own pieces before."""
+    s = block.series[row]
+    own = [] if s.pyramid is None else list(s.pyramid._pieces[level])
+    return rollup._union(own + [
         rollup.row_piece(group.pieces[level], k, {})
-        for group, k in pyramid._shared or ()])
+        for group in block.groups for k in np.flatnonzero(group.rows == row)])
 
 
 def _sealed_state(store):
     """Everything a seal leaves behind, in comparable form."""
     out = {}
-    for key, s in sorted(store._series.items(), key=lambda kv: str(kv[0])):
-        out[str(key)] = (
-            [(repr(c.summary), None if c.hint is None
-              else (str(c.hint.dtype), c.hint.tobytes()), c.ref,
-              c.blob) for c in s.chunks],
-            s.n_sealed_samples, s.sealed_bytes, s.sealed_t_max,
-            [[(str(col.dtype), col.tobytes())
-              for col in _seal_rows(s.pyramid, lv)]
-             for lv in s.pyramid.levels],
-            [(str(col.dtype), col.tobytes())
-             for lv in s.pyramid.levels
-             for col in s.pyramid.level_columns(lv)],
-        )
-    return out
+    levels = store.pyramid_levels
+    for metric, block in store._blocks.items():
+        exported = block.export_series(levels)
+        for row, s in enumerate(block.series):
+            if s is None:
+                continue
+            out[str(s.key)] = (
+                [(repr(c.summary), None if c.hint is None
+                  else (str(c.hint.dtype), c.hint.tobytes()), c.ref,
+                  c.blob) for c in s.chunks],
+                int(block.sealed[row]), s.sealed_bytes,
+                max(c.summary.t_max for c in s.chunks),
+                [[(str(col.dtype), col.tobytes())
+                  for col in _seal_rows(block, row, lv)]
+                 for lv in levels],
+                [(str(col.dtype), col.tobytes())
+                 for lv in levels
+                 for col in exported[metric, s.key.component]["pyramid"][
+                     "pieces"][lv]],
+            )
+    return dict(sorted(out.items()))
 
 
 class TestBlockSealAgainstPerRowReference:
@@ -606,11 +624,11 @@ class TestHeadBlockAgainstReference:
                 plain.flush()
         assert store.keys() == plain.keys()
         for k in store.keys():
-            got, want = (s._series_view(k.metric, k.component)[0]
+            got, want = (s._series_view(k.metric, k.component)
                          for s in (store, plain))
-            assert ([c.blob for c in got.chunks]
-                    == [c.blob for c in want.chunks])
-            assert np.array_equal(got.head()[0], want.head()[0])
+            assert ([c.blob for c in got[0].chunks] if got[0] else []) == (
+                [c.blob for c in want[0].chunks] if want[0] else [])
+            assert np.array_equal(_head(*got[2:])[0], _head(*want[2:])[0])
 
 
 # -- the raw block read against a reference that shares none of its code ---------
@@ -623,9 +641,9 @@ def _raw_reference(store, metric, comp, t0, t1):
     view = store._series_view(metric, comp)
     if view is None:
         return np.empty(0), np.empty(0)
-    series = view[0]
-    parts = [_decompress_chunk_slow(bytes(series.chunk_blob(c)))
-             for c in series.chunks] + [series.head()]
+    series, _, block, row = view
+    parts = [_decompress_chunk_slow(bytes(tsdb._chunk_blob(block.tier, c)))
+             for c in (series.chunks if series else ())] + [_head(block, row)]
     t = np.concatenate([p[0] for p in parts])
     v = np.concatenate([p[1] for p in parts])
     keep = (t >= t0) & (t < t1)

@@ -108,6 +108,25 @@ class TestResultCaching:
         assert fe.first_time("m.x", None, tenant="g") == np.inf
         assert fe.rejected == 2
 
+    @pytest.mark.parametrize("shards", [0, 2])
+    @pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -1.0])
+    def test_partials_refuse_a_step_that_makes_no_grid(self, shards, step):
+        """A step that is not positive and finite is refused before
+        admission and before any grid is anchored, on a plain store and
+        a sharded one alike: no answer, no warning, no tenant charged."""
+        store = (ShardedTimeSeriesStore(shards=shards, chunk_size=4)
+                 if shards else TimeSeriesStore(chunk_size=4))
+        for i in range(6):
+            store.append(SeriesBatch.sweep("m", 10.0 * i, ["a", "b"],
+                                           [float(i), -float(i)]))
+        fe = QueryFrontend(store, quotas={"g": TenantQuota(0.0, 0.0)})
+        for tenant in ("default", "g"):
+            with pytest.raises(ValueError,
+                               match="step must be positive and finite"):
+                fe.partials("m", None, 0.0, 3000.0, step, tenant=tenant)
+        s = fe.stats()
+        assert (s.rejected, s.cache.hits, s.cache.misses) == (0, 0, 0)
+
     def test_partials_are_charged_the_levels_they_keep_alive(self):
         """Rollup rows in a partials answer are slices of a series'
         merged level, which a cached answer keeps alive whole: the

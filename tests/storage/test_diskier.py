@@ -45,6 +45,12 @@ def open_fds():
     return len(os.listdir("/proc/self/fd"))
 
 
+
+def sealed_t_max(store, metric, component):
+    """The newest sealed sample time of one series."""
+    return max(c.summary.t_max
+               for c in store._series_view(metric, component)[0].chunks)
+
 class TestHotBudget:
     def test_hot_bytes_never_exceed_budget(self, tmp_path):
         store = disk_store(tmp_path)
@@ -299,8 +305,10 @@ class TestSnapshotRecover:
         assert report.manifest_chunks == 0 and report.scanned_chunks > 0
         assert rec.chunk_size == 16
         assert rec.pyramid_levels == (10.0, 60.0)
-        series, _ = rec._series_view("m", "a")
-        assert series.pyramid.samples_folded == 100
+        series = rec._series_view("m", "a")[0]
+        # the scan folded every sample into the series' own levels
+        assert all(series.pyramid.level_columns(lv)[1].sum() == 100
+                   for lv in rec.pyramid_levels)
         got = rec.query("m", "a")
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.values.view(np.uint64),
@@ -421,7 +429,7 @@ class TestSnapshotRecover:
         want = {(k.metric, k.component): (
                     store.query(k.metric, k.component),
                     store.downsample(k.metric, k.component, 0.0, 300.0, 60.0),
-                    store._series_view(k.metric, k.component)[0].sealed_t_max)
+                    sealed_t_max(store, k.metric, k.component))
                 for k in store.keys()}
         stats = store.stats()
         store.simulate_crash()
@@ -436,11 +444,11 @@ class TestSnapshotRecover:
             got = rec.downsample(m, c, 0.0, 300.0, 60.0)
             assert np.array_equal(got.times, ds.times)
             assert np.array_equal(got.values, ds.values)
-            assert rec._series_view(m, c)[0].sealed_t_max == t_max
+            assert sealed_t_max(rec, m, c) == t_max
         rec.close()                     # a manifest now: t_max from its rows
         again = rec.reopen()
         assert again.recovery.scanned_chunks == 0
-        assert all(again._series_view(m, c)[0].sealed_t_max == t_max
+        assert all(sealed_t_max(again, m, c) == t_max
                    for (m, c), (_, _, t_max) in want.items())
         again.close()
 

@@ -202,13 +202,14 @@ def sweep_store(n_sweeps, k=64, chunk_size=32, cadence=60.0, store=None):
 
 
 def pyramid_arrays(store):
-    """Every array a series' pyramid reaches: its own pieces, and the
-    pieces and row columns of the seal groups it references."""
-    for s in store._series.values():
-        p = s.pyramid
-        yield from (c for pieces in p._pieces.values()
-                    for piece in pieces for c in piece)
-        for group, _ in p._shared or ():
+    """Every array the rollup levels reach: each series' own pieces, and
+    the pieces and row columns of each block's seal groups."""
+    for block in store._blocks.values():
+        for s in block.series:
+            if s is not None and s.pyramid is not None:
+                yield from (c for pieces in s.pyramid._pieces.values()
+                            for piece in pieces for c in piece)
+        for group in block.groups:
             yield from (c for piece in group.pieces.values() for c in piece)
             yield from (group.rows, group.seq_base)
 
@@ -258,20 +259,24 @@ class TestOneSampleLevels:
 
     def test_the_one_sample_levels_share_the_values(self):
         store = sweep_store(32 * 4 + 5)
-        p = store._series_view("m", "n3")[0].pyramid
-        group, k = p._shared[-1]
+        block = store._blocks["m"]
+        group = block.groups[-1]
         fine, coarse = (group.pieces[lv] for lv in (10.0, 60.0))
         assert fine[2] is coarse[2] is fine[6]
         assert np.shares_memory(fine[2], coarse[2])
         # a merge of the levels (the manifest's) still shares one values
         # column between them (not the hour level, which folds), and
-        # leaves no copy behind: the series holds its four references
-        merged = p.export_state()["pieces"]
+        # leaves no copy behind: the series is in its four groups and
+        # holds no levels of its own
+        merged = block.export_series(DEFAULT_LEVELS)[("m", "n3")]["pyramid"][
+            "pieces"]
         fine, coarse, hour = (merged[lv] for lv in DEFAULT_LEVELS)
         assert fine[2] is coarse[2] is coarse[3] is coarse[4] is coarse[6]
         assert not np.shares_memory(hour[2], fine[2])
         assert len(fine[2]) == 32 * 4
-        assert len(p._shared) == 4 and not any(p._pieces.values())
+        row = block.table.row("n3")
+        assert len(block.shared()[row]) == 4
+        assert block.series[row].pyramid is None
         want = store.downsample("m", "n3", 0.0, 32 * 4 * 60.0, 600.0, "max",
                                 prune=False)
         got = store.downsample("m", "n3", 0.0, 32 * 4 * 60.0, 600.0, "max")

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.core.metric import SeriesBatch
-from repro.storage.sqlstore import SqlStore, TestResultRow
+from repro.storage.sqlstore import SqlStore
 
 
 @pytest.fixture()
@@ -41,39 +41,6 @@ class TestJobs:
         db.upsert_job(3, "a", 1, 0.0, "completed")
         assert [j.job_id for j in db.jobs(state="completed")] == [2, 3]
         assert [j.job_id for j in db.jobs(app="a")] == [1, 3]
-
-    def test_jobs_running_at(self, db):
-        db.upsert_job(1, "a", 1, 0.0, "completed",
-                      start_time=10.0, end_time=20.0)
-        db.upsert_job(2, "a", 1, 0.0, "running", start_time=15.0)
-        at_12 = [j.job_id for j in db.jobs_running_at(12.0)]
-        at_30 = [j.job_id for j in db.jobs_running_at(30.0)]
-        assert at_12 == [1]
-        assert at_30 == [2]
-
-
-class TestNodeState:
-    def test_unhealthy_window(self, db):
-        db.insert_node_state(0.0, "n0", True, True)
-        db.insert_node_state(10.0, "n1", True, False)
-        db.insert_node_state(20.0, "n2", False, False)
-        assert db.unhealthy_nodes_at(0.0, 15.0) == ["n1"]
-        assert db.unhealthy_nodes_at(0.0, 30.0) == ["n1", "n2"]
-
-
-class TestTestResults:
-    def row(self, t, passed=True, test="dgemm", value=1.0):
-        return TestResultRow(t, "nightly", test, "system", passed, value, "")
-
-    def test_insert_and_filter(self, db):
-        db.insert_test_result(self.row(0.0))
-        db.insert_test_result(self.row(10.0, passed=False, value=0.2))
-        db.insert_test_result(self.row(20.0, test="iorate"))
-        fails = db.test_results(only_failures=True)
-        assert len(fails) == 1 and fails[0].value == 0.2
-        assert len(db.test_results(test="dgemm")) == 2
-        assert len(db.test_results(t0=5.0, t1=15.0)) == 1
-
 
 class TestSamples:
     def test_append_query_round_trip(self, db):

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import pickle
 import sys
 from unittest.mock import Mock
 
@@ -15,7 +16,7 @@ from repro.serve.frontend import QueryFrontend
 from repro.storage import rollup, tsdb
 from repro.storage.chunkcache import CHUNK_CACHE_BYTES, LRUCache
 from repro.storage.diskier import DiskTier
-from repro.storage.rollup import DEFAULT_LEVELS
+from repro.storage.rollup import AGGS, DEFAULT_LEVELS
 from repro.storage.sharded import ShardedTimeSeriesStore
 from repro.storage.tsdb import (
     SealedChunk,
@@ -479,7 +480,8 @@ class TestHeadBlock:
         assert store.adopt_chunk(MetricKey("m", "b"), chunk, t, v) == 0
         s = store.stats()
         assert (s.samples, s.sealed_chunks) == (40, 1)
-        assert len(store._series_view("m", "b")[0].head()[0]) == 6
+        _, _, block, row = store._series_view("m", "b")
+        assert block.counts[row] == 6
         for c in self.NAMES:
             got = store.query("m", c)
             assert np.array_equal(got.times, want[c].times)
@@ -705,23 +707,23 @@ class TestBlockSeal:
         # the lock-step metric sealed four rows a call, the rest a row
         assert sorted(len(c.args[1]) for c in groups.call_args_list) == (
             [1] * 18 + [4, 4])
-        # rows sealed together are one seal group: each series holds a
-        # reference to its row, whose bucket, count and t_last columns
-        # are the group's own, read-only; what differs by row is the row
-        (ga, ka), (gb, kb) = (
-            store._series_view("m.step", c)[0].pyramid._shared[0]
-            for c in "ab")
-        assert ga is gb and ka != kb
+        # rows sealed together are one seal group: it alone records
+        # which rows are in it, and their bucket, count and t_last
+        # columns are the group's own, read-only; what differs is the row
+        block = store._blocks["m.step"]
+        ga = block.groups[0]
+        ka, kb = (ga.rows.tolist().index(block.table.row(c)) for c in "ab")
+        assert ka != kb
         memo = {}
         a, b = (rollup.row_piece(ga.pieces[10.0], k, memo) for k in (ka, kb))
         for i in (0, 1, 5):
             assert a[i] is b[i] and not a[i].flags.writeable
         assert not np.array_equal(a[2], b[2])
         self.assert_answers_like(store, ref)
-        # and no read copied a row out of its group
+        # and no read copied a row out of its group: no series of the
+        # metric holds levels of its own
         for c in "ab":
-            assert not any(store._series_view(
-                "m.step", c)[0].pyramid._pieces.values())
+            assert store._series_view("m.step", c)[0].pyramid is None
 
     def test_a_crash_between_two_groups_of_a_storm_recovers_exact(
             self, tmp_path):
@@ -763,9 +765,10 @@ class TestBlockSeal:
         monkeypatch.setattr(tsdb, "group_partials", groups)
         store = TimeSeriesStore(chunk_size=4, pyramid_levels=self.LEVELS)
         self.feed(store)                # sealed through t = 49, heads at 56
-        series = store._series_view("m.step", "a")[0]
-        assert series.sealed_t_max == 49.0
-        assert len(series.pyramid._shared) == 2     # two seals, two groups
+        series, _, block, row = store._series_view("m.step", "a")
+        assert max(c.summary.t_max for c in series.chunks) == 49.0
+        # two seals, two groups
+        assert sum(row in g.rows for g in block.groups) == 2
         got = store.downsample("m.step", "a", 50.0, 70.0, 10.0, "mean")
         assert groups.call_count == 0   # no group's span meets the window
         want = store.downsample("m.step", "a", 50.0, 70.0, 10.0, "mean",
@@ -774,10 +777,11 @@ class TestBlockSeal:
         assert np.array_equal(got.values, want.values)
         store.downsample("m.step", "a", 40.0, 70.0, 10.0, "mean")
         # only the group holding [40, 50) is read, and nothing is copied
-        # out of it: the series still holds its two references
+        # out of it: the series is still in its two groups, with no
+        # levels of its own
         assert groups.call_count == 1
-        assert len(series.pyramid._shared) == 2
-        assert not any(series.pyramid._pieces.values())
+        assert sum(row in g.rows for g in block.groups) == 2
+        assert series.pyramid is None
 
 
 class TestMetricIndex:
@@ -792,9 +796,9 @@ class TestMetricIndex:
         else:
             shards = [s for s, h in zip(shards, store.shard_health())
                       if h is not Health.FAILED]
-        keys = sorted((k for s in shards for k in s._series
-                       if k.metric == metric), key=str)
-        return [k.component for k in keys]
+        block_of = [s._blocks.get(metric) for s in shards]
+        return sorted(c for b in block_of if b is not None
+                      for c, r in b.table.index.items() if b.counts[r] >= 0)
 
     def assert_scan(self, store):
         for _ in range(2):              # building the index, then using it
@@ -911,8 +915,10 @@ class TestSelectionReads:
             store.append(sweep("m", 10.0 * i, ["a", "b"], [1.0, 2.0]))
         assert store.drop_series("m", "a")
         store.append(sweep("m", 100.0, ["a"], [5.0]))
-        view = store._series_view("m", "a")[0]
-        assert view.n_sealed_samples == 0 and view.n_samples == 1
+        record, _, block, row = store._series_view("m", "a")
+        # the recreated row has not sealed: no record, one open sample
+        assert record is None
+        assert (block.sealed[row], block.counts[row]) == (0, 1)
         assert store.query("m", "a").values.tolist() == [5.0]
         got, _ = store._bucketed_read("m", None, -np.inf, np.inf, 50.0,
                                       "count", "x")
@@ -947,3 +953,183 @@ class TestComponentColumn:
             assert len(batch) and not batch.components.flags.writeable
             assert batch.components.tolist() == (
                 [batch.components[0]] * len(batch))
+
+
+class TestSeriesAreRows:
+    """A series is a row of its metric's head block until it seals: the
+    block's table and ``counts >= 0`` are the one series index, a
+    record is made at a row's first seal, restore or recovery scan, and
+    seal-group membership lives on ``SealGroup.rows`` alone."""
+
+    NAMES = [f"n{i}" for i in range(4096)]
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Count every record, pyramid and level check the store makes."""
+        made = {"series": 0, "pyramid": 0}
+
+        def counting(name, cls):
+            def make(*args, **kw):
+                made[name] += 1
+                return cls(*args, **kw)
+            return make
+        monkeypatch.setattr(tsdb, "_Series", counting("series", tsdb._Series))
+        pyramid = rollup.SeriesPyramid
+        monkeypatch.setattr(tsdb, "SeriesPyramid",
+                            type("Counted", (pyramid,), {"__slots__": ()}))
+        monkeypatch.setattr(tsdb.SeriesPyramid, "__init__",
+                            lambda self, levels: (
+                                made.__setitem__("pyramid",
+                                                 made["pyramid"] + 1),
+                                pyramid.__init__(self, levels))[1])
+        checks = Mock(wraps=tsdb.check_levels)
+        monkeypatch.setattr(tsdb, "check_levels", checks)
+        return made, checks
+
+    def test_a_lock_step_fleet_makes_no_object_per_series(self, monkeypatch):
+        made, checks = self.counted(monkeypatch)
+        store = TimeSeriesStore(chunk_size=64)
+        assert checks.call_count == 1       # levels: checked once a store
+        rng = np.random.default_rng(2)
+        for i in range(10):
+            store.append(sweep("m", 10.0 * i, self.NAMES,
+                               rng.normal(size=len(self.NAMES))))
+        assert made == {"series": 0, "pyramid": 0}
+        assert checks.call_count == 1
+        # the reference: one series at a time, one point a batch
+        ref = TimeSeriesStore(chunk_size=64)
+        rng = np.random.default_rng(2)
+        for i in range(10):
+            for c, v in zip(self.NAMES, rng.normal(size=len(self.NAMES))):
+                ref.append(SeriesBatch.for_component("m", c, [10.0 * i], [v]))
+        keys = sorted((MetricKey("m", c) for c in self.NAMES), key=str)
+        assert store.keys() == store.keys("m") == ref.keys() == keys
+        assert store.components("m") == [k.component for k in keys]
+        s = store.stats()
+        assert (s.series, s.samples, s.sealed_chunks) == (4096, 40960, 0)
+        assert (s.series, s.samples, s.sealed_chunks) == (
+            ref.stats().series, ref.stats().samples, 0)
+        assert store.points_by_metric() == ref.points_by_metric() == {
+            "m": 40960}
+        got = store.query("m", "n7")
+        want = ref.query("m", "n7")
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(bits(got.values), bits(want.values))
+
+    def test_only_a_row_that_sealed_alone_has_levels_of_its_own(
+            self, monkeypatch):
+        made, _ = self.counted(monkeypatch)
+        store = TimeSeriesStore(chunk_size=4)
+        names = ["a", "b", "c"]
+        for i in range(4):      # the first storm: one group of three
+            store.append(sweep("m", 10.0 * i, names, [1.0, 2.0, 3.0]))
+            store.append(sweep("k", 10.0 * i, ["solo"], [4.0]))
+        assert made == {"series": 4, "pyramid": 1}
+        block = store._blocks["m"]
+        assert len(block.groups) == 1
+        assert sorted(block.groups[0].rows.tolist()) == [0, 1, 2]
+        for c in names:
+            record = store._series_view("m", c)[0]
+            assert record.pyramid is None and len(record.chunks) == 1
+        assert store._series_view("k", "solo")[0].pyramid is not None
+        # a late joiner makes the block ragged: from then on rows seal
+        # alone, and each such row gets levels of its own
+        store.append(sweep("m", 40.0, names, [1.0, 2.0, 3.0]))
+        for i in range(5, 9):
+            store.append(sweep("m", 10.0 * i, names + ["late"],
+                               [1.0, 2.0, 3.0, 5.0]))
+        assert len(block.groups) == 1
+        for c in names + ["late"]:
+            record = store._series_view("m", c)[0]
+            assert record.pyramid is not None
+        assert made == {"series": 5, "pyramid": 5}
+
+    def feed(self, store, names):
+        """Lock-step storms, then a ragged joiner's own seals and a row
+        that joins too late to seal; only ``names`` are fed."""
+        rng = np.random.default_rng(6)
+        everyone = ["a", "b", "c", "d", "late", "new"]
+        for i in range(23):
+            comps = everyone[:4] + (["late"] if i >= 9 else []) + (
+                ["new"] if i >= 21 else [])
+            vals = rng.normal(size=len(comps))
+            keep = [j for j, c in enumerate(comps) if c in names]
+            store.append(sweep("m", 10.0 * i, [comps[j] for j in keep],
+                               vals[keep]))
+
+    @staticmethod
+    def reads(store):
+        out = {"keys": store.keys(), "points": store.points_by_metric(),
+               "series": store.stats().series,
+               "samples": store.stats().samples}
+        for c in store.components("m"):
+            out[c] = store.query("m", c)
+            for step, agg in itertools.product((10.0, 60.0), AGGS):
+                out[c, step, agg] = store.downsample("m", c, 0.0, 230.0,
+                                                     step, agg)
+        for step, agg in itertools.product((10.0, 60.0, 120.0), AGGS):
+            out[step, agg] = store._bucketed_read("m", None, 0.0, 230.0,
+                                                  step, agg, "m")[0]
+            out[step, agg, "raw"] = store.aggregate_across(
+                "m", None, 0.0, 230.0, step, agg)
+        return out
+
+    def assert_same(self, got, want):
+        assert got.keys() == want.keys()
+        for k, w in want.items():
+            g = got[k]
+            if isinstance(w, SeriesBatch):
+                assert np.array_equal(g.times, w.times), k
+                assert np.array_equal(bits(g.values), bits(w.values)), k
+            else:
+                assert g == w, k
+
+    def test_dropped_rows_leave_no_trace_across_a_reopen(self, tmp_path):
+        store = TimeSeriesStore(chunk_size=4, disk=DiskTier(tmp_path / "t"))
+        self.feed(store, ["a", "b", "c", "d", "late", "new"])
+        block = store._blocks["m"]
+        rows = {c: block.table.row(c) for c in ("b", "late", "new")}
+        assert any(rows["b"] in g.rows for g in block.groups)  # grouped
+        late = store._series_view("m", "late")[0]
+        assert late.pyramid is not None and not any(
+            rows["late"] in g.rows for g in block.groups)       # own only
+        assert store._series_view("m", "new")[0] is None        # unsealed
+        for c in ("b", "late", "new"):
+            assert store.drop_series("m", c)
+        assert not any(r in g.rows for g in block.groups
+                       for r in rows.values())
+        store.snapshot()
+        store.close()
+        rec = store.reopen()
+        ref = TimeSeriesStore(chunk_size=4)
+        self.feed(ref, ["a", "c", "d"])
+        self.assert_same(self.reads(rec), self.reads(ref))
+        rec.close()
+
+    def test_a_manifest_of_the_previous_shape_opens_bit_for_bit(
+            self, tmp_path):
+        store = TimeSeriesStore(chunk_size=4, disk=DiskTier(tmp_path / "t"))
+        self.feed(store, ["a", "b", "c", "d", "late", "new"])
+        want = self.reads(store)
+        path = store.snapshot()
+        store.close()
+        with open(path, "rb") as f:
+            manifest = pickle.load(f)
+        assert ("m", "new") not in manifest["series"]   # it never sealed
+        # the previous build wrote a folded-sample count beside each
+        # series' levels, and an entry for every series, sealed or not
+        for (_, c), state in manifest["series"].items():
+            state["pyramid"]["samples_folded"] = sum(
+                summary.count for summary, _, _ in state["chunks"])
+        manifest["series"][("m", "new")] = {
+            "chunks": [],
+            "pyramid": {"levels": DEFAULT_LEVELS, "samples_folded": 0,
+                        "pieces": {lv: rollup._empty_partials()
+                                   for lv in DEFAULT_LEVELS}},
+        }
+        with open(path, "wb") as f:
+            pickle.dump(manifest, f)
+        rec = store.reopen()
+        assert rec._series_view("m", "new")[0] is None
+        self.assert_same(self.reads(rec), want)
+        rec.close()
