@@ -284,8 +284,10 @@ VITALS: tuple[tuple[str, Callable[["MonitoringPipeline"], Any],
     )),
     ("chunk_cache", lambda p: p.tsdb.cache_stats(), (
         _vital("selfmon.store.cache_hits", "count", _C, "chunk-cache", "hits",
-               "Cumulative decompressed-chunk cache hits (reads "
-               "served without decoding a sealed chunk)."),
+               "Cumulative decompressed-chunk cache hits (sealed chunks "
+               "read without decoding: a seal group's chunk as its "
+               "values beside the group's shared time column, any "
+               "other as its times and values)."),
         _vital("selfmon.store.cache_misses", "count", _C, "chunk-cache",
                "misses",
                "Cumulative decompressed-chunk cache misses (reads "
@@ -295,8 +297,14 @@ VITALS: tuple[tuple[str, Callable[["MonitoringPipeline"], Any],
                "Cumulative LRU evictions from the decompressed-chunk "
                "cache under its byte bound.", higher_is_worse=True),
         _vital("selfmon.store.cache_bytes", "B", _G, "chunk-cache", "bytes",
-               "Resident bytes of decompressed chunks held by the "
-               "cache."),
+               "Resident bytes of decoded sealed chunks held by the "
+               "cache: 8 B a sample for a seal group's chunk (values "
+               "only), 16 B for any other (times and values)."),
+        _vital("selfmon.store.cache_entries", "count", _G, "chunk-cache",
+               "entries",
+               "Decoded sealed chunks resident in the cache; "
+               "cache_bytes / cache_entries is the bytes a cached "
+               "chunk costs."),
     )),
     # a store that spills to disk, else None
     ("disk_tier", lambda p: p.tsdb.disk_stats(), (

@@ -1,7 +1,17 @@
 """The one byte-bounded LRU: the chunk cache and the query-result cache.
 
-As the **chunk cache** it holds decompressed sealed chunks,
-``chunk id -> (times, values)``.  Sealed chunks are immutable — never
+As the **chunk cache** it holds decoded sealed chunks in one of two
+shapes, both read-only arrays made by one writer
+(:func:`repro.storage.tsdb._decode`):
+
+* ``chunk id -> values`` (8 B a sample) for a chunk sealed in a seal
+  group (:class:`~repro.storage.rollup.SealGroup`) — its ``K`` chunks
+  share one time column, which the group holds (``chunk.times``), so an
+  entry stores only what is the chunk's own;
+* ``chunk id -> (times, values)`` (16 B a sample) for a chunk sealed
+  alone, restored from a manifest or found by a recovery scan.
+
+Sealed chunks are immutable — never
 rewritten, only dropped wholesale by eviction or archiving — so caching
 their decompressed arrays is *exact*: no coherence problem, only a
 capacity bound (InfluxDB's TSM block cache, Gorilla's in-memory block

@@ -407,18 +407,22 @@ class SealGroup:
     level (:func:`fold_group`) — bucket, count and ``t_last`` ``(B,)``,
     value and seq columns ``(K, B)``.  ``rows`` are the block rows the
     K series live in (``-1`` once a series is dropped), ``seq_base``
-    what each had sealed before, ``n`` / ``t_min`` / ``t_max`` the span
-    the K chunks share.  A fleet read answers its sealed part one group
-    at a time (:func:`group_partials`)."""
+    what each had sealed before, ``times`` the one time column the K
+    chunks share (time-sorted, ms-rounded — what each decompresses back
+    to — and read-only: every chunk's ``times`` is this object), ``n`` /
+    ``t_min`` / ``t_max`` its span.  A fleet read answers its sealed
+    part one group at a time (:func:`group_partials`)."""
 
-    __slots__ = ("rows", "chunks", "seq_base", "n", "t_min", "t_max",
-                 "pieces")
+    __slots__ = ("rows", "chunks", "seq_base", "times", "n", "t_min",
+                 "t_max", "pieces")
 
     def __init__(self, rows: np.ndarray, seq_base: np.ndarray, t: np.ndarray,
                  pieces: dict) -> None:
         self.rows = np.array(rows, dtype=np.intp)
         self.chunks: list = []      # one SealedChunk a row, None once dropped
         self.seq_base = seq_base
+        t.flags.writeable = False
+        self.times = t
         self.n, self.t_min, self.t_max = len(t), float(t[0]), float(t[-1])
         self.pieces = pieces
 
@@ -695,7 +699,7 @@ def series_partials(series, decode, t0: float, t1: float, step: float,
     for chunk in series.chunks if left or right else ():
         summ = chunk.summary
         lo, hi, n = summ.t_min, summ.t_max, summ.count
-        if not chunk.grouped and _edge(lo, hi, t0, t1, full_lo, full_hi):
+        if chunk.times is None and _edge(lo, hi, t0, t1, full_lo, full_hi):
             b = _one_bucket(lo, hi, t0, t1, full_lo, full_hi, step, anchor)
             if b is not None:
                 summaries.append((b, n, summ.v_sum, summ.v_min, summ.v_max,
@@ -789,8 +793,9 @@ def group_partials(group: SealGroup, ranks: np.ndarray, decode, t0: float,
     sources of :func:`series_partials`, for every selected row at once:
     one binary search on the group's shared bucket column and one gather
     of the selected rows (none when all are), a summary column, or one
-    fold over the rows' decoded chunks — ``decode(ks)`` returns the
-    ``(times, values)`` of rows ``ks``' chunks."""
+    fold over the rows' decoded chunks on the group's time column —
+    ``decode(ks)`` returns the ``(times, values)`` of rows ``ks``'
+    chunks."""
     sel = (ranks >= 0).nonzero()[0]
     if len(sel) == len(ranks):
         sel = None
@@ -823,8 +828,7 @@ def group_partials(group: SealGroup, ranks: np.ndarray, decode, t0: float,
         pieces.append((np.array([b]), np.array([n]), v_sum, v_min, v_max,
                        np.array([hi]), v_last, seq_base + (n - 1)))
     else:
-        got = decode(ks)
-        piece = _edge_fold(got[0][0], np.stack([v for _, v in got]),
+        piece = _edge_fold(group.times, np.stack([v for _, v in decode(ks)]),
                            seq_base, t0, t1, full_lo, full_hi, step, anchor)
         if piece is not None:
             pieces.append(piece)

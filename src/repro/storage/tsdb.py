@@ -381,10 +381,60 @@ def _xor_token_lens(values: np.ndarray) -> np.ndarray | None:
     return lens
 
 
+def _time_section(blob, buf: np.ndarray, n: int, decode: bool
+                  ) -> tuple[np.ndarray | None, int]:
+    """The millisecond timestamps of an ``n >= 1``-sample chunk (None
+    unless ``decode``) and the offset of its value section.
+
+    Varint ends are the bytes with a clear continuation bit, so finding
+    where the section ends takes one scan; the delta-of-delta decode
+    (zig-zag, two cumsums) is paid only when the times are wanted.
+    """
+    (first_ts,) = struct.unpack_from("<q", blob, 4)
+    if n == 1:
+        return np.array([first_ts], dtype=np.int64) if decode else None, 12
+    # the first delta-of-delta IS the first delta — typically large
+    # (one collection interval), so parse it scalarly and fast-path
+    # the rest, which is all zeros on a regular cadence
+    first, off = _read_varint(blob, 12)
+    rest = buf[off : off + n - 2]
+    if len(rest) == n - 2 and bool((rest < 0x80).all()):
+        pos = off + n - 2                       # every varint is one byte
+        if not decode:
+            return None, pos
+        z = rest.astype(np.uint64)
+    else:
+        sec = buf[off : off + 10 * (n - 2)]     # varints <= 10 bytes each
+        ends = np.flatnonzero(sec < 0x80)[: n - 2]
+        pos = off + int(ends[-1]) + 1
+        if not decode:
+            return None, pos
+        starts = np.empty(n - 2, dtype=np.int64)
+        starts[0] = 0
+        starts[1:] = ends[:-1] + 1
+        lens = ends - starts + 1
+        cols = np.arange(int(lens.max()))
+        idx = np.minimum(starts[:, None] + cols[None, :], len(sec) - 1)
+        mat = sec[idx].astype(np.uint64) & np.uint64(0x7F)
+        valid = cols[None, :] < lens[:, None]
+        shifts = np.uint64(7) * cols.astype(np.uint64)
+        z = ((mat << shifts[None, :]) * valid).sum(axis=1, dtype=np.uint64)
+    dod = np.empty(n - 1, dtype=np.int64)
+    dod[0] = first
+    dod[1:] = ((z >> np.uint64(1))
+               ^ (np.uint64(0) - (z & np.uint64(1)))).view(np.int64)
+    ts_ms = np.empty(n, dtype=np.int64)
+    ts_ms[0] = first_ts
+    ts_ms[1:] = first_ts + np.cumsum(np.cumsum(dod))
+    return ts_ms, pos
+
+
 def decompress_chunk(
-    blob: bytes, lens_hint: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`compress_chunk` (vectorized).
+    blob: bytes, lens_hint: np.ndarray | None = None, times: bool = True,
+) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
+    """Inverse of :func:`compress_chunk` (vectorized): ``(times,
+    values)``, or with ``times=False`` the values alone — the timestamp
+    section is then only skipped, not decoded.
 
     Variable-length token boundaries are recovered without a per-sample
     Python loop: varint ends are the bytes with a clear continuation
@@ -395,43 +445,9 @@ def decompress_chunk(
     """
     (n,) = struct.unpack_from("<I", blob, 0)
     if n == 0:
-        return np.empty(0), np.empty(0)
+        return (np.empty(0), np.empty(0)) if times else np.empty(0)
     buf = np.frombuffer(blob, dtype=np.uint8)
-    pos = 4
-    (first_ts,) = struct.unpack_from("<q", blob, pos)
-    pos += 8
-    ts_ms = np.empty(n, dtype=np.int64)
-    ts_ms[0] = first_ts
-    if n > 1:
-        dod = np.empty(n - 1, dtype=np.int64)
-        # the first delta-of-delta IS the first delta — typically large
-        # (one collection interval), so parse it scalarly and fast-path
-        # the rest, which is all zeros on a regular cadence
-        dod[0], off = _read_varint(blob, pos)
-        rest = buf[off : off + n - 2]
-        if len(rest) == n - 2 and bool((rest < 0x80).all()):
-            z = rest.astype(np.uint64)        # every varint is one byte
-            pos = off + n - 2
-        else:
-            sec = buf[off : off + 10 * (n - 2)]   # varints <= 10 bytes each
-            ends = np.flatnonzero(sec < 0x80)[: n - 2]
-            starts = np.empty(n - 2, dtype=np.int64)
-            starts[0] = 0
-            starts[1:] = ends[:-1] + 1
-            lens = ends - starts + 1
-            cols = np.arange(int(lens.max()))
-            idx = np.minimum(starts[:, None] + cols[None, :], len(sec) - 1)
-            mat = sec[idx].astype(np.uint64) & np.uint64(0x7F)
-            valid = cols[None, :] < lens[:, None]
-            shifts = np.uint64(7) * cols.astype(np.uint64)
-            z = ((mat << shifts[None, :]) * valid).sum(axis=1,
-                                                       dtype=np.uint64)
-            pos = off + int(ends[-1]) + 1
-        dod[1:] = ((z >> np.uint64(1))
-                   ^ (np.uint64(0) - (z & np.uint64(1)))).view(np.int64)
-        deltas = np.cumsum(dod)
-        ts_ms[1:] = first_ts + np.cumsum(deltas)
-
+    ts_ms, pos = _time_section(blob, buf, n, times)
     (first_val,) = struct.unpack_from("<Q", blob, pos)
     pos += 8
     bits = np.empty(n, dtype=np.uint64)
@@ -469,6 +485,8 @@ def decompress_chunk(
         x = (words >> drop) << place
         bits[1:] = np.where(slen == 0, np.uint64(0), x)
         np.bitwise_xor.accumulate(bits, out=bits)
+    if not times:
+        return bits.view(np.float64)
     return ts_ms.astype(np.float64) / 1000.0, bits.view(np.float64)
 
 
@@ -478,16 +496,19 @@ _SLAB_SAMPLES = 1 << 15
 
 
 def _decode_slab(buf: np.ndarray, base: np.ndarray, size: np.ndarray,
-                 hints: Sequence[np.ndarray | None], n: int) -> tuple:
+                 hints: Sequence[np.ndarray | None], n: int,
+                 times: bool) -> tuple:
     """``K`` chunks of ``n >= 3`` samples each, at ``buf[base:base + size]``,
     decoded as one ``(K, n)`` problem.
 
     Returns ``(rows, fit, t, v)``: ``rows`` are the chunks whose
     timestamps take the regular-cadence shape (a first delta, then one
-    byte per delta-of-delta), ``t`` / ``v`` hold a row for each of them,
-    and ``fit`` says which of those rows are a decode — the ones whose
-    XOR token lengths (the chunk's hint, else one uniform stride) tile
-    the section and agree with every header byte they land on.
+    byte per delta-of-delta), ``t`` / ``v`` hold a row for each of them
+    (``t`` is None unless ``times``: the shape check alone locates the
+    value sections), and ``fit`` says which of those rows are a decode —
+    the ones whose XOR token lengths (the chunk's hint, else one uniform
+    stride) tile the section and agree with every header byte they land
+    on.
     """
     win8 = np.lib.stride_tricks.sliding_window_view(buf, 8)
     # the first delta-of-delta IS the first delta: a varint of 1..10 bytes
@@ -501,18 +522,21 @@ def _decode_slab(buf: np.ndarray, base: np.ndarray, size: np.ndarray,
         base, size, lead10, l1, off, rest = (
             a[rows] for a in (base, size, lead10, l1, off, rest))
     k = len(rows)
-    z = np.empty((k, n - 1), dtype=np.uint64)
-    z[:, 0] = (((lead10 & np.uint8(0x7F)).astype(np.uint64)
-                << (np.uint64(7) * cols.astype(np.uint64)))
-               * (cols < l1[:, None])).sum(axis=1, dtype=np.uint64)
-    z[:, 1:] = rest
-    dod = ((z >> np.uint64(1))
-           ^ (np.uint64(0) - (z & np.uint64(1)))).view(np.int64)
-    ts_ms = np.empty((k, n), dtype=np.int64)
-    ts_ms[:, 0] = win8[base + 4].view("<i8")[:, 0]
-    np.cumsum(dod, axis=1, out=dod)                  # deltas
-    np.cumsum(dod, axis=1, out=ts_ms[:, 1:])
-    ts_ms[:, 1:] += ts_ms[:, :1]
+    t = None
+    if times:
+        z = np.empty((k, n - 1), dtype=np.uint64)
+        z[:, 0] = (((lead10 & np.uint8(0x7F)).astype(np.uint64)
+                    << (np.uint64(7) * cols.astype(np.uint64)))
+                   * (cols < l1[:, None])).sum(axis=1, dtype=np.uint64)
+        z[:, 1:] = rest
+        dod = ((z >> np.uint64(1))
+               ^ (np.uint64(0) - (z & np.uint64(1)))).view(np.int64)
+        ts_ms = np.empty((k, n), dtype=np.int64)
+        ts_ms[:, 0] = win8[base + 4].view("<i8")[:, 0]
+        np.cumsum(dod, axis=1, out=dod)                  # deltas
+        np.cumsum(dod, axis=1, out=ts_ms[:, 1:])
+        ts_ms[:, 1:] += ts_ms[:, :1]
+        t = ts_ms.astype(np.float64) / 1000.0
 
     vpos = off + (n - 2)
     sec = vpos + 8                       # the XOR section, to the blob's end
@@ -543,24 +567,29 @@ def _decode_slab(buf: np.ndarray, base: np.ndarray, size: np.ndarray,
     place = np.maximum(8 * (8 - lead - slen), 0).astype(np.uint64)
     bits[:, 1:] = np.where(slen == 0, np.uint64(0), (words >> drop) << place)
     np.bitwise_xor.accumulate(bits, axis=1, out=bits)
-    return rows, fit, ts_ms.astype(np.float64) / 1000.0, bits.view(np.float64)
+    return rows, fit, t, bits.view(np.float64)
 
 
 def decompress_chunks(
     items: Sequence[tuple[bytes | memoryview, np.ndarray | None]],
-) -> list[tuple[np.ndarray, np.ndarray]]:
+    times: bool = True,
+) -> list:
     """:func:`decompress_chunk` of every ``(blob, lens_hint)``, the chunks
     of one length decoded together (:func:`_decode_slab`, a slab at a
     time) — what a fleet read, which misses a chunk or three of every
     series, pays per chunk is a row of a few matrix operations, not a
-    Python call chain.  Every array owns its memory and is bit-identical
-    to the single-chunk decode.  :func:`decompress_chunk` is the ``K = 1``
-    case and decodes whatever the shared shape does not fit: irregular
-    cadence (multi-byte varints), mixed token lengths without a usable
-    hint, fewer than three samples, fewer than three chunks of a length.
+    Python call chain.  Each result is ``(times, values)``, or with
+    ``times=False`` the values alone: the XOR sections are decoded and
+    the timestamp sections only located — what a seal group's chunks
+    need, whose times are the group's one column.  Every array owns its
+    memory and is bit-identical to the single-chunk decode.
+    :func:`decompress_chunk` is the ``K = 1`` case and decodes whatever
+    the shared shape does not fit: irregular cadence (multi-byte
+    varints), mixed token lengths without a usable hint, fewer than
+    three samples, fewer than three chunks of a length.
     """
     if len(items) < 3:      # nothing a matrix pass would pay for
-        return [decompress_chunk(*item) for item in items]
+        return [decompress_chunk(*item, times) for item in items]
     blobs = [blob for blob, _ in items]
     hints = [hint for _, hint in items]
     out: list = [None] * len(items)
@@ -578,12 +607,15 @@ def decompress_chunks(
             part = same[s:s + per]
             rows, fit, t, v = _decode_slab(
                 buf, base[part], size[part],
-                [hints[i] for i in part.tolist()], n)
-            for i, ok, ti, vi in zip(part[rows].tolist(), fit.tolist(), t, v):
+                [hints[i] for i in part.tolist()], n, times)
+            for j, (i, ok) in enumerate(zip(part[rows].tolist(),
+                                            fit.tolist())):
                 if ok:
-                    out[i] = (ti.copy(), vi.copy())
-    return [tv if tv is not None else decompress_chunk(blobs[i], hints[i])
-            for i, tv in enumerate(out)]
+                    out[i] = ((t[j].copy(), v[j].copy()) if times
+                              else v[j].copy())
+    return [got if got is not None
+            else decompress_chunk(blobs[i], hints[i], times)
+            for i, got in enumerate(out)]
 
 
 # --------------------------------------------------------------------------
@@ -640,9 +672,13 @@ class SealedChunk:
     (or None), ``ref`` the disk-tier location (None without a tier),
     ``blob`` the resident compressed bytes — ``None`` once spilled or
     archived, when :func:`_chunk_blob` maps it back — and
-    ``cid`` the process-unique chunk-cache key.  ``grouped`` marks a
-    chunk sealed in a seal group (:class:`~repro.storage.rollup.SealGroup`),
-    which reads reach through the group, not the series.
+    ``cid`` the process-unique chunk-cache key.  ``times`` is set only
+    on a chunk sealed in a seal group
+    (:class:`~repro.storage.rollup.SealGroup`), which reads reach through
+    the group, not the series: the group's one read-only, ms-rounded
+    time column, shared by its ``K`` chunks — so their chunk-cache
+    entries hold values only (:func:`_decode`).  A chunk sealed alone,
+    restored or found by a recovery scan has ``times is None``.
     """
 
     summary: ChunkSummary
@@ -650,7 +686,7 @@ class SealedChunk:
     ref: object | None = None          # diskier.ChunkRef
     blob: bytes | None = None
     cid: int = field(default_factory=_next_cid.__next__)
-    grouped: bool = False
+    times: np.ndarray | None = None    # the seal group's shared column
 
     @classmethod
     def of(cls, t: np.ndarray, v: np.ndarray, ref=None,
@@ -912,7 +948,7 @@ class _HeadBlock:
         s.chunks.append(chunk)
         s.sealed_bytes += chunk.nbytes
         self.sealed[row] += chunk.summary.count
-        if not chunk.grouped:
+        if chunk.times is None:
             self.own_t_max[row] = max(self.own_t_max[row], chunk.summary.t_max)
 
     def shared(self) -> dict[int, list[tuple[SealGroup, int]]]:
@@ -1045,7 +1081,9 @@ def read_series(parts: Selection, n: int, cache: LRUCache,
     It works on blocks: every overlapping sealed chunk is probed in the
     chunk cache (a hit or a miss each, as a single read would count
     them), the misses are decoded in one :func:`decompress_chunks` pass
-    and admitted, and the open heads are gathered once per head block
+    per entry shape and admitted (:func:`_decode`: a seal group's chunk
+    contributes its group's shared time column and its cached values),
+    and the open heads are gathered once per head block
     (:func:`~repro.storage.rollup._head_gather`).  A series is then its
     chunks in seal order and its head: only a chunk the window cuts is
     trimmed, and only a concatenation that comes out of order (late
@@ -1098,27 +1136,42 @@ def read_series(parts: Selection, n: int, cache: LRUCache,
 
 def _decode(wanted: list[tuple[object, SealedChunk]], cache: LRUCache
             ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The ``(times, values)`` of each ``(tier, chunk)``: every chunk
-    probed in the chunk cache in turn (a hit or a miss each, as a single
-    read would count them) before its blob is touched — a hit on a
-    resident blob keeps its place in the tier's LRU, as reading it
-    would, and a spilled one is not loaded at all — the misses decoded
-    in one :func:`decompress_chunks` pass and admitted."""
+    """The ``(times, values)`` of each ``(tier, chunk)`` — the one place
+    chunk-cache entries are made.  Every chunk is probed in the cache in
+    turn (a hit or a miss each, as a single read would count them)
+    before its blob is touched — a hit on a resident blob keeps its
+    place in the tier's LRU, as reading it would, and a spilled one is
+    not loaded at all.  A seal group's chunk is cached as its values
+    alone (8 B a sample) and answered with its group's shared column,
+    ``chunk.times``; any other chunk as ``(times, values)`` (16 B a
+    sample).  The misses of each shape are decoded in one
+    :func:`decompress_chunks` pass — a grouped one's timestamp section is
+    skipped, not decoded — and admitted read-only."""
     got: list = []
-    missed: list[int] = []
-    blobs: list[tuple] = []
+    # own chunks, then grouped ones: positions in ``got`` and blobs
+    missed: tuple[list[int], list[int]] = ([], [])
+    blobs: tuple[list[tuple], list[tuple]] = ([], [])
     for tier, chunk in wanted:
-        tv = cache.get(chunk.cid)
-        if tv is None:
-            missed.append(len(got))
-            blobs.append((_chunk_blob(tier, chunk), chunk.hint))
-        elif chunk.blob is not None and tier is not None:
-            tier.touch(chunk.cid)
-        got.append(tv)
-    if missed:
-        for i, tv in zip(missed, decompress_chunks(blobs)):
-            got[i] = tv
-            cache.put(wanted[i][1].cid, tv, tv[0].nbytes + tv[1].nbytes)
+        hit = cache.get(chunk.cid)
+        if hit is None:
+            shape = chunk.times is not None
+            missed[shape].append(len(got))
+            blobs[shape].append((_chunk_blob(tier, chunk), chunk.hint))
+        else:
+            if chunk.blob is not None and tier is not None:
+                tier.touch(chunk.cid)
+            if chunk.times is not None:
+                hit = (chunk.times, hit)
+        got.append(hit)
+    for i, (t, v) in zip(missed[0], decompress_chunks(blobs[0])):
+        t.flags.writeable = v.flags.writeable = False
+        got[i] = (t, v)
+        cache.put(wanted[i][1].cid, got[i], t.nbytes + v.nbytes)
+    for i, v in zip(missed[1], decompress_chunks(blobs[1], times=False)):
+        chunk = wanted[i][1]
+        v.flags.writeable = False
+        got[i] = (chunk.times, v)
+        cache.put(chunk.cid, v, v.nbytes)
     return got
 
 
@@ -1576,11 +1629,12 @@ class TimeSeriesStore(SeriesQueryMixin):
         pieces = fold_group(levels, t, v, seq_base)
         group = None if len(rows) == 1 else SealGroup(
             rows, seq_base, t, dict(zip(levels, pieces)))
+        shared = None if group is None else group.times
         done = 0
         try:
             for r, (blob, hint), stat in zip(rows.tolist(), coded, stats):
                 chunk = SealedChunk(ChunkSummary(n, t_min, t_max, *stat),
-                                    hint, blob=blob, grouped=group is not None)
+                                    hint, blob=blob, times=shared)
                 s = block.record(r)
                 if self.disk is not None:
                     # persist the immutable blob now; spill to budget after

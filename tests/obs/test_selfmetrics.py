@@ -357,7 +357,8 @@ class TestCacheGauges:
     CACHE_METRICS = ("selfmon.store.cache_hits",
                      "selfmon.store.cache_misses",
                      "selfmon.store.cache_evictions",
-                     "selfmon.store.cache_bytes")
+                     "selfmon.store.cache_bytes",
+                     "selfmon.store.cache_entries")
 
     def test_cache_gauges_emitted_for_plain_store(self):
         p = small_pipeline()

@@ -196,3 +196,94 @@ class TestStoreIntegration:
         assert list(out.values) == [float(i) for i in range(64)]
         for shard in getattr(tiered, "shards", [tiered]):
             shard.disk.close()
+
+
+class TestGroupedEntryDensity:
+    """A seal group's chunks share one time column, so their cache
+    entries are values only: a lock-step history that decodes to between
+    one and two caches' worth of ``(times, values)`` fits at 8 B a
+    sample, and a cyclic sweep over it hits from its second pass on."""
+
+    N, K = 32, 8                        # chunk size, rows a metric
+    METRICS = [f"m{i}" for i in range(4)]
+    SEALS = 6                           # sealed chunks a row
+
+    def fleet(self, store):
+        comps = [f"c{k}" for k in range(self.K)]
+        rng = np.random.default_rng(3)
+        for i in range(self.N * self.SEALS):
+            for m in self.METRICS:
+                store.append(SeriesBatch.sweep(
+                    m, 60.0 * i, comps, rng.normal(size=self.K)))
+        return self.N * self.SEALS * 60.0
+
+    def chunks(self, store):
+        return [c for m in self.METRICS
+                for s in store._blocks[m].series if s is not None
+                for c in s.chunks]
+
+    def test_a_cyclic_sweep_fits_and_hits_from_its_second_pass(self):
+        sealed = len(self.METRICS) * self.K * self.SEALS * self.N
+        cache = LRUCache(sealed * 16 * 2 // 3)   # the history is 1.5x it
+        store = TimeSeriesStore(chunk_size=self.N, cache=cache)
+        t1 = self.fleet(store)
+        chunks = self.chunks(store)
+        want = [store.query_components(m, None, 0.0, t1)
+                for m in self.METRICS]
+        first = cache.stats()
+        assert first.hits == 0 and first.misses == len(chunks)
+        for _ in range(2):
+            got = [store.query_components(m, None, 0.0, t1)
+                   for m in self.METRICS]
+            for w, g in zip(want, got):
+                for c in w:
+                    assert np.array_equal(g[c].times, w[c].times)
+                    assert np.array_equal(g[c].values.view(np.int64),
+                                          w[c].values.view(np.int64))
+        s = cache.stats()
+        assert s.hits == 2 * len(chunks) and s.evictions == 0
+        assert cache.resident_bytes == 8 * sealed <= cache.max_bytes
+        assert all(c.times is not None for c in chunks)    # all grouped
+        for c in chunks:
+            v = cache._entries[c.cid][1]
+            assert isinstance(v, np.ndarray) and v.nbytes == 8 * self.N
+
+    def test_own_chunks_keep_times_and_values(self, tmp_path):
+        sealed = len(self.METRICS) * self.K * self.SEALS * self.N
+        store = TimeSeriesStore(chunk_size=self.N,
+                                cache=LRUCache(sealed * 20),
+                                disk=DiskTier(tmp_path))
+        t1 = self.fleet(store)
+        grouped = [store.query_components(m, None, 0.0, t1)
+                   for m in self.METRICS]
+        assert store.cache.resident_bytes == 8 * sealed
+        store.snapshot()
+        store.close()
+        rec = store.reopen()
+        try:
+            chunks = self.chunks(rec)
+            assert all(c.times is None for c in chunks)    # all own
+            for _ in range(2):
+                for m, w in zip(self.METRICS, grouped):
+                    g = rec.query_components(m, None, 0.0, t1)
+                    for c in w:
+                        assert np.array_equal(g[c].times, w[c].times)
+                        assert np.array_equal(g[c].values.view(np.int64),
+                                              w[c].values.view(np.int64))
+            cache = rec.cache
+            assert cache.stats().hits == len(chunks)
+            assert cache.resident_bytes == 16 * sealed <= cache.max_bytes
+            for c in chunks:
+                t, v = cache._entries[c.cid][1]
+                assert t.nbytes == v.nbytes == 8 * self.N
+        finally:
+            rec.close()
+
+    def test_a_small_cache_stays_inside_its_bound(self):
+        cache = LRUCache(8 * self.N * 5 + 1)    # five grouped entries
+        store = TimeSeriesStore(chunk_size=self.N, cache=cache)
+        t1 = self.fleet(store)
+        for m in self.METRICS * 2:
+            store.query_components(m, ["c0", "c1", "c2"], 0.0, t1)
+            assert cache.resident_bytes <= cache.max_bytes
+            assert len(cache) == 5
