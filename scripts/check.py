@@ -449,6 +449,21 @@ def check_series_resolution(path: Path) -> list[str]:
         f"'{_PER_SAMPLE_MARKER}'")
 
 
+def check_component_batches(path: Path) -> list[str]:
+    """Flag a per-component batch in one storage or serving module: a
+    ``for_component(...)`` call inside a ``for`` loop or comprehension
+    (a many-series answer builds its batches over one column of the
+    selection's names, as ``query_components`` does, or is one batch,
+    as ``latest`` is; ``for_component`` is for one series' answer).
+    ``# per-sample: allowed`` on the call's line exempts it."""
+    return _flagged_calls(
+        path, lambda call, name: name == "for_component",
+        "per-component {name}() inside a loop in the read path; build "
+        "the batches over one column of names (query_components) or "
+        f"answer one batch (latest), or mark the line "
+        f"'{_PER_SAMPLE_MARKER}'")
+
+
 #: handlers this broad that do nothing hide real faults (the paper's
 #: silent-syslog-loss lesson); catch something specific or record it
 _BLIND_TYPES = frozenset({"Exception", "BaseException"})
@@ -688,14 +703,16 @@ def check_columnar_analysis() -> list[str]:
     """Run :func:`check_columnar` over every columnar-only package,
     :func:`check_fleet_loops` over the collectors,
     :func:`check_row_seals` over the storage plane and
-    :func:`check_series_resolution` and :func:`check_row_partials` over
-    the storage and serving planes."""
+    :func:`check_series_resolution`, :func:`check_row_partials` and
+    :func:`check_component_batches` over the storage and serving
+    planes."""
     problems: list[str] = []
     for name, check in [(d, check_columnar) for d in _COLUMNAR_DIRS] + [
             ("sources", check_fleet_loops), ("storage", check_row_seals),
-            ("storage", check_series_resolution),
-            ("serve", check_series_resolution),
-            ("storage", check_row_partials), ("serve", check_row_partials)]:
+            *((plane, check) for check in (check_series_resolution,
+                                           check_row_partials,
+                                           check_component_batches)
+              for plane in ("storage", "serve"))]:
         root = REPO / "src" / "repro" / name
         if root.is_dir():
             for path in sorted(root.rglob("*.py")):

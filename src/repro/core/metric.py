@@ -173,6 +173,27 @@ class SeriesBatch:
         return cls(metric, column, times, values)
 
     @classmethod
+    def trusted(
+        cls,
+        metric: str,
+        components: np.ndarray,
+        times: np.ndarray,
+        values: np.ndarray,
+    ) -> "SeriesBatch":
+        """A batch over columns its caller has just built to this class's
+        contract — equal-length 1-D arrays, ``components`` of object
+        dtype, ``times`` and ``values`` float64 — taken as they are: no
+        conversion, no length check (a fleet read builds hundreds of
+        answers per call)."""
+        batch = cls.__new__(cls)
+        batch.metric = metric
+        batch.components = components
+        batch.times = times
+        batch.values = values
+        batch.trace = None
+        return batch
+
+    @classmethod
     def empty(cls, metric: str) -> "SeriesBatch":
         return cls(metric, [], [], [])
 

@@ -1,8 +1,9 @@
 """The multi-tenant query front end over any series store.
 
 :class:`QueryFrontend` exposes the familiar store query surface
-(``query`` / ``query_components`` / ``downsample`` / ``aggregate_across``
-/ ``components``) with three serving-plane behaviors layered on:
+(``query`` / ``query_components`` / ``latest`` / ``downsample`` /
+``aggregate_across`` / ``components``) with three serving-plane
+behaviors layered on:
 
 1. **admission** — every call names a ``tenant``; the
    :class:`~repro.serve.quota.TenantGovernor` sheds over-budget tenants
@@ -172,6 +173,22 @@ class QueryFrontend:
         return self._serve(
             tenant, plan, dict, lambda: self.store.query_components(
                 metric, plan.components, plan.t0, plan.t1))
+
+    def latest(
+        self,
+        metric: str,
+        components: Sequence[str] | None = None,
+        t0: float = -np.inf,
+        t1: float = np.inf,
+        tenant: str = DEFAULT_TENANT,
+    ) -> SeriesBatch:
+        """Each series' newest sample in ``[t0, t1)``, one batch: the
+        store's instant read (a status tile's question)."""
+        plan = QueryPlan.latest(metric, components, t0, t1)
+        return self._serve(
+            tenant, plan, lambda: SeriesBatch.empty(metric),
+            lambda: self.store.latest(metric, plan.components, plan.t0,
+                                      plan.t1))
 
     def downsample(self, metric: str, component: str, t0: float, t1: float,
                    step: float, agg: str = "mean",

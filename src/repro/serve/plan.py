@@ -29,10 +29,11 @@ class QueryPlan:
     """One normalized read: what is being asked, not how to answer it.
 
     ``kind`` is ``"range"`` (raw samples of one series), ``"sweep"``
-    (range over many series), ``"downsample"``, ``"aggregate"`` (with
-    ``agg`` empty: the partial columns every agg reduces from) or
-    ``"first"`` (a selection's earliest sample time).  Unused fields are
-    ``None``/0 so equal questions hash equal.
+    (range over many series), ``"latest"`` (each series' newest sample
+    in the window, one sweep-shaped batch), ``"downsample"``,
+    ``"aggregate"`` (with ``agg`` empty: the partial columns every agg
+    reduces from) or ``"first"`` (a selection's earliest sample time).
+    Unused fields are ``None``/0 so equal questions hash equal.
     """
 
     kind: str
@@ -54,6 +55,12 @@ class QueryPlan:
     def sweep(cls, metric: str, components: Sequence[str] | None,
               t0: float, t1: float) -> "QueryPlan":
         return cls("sweep", metric, None, _selection(components),
+                   float(t0), float(t1), 0.0, "")
+
+    @classmethod
+    def latest(cls, metric: str, components: Sequence[str] | None,
+               t0: float, t1: float) -> "QueryPlan":
+        return cls("latest", metric, None, _selection(components),
                    float(t0), float(t1), 0.0, "")
 
     @classmethod

@@ -886,6 +886,36 @@ def head_first_time(block, rows: Sequence[int]) -> float:
     return float(t.min()) if len(t) else math.inf
 
 
+def head_latest(block, rows: np.ndarray, t0: float, t1: float) -> tuple:
+    """``(has, t, v)``: which of ``rows`` of one head block hold an open
+    sample inside ``[t0, t1)``, and for each that does the sample
+    :func:`_head_gather` would give it last — the newest, and among
+    equal times the last to arrive.  One vectorised step for all rows:
+    in lock-step one :func:`_window` of the shared column and one
+    gather, in a ragged block a masked max over ``row_times``."""
+    cnt = block.counts[rows]
+    if block.row_times is None:
+        col, t = _window(block.times[:block.n_times], t0, t1)
+        # a row's last entry of that stable time order is the last one
+        # with ``col < cnt``: a search on the suffix minima of ``col``
+        reach = np.minimum.accumulate(col[::-1])[::-1]
+        j = reach.searchsorted(cnt) - 1
+        has = j >= 0
+        j = j[has]
+        return has, t[j], block.values[rows[has], col[j]]
+    j = np.arange(cnt.max(initial=0))
+    rt = block.row_times[rows[:, None], j]
+    ok = (j < cnt[:, None]) & (rt >= t0) & (rt < t1)
+    has = ok.any(axis=1)
+    if not np.count_nonzero(has):
+        return has, np.empty(0), np.empty(0)
+    rt, ok = rt[has], ok[has]
+    newest = np.where(ok, rt, -math.inf).max(axis=1)
+    # the last column holding the newest time: ties go to arrival order
+    col = len(j) - 1 - (ok & (rt == newest[:, None]))[:, ::-1].argmax(axis=1)
+    return has, rt[np.arange(len(rt)), col], block.values[rows[has], col]
+
+
 def head_partials(block, rows: Sequence[int], seq_base: Sequence[int],
                   t0: float, t1: float, step: float, anchor: float,
                   ) -> tuple[tuple[np.ndarray, ...], np.ndarray | int]:

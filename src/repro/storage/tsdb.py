@@ -68,7 +68,7 @@ from .chunkcache import CHUNK_CACHE_BYTES, CacheStats, LRUCache
 from .rollup import (DEFAULT_LEVELS, SealGroup, SeriesPyramid, _head_gather,
                      bucket_anchor, check_bucketing, check_levels,
                      export_levels, fold_group, group_partials,
-                     head_first_time, head_partials, ieee_sums,
+                     head_first_time, head_latest, head_partials, ieee_sums,
                      reduce_partials, row_piece, series_partials,
                      window_plan)
 
@@ -1134,6 +1134,97 @@ def read_series(parts: Selection, n: int, cache: LRUCache,
     return out
 
 
+def read_latest(parts: Selection, cache: LRUCache, t0: float, t1: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(ranks, t, v)``: the positions of a resolved selection whose
+    series hold a sample inside ``[t0, t1)``, in position order, and the
+    sample each one's :func:`read_series` answer ends with — the newest,
+    and among equal times the one last in seal order, then head arrival
+    order — bit for bit.  The instant read: per head block, the open
+    heads answer every row in one step
+    (:func:`~repro.storage.rollup.head_latest`), and sealed data is
+    consulted only where it can be newer (:func:`_sealed_latest`)."""
+    found = []
+    for block, rows, ranks in parts if t0 < t1 else ():   # NaN: empty too
+        has, ht, hv = head_latest(block, rows, t0, t1)
+        best_t = np.empty(len(rows))
+        best_v = np.empty(len(rows))
+        best_t[has], best_v[has] = ht, hv
+        _sealed_latest(block, rows, has, best_t, best_v, cache, t0, t1)
+        found.append((ranks[has], best_t[has], best_v[has]))
+    if not found:
+        return np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
+    if len(found) == 1:
+        return found[0]
+    ranks, t, v = (np.concatenate(col) for col in zip(*found))
+    order = np.argsort(ranks)       # a series lives in one block
+    return ranks[order], t[order], v[order]
+
+
+def _sealed_latest(block: _HeadBlock, rows: np.ndarray, has: np.ndarray,
+                   best_t: np.ndarray, best_v: np.ndarray, cache: LRUCache,
+                   t0: float, t1: float) -> None:
+    """Let what ``rows`` sealed answer where it is newer than the open
+    heads' answer ``(has, best_t, best_v)``, in place.  A sealed sample
+    reads before every head sample and a chunk before every later one,
+    so it answers only when strictly newer: the chunks are walked newest
+    seal first.  The block's seal groups go by span — a group whose
+    in-window newest time beats no selected row is skipped without a
+    row lookup — and a group's chunks share that time, so one test
+    serves all its rows; a row whose own chunks (``own_t_max``) may beat
+    its head reads its chunk list instead.  A chunk whose newest sample
+    the window holds answers from its summary (``t_max`` / ``v_last``);
+    only one the window cuts at ``t1`` is decoded, through
+    :func:`_decode`."""
+    if not np.count_nonzero(block.sealed[rows]):
+        return
+    own_t = block.own_t_max[rows]
+    own = (own_t >= max(t0, -sys.float_info.max)) & (~has | (own_t > best_t))
+    for i in own.nonzero()[0].tolist():     # own chunks: rare (restores)
+        for chunk in reversed(block.series[rows[i]].chunks):
+            summ = chunk.summary
+            if (summ.t_max < t0 or summ.t_min >= t1
+                    or has[i] and summ.t_max <= best_t[i]):
+                continue
+            t, v = summ.t_max, summ.v_last
+            if t >= t1:                         # the window cuts it
+                ct, cv = _decode([(block.tier, chunk)], cache)[0]
+                k = int(ct.searchsorted(t1)) - 1
+                t, v = ct[k], cv[k]
+                if t < t0 or has[i] and t <= best_t[i]:
+                    continue
+            best_t[i], best_v[i], has[i] = t, v, True
+    walk = (block.sealed[rows] > 0) & ~own
+    if not (block.groups and np.count_nonzero(walk)):
+        return
+    at = np.full(len(block.counts) + 1, -1)     # row -> position; -1: none
+    at[rows[walk]] = walk.nonzero()[0]
+    settled = bool(has[walk].all())
+    floor = best_t[walk].min() if settled else -np.inf
+    for g in reversed(block.groups):
+        if g.t_max < t0 or g.t_min >= t1:
+            continue
+        k = g.n - 1 if g.t_max < t1 else int(g.times.searchsorted(t1)) - 1
+        t = g.times[k]
+        if t < t0 or settled and t <= floor:
+            continue
+        pos = at[g.rows]
+        ks = (pos >= 0).nonzero()[0]
+        i = pos[ks]
+        newer = ~has[i] | (t > best_t[i])
+        ks, i = ks[newer], i[newer]
+        if not len(ks):
+            continue
+        chunks = [g.chunks[j] for j in ks.tolist()]
+        best_v[i] = ([c.summary.v_last for c in chunks] if k == g.n - 1
+                     else [cv[k] for _, cv in _decode(
+                         [(block.tier, c) for c in chunks], cache)])
+        best_t[i] = t
+        has[i] = True
+        if settled or has[walk].all():
+            settled, floor = True, best_t[walk].min()
+
+
 def _decode(wanted: list[tuple[object, SealedChunk]], cache: LRUCache
             ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The ``(times, values)`` of each ``(tier, chunk)`` — the one place
@@ -1271,12 +1362,39 @@ class SeriesQueryMixin:
         """Range query many series at once (drill-down working set, or
         with ``components=None`` the whole fleet): one
         :func:`read_series` over the resolved selection, keyed by the
-        selection's components (empty where reads reach no series)."""
+        selection's components (empty where reads reach no series).
+        Every answer's ``components`` is a read-only zero-stride view
+        into one column of the selection's names."""
         comps, parts = self._resolve(metric, components)
         got = read_series(parts, len(comps), self.cache, t0, t1)
-        return {c: SeriesBatch.empty(metric) if tv is None
-                else SeriesBatch.for_component(metric, c, *tv)
-                for c, tv in zip(comps, got)}
+        names = np.array(comps, dtype=object)
+        size = names.itemsize
+        out = {}
+        for i, (c, tv) in enumerate(zip(comps, got)):
+            if tv is None:
+                out[c] = SeriesBatch.empty(metric)
+                continue
+            column = np.ndarray(tv[0].shape, object, names, i * size, (0,))
+            column.setflags(write=False)
+            out[c] = SeriesBatch.trusted(metric, column, *tv)
+        return out
+
+    def latest(
+        self,
+        metric: str,
+        components: Sequence[str] | None = None,
+        t0: float = -np.inf,
+        t1: float = np.inf,
+    ) -> SeriesBatch:
+        """Each series' newest sample in ``[t0, t1)`` as one sweep-shaped
+        batch — what a status tile shows: one entry per series of the
+        selection (:meth:`_resolve`) that has a sample there, in
+        selection order, each bit for bit the last sample of its
+        :meth:`query_components` answer (:func:`read_latest`)."""
+        comps, parts = self._resolve(metric, components)
+        ranks, t, v = read_latest(parts, self.cache, t0, t1)
+        return SeriesBatch.trusted(
+            metric, np.array(comps, dtype=object)[ranks], t, v)
 
     def downsample(
         self,

@@ -28,16 +28,22 @@ __all__ = ["percent_in_state", "Tile", "Dashboard", "DrillDownResult",
            "drill_down"]
 
 
+def window_end(now: float) -> float:
+    """The end of a window that holds the sample stamped ``now``: the
+    next float up, so it still differs from ``now`` past 2**24 s, where
+    ``now + 1e-9`` rounds back to ``now``."""
+    return float(np.nextafter(now, np.inf))
+
+
 def percent_in_state(
-    sweep: SeriesBatch, predicate: Callable[[float], bool]
+    sweep: SeriesBatch, predicate: Callable[[np.ndarray], np.ndarray]
 ) -> float:
-    """Percent of components whose latest value satisfies ``predicate``."""
+    """Percent of components whose latest value satisfies ``predicate``,
+    which is applied to the sweep's whole value column (a comparison such
+    as ``lambda v: v >= 1.0``) and gives one bool per component."""
     if not len(sweep):
         return float("nan")
-    vals = sweep.values
-    ok = np.fromiter((predicate(float(v)) for v in vals), dtype=bool,
-                     count=len(vals))
-    return 100.0 * ok.mean()
+    return 100.0 * (np.count_nonzero(predicate(sweep.values)) / len(sweep))
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,20 +66,13 @@ class Dashboard:
 
     def _latest_sweep(self, metric: str, window_s: float,
                       now: float) -> SeriesBatch:
-        # one read per tile, not one per component
-        per = self.tsdb.query_components(metric, None, now - window_s,
-                                         now + 1e-9)
-        comps, times, values = [], [], []
-        for c, b in per.items():
-            if len(b):
-                comps.append(c)
-                times.append(b.times[-1])
-                values.append(b.values[-1])
-        return SeriesBatch(metric, comps, times, values)
+        # one instant read per tile: each component's newest sample
+        return self.tsdb.latest(metric, None, now - window_s, window_end(now))
 
     def _trend(self, metric: str, component: str, now: float,
                window_s: float = 3600.0, points: int = 24) -> str:
-        b = self.tsdb.query(metric, component, now - window_s, now + 1e-9)
+        b = self.tsdb.query(metric, component, now - window_s,
+                            window_end(now))
         if not len(b):
             return ""
         step = max(1, len(b) // points)

@@ -19,6 +19,7 @@ import numpy as np
 from ..core.metric import SeriesBatch
 from ..storage.rollup import AGGS
 from ..storage.tsdb import TimeSeriesStore
+from .dashboard import window_end
 from .render import ascii_chart, bar_row, sparkline
 
 __all__ = ["PanelSpec", "DashboardSpec"]
@@ -90,7 +91,7 @@ class DashboardSpec:
         self, panel: PanelSpec, tsdb: TimeSeriesStore, now: float
     ) -> SeriesBatch:
         return tsdb.aggregate_across(
-            panel.metric, None, now - panel.window_s, now + 1e-9,
+            panel.metric, None, now - panel.window_s, window_end(now),
             step=panel.step_s, agg=panel.agg,
         )
 
@@ -117,20 +118,11 @@ class DashboardSpec:
                 else:
                     lines.append(f"{panel.title:>24} (no data)")
             elif panel.kind == "percent_in_state":
-                per = tsdb.query_components(
-                    panel.metric, None, now - panel.window_s, now + 1e-9)
-                breached = 0
-                seen = 0
-                for b in per.values():
-                    if not len(b):
-                        continue
-                    seen += 1
-                    v = float(b.values[-1])
-                    breach = (v > panel.threshold if panel.above
-                              else v < panel.threshold)
-                    if breach:
-                        breached += 1
-                pct = 100.0 * breached / seen if seen else float("nan")
+                v = tsdb.latest(panel.metric, None, now - panel.window_s,
+                                window_end(now)).values
+                breached = np.count_nonzero(v > panel.threshold if panel.above
+                                            else v < panel.threshold)
+                pct = 100.0 * breached / len(v) if len(v) else float("nan")
                 lines.append(
                     bar_row(panel.title, pct, 100.0, unit="%")
                 )

@@ -54,6 +54,20 @@ class TestResultCaching:
         assert r2 is not r1
         assert sorted(r2) == ["c0"]
 
+    def test_latest_is_cached_and_revalidates_against_the_epoch(self):
+        store = make_store(comps=("c0", "c1", "c2"))
+        fe = QueryFrontend(store)
+        first = fe.latest("m.x", ["c2", "c0", "c2"], 0.0, 8000.0)
+        assert fe.latest("m.x", ("c2", "c0"), 0, 8000) is first   # one plan
+        assert first.components.tolist() == ["c2", "c0"]
+        store.append(SeriesBatch.sweep("m.x", 7500.0, ["c0", "c1", "c2"],
+                                       [1.0, 2.0, 3.0]))
+        moved = fe.latest("m.x", ["c2", "c0"], 0.0, 8000.0)
+        assert moved is not first
+        assert fe.stats().cache.stale == 1
+        assert moved.values.tolist() == [3.0, 1.0]
+        assert_same(moved, store.latest("m.x", ["c2", "c0"], 0.0, 8000.0))
+
     def test_all_answers_match_store_paths(self):
         store = make_store()
         fe = QueryFrontend(store)
@@ -220,6 +234,7 @@ READS = {
     "query": lambda r, **kw: r.query("m.x", "c0", 100.0, 5000.0, **kw),
     "query_components": lambda r, **kw: r.query_components(
         "m.x", None, 100.0, 5000.0, **kw),
+    "latest": lambda r, **kw: r.latest("m.x", None, 100.0, 5000.0, **kw),
     "downsample": lambda r, **kw: r.downsample(
         "m.x", "c0", 0.0, 7200.0, 600.0, "max", **kw),
     "aggregate_across": lambda r, **kw: r.aggregate_across(

@@ -250,6 +250,38 @@ class TestColumnarGate:
             for path in sorted(root.rglob("*.py")):
                 assert check_mod.check_series_resolution(path) == [], path
 
+    def test_flags_per_component_batches(self, tmp_path):
+        f = tmp_path / "reads.py"
+        f.write_text(
+            "def answer(metric, comps, got):\n"
+            "    out = {c: SeriesBatch.for_component(metric, c, *tv)\n"
+            "           for c, tv in zip(comps, got)}\n"
+            "    for c, tv in zip(comps, got):\n"
+            "        out[c] = for_component(metric, c, *tv)\n"
+            "    for c, tv in zip(comps, got):  # the reference loop\n"
+            "        for_component(metric, c, *tv)  # per-sample: allowed\n"
+            "    return out, SeriesBatch.for_component(metric, 'x', [], [])\n"
+        )
+        problems = check_mod.check_component_batches(f)
+        assert [p.split(":")[1] for p in problems] == ["2", "5"]
+        assert all("per-component for_component()" in p for p in problems)
+
+    def test_the_read_path_builds_no_batch_per_component(self, tmp_path,
+                                                         monkeypatch):
+        for plane in ("storage", "serve"):
+            root = check_mod.REPO / "src" / "repro" / plane
+            for path in sorted(root.rglob("*.py")):
+                assert check_mod.check_component_batches(path) == [], path
+        # and lint() runs the check over both planes
+        hot = tmp_path / "src" / "repro" / "serve" / "hot.py"
+        hot.parent.mkdir(parents=True)
+        hot.write_text("def f(m, cs):\n"
+                       "    return [SeriesBatch.for_component(m, c, [], [])\n"
+                       "            for c in cs]\n")
+        monkeypatch.setattr(check_mod, "REPO", tmp_path)
+        (problem,) = check_mod.check_columnar_analysis()
+        assert "hot.py:2:" in problem and "for_component()" in problem
+
     def test_flags_a_per_node_loop_in_a_collector(self, tmp_path):
         f = tmp_path / "collector.py"
         f.write_text(

@@ -90,6 +90,24 @@ class TestDashboard:
         assert "system status" in text
         assert "queue depth" in text
 
+    def test_tiles_show_the_sweep_stamped_now_past_2_24_s(self):
+        """Past 2**24 s ``now + 1e-9`` rounds back to ``now``: a window
+        ending there drops the sweep stamped ``now`` and the tile shows
+        the one before it."""
+        now = float(2**25)
+        tsdb = TimeSeriesStore()
+        for t, depth, frac in ((now - 60.0, 3.0, [1.0, 1.0]),
+                               (now, 7.0, [1.0, 0.5])):
+            tsdb.append(SeriesBatch.sweep("queue.depth", t, ["scheduler"],
+                                          [depth]))
+            tsdb.append(SeriesBatch.sweep("health.pass_frac", t,
+                                          ["n0", "n1"], frac))
+        tiles = {t.name: t for t in Dashboard(tsdb).tiles(now=now)}
+        assert tiles["queue depth"].value == 7.0
+        assert tiles["nodes fully healthy"].value == 50.0
+        # the trend's last point is the sample stamped now too
+        assert tiles["queue depth"].trend[-1] == "█"
+
 
 class TestTopoView:
     @pytest.fixture(scope="class")

@@ -76,6 +76,26 @@ class TestRendering:
         out = spec.render(loaded_store(), now=1140.0)
         assert "25" in out    # 1 of 4 nodes below 1.0
 
+    def test_panels_read_the_sample_stamped_now_past_2_24_s(self):
+        # past 2**24 s, now + 1e-9 == now: the window must still hold now
+        now = float(2**25)
+        tsdb = TimeSeriesStore()
+        for t, frac, power in ((now - 60.0, [1.0, 1.0], 1.0),
+                               (now, [1.0, 0.5], 5.0)):
+            tsdb.append(SeriesBatch.sweep("health.pass_frac", t,
+                                          ["n0", "n1"], frac))
+            tsdb.append(SeriesBatch.sweep("system.power_w", t, ["system"],
+                                          [power]))
+        spec = DashboardSpec("t", [
+            PanelSpec("unhealthy", "health.pass_frac",
+                      kind="percent_in_state", threshold=1.0,
+                      above=False),
+            PanelSpec("power", "system.power_w", kind="stat", agg="last"),
+        ])
+        unhealthy, power = spec.render(tsdb, now=now).splitlines()[1:]
+        assert unhealthy.endswith("] 50%")
+        assert power.split("]")[1].split()[0] == "5"
+
     def test_empty_store_graceful(self):
         spec = operations_dashboard()
         out = spec.render(TimeSeriesStore(), now=0.0)
