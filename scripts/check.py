@@ -60,6 +60,14 @@ expression of a ``with`` block or sit on a line documenting its owner
 with ``# handle-owner: <who closes it>`` (the disk tier routes these
 through its handle registry, closed on ``close()``/crash).
 
+Both paths also gate on **per-batch component columns** inside
+``src/repro/sources`` and ``src/repro/obs``: a ``SeriesBatch.sweep``
+over a list built at the call (a display, a comprehension or
+``list(...)``) hands every identity memo downstream a new object each
+batch, so each one misses.  Hold one read-only ``name_column`` while
+the components stay the same, or mark the call
+``# per-batch: allowed``.
+
 Both paths also gate on **blind exception swallows** inside
 ``src/repro``: an ``except Exception:`` (or bare ``except:``) whose
 body only discards (``pass``/``continue``/``break``/``...``) hides
@@ -464,6 +472,67 @@ def check_component_batches(path: Path) -> list[str]:
         f"'{_PER_SAMPLE_MARKER}'")
 
 
+_PER_BATCH_MARKER = "# per-batch: allowed"
+
+
+def _is_fresh_list(node: ast.expr | None) -> bool:
+    """A list built where it is passed: a display, a comprehension or a
+    ``list(...)`` call."""
+    return isinstance(node, (ast.List, ast.ListComp)) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "list")
+
+
+def check_fixed_columns(path: Path) -> list[str]:
+    """Flag a sweep over a freshly built component list in one source
+    or self-monitoring module: a ``SeriesBatch.sweep(...)`` whose
+    components argument (the third, or ``components=``) is a list
+    display, comprehension or ``list(...)`` call.  Such a column is a
+    new object every batch, so every identity memo downstream (the
+    head blocks' rows, the sharded store's routes, the WAL's component
+    blocks) misses; publish one read-only ``name_column`` held while
+    the components stay the same.  ``# per-batch: allowed`` on a line
+    of the call exempts it."""
+    src = path.read_text()
+    try:
+        tree = ast.parse(src, filename=str(path))
+    except SyntaxError:
+        return []                    # surfaced by check_file already
+    lines = src.splitlines()
+    problems: list[str] = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "sweep"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "SeriesBatch"):
+            continue
+        comps = node.args[2] if len(node.args) > 2 else next(
+            (k.value for k in node.keywords if k.arg == "components"), None)
+        if not _is_fresh_list(comps):
+            continue
+        span = lines[node.lineno - 1: node.end_lineno]
+        if any(_PER_BATCH_MARKER in line for line in span):
+            continue
+        problems.append(
+            f"{path}:{node.lineno}: SeriesBatch.sweep() over a component "
+            f"list built per batch; publish a held name_column or mark "
+            f"the call '{_PER_BATCH_MARKER}'")
+    return problems
+
+
+def check_fixed_columns_published() -> list[str]:
+    """Run :func:`check_fixed_columns` over the collectors and the
+    self-monitor."""
+    problems: list[str] = []
+    for name in ("sources", "obs"):
+        root = REPO / "src" / "repro" / name
+        if root.is_dir():
+            for path in sorted(root.rglob("*.py")):
+                problems.extend(check_fixed_columns(path))
+    return problems
+
+
 #: handlers this broad that do nothing hide real faults (the paper's
 #: silent-syslog-loss lesson); catch something specific or record it
 _BLIND_TYPES = frozenset({"Exception", "BaseException"})
@@ -723,7 +792,8 @@ def check_columnar_analysis() -> list[str]:
 def lint() -> int:
     gate_problems = (check_import_cycles() + check_no_threads()
                      + check_columnar_analysis() + check_swallows_repro()
-                     + check_shared_state() + check_fd_lifetime_storage())
+                     + check_shared_state() + check_fd_lifetime_storage()
+                     + check_fixed_columns_published())
     for p in gate_problems:
         print(p)
     if gate_problems:

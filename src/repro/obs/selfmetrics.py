@@ -21,11 +21,15 @@ a new report section one group.
 from __future__ import annotations
 
 import inspect
+import weakref
 from dataclasses import dataclass, fields, is_dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
+import numpy as np
+
 from ..core.metric import SeriesBatch
 from ..core.registry import MetricClass, MetricSpec
+from ..core.soa import name_column
 from ..core.tracectx import TraceContext
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -522,7 +526,9 @@ class SelfMonitor:
     ) -> None:
         if interval_s <= 0:
             raise ValueError("interval_s must be positive")
-        self.pipeline = pipeline
+        # weakly: a part that held its pipeline would keep a dropped
+        # site alive until the next full collection
+        self._pipeline = weakref.ref(pipeline)
         self.interval_s = float(interval_s)
         self.source = source
         self.emissions = 0
@@ -530,6 +536,14 @@ class SelfMonitor:
         self._next_due = 0.0
         #: last cumulative reading of every ``rate`` row, by metric name
         self._prev: dict[str, Any] = {}
+        #: metric name -> (its components, their read-only name column):
+        #: a row publishes one column until its components change, so
+        #: every identity memo downstream hits; one entry per row at most
+        self._columns: dict[str, tuple[tuple, np.ndarray]] = {}
+
+    @property
+    def pipeline(self) -> "MonitoringPipeline":
+        return self._pipeline()
 
     # -- cadence -----------------------------------------------------------
 
@@ -583,11 +597,21 @@ class SelfMonitor:
                         continue
                 if row.component is not None:
                     out.append(SeriesBatch.sweep(
-                        name, now, [row.component], [float(value)]))
+                        name, now, self._column(name, (row.component,)),
+                        [float(value)]))
                 elif value:
                     out.append(SeriesBatch.sweep(
-                        name, now, list(value),
+                        name, now, self._column(name, tuple(value)),
                         [float(v) for v in value.values()]))
         self._last_t = now
         self._next_due = now + self.interval_s
         return out
+
+    def _column(self, name: str, components: tuple) -> np.ndarray:
+        """Row ``name``'s name column, rebuilt only when its components
+        change (a collector, shard or subscription added)."""
+        held = self._columns.get(name)
+        if held is None or held[0] != components:
+            held = self._columns[name] = (components,
+                                          name_column(components))
+        return held[1]

@@ -179,15 +179,17 @@ class MonitoringPipeline:
 
         # metric fan-out: one subscription stores everything numeric;
         # selfmon.* meta-metrics ride the same path into the same TSDB
-        self.bus.subscribe(
-            "metrics.*", callback=self._on_metric, name="tsdb-ingest"
-        )
-        self.bus.subscribe(
-            "selfmon.*", callback=self._on_metric, name="selfmon-ingest"
-        )
-        self.bus.subscribe(
-            "events.*", callback=self._on_event, name="log-ingest"
-        )
+        self._consumers = [
+            self.bus.subscribe(
+                "metrics.*", callback=self._on_metric, name="tsdb-ingest"
+            ),
+            self.bus.subscribe(
+                "selfmon.*", callback=self._on_metric, name="selfmon-ingest"
+            ),
+            self.bus.subscribe(
+                "events.*", callback=self._on_event, name="log-ingest"
+            ),
+        ]
 
         self.selfmon = SelfMonitor(
             self, source=f"{self.site}/selfmon" if self.site else "selfmon",
@@ -314,6 +316,19 @@ class MonitoringPipeline:
         end = self.machine.now + total
         while self.machine.now < end - 1e-9:
             self.step(dt)
+
+    def shutdown(self) -> None:
+        """Stop this site for good: its ingest consumers leave the bus,
+        the store syncs and releases its files and the trace ring is
+        emptied.  Those consumers' bound methods are the only references
+        the site's parts hold back to the pipeline (the self-monitor's
+        is weak), so an owner that then drops the site frees it, series
+        included, at once instead of at the next full collection."""
+        for sub in self._consumers:
+            self.bus.unsubscribe(sub)
+        self._consumers = []
+        self.tsdb.close()
+        self.tracer.clear()
 
     # -- supervision / accounting surfaces ------------------------------------------------------
 

@@ -119,8 +119,11 @@ class Federation:
             p.bus.flush()
 
     def shutdown(self) -> None:
-        """Nothing to release: site ticks run in the calling thread.
-        Kept because the benchmark harness under ``bench/`` calls it."""
+        """Shut every site down (:meth:`MonitoringPipeline.shutdown`):
+        a dropped federation's sites are then freed at once, not held
+        until the next full collection."""
+        for p in self.pipelines.values():
+            p.shutdown()
 
     # -- merged views -------------------------------------------------------
 

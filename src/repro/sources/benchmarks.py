@@ -26,6 +26,7 @@ import numpy as np
 from ..cluster.topology import NoRouteError
 from ..core.events import Event, EventKind, Severity
 from ..core.metric import SeriesBatch
+from ..core.soa import name_column
 from .base import Collector, CollectorOutput
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -192,18 +193,19 @@ class BenchmarkSuite(Collector):
         self.pass_threshold = float(pass_threshold)
         self._rng = np.random.default_rng(seed)
         self.history: list[BenchResult] = []
+        # both sweeps' column: a result is named after its benchmark
+        self._names = name_column([b.name for b in self.benchmarks])
 
     def collect(self, machine: "Machine", now: float) -> CollectorOutput:
         results = [b.run(machine, self._rng) for b in self.benchmarks]
         self.history.extend(results)
-        names = [r.name for r in results]
         out = CollectorOutput(
             batches=[
                 SeriesBatch.sweep(
-                    "bench.fom", now, names, [r.fom for r in results]
+                    "bench.fom", now, self._names, [r.fom for r in results]
                 ),
                 SeriesBatch.sweep(
-                    "bench.runtime_s", now, names,
+                    "bench.runtime_s", now, self._names,
                     [r.runtime_s for r in results],
                 ),
             ]

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..core.metric import SeriesBatch
+from ..core.soa import name_column
 from .base import Collector, CollectorOutput
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -73,6 +74,9 @@ class OstCounterCollector(Collector):
 
     def __init__(self, interval_s: float = 60.0) -> None:
         super().__init__("ost_counters", interval_s)
+        # the attributed jobs and their name column, rebuilt only when
+        # the set of jobs doing I/O changes
+        self._jobs: tuple[list, np.ndarray] = ([], name_column([]))
 
     def collect(self, machine: "Machine", now: float) -> CollectorOutput:
         fs = machine.fs
@@ -92,10 +96,11 @@ class OstCounterCollector(Collector):
         # per-job attribution series (Figure 4's "job responsible")
         if fs.job_io_Bps:
             jobs = sorted(fs.job_io_Bps)
+            if jobs != self._jobs[0]:
+                self._jobs = (jobs, name_column([f"job.{j}" for j in jobs]))
             batches.append(
                 SeriesBatch.sweep(
-                    "job.io_bps", now,
-                    [f"job.{j}" for j in jobs],
+                    "job.io_bps", now, self._jobs[1],
                     [sum(fs.job_io_Bps[j]) for j in jobs],
                 )
             )

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING
 
 from ..core.events import Event, EventKind, Severity
 from ..core.metric import SeriesBatch
+from ..core.soa import name_column
 from .base import Collector, CollectorOutput
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -28,17 +29,18 @@ class QueueStatsCollector(Collector):
 
     def __init__(self, interval_s: float = 60.0) -> None:
         super().__init__("queue_stats", interval_s)
+        self._scheduler = name_column(["scheduler"])   # both sweeps' column
 
     def collect(self, machine: "Machine", now: float) -> CollectorOutput:
         sched = machine.scheduler
         out = CollectorOutput(
             batches=[
                 SeriesBatch.sweep(
-                    "queue.depth", now, ["scheduler"],
+                    "queue.depth", now, self._scheduler,
                     [float(sched.queue_depth)],
                 ),
                 SeriesBatch.sweep(
-                    "queue.backlog_nodeh", now, ["scheduler"],
+                    "queue.backlog_nodeh", now, self._scheduler,
                     [sched.backlog_node_hours()],
                 ),
             ]

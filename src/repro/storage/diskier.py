@@ -205,28 +205,34 @@ def _encode_wal_batch(metric: str, comps: Sequence, times: np.ndarray,
     once and flagged in the mode byte; unflagged columns take the
     general per-element layout, whose component block ``memo`` keeps by
     the identity of ``comps`` (a fleet's name column, or a shard's part
-    of it, is one immutable array every tick): same bytes, encoded once."""
+    of it, is one immutable array every tick): same bytes, encoded once.
+    The mode costs no array pass where it is already known: a memo hit
+    is a column that was not uniform, and one point is uniform in both."""
     mb = metric.encode("utf-8")
     n = len(comps)
     t = np.ascontiguousarray(times, dtype=np.float64)
     v = np.ascontiguousarray(values, dtype=np.float64)
-    if (n and comps[0] == comps[-1] and bool(
+    comp_block = memo.get(id(comps)) if memo is not None and n > 1 else None
+    if comp_block is not None:
+        mode = 0
+    elif n == 1 or (n and comps[0] == comps[-1] and bool(
             (np.asarray(comps, dtype=object) == comps[0]).all())):
         cb = str(comps[0]).encode("utf-8")
         mode, comp_block = _WAL_ONE_COMP, struct.pack("<H", len(cb)) + cb
     else:
         mode = 0
-        comp_block = memo.get(id(comps)) if memo is not None else None
-        if comp_block is None:
-            cbs = [str(c).encode("utf-8") for c in comps]
-            lens = np.fromiter(map(len, cbs), dtype=np.uint32, count=n)
-            comp_block = lens.tobytes() + b"".join(cbs)
-            if memo is not None:
-                memo_by_identity(memo, comps, comp_block)
-    bits = t.view(np.int64)     # bit-equal, so NaN and -0.0 round-trip
-    if n and bool((bits == bits[0]).all()):
-        t = t[:1]
+        cbs = [str(c).encode("utf-8") for c in comps]
+        lens = np.fromiter(map(len, cbs), dtype=np.uint32, count=n)
+        comp_block = lens.tobytes() + b"".join(cbs)
+        if memo is not None:
+            memo_by_identity(memo, comps, comp_block)
+    if n == 1:
         mode |= _WAL_ONE_TIME
+    elif n:
+        bits = t.view(np.int64)     # bit-equal, so NaN and -0.0 round-trip
+        if bool((bits == bits[0]).all()):
+            t = t[:1]
+            mode |= _WAL_ONE_TIME
     return b"".join((
         struct.pack("<BHI", mode, len(mb), n), mb, comp_block,
         t.tobytes(), v.tobytes(),

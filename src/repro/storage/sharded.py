@@ -48,7 +48,8 @@ from ..core.soa import memo_by_identity
 from .chunkcache import CHUNK_CACHE_BYTES, CacheStats, LRUCache
 from .diskier import DiskTier, RecoveryReport, merge_disk_stats
 from .rollup import DEFAULT_LEVELS, check_levels
-from .tsdb import SeriesQueryMixin, StoreStats, TimeSeriesStore
+from .tsdb import (SeriesQueryMixin, StoreStats, TimeSeriesStore,
+                   live_selection)
 
 __all__ = ["ShardedTimeSeriesStore"]
 
@@ -132,11 +133,13 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
         # per-components-array routing memo: synchronized sweeps publish
         # the same component arrays every tick, so the CRC walk runs
         # once per (array, metric) instead of once per batch; entries
-        # die with the array (weakref.finalize), so id() cannot alias
-        self._route_memo: dict[int, dict[str, list]] = {}
-        # metric -> (health epoch, the healthy shards' sorted key lists,
-        # their merge): see keys()
-        self._keys: dict[str, tuple] = {}
+        # die with the array (weakref.finalize), so id() cannot alias;
+        # a column owned by one shard is filed as that shard alone
+        self._route_memo: dict[int, dict[str, int | list]] = {}
+        # metric -> [health epoch, the healthy shards' sorted key lists,
+        # their merge, every live row as a selection (None until a
+        # whole-metric read asks)]: see _memo()
+        self._keys: dict[str, list] = {}
 
     # -- routing ------------------------------------------------------------
 
@@ -146,7 +149,7 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
         return stable_bucket(f"{metric}@{component}", self.n_shards)
 
     def _routing(self, metric: str, components: np.ndarray,
-                 n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+                 n: int) -> list[tuple[int, np.ndarray | None, np.ndarray]]:
         """``(shard, row mask, components[mask])`` per owning shard in
         ascending shard order, memoized per component array.
 
@@ -157,25 +160,29 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
         tick — its head blocks' row memo hits too.  Finalizers evict
         entries when the array dies, before its ``id`` can be reused;
         arrays built per batch (merges, redo truncation) just miss.
+
+        Short route: a column whose rows all hash to one shard routes
+        whole, as ``(shard, None, components)`` (the memo keeps only the
+        shard, never a reference to the column it is keyed by).
         """
         key = id(components)
         per = self._route_memo.get(key)
-        if per is not None:
-            route = per.get(metric)
-            if route is not None:
-                return route
-        idx = np.fromiter(
-            (self.shard_of(metric, str(c)) for c in components),
-            dtype=np.int64,
-            count=n,
-        )
-        route = [(int(i), mask, components[mask])
-                 for i in np.unique(idx) for mask in (idx == i,)]
-        if per is None:
-            per = {}
-            memo_by_identity(self._route_memo, components, per)
-        per[metric] = route
-        return route
+        route = None if per is None else per.get(metric)
+        if route is None:
+            idx = np.fromiter(
+                (self.shard_of(metric, str(c)) for c in components),
+                dtype=np.int64,
+                count=n,
+            )
+            route = int(idx[0])
+            if not (idx == route).all():
+                route = [(int(i), mask, components[mask])
+                         for i in np.unique(idx) for mask in (idx == i,)]
+            if per is None:
+                per = {}
+                memo_by_identity(self._route_memo, components, per)
+            per[metric] = route
+        return [(route, None, components)] if isinstance(route, int) else route
 
     def _owner(self, metric: str, component: str) -> TimeSeriesStore:
         return self.shards[self.shard_of(metric, component)]
@@ -263,15 +270,20 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
 
         Returns ``(shard_index, piece)`` pairs in ascending shard
         order; the pieces are fresh SeriesBatch objects that do not
-        carry the trace.  Health is *not* consulted — callers decide
-        whether a piece is appended or deferred.
+        carry the trace (a batch whose rows all belong to one shard is
+        one piece over the batch's own columns).  Health is *not*
+        consulted — callers decide whether a piece is appended or
+        deferred.
         """
         n = len(batch)
         if n == 0:
             return []
+        times, values = batch.times, batch.values
+        # a one-shard piece is the batch's own columns: no mask, no copy
         return [
-            (i, SeriesBatch(batch.metric, comps, batch.times[mask],
-                            batch.values[mask]))
+            (i, SeriesBatch.trusted(
+                batch.metric, comps, times if mask is None else times[mask],
+                values if mask is None else values[mask]))
             for i, mask, comps in self._routing(batch.metric,
                                                 batch.components, n)
         ]
@@ -315,19 +327,33 @@ class ShardedTimeSeriesStore(SeriesQueryMixin):
         if metric is None:
             return sorted((k for s in self._live() for k in s.keys()),
                           key=str)
+        return list(self._memo(metric)[2])
+
+    def _memo(self, metric: str) -> list:
+        """The metric's read memo, rebuilt when shard health changes or
+        a healthy shard's sorted key list is replaced.  It holds the
+        lists it was built from, so an identity match cannot be a
+        recycled id."""
         per = [s._sorted_keys(metric) for s in self._live()]
         memo = self._keys.get(metric)
         if (memo is None or memo[0] != self._health_epoch
                 or not all(map(operator.is_, memo[1], per))):
-            # the memo holds the shard lists it merged, so an identity
-            # match cannot be a recycled id
-            memo = self._keys[metric] = (
+            memo = self._keys[metric] = [
                 self._health_epoch, per,
-                sorted(itertools.chain.from_iterable(per), key=str))
-        return list(memo[2])
+                sorted(itertools.chain.from_iterable(per), key=str), None]
+        return memo
 
     def components(self, metric: str) -> list[str]:
         return [k.component for k in self.keys(metric)]
+
+    def _resolve_all(self, metric: str) -> tuple[list[str], list]:
+        """``_resolve(metric, None)``: every live row of the healthy
+        shards' blocks (:func:`~repro.storage.tsdb.live_selection`),
+        memoized with :meth:`keys`' merge."""
+        memo = self._memo(metric)
+        if memo[3] is None:
+            memo[3] = live_selection(self._blocks_of(metric))
+        return memo[3]
 
     def _blocks_of(self, metric: str) -> list:
         """The metric's head block on every shard reads can reach — a

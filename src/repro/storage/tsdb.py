@@ -1073,6 +1073,31 @@ def _chunk_blob(tier, chunk: SealedChunk):
 Selection = list[tuple[_HeadBlock, np.ndarray, np.ndarray]]
 
 
+def live_selection(blocks: list[_HeadBlock]) -> tuple[list[str], Selection]:
+    """Every live row of ``blocks`` (``counts >= 0``) as ``_resolve``'s
+    ``(comps, parts)`` for a whole-metric read: ``comps`` the rows'
+    components sorted (:meth:`keys` order; a series lives in one block,
+    so no name repeats), a row's rank its component's position there.
+    One sort over the live names, not one lookup per name per block.
+    The arrays are read-only: stores memoize the answer."""
+    rows = [np.flatnonzero(b.counts[:b.table.size] >= 0) for b in blocks]
+    names = np.concatenate(
+        [np.fromiter(b.table.index, dtype=object, count=b.table.size)[r]
+         for b, r in zip(blocks, rows)] or [np.empty(0, dtype=object)])
+    order = np.argsort(names, kind="stable")
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    parts: Selection = []
+    for block, r, k in zip(blocks, rows, np.split(
+            rank, np.cumsum([len(r) for r in rows])[:-1])):
+        if len(r):
+            by_rank = np.argsort(k)
+            r, k = r[by_rank], k[by_rank]
+            r.flags.writeable = k.flags.writeable = False
+            parts.append((block, r, k))
+    return names[order].tolist(), parts
+
+
 def read_series(parts: Selection, n: int, cache: LRUCache,
                 t0: float, t1: float) -> list[tuple | None]:
     """The samples with ``t0 <= t < t1`` of every series of a resolved
@@ -1313,9 +1338,10 @@ def _bucket_agg(
 class SeriesQueryMixin:
     """Query-layer methods shared by every store with the series API.
 
-    Anything exposing ``components(metric)``, ``pyramid_levels``, a
-    chunk ``cache``, ``_blocks_of(metric)`` (the metric's head blocks
-    that reads can reach) and ``_series_view(metric, component)`` (one
+    Anything exposing ``pyramid_levels``, a chunk ``cache``,
+    ``_blocks_of(metric)`` (the metric's head blocks that reads can
+    reach), ``_resolve_all(metric)`` (a whole-metric selection) and
+    ``_series_view(metric, component)`` (one
     series' ``(record, cache, block, row)``, or None when reads cannot
     reach it) gets range queries over one series or many, downsampling, and
     cross-component aggregation for free — this is what lets
@@ -1442,9 +1468,12 @@ class SeriesQueryMixin:
         their positions in ``comps`` — the ranks that order ``last``
         tie-breaks.  Unknown components and dropped rows are left out.
         One dict pass per block: a series lives in exactly one block, so
-        on a sharded store most blocks hold none of a small selection."""
-        comps = (self.components(metric) if components is None
-                 else list(dict.fromkeys(map(str, components))))
+        on a sharded store most blocks hold none of a small selection.
+        ``None`` is every live row, looked up by no name
+        (:meth:`_resolve_all`)."""
+        if components is None:
+            return self._resolve_all(metric)
+        comps = list(dict.fromkeys(map(str, components)))
         parts: Selection = []
         for block in self._blocks_of(metric):
             rows = list(map(block.table.index.get, comps, itertools.repeat(-1)))
@@ -1642,9 +1671,11 @@ class TimeSeriesStore(SeriesQueryMixin):
                       else LRUCache(CHUNK_CACHE_BYTES))
         # metric -> its series: the one series index (a series is a row)
         self._blocks: dict[str, _HeadBlock] = {}
-        # metric -> its keys, sorted: an entry is dropped whenever a
-        # series of the metric is created (restored included) or dropped
-        self._metric_keys: dict[str, list[MetricKey]] = {}
+        # metric -> [its keys, sorted; every live row as a selection
+        # (None until a whole-metric read asks)]: an entry is dropped
+        # whenever a series of the metric is created (restored
+        # included) or dropped
+        self._metric_keys: dict[str, list] = {}
         # per-metric mutation epochs: bumped on any change that can alter
         # query results, so the serving plane's result cache invalidates
         # precisely (stale entries die, untouched metrics keep serving)
@@ -1864,19 +1895,32 @@ class TimeSeriesStore(SeriesQueryMixin):
         """The metric's keys, sorted: the live rows of its block's table
         (``counts >= 0``), one memoized list, replaced (never mutated)
         when a series of the metric is created or dropped."""
-        keys = self._metric_keys.get(metric)
-        if keys is None:
+        return self._memo(metric)[0]
+
+    def _memo(self, metric: str) -> list:
+        """The metric's ``_metric_keys`` entry, built on first use."""
+        memo = self._metric_keys.get(metric)
+        if memo is None:
             block = self._blocks.get(metric)
             live = [] if block is None else (
                 block.counts[:block.table.size] >= 0).tolist()
-            keys = self._metric_keys[metric] = sorted(
+            memo = self._metric_keys[metric] = [sorted(
                 (MetricKey(metric, c) for c, ok in zip(block.table.index,
                                                        live) if ok),
-                key=str) if live else []
-        return keys
+                key=str) if live else [], None]
+        return memo
 
     def components(self, metric: str) -> list[str]:
         return [k.component for k in self.keys(metric)]
+
+    def _resolve_all(self, metric: str) -> tuple[list[str], Selection]:
+        """``_resolve(metric, None)``: :func:`live_selection`, memoized
+        with the metric's sorted keys (dropped whenever a series of the
+        metric is created or dropped)."""
+        memo = self._memo(metric)
+        if memo[1] is None:
+            memo[1] = live_selection(self._blocks_of(metric))
+        return memo[1]
 
     def _blocks_of(self, metric: str) -> list[_HeadBlock]:
         """The metric's head block, the one a selection resolves in."""

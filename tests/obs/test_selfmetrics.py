@@ -15,6 +15,7 @@ from repro.obs.chaos import crash_and_recover
 from repro.obs.hist import LatencyHistogram
 from repro.obs.selfmetrics import (
     SELFMON_METRICS,
+    VITALS,
     SelfMonitor,
     Vital,
     selfmon_specs,
@@ -280,6 +281,32 @@ class TestSelfMonitor:
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
             SelfMonitor(small_pipeline(), interval_s=0.0)
+
+    def test_each_row_publishes_one_held_name_column(self):
+        """Two sweeps hand every row the same read-only column object, so
+        every identity memo downstream hits; a row whose components
+        change gets a new one, and no more columns are held than
+        ``VITALS`` has rows."""
+        p = small_pipeline()
+        mon = p.selfmon
+        mon.maybe_emit(0.0)
+        first = {b.metric: b.components for b in mon.sample(60.0, 60.0)}
+        second = {b.metric: b.components for b in mon.sample(120.0, 60.0)}
+        assert first.keys() == second.keys()
+        for name, column in second.items():
+            assert column is first[name], name
+            assert not column.flags.writeable
+        depth = "selfmon.bus.queue_depth"
+        p.bus.subscribe("metrics.*", name="extra-consumer")
+        third = {b.metric: b.components for b in mon.sample(180.0, 60.0)}
+        assert third[depth] is not second[depth]
+        assert "extra-consumer" in third[depth].tolist()
+        assert all(third[m] is second[m] for m in third if m != depth)
+        for i in range(5):          # changed components replace, not add
+            p.bus.subscribe("metrics.*", name=f"consumer-{i}")
+            mon.sample(240.0 + 60.0 * i, 60.0)
+        assert len(mon._columns) <= sum(len(rows) for _, _, rows in VITALS)
+        assert len(mon._columns) == len(third)
 
     def test_all_emitted_metrics_are_declared(self):
         p = small_pipeline()

@@ -1,6 +1,7 @@
 """Property-based tests: storage-layer invariants."""
 
 import math
+import struct
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -725,6 +726,37 @@ class TestRawBlockRead:
                 assert np.array_equal(_bits(one.values), _bits(v))
 
 
+def _scanning_wal_encoder(metric, comps, times, values, memo=None):
+    """The WAL frame encoder that scans both columns for the mode byte on
+    every call: the byte-for-byte reference for the one that skips the
+    scans whose answer it already knows."""
+    from repro.core.soa import memo_by_identity
+
+    mb = metric.encode("utf-8")
+    n = len(comps)
+    t = np.ascontiguousarray(times, dtype=np.float64)
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    if (n and comps[0] == comps[-1] and bool(
+            (np.asarray(comps, dtype=object) == comps[0]).all())):
+        cb = str(comps[0]).encode("utf-8")
+        mode, comp_block = 1, struct.pack("<H", len(cb)) + cb
+    else:
+        mode = 0
+        comp_block = memo.get(id(comps)) if memo is not None else None
+        if comp_block is None:
+            cbs = [str(c).encode("utf-8") for c in comps]
+            lens = np.fromiter(map(len, cbs), dtype=np.uint32, count=n)
+            comp_block = lens.tobytes() + b"".join(cbs)
+            if memo is not None:
+                memo_by_identity(memo, comps, comp_block)
+    bits = t.view(np.int64)
+    if n and bool((bits == bits[0]).all()):
+        t = t[:1]
+        mode |= 2
+    return b"".join((struct.pack("<BHI", mode, len(mb), n), mb, comp_block,
+                     t.tobytes(), v.tobytes()))
+
+
 class TestWalFrame:
     @given(comps=st.lists(st.sampled_from(["a", "bb", "c-0c1s4n2", ""]),
                           max_size=12),
@@ -755,6 +787,37 @@ class TestWalFrame:
         assert (metric, got_c) == ("node.power_w", comps)
         assert np.array_equal(got_t.view(np.uint64), t.view(np.uint64))
         assert np.array_equal(got_v.view(np.uint64), v.view(np.uint64))
+
+    @given(comps=st.lists(st.sampled_from(["a", "bb", "c-0c1s4n2", ""]),
+                          max_size=9),
+           one_comp=st.booleans(), one_time=st.booleans(),
+           column=st.booleans(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_frames_equal_the_scanning_encoder_byte_for_byte(
+            self, comps, one_comp, one_time, column, data):
+        """The mode byte is skipped where it is known (one point; a
+        component-memo hit), never changed: every frame, first or
+        repeated, equals the encoder that scans both columns."""
+        if one_comp:
+            comps = comps[:1] * len(comps)
+        n = len(comps)
+        floats = st.one_of(
+            st.floats(width=64, allow_nan=True, allow_infinity=True),
+            st.sampled_from([float("nan"), -0.0, 0.0, math.inf, -math.inf]))
+        times = data.draw(st.lists(floats, min_size=n, max_size=n))
+        if one_time:
+            times = times[:1] * n
+        t = np.asarray(times, dtype=np.float64)
+        v = np.asarray(data.draw(st.lists(floats, min_size=n, max_size=n)),
+                       dtype=np.float64)
+        if column:                  # a published column: memo-able
+            comps = np.array(comps, dtype=object)
+            comps.flags.writeable = False
+        memo, ref_memo = {}, {}
+        for _ in range(2):          # the second frame hits the memo
+            got = _encode_wal_batch("m.x", comps, t, v, memo)
+            assert got == _scanning_wal_encoder("m.x", comps, t, v, ref_memo)
+        assert memo.keys() == ref_memo.keys()
 
     def test_frames_written_before_the_time_flag_still_decode(self):
         # modes 0 and 1 are the old layout: per-element times

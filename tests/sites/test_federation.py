@@ -7,7 +7,9 @@ series, health timeline, and delivery ledger bit-identical to a solo
 run.
 """
 
+import gc
 import re
+import types
 
 import numpy as np
 import pytest
@@ -127,10 +129,47 @@ class TestFederationBasics:
         assert all("/" in k for k in merged)
         assert {k.split("/", 1)[0] for k in merged} == {"csc", "snl"}
 
+    def test_a_shut_down_site_is_in_no_reference_cycle(self):
+        # so it is freed as soon as its owner lets go of it, not at the
+        # next full collection
+        fed = Federation.from_presets(["csc", "snl"])
+        fed.run(duration_s=120.0)
+        sites = list(fed.pipelines.values())
+        assert all(_reaches(p, p) for p in sites)
+        fed.shutdown()
+        assert not any(_reaches(p, p) for p in sites)
+
+    def test_a_shut_down_site_stops_ingesting(self):
+        p = Federation.from_presets(["snl"]).site("snl")
+        p.step()
+        stored = p.ledger.stored_total()
+        p.shutdown()
+        p.bus.publish("metrics.x", SeriesBatch.sweep("x", 1.0, ["a"], [1.0]))
+        p.bus.flush()
+        assert p.ledger.stored_total() == stored
+        assert p.tsdb.components("x") == []
+        assert len(p.tracer) == 0
+
     def test_unknown_site_lookup(self):
         fed = Federation.from_presets(["snl"])
         with pytest.raises(KeyError, match="unknown site"):
             fed.site("csc")
+
+
+def _reaches(root, target) -> bool:
+    """Whether ``target`` is reachable from ``root`` through the objects
+    it refers to, classes and module globals left out."""
+    seen, todo = set(), [root]
+    while todo:
+        for r in gc.get_referents(todo.pop()):
+            if r is target:
+                return True
+            if (id(r) in seen or isinstance(r, (type, types.ModuleType))
+                    or isinstance(r, dict) and "__builtins__" in r):
+                continue
+            seen.add(id(r))
+            todo.append(r)
+    return False
 
 
 def _run_solo(name, duration_s, dt):

@@ -214,3 +214,183 @@ class TestPerShardSurfaces:
         assert len(per) == 4
         assert sum(p.samples for p in per) == sharded.stats().samples
         assert sum(p.series for p in per) == sharded.stats().series
+
+
+class TestShortRoutes:
+    """A batch pays for its points: a column owned by one shard is handed
+    to it whole, and a warm tick files no route and no identity memo for
+    a column it has routed before."""
+
+    def one_shard_column(self, store, metric, shard, n):
+        names = (f"c{j}" for j in range(10_000))
+        return [c for c in names if store.shard_of(metric, c) == shard][:n]
+
+    def test_a_one_shard_piece_shares_the_batch_columns(self):
+        store = ShardedTimeSeriesStore(shards=4)
+        comps = self.one_shard_column(store, "m", 2, 5)
+        batch = SeriesBatch.sweep("m", 60.0, comps, np.arange(5.0))
+        ((i, piece),) = store.split(batch)
+        assert i == 2
+        assert piece.components is batch.components
+        assert piece.times is batch.times and piece.values is batch.values
+        assert piece.trace is None
+        # and a one-point batch
+        one = SeriesBatch.sweep("m", 60.0, comps[:1], [7.0])
+        ((i, piece),) = store.split(one)
+        assert i == 2 and piece.values is one.values
+
+    def test_a_one_shard_route_keeps_no_reference_to_its_column(self):
+        import gc
+
+        store = ShardedTimeSeriesStore(shards=4)
+        *three, other = self.one_shard_column(store, "m", 1, 4)
+        comps = np.array(three, dtype=object)
+        key = id(comps)
+        store.append(SeriesBatch.sweep("m", 0.0, comps, [1.0, 2.0, 3.0]))
+        assert store._route_memo[key] == {"m": 1}   # the shard alone
+        # the shard's head block remembers the last column it saw
+        store.append(SeriesBatch.sweep("m", 60.0, [other], [4.0]))
+        del comps
+        gc.collect()
+        assert key not in store._route_memo     # died with it
+
+    def test_split_pieces_partition_the_batch(self):
+        store = ShardedTimeSeriesStore(shards=4)
+        comps = [f"n{j}" for j in range(40)]
+        batch = SeriesBatch.sweep("m", 5.0, comps, np.arange(40.0))
+        pieces = store.split(batch)
+        assert [i for i, _ in pieces] == sorted({i for i, _ in pieces})
+        got = sorted((str(c), v) for _, p in pieces
+                     for c, v in zip(p.components, p.values))
+        assert got == sorted(zip(comps, np.arange(40.0)))
+        for i, p in pieces:
+            assert {store.shard_of("m", str(c)) for c in p.components} == {i}
+
+    def test_a_warm_tick_files_no_route_and_no_identity_memo(
+            self, tmp_path, monkeypatch):
+        from repro.sites import SiteConfig, build_site
+        from repro.storage import diskier, sharded
+
+        filed = []
+        for mod in (sharded, diskier):
+            def counted(memo, array, value, real=mod.memo_by_identity):
+                filed.append(array)
+                real(memo, array, value)
+            monkeypatch.setattr(mod, "memo_by_identity", counted)
+        misses = []
+        real_routing = ShardedTimeSeriesStore._routing
+
+        def routing(self, metric, components, n):
+            def has():
+                return metric in self._route_memo.get(id(components), ())
+            before = has()
+            route = real_routing(self, metric, components, n)
+            if not before and has():
+                misses.append((metric, n))
+            return route
+
+        monkeypatch.setattr(ShardedTimeSeriesStore, "_routing", routing)
+        p = build_site(SiteConfig(
+            metric_interval_s=60.0, tick_s=60.0, transport="partitioned",
+            shards=4, chunk_size=16, store_dir=str(tmp_path / "store"),
+            hot_bytes=64 << 10, seed=0))
+        try:
+            for _ in range(4):
+                p.step()
+            assert misses and filed      # warm-up built the memos
+            misses.clear()
+            filed.clear()
+            stored = p.ledger.stored_total()
+            p.step()
+            assert p.ledger.stored_total() > stored
+            # job.io_bps is the one column that follows the running jobs;
+            # every other batch rides a column routed in an earlier tick
+            assert {m for m, _ in misses} <= {"job.io_bps"}
+            assert len(filed) == len(misses)
+        finally:
+            p.tsdb.close()
+
+
+class TestWholeMetricSelection:
+    """``components=None`` is every live row, resolved from the head
+    blocks' live counts: it answers every read exactly like the explicit
+    full list, on a plain and a sharded store, after a drop and
+    re-creation, and with a shard down."""
+
+    def stores(self):
+        return [TimeSeriesStore(chunk_size=4),
+                ShardedTimeSeriesStore(shards=4, chunk_size=4)]
+
+    def fill(self, store):
+        rng = np.random.default_rng(3)
+        comps = [f"c{j}" for j in rng.permutation(24)]
+        for s in range(11):
+            store.append(SeriesBatch.sweep("m", 10.0 * s, comps,
+                                           rng.normal(size=24)))
+        # a late ragged row and a tie at one time, for `last`
+        store.append(SeriesBatch("m", ["c3", "c3", "zz"], [5.0, 5.0, 7.0],
+                                 [1.0, 2.0, 3.0]))
+
+    def assert_none_is_the_full_list(self, store):
+        full = store.components("m")
+        assert store._resolve("m", None)[0] == full
+        a, b = (store.query_components("m", c) for c in (None, full))
+        assert list(a) == list(b) == full
+        for c in full:
+            assert np.array_equal(a[c].times, b[c].times)
+            assert np.array_equal(a[c].values, b[c].values)
+        for window in [(-np.inf, np.inf), (20.0, 75.0)]:
+            la, lb = (store.latest("m", c, *window) for c in (None, full))
+            assert list(la.components) == list(lb.components)
+            assert np.array_equal(la.times, lb.times)
+            assert np.array_equal(la.values, lb.values)
+            for agg in ("mean", "sum", "min", "max", "count", "last"):
+                x, y = (store.aggregate_across("m", c, *window, 30.0, agg)
+                        for c in (None, full))
+                assert np.array_equal(x.times, y.times)
+                assert np.array_equal(x.values, y.values, equal_nan=True)
+        assert store.first_time("m", None) == store.first_time("m", full)
+        pa, ca, ra = store.bucket_partials("m", None, 0.0, 120.0, 30.0, 0.0)
+        pb, cb, rb = store.bucket_partials("m", full, 0.0, 120.0, 30.0, 0.0)
+        assert ra == rb and len(pa) == len(pb)
+        for x, y in zip(pa, pb):
+            assert all(np.array_equal(u, v) for u, v in zip(x, y))
+        for x, y in zip(ca, cb):
+            assert np.array_equal(x, y)
+
+    def test_a_whole_metric_read_answers_like_the_full_list(self):
+        for store in self.stores():
+            self.fill(store)
+            self.assert_none_is_the_full_list(store)
+
+    def test_after_a_drop_and_a_recreation(self):
+        for store in self.stores():
+            self.fill(store)
+            before = store._resolve("m", None)
+            assert store._resolve("m", None) is before     # memoized
+            assert store.drop_series("m", "c5")
+            assert "c5" not in store._resolve("m", None)[0]
+            self.assert_none_is_the_full_list(store)
+            store.append(SeriesBatch.sweep("m", 500.0, ["c5"], [9.0]))
+            assert "c5" in store._resolve("m", None)[0]
+            self.assert_none_is_the_full_list(store)
+
+    @pytest.mark.parametrize("victim", range(4))
+    def test_with_a_failed_shard(self, victim):
+        # the last shard too: the healthy shards' key lists then match
+        # the memo's first three, and only the health epoch tells
+        store = self.stores()[1]
+        self.fill(store)
+        whole = store._resolve("m", None)[0]
+        store.fail_shard(victim)
+        lost = {c for c in whole if store.shard_of("m", c) == victim}
+        assert lost and set(store._resolve("m", None)[0]) == set(whole) - lost
+        self.assert_none_is_the_full_list(store)
+        store.recover_shard(victim)
+        assert store._resolve("m", None)[0] == whole
+        self.assert_none_is_the_full_list(store)
+
+    def test_an_unknown_metric_selects_nothing(self):
+        for store in self.stores():
+            assert store._resolve("nope", None) == ([], [])
+            assert store.query_components("nope") == {}

@@ -311,6 +311,53 @@ class TestColumnarGate:
         assert check_mod.check_fleet_loops(f) == []
 
 
+class TestFixedColumnsGate:
+    """A source or the self-monitor publishes held name columns, not a
+    component list built per batch."""
+
+    def test_collectors_and_the_self_monitor_pass(self):
+        problems = check_mod.check_fixed_columns_published()
+        assert not problems, "\n".join(problems)
+
+    def test_flags_a_list_built_at_the_sweep(self, tmp_path):
+        f = tmp_path / "vitals.py"
+        f.write_text(
+            "def sample(name, now, row, value, col):\n"
+            "    a = SeriesBatch.sweep(name, now, [row.component],\n"
+            "                          [float(value)])\n"
+            "    b = SeriesBatch.sweep(name, now, list(value),\n"
+            "                          [float(v) for v in value.values()])\n"
+            "    c = SeriesBatch.sweep(name, now, [f'j.{j}' for j in value],\n"
+            "                          [1.0])\n"
+            "    d = SeriesBatch.sweep(name, now, components=['scheduler'],\n"
+            "                          values=[1.0])\n"
+            "    e = SeriesBatch.sweep(name, now, col, [1.0])\n"
+            "    g = SeriesBatch.sweep(name, now, row.column, list(value))\n"
+            "    h = SeriesBatch.sweep(name, now, ['x'],\n"
+            "                          [1.0])  # per-batch: allowed\n"
+            "    return a, b, c, d, e, g, h, sweep(name, now, ['x'], [1.0])\n"
+        )
+        problems = check_mod.check_fixed_columns(f)
+        assert sorted(p.split(":")[1] for p in problems) == [
+            "2", "4", "6", "8"]
+        assert all("name_column" in p for p in problems)
+
+    def test_gate_is_wired_into_lint(self, tmp_path, monkeypatch):
+        import inspect
+
+        assert "check_fixed_columns_published" in inspect.getsource(
+            check_mod.lint)
+        for plane in ("sources", "obs"):
+            hot = tmp_path / "src" / "repro" / plane / "hot.py"
+            hot.parent.mkdir(parents=True)
+            hot.write_text("def f(now, v):\n"
+                           "    return SeriesBatch.sweep('m', now, ['s'], v)\n")
+        monkeypatch.setattr(check_mod, "REPO", tmp_path)
+        problems = check_mod.check_fixed_columns_published()
+        assert len(problems) == 2
+        assert all("hot.py:2:" in p for p in problems)
+
+
 class TestSwallowGate:
     """The blind-exception-swallow lint keeping failures accounted."""
 
